@@ -1,6 +1,6 @@
 // Parallel crawl engine bench: wall-clock speedup of the batched wave
 // engine over the serial crawler under simulated network latency, plus
-// thread-count-invariance evidence and ShardedLocalStore ingest scaling.
+// thread-count-invariance evidence.
 //
 // The paper's cost model counts communication rounds, not seconds; this
 // bench is about the orthogonal systems question of how much wall-clock
@@ -16,15 +16,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/crawler/greedy_link_selector.h"
-#include "src/crawler/sharded_store.h"
 #include "src/datagen/movie_domain.h"
 #include "src/server/locked_interface.h"
-#include "src/util/random.h"
 #include "src/util/thread_pool.h"
 
 namespace deepcrawl {
@@ -109,54 +105,9 @@ void SpeedupSweep(const Table& target) {
                "cannot overlap fetches and shows no speedup by design.\n";
 }
 
-void ShardedIngestSweep() {
-  PrintBanner("ShardedLocalStore: concurrent ingest throughput",
-              "n/a (systems bench)",
-              "200k synthetic records of 4 values, 32 shards");
-
-  constexpr uint32_t kRecords = 200000;
-  constexpr uint32_t kValuesPerRecord = 4;
-  constexpr uint32_t kValueSpace = 5000;
-
-  TablePrinter table({"threads", "wall ms", "records/s", "speedup"});
-  double baseline_ms = 0.0;
-  for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-    ShardedLocalStore store(/*num_shards=*/32);
-    auto start = std::chrono::steady_clock::now();
-    std::vector<std::thread> workers;
-    for (uint32_t t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        std::vector<ValueId> values(kValuesPerRecord);
-        for (RecordId id = t; id < kRecords; id += threads) {
-          Pcg32 rng(id * 2654435761u + 1);
-          for (uint32_t i = 0; i < kValuesPerRecord; ++i) {
-            values[i] = rng.NextBounded(kValueSpace);
-          }
-          store.AddRecord(id, values);
-        }
-      });
-    }
-    for (std::thread& t : workers) t.join();
-    auto elapsed = std::chrono::steady_clock::now() - start;
-    double wall_ms =
-        std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
-            elapsed)
-            .count();
-    DEEPCRAWL_CHECK_EQ(store.num_records(), kRecords);
-    if (threads == 1) baseline_ms = wall_ms;
-    table.AddRow(
-        {std::to_string(threads), TablePrinter::FormatDouble(wall_ms, 1),
-         TablePrinter::FormatCount(
-             static_cast<uint64_t>(kRecords / (wall_ms / 1000.0))),
-         TablePrinter::FormatDouble(baseline_ms / wall_ms, 2) + "x"});
-  }
-  table.Print(std::cout);
-}
-
 // Reduced fixed-configuration sweep for the check.sh perf pass: one
-// serial and one 8-thread batched crawl (speedup + determinism canary)
-// plus the 8-thread sharded ingest throughput, written as
-// BENCH_parallel.json.
+// serial and one 8-thread batched crawl (speedup + determinism canary),
+// written as BENCH_parallel.json.
 void RunJsonSuite(const Table& target, const std::string& json_path) {
   BenchJson json("parallel");
 
@@ -169,38 +120,6 @@ void RunJsonSuite(const Table& target, const std::string& json_path) {
            /*higher_is_better=*/true);
   json.Add("crawl_rounds_batch8", static_cast<double>(serial.rounds),
            "rounds", /*higher_is_better=*/false);
-
-  constexpr uint32_t kRecords = 200000;
-  constexpr uint32_t kValuesPerRecord = 4;
-  constexpr uint32_t kValueSpace = 5000;
-  constexpr uint32_t kThreads = 8;
-  double best_ms = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    ShardedLocalStore store(/*num_shards=*/32);
-    auto start = std::chrono::steady_clock::now();
-    std::vector<std::thread> workers;
-    for (uint32_t t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&, t] {
-        std::vector<ValueId> values(kValuesPerRecord);
-        for (RecordId id = t; id < kRecords; id += kThreads) {
-          Pcg32 rng(id * 2654435761u + 1);
-          for (uint32_t i = 0; i < kValuesPerRecord; ++i) {
-            values[i] = rng.NextBounded(kValueSpace);
-          }
-          store.AddRecord(id, values);
-        }
-      });
-    }
-    for (std::thread& t : workers) t.join();
-    double wall_ms =
-        std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    DEEPCRAWL_CHECK_EQ(store.num_records(), kRecords);
-    if (rep == 0 || wall_ms < best_ms) best_ms = wall_ms;
-  }
-  json.Add("sharded_ingest_8t_rps", kRecords / (best_ms / 1000.0),
-           "records/s", /*higher_is_better=*/true);
 
   json.WriteFile(json_path);
 }
@@ -217,6 +136,5 @@ int main(int argc, char** argv) {
     return 0;
   }
   deepcrawl::bench::SpeedupSweep(target);
-  deepcrawl::bench::ShardedIngestSweep();
   return 0;
 }

@@ -60,7 +60,9 @@ class FaultyServer;
 //     paged store's MANIFEST stamp instead of logical record replay).
 // v4: new SELC payload kinds — term-weight (frontier + batch queue) and
 //     adaptive (chain fingerprint + switch estimator + nested children).
-inline constexpr uint32_t kCrawlCheckpointVersion = 4;
+// v5: the on-disk store was removed — CONF lost its layout byte and
+//     STOR has only the logical replay form again.
+inline constexpr uint32_t kCrawlCheckpointVersion = 5;
 
 // Section markers (fourcc, little-endian u32). Sections appear in file
 // order: CONFIG, ENGINE (store + selector nested inside), optional
@@ -93,7 +95,7 @@ StatusOr<std::string> EncodeCrawlCheckpoint(const CrawlEngine& engine,
 
 // Restores a framed checkpoint image into a freshly constructed engine
 // (+ proxy). The engine must have an empty store and no rounds used;
-// construction parameters (selector policy, batch, store layout, fault
+// construction parameters (selector policy, batch, store options, fault
 // setup) must match the checkpointing run, or a clean error is
 // returned. On error the engine may be partially populated and must be
 // discarded.

@@ -460,7 +460,6 @@ Status CrawlEngine::SaveState(CheckpointWriter& writer) const {
   writer.WriteU32(engine_options_.batch);
   writer.WriteU8(options_.use_keyword_interface ? 1 : 0);
   writer.WriteU8(store_.options().exact_degrees ? 1 : 0);
-  writer.WriteU8(static_cast<uint8_t>(store_.options().layout));
   writer.WriteString(selector_.name());
   writer.WriteU64(options_.max_rounds);
   writer.WriteU64(options_.target_records);
@@ -501,37 +500,20 @@ Status CrawlEngine::SaveState(CheckpointWriter& writer) const {
   for (size_t index : wave_) writer.WriteU64(index);
   writer.WriteU64(wave_pos_);
 
-  // STORE. Two forms, selected by the layout byte already pinned in
-  // CONFIG:
-  //  * kPaged (v3 manifest form): the store persists itself — dirty
-  //    pages are flushed + fsynced and a MANIFEST.<stamp> written —
-  //    and the crawl checkpoint records only the counters and the
-  //    stamp. The manifest lands durably *before* this checkpoint's
-  //    own file, so a crash between the two resumes from the previous
-  //    stamp, whose pages the store retains (DESIGN.md §14).
-  //  * otherwise: logical replay form — original id, observation
-  //    count, and values per record, in harvest order.
-  //    AddRecord/ObserveDuplicate rebuild the CSR arenas, edge hash,
-  //    degrees, and postings exactly, because all of them are pure
-  //    functions of the add sequence.
+  // STORE, in logical replay form: original id, observation count, and
+  // values per record, in harvest order. AddRecord/RestoreObservations
+  // rebuild the CSR arenas, edge hash, degrees, and postings exactly,
+  // because all of them are pure functions of the add sequence.
   WriteSectionMarker(writer, kSectionStore);
-  if (store_.options().layout == LocalStore::Layout::kPaged) {
-    StatusOr<uint64_t> stamp = store_.CheckpointPaged();
-    if (!stamp.ok()) return stamp.status();
-    writer.WriteU64(store_.num_records());
-    writer.WriteU64(store_.num_observations());
-    writer.WriteU64(*stamp);
-  } else {
-    writer.WriteU64(store_.num_records());
-    for (uint32_t slot = 0; slot < store_.num_records(); ++slot) {
-      writer.WriteU32(store_.OriginalRecordId(slot));
-      writer.WriteU32(store_.ObservationCount(slot));
-      std::span<const ValueId> values = store_.RecordValues(slot);
-      writer.WriteU32(static_cast<uint32_t>(values.size()));
-      for (ValueId v : values) writer.WriteU32(v);
-    }
-    writer.WriteU64(store_.num_observations());
+  writer.WriteU64(store_.num_records());
+  for (uint32_t slot = 0; slot < store_.num_records(); ++slot) {
+    writer.WriteU32(store_.OriginalRecordId(slot));
+    writer.WriteU32(store_.ObservationCount(slot));
+    std::span<const ValueId> values = store_.RecordValues(slot);
+    writer.WriteU32(static_cast<uint32_t>(values.size()));
+    for (ValueId v : values) writer.WriteU32(v);
   }
+  writer.WriteU64(store_.num_observations());
 
   // SELECTOR: the policy serializes itself (oracle/domain policies
   // reject with a clean FailedPrecondition).
@@ -553,7 +535,6 @@ Status CrawlEngine::LoadState(CheckpointReader& reader) {
   uint32_t batch = reader.ReadU32();
   bool keyword = reader.ReadU8() != 0;
   bool exact_degrees = reader.ReadU8() != 0;
-  uint8_t layout = reader.ReadU8();
   std::string selector_name = reader.ReadString();
   uint64_t max_rounds = reader.ReadU64();
   uint64_t target_records = reader.ReadU64();
@@ -571,11 +552,10 @@ Status CrawlEngine::LoadState(CheckpointReader& reader) {
         "checkpoint interface mismatch: keyword mode differs from the "
         "checkpointing run");
   }
-  if (exact_degrees != store_.options().exact_degrees ||
-      layout != static_cast<uint8_t>(store_.options().layout)) {
+  if (exact_degrees != store_.options().exact_degrees) {
     return Status::InvalidArgument(
-        "checkpoint store-options mismatch: exact-degrees/layout differ "
-        "from the checkpointing run");
+        "checkpoint store-options mismatch: exact-degrees differs from "
+        "the checkpointing run");
   }
   if (selector_name != selector_.name()) {
     return Status::InvalidArgument(
@@ -596,6 +576,10 @@ Status CrawlEngine::LoadState(CheckpointReader& reader) {
   uint64_t clock_now = reader.ReadU64();
   saturation_notified_ = reader.ReadU8() != 0;
   std::string seen_bytes = reader.ReadString();
+  if (seen_bytes.find_first_not_of(std::string_view("\0\1", 2)) !=
+      std::string::npos) {
+    reader.MarkCorrupt("seen bitmap byte is neither 0 nor 1");
+  }
   DEEPCRAWL_RETURN_IF_ERROR(reader.status());
   clock_.set_now(clock_now);
   seen_.assign(seen_bytes.begin(), seen_bytes.end());
@@ -668,29 +652,6 @@ Status CrawlEngine::LoadState(CheckpointReader& reader) {
 
   if (!ExpectSectionMarker(reader, kSectionStore, "STOR")) {
     return reader.status();
-  }
-  if (store_.options().layout == LocalStore::Layout::kPaged) {
-    uint64_t expected_records = reader.ReadU64();
-    uint64_t expected_obs = reader.ReadU64();
-    uint64_t stamp = reader.ReadU64();
-    DEEPCRAWL_RETURN_IF_ERROR(reader.status());
-    DEEPCRAWL_RETURN_IF_ERROR(store_.LoadPagedCheckpoint(stamp));
-    if (store_.num_records() != expected_records ||
-        store_.num_observations() != expected_obs) {
-      return Status::InvalidArgument(
-          "paged store manifest " + std::to_string(stamp) +
-          " does not match the crawl checkpoint's record/observation "
-          "counters");
-    }
-    if (store_.num_values_seen() > value_bound) {
-      return Status::InvalidArgument(
-          "paged store manifest contains value ids the crawl never "
-          "discovered");
-    }
-    if (!ExpectSectionMarker(reader, kSectionSelector, "SELC")) {
-      return reader.status();
-    }
-    return selector_.LoadState(reader, value_bound);
   }
   uint64_t num_records = reader.ReadCount(16);
   std::vector<ValueId> values;

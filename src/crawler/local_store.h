@@ -16,67 +16,39 @@
 //     off in favour of a cheap "link count" (degree with multiplicity)
 //     when memory matters; the ablation bench compares both.
 //
-// Hot-path layout (the kCsr default): postings and the G_local
-// adjacency live in ChunkedArena dynamic-CSR stores (one flat buffer
-// each, amortized relocation on doubling, epoch compaction), and edge
-// dedup goes through one flat open-addressing hash of packed
-// (min, max) value pairs — a single probe per record value pair instead
-// of two std::unordered_set inserts. The pre-optimization layout (one
-// unordered_set per value, one vector per posting list) is kept behind
-// Options::layout = kReference so the differential suite can prove the
-// two produce byte-identical crawls; see DESIGN.md §9.
+// Layout: postings and the G_local adjacency live in ChunkedArena
+// dynamic-CSR stores (one flat buffer each, amortized relocation on
+// doubling, epoch compaction), and edge dedup goes through one flat
+// open-addressing hash of packed (min, max) value pairs — a single
+// probe per record value pair instead of two std::unordered_set
+// inserts. The pre-optimization layout (one unordered_set per value,
+// one vector per posting list) lives on as a test oracle in
+// tests/reference_local_store.h; see DESIGN.md §9.
 
 #ifndef DEEPCRAWL_CRAWLER_LOCAL_STORE_H_
 #define DEEPCRAWL_CRAWLER_LOCAL_STORE_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/relation/types.h"
 #include "src/util/chunked_arena.h"
 #include "src/util/flat_hash.h"
-#include "src/util/status.h"
 
 namespace deepcrawl {
 
-class PagedStore;
-struct PageCacheStats;
-
 class LocalStore {
  public:
-  // Which physical layout backs the statistics table. All produce
-  // identical observable behaviour (degrees, spans, frequencies, and
-  // their orders); kReference exists only as the differential-test
-  // yardstick and for A/B benchmarking, kPaged spills to disk through
-  // a bounded page cache so the store can exceed RAM (DESIGN.md §14).
-  enum class Layout {
-    kCsr,        // flat arenas + edge hash (the fast in-memory default)
-    kReference,  // one unordered_set / vector per value (pre-PR layout)
-    kPaged,      // on-disk page-cache backend (src/crawler/paged_store.h)
-  };
-
   struct Options {
     // Track exact distinct-neighbor degrees (true) or the cheaper
     // with-multiplicity link count (false).
     bool exact_degrees = true;
-    Layout layout = Layout::kCsr;
-    // kPaged only: store directory, page size (power of two >= 64),
-    // page-cache capacity in frames, and whether existing on-disk
-    // state is kept for a follow-up LoadPagedCheckpoint.
-    std::string paged_dir;
-    uint32_t page_bytes = 4096;
-    uint32_t cache_pages = 1024;
-    bool paged_resume = false;
   };
 
   LocalStore();  // default options
   explicit LocalStore(Options options);
-  ~LocalStore();
 
   LocalStore(const LocalStore&) = delete;
   LocalStore& operator=(const LocalStore&) = delete;
@@ -117,19 +89,16 @@ class LocalStore {
   uint64_t LocalDegree(ValueId v) const;
 
   // Distinct G_local neighbors of `v`, in first-co-occurrence order
-  // (deterministic and identical across layouts). Empty when exact
-  // degree tracking is off. Invalidated by the next AddRecord — and,
-  // under kPaged, by the next NeighborsSpan call (each accessor owns
-  // one copy-out scratch buffer; holding spans from two *different*
-  // accessors simultaneously is fine).
+  // (deterministic). Empty when exact degree tracking is off.
+  // Invalidated by the next AddRecord.
   std::span<const ValueId> NeighborsSpan(ValueId v) const;
 
-  // Local record slots (indices into this store) containing `v`.
-  // Invalidated by the next AddRecord (kPaged: or LocalPostings call).
+  // Local record slots (indices into this store) containing `v`, in
+  // harvest order. Invalidated by the next AddRecord.
   std::span<const uint32_t> LocalPostings(ValueId v) const;
 
-  // Values of the local record in slot `slot`. Invalidated by the
-  // next AddRecord (kPaged: or RecordValues call).
+  // Values of the local record in slot `slot`, in the order given to
+  // AddRecord. Invalidated by the next AddRecord.
   std::span<const ValueId> RecordValues(uint32_t slot) const;
 
   // Original (server-side) record id of slot `slot`.
@@ -140,16 +109,6 @@ class LocalStore {
   uint32_t ObservationCount(uint32_t slot) const;
 
   const Options& options() const { return options_; }
-
-  // --- kPaged checkpoint surface (aborts unless layout == kPaged) ---
-  // Flushes dirty pages, fsyncs, and durably writes MANIFEST.<stamp>;
-  // the returned stamp goes into the crawl checkpoint's STOR section.
-  StatusOr<uint64_t> CheckpointPaged();
-  // Restores the paged backend to MANIFEST.<stamp> (sweeping crash
-  // leftovers and validating every referenced page checksum).
-  Status LoadPagedCheckpoint(uint64_t stamp);
-  // Page-cache hit/miss/eviction/writeback counters.
-  const PageCacheStats& paged_cache_stats() const;
 
  private:
   void EnsureValueCapacity(ValueId v);
@@ -168,26 +127,11 @@ class LocalStore {
   std::vector<uint32_t> local_frequency_;
   std::vector<uint64_t> link_count_;
 
-  // kCsr layout: dynamic-CSR postings and adjacency, plus the flat edge
-  // hash that deduplicates G_local edges ((min << 32) | max keys).
+  // Dynamic-CSR postings and adjacency, plus the flat edge hash that
+  // deduplicates G_local edges ((min << 32) | max keys).
   ChunkedArena<uint32_t> postings_csr_;
   ChunkedArena<ValueId> adjacency_csr_;
   FlatSet64 edge_set_;
-
-  // kReference layout: the pre-optimization containers. The neighbor
-  // list mirrors adjacency_csr_'s first-co-occurrence order so
-  // NeighborsSpan is layout-independent.
-  std::vector<std::vector<uint32_t>> local_postings_ref_;
-  std::vector<std::unordered_set<ValueId>> neighbor_sets_ref_;
-  std::vector<std::vector<ValueId>> neighbor_lists_ref_;
-
-  // kPaged layout: the on-disk backend plus one scratch buffer per
-  // span accessor (rows cross page boundaries, so spans are served
-  // from copy-outs; mutable because reading pages touches the cache).
-  std::unique_ptr<PagedStore> paged_;
-  mutable std::vector<ValueId> neighbors_scratch_;
-  mutable std::vector<uint32_t> postings_scratch_;
-  mutable std::vector<ValueId> record_scratch_;
 };
 
 }  // namespace deepcrawl

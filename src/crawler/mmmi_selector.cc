@@ -240,6 +240,10 @@ Status MmmiSelector::LoadState(CheckpointReader& reader,
   }
   saturated_ = reader.ReadU8() != 0;
   std::string bitmap = reader.ReadString();
+  if (bitmap.find_first_not_of(std::string_view("\0\1", 2)) !=
+      std::string::npos) {
+    reader.MarkCorrupt("queried bitmap byte is neither 0 nor 1");
+  }
   queried_bitmap_.assign(bitmap.begin(), bitmap.end());
   batch_queue_.clear();
   uint64_t queued = reader.ReadCount(4);

@@ -264,7 +264,10 @@ Status WriteFleetTraceCsv(const FleetResult& result, std::ostream& output);
 // any mangled byte is rejected with a clean Status, never a crash.
 
 // v1002: fleet format 1 over engine payload version 2.
-inline constexpr uint32_t kFleetCheckpointVersion = 1002;
+// v1005: fleet format 1 over engine payload version 5 (fleet images
+//        embed CrawlEngine::SaveState, so every engine bump is a fleet
+//        bump too).
+inline constexpr uint32_t kFleetCheckpointVersion = 1005;
 
 inline constexpr uint32_t kSectionFleet = 0x54454c46;        // "FLET"
 inline constexpr uint32_t kSectionFleetSource = 0x43525346;  // "FSRC"

@@ -108,8 +108,7 @@ Status WriteFileAtomic(const std::string& path, std::string_view bytes);
 // Same unique-temp + rename protocol but with NO fsync: the rename is
 // still atomic against concurrent readers, but the new bytes are not
 // durable until SyncFileDurable(path) (and the parent directory) is
-// called. The page cache uses this for evictions between checkpoints,
-// where durability is only required at checkpoint boundaries.
+// called. For writes that need to be durable only at a later boundary.
 Status WriteFileAtomicDeferredSync(const std::string& path,
                                    std::string_view bytes);
 

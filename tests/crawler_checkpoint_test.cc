@@ -269,15 +269,31 @@ TEST(CrawlCheckpointTest, ForgedChecksumPayloadFlipsNeverCrash) {
 
 TEST(CrawlCheckpointTest, VersionMismatchNamesBothVersions) {
   std::string image = MidCrawlImage("greedy", /*with_faults=*/false);
-  // Patch the u32 version field at offset 4 (little-endian).
+  // A newer version: patch the u32 version field at offset 4
+  // (little-endian).
+  std::string newer = image;
   uint32_t bogus = kCrawlCheckpointVersion + 1;
   for (int b = 0; b < 4; ++b) {
-    image[4 + b] = static_cast<char>((bogus >> (8 * b)) & 0xFF);
+    newer[4 + b] = static_cast<char>((bogus >> (8 * b)) & 0xFF);
   }
-  Status status = TryDecode(image, "greedy", /*with_faults=*/false);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("version"), std::string::npos)
-      << status.ToString();
+  // A v4 image as the previous format wrote it: the same payload with
+  // the store-layout byte (0 = in-memory CSR) that v4's CONF section
+  // carried after exact_degrees, framed as version 4.
+  StatusOr<std::string_view> payload =
+      UnframeCheckpoint(image, kCrawlCheckpointVersion);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  // CONF opens with marker u32, batch u32, keyword u8, exact_degrees u8.
+  constexpr size_t kLayoutByteOffset = 4 + 4 + 1 + 1;
+  std::string v4_payload(*payload);
+  v4_payload.insert(kLayoutByteOffset, 1, '\0');
+  std::string v4 = FrameCheckpoint(v4_payload, 4);
+
+  for (const std::string* stale : {&newer, &v4}) {
+    Status status = TryDecode(*stale, "greedy", /*with_faults=*/false);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("version"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(CrawlCheckpointTest, SelectorPolicyMismatchIsCleanError) {

@@ -1,21 +1,23 @@
 // Differential suite for the hot-path overhaul: the optimized data
-// layouts must be observationally INVISIBLE.
+// structures must be observationally INVISIBLE.
 //
-// Two independent optimization axes are cross-checked against their
-// reference implementations:
+// Two optimizations are cross-checked against reference
+// implementations:
 //
-//   * LocalStore layout: epoch-compacted CSR arenas + flat edge hash
-//     (Layout::kCsr) vs one unordered_set / vector per value
-//     (Layout::kReference);
+//   * LocalStore: epoch-compacted CSR arenas + flat edge hash vs the
+//     per-value containers of tests/reference_local_store.h. Every
+//     crawl runs its selector behind StoreOracleSelector, which replays
+//     each harvested record into the oracle and compares the record's
+//     values after every add — not only the final trace;
 //   * MMMI scoring: incrementally-maintained co-occurrence counters vs
 //     the full postings rescan (MmmiOptions::reference_scoring).
 //
 // For every selection policy × fault profile, serial and parallel
-// (--threads 8 --batch 8), a fully-optimized run must produce a
+// (--threads 8 --batch 8), an incremental-scoring run must produce a
 // byte-identical CrawlTrace (CSV serialization compared as strings) and
 // identical meters/harvest order/resilience counters to the
-// all-reference run — and the two mixed combinations must match too, so
-// a compensating pair of bugs cannot hide.
+// reference-scoring run — also over a link-count store
+// (exact_degrees = false), so a bug in one degree mode cannot hide.
 
 #include <gtest/gtest.h>
 
@@ -37,6 +39,7 @@
 #include "src/server/faulty_server.h"
 #include "src/server/locked_interface.h"
 #include "src/server/web_db_server.h"
+#include "tests/reference_local_store.h"
 
 namespace deepcrawl {
 namespace {
@@ -47,14 +50,9 @@ constexpr uint64_t kSelectorSeed = 5;
 const char* const kPolicies[] = {"bfs", "dfs", "random", "greedy", "mmmi"};
 const char* const kProfiles[] = {"none", "flaky", "lossy", "hostile"};
 
-// One point in the optimization space.
-struct Variant {
-  LocalStore::Layout layout = LocalStore::Layout::kCsr;
-  bool mmmi_reference_scoring = false;
-};
-
-constexpr Variant kOptimized{LocalStore::Layout::kCsr, false};
-constexpr Variant kReference{LocalStore::Layout::kReference, true};
+// MMMI scoring variants (ignored by the other policies).
+constexpr bool kIncrementalScoring = false;
+constexpr bool kReferenceScoring = true;
 
 FaultProfile ProfileByName(const std::string& name) {
   FaultProfile profile;
@@ -77,7 +75,7 @@ FaultProfile ProfileByName(const std::string& name) {
 
 std::unique_ptr<QuerySelector> MakeSelector(const std::string& policy,
                                             const LocalStore& store,
-                                            const Variant& variant) {
+                                            bool mmmi_reference_scoring) {
   if (policy == "bfs") return std::make_unique<BfsSelector>();
   if (policy == "dfs") return std::make_unique<DfsSelector>();
   if (policy == "random") {
@@ -86,12 +84,65 @@ std::unique_ptr<QuerySelector> MakeSelector(const std::string& policy,
   if (policy == "greedy") return std::make_unique<GreedyLinkSelector>(store);
   if (policy == "mmmi") {
     MmmiOptions options;
-    options.reference_scoring = variant.mmmi_reference_scoring;
+    options.reference_scoring = mmmi_reference_scoring;
     return std::make_unique<MmmiSelector>(store, options);
   }
   ADD_FAILURE() << "unknown policy " << policy;
   return nullptr;
 }
+
+// Forwards every event to the crawl's real selector. After each
+// OnRecordHarvested it feeds the new record into a ReferenceLocalStore
+// and checks that the crawl's store agrees with the oracle on every
+// value of that record. Only the first divergence is reported.
+class StoreOracleSelector : public QuerySelector {
+ public:
+  StoreOracleSelector(std::unique_ptr<QuerySelector> inner,
+                      const LocalStore& store)
+      : inner_(std::move(inner)),
+        store_(store),
+        oracle_(store.options().exact_degrees) {}
+
+  void OnValueDiscovered(ValueId v) override { inner_->OnValueDiscovered(v); }
+
+  void OnRecordHarvested(uint32_t slot) override {
+    EXPECT_EQ(slot, oracle_.num_records());
+    std::span<const ValueId> values = store_.RecordValues(slot);
+    EXPECT_TRUE(oracle_.AddRecord(store_.OriginalRecordId(slot), values));
+    for (ValueId v : values) {
+      if (diverged_) break;
+      ::testing::AssertionResult match =
+          ValueMatchesReference(store_, oracle_, v);
+      if (!match) {
+        ADD_FAILURE() << "after harvesting slot " << slot << ": "
+                      << match.message();
+        diverged_ = true;
+      }
+    }
+    ++checked_adds_;
+    inner_->OnRecordHarvested(slot);
+  }
+
+  void OnQueryCompleted(const QueryOutcome& outcome) override {
+    inner_->OnQueryCompleted(outcome);
+  }
+  void OnSaturation() override { inner_->OnSaturation(); }
+  void OnValueTaken(ValueId v) override { inner_->OnValueTaken(v); }
+  ValueId SelectNext() override { return inner_->SelectNext(); }
+  std::string_view name() const override { return inner_->name(); }
+  bool MaySelectUndiscovered() const override {
+    return inner_->MaySelectUndiscovered();
+  }
+
+  uint64_t checked_adds() const { return checked_adds_; }
+
+ private:
+  std::unique_ptr<QuerySelector> inner_;
+  const LocalStore& store_;
+  ReferenceLocalStore oracle_;
+  uint64_t checked_adds_ = 0;
+  bool diverged_ = false;
+};
 
 ValueId FirstQueriableSeed(const Table& table) {
   for (ValueId v = 0; v < table.num_distinct_values(); ++v) {
@@ -149,10 +200,12 @@ RunOutput Capture(const CrawlResult& result, const LocalStore& store,
 }
 
 // threads == 0 selects the serial crawler; otherwise the parallel
-// engine with the given threads/batch.
+// engine with the given threads/batch. The store is checked against the
+// oracle after every add.
 RunOutput RunVariant(const std::string& policy,
-                     const std::string& profile_name, const Variant& variant,
-                     uint32_t threads, uint32_t batch) {
+                     const std::string& profile_name,
+                     bool mmmi_reference_scoring, uint32_t threads,
+                     uint32_t batch, bool exact_degrees = true) {
   const Table& target = DifferentialTarget();
   CrawlOptions options = BaseOptions(target);
   WebDbServer backend(target, ServerOptions());
@@ -165,27 +218,31 @@ RunOutput RunVariant(const std::string& policy,
     direct = &*faulty;
   }
   LocalStore::Options store_options;
-  store_options.layout = variant.layout;
+  store_options.exact_degrees = exact_degrees;
   LocalStore store(store_options);
-  std::unique_ptr<QuerySelector> selector =
-      MakeSelector(policy, store, variant);
+  StoreOracleSelector selector(
+      MakeSelector(policy, store, mmmi_reference_scoring), store);
   RetryPolicy retry((RetryPolicyConfig()));
+  RunOutput out;
   if (threads == 0) {
-    Crawler crawler(*direct, *selector, store, options,
+    Crawler crawler(*direct, selector, store, options,
                     /*abort_policy=*/nullptr, &retry);
     crawler.AddSeed(FirstQueriableSeed(target));
     StatusOr<CrawlResult> result = crawler.Run();
     DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
-    return Capture(*result, store, crawler.clock().now());
+    out = Capture(*result, store, crawler.clock().now());
+  } else {
+    LockedQueryInterface server(*direct);
+    ParallelCrawler crawler(server, selector, store, options,
+                            ParallelOptions{threads, batch},
+                            /*abort_policy=*/nullptr, &retry);
+    crawler.AddSeed(FirstQueriableSeed(target));
+    StatusOr<CrawlResult> result = crawler.Run();
+    DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
+    out = Capture(*result, store, crawler.clock().now());
   }
-  LockedQueryInterface server(*direct);
-  ParallelCrawler crawler(server, *selector, store, options,
-                          ParallelOptions{threads, batch},
-                          /*abort_policy=*/nullptr, &retry);
-  crawler.AddSeed(FirstQueriableSeed(target));
-  StatusOr<CrawlResult> result = crawler.Run();
-  DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
-  return Capture(*result, store, crawler.clock().now());
+  EXPECT_EQ(selector.checked_adds(), store.num_records());
+  return out;
 }
 
 void ExpectIdentical(const RunOutput& a, const RunOutput& b,
@@ -202,12 +259,15 @@ void ExpectIdentical(const RunOutput& a, const RunOutput& b,
   EXPECT_EQ(a.trace_csv, b.trace_csv);  // byte-identical serialization
 }
 
-// Serial: optimized vs reference for every policy × fault profile.
+// Serial: incremental vs reference scoring for every policy × fault
+// profile, each crawl store-checked after every add.
 TEST(HotPathDifferentialTest, SerialAllPoliciesAllProfiles) {
   for (const char* policy : kPolicies) {
     for (const char* profile : kProfiles) {
-      RunOutput optimized = RunVariant(policy, profile, kOptimized, 0, 0);
-      RunOutput reference = RunVariant(policy, profile, kReference, 0, 0);
+      RunOutput optimized =
+          RunVariant(policy, profile, kIncrementalScoring, 0, 0);
+      RunOutput reference =
+          RunVariant(policy, profile, kReferenceScoring, 0, 0);
       ExpectIdentical(optimized, reference,
                       std::string("serial/") + policy + "/" + profile);
     }
@@ -221,27 +281,28 @@ TEST(HotPathDifferentialTest, SerialAllPoliciesAllProfiles) {
 TEST(HotPathDifferentialTest, ParallelThreads8Batch8AllPolicies) {
   for (const char* policy : kPolicies) {
     for (const char* profile : kProfiles) {
-      RunOutput optimized = RunVariant(policy, profile, kOptimized, 8, 8);
-      RunOutput reference = RunVariant(policy, profile, kReference, 8, 8);
+      RunOutput optimized =
+          RunVariant(policy, profile, kIncrementalScoring, 8, 8);
+      RunOutput reference =
+          RunVariant(policy, profile, kReferenceScoring, 8, 8);
       ExpectIdentical(optimized, reference,
                       std::string("parallel/") + policy + "/" + profile);
     }
   }
 }
 
-// The two axes are independent: mixed combinations (CSR store +
-// reference scoring, reference store + incremental scoring) must match
-// the corners too, so a bug in one axis cannot be masked by a
-// compensating bug in the other.
+// The store's degree mode is the second axis: over a link-count store
+// (LocalDegree with multiplicity, no adjacency rows) the two MMMI
+// scorers must still agree, and the store must still match the oracle
+// after every add.
 TEST(HotPathDifferentialTest, MixedAxesAgreeForMmmi) {
-  const Variant kMixedA{LocalStore::Layout::kCsr, true};
-  const Variant kMixedB{LocalStore::Layout::kReference, false};
   for (const char* profile : {"none", "hostile"}) {
-    RunOutput corner = RunVariant("mmmi", profile, kOptimized, 0, 0);
-    ExpectIdentical(corner, RunVariant("mmmi", profile, kMixedA, 0, 0),
-                    std::string("csr+refscore/") + profile);
-    ExpectIdentical(corner, RunVariant("mmmi", profile, kMixedB, 0, 0),
-                    std::string("refstore+incr/") + profile);
+    RunOutput incremental = RunVariant("mmmi", profile, kIncrementalScoring,
+                                       0, 0, /*exact_degrees=*/false);
+    RunOutput reference = RunVariant("mmmi", profile, kReferenceScoring, 0,
+                                     0, /*exact_degrees=*/false);
+    ExpectIdentical(incremental, reference,
+                    std::string("link-count/") + profile);
   }
 }
 

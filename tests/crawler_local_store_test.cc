@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
+
+#include "src/util/random.h"
+#include "tests/reference_local_store.h"
 
 namespace deepcrawl {
 namespace {
@@ -104,34 +108,57 @@ TEST(LocalStoreTest, NeighborsSpanEmptyInProxyDegreeMode) {
   EXPECT_EQ(store.LocalDegree(1), 2u);
 }
 
-TEST(LocalStoreTest, CsrAndReferenceLayoutsAreObservationallyIdentical) {
-  LocalStore::Options reference_options;
-  reference_options.layout = LocalStore::Layout::kReference;
-  LocalStore csr;  // default layout is kCsr
-  LocalStore reference(reference_options);
-  // Overlapping records with intra-record duplicates to stress dedup.
-  const std::vector<std::vector<ValueId>> records = {
-      {1, 2, 3}, {2, 3, 4}, {5, 5, 1}, {4, 1, 2, 2}, {6}, {3, 6, 5},
-  };
-  for (RecordId id = 0; id < records.size(); ++id) {
-    EXPECT_EQ(csr.AddRecord(id, records[id]),
-              reference.AddRecord(id, records[id]));
-  }
-  ASSERT_EQ(csr.num_values_seen(), reference.num_values_seen());
-  for (ValueId v = 0; v < csr.num_values_seen(); ++v) {
-    EXPECT_EQ(csr.LocalDegree(v), reference.LocalDegree(v)) << v;
-    EXPECT_EQ(csr.LocalFrequency(v), reference.LocalFrequency(v)) << v;
-    auto csr_neighbors = csr.NeighborsSpan(v);
-    auto ref_neighbors = reference.NeighborsSpan(v);
-    ASSERT_EQ(csr_neighbors.size(), ref_neighbors.size()) << v;
-    for (size_t i = 0; i < csr_neighbors.size(); ++i) {
-      EXPECT_EQ(csr_neighbors[i], ref_neighbors[i]) << v << "/" << i;
+using RecordStream = std::vector<std::pair<RecordId, std::vector<ValueId>>>;
+
+// Pseudo-random records of 1..6 values over [0, universe); ids are drawn
+// from [0, count) so some repeat and must be rejected as duplicates.
+RecordStream RandomStream(uint32_t count, uint32_t universe, uint64_t seed) {
+  Pcg32 rng(seed);
+  RecordStream stream;
+  for (uint32_t r = 0; r < count; ++r) {
+    std::vector<ValueId> values;
+    uint32_t n = 1 + rng.NextBounded(6);
+    for (uint32_t i = 0; i < n; ++i) {
+      values.push_back(rng.NextBounded(universe));
     }
-    auto csr_postings = csr.LocalPostings(v);
-    auto ref_postings = reference.LocalPostings(v);
-    ASSERT_EQ(csr_postings.size(), ref_postings.size()) << v;
-    for (size_t i = 0; i < csr_postings.size(); ++i) {
-      EXPECT_EQ(csr_postings[i], ref_postings[i]) << v << "/" << i;
+    stream.emplace_back(rng.NextBounded(count), std::move(values));
+  }
+  return stream;
+}
+
+// Every statistic LocalStore exposes per value must match the
+// per-value-container oracle, in both degree modes.
+TEST(LocalStoreTest, MatchesReferenceStore) {
+  // Overlapping records with intra-record duplicates to stress dedup.
+  const RecordStream overlapping = {
+      {0, {1, 2, 3}},    {1, {2, 3, 4}}, {2, {5, 5, 1}},
+      {3, {4, 1, 2, 2}}, {4, {6}},       {5, {3, 6, 5}},
+  };
+  struct Case {
+    const char* name;
+    bool exact_degrees;
+    RecordStream stream;
+  };
+  const Case cases[] = {
+      {"overlapping/exact", true, overlapping},
+      {"overlapping/link-count", false, overlapping},
+      {"random/exact", true, RandomStream(1200, 400, 17)},
+      {"random/link-count", false, RandomStream(600, 200, 23)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    LocalStore::Options options;
+    options.exact_degrees = c.exact_degrees;
+    LocalStore store(options);
+    ReferenceLocalStore oracle(c.exact_degrees);
+    for (const auto& [id, values] : c.stream) {
+      ASSERT_EQ(store.AddRecord(id, values), oracle.AddRecord(id, values))
+          << "record " << id;
+    }
+    ASSERT_EQ(store.num_records(), oracle.num_records());
+    ASSERT_EQ(store.num_values_seen(), oracle.num_values_seen());
+    for (ValueId v = 0; v <= store.num_values_seen(); ++v) {
+      EXPECT_TRUE(ValueMatchesReference(store, oracle, v));
     }
   }
 }

@@ -1,4 +1,4 @@
-// Stress tests for the parallel crawl engine and the sharded store:
+// Stress tests for the parallel crawl engine:
 // many threads against a fault-injecting source with a scripted
 // schedule, checking that no record is lost or double-counted and that
 // retry work stays within the policy's bounds. ThreadSanitizer runs
@@ -7,10 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "src/crawler/crawler.h"
@@ -19,7 +17,6 @@
 #include "src/crawler/naive_selectors.h"
 #include "src/crawler/parallel_crawler.h"
 #include "src/crawler/retry_policy.h"
-#include "src/crawler/sharded_store.h"
 #include "src/datagen/movie_domain.h"
 #include "src/server/faulty_server.h"
 #include "src/server/locked_interface.h"
@@ -224,96 +221,6 @@ TEST(ParallelCrawlerStressTest, GreedyHeapGrowthStaysBoundedUnderFaults) {
   // heap was fully drained popping stale entries.
   EXPECT_EQ(selector.frontier_size(), 0u);
   EXPECT_EQ(selector.heap_size(), 0u);
-}
-
-// --- ShardedLocalStore under concurrent ingest ------------------------
-
-TEST(ShardedStoreTest, ConcurrentIngestIsExactlyOnce) {
-  constexpr uint32_t kThreads = 8;
-  constexpr uint32_t kRecords = 20000;
-  constexpr uint32_t kValuesPerRecord = 4;
-  constexpr uint32_t kValueSpace = 500;
-
-  // Deterministic synthetic records; every record is offered by TWO
-  // threads so the exactly-once guarantee is actually exercised.
-  auto values_of = [](RecordId id) {
-    std::vector<ValueId> values;
-    Pcg32 rng(id * 2654435761u + 1);
-    for (uint32_t i = 0; i < kValuesPerRecord; ++i) {
-      values.push_back(rng.NextBounded(kValueSpace));
-    }
-    return values;
-  };
-
-  ShardedLocalStore store(/*num_shards=*/32);
-  std::vector<std::thread> threads;
-  for (uint32_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      // Thread t inserts records where id % (kThreads/2) == t % 4, so
-      // threads t and t+4 race on the same ids.
-      for (RecordId id = t % (kThreads / 2); id < kRecords;
-           id += kThreads / 2) {
-        std::vector<ValueId> values = values_of(id);
-        store.AddRecord(id, values);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  EXPECT_EQ(store.num_records(), kRecords);
-  // Each id was offered twice -> observations count both.
-  EXPECT_EQ(store.num_observations(), uint64_t{kRecords} * 2);
-
-  // Aggregate statistics match a serial reference exactly.
-  std::vector<uint32_t> want_frequency(kValueSpace, 0);
-  std::vector<uint64_t> want_links(kValueSpace, 0);
-  for (RecordId id = 0; id < kRecords; ++id) {
-    for (ValueId v : values_of(id)) {
-      want_frequency[v] += 1;
-      want_links[v] += kValuesPerRecord - 1;
-    }
-  }
-  for (ValueId v = 0; v < kValueSpace; ++v) {
-    EXPECT_EQ(store.LocalFrequency(v), want_frequency[v]) << "value " << v;
-    EXPECT_EQ(store.LocalLinkCount(v), want_links[v]) << "value " << v;
-  }
-
-  // Snapshot is deterministic: sorted by record id, complete, with the
-  // exact value lists each record was inserted with.
-  std::vector<std::pair<RecordId, std::vector<ValueId>>> snapshot =
-      store.Snapshot();
-  ASSERT_EQ(snapshot.size(), kRecords);
-  for (RecordId id = 0; id < kRecords; ++id) {
-    ASSERT_EQ(snapshot[id].first, id);
-    EXPECT_EQ(snapshot[id].second, values_of(id));
-  }
-}
-
-TEST(ShardedStoreTest, ContainsRecordIsSafeDuringIngest) {
-  // Concurrent lookups during ingest must be safe (TSan checks the
-  // synchronization) and must never return a corrupt answer — only
-  // "not yet" or "present".
-  ShardedLocalStore store(/*num_shards=*/8);
-  std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      for (RecordId id = 0; id < 1000; id += 97) {
-        store.ContainsRecord(id);
-      }
-    }
-  });
-  std::vector<ValueId> values = {1, 2, 3};
-  for (RecordId id = 0; id < 1000; ++id) {
-    EXPECT_TRUE(store.AddRecord(id, values));
-    EXPECT_FALSE(store.AddRecord(id, values));  // duplicate observation
-  }
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_EQ(store.num_records(), 1000u);
-  EXPECT_EQ(store.num_observations(), 2000u);
-  for (RecordId id = 0; id < 1000; id += 97) {
-    EXPECT_TRUE(store.ContainsRecord(id));
-  }
 }
 
 }  // namespace

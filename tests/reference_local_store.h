@@ -1,0 +1,142 @@
+// ReferenceLocalStore: the pre-optimization statistics-table layout,
+// kept as a test oracle for LocalStore (src/crawler/local_store.h).
+//
+// One std::vector of record slots per value for the postings, and one
+// std::unordered_set plus one first-co-occurrence-ordered std::vector
+// per value for the G_local adjacency — the obvious containers, with no
+// arenas, compaction or edge hash. LocalStore must be observationally
+// identical to it: same frequencies, degrees, and the same element
+// order in every neighbor and posting list.
+
+#ifndef DEEPCRAWL_TESTS_REFERENCE_LOCAL_STORE_H_
+#define DEEPCRAWL_TESTS_REFERENCE_LOCAL_STORE_H_
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
+#include "src/crawler/local_store.h"
+#include "src/relation/types.h"
+
+namespace deepcrawl {
+
+class ReferenceLocalStore {
+ public:
+  explicit ReferenceLocalStore(bool exact_degrees = true)
+      : exact_degrees_(exact_degrees) {}
+
+  // Same contract as LocalStore::AddRecord: returns true when `id` was
+  // new, and only then updates the statistics.
+  bool AddRecord(RecordId id, std::span<const ValueId> values) {
+    uint32_t slot = static_cast<uint32_t>(slot_of_.size());
+    if (!slot_of_.emplace(id, slot).second) return false;
+    for (ValueId v : values) {
+      EnsureValueCapacity(v);
+      ++local_frequency_[v];
+      local_postings_[v].push_back(slot);
+      link_count_[v] += values.size() - 1;
+    }
+    if (!exact_degrees_) return true;
+    for (size_t i = 0; i + 1 < values.size(); ++i) {
+      for (size_t j = i + 1; j < values.size(); ++j) {
+        ValueId a = values[i];
+        ValueId b = values[j];
+        if (a == b) continue;
+        if (neighbor_sets_[a].insert(b).second) {
+          neighbor_lists_[a].push_back(b);
+        }
+        if (neighbor_sets_[b].insert(a).second) {
+          neighbor_lists_[b].push_back(a);
+        }
+      }
+    }
+    return true;
+  }
+
+  size_t num_records() const { return slot_of_.size(); }
+  size_t num_values_seen() const { return local_frequency_.size(); }
+
+  uint32_t LocalFrequency(ValueId v) const {
+    return v < local_frequency_.size() ? local_frequency_[v] : 0;
+  }
+
+  uint64_t LocalDegree(ValueId v) const {
+    if (v >= local_frequency_.size()) return 0;
+    return exact_degrees_ ? neighbor_sets_[v].size() : link_count_[v];
+  }
+
+  std::span<const ValueId> NeighborsSpan(ValueId v) const {
+    if (!exact_degrees_ || v >= local_frequency_.size()) return {};
+    return neighbor_lists_[v];
+  }
+
+  std::span<const uint32_t> LocalPostings(ValueId v) const {
+    if (v >= local_frequency_.size()) return {};
+    return local_postings_[v];
+  }
+
+ private:
+  void EnsureValueCapacity(ValueId v) {
+    if (v < local_frequency_.size()) return;
+    size_t new_size = static_cast<size_t>(v) + 1;
+    local_frequency_.resize(new_size, 0);
+    link_count_.resize(new_size, 0);
+    local_postings_.resize(new_size);
+    if (exact_degrees_) {
+      neighbor_sets_.resize(new_size);
+      neighbor_lists_.resize(new_size);
+    }
+  }
+
+  bool exact_degrees_;
+  std::unordered_map<RecordId, uint32_t> slot_of_;
+  std::vector<uint32_t> local_frequency_;
+  std::vector<uint64_t> link_count_;
+  std::vector<std::vector<uint32_t>> local_postings_;
+  std::vector<std::unordered_set<ValueId>> neighbor_sets_;
+  std::vector<std::vector<ValueId>> neighbor_lists_;
+};
+
+// Compares every per-value statistic of `v` — frequency, degree, and
+// the neighbor and posting lists element by element.
+inline ::testing::AssertionResult ValueMatchesReference(
+    const LocalStore& store, const ReferenceLocalStore& oracle, ValueId v) {
+  if (store.LocalFrequency(v) != oracle.LocalFrequency(v)) {
+    return ::testing::AssertionFailure()
+           << "value " << v << ": LocalFrequency " << store.LocalFrequency(v)
+           << " vs reference " << oracle.LocalFrequency(v);
+  }
+  if (store.LocalDegree(v) != oracle.LocalDegree(v)) {
+    return ::testing::AssertionFailure()
+           << "value " << v << ": LocalDegree " << store.LocalDegree(v)
+           << " vs reference " << oracle.LocalDegree(v);
+  }
+  std::span<const ValueId> neighbors = store.NeighborsSpan(v);
+  std::span<const ValueId> ref_neighbors = oracle.NeighborsSpan(v);
+  if (!std::equal(neighbors.begin(), neighbors.end(), ref_neighbors.begin(),
+                  ref_neighbors.end())) {
+    return ::testing::AssertionFailure()
+           << "value " << v << ": NeighborsSpan differs (size "
+           << neighbors.size() << " vs reference " << ref_neighbors.size()
+           << ")";
+  }
+  std::span<const uint32_t> postings = store.LocalPostings(v);
+  std::span<const uint32_t> ref_postings = oracle.LocalPostings(v);
+  if (!std::equal(postings.begin(), postings.end(), ref_postings.begin(),
+                  ref_postings.end())) {
+    return ::testing::AssertionFailure()
+           << "value " << v << ": LocalPostings differs (size "
+           << postings.size() << " vs reference " << ref_postings.size()
+           << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+}  // namespace deepcrawl
+
+#endif  // DEEPCRAWL_TESTS_REFERENCE_LOCAL_STORE_H_

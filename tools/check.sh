@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification, ten times over: the plain build, an ASan/UBSan
+# Tier-1 verification, nine times over: the plain build, an ASan/UBSan
 # build, a ThreadSanitizer build for the concurrency suite, a
 # Release-mode perf pass that guards the committed BENCH_*.json
 # baselines, a kill/resume pass that SIGKILLs a checkpointing crawl
@@ -12,17 +12,13 @@
 # that SIGKILLs a deepcrawl_serve process under a live TCP crawl,
 # restarts it on the same port, and proves the client reconnected,
 # retransmitted, and produced a byte-identical trace. A ninth pass
-# drives the out-of-core paged store through the CLI with tiny pages
-# and a starved cache (--page-bytes=512 --cache-pages=8): the paged
-# trace must be byte-identical to the in-memory run, and a paged crawl
-# SIGKILLed mid-run must resume from its durable manifest and still
-# match byte for byte. A tenth pass points the same kill/resume
+# points the same kill/resume
 # differential at the adaptive meta-selector crawling a textual source
 # through the keyword box under faults, so the checkpoint taken around
 # the phase-switch boundary proves out on the real files-on-disk path.
 #
 # Usage: tools/check.sh [--no-asan] [--no-tsan] [--no-perf] [--no-resume]
-#        [--no-competitive] [--no-net] [--no-paged] [--no-adaptive]
+#        [--no-competitive] [--no-net] [--no-adaptive]
 #
 # The plain pass is the canonical `cmake && ctest` loop from ROADMAP.md;
 # the ASan pass rebuilds everything into build-asan/ with -DASAN=ON
@@ -31,8 +27,7 @@
 # rebuilds into build-tsan/ with -DTSAN=ON (-fsanitize=thread; the two
 # sanitizers cannot be combined) and runs the concurrency tests — the
 # thread pool, the locked query interface, the parallel crawl engine's
-# differential/stress suites, and the sharded store — under the race
-# detector. The perf pass rebuilds into build-perf/ with
+# differential/stress suites — under the race detector. The perf pass rebuilds into build-perf/ with
 # -DCMAKE_BUILD_TYPE=Release, runs the JSON bench suites, and fails on
 # >20% regression against the committed baselines via
 # tools/bench_compare.py (see README "Benchmarking").
@@ -42,7 +37,7 @@ cd "$(dirname "$0")/.."
 # Test suites exercising threads; kept in tests/CMakeLists.txt's
 # deepcrawl_concurrency_tests binary (plus the property tests that ride
 # along with it).
-TSAN_FILTER='^(ThreadPoolTest|LockedInterfaceTest|AdaptiveDifferentialTest|ParallelCrawlerDifferentialTest|ParallelCrawlerStressTest|CrawlCheckpointTest|ShardedStoreTest|AvgInvariantsPropertyTest|TraceWaveTest|HotPathDifferentialTest|PagedDifferentialTest|CrawlFleetTest|FleetStressTest|OptimalSelectorTest|OptimalCompetitivePropertyTest|NetServerTest|NetDifferentialTest)'
+TSAN_FILTER='^(ThreadPoolTest|LockedInterfaceTest|AdaptiveDifferentialTest|ParallelCrawlerDifferentialTest|ParallelCrawlerStressTest|CrawlCheckpointTest|AvgInvariantsPropertyTest|TraceWaveTest|HotPathDifferentialTest|CrawlFleetTest|FleetStressTest|OptimalSelectorTest|OptimalCompetitivePropertyTest|NetServerTest|NetDifferentialTest)'
 
 run_suite() {
   local build_dir="$1"; shift
@@ -51,7 +46,7 @@ run_suite() {
   ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 }
 
-# Shared kill/resume differential (passes 5, 6, 9, 10). Launches the
+# Shared kill/resume differential (passes 5, 6, 9). Launches the
 # slowed, checkpointing command held in the array named by `$5` in the
 # background, waits for its first checkpoint to land at `$2`, SIGKILLs
 # it mid-run, then re-runs the command held in the array named by `$6`
@@ -82,7 +77,7 @@ kill_resume_differential() {
   echo "${label}: traces byte-identical"
 }
 
-echo "=== pass 1/10: plain build (build/) ==="
+echo "=== pass 1/9: plain build (build/) ==="
 run_suite build
 
 skip_asan=0
@@ -91,7 +86,6 @@ skip_perf=0
 skip_resume=0
 skip_competitive=0
 skip_net=0
-skip_paged=0
 skip_adaptive=0
 for arg in "$@"; do
   case "${arg}" in
@@ -101,23 +95,22 @@ for arg in "$@"; do
     --no-resume) skip_resume=1 ;;
     --no-competitive) skip_competitive=1 ;;
     --no-net) skip_net=1 ;;
-    --no-paged) skip_paged=1 ;;
     --no-adaptive) skip_adaptive=1 ;;
     *) echo "unknown flag: ${arg}" >&2; exit 2 ;;
   esac
 done
 
 if [[ "${skip_asan}" == 1 ]]; then
-  echo "=== pass 2/10 skipped (--no-asan) ==="
+  echo "=== pass 2/9 skipped (--no-asan) ==="
 else
-  echo "=== pass 2/10: sanitizer build (build-asan/, -DASAN=ON) ==="
+  echo "=== pass 2/9: sanitizer build (build-asan/, -DASAN=ON) ==="
   run_suite build-asan -DASAN=ON
 fi
 
 if [[ "${skip_tsan}" == 1 ]]; then
-  echo "=== pass 3/10 skipped (--no-tsan) ==="
+  echo "=== pass 3/9 skipped (--no-tsan) ==="
 else
-  echo "=== pass 3/10: thread sanitizer build (build-tsan/, -DTSAN=ON) ==="
+  echo "=== pass 3/9: thread sanitizer build (build-tsan/, -DTSAN=ON) ==="
   cmake -B build-tsan -S . -DTSAN=ON
   cmake --build build-tsan -j
   ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
@@ -125,13 +118,13 @@ else
 fi
 
 if [[ "${skip_perf}" == 1 ]]; then
-  echo "=== pass 4/10 skipped (--no-perf) ==="
+  echo "=== pass 4/9 skipped (--no-perf) ==="
 else
-  echo "=== pass 4/10: perf regression (build-perf/, Release) ==="
+  echo "=== pass 4/9: perf regression (build-perf/, Release) ==="
   cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-perf -j \
     --target bench_micro bench_parallel bench_mmmi_ablation bench_fleet \
-    bench_optimal bench_net bench_paged bench_textual
+    bench_optimal bench_net bench_textual
   ./build-perf/bench/bench_micro --json=build-perf/BENCH_micro.json
   ./build-perf/bench/bench_parallel --json=build-perf/BENCH_parallel.json
   ./build-perf/bench/bench_mmmi_ablation \
@@ -139,7 +132,6 @@ else
   ./build-perf/bench/bench_fleet --json=build-perf/BENCH_fleet.json
   ./build-perf/bench/bench_optimal --json=build-perf/BENCH_optimal.json
   ./build-perf/bench/bench_net --json=build-perf/BENCH_net.json
-  ./build-perf/bench/bench_paged --json=build-perf/BENCH_paged.json
   ./build-perf/bench/bench_textual --json=build-perf/BENCH_textual.json
   python3 tools/bench_compare.py --max-regress 0.20 \
     --baseline BENCH_micro.json \
@@ -154,16 +146,14 @@ else
     --current build-perf/BENCH_optimal.json \
     --baseline BENCH_net.json \
     --current build-perf/BENCH_net.json \
-    --baseline BENCH_paged.json \
-    --current build-perf/BENCH_paged.json \
     --baseline BENCH_textual.json \
     --current build-perf/BENCH_textual.json
 fi
 
 if [[ "${skip_resume}" == 1 ]]; then
-  echo "=== pass 5/10 skipped (--no-resume) ==="
+  echo "=== pass 5/9 skipped (--no-resume) ==="
 else
-  echo "=== pass 5/10: kill/resume checkpoint differential ==="
+  echo "=== pass 5/9: kill/resume checkpoint differential ==="
   # An uninterrupted reference crawl, then the same crawl slowed by
   # simulated latency, checkpointing every wave, SIGKILLed mid-run; the
   # resume from its last surviving checkpoint must emit the exact same
@@ -185,9 +175,9 @@ else
 fi
 
 if [[ "${skip_resume}" == 1 ]]; then
-  echo "=== pass 6/10 skipped (--no-resume) ==="
+  echo "=== pass 6/9 skipped (--no-resume) ==="
 else
-  echo "=== pass 6/10: fleet kill/resume under chaos ==="
+  echo "=== pass 6/9: fleet kill/resume under chaos ==="
   # Pass 5 for the whole fleet: an uninterrupted 4-source fleet crawl
   # under the hostile chaos schedule, then the same fleet slowed by
   # simulated latency and checkpointing every turn, SIGKILLed mid-chaos;
@@ -211,9 +201,9 @@ else
 fi
 
 if [[ "${skip_competitive}" == 1 ]]; then
-  echo "=== pass 7/10 skipped (--no-competitive) ==="
+  echo "=== pass 7/9 skipped (--no-competitive) ==="
 else
-  echo "=== pass 7/10: competitive-guarantee gate (adversarial trap) ==="
+  echo "=== pass 7/9: competitive-guarantee gate (adversarial trap) ==="
   # End-to-end through the real CLI: generate a B=32 greedy-trap
   # instance, crawl it to full coverage with opt-rank and with greedy,
   # and gate on the measured cost/OPT ratios — the descent must stay
@@ -245,9 +235,9 @@ else
 fi
 
 if [[ "${skip_net}" == 1 ]]; then
-  echo "=== pass 8/10 skipped (--no-net) ==="
+  echo "=== pass 8/9 skipped (--no-net) ==="
 else
-  echo "=== pass 8/10: network kill/reconnect over real sockets ==="
+  echo "=== pass 8/9: network kill/reconnect over real sockets ==="
   # The wire protocol's story end to end through the real binaries, in
   # two differentials. (a) Transparency: the same faulty crawl run
   # in-process and against a deepcrawl_serve process must emit
@@ -329,57 +319,10 @@ else
     "${NET_RECONNECTS} reconnect(s)"
 fi
 
-if [[ "${skip_paged}" == 1 ]]; then
-  echo "=== pass 9/10 skipped (--no-paged) ==="
-else
-  echo "=== pass 9/10: out-of-core paged store differential + kill/resume ==="
-  # The paged backend's story end to end through the CLI, with pages
-  # small enough (512 B x 8 frames = 4 KiB resident) that every wave
-  # thrashes the cache. (a) Transparency: the same faulty parallel
-  # crawl over --layout=paged must emit a trace byte-identical to the
-  # in-memory run. (b) Durability: a paged crawl checkpointing every
-  # wave, SIGKILLed mid-run, must resume from the durable page
-  # manifest in the SAME store directory (sweeping the crash window's
-  # orphan epochs) and still finish byte-identical. Runs under the
-  # ASan binary when pass 2 built one, so the recovery scrub and the
-  # copy-out accessors get bounds-checked while they thrash.
-  PAGED_DIR="$(mktemp -d)"
-  trap 'rm -rf "${RESUME_DIR:-}" "${FLEET_DIR:-}" "${NET_DIR:-}" "${PAGED_DIR}"' EXIT
-  if [[ "${skip_asan}" == 0 && -x ./build-asan/tools/deepcrawl_crawl ]]; then
-    CRAWL=./build-asan/tools/deepcrawl_crawl
-  else
-    CRAWL=./build/tools/deepcrawl_crawl
-  fi
-  PAGED_BASE=(--workload=ebay --scale=0.05 --policy=greedy
-    --fault-profile=flaky --threads=4 --batch=4)
-  PAGED_FLAGS=(--layout=paged --page-bytes=512 --cache-pages=8)
-  # (a) thrashing-cache transparency.
-  "${CRAWL}" "${PAGED_BASE[@]}" --trace-csv="${PAGED_DIR}/memory.csv" \
-    > /dev/null
-  "${CRAWL}" "${PAGED_BASE[@]}" "${PAGED_FLAGS[@]}" \
-    --store-dir="${PAGED_DIR}/store_diff" \
-    --trace-csv="${PAGED_DIR}/paged.csv" > /dev/null
-  if ! cmp -s "${PAGED_DIR}/memory.csv" "${PAGED_DIR}/paged.csv"; then
-    echo "paged differential FAILED: paged trace differs from in-memory" >&2
-    diff "${PAGED_DIR}/memory.csv" "${PAGED_DIR}/paged.csv" | head -20 >&2
-    exit 1
-  fi
-  echo "paged differential: thrashing-cache trace byte-identical"
-  # (b) SIGKILL mid-crawl, resume from the durable manifest.
-  KR_BG=("${CRAWL}" "${PAGED_BASE[@]}" "${PAGED_FLAGS[@]}"
-    --store-dir="${PAGED_DIR}/store_kill" --latency-us=5000
-    --checkpoint="${PAGED_DIR}/crawl.ckpt" --checkpoint-every=1)
-  KR_RESUME=("${CRAWL}" "${PAGED_BASE[@]}" "${PAGED_FLAGS[@]}"
-    --store-dir="${PAGED_DIR}/store_kill")
-  kill_resume_differential "paged kill/resume differential" \
-    "${PAGED_DIR}/crawl.ckpt" "${PAGED_DIR}/memory.csv" \
-    "${PAGED_DIR}/resumed.csv" KR_BG KR_RESUME
-fi
-
 if [[ "${skip_adaptive}" == 1 ]]; then
-  echo "=== pass 10/10 skipped (--no-adaptive) ==="
+  echo "=== pass 9/9 skipped (--no-adaptive) ==="
 else
-  echo "=== pass 10/10: adaptive switch kill/resume on a textual source ==="
+  echo "=== pass 9/9: adaptive switch kill/resume on a textual source ==="
   # The adaptive meta-selector (GL -> GL+MMMI -> term-weight) crawling a
   # generated textual database through the keyword box under faults,
   # parallel and batched. The SIGKILL lands while the chain's estimator
@@ -387,7 +330,7 @@ else
   # byte for byte if the SELC section restores the whole chain — active
   # phase, per-child frontiers, EWMA — exactly, switch wave included.
   ADAPT_DIR="$(mktemp -d)"
-  trap 'rm -rf "${RESUME_DIR:-}" "${FLEET_DIR:-}" "${NET_DIR:-}" "${PAGED_DIR:-}" "${ADAPT_DIR}"' EXIT
+  trap 'rm -rf "${RESUME_DIR:-}" "${FLEET_DIR:-}" "${NET_DIR:-}" "${ADAPT_DIR}"' EXIT
   CRAWL=./build/tools/deepcrawl_crawl
   ADAPT_ARGS=(--workload=textual --scale=0.1 --policy=adaptive --keyword
     --result-limit=110 --fault-profile=flaky --threads=4 --batch=4)

@@ -49,7 +49,6 @@
 
 #include "src/crawler/checkpoint.h"
 #include "src/crawler/crawl_engine.h"
-#include "src/util/page_cache.h"
 #include "src/crawler/retry_policy.h"
 #include "src/crawler/trace_io.h"
 #include "src/domain/domain_table.h"
@@ -108,13 +107,6 @@ struct Options {
   std::string checkpoint;
   int64_t checkpoint_every = 0;
   std::string resume_from;
-
-  // Store layout (src/crawler/local_store.h). "paged" spills the
-  // statistics table to disk through a bounded page cache.
-  std::string layout = "csr";
-  std::string store_dir;
-  int64_t page_bytes = 4096;
-  int64_t cache_pages = 1024;
 
   bool help = false;
   bool list_selectors = false;
@@ -311,39 +303,7 @@ Status Run(const Options& options) {
   retry_config.seed = static_cast<uint64_t>(options.fault.fault_seed);
   RetryPolicy retry_policy(retry_config);
 
-  LocalStore::Options store_options;
-  if (options.layout == "csr") {
-    store_options.layout = LocalStore::Layout::kCsr;
-  } else if (options.layout == "reference") {
-    store_options.layout = LocalStore::Layout::kReference;
-  } else if (options.layout == "paged") {
-    store_options.layout = LocalStore::Layout::kPaged;
-  } else {
-    return Status::InvalidArgument("bad --layout '" + options.layout +
-                                   "' (want csr, reference, or paged)");
-  }
-  if (store_options.layout == LocalStore::Layout::kPaged) {
-    if (options.store_dir.empty()) {
-      return Status::InvalidArgument("--layout=paged needs --store-dir");
-    }
-    if (options.page_bytes < 64 ||
-        (options.page_bytes & (options.page_bytes - 1)) != 0) {
-      return Status::InvalidArgument(
-          "--page-bytes must be a power of two >= 64");
-    }
-    if (options.cache_pages < 1) {
-      return Status::InvalidArgument("--cache-pages must be >= 1");
-    }
-    store_options.paged_dir = options.store_dir;
-    store_options.page_bytes = static_cast<uint32_t>(options.page_bytes);
-    store_options.cache_pages = static_cast<uint32_t>(options.cache_pages);
-    // A resume must find the pages the checkpoint's manifest references;
-    // a fresh crawl instead starts from a swept directory.
-    store_options.paged_resume = !options.resume_from.empty();
-  } else if (!options.store_dir.empty()) {
-    return Status::InvalidArgument("--store-dir needs --layout=paged");
-  }
-  LocalStore store(store_options);
+  LocalStore store;
   SelectorContext selector_context;
   selector_context.store = &store;
   selector_context.seed = static_cast<uint64_t>(options.seed);
@@ -477,18 +437,6 @@ Status Run(const Options& options) {
               << " opt=" << adv->opt_queries
               << " ratio=" << TablePrinter::FormatDouble(ratio, 3) << "\n";
   }
-  if (store_options.layout == LocalStore::Layout::kPaged) {
-    const PageCacheStats& cache = store.paged_cache_stats();
-    uint64_t accesses = cache.hits + cache.misses;
-    double hit_rate = accesses == 0 ? 0.0
-                                    : static_cast<double>(cache.hits) /
-                                          static_cast<double>(accesses);
-    std::cout << "  page cache:         " << cache.hits << " hits, "
-              << cache.misses << " misses ("
-              << TablePrinter::FormatPercent(hit_rate, 1) << " hit rate), "
-              << cache.evictions << " evictions, " << cache.writebacks
-              << " writebacks\n";
-  }
   if (use_retry) {
     const ResilienceCounters& res = result.resilience;
     std::cout << "  resilience:         " << res.transient_failures
@@ -590,18 +538,6 @@ int main(int argc, char** argv) {
                    "resume a crawl from this checkpoint file; the other "
                    "flags must rebuild the stack it was taken from "
                    "(--max-rounds/--target-coverage may be raised)");
-  parser.AddString("layout", &options.layout,
-                   "statistics-table layout: csr (in-memory default), "
-                   "reference (pre-optimization containers), or paged "
-                   "(out-of-core page cache; needs --store-dir)");
-  parser.AddString("store-dir", &options.store_dir,
-                   "directory for the paged store's page and manifest "
-                   "files (with --layout=paged)");
-  parser.AddInt64("page-bytes", &options.page_bytes,
-                  "paged-store page size in bytes (power of two >= 64)");
-  parser.AddInt64("cache-pages", &options.cache_pages,
-                  "paged-store page-cache capacity in frames; the crawl's "
-                  "resident set is about page-bytes * cache-pages");
   parser.AddBool("list-selectors", &options.list_selectors,
                  "print every registered selection policy and exit");
   parser.AddBool("help", &options.help, "print this help");
