@@ -63,7 +63,7 @@ int main() {
       CrawlResult result =
           bench::RunCrawl(server, selector, store, options,
                           bench::SeedValue(*db, static_cast<uint32_t>(s)),
-                          &retry);
+                          EngineOptions{}, &retry);
       rounds += static_cast<double>(result.rounds);
       coverage += static_cast<double>(result.records) /
                   static_cast<double>(db->num_records());

@@ -56,8 +56,8 @@ BenchRun CrawlOnce(const Table& target, uint32_t threads, uint32_t batch) {
       static_cast<uint64_t>(0.9 * static_cast<double>(target.num_records()));
   auto start = std::chrono::steady_clock::now();
   CrawlResult result =
-      RunParallelCrawl(server, selector, store, options,
-                       ParallelOptions{threads, batch}, SeedValue(target, 0));
+      RunCrawl(server, selector, store, options, SeedValue(target, 0),
+               EngineOptions{.threads = threads, .batch = batch});
   auto elapsed = std::chrono::steady_clock::now() - start;
   BenchRun run;
   run.rounds = result.rounds;

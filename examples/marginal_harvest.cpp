@@ -9,7 +9,7 @@
 
 #include <iostream>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/mmmi_selector.h"
 #include "src/datagen/canned_workloads.h"
@@ -40,7 +40,7 @@ int main() {
 
   auto run = [&](QuerySelector& selector, LocalStore& store) {
     server.ResetMeters();
-    Crawler crawler(server, selector, store, options);
+    CrawlEngine crawler(server, selector, store, options);
     crawler.AddSeed(1);
     StatusOr<CrawlResult> result = crawler.Run();
     if (!result.ok()) {

@@ -18,7 +18,8 @@
 // communication-round cost; backoff ticks only advance the simulated
 // clock. When the per-drain budget is exhausted the crawler degrades
 // gracefully: the value is re-queued at the frontier tail up to
-// `max_requeues` times, then abandoned (see Crawler::Run).
+// `max_requeues` times, then abandoned (see DegradationTracker in
+// crawl_engine.h).
 
 #ifndef DEEPCRAWL_CRAWLER_RETRY_POLICY_H_
 #define DEEPCRAWL_CRAWLER_RETRY_POLICY_H_

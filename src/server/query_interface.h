@@ -11,7 +11,7 @@
 //     any QueryInterface, modelling the timeouts, rate limits, and
 //     truncated result lists of real sources (§5.4).
 //
-// The Crawler depends only on this interface, so the same crawl loop
+// CrawlEngine depends only on this interface, so the same crawl loop
 // (and every selection policy) runs unchanged against the perfect
 // simulator, the fault proxy, or a future live-HTTP adapter.
 

@@ -207,10 +207,9 @@ std::string UniqueTempName(const std::string& path) {
          std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
 }
 
-// Shared temp+rename body; `durable` adds the fsync-before-rename and
-// fsync-parent-dir-after steps that make the write crash-safe.
-Status WriteFileAtomicImpl(const std::string& path, std::string_view bytes,
-                           bool durable) {
+}  // namespace
+
+Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
   std::string tmp = UniqueTempName(path);
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return Status::NotFound("cannot create '" + tmp + "'");
@@ -227,7 +226,7 @@ Status WriteFileAtomicImpl(const std::string& path, std::string_view bytes,
     }
     written += static_cast<size_t>(n);
   }
-  if (durable && ::fsync(fd) != 0) {
+  if (::fsync(fd) != 0) {
     int err = errno;
     ::close(fd);
     std::remove(tmp.c_str());
@@ -244,39 +243,8 @@ Status WriteFileAtomicImpl(const std::string& path, std::string_view bytes,
     std::remove(tmp.c_str());
     return Status::Internal("cannot rename '" + tmp + "' to '" + path + "'");
   }
-  if (durable) {
-    // Without this the rename itself may be lost in a crash, leaving
-    // the directory entry pointing at the old (or no) file.
-    Status dir_status = SyncDir(ParentDir(path));
-    if (!dir_status.ok()) return dir_status;
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
-  return WriteFileAtomicImpl(path, bytes, /*durable=*/true);
-}
-
-Status WriteFileAtomicDeferredSync(const std::string& path,
-                                   std::string_view bytes) {
-  return WriteFileAtomicImpl(path, bytes, /*durable=*/false);
-}
-
-Status SyncFileDurable(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::Internal("cannot open '" + path +
-                            "' for fsync: " + std::strerror(errno));
-  }
-  if (::fsync(fd) != 0) {
-    int err = errno;
-    ::close(fd);
-    return Status::Internal("fsync failed for '" + path +
-                            "': " + std::strerror(err));
-  }
-  ::close(fd);
+  // Without this the rename itself may be lost in a crash, leaving the
+  // directory entry pointing at the old (or no) file.
   return SyncDir(ParentDir(path));
 }
 

@@ -105,17 +105,6 @@ StatusOr<std::string_view> UnframeCheckpoint(std::string_view image,
 // Status::Internal on fsync/rename failure.
 Status WriteFileAtomic(const std::string& path, std::string_view bytes);
 
-// Same unique-temp + rename protocol but with NO fsync: the rename is
-// still atomic against concurrent readers, but the new bytes are not
-// durable until SyncFileDurable(path) (and the parent directory) is
-// called. For writes that need to be durable only at a later boundary.
-Status WriteFileAtomicDeferredSync(const std::string& path,
-                                   std::string_view bytes);
-
-// fsyncs the file at `path` and then its containing directory, making
-// an earlier deferred-sync write (data + rename) durable.
-Status SyncFileDurable(const std::string& path);
-
 StatusOr<std::string> ReadFileBytes(const std::string& path);
 
 }  // namespace deepcrawl

@@ -1,6 +1,6 @@
 // ThreadPool: a fixed-size worker pool with a single FIFO task queue.
 //
-// The parallel crawl engine (src/crawler/parallel_crawler.h) issues its
+// The crawl engine (src/crawler/crawl_engine.h) at threads > 1 issues its
 // page fetches in waves: every wave submits up to `batch` independent
 // fetch tasks and blocks until all of them finished, then commits the
 // results sequentially. That access pattern needs nothing fancier than a

@@ -22,10 +22,9 @@
 #include <string>
 #include <vector>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/local_store.h"
 #include "src/crawler/naive_selectors.h"
-#include "src/crawler/parallel_crawler.h"
 #include "src/crawler/query_selector.h"
 #include "src/graph/attribute_value_graph.h"
 #include "src/server/locked_interface.h"
@@ -205,7 +204,7 @@ TEST(AvgInvariantsPropertyTest, SerialCrawlStateStaysASubsetOfTruth) {
     LocalStore store;
     BfsSelector bfs;
     RecordingSelector recording(bfs);
-    Crawler crawler(server, recording, store, CrawlOptions{});
+    CrawlEngine crawler(server, recording, store, CrawlOptions{});
     crawler.AddSeed(FirstQueriableSeed(table));
     // Crawl in budget slices; re-check every invariant after each one.
     for (uint64_t budget = 5;; budget += 5) {
@@ -232,8 +231,8 @@ TEST(AvgInvariantsPropertyTest, ParallelCrawlStateStaysASubsetOfTruth) {
     LocalStore store;
     BfsSelector bfs;
     RecordingSelector recording(bfs);
-    ParallelCrawler crawler(server, recording, store, CrawlOptions{},
-                            ParallelOptions{/*threads=*/4, /*batch=*/3});
+    CrawlEngine crawler(server, recording, store, CrawlOptions{},
+                        EngineOptions{.threads = 4, .batch = 3});
     crawler.AddSeed(FirstQueriableSeed(table));
     for (uint64_t budget = 5;; budget += 5) {
       crawler.set_max_rounds(budget);

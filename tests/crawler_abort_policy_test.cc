@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/naive_selectors.h"
 #include "src/server/web_db_server.h"
 #include "tests/test_util.h"
@@ -97,7 +97,8 @@ TEST(AbortPolicyIntegrationTest, AbortSavesRoundsOnDuplicateHeavyQuery) {
     WebDbServer server(table, server_options);
     LocalStore store;
     BfsSelector selector;
-    Crawler crawler(server, selector, store, CrawlOptions{}, policy);
+    CrawlEngine crawler(server, selector, store, CrawlOptions{},
+                        EngineOptions{}, policy);
     crawler.AddSeed(testing_util::GetValueId(table, "Hub", "h"));
     StatusOr<CrawlResult> result = crawler.Run();
     DEEPCRAWL_CHECK(result.ok());
@@ -124,7 +125,8 @@ TEST(AbortPolicyIntegrationTest, AbortedQueryKeepsHarvestedRecords) {
   BfsSelector selector;
   // Extremely aggressive: abort as soon as expected new / round < 100.
   CountBasedAbort abort(100.0);
-  Crawler crawler(server, selector, store, CrawlOptions{}, &abort);
+  CrawlEngine crawler(server, selector, store, CrawlOptions{}, EngineOptions{},
+                      &abort);
   crawler.AddSeed(testing_util::GetValueId(table, "Hub", "h"));
   StatusOr<CrawlResult> result = crawler.Run();
   ASSERT_TRUE(result.ok());

@@ -27,12 +27,11 @@
 #include <string>
 #include <vector>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/local_store.h"
 #include "src/crawler/mmmi_selector.h"
 #include "src/crawler/naive_selectors.h"
-#include "src/crawler/parallel_crawler.h"
 #include "src/crawler/retry_policy.h"
 #include "src/crawler/trace_io.h"
 #include "src/datagen/movie_domain.h"
@@ -199,8 +198,9 @@ RunOutput Capture(const CrawlResult& result, const LocalStore& store,
   return out;
 }
 
-// threads == 0 selects the serial crawler; otherwise the parallel
-// engine with the given threads/batch. The store is checked against the
+// threads == 0 selects the serial configuration (inline fetches against
+// the unlocked server); otherwise a locked server and the given
+// threads/batch. The store is checked against the
 // oracle after every add.
 RunOutput RunVariant(const std::string& policy,
                      const std::string& profile_name,
@@ -223,26 +223,19 @@ RunOutput RunVariant(const std::string& policy,
   StoreOracleSelector selector(
       MakeSelector(policy, store, mmmi_reference_scoring), store);
   RetryPolicy retry((RetryPolicyConfig()));
-  RunOutput out;
-  if (threads == 0) {
-    Crawler crawler(*direct, selector, store, options,
-                    /*abort_policy=*/nullptr, &retry);
-    crawler.AddSeed(FirstQueriableSeed(target));
-    StatusOr<CrawlResult> result = crawler.Run();
-    DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
-    out = Capture(*result, store, crawler.clock().now());
-  } else {
-    LockedQueryInterface server(*direct);
-    ParallelCrawler crawler(server, selector, store, options,
-                            ParallelOptions{threads, batch},
-                            /*abort_policy=*/nullptr, &retry);
-    crawler.AddSeed(FirstQueriableSeed(target));
-    StatusOr<CrawlResult> result = crawler.Run();
-    DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
-    out = Capture(*result, store, crawler.clock().now());
-  }
+  const bool serial = threads == 0;
+  LockedQueryInterface locked(*direct);
+  QueryInterface& server =
+      serial ? *direct : static_cast<QueryInterface&>(locked);
+  EngineOptions engine_options;
+  if (!serial) engine_options = {.threads = threads, .batch = batch};
+  CrawlEngine crawler(server, selector, store, options, engine_options,
+                      /*abort_policy=*/nullptr, &retry);
+  crawler.AddSeed(FirstQueriableSeed(target));
+  StatusOr<CrawlResult> result = crawler.Run();
+  DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
   EXPECT_EQ(selector.checked_adds(), store.num_records());
-  return out;
+  return Capture(*result, store, crawler.clock().now());
 }
 
 void ExpectIdentical(const RunOutput& a, const RunOutput& b,

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/naive_selectors.h"
 #include "src/server/web_db_server.h"
 #include "tests/test_util.h"
@@ -55,7 +55,7 @@ TEST(KeywordModeTest, KeywordCrawlReachesAcrossColumns) {
     LocalStore store;
     BfsSelector selector;
     CrawlOptions options;  // typed interface
-    Crawler crawler(server, selector, store, options);
+    CrawlEngine crawler(server, selector, store, options);
     crawler.AddSeed(seed);
     StatusOr<CrawlResult> result = crawler.Run();
     ASSERT_TRUE(result.ok());
@@ -67,7 +67,7 @@ TEST(KeywordModeTest, KeywordCrawlReachesAcrossColumns) {
     BfsSelector selector;
     CrawlOptions options;
     options.use_keyword_interface = true;
-    Crawler crawler(server, selector, store, options);
+    CrawlEngine crawler(server, selector, store, options);
     crawler.AddSeed(seed);
     StatusOr<CrawlResult> result = crawler.Run();
     ASSERT_TRUE(result.ok());
@@ -89,7 +89,7 @@ TEST(KeywordModeTest, KeywordCrawlCoversAtLeastTypedCrawl) {
     {
       LocalStore store;
       BfsSelector selector;
-      Crawler crawler(server, selector, store, CrawlOptions{});
+      CrawlEngine crawler(server, selector, store, CrawlOptions{});
       crawler.AddSeed(seed);
       typed_records = crawler.Run()->records;
     }
@@ -98,7 +98,7 @@ TEST(KeywordModeTest, KeywordCrawlCoversAtLeastTypedCrawl) {
       BfsSelector selector;
       CrawlOptions options;
       options.use_keyword_interface = true;
-      Crawler crawler(server, selector, store, options);
+      CrawlEngine crawler(server, selector, store, options);
       crawler.AddSeed(seed);
       keyword_records = crawler.Run()->records;
     }

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/local_store.h"
 #include "src/crawler/optimal_selector.h"
@@ -125,8 +125,8 @@ CoverageRun CrawlToCoverage(const AdversarialInstance& instance,
   RetryPolicy retry((RetryPolicyConfig()));
   CrawlOptions options;
   options.target_records = instance.table.num_records();
-  Crawler crawler(*server, selector, store, options,
-                  /*abort_policy=*/nullptr, &retry);
+  CrawlEngine crawler(*server, selector, store, options, EngineOptions{},
+                      /*abort_policy=*/nullptr, &retry);
   crawler.AddSeed(instance.root_value);
   StatusOr<CrawlResult> result = crawler.Run();
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();

@@ -1,11 +1,12 @@
-// Differential test suite for the parallel batched crawl engine:
-// serial-vs-parallel equivalence for every selection policy and fault
-// profile, and thread-count invariance at every batch size.
+// Differential test suite for the batched crawl engine: serial-vs-
+// threaded equivalence for every selection policy and fault profile,
+// and thread-count invariance at every batch size.
 //
 // The determinism contract under test (DESIGN.md §8):
-//   * ParallelCrawler with batch == 1 is BIT-IDENTICAL to the serial
-//     Crawler — same trace points, resilience counters, stop reason,
-//     meters, and harvest order — at any thread count;
+//   * a CrawlEngine with batch == 1 is BIT-IDENTICAL at any thread
+//     count to the serial configuration (threads == 1, inline fetches
+//     against the bare server) — same trace points, resilience
+//     counters, stop reason, meters, and harvest order;
 //   * at any batch size, the output is a pure function of the seed and
 //     the batch: thread count never changes anything but wall-clock.
 // Fault runs use the FaultyServer's keyed mode so the fault stream is a
@@ -23,13 +24,11 @@
 #include "src/crawler/abort_policy.h"
 #include "src/crawler/checkpoint.h"
 #include "src/crawler/crawl_engine.h"
-#include "src/crawler/crawler.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/local_store.h"
 #include "src/crawler/mmmi_selector.h"
 #include "src/crawler/naive_selectors.h"
 #include "src/crawler/optimal_selector.h"
-#include "src/crawler/parallel_crawler.h"
 #include "src/crawler/retry_policy.h"
 #include "src/crawler/trace_io.h"
 #include "src/datagen/adversarial_workload.h"
@@ -187,6 +186,8 @@ RunOutput Capture(const CrawlResult& result, const LocalStore& store,
   return out;
 }
 
+// The serial configuration: threads == 1 (InlineFetchExecutor) against
+// the unlocked server.
 RunOutput RunSerial(const Env& env, const std::string& policy,
                     const std::string& profile_name, CrawlOptions options) {
   WebDbServer backend(*env.target, env.server_options);
@@ -201,8 +202,8 @@ RunOutput RunSerial(const Env& env, const std::string& policy,
   LocalStore store;
   std::unique_ptr<QuerySelector> selector = MakeSelector(policy, store, env);
   RetryPolicy retry((RetryPolicyConfig()));
-  Crawler crawler(*server, *selector, store, options,
-                  /*abort_policy=*/nullptr, &retry);
+  CrawlEngine crawler(*server, *selector, store, options, EngineOptions{},
+                      /*abort_policy=*/nullptr, &retry);
   crawler.AddSeed(env.seed_value);
   StatusOr<CrawlResult> result = crawler.Run();
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
@@ -225,9 +226,9 @@ RunOutput RunParallel(const Env& env, const std::string& policy,
   LocalStore store;
   std::unique_ptr<QuerySelector> selector = MakeSelector(policy, store, env);
   RetryPolicy retry((RetryPolicyConfig()));
-  ParallelOptions parallel{threads, batch};
-  ParallelCrawler crawler(server, *selector, store, options, parallel,
-                          /*abort_policy=*/nullptr, &retry);
+  CrawlEngine crawler(server, *selector, store, options,
+                      EngineOptions{.threads = threads, .batch = batch},
+                      /*abort_policy=*/nullptr, &retry);
   crawler.AddSeed(env.seed_value);
   StatusOr<CrawlResult> result = crawler.Run();
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
@@ -247,7 +248,7 @@ void ExpectIdentical(const RunOutput& a, const RunOutput& b,
   EXPECT_EQ(a.clock_ticks, b.clock_ticks);
 }
 
-// batch == 1: the parallel engine must reproduce the serial crawler
+// batch == 1: the threaded engine must reproduce the serial engine
 // bit-for-bit, for every selector, fault profile, and thread count.
 TEST(ParallelCrawlerDifferentialTest, SerialEquivalenceAllPolicies) {
   const Env env = MovieEnv();
@@ -322,8 +323,8 @@ TEST(ParallelCrawlerDifferentialTest, KeywordModeEquivalence) {
   ExpectIdentical(serial, parallel, "keyword/greedy/flaky");
 }
 
-// Round-budget semantics: a target and a budget must stop both engines
-// at the same point with the same stop reason.
+// Round-budget semantics: a target and a budget must stop both
+// configurations at the same point with the same stop reason.
 TEST(ParallelCrawlerDifferentialTest, BudgetAndTargetStops) {
   const Env env = MovieEnv();
   for (uint64_t max_rounds : {25u, 120u}) {
@@ -338,7 +339,7 @@ TEST(ParallelCrawlerDifferentialTest, BudgetAndTargetStops) {
   }
 }
 
-// Sliced execution: running the parallel engine in many small budget
+// Sliced execution: running the batched engine in many small budget
 // increments must land exactly where one unbounded Run() lands —
 // parked slots resume with no page re-fetched and no record
 // double-counted, at any batch size.
@@ -358,8 +359,8 @@ TEST(ParallelCrawlerDifferentialTest, SlicedRunsResumeExactly) {
   LocalStore store;
   std::unique_ptr<QuerySelector> selector = MakeSelector("greedy", store, env);
   RetryPolicy retry((RetryPolicyConfig()));
-  ParallelCrawler crawler(server, *selector, store, options,
-                          ParallelOptions{4, 3}, nullptr, &retry);
+  CrawlEngine crawler(server, *selector, store, options,
+                      EngineOptions{.threads = 4, .batch = 3}, nullptr, &retry);
   crawler.AddSeed(FirstQueriableSeed(target));
   StatusOr<CrawlResult> sliced = Status::Internal("never ran");
   for (uint64_t budget = 17;; budget += 17) {
@@ -586,38 +587,32 @@ TEST(ParallelCrawlerDifferentialTest, CheckpointResumesAcrossThreadCounts) {
   }
 }
 
-// Abort policies are consulted at the same points in both engines.
+// Abort policies are consulted at the same points serial and threaded.
 TEST(ParallelCrawlerDifferentialTest, AbortPolicyEquivalence) {
   const Table& target = DifferentialTarget();
   CrawlOptions options = BaseOptions(target);
 
-  auto run = [&](bool parallel) {
+  // Serial: inline fetches against the bare backend. Threaded: a
+  // ThreadPool executor against the locked server, still at batch 1.
+  auto run = [&](uint32_t threads) {
     WebDbServer backend(target, ServerOptions());
     LockedQueryInterface locked(backend);
+    QueryInterface& server =
+        threads > 1 ? static_cast<QueryInterface&>(locked) : backend;
     LocalStore store;
     std::unique_ptr<QuerySelector> selector =
         MakeSelector("greedy", store, MovieEnv());
     CountBasedAbort abort_policy(/*min_harvest_rate=*/2.0);
-    StatusOr<CrawlResult> result = Status::Internal("never ran");
-    uint64_t ticks = 0;
-    if (parallel) {
-      ParallelCrawler crawler(locked, *selector, store, options,
-                              ParallelOptions{4, 1}, &abort_policy, nullptr);
-      crawler.AddSeed(FirstQueriableSeed(target));
-      result = crawler.Run();
-      ticks = crawler.clock().now();
-    } else {
-      Crawler crawler(backend, *selector, store, options, &abort_policy,
-                      nullptr);
-      crawler.AddSeed(FirstQueriableSeed(target));
-      result = crawler.Run();
-      ticks = crawler.clock().now();
-    }
+    CrawlEngine crawler(server, *selector, store, options,
+                        EngineOptions{.threads = threads}, &abort_policy,
+                        nullptr);
+    crawler.AddSeed(FirstQueriableSeed(target));
+    StatusOr<CrawlResult> result = crawler.Run();
     DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
-    return Capture(*result, store, ticks);
+    return Capture(*result, store, crawler.clock().now());
   };
 
-  ExpectIdentical(run(false), run(true), "count-abort");
+  ExpectIdentical(run(1), run(4), "count-abort");
 }
 
 // --- optimal-selector determinism on the adversarial env -------------

@@ -11,11 +11,10 @@
 #include <set>
 #include <vector>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/local_store.h"
 #include "src/crawler/naive_selectors.h"
-#include "src/crawler/parallel_crawler.h"
 #include "src/crawler/retry_policy.h"
 #include "src/datagen/movie_domain.h"
 #include "src/server/faulty_server.h"
@@ -89,7 +88,7 @@ std::set<RecordId> ReferenceHarvest(const Table& target) {
   WebDbServer backend(target, ServerOptions());
   LocalStore store;
   BfsSelector selector;
-  Crawler crawler(backend, selector, store, CrawlOptions{});
+  CrawlEngine crawler(backend, selector, store, CrawlOptions{});
   crawler.AddSeed(FirstQueriableSeed(target));
   StatusOr<CrawlResult> result = crawler.Run();
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
@@ -113,9 +112,9 @@ TEST(ParallelCrawlerStressTest, NoRecordLostOrDuplicatedUnderFaults) {
   LocalStore store;
   BfsSelector selector;
   RetryPolicy retry((RetryPolicyConfig()));
-  ParallelCrawler crawler(server, selector, store, CrawlOptions{},
-                          ParallelOptions{/*threads=*/16, /*batch=*/8},
-                          /*abort_policy=*/nullptr, &retry);
+  CrawlEngine crawler(server, selector, store, CrawlOptions{},
+                      EngineOptions{.threads = 16, .batch = 8},
+                      /*abort_policy=*/nullptr, &retry);
   crawler.AddSeed(FirstQueriableSeed(target));
   StatusOr<CrawlResult> result = crawler.Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -168,9 +167,9 @@ TEST(ParallelCrawlerStressTest, RepeatedRunsAreIdenticalAcrossSchedulings) {
     LocalStore store;
     BfsSelector selector;
     RetryPolicy retry((RetryPolicyConfig()));
-    ParallelCrawler crawler(server, selector, store, CrawlOptions{},
-                            ParallelOptions{/*threads=*/16, /*batch=*/6},
-                            nullptr, &retry);
+    CrawlEngine crawler(server, selector, store, CrawlOptions{},
+                        EngineOptions{.threads = 16, .batch = 6}, nullptr,
+                        &retry);
     crawler.AddSeed(FirstQueriableSeed(target));
     StatusOr<CrawlResult> result = crawler.Run();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -199,9 +198,9 @@ TEST(ParallelCrawlerStressTest, GreedyHeapGrowthStaysBoundedUnderFaults) {
   LocalStore store;
   GreedyLinkSelector selector(store);
   RetryPolicy retry((RetryPolicyConfig()));
-  ParallelCrawler crawler(server, selector, store, CrawlOptions{},
-                          ParallelOptions{/*threads=*/16, /*batch=*/8},
-                          nullptr, &retry);
+  CrawlEngine crawler(server, selector, store, CrawlOptions{},
+                      EngineOptions{.threads = 16, .batch = 8}, nullptr,
+                      &retry);
   crawler.AddSeed(FirstQueriableSeed(target));
   StatusOr<CrawlResult> result = crawler.Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();

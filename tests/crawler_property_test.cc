@@ -6,7 +6,7 @@
 #include <memory>
 #include <tuple>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/mmmi_selector.h"
 #include "src/crawler/naive_selectors.h"
@@ -67,7 +67,7 @@ TEST_P(CrawlDeterminismTest, IdenticalRunsProduceIdenticalTraces) {
         MakeSelector(policy, store, server);
     CrawlOptions options;
     options.saturation_records = 200;
-    Crawler crawler(server, *selector, store, options);
+    CrawlEngine crawler(server, *selector, store, options);
     crawler.AddSeed(2);
     StatusOr<CrawlResult> result = crawler.Run();
     DEEPCRAWL_CHECK(result.ok());
@@ -96,7 +96,7 @@ TEST(CrawlBudgetExtensionTest, SlicedCrawlMatchesOneShot) {
     WebDbServer server(db, ServerOptions{});
     LocalStore store;
     BfsSelector selector;
-    Crawler crawler(server, selector, store, CrawlOptions{});
+    CrawlEngine crawler(server, selector, store, CrawlOptions{});
     crawler.AddSeed(0);
     StatusOr<CrawlResult> result = crawler.Run();
     ASSERT_TRUE(result.ok());
@@ -110,7 +110,7 @@ TEST(CrawlBudgetExtensionTest, SlicedCrawlMatchesOneShot) {
     BfsSelector selector;
     CrawlOptions options;
     options.max_rounds = 10;
-    Crawler crawler(server, selector, store, options);
+    CrawlEngine crawler(server, selector, store, options);
     crawler.AddSeed(0);
     CrawlResult last;
     for (int i = 0; i < 10000; ++i) {
@@ -143,7 +143,7 @@ TEST_P(CrawlModeMatrixTest, InvariantsHoldUnderKeywordAndLimits) {
   GreedyLinkSelector selector(store);
   CrawlOptions options;
   options.use_keyword_interface = keyword;
-  Crawler crawler(server, selector, store, options);
+  CrawlEngine crawler(server, selector, store, options);
   crawler.AddSeed(1);
   StatusOr<CrawlResult> result = crawler.Run();
   ASSERT_TRUE(result.ok());
@@ -177,7 +177,7 @@ TEST(CrawlConservationTest, LimitNeverIncreasesCoverage) {
     WebDbServer server(db, server_options);
     LocalStore store;
     BfsSelector selector;
-    Crawler crawler(server, selector, store, CrawlOptions{});
+    CrawlEngine crawler(server, selector, store, CrawlOptions{});
     crawler.AddSeed(1);
     StatusOr<CrawlResult> result = crawler.Run();
     ASSERT_TRUE(result.ok());

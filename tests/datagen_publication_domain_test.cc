@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/domain/domain_selector.h"
 #include "src/domain/domain_table.h"
@@ -105,14 +105,14 @@ TEST(PublicationDomainTest, DomainKnowledgeBeatsGreedyOnThisDomainToo) {
     LocalStore store;
     DomainSelector selector(store, dt);
     server.ResetMeters();
-    Crawler crawler(server, selector, store, options);
+    CrawlEngine crawler(server, selector, store, options);
     records_dm = crawler.Run()->records;
   }
   {
     LocalStore store;
     GreedyLinkSelector selector(store);
     server.ResetMeters();
-    Crawler crawler(server, selector, store, options);
+    CrawlEngine crawler(server, selector, store, options);
     ValueId seed = 0;
     while (target.value_frequency(seed) == 0) ++seed;
     crawler.AddSeed(seed);

@@ -7,7 +7,7 @@
 
 #include <cmath>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/server/web_db_server.h"
 #include "tests/test_util.h"
@@ -262,7 +262,7 @@ TEST(DomainSelectorTest, EndToEndCrawlWithPerfectDomainTable) {
   WebDbServer server(target, server_options);
   LocalStore store;
   DomainSelector selector(store, dt);
-  Crawler crawler(server, selector, store, CrawlOptions{});
+  CrawlEngine crawler(server, selector, store, CrawlOptions{});
   // No seeds needed: Q_DT supplies every query.
   StatusOr<CrawlResult> result = crawler.Run();
   ASSERT_TRUE(result.ok());
@@ -289,7 +289,7 @@ TEST(DomainSelectorTest, ReachesRecordsOutsideSeedComponent) {
   {
     LocalStore store;
     GreedyLinkSelector gl(store);
-    Crawler crawler(server, gl, store, CrawlOptions{});
+    CrawlEngine crawler(server, gl, store, CrawlOptions{});
     crawler.AddSeed(a1);
     StatusOr<CrawlResult> result = crawler.Run();
     ASSERT_TRUE(result.ok());
@@ -299,7 +299,7 @@ TEST(DomainSelectorTest, ReachesRecordsOutsideSeedComponent) {
     server.ResetMeters();
     LocalStore store;
     DomainSelector dm(store, dt);
-    Crawler crawler(server, dm, store, CrawlOptions{});
+    CrawlEngine crawler(server, dm, store, CrawlOptions{});
     crawler.AddSeed(a1);
     StatusOr<CrawlResult> result = crawler.Run();
     ASSERT_TRUE(result.ok());
@@ -318,7 +318,7 @@ TEST(DomainSelectorTest, DtOnlyValuesCostARoundAndReturnNothing) {
   WebDbServer server(fx.target, ServerOptions{});
   LocalStore store;
   DomainSelector selector(store, fx.dt);
-  Crawler crawler(server, selector, store, CrawlOptions{});
+  CrawlEngine crawler(server, selector, store, CrawlOptions{});
   StatusOr<CrawlResult> result = crawler.Run();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->records, 0u);  // ghost matches nothing

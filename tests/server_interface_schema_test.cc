@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/naive_selectors.h"
 #include "src/server/web_db_server.h"
 #include "tests/test_util.h"
@@ -67,7 +67,7 @@ TEST(InterfaceSchemaTest, CrawlerKeepsUnqueriableValuesOutOfFrontier) {
   WebDbServer server(table, TitleOnly(table));
   LocalStore store;
   BfsSelector selector;
-  Crawler crawler(server, selector, store, CrawlOptions{});
+  CrawlEngine crawler(server, selector, store, CrawlOptions{});
   crawler.AddSeed(GetValueId(table, "Title", "t1"));
   StatusOr<CrawlResult> result = crawler.Run();
   ASSERT_TRUE(result.ok());
@@ -86,7 +86,7 @@ TEST(InterfaceSchemaTest, WiderInterfaceWidensCoverage) {
     WebDbServer server(table, TitleOnly(table));
     LocalStore store;
     BfsSelector selector;
-    Crawler crawler(server, selector, store, CrawlOptions{});
+    CrawlEngine crawler(server, selector, store, CrawlOptions{});
     crawler.AddSeed(GetValueId(table, "Title", "t1"));
     EXPECT_EQ(crawler.Run()->records, 1u);
   }
@@ -94,7 +94,7 @@ TEST(InterfaceSchemaTest, WiderInterfaceWidensCoverage) {
     WebDbServer server(table, ServerOptions{});
     LocalStore store;
     BfsSelector selector;
-    Crawler crawler(server, selector, store, CrawlOptions{});
+    CrawlEngine crawler(server, selector, store, CrawlOptions{});
     crawler.AddSeed(GetValueId(table, "Title", "t1"));
     EXPECT_EQ(crawler.Run()->records, 2u);  // both smith books
   }

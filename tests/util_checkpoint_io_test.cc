@@ -84,33 +84,12 @@ TEST(WriteFileAtomicTest, ConcurrentWritersToOnePathNeverTear) {
   std::remove(path.c_str());
 }
 
-TEST(WriteFileAtomicTest, DeferredSyncThenSyncFileDurable) {
-  // The deferred-sync variant must still be atomic-by-rename and
-  // readable immediately; SyncFileDurable then upgrades it to durable
-  // without changing content.
-  std::string path = TestPath("deepcrawl_atomic_deferred.bin");
-  ASSERT_TRUE(WriteFileAtomicDeferredSync(path, "lazy bytes").ok());
-  StatusOr<std::string> read = ReadFileBytes(path);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, "lazy bytes");
-  ASSERT_TRUE(SyncFileDurable(path).ok());
-  read = ReadFileBytes(path);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, "lazy bytes");
-  std::remove(path.c_str());
-}
-
-TEST(WriteFileAtomicTest, SyncMissingFileIsInternal) {
-  Status status = SyncFileDurable(TestPath("deepcrawl_never_written.bin"));
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-}
-
 TEST(WriteFileAtomicTest, NoTempFilesLeftBehind) {
-  // Both variants clean up: after successful writes the directory
-  // holds only the destination (plus whatever else the suite left).
+  // After successful writes the directory holds only the destination
+  // (plus whatever else the suite left).
   std::string path = TestPath("deepcrawl_atomic_clean.bin");
   ASSERT_TRUE(WriteFileAtomic(path, "x").ok());
-  ASSERT_TRUE(WriteFileAtomicDeferredSync(path, "y").ok());
+  ASSERT_TRUE(WriteFileAtomic(path, "y").ok());
   // Any leftover temp would match <path>.tmp.<pid>.<seq>; probing the
   // first few sequence numbers for this process's pid is a smoke check
   // that renames consumed the temps.

@@ -43,6 +43,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -90,9 +91,8 @@ struct Options {
   int64_t retry_attempts = 4;
   int64_t retry_requeues = 2;
 
-  // Parallel batched engine (src/crawler/parallel_crawler.h). Engaged
-  // whenever threads > 1 or batch > 1; threads=1 batch=1 keeps the
-  // serial crawler, byte-for-byte compatible with earlier releases.
+  // EngineOptions::threads / ::batch (src/crawler/crawl_engine.h).
+  // threads=1 batch=1 is the serial crawl order.
   int64_t threads = 1;
   int64_t batch = 1;
   int64_t latency_us = 0;
@@ -214,11 +214,13 @@ Status Run(const Options& options) {
               << " truncate=" << profile.truncate_rate
               << " duplicate=" << profile.duplicate_rate << "\n";
   }
-  if (options.threads < 1) {
-    return Status::InvalidArgument("--threads must be >= 1");
+  // The engine's widths are uint32_t: reject what narrowing would wrap.
+  constexpr int64_t kMaxWidth = std::numeric_limits<uint32_t>::max();
+  if (options.threads < 1 || options.threads > kMaxWidth) {
+    return Status::InvalidArgument("--threads must be in [1, 2^32 - 1]");
   }
-  if (options.batch < 1) {
-    return Status::InvalidArgument("--batch must be >= 1");
+  if (options.batch < 1 || options.batch > kMaxWidth) {
+    return Status::InvalidArgument("--batch must be in [1, 2^32 - 1]");
   }
   if (network && options.threads > 1) {
     return Status::InvalidArgument(
@@ -231,8 +233,8 @@ Status Run(const Options& options) {
         "latency is real (pass --latency-us to deepcrawl_serve to add "
         "artificial delay)");
   }
-  if (network && options.connections < 1) {
-    return Status::InvalidArgument("--connections must be >= 1");
+  if (network && (options.connections < 1 || options.connections > kMaxWidth)) {
+    return Status::InvalidArgument("--connections must be in [1, 2^32 - 1]");
   }
   bool parallel = !network && (options.threads > 1 || options.batch > 1);
   if (faulty.has_value() && (options.fault.fault_keyed || parallel)) {

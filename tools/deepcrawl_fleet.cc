@@ -27,6 +27,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -100,8 +101,13 @@ Status Run(const Options& options) {
   if (options.sources < 1) {
     return Status::InvalidArgument("--sources must be >= 1");
   }
-  if (options.threads < 1 || options.batch < 1) {
-    return Status::InvalidArgument("--threads and --batch must be >= 1");
+  // Engine widths are uint32_t: reject what narrowing would wrap.
+  constexpr int64_t kMaxWidth = std::numeric_limits<uint32_t>::max();
+  if (options.threads < 1 || options.threads > kMaxWidth) {
+    return Status::InvalidArgument("--threads must be in [1, 2^32 - 1]");
+  }
+  if (options.batch < 1 || options.batch > kMaxWidth) {
+    return Status::InvalidArgument("--batch must be in [1, 2^32 - 1]");
   }
   uint32_t num_sources = static_cast<uint32_t>(options.sources);
 
