@@ -72,11 +72,8 @@ BENCHMARK(BM_AvgBuild);
 
 void BM_LocalStoreIngest(benchmark::State& state) {
   const Table& table = SharedEbay();
-  bool exact = state.range(0) != 0;
   for (auto _ : state) {
-    LocalStore::Options options;
-    options.exact_degrees = exact;
-    LocalStore store(options);
+    LocalStore store;
     for (RecordId r = 0; r < table.num_records(); ++r) {
       store.AddRecord(r, table.record(r));
     }
@@ -86,7 +83,7 @@ void BM_LocalStoreIngest(benchmark::State& state) {
       static_cast<int64_t>(state.iterations()) *
       static_cast<int64_t>(table.num_records()));
 }
-BENCHMARK(BM_LocalStoreIngest)->Arg(1)->Arg(0);
+BENCHMARK(BM_LocalStoreIngest);
 
 void BM_GreedyCrawlTo50Percent(benchmark::State& state) {
   const Table& table = SharedEbay();
@@ -127,10 +124,8 @@ BENCHMARK(BM_CoverageSetUnion);
 
 // --- --json regression suite (hand-timed, fixed configuration) -------
 
-uint64_t IngestOnce(const Table& table, bool exact) {
-  LocalStore::Options options;
-  options.exact_degrees = exact;
-  LocalStore store(options);
+uint64_t IngestOnce(const Table& table) {
+  LocalStore store;
   for (RecordId r = 0; r < table.num_records(); ++r) {
     store.AddRecord(r, table.record(r));
   }
@@ -154,17 +149,11 @@ int RunJsonSuite(const std::string& json_path) {
   const Table& table = SharedEbay();
   bench::BenchJson json("micro");
 
-  // LocalStore ingest, exact distinct-neighbor degrees (the CSR
-  // adjacency + flat edge-hash path).
-  double exact_s = bench::BestWallSeconds([&] { IngestOnce(table, true); });
+  // LocalStore ingest: postings plus the CSR adjacency + flat
+  // edge-hash path.
+  double ingest_s = bench::BestWallSeconds([&] { IngestOnce(table); });
   json.Add("ingest_exact_rps",
-           static_cast<double>(table.num_records()) / exact_s, "records/s",
-           /*higher_is_better=*/true);
-
-  // LocalStore ingest, link-count proxy degrees.
-  double proxy_s = bench::BestWallSeconds([&] { IngestOnce(table, false); });
-  json.Add("ingest_proxy_rps",
-           static_cast<double>(table.num_records()) / proxy_s, "records/s",
+           static_cast<double>(table.num_records()) / ingest_s, "records/s",
            /*higher_is_better=*/true);
 
   // End-to-end crawl loop: greedy-link to 50% coverage against the

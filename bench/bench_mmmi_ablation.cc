@@ -1,28 +1,18 @@
-// §3.3 ablation — MMMI ranking variants and LocalStore degree tracking.
-//
-// Two design choices called out in DESIGN.md:
+// §3.3 ablation — MMMI ranking variants and the marginal-phase cost.
 //
 //  1. MMMI ranking. The paper's literal text sorts Lto-query ascending
 //     by the max-PMI dependency s(q) alone (HR ∝ 1/s); it also says the
 //     method "is used together with the greedy link-based approach".
 //     This library defaults to the degree-discounted combination
 //     degree * exp(-s). The ablation compares plain GL, literal MMMI,
-//     and the combination.
+//     the combination, and the weighted-mean PMI alternative the paper
+//     floats instead of max().
 //
-//  2. Local degree tracking. GreedyLinkSelector can rank by exact
-//     distinct-neighbor degree (hash sets; more memory) or by the cheap
-//     with-multiplicity link count. The ablation measures whether the
-//     cheap proxy changes crawling cost.
-//
-//  3. MMMI scoring cost. RecomputeBatch can score candidates from the
-//     incrementally-maintained co-occurrence counters (default) or by
-//     the reference full postings rescan (MmmiOptions::reference_
-//     scoring). Selection output is identical (the differential test
-//     proves it); this bench times the MARGINAL PHASE — the crawl
-//     segment from the 85% saturation switch to the 99% target, where
-//     every batch pays the scoring cost — for both paths and reports
-//     the speedup. With --json=<path> the numbers land in
-//     BENCH_mmmi_ablation.json for the check.sh perf pass.
+//  2. MMMI scoring cost. This bench times the MARGINAL PHASE — the
+//     crawl segment from the 85% saturation switch to the 99% target,
+//     where every batch pays the scoring cost. With --json=<path> the
+//     numbers land in BENCH_mmmi_ablation.json for the check.sh perf
+//     pass.
 
 #include <chrono>
 #include <iostream>
@@ -37,26 +27,24 @@ namespace {
 constexpr double kScale = 0.1;
 constexpr int kNumSeeds = 5;
 
-// The scoring-cost A/B runs on a larger database than the round-count
-// ablation: the reference rescan's cost grows with pending-set and
-// postings size, so a small store hides it behind the fetch/ingest cost
-// common to both paths.
+// The scoring-cost timing runs on a larger database than the
+// round-count ablation: scoring cost grows with the pending set, so a
+// small store hides it behind the fetch/ingest cost.
 constexpr double kMarginalScale = 0.3;
 constexpr int kMarginalSeeds = 3;
+constexpr int kMarginalReps = 3;
 
 // One staged crawl: greedy-link to the 85% saturation point (untimed),
 // then MMMI batches to 99% (timed). Returns the marginal-phase
 // wall-clock seconds and adds its rounds to *rounds_out.
 double MarginalPhaseSeconds(const deepcrawl::Table& db,
-                            deepcrawl::ValueId seed_value, bool reference,
+                            deepcrawl::ValueId seed_value,
                             uint64_t* rounds_out) {
   using namespace deepcrawl;
   uint64_t n = db.num_records();
   WebDbServer server(db, ServerOptions{});
   LocalStore store;
-  MmmiOptions mmmi_options;
-  mmmi_options.reference_scoring = reference;
-  MmmiSelector selector(store, mmmi_options);
+  MmmiSelector selector(store);
   CrawlOptions options;
   options.saturation_records =
       static_cast<uint64_t>(0.85 * static_cast<double>(n));
@@ -80,11 +68,12 @@ double MarginalPhaseSeconds(const deepcrawl::Table& db,
   return seconds;
 }
 
-// Sums the marginal phase over the seed sweep; best-of-`reps` total.
-double MarginalSweepSeconds(bool reference, int reps, uint64_t* rounds_out) {
+// Sums the marginal phase over the seed sweep; best-of-kMarginalReps
+// total.
+double MarginalSweepSeconds(uint64_t* rounds_out) {
   using namespace deepcrawl;
   double best = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
+  for (int rep = 0; rep < kMarginalReps; ++rep) {
     double total = 0.0;
     uint64_t rounds = 0;
     for (int s = 0; s < kMarginalSeeds; ++s) {
@@ -93,7 +82,7 @@ double MarginalSweepSeconds(bool reference, int reps, uint64_t* rounds_out) {
       DEEPCRAWL_CHECK(generated.ok());
       total += MarginalPhaseSeconds(
           *generated, bench::SeedValue(*generated, static_cast<uint32_t>(s)),
-          reference, &rounds);
+          &rounds);
     }
     if (rep == 0 || total < best) best = total;
     *rounds_out = rounds;  // identical across reps (deterministic crawl)
@@ -107,13 +96,13 @@ int main(int argc, char** argv) {
   using namespace deepcrawl;
   std::string json_path = bench::JsonPathFromArgs(argc, argv);
   bench::PrintBanner(
-      "Ablation (§3.3): MMMI ranking variants; exact vs proxy degrees",
+      "Ablation (§3.3): MMMI ranking variants",
       "design choices not pinned down by the paper's text",
       "regenerated eBay at scale " + TablePrinter::FormatDouble(kScale, 2) +
           ", crawl to 99% coverage with GL->variant switch at 85%, sum "
           "over " + std::to_string(kNumSeeds) + " seeds");
 
-  double total[5] = {0, 0, 0, 0, 0};  // GL, pure, comb, weighted, proxy
+  double total[4] = {0, 0, 0, 0};  // GL, pure, comb, weighted
   for (int s = 0; s < kNumSeeds; ++s) {
     StatusOr<Table> generated = GenerateTable(EbayConfig(kScale, 60 + s));
     DEEPCRAWL_CHECK(generated.ok());
@@ -133,48 +122,24 @@ int main(int argc, char** argv) {
           bench::RunCrawl(server, selector, store, options, seed_value)
               .rounds);
     }
-    {
+    const MmmiRanking rankings[3] = {MmmiRanking::kPureDependency,
+                                     MmmiRanking::kDegreeDiscount,
+                                     MmmiRanking::kWeightedDependency};
+    for (int i = 0; i < 3; ++i) {
       LocalStore store;
-      MmmiSelector selector(store,
-                            MmmiOptions{10, MmmiRanking::kPureDependency});
-      total[1] += static_cast<double>(
-          bench::RunCrawl(server, selector, store, options, seed_value)
-              .rounds);
-    }
-    {
-      LocalStore store;
-      MmmiSelector selector(store,
-                            MmmiOptions{10, MmmiRanking::kDegreeDiscount});
-      total[2] += static_cast<double>(
-          bench::RunCrawl(server, selector, store, options, seed_value)
-              .rounds);
-    }
-    {
-      LocalStore store;
-      MmmiSelector selector(
-          store, MmmiOptions{10, MmmiRanking::kWeightedDependency});
-      total[3] += static_cast<double>(
-          bench::RunCrawl(server, selector, store, options, seed_value)
-              .rounds);
-    }
-    {
-      LocalStore::Options store_options;
-      store_options.exact_degrees = false;  // link-count proxy
-      LocalStore store(store_options);
-      GreedyLinkSelector selector(store);
-      total[4] += static_cast<double>(
+      MmmiSelector selector(store, MmmiOptions{10, rankings[i]});
+      total[i + 1] += static_cast<double>(
           bench::RunCrawl(server, selector, store, options, seed_value)
               .rounds);
     }
   }
 
   TablePrinter table({"variant", "total rounds to 99%", "vs greedy-link"});
-  const char* names[5] = {"greedy-link (exact degrees)",
+  const char* names[4] = {"greedy-link",
                           "MMMI: literal 1/s ordering",
                           "MMMI: degree * exp(-s) (default)",
-                          "MMMI: weighted-mean PMI variant",
-                          "greedy-link (link-count proxy)"};
-  for (int i = 0; i < 5; ++i) {
+                          "MMMI: weighted-mean PMI variant"};
+  for (int i = 0; i < 4; ++i) {
     table.AddRow({names[i], TablePrinter::FormatDouble(total[i], 0),
                   TablePrinter::FormatPercent(total[i] / total[0], 1)});
   }
@@ -187,48 +152,24 @@ int main(int argc, char** argv) {
                "value dependency is weak (see DESIGN.md). The weighted-"
                "mean PMI alternative the paper floats dilutes the "
                "signal and saves nothing — empirical support for the "
-               "paper's max() choice (\"to avoid bad decisions\"). The "
-               "link-count proxy tracks exact degrees closely at a "
-               "fraction of the memory.\n";
+               "paper's max() choice (\"to avoid bad decisions\").\n";
 
-  // --- marginal-phase scoring cost: incremental vs reference ----------
+  // --- marginal-phase scoring cost ---------------------------------
   uint64_t marginal_rounds = 0;
-  uint64_t reference_rounds = 0;
-  double incremental_s =
-      MarginalSweepSeconds(/*reference=*/false, /*reps=*/3, &marginal_rounds);
-  double reference_s =
-      MarginalSweepSeconds(/*reference=*/true, /*reps=*/2, &reference_rounds);
-  DEEPCRAWL_CHECK_EQ(marginal_rounds, reference_rounds)
-      << "scoring paths diverged — selection is supposed to be identical";
-  double incremental_rps =
-      static_cast<double>(marginal_rounds) / incremental_s;
-  double reference_rps = static_cast<double>(marginal_rounds) / reference_s;
-  double speedup = reference_s / incremental_s;
+  double marginal_s = MarginalSweepSeconds(&marginal_rounds);
+  double marginal_rps = static_cast<double>(marginal_rounds) / marginal_s;
 
-  TablePrinter timing({"scoring path", "marginal rounds", "wall s",
-                       "rounds/s"});
-  timing.AddRow({"incremental counters (default)",
-                 TablePrinter::FormatCount(marginal_rounds),
-                 TablePrinter::FormatDouble(incremental_s, 3),
-                 TablePrinter::FormatCount(
-                     static_cast<uint64_t>(incremental_rps))});
-  timing.AddRow({"reference postings rescan",
-                 TablePrinter::FormatCount(reference_rounds),
-                 TablePrinter::FormatDouble(reference_s, 3),
-                 TablePrinter::FormatCount(
-                     static_cast<uint64_t>(reference_rps))});
   std::cout << "\nmarginal phase (85% -> 99%, eBay scale "
             << TablePrinter::FormatDouble(kMarginalScale, 2)
-            << ", summed over " << kMarginalSeeds << " seeds):\n";
-  timing.Print(std::cout);
-  std::cout << "incremental speedup vs reference: "
-            << TablePrinter::FormatDouble(speedup, 2) << "x\n";
+            << ", summed over " << kMarginalSeeds << " seeds): "
+            << TablePrinter::FormatCount(marginal_rounds) << " rounds in "
+            << TablePrinter::FormatDouble(marginal_s, 3) << " s = "
+            << TablePrinter::FormatCount(static_cast<uint64_t>(marginal_rps))
+            << " rounds/s\n";
 
   if (!json_path.empty()) {
     bench::BenchJson json("mmmi_ablation");
-    json.Add("marginal_phase_rps", incremental_rps, "rounds/s",
-             /*higher_is_better=*/true);
-    json.Add("marginal_speedup_vs_reference", speedup, "x",
+    json.Add("marginal_phase_rps", marginal_rps, "rounds/s",
              /*higher_is_better=*/true);
     json.Add("rounds_mmmi_default_total", total[2], "rounds",
              /*higher_is_better=*/false);

@@ -62,7 +62,9 @@ class FaultyServer;
 //     adaptive (chain fingerprint + switch estimator + nested children).
 // v5: the on-disk store was removed — CONF lost its layout byte and
 //     STOR has only the logical replay form again.
-inline constexpr uint32_t kCrawlCheckpointVersion = 5;
+// v6: CONF lost the exact-degrees byte (LocalStore has one degree mode)
+//     and SELC lost MMMI's scoring-path byte and co-bump counter.
+inline constexpr uint32_t kCrawlCheckpointVersion = 6;
 
 // Section markers (fourcc, little-endian u32). Sections appear in file
 // order: CONFIG, ENGINE (store + selector nested inside), optional

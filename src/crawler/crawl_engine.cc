@@ -129,17 +129,27 @@ void DegradationTracker::SaveState(CheckpointWriter& writer) const {
   }
 }
 
-Status DegradationTracker::LoadState(CheckpointReader& reader) {
+Status DegradationTracker::LoadState(CheckpointReader& reader,
+                                     ValueId value_bound) {
   retry_queue_.clear();
   requeue_count_.clear();
   uint64_t queued = reader.ReadCount(4);
   for (uint64_t i = 0; i < queued && reader.ok(); ++i) {
-    retry_queue_.push_back(reader.ReadU32());
+    ValueId value = reader.ReadU32();
+    if (value >= value_bound) {
+      reader.MarkCorrupt("retry-queue value id out of range");
+      break;
+    }
+    retry_queue_.push_back(value);
   }
   uint64_t counted = reader.ReadCount(8);
   for (uint64_t i = 0; i < counted && reader.ok(); ++i) {
     ValueId value = reader.ReadU32();
     uint32_t requeues = reader.ReadU32();
+    if (value >= value_bound) {
+      reader.MarkCorrupt("re-queue count value id out of range");
+      break;
+    }
     if (!requeue_count_.emplace(value, requeues).second) {
       reader.MarkCorrupt("duplicate value in re-queue count table");
     }
@@ -459,7 +469,6 @@ Status CrawlEngine::SaveState(CheckpointWriter& writer) const {
   WriteSectionMarker(writer, kSectionConfig);
   writer.WriteU32(engine_options_.batch);
   writer.WriteU8(options_.use_keyword_interface ? 1 : 0);
-  writer.WriteU8(store_.options().exact_degrees ? 1 : 0);
   writer.WriteString(selector_.name());
   writer.WriteU64(options_.max_rounds);
   writer.WriteU64(options_.target_records);
@@ -534,7 +543,6 @@ Status CrawlEngine::LoadState(CheckpointReader& reader) {
   }
   uint32_t batch = reader.ReadU32();
   bool keyword = reader.ReadU8() != 0;
-  bool exact_degrees = reader.ReadU8() != 0;
   std::string selector_name = reader.ReadString();
   uint64_t max_rounds = reader.ReadU64();
   uint64_t target_records = reader.ReadU64();
@@ -551,11 +559,6 @@ Status CrawlEngine::LoadState(CheckpointReader& reader) {
     return Status::InvalidArgument(
         "checkpoint interface mismatch: keyword mode differs from the "
         "checkpointing run");
-  }
-  if (exact_degrees != store_.options().exact_degrees) {
-    return Status::InvalidArgument(
-        "checkpoint store-options mismatch: exact-degrees differs from "
-        "the checkpointing run");
   }
   if (selector_name != selector_.name()) {
     return Status::InvalidArgument(
@@ -613,7 +616,7 @@ Status CrawlEngine::LoadState(CheckpointReader& reader) {
   res.degraded_queries = reader.ReadU64();
   res.rate_limit_rejections = reader.ReadU64();
   res.max_retry_after_hint = reader.ReadU64();
-  DEEPCRAWL_RETURN_IF_ERROR(degradation_.LoadState(reader));
+  DEEPCRAWL_RETURN_IF_ERROR(degradation_.LoadState(reader, value_bound));
   for (auto& slot_box : slots_) {
     bool present = reader.ReadU8() != 0;
     if (!reader.ok()) break;

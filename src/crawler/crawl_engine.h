@@ -194,7 +194,9 @@ class DegradationTracker {
   ValueId PopRetry();
 
   void SaveState(CheckpointWriter& writer) const;
-  Status LoadState(CheckpointReader& reader);
+  // `value_bound` is an exclusive bound on every decoded value id; an id
+  // at or above it latches the reader corrupt.
+  Status LoadState(CheckpointReader& reader, ValueId value_bound);
 
  private:
   const RetryPolicy* policy_;

@@ -4,17 +4,12 @@
 
 namespace deepcrawl {
 
-LocalStore::LocalStore() : LocalStore(Options{}) {}
-
-LocalStore::LocalStore(Options options) : options_(options) {}
-
 void LocalStore::EnsureValueCapacity(ValueId v) {
   if (v < local_frequency_.size()) return;
   size_t new_size = static_cast<size_t>(v) + 1;
   local_frequency_.resize(new_size, 0);
-  link_count_.resize(new_size, 0);
   postings_csr_.EnsureRows(new_size);
-  if (options_.exact_degrees) adjacency_csr_.EnsureRows(new_size);
+  adjacency_csr_.EnsureRows(new_size);
 }
 
 bool LocalStore::AddRecord(RecordId id, std::span<const ValueId> values) {
@@ -32,24 +27,21 @@ bool LocalStore::AddRecord(RecordId id, std::span<const ValueId> values) {
     EnsureValueCapacity(v);
     ++local_frequency_[v];
     postings_csr_.Append(v, slot);
-    link_count_[v] += values.size() - 1;
   }
-  if (options_.exact_degrees) {
-    // One probe per unordered pair: a new (min, max) edge appends each
-    // endpoint to the other's adjacency row, in record order — so the
-    // rows come out in first-co-occurrence order deterministically.
-    for (size_t i = 0; i + 1 < values.size(); ++i) {
-      for (size_t j = i + 1; j < values.size(); ++j) {
-        ValueId a = values[i];
-        ValueId b = values[j];
-        if (a == b) continue;
-        ValueId lo = a < b ? a : b;
-        ValueId hi = a < b ? b : a;
-        uint64_t key = (static_cast<uint64_t>(lo) << 32) | hi;
-        if (edge_set_.Insert(key)) {
-          adjacency_csr_.Append(a, b);
-          adjacency_csr_.Append(b, a);
-        }
+  // One probe per unordered pair: a new (min, max) edge appends each
+  // endpoint to the other's adjacency row, in record order — so the
+  // rows come out in first-co-occurrence order deterministically.
+  for (size_t i = 0; i + 1 < values.size(); ++i) {
+    for (size_t j = i + 1; j < values.size(); ++j) {
+      ValueId a = values[i];
+      ValueId b = values[j];
+      if (a == b) continue;
+      ValueId lo = a < b ? a : b;
+      ValueId hi = a < b ? b : a;
+      uint64_t key = (static_cast<uint64_t>(lo) << 32) | hi;
+      if (edge_set_.Insert(key)) {
+        adjacency_csr_.Append(a, b);
+        adjacency_csr_.Append(b, a);
       }
     }
   }
@@ -107,12 +99,11 @@ uint32_t LocalStore::LocalFrequency(ValueId v) const {
 
 uint64_t LocalStore::LocalDegree(ValueId v) const {
   if (v >= local_frequency_.size()) return 0;
-  if (options_.exact_degrees) return adjacency_csr_.RowSize(v);
-  return link_count_[v];
+  return adjacency_csr_.RowSize(v);
 }
 
 std::span<const ValueId> LocalStore::NeighborsSpan(ValueId v) const {
-  if (!options_.exact_degrees || v >= local_frequency_.size()) return {};
+  if (v >= local_frequency_.size()) return {};
   return adjacency_csr_.Row(v);
 }
 

@@ -11,10 +11,8 @@
 //   * local postings (which local records contain a value), powering the
 //     mutual-information computations of §3.3;
 //   * the degree of every value in the local attribute-value graph
-//     G_local, maintained incrementally, powering the greedy link-based
-//     selector of §3.2. Exact distinct-neighbor tracking can be switched
-//     off in favour of a cheap "link count" (degree with multiplicity)
-//     when memory matters; the ablation bench compares both.
+//     G_local (distinct co-occurring values), maintained incrementally,
+//     powering the greedy link-based selector of §3.2.
 //
 // Layout: postings and the G_local adjacency live in ChunkedArena
 // dynamic-CSR stores (one flat buffer each, amortized relocation on
@@ -41,14 +39,7 @@ namespace deepcrawl {
 
 class LocalStore {
  public:
-  struct Options {
-    // Track exact distinct-neighbor degrees (true) or the cheaper
-    // with-multiplicity link count (false).
-    bool exact_degrees = true;
-  };
-
-  LocalStore();  // default options
-  explicit LocalStore(Options options);
+  LocalStore() = default;
 
   LocalStore(const LocalStore&) = delete;
   LocalStore& operator=(const LocalStore&) = delete;
@@ -84,13 +75,12 @@ class LocalStore {
   // num(q, DBlocal): local records containing `v`.
   uint32_t LocalFrequency(ValueId v) const;
 
-  // Degree of `v` in G_local: distinct co-occurring values when exact
-  // tracking is on, otherwise the with-multiplicity link count.
+  // Degree of `v` in G_local: the number of distinct co-occurring values.
   uint64_t LocalDegree(ValueId v) const;
 
   // Distinct G_local neighbors of `v`, in first-co-occurrence order
-  // (deterministic). Empty when exact degree tracking is off.
-  // Invalidated by the next AddRecord.
+  // (deterministic); its size is LocalDegree(v). Invalidated by the next
+  // AddRecord.
   std::span<const ValueId> NeighborsSpan(ValueId v) const;
 
   // Local record slots (indices into this store) containing `v`, in
@@ -108,12 +98,8 @@ class LocalStore {
   // checkpoint layer's logical-replay serialization.
   uint32_t ObservationCount(uint32_t slot) const;
 
-  const Options& options() const { return options_; }
-
  private:
   void EnsureValueCapacity(ValueId v);
-
-  Options options_;
 
   // Record content, CSR-style; slot i holds the i-th harvested record.
   std::vector<ValueId> record_values_;
@@ -125,7 +111,6 @@ class LocalStore {
 
   // Per-value statistics, indexed by ValueId (grown on demand).
   std::vector<uint32_t> local_frequency_;
-  std::vector<uint64_t> link_count_;
 
   // Dynamic-CSR postings and adjacency, plus the flat edge hash that
   // deduplicates G_local edges ((min << 32) | max keys).

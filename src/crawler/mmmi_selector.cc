@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
 #include "src/util/checkpoint_io.h"
 #include "src/util/logging.h"
@@ -40,15 +39,13 @@ void MmmiSelector::Bump(ValueId v, ValueId u) {
     std::rotate(row.begin() + static_cast<ptrdiff_t>(pos), row.end() - 1,
                 row.end());
   }
-  ++co_bumps_;
 }
 
 void MmmiSelector::OnRecordHarvested(uint32_t slot) {
   GreedyLinkSelector::OnRecordHarvested(slot);
-  if (options_.reference_scoring) return;
   // Live path: credit this record to co(v, u) for every (pending v,
   // issued u) occurrence pair. Occurrence (not distinct-value) pairing
-  // mirrors the reference scan's multiplicity semantics exactly.
+  // mirrors the oracle rescan's multiplicity semantics exactly.
   std::span<const ValueId> values = store().RecordValues(slot);
   issued_in_record_.clear();
   for (ValueId u : values) {
@@ -70,7 +67,6 @@ void MmmiSelector::OnQueryCompleted(const QueryOutcome& outcome) {
   }
   if (queried_bitmap_[v]) return;  // guard: backfill exactly once
   queried_bitmap_[v] = 1;
-  if (options_.reference_scoring) return;
   // Backfill path: records containing v harvested *before* v completed
   // predate the live path's bitmap check; credit them now.
   for (uint32_t slot : store().LocalPostings(v)) {
@@ -80,22 +76,20 @@ void MmmiSelector::OnQueryCompleted(const QueryOutcome& outcome) {
   }
 }
 
-MmmiSelector::Dependency MmmiSelector::AggregateSorted(
-    ValueId q, std::span<const std::pair<ValueId, uint32_t>> cos) const {
+MmmiSelector::Dependency MmmiSelector::CachedDependency(ValueId q) const {
   const LocalStore& db = store();
-  Dependency result{kNegInf, 0, kNegInf};
+  Dependency result{kNegInf, kNegInf};
   double n = static_cast<double>(db.num_records());
   if (n == 0) return result;
   double freq_q = static_cast<double>(db.LocalFrequency(q));
   if (freq_q == 0) return result;
   double weighted_sum = 0.0;
   double weight_total = 0.0;
-  for (const auto& [u, co] : cos) {
+  for (const auto& [u, co] : partners_.Row(q)) {
     double freq_u = static_cast<double>(db.LocalFrequency(u));
     // ln( P(q,u) / (P(q) P(u)) ) = ln( co * n / (freq_q * freq_u) ).
     double pmi = std::log(static_cast<double>(co) * n / (freq_q * freq_u));
     result.max_pmi = std::max(result.max_pmi, pmi);
-    result.max_co = std::max(result.max_co, co);
     weighted_sum += static_cast<double>(co) * pmi;
     weight_total += static_cast<double>(co);
   }
@@ -105,28 +99,6 @@ MmmiSelector::Dependency MmmiSelector::AggregateSorted(
   return result;
 }
 
-MmmiSelector::Dependency MmmiSelector::ComputeDependency(ValueId q) const {
-  const LocalStore& db = store();
-  // Count co-occurrences with issued queries by scanning q's local
-  // postings once, then aggregate in ascending-partner order (the
-  // canonical order shared with the incremental path, so both produce
-  // bit-identical floating-point sums).
-  std::unordered_map<ValueId, uint32_t> co_counts;
-  for (uint32_t slot : db.LocalPostings(q)) {
-    for (ValueId u : db.RecordValues(slot)) {
-      if (u != q && IsIssued(u)) ++co_counts[u];
-    }
-  }
-  std::vector<std::pair<ValueId, uint32_t>> cos(co_counts.begin(),
-                                                co_counts.end());
-  std::sort(cos.begin(), cos.end());
-  return AggregateSorted(q, cos);
-}
-
-double MmmiSelector::DependencyScore(ValueId q) const {
-  return ComputeDependency(q).max_pmi;
-}
-
 void MmmiSelector::RecomputeBatch() {
   std::span<const ValueId> candidates = PendingValues();
   if (candidates.empty()) return;
@@ -134,18 +106,11 @@ void MmmiSelector::RecomputeBatch() {
   scored_.clear();
   scored_.reserve(candidates.size());
   for (ValueId v : candidates) {
-    Dependency dep = options_.reference_scoring ? ComputeDependency(v)
-                                                : CachedDependency(v);
+    Dependency dep = CachedDependency(v);
     double s = dep.max_pmi;
     uint64_t degree = store().LocalDegree(v);
     double combined;
-    if (options_.ranking == MmmiRanking::kResidualFrequency) {
-      // Local records not explained by the strongest single dependency,
-      // i.e. the predicted undrained mass behind this candidate.
-      combined = static_cast<double>(store().LocalFrequency(v)) -
-                 static_cast<double>(dep.max_co) +
-                 1e-6 * static_cast<double>(degree);
-    } else if (options_.ranking == MmmiRanking::kWeightedDependency) {
+    if (options_.ranking == MmmiRanking::kWeightedDependency) {
       double discount =
           std::exp(std::clamp(-dep.weighted_pmi, -60.0, 60.0));
       combined =
@@ -203,7 +168,6 @@ Status MmmiSelector::SaveState(CheckpointWriter& writer) const {
   // checkpoint must not silently resume under a different one.
   writer.WriteU32(options_.batch_size);
   writer.WriteU8(static_cast<uint8_t>(options_.ranking));
-  writer.WriteU8(options_.reference_scoring ? 1 : 0);
   writer.WriteU8(saturated_ ? 1 : 0);
   writer.WriteString(
       std::string_view(queried_bitmap_.data(), queried_bitmap_.size()));
@@ -219,7 +183,6 @@ Status MmmiSelector::SaveState(CheckpointWriter& writer) const {
       writer.WriteU32(co);
     }
   }
-  writer.WriteU64(co_bumps_);
   return Status::OK();
 }
 
@@ -229,14 +192,12 @@ Status MmmiSelector::LoadState(CheckpointReader& reader,
       GreedyLinkSelector::LoadState(reader, value_bound));
   uint32_t batch_size = reader.ReadU32();
   uint8_t ranking = reader.ReadU8();
-  bool reference_scoring = reader.ReadU8() != 0;
   DEEPCRAWL_RETURN_IF_ERROR(reader.status());
   if (batch_size != options_.batch_size ||
-      ranking != static_cast<uint8_t>(options_.ranking) ||
-      reference_scoring != options_.reference_scoring) {
+      ranking != static_cast<uint8_t>(options_.ranking)) {
     return Status::InvalidArgument(
-        "checkpoint MMMI-options mismatch: batch size, ranking mode, or "
-        "scoring path differs from the checkpointing run");
+        "checkpoint MMMI-options mismatch: batch size or ranking mode "
+        "differs from the checkpointing run");
   }
   saturated_ = reader.ReadU8() != 0;
   std::string bitmap = reader.ReadString();
@@ -278,7 +239,6 @@ Status MmmiSelector::LoadState(CheckpointReader& reader,
       partners_.Append(static_cast<size_t>(row), {partner, co});
     }
   }
-  co_bumps_ = reader.ReadU64();
   return reader.status();
 }
 

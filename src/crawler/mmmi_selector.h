@@ -29,13 +29,11 @@
 // in the issued bitmap at harvest time) or before (backfill path), and
 // the bitmap guard makes the backfill fire once per value.
 // RecomputeBatch then ranks candidates from the cached counters instead
-// of rescanning postings × record values per batch — the pre-PR scan
-// stays available behind MmmiOptions::reference_scoring (CLI
-// --mmmi-reference) as the differential-test yardstick. Both paths
-// aggregate a candidate's (partner, count) pairs sorted ascending by
-// partner id through one shared routine, so floating-point sums are
-// bit-identical regardless of which path produced the counts. See
-// DESIGN.md §9.
+// of rescanning postings × record values per batch. The rescan scorer
+// lives on as a test oracle (tests/reference_mmmi_selector.h); it
+// aggregates each candidate's (partner, count) pairs in the same
+// ascending-partner order, so the differential suite can demand
+// byte-identical traces. See DESIGN.md §9.
 
 #ifndef DEEPCRAWL_CRAWLER_MMMI_SELECTOR_H_
 #define DEEPCRAWL_CRAWLER_MMMI_SELECTOR_H_
@@ -66,12 +64,6 @@ enum class MmmiRanking {
   // ignores query productivity and loses to plain greedy (the ablation
   // bench quantifies this).
   kDegreeDiscount,
-  // Residual-frequency ranking: num(q, DBlocal) minus the co-occurrence
-  // count with the single most-covering issued query — the local records
-  // NOT explained by the strongest dependency. A containment variant of
-  // the same min-max idea: a value whose every local record also carries
-  // some issued value is predicted fully drained.
-  kResidualFrequency,
   // §3.3 explicitly leaves open "whether max() is the best function to
   // capture the correlation ... (e.g. the linear weighted function can
   // be a good alternative)": score by the co-occurrence-weighted MEAN of
@@ -86,11 +78,6 @@ struct MmmiOptions {
   // batch-mode recomputation).
   uint32_t batch_size = 10;
   MmmiRanking ranking = MmmiRanking::kDegreeDiscount;
-  // Score batches with the pre-optimization full postings rescan instead
-  // of the incremental counters. Selection output is identical either
-  // way (the differential suite proves it); this exists as the yardstick
-  // and for A/B benchmarking.
-  bool reference_scoring = false;
 };
 
 class MmmiSelector : public GreedyLinkSelector {
@@ -115,31 +102,21 @@ class MmmiSelector : public GreedyLinkSelector {
   Status LoadState(CheckpointReader& reader, ValueId value_bound) override;
 
   // Dependency score s(q) of a candidate against the issued queries,
-  // computed on the current DBlocal by the reference scan (so it works
-  // without the selector having observed the crawl events). Exposed for
+  // from the incremental co-occurrence counters — so it only credits
+  // records the selector observed while q was pending. Exposed for
   // tests. Returns -infinity when q co-occurs with no issued query.
-  double DependencyScore(ValueId q) const;
-
-  // Total incremental counter bumps (diagnostics / tests).
-  uint64_t co_bumps() const { return co_bumps_; }
+  double DependencyScore(ValueId q) const {
+    return CachedDependency(q).max_pmi;
+  }
 
  private:
   struct Dependency {
     double max_pmi;        // s(q); -inf when no co-occurrence
-    uint32_t max_co;       // largest co-occurrence count with one query
     double weighted_pmi;   // co-weighted mean PMI; -inf when none
   };
-  // Folds (partner, co) pairs — MUST be sorted ascending by partner id —
-  // into a Dependency. Shared by both scoring paths so their FP results
-  // are bit-identical.
-  Dependency AggregateSorted(
-      ValueId q, std::span<const std::pair<ValueId, uint32_t>> cos) const;
-  // Reference path: one postings(q) × record-values scan.
-  Dependency ComputeDependency(ValueId q) const;
-  // Incremental path: aggregate q's cached (partner, count) row.
-  Dependency CachedDependency(ValueId q) const {
-    return AggregateSorted(q, partners_.Row(q));
-  }
+  // Folds q's cached (partner, co) row, sorted ascending by partner id
+  // (the order the test oracle's rescan folds in too), into a Dependency.
+  Dependency CachedDependency(ValueId q) const;
 
   bool IsIssued(ValueId u) const {
     return u < queried_bitmap_.size() && queried_bitmap_[u] != 0;
@@ -158,7 +135,6 @@ class MmmiSelector : public GreedyLinkSelector {
   // and CachedDependency aggregates the row directly with no copy, hash
   // probe, or per-call sort.
   ChunkedArena<std::pair<ValueId, uint32_t>> partners_;
-  uint64_t co_bumps_ = 0;
 
   // Scratch reused across events/batches (cleared, never shrunk).
   std::vector<ValueId> issued_in_record_;

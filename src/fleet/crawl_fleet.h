@@ -267,7 +267,8 @@ Status WriteFleetTraceCsv(const FleetResult& result, std::ostream& output);
 // v1005: fleet format 1 over engine payload version 5 (fleet images
 //        embed CrawlEngine::SaveState, so every engine bump is a fleet
 //        bump too).
-inline constexpr uint32_t kFleetCheckpointVersion = 1005;
+// v1006: fleet format 1 over engine payload version 6.
+inline constexpr uint32_t kFleetCheckpointVersion = 1006;
 
 inline constexpr uint32_t kSectionFleet = 0x54454c46;        // "FLET"
 inline constexpr uint32_t kSectionFleetSource = 0x43525346;  // "FSRC"

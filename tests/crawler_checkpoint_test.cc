@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <optional>
 #include <string>
@@ -174,7 +173,8 @@ TEST(CrawlCheckpointTest, RoundTripContinuesToSameResult) {
 
 TEST(CrawlCheckpointTest, SaveLoadFileRoundTrip) {
   std::string image = MidCrawlImage("greedy", /*with_faults=*/false);
-  std::string path = testing::TempDir() + "/deepcrawl_ckpt_roundtrip.bin";
+  testing_util::ScopedTempDir dir;
+  std::string path = dir.File("deepcrawl_ckpt_roundtrip.bin");
 
   Stack source("greedy");
   source.engine->AddSeed(FirstQueriableSeed(CheckpointTarget()));
@@ -188,14 +188,13 @@ TEST(CrawlCheckpointTest, SaveLoadFileRoundTrip) {
       LoadCrawlCheckpoint(path, *resumed.engine, nullptr).ok());
   EXPECT_EQ(resumed.engine->rounds_used(), source.engine->rounds_used());
   EXPECT_EQ(resumed.store.num_records(), source.store.num_records());
-  std::remove(path.c_str());
 }
 
 TEST(CrawlCheckpointTest, MissingFileIsCleanError) {
   Stack stack("greedy");
+  testing_util::ScopedTempDir dir;
   Status status = LoadCrawlCheckpoint(
-      testing::TempDir() + "/deepcrawl_ckpt_does_not_exist.bin",
-      *stack.engine, nullptr);
+      dir.File("deepcrawl_ckpt_does_not_exist.bin"), *stack.engine, nullptr);
   EXPECT_FALSE(status.ok());
 }
 
@@ -276,22 +275,72 @@ TEST(CrawlCheckpointTest, VersionMismatchNamesBothVersions) {
   for (int b = 0; b < 4; ++b) {
     newer[4 + b] = static_cast<char>((bogus >> (8 * b)) & 0xFF);
   }
-  // A v4 image as the previous format wrote it: the same payload with
-  // the store-layout byte (0 = in-memory CSR) that v4's CONF section
-  // carried after exact_degrees, framed as version 4.
+  // A v5 image as the previous format wrote it: the same payload with
+  // the exact-degrees byte (1 = exact) that v5's CONF section carried
+  // after the keyword byte, framed as version 5.
   StatusOr<std::string_view> payload =
       UnframeCheckpoint(image, kCrawlCheckpointVersion);
   ASSERT_TRUE(payload.ok()) << payload.status().ToString();
-  // CONF opens with marker u32, batch u32, keyword u8, exact_degrees u8.
-  constexpr size_t kLayoutByteOffset = 4 + 4 + 1 + 1;
-  std::string v4_payload(*payload);
-  v4_payload.insert(kLayoutByteOffset, 1, '\0');
-  std::string v4 = FrameCheckpoint(v4_payload, 4);
+  // CONF opens with marker u32, batch u32, keyword u8.
+  constexpr size_t kExactDegreesByteOffset = 4 + 4 + 1;
+  std::string v5_payload(*payload);
+  v5_payload.insert(kExactDegreesByteOffset, 1, '\1');
+  std::string v5 = FrameCheckpoint(v5_payload, 5);
 
-  for (const std::string* stale : {&newer, &v4}) {
+  for (const std::string* stale : {&newer, &v5}) {
     Status status = TryDecode(*stale, "greedy", /*with_faults=*/false);
     ASSERT_FALSE(status.ok());
     EXPECT_NE(status.message().find("version"), std::string::npos)
+        << status.ToString();
+  }
+}
+
+// Offset of the retry-queue count in a checkpoint payload: ENGI's
+// marker, four u64 counters, the saturation u8, the seen bitmap, the
+// trace points and eight resilience u64s precede it.
+size_t RetryQueueOffset(std::string_view payload) {
+  size_t engine = payload.find("ENGI");
+  DEEPCRAWL_CHECK(engine != std::string_view::npos);
+  CheckpointReader reader(payload.substr(engine));
+  reader.ReadU32();
+  for (int i = 0; i < 4; ++i) reader.ReadU64();
+  reader.ReadU8();
+  reader.ReadString();
+  for (uint64_t i = 2 * reader.ReadU64() + 8; i > 0; --i) reader.ReadU64();
+  DEEPCRAWL_CHECK(reader.ok());
+  return payload.size() - reader.remaining();
+}
+
+// A checksum-valid image whose retry queue or re-queue count table
+// names a value id beyond every id the crawl has seen must be rejected:
+// resuming it would pop that id into MMMI, whose issued bitmap would
+// grow to ~4 GB.
+TEST(CrawlCheckpointTest, RetryQueueIdsAreBoundsChecked) {
+  std::string image = MidCrawlImage("mmmi", /*with_faults=*/false);
+  StatusOr<std::string_view> payload =
+      UnframeCheckpoint(image, kCrawlCheckpointVersion);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  size_t offset = RetryQueueOffset(*payload);
+  // Fault-free, so both tables are empty: two u64 zero counts.
+  ASSERT_EQ(payload->substr(offset, 16), std::string(16, '\0'));
+  constexpr ValueId kForged = 0xFFFFFFF0u;
+  CheckpointWriter in_queue;  // retry queue {kForged}, no counts
+  in_queue.WriteU64(1);
+  in_queue.WriteU32(kForged);
+  in_queue.WriteU64(0);
+  CheckpointWriter in_counts;  // empty retry queue, counts {kForged: 1}
+  in_counts.WriteU64(0);
+  in_counts.WriteU64(1);
+  in_counts.WriteU32(kForged);
+  in_counts.WriteU32(1);
+  for (const CheckpointWriter* tables : {&in_queue, &in_counts}) {
+    std::string forged(*payload);
+    forged.replace(offset, 16, tables->buffer());
+    Status status =
+        TryDecode(FrameCheckpoint(forged, kCrawlCheckpointVersion), "mmmi",
+                  /*with_faults=*/false);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("out of range"), std::string::npos)
         << status.ToString();
   }
 }

@@ -9,15 +9,16 @@
 //     crawl runs its selector behind StoreOracleSelector, which replays
 //     each harvested record into the oracle and compares the record's
 //     values after every add — not only the final trace;
-//   * MMMI scoring: incrementally-maintained co-occurrence counters vs
-//     the full postings rescan (MmmiOptions::reference_scoring).
+//   * MMMI scoring: MmmiSelector's incrementally-maintained
+//     co-occurrence counters vs the full postings rescan of
+//     tests/reference_mmmi_selector.h.
 //
-// For every selection policy × fault profile, serial and parallel
-// (--threads 8 --batch 8), an incremental-scoring run must produce a
-// byte-identical CrawlTrace (CSV serialization compared as strings) and
-// identical meters/harvest order/resilience counters to the
-// reference-scoring run — also over a link-count store
-// (exact_degrees = false), so a bug in one degree mode cannot hide.
+// For every fault profile, serial and parallel (--threads 8 --batch 8),
+// an MmmiSelector crawl must produce a byte-identical CrawlTrace (CSV
+// serialization compared as strings) and identical meters/harvest
+// order/resilience counters to a ReferenceMmmiSelector crawl. The
+// other policies have one scorer each, so they run once per
+// configuration, store-checked after every add.
 
 #include <gtest/gtest.h>
 
@@ -39,6 +40,7 @@
 #include "src/server/locked_interface.h"
 #include "src/server/web_db_server.h"
 #include "tests/reference_local_store.h"
+#include "tests/reference_mmmi_selector.h"
 
 namespace deepcrawl {
 namespace {
@@ -46,12 +48,11 @@ namespace {
 constexpr uint64_t kFaultSeed = 29;
 constexpr uint64_t kSelectorSeed = 5;
 
-const char* const kPolicies[] = {"bfs", "dfs", "random", "greedy", "mmmi"};
+// Policies with a single implementation; "mmmi" is instead run against
+// its rescan oracle, "mmmi-reference".
+const char* const kSingleScorerPolicies[] = {"bfs", "dfs", "random",
+                                             "greedy"};
 const char* const kProfiles[] = {"none", "flaky", "lossy", "hostile"};
-
-// MMMI scoring variants (ignored by the other policies).
-constexpr bool kIncrementalScoring = false;
-constexpr bool kReferenceScoring = true;
 
 FaultProfile ProfileByName(const std::string& name) {
   FaultProfile profile;
@@ -73,18 +74,16 @@ FaultProfile ProfileByName(const std::string& name) {
 }
 
 std::unique_ptr<QuerySelector> MakeSelector(const std::string& policy,
-                                            const LocalStore& store,
-                                            bool mmmi_reference_scoring) {
+                                            const LocalStore& store) {
   if (policy == "bfs") return std::make_unique<BfsSelector>();
   if (policy == "dfs") return std::make_unique<DfsSelector>();
   if (policy == "random") {
     return std::make_unique<RandomSelector>(kSelectorSeed);
   }
   if (policy == "greedy") return std::make_unique<GreedyLinkSelector>(store);
-  if (policy == "mmmi") {
-    MmmiOptions options;
-    options.reference_scoring = mmmi_reference_scoring;
-    return std::make_unique<MmmiSelector>(store, options);
+  if (policy == "mmmi") return std::make_unique<MmmiSelector>(store);
+  if (policy == "mmmi-reference") {
+    return std::make_unique<ReferenceMmmiSelector>(store);
   }
   ADD_FAILURE() << "unknown policy " << policy;
   return nullptr;
@@ -98,9 +97,7 @@ class StoreOracleSelector : public QuerySelector {
  public:
   StoreOracleSelector(std::unique_ptr<QuerySelector> inner,
                       const LocalStore& store)
-      : inner_(std::move(inner)),
-        store_(store),
-        oracle_(store.options().exact_degrees) {}
+      : inner_(std::move(inner)), store_(store) {}
 
   void OnValueDiscovered(ValueId v) override { inner_->OnValueDiscovered(v); }
 
@@ -203,9 +200,8 @@ RunOutput Capture(const CrawlResult& result, const LocalStore& store,
 // threads/batch. The store is checked against the
 // oracle after every add.
 RunOutput RunVariant(const std::string& policy,
-                     const std::string& profile_name,
-                     bool mmmi_reference_scoring, uint32_t threads,
-                     uint32_t batch, bool exact_degrees = true) {
+                     const std::string& profile_name, uint32_t threads,
+                     uint32_t batch) {
   const Table& target = DifferentialTarget();
   CrawlOptions options = BaseOptions(target);
   WebDbServer backend(target, ServerOptions());
@@ -217,11 +213,8 @@ RunOutput RunVariant(const std::string& policy,
     faulty->set_keyed_faults(true);
     direct = &*faulty;
   }
-  LocalStore::Options store_options;
-  store_options.exact_degrees = exact_degrees;
-  LocalStore store(store_options);
-  StoreOracleSelector selector(
-      MakeSelector(policy, store, mmmi_reference_scoring), store);
+  LocalStore store;
+  StoreOracleSelector selector(MakeSelector(policy, store), store);
   RetryPolicy retry((RetryPolicyConfig()));
   const bool serial = threads == 0;
   LockedQueryInterface locked(*direct);
@@ -252,19 +245,24 @@ void ExpectIdentical(const RunOutput& a, const RunOutput& b,
   EXPECT_EQ(a.trace_csv, b.trace_csv);  // byte-identical serialization
 }
 
-// Serial: incremental vs reference scoring for every policy × fault
-// profile, each crawl store-checked after every add.
-TEST(HotPathDifferentialTest, SerialAllPoliciesAllProfiles) {
-  for (const char* policy : kPolicies) {
-    for (const char* profile : kProfiles) {
-      RunOutput optimized =
-          RunVariant(policy, profile, kIncrementalScoring, 0, 0);
-      RunOutput reference =
-          RunVariant(policy, profile, kReferenceScoring, 0, 0);
-      ExpectIdentical(optimized, reference,
-                      std::string("serial/") + policy + "/" + profile);
+// The incremental MMMI scorer vs the rescan oracle for every fault
+// profile, and one crawl of every other policy; each crawl is
+// store-checked after every add. threads == 0 is the serial engine.
+void CheckAllProfiles(uint32_t threads, uint32_t batch,
+                      const std::string& label) {
+  for (const char* profile : kProfiles) {
+    ExpectIdentical(RunVariant("mmmi", profile, threads, batch),
+                    RunVariant("mmmi-reference", profile, threads, batch),
+                    label + "/mmmi/" + profile);
+    for (const char* policy : kSingleScorerPolicies) {
+      SCOPED_TRACE(label + "/" + policy + "/" + profile);
+      RunVariant(policy, profile, threads, batch);
     }
   }
+}
+
+TEST(HotPathDifferentialTest, SerialAllPoliciesAllProfiles) {
+  CheckAllProfiles(0, 0, "serial");
 }
 
 // Parallel engine at --threads 8 --batch 8: same cross-check. Batched
@@ -272,31 +270,7 @@ TEST(HotPathDifferentialTest, SerialAllPoliciesAllProfiles) {
 // the optimized structures under a genuinely different event sequence
 // (and, at 8 threads, under TSan in the check.sh concurrency pass).
 TEST(HotPathDifferentialTest, ParallelThreads8Batch8AllPolicies) {
-  for (const char* policy : kPolicies) {
-    for (const char* profile : kProfiles) {
-      RunOutput optimized =
-          RunVariant(policy, profile, kIncrementalScoring, 8, 8);
-      RunOutput reference =
-          RunVariant(policy, profile, kReferenceScoring, 8, 8);
-      ExpectIdentical(optimized, reference,
-                      std::string("parallel/") + policy + "/" + profile);
-    }
-  }
-}
-
-// The store's degree mode is the second axis: over a link-count store
-// (LocalDegree with multiplicity, no adjacency rows) the two MMMI
-// scorers must still agree, and the store must still match the oracle
-// after every add.
-TEST(HotPathDifferentialTest, MixedAxesAgreeForMmmi) {
-  for (const char* profile : {"none", "hostile"}) {
-    RunOutput incremental = RunVariant("mmmi", profile, kIncrementalScoring,
-                                       0, 0, /*exact_degrees=*/false);
-    RunOutput reference = RunVariant("mmmi", profile, kReferenceScoring, 0,
-                                     0, /*exact_degrees=*/false);
-    ExpectIdentical(incremental, reference,
-                    std::string("link-count/") + profile);
-  }
+  CheckAllProfiles(8, 8, "parallel");
 }
 
 }  // namespace

@@ -42,16 +42,6 @@ TEST(LocalStoreTest, ExactDegreesCountDistinctNeighbors) {
   EXPECT_EQ(store.LocalDegree(99), 0u);
 }
 
-TEST(LocalStoreTest, LinkCountModeCountsWithMultiplicity) {
-  LocalStore::Options options;
-  options.exact_degrees = false;
-  LocalStore store(options);
-  store.AddRecord(0, V({1, 2, 3}));
-  store.AddRecord(1, V({1, 2, 4}));
-  // Value 1: (3-1) + (3-1) = 4 link endpoints.
-  EXPECT_EQ(store.LocalDegree(1), 4u);
-}
-
 TEST(LocalStoreTest, PostingsTrackSlots) {
   LocalStore store;
   store.AddRecord(10, V({5}));
@@ -99,15 +89,6 @@ TEST(LocalStoreTest, NeighborsSpanListsDistinctNeighborsInDiscoveryOrder) {
   EXPECT_TRUE(store.NeighborsSpan(99).empty());
 }
 
-TEST(LocalStoreTest, NeighborsSpanEmptyInProxyDegreeMode) {
-  LocalStore::Options options;
-  options.exact_degrees = false;
-  LocalStore store(options);
-  store.AddRecord(0, V({1, 2, 3}));
-  EXPECT_TRUE(store.NeighborsSpan(1).empty());  // adjacency not materialized
-  EXPECT_EQ(store.LocalDegree(1), 2u);
-}
-
 using RecordStream = std::vector<std::pair<RecordId, std::vector<ValueId>>>;
 
 // Pseudo-random records of 1..6 values over [0, universe); ids are drawn
@@ -127,7 +108,7 @@ RecordStream RandomStream(uint32_t count, uint32_t universe, uint64_t seed) {
 }
 
 // Every statistic LocalStore exposes per value must match the
-// per-value-container oracle, in both degree modes.
+// per-value-container oracle.
 TEST(LocalStoreTest, MatchesReferenceStore) {
   // Overlapping records with intra-record duplicates to stress dedup.
   const RecordStream overlapping = {
@@ -136,21 +117,16 @@ TEST(LocalStoreTest, MatchesReferenceStore) {
   };
   struct Case {
     const char* name;
-    bool exact_degrees;
     RecordStream stream;
   };
   const Case cases[] = {
-      {"overlapping/exact", true, overlapping},
-      {"overlapping/link-count", false, overlapping},
-      {"random/exact", true, RandomStream(1200, 400, 17)},
-      {"random/link-count", false, RandomStream(600, 200, 23)},
+      {"overlapping", overlapping},
+      {"random", RandomStream(1200, 400, 17)},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    LocalStore::Options options;
-    options.exact_degrees = c.exact_degrees;
-    LocalStore store(options);
-    ReferenceLocalStore oracle(c.exact_degrees);
+    LocalStore store;
+    ReferenceLocalStore oracle;
     for (const auto& [id, values] : c.stream) {
       ASSERT_EQ(store.AddRecord(id, values), oracle.AddRecord(id, values))
           << "record " << id;

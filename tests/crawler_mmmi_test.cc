@@ -28,16 +28,28 @@ TEST(MmmiSelectorTest, BehavesLikeGreedyBeforeSaturation) {
   EXPECT_EQ(selector.SelectNext(), 2u);  // highest degree, greedy phase
 }
 
+// Harvests each record into `store` and reports it to `selector`, the
+// way the crawl engine does.
+void Harvest(LocalStore& store, MmmiSelector& selector,
+             const std::vector<std::vector<ValueId>>& records) {
+  for (const std::vector<ValueId>& values : records) {
+    uint32_t slot = static_cast<uint32_t>(store.num_records());
+    ASSERT_TRUE(store.AddRecord(slot, values));
+    selector.OnRecordHarvested(slot);
+  }
+}
+
 TEST(MmmiSelectorTest, DependencyScoreIsMaxPmiWithIssuedQueries) {
   LocalStore store;
   MmmiSelector selector(store);
+  selector.OnValueDiscovered(10);
+  selector.OnValueDiscovered(20);
   // DBlocal: 4 records. Value 10 always co-occurs with issued query 1;
   // value 20 never does.
-  store.AddRecord(0, std::vector<ValueId>{1, 10});
-  store.AddRecord(1, std::vector<ValueId>{1, 10});
-  store.AddRecord(2, std::vector<ValueId>{2, 20});
-  store.AddRecord(3, std::vector<ValueId>{2, 30});
+  Harvest(store, selector, {{1, 10}, {1, 10}, {2, 20}, {2, 30}});
 
+  // Query 1 completes after its records were harvested: the backfill
+  // credits them.
   QueryOutcome q1;
   q1.value = 1;
   selector.OnQueryCompleted(q1);
@@ -53,20 +65,20 @@ TEST(MmmiSelectorTest, DependencyScoreIsMaxPmiWithIssuedQueries) {
 TEST(MmmiSelectorTest, DependencyScoreTakesMaxOverQueries) {
   LocalStore store;
   MmmiSelector selector(store);
-  store.AddRecord(0, std::vector<ValueId>{1, 10});
-  store.AddRecord(1, std::vector<ValueId>{2, 10});
-  store.AddRecord(2, std::vector<ValueId>{2, 10});
-  store.AddRecord(3, std::vector<ValueId>{3, 4});
+  selector.OnValueDiscovered(10);
+  Harvest(store, selector, {{1, 10}});
 
+  // Query 1's record was harvested before it completed (backfill path);
+  // query 2 completes before its records arrive (live path).
   QueryOutcome q;
   q.value = 1;
   selector.OnQueryCompleted(q);
   q.value = 2;
   selector.OnQueryCompleted(q);
+  Harvest(store, selector, {{2, 10}, {2, 10}, {3, 4}});
 
   // PMI with 2 (co=2, freq2=2, freq10=3): ln(2*4/(3*2)) = ln(4/3).
   // PMI with 1 (co=1, freq1=1, freq10=3): ln(1*4/(3*1)) = ln(4/3).
-  // Equal here; make query 2 stronger by construction of a tighter pair:
   EXPECT_NEAR(selector.DependencyScore(10), std::log(4.0 / 3.0), 1e-12);
 }
 

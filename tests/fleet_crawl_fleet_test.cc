@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -39,6 +38,7 @@
 #include "src/server/faulty_server.h"
 #include "src/server/web_db_server.h"
 #include "src/util/checkpoint_io.h"
+#include "tests/test_util.h"
 
 namespace deepcrawl {
 namespace {
@@ -399,7 +399,8 @@ TEST(CrawlFleetTest, ResumeFromAnyTurnBoundaryIsBitIdentical) {
 TEST(CrawlFleetTest, SaveLoadFileRoundTrip) {
   std::vector<std::string> images = ImagesAtEveryTurn(80);
   ASSERT_FALSE(images.empty());
-  std::string path = testing::TempDir() + "/deepcrawl_fleet_ckpt.bin";
+  testing_util::ScopedTempDir dir;
+  std::string path = dir.File("deepcrawl_fleet_ckpt.bin");
 
   CrawlFleet saved(CheckpointFleetSpecs(), CheckpointFleetOptions());
   saved.set_max_total_rounds(80);
@@ -413,7 +414,6 @@ TEST(CrawlFleetTest, SaveLoadFileRoundTrip) {
   EXPECT_EQ(resumed.total_records(), saved.total_records());
   EXPECT_EQ(resumed.turns_completed(), saved.turns_completed());
   EXPECT_EQ(resumed.clock(), saved.clock());
-  std::remove(path.c_str());
 }
 
 TEST(CrawlFleetTest, RestoreRequiresFreshFleet) {

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -326,8 +325,8 @@ TEST(NetDifferentialTest, CheckpointResumeAcrossServerRestart) {
   const Env env = MovieEnv();
   RunOutput reference = RunInProcess(env, "greedy", "none", /*batch=*/8);
 
-  std::string path =
-      ::testing::TempDir() + "/net_differential_resume.ckpt";
+  testing_util::ScopedTempDir dir;
+  std::string path = dir.File("net_differential_resume.ckpt");
   uint16_t port = 0;
   {
     TcpEnv tcp(env, "none");
@@ -379,7 +378,6 @@ TEST(NetDifferentialTest, CheckpointResumeAcrossServerRestart) {
     RunOutput resumed = Capture(*result, store);
     ExpectIdentical(reference, resumed, "resume-across-restart");
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -27,9 +27,6 @@ namespace deepcrawl {
 
 class ReferenceLocalStore {
  public:
-  explicit ReferenceLocalStore(bool exact_degrees = true)
-      : exact_degrees_(exact_degrees) {}
-
   // Same contract as LocalStore::AddRecord: returns true when `id` was
   // new, and only then updates the statistics.
   bool AddRecord(RecordId id, std::span<const ValueId> values) {
@@ -39,9 +36,7 @@ class ReferenceLocalStore {
       EnsureValueCapacity(v);
       ++local_frequency_[v];
       local_postings_[v].push_back(slot);
-      link_count_[v] += values.size() - 1;
     }
-    if (!exact_degrees_) return true;
     for (size_t i = 0; i + 1 < values.size(); ++i) {
       for (size_t j = i + 1; j < values.size(); ++j) {
         ValueId a = values[i];
@@ -67,11 +62,11 @@ class ReferenceLocalStore {
 
   uint64_t LocalDegree(ValueId v) const {
     if (v >= local_frequency_.size()) return 0;
-    return exact_degrees_ ? neighbor_sets_[v].size() : link_count_[v];
+    return neighbor_sets_[v].size();
   }
 
   std::span<const ValueId> NeighborsSpan(ValueId v) const {
-    if (!exact_degrees_ || v >= local_frequency_.size()) return {};
+    if (v >= local_frequency_.size()) return {};
     return neighbor_lists_[v];
   }
 
@@ -85,18 +80,13 @@ class ReferenceLocalStore {
     if (v < local_frequency_.size()) return;
     size_t new_size = static_cast<size_t>(v) + 1;
     local_frequency_.resize(new_size, 0);
-    link_count_.resize(new_size, 0);
     local_postings_.resize(new_size);
-    if (exact_degrees_) {
-      neighbor_sets_.resize(new_size);
-      neighbor_lists_.resize(new_size);
-    }
+    neighbor_sets_.resize(new_size);
+    neighbor_lists_.resize(new_size);
   }
 
-  bool exact_degrees_;
   std::unordered_map<RecordId, uint32_t> slot_of_;
   std::vector<uint32_t> local_frequency_;
-  std::vector<uint64_t> link_count_;
   std::vector<std::vector<uint32_t>> local_postings_;
   std::vector<std::unordered_set<ValueId>> neighbor_sets_;
   std::vector<std::vector<ValueId>> neighbor_lists_;

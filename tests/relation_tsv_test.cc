@@ -89,7 +89,8 @@ TEST(TsvTest, RoundTripPreservesContent) {
 
 TEST(TsvTest, FileRoundTrip) {
   Table original = testing_util::MakeFigure1Table();
-  std::string path = ::testing::TempDir() + "/deepcrawl_tsv_test.tsv";
+  testing_util::ScopedTempDir dir;
+  std::string path = dir.File("deepcrawl_tsv_test.tsv");
   ASSERT_TRUE(WriteTableTsvFile(original, path).ok());
   StatusOr<Table> reread = ReadTableTsvFile(path);
   ASSERT_TRUE(reread.ok());

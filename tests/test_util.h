@@ -3,6 +3,10 @@
 #ifndef DEEPCRAWL_TESTS_TEST_UTIL_H_
 #define DEEPCRAWL_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <stdlib.h>
+
+#include <filesystem>
 #include <initializer_list>
 #include <string>
 #include <utility>
@@ -13,6 +17,31 @@
 
 namespace deepcrawl {
 namespace testing_util {
+
+// A fresh mkdtemp directory under ::testing::TempDir(), removed with its
+// contents on destruction. Fixed names under TempDir() collide when
+// ctest -j runs tests (one process each) from one or more build trees.
+class ScopedTempDir {
+ public:
+  ScopedTempDir() : path_(::testing::TempDir() + "/deepcrawl_XXXXXX") {
+    DEEPCRAWL_CHECK(mkdtemp(path_.data()) != nullptr)
+        << "mkdtemp failed for " << path_;
+  }
+  ~ScopedTempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  // `name` inside this directory.
+  std::string File(const std::string& name) const {
+    return path_ + "/" + name;
+  }
+
+ private:
+  std::string path_;
+};
 
 // One test record: list of (attribute name, value text) pairs.
 using Row = std::vector<std::pair<std::string, std::string>>;

@@ -25,21 +25,21 @@
 #include <thread>
 #include <vector>
 
+#include "tests/test_util.h"
+
 namespace deepcrawl {
 namespace {
 
-std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing_util::ScopedTempDir;
 
 TEST(WriteFileAtomicTest, RoundtripReplacesPreviousContent) {
-  std::string path = TestPath("deepcrawl_atomic_roundtrip.bin");
+  ScopedTempDir dir;
+  std::string path = dir.File("deepcrawl_atomic_roundtrip.bin");
   ASSERT_TRUE(WriteFileAtomic(path, "first").ok());
   ASSERT_TRUE(WriteFileAtomic(path, "second-longer-content").ok());
   StatusOr<std::string> read = ReadFileBytes(path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, "second-longer-content");
-  std::remove(path.c_str());
 }
 
 TEST(WriteFileAtomicTest, UncreatableTempIsNotFound) {
@@ -55,7 +55,8 @@ TEST(WriteFileAtomicTest, ConcurrentWritersToOnePathNeverTear) {
   // truncates the other's) and loses renames; with per-writer-unique
   // names every call must succeed and every observable file state is
   // one writer's complete payload.
-  std::string path = TestPath("deepcrawl_atomic_concurrent.bin");
+  ScopedTempDir dir;
+  std::string path = dir.File("deepcrawl_atomic_concurrent.bin");
   // Large enough that a write is not one atomic page, so a shared temp
   // file would interleave.
   std::string a(1 << 20, 'A');
@@ -81,13 +82,13 @@ TEST(WriteFileAtomicTest, ConcurrentWritersToOnePathNeverTear) {
   ASSERT_TRUE(survivor.ok());
   EXPECT_TRUE(*survivor == a || *survivor == b)
       << "surviving file is a torn mix of both writers";
-  std::remove(path.c_str());
 }
 
 TEST(WriteFileAtomicTest, NoTempFilesLeftBehind) {
   // After successful writes the directory holds only the destination
   // (plus whatever else the suite left).
-  std::string path = TestPath("deepcrawl_atomic_clean.bin");
+  ScopedTempDir dir;
+  std::string path = dir.File("deepcrawl_atomic_clean.bin");
   ASSERT_TRUE(WriteFileAtomic(path, "x").ok());
   ASSERT_TRUE(WriteFileAtomic(path, "y").ok());
   // Any leftover temp would match <path>.tmp.<pid>.<seq>; probing the
@@ -98,7 +99,6 @@ TEST(WriteFileAtomicTest, NoTempFilesLeftBehind) {
                       std::to_string(seq);
     EXPECT_FALSE(ReadFileBytes(tmp).ok()) << tmp;
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -73,7 +73,6 @@ struct Options {
   FaultFlagOptions fault;
 
   std::string policy = "greedy";
-  bool mmmi_reference = false;
   std::string rank_attribute = "range";
   std::string domain_input;
   int64_t page_size = 10;
@@ -311,7 +310,6 @@ Status Run(const Options& options) {
   selector_context.seed = static_cast<uint64_t>(options.seed);
   selector_context.page_size = server_options.page_size;
   selector_context.result_limit = server_options.result_limit;
-  selector_context.mmmi.reference_scoring = options.mmmi_reference;
   selector_context.target = &target;
   selector_context.rank_attribute = options.rank_attribute;
   selector_context.oracle_index = &backend.index();
@@ -475,10 +473,6 @@ int main(int argc, char** argv) {
   parser.AddString("rank-attribute", &options.rank_attribute,
                    "attribute carrying r<lo>-<hi> interval values for "
                    "--policy=opt-rank/opt-threshold");
-  parser.AddBool("mmmi-reference", &options.mmmi_reference,
-                 "score MMMI batches with the pre-optimization postings "
-                 "rescan instead of the incremental counters (identical "
-                 "output, slower; for differential checks / A-B timing)");
   parser.AddString("domain-input", &options.domain_input,
                    "TSV with a same-domain sample database (builds the "
                    "domain statistics table)");

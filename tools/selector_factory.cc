@@ -5,6 +5,7 @@
 
 #include "src/crawler/adaptive_selector.h"
 #include "src/crawler/greedy_link_selector.h"
+#include "src/crawler/mmmi_selector.h"
 #include "src/crawler/naive_selectors.h"
 #include "src/crawler/optimal_selector.h"
 #include "src/crawler/oracle_selector.h"
@@ -137,7 +138,7 @@ StatusOr<std::unique_ptr<QuerySelector>> MakeSelectorByName(
     return selector;
   }
   if (policy == "mmmi") {
-    selector = std::make_unique<MmmiSelector>(*context.store, context.mmmi);
+    selector = std::make_unique<MmmiSelector>(*context.store);
     return selector;
   }
   if (policy == "opt-rank" || policy == "opt-threshold") {

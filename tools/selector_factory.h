@@ -12,7 +12,6 @@
 #include <string>
 
 #include "src/crawler/local_store.h"
-#include "src/crawler/mmmi_selector.h"
 #include "src/crawler/query_selector.h"
 #include "src/domain/domain_table.h"
 #include "src/index/inverted_index.h"
@@ -32,8 +31,6 @@ struct SelectorContext {
   uint32_t page_size = 10;
   // oracle + opt-rank/opt-threshold overflow test; mirrors ServerOptions.
   uint32_t result_limit = 0;
-  // mmmi
-  MmmiOptions mmmi;
   // opt-rank/opt-threshold: the hierarchy is parsed from this target's
   // catalog on the attribute named `rank_attribute` (no such attribute
   // or no interval values -> the selector degrades to plain greedy).
