@@ -28,18 +28,64 @@
 // once: a record is harvested either after u completed (live path; u is
 // in the issued bitmap at harvest time) or before (backfill path), and
 // the bitmap guard makes the backfill fire once per value.
-// RecomputeBatch then ranks candidates from the cached counters instead
-// of rescanning postings × record values per batch. The rescan scorer
-// lives on as a test oracle (tests/reference_mmmi_selector.h); it
-// aggregates each candidate's (partner, count) pairs in the same
-// ascending-partner order, so the differential suite can demand
-// byte-identical traces. See DESIGN.md §9.
+//
+// The rescan scorer lives on as a test oracle
+// (tests/reference_mmmi_selector.h); it aggregates each candidate's
+// (partner, count) pairs in the same ascending-partner order, so the
+// differential suite can demand byte-identical traces.
+//
+// Ranking (§4.4's idea: keep only the head of the queue exact). A batch
+// does not rescore the pending set. Pending values sit in one ordered
+// structure under an n-free key, only values whose key may have moved
+// are rescored, and only the head of the structure is ranked with the
+// oracle's exact floating-point expression. Why that is exact, for the
+// default ranking:
+//
+//   * n cancels. Inside the clamp the score is (f+1)·exp(-s) = K/n with
+//     K(v) = (f_v+1)·min_u f_v·f_u/co(v,u). The clamp never binds: a
+//     pmi is ln of co·n/(f_v·f_u) with co <= f_v·f_u, so |s| stays
+//     below ln(n·w²) for records of width w — far below 60.
+//   * The -inf tier. A value with f = 0 or no issued partner has
+//     s = -inf; its clamped score (f+1)·e^60 outranks every finite one
+//     and is ordered by f alone.
+//   * A signature fixes the double. The oracle divides exact integers
+//     (co·n and f_v·f_u stay below 2^53), and division is correctly
+//     rounded, so pmi_u = ln(round(n·co_u/(f_v·f_u))). Assuming std::log
+//     is monotone, max_u pmi_u = ln(round(n·co*/(f_v·f_u*))) for the
+//     argmax partner u*. So values with equal signature
+//     (f_v, co*/f_u* as a reduced fraction) get bit-identical scores at
+//     every n; one exact evaluation serves a whole signature group.
+//   * Band margin. Keys carry a few ulps of rounding, the oracle's
+//     expression a few more, far below 1e-9 relative. So once a batch's
+//     worth of members is gathered, a group whose key is below
+//     (1 - 1e-9)·K of the batch_size-th member cannot reach the batch,
+//     and the walk stops there.
+//   * Dirty set. A key moves only with f_v, v's own row, or f_u of an
+//     issued partner. Values are marked dirty when they appear in a
+//     harvested record, are the target of a Bump, or enter the frontier
+//     (and all pending values at saturation or LoadState). f_u of an
+//     issued u moves only after an incomplete drain (abandonment, a
+//     §3.4 abort, a result limit); such a u marks the pending values of
+//     its local records dirty, so no reverse index is needed.
+//   * One entry per value. A rescore erases the value's old entry before
+//     inserting the new one, so a key that returns to an earlier value
+//     cannot leave a stale twin behind (a lazy heap would need per-value
+//     version stamps for that).
+//
+// kPureDependency uses the key exp(-s') = f_v·f_u*/co* (ascending s is
+// descending exp(-s')), then degree. kWeightedDependency's mean folds
+// the whole row, so each of its values is a group of one, keyed by
+// (f+1)·exp(-mean_u ln(co/(f_v·f_u))); its summed rounding grows with
+// row length, so its band takes a wider 1e-6 margin. The structure is
+// derived state: checkpoints do not carry it, LoadState rebuilds it.
+// See DESIGN.md §9.
 
 #ifndef DEEPCRAWL_CRAWLER_MMMI_SELECTOR_H_
 #define DEEPCRAWL_CRAWLER_MMMI_SELECTOR_H_
 
 #include <cstdint>
 #include <deque>
+#include <set>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -86,7 +132,7 @@ class MmmiSelector : public GreedyLinkSelector {
 
   void OnRecordHarvested(uint32_t slot) override;
   void OnQueryCompleted(const QueryOutcome& outcome) override;
-  void OnSaturation() override { saturated_ = true; }
+  void OnSaturation() override;
   ValueId SelectNext() override;
   std::string_view name() const override {
     return "greedy-link+mmmi";
@@ -97,7 +143,8 @@ class MmmiSelector : public GreedyLinkSelector {
   // Checkpointing: base (greedy) state plus the saturation flag, issued
   // bitmap, batch queue, and the incremental co-occurrence rows (each
   // row restored in its sorted-ascending order). The MmmiOptions
-  // fingerprint is verified on load.
+  // fingerprint is verified on load. The ranking structure is derived
+  // state: LoadState rebuilds it from the restored rows.
   Status SaveState(CheckpointWriter& writer) const override;
   Status LoadState(CheckpointReader& reader, ValueId value_bound) override;
 
@@ -118,10 +165,51 @@ class MmmiSelector : public GreedyLinkSelector {
   // (the order the test oracle's rescan folds in too), into a Dependency.
   Dependency CachedDependency(ValueId q) const;
 
+  // A pending value's place in the ranking structure. Values with equal
+  // (tier, signature) get bit-identical oracle scores (see the header
+  // comment), so they form one group ordered by the oracle's own
+  // tie-breaks.
+  struct RankKey {
+    double key;         // n-free score; higher ranks first
+    uint64_t degree;    // kPureDependency's tie-break; 0 otherwise
+    uint32_t sig_freq;  // signature: f_v, and the argmax partner's
+    uint32_t sig_num;   // co*/f_u* as a reduced fraction
+    uint32_t sig_den;
+    ValueId value;
+    uint8_t tier;       // 0: s = -inf; 1: finite s
+  };
+  // (tier, key desc, signature, degree desc, value).
+  struct RankOrder {
+    bool operator()(const RankKey& a, const RankKey& b) const;
+  };
+  using RankSet = std::set<RankKey, RankOrder>;
+  struct RankSlot {
+    RankSet::iterator pos;  // valid while ranked
+    bool ranked = false;
+    bool dirty = false;     // rescore at the next batch
+    bool moved = false;     // issued, and its frequency moved
+  };
+  struct Scored {
+    double dependency;
+    uint64_t degree;
+    double combined;  // (f+1) * exp(-penalty); unused by kPureDependency
+    ValueId value;
+  };
+
   bool IsIssued(ValueId u) const {
     return u < queried_bitmap_.size() && queried_bitmap_[u] != 0;
   }
+  void OnFrontierInsert(ValueId v) override;
+  RankSlot& Slot(ValueId v);
   void Bump(ValueId v, ValueId u);
+  void MarkDirty(ValueId v);
+  void MarkAllPendingDirty();
+  RankKey ComputeKey(ValueId v) const;
+  // The oracle's exact score of v at the current n.
+  Scored ScoreExact(ValueId v) const;
+  void Rescore(ValueId v);
+  // Rescores what changed, gathers the head band into scored_, and
+  // queues its top batch_size.
   void RecomputeBatch();
 
   MmmiOptions options_;
@@ -136,14 +224,17 @@ class MmmiSelector : public GreedyLinkSelector {
   // probe, or per-call sort.
   ChunkedArena<std::pair<ValueId, uint32_t>> partners_;
 
+  // Ranking state, maintained only once saturated. Every pending value
+  // has exactly one entry, current after the dirty values are rescored;
+  // entries of values that left the frontier are erased when a walk
+  // meets them.
+  RankSet ranked_;
+  std::vector<RankSlot> slots_;  // by value
+  std::vector<ValueId> dirty_;
+  std::vector<ValueId> moved_;
+
   // Scratch reused across events/batches (cleared, never shrunk).
   std::vector<ValueId> issued_in_record_;
-  struct Scored {
-    double dependency;
-    uint64_t degree;
-    double combined;  // degree * exp(-dependency), for kDegreeDiscount
-    ValueId value;
-  };
   std::vector<Scored> scored_;
 };
 

@@ -10,15 +10,19 @@
 //     each harvested record into the oracle and compares the record's
 //     values after every add — not only the final trace;
 //   * MMMI scoring: MmmiSelector's incrementally-maintained
-//     co-occurrence counters vs the full postings rescan of
-//     tests/reference_mmmi_selector.h.
+//     co-occurrence counters and ordered ranking structure vs the full
+//     postings rescan of tests/reference_mmmi_selector.h.
 //
-// For every fault profile, serial and parallel (--threads 8 --batch 8),
-// an MmmiSelector crawl must produce a byte-identical CrawlTrace (CSV
-// serialization compared as strings) and identical meters/harvest
-// order/resilience counters to a ReferenceMmmiSelector crawl. The
-// other policies have one scorer each, so they run once per
-// configuration, store-checked after every add.
+// For every MmmiRanking and fault profile, serial and parallel
+// (--threads 8 --batch 8), an MmmiSelector crawl must produce a
+// byte-identical CrawlTrace (CSV serialization compared as strings) and
+// identical meters/harvest order/resilience counters to a
+// ReferenceMmmiSelector crawl. Extra rows drain queries incompletely
+// on purpose (a result limit, a §3.4 abort): besides abandonment under
+// faults, those are the crawls in which an issued query's local
+// frequency still moves after it completed. The other policies have one
+// scorer each, so they run once per configuration, store-checked after
+// every add.
 
 #include <gtest/gtest.h>
 
@@ -26,8 +30,10 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
+#include "src/crawler/abort_policy.h"
 #include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/local_store.h"
@@ -54,6 +60,20 @@ const char* const kSingleScorerPolicies[] = {"bfs", "dfs", "random",
                                              "greedy"};
 const char* const kProfiles[] = {"none", "flaky", "lossy", "hostile"};
 
+struct NamedRanking {
+  const char* name;
+  MmmiRanking ranking;
+};
+const NamedRanking kRankings[] = {
+    {"pure", MmmiRanking::kPureDependency},
+    {"degree-discount", MmmiRanking::kDegreeDiscount},
+    {"weighted", MmmiRanking::kWeightedDependency},
+};
+
+// How queries drain. Only the incomplete drains let an issued query's
+// local frequency move after it completed.
+enum class Drain { kComplete, kResultLimit, kAbort };
+
 FaultProfile ProfileByName(const std::string& name) {
   FaultProfile profile;
   if (name == "flaky") {
@@ -74,16 +94,21 @@ FaultProfile ProfileByName(const std::string& name) {
 }
 
 std::unique_ptr<QuerySelector> MakeSelector(const std::string& policy,
-                                            const LocalStore& store) {
+                                            const LocalStore& store,
+                                            MmmiRanking ranking) {
   if (policy == "bfs") return std::make_unique<BfsSelector>();
   if (policy == "dfs") return std::make_unique<DfsSelector>();
   if (policy == "random") {
     return std::make_unique<RandomSelector>(kSelectorSeed);
   }
   if (policy == "greedy") return std::make_unique<GreedyLinkSelector>(store);
-  if (policy == "mmmi") return std::make_unique<MmmiSelector>(store);
+  MmmiOptions mmmi_options;
+  mmmi_options.ranking = ranking;
+  if (policy == "mmmi") {
+    return std::make_unique<MmmiSelector>(store, mmmi_options);
+  }
   if (policy == "mmmi-reference") {
-    return std::make_unique<ReferenceMmmiSelector>(store);
+    return std::make_unique<ReferenceMmmiSelector>(store, mmmi_options);
   }
   ADD_FAILURE() << "unknown policy " << policy;
   return nullptr;
@@ -92,7 +117,8 @@ std::unique_ptr<QuerySelector> MakeSelector(const std::string& policy,
 // Forwards every event to the crawl's real selector. After each
 // OnRecordHarvested it feeds the new record into a ReferenceLocalStore
 // and checks that the crawl's store agrees with the oracle on every
-// value of that record. Only the first divergence is reported.
+// value of that record. Only the first divergence is reported. It also
+// counts harvested records that contain an already-completed query.
 class StoreOracleSelector : public QuerySelector {
  public:
   StoreOracleSelector(std::unique_ptr<QuerySelector> inner,
@@ -116,10 +142,17 @@ class StoreOracleSelector : public QuerySelector {
       }
     }
     ++checked_adds_;
+    for (ValueId v : values) {
+      if (completed_.count(v) != 0) {
+        ++late_records_;
+        break;
+      }
+    }
     inner_->OnRecordHarvested(slot);
   }
 
   void OnQueryCompleted(const QueryOutcome& outcome) override {
+    completed_.insert(outcome.value);
     inner_->OnQueryCompleted(outcome);
   }
   void OnSaturation() override { inner_->OnSaturation(); }
@@ -131,12 +164,16 @@ class StoreOracleSelector : public QuerySelector {
   }
 
   uint64_t checked_adds() const { return checked_adds_; }
+  // Records harvested after one of their values' queries completed.
+  uint64_t late_records() const { return late_records_; }
 
  private:
   std::unique_ptr<QuerySelector> inner_;
   const LocalStore& store_;
   ReferenceLocalStore oracle_;
+  std::unordered_set<ValueId> completed_;
   uint64_t checked_adds_ = 0;
+  uint64_t late_records_ = 0;
   bool diverged_ = false;
 };
 
@@ -177,6 +214,7 @@ struct RunOutput {
   std::vector<RecordId> harvest_order;
   uint64_t clock_ticks = 0;
   std::string trace_csv;
+  uint64_t late_records = 0;  // not compared
 };
 
 RunOutput Capture(const CrawlResult& result, const LocalStore& store,
@@ -201,10 +239,16 @@ RunOutput Capture(const CrawlResult& result, const LocalStore& store,
 // oracle after every add.
 RunOutput RunVariant(const std::string& policy,
                      const std::string& profile_name, uint32_t threads,
-                     uint32_t batch) {
+                     uint32_t batch,
+                     MmmiRanking ranking = MmmiRanking::kDegreeDiscount,
+                     Drain drain = Drain::kComplete) {
   const Table& target = DifferentialTarget();
   CrawlOptions options = BaseOptions(target);
-  WebDbServer backend(target, ServerOptions());
+  ServerOptions server_options;
+  if (drain == Drain::kResultLimit) server_options.result_limit = 20;
+  std::optional<DuplicateRatioAbort> abort_policy;
+  if (drain == Drain::kAbort) abort_policy.emplace(1, 0.5);
+  WebDbServer backend(target, server_options);
   FaultProfile profile = ProfileByName(profile_name);
   std::optional<FaultyServer> faulty;
   QueryInterface* direct = &backend;
@@ -214,7 +258,7 @@ RunOutput RunVariant(const std::string& policy,
     direct = &*faulty;
   }
   LocalStore store;
-  StoreOracleSelector selector(MakeSelector(policy, store), store);
+  StoreOracleSelector selector(MakeSelector(policy, store, ranking), store);
   RetryPolicy retry((RetryPolicyConfig()));
   const bool serial = threads == 0;
   LockedQueryInterface locked(*direct);
@@ -223,12 +267,14 @@ RunOutput RunVariant(const std::string& policy,
   EngineOptions engine_options;
   if (!serial) engine_options = {.threads = threads, .batch = batch};
   CrawlEngine crawler(server, selector, store, options, engine_options,
-                      /*abort_policy=*/nullptr, &retry);
+                      abort_policy ? &*abort_policy : nullptr, &retry);
   crawler.AddSeed(FirstQueriableSeed(target));
   StatusOr<CrawlResult> result = crawler.Run();
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
   EXPECT_EQ(selector.checked_adds(), store.num_records());
-  return Capture(*result, store, crawler.clock().now());
+  RunOutput out = Capture(*result, store, crawler.clock().now());
+  out.late_records = selector.late_records();
+  return out;
 }
 
 void ExpectIdentical(const RunOutput& a, const RunOutput& b,
@@ -245,15 +291,19 @@ void ExpectIdentical(const RunOutput& a, const RunOutput& b,
   EXPECT_EQ(a.trace_csv, b.trace_csv);  // byte-identical serialization
 }
 
-// The incremental MMMI scorer vs the rescan oracle for every fault
-// profile, and one crawl of every other policy; each crawl is
+// The incremental MMMI scorer vs the rescan oracle for every ranking
+// and fault profile, and one crawl of every other policy; each crawl is
 // store-checked after every add. threads == 0 is the serial engine.
 void CheckAllProfiles(uint32_t threads, uint32_t batch,
                       const std::string& label) {
   for (const char* profile : kProfiles) {
-    ExpectIdentical(RunVariant("mmmi", profile, threads, batch),
-                    RunVariant("mmmi-reference", profile, threads, batch),
-                    label + "/mmmi/" + profile);
+    for (const NamedRanking& named : kRankings) {
+      ExpectIdentical(
+          RunVariant("mmmi", profile, threads, batch, named.ranking),
+          RunVariant("mmmi-reference", profile, threads, batch,
+                     named.ranking),
+          label + "/mmmi/" + named.name + "/" + profile);
+    }
     for (const char* policy : kSingleScorerPolicies) {
       SCOPED_TRACE(label + "/" + policy + "/" + profile);
       RunVariant(policy, profile, threads, batch);
@@ -271,6 +321,30 @@ TEST(HotPathDifferentialTest, SerialAllPoliciesAllProfiles) {
 // (and, at 8 threads, under TSan in the check.sh concurrency pass).
 TEST(HotPathDifferentialTest, ParallelThreads8Batch8AllPolicies) {
   CheckAllProfiles(8, 8, "parallel");
+}
+
+// A result limit or a §3.4 abort leaves a completed query's records
+// behind; harvesting them later moves the issued query's frequency and
+// with it the score of every pending partner. Every ranking, serial and
+// at 8 threads / batch 8.
+TEST(HotPathDifferentialTest, IncompleteDrainsAllRankings) {
+  const std::pair<Drain, const char*> drains[] = {
+      {Drain::kResultLimit, "result-limit"}, {Drain::kAbort, "abort"}};
+  for (const auto& [drain, drain_name] : drains) {
+    for (const NamedRanking& named : kRankings) {
+      for (uint32_t threads : {0u, 8u}) {
+        std::string label = std::string(drain_name) + "/" + named.name +
+                            (threads == 0 ? "/serial" : "/parallel");
+        RunOutput fast =
+            RunVariant("mmmi", "none", threads, threads, named.ranking, drain);
+        ExpectIdentical(fast,
+                        RunVariant("mmmi-reference", "none", threads,
+                                   threads, named.ranking, drain),
+                        label);
+        EXPECT_GT(fast.late_records, 0u) << label;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -6,9 +6,12 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
+#include <vector>
 
 #include "src/crawler/crawl_engine.h"
 #include "src/server/web_db_server.h"
+#include "tests/reference_mmmi_selector.h"
 #include "tests/test_util.h"
 
 namespace deepcrawl {
@@ -132,6 +135,104 @@ TEST(MmmiSelectorTest, ValuesDiscoveredAfterSaturationAreStillServed) {
   store.AddRecord(0, std::vector<ValueId>{5, 6});
   selector.OnRecordHarvested(0);
   EXPECT_EQ(selector.SelectNext(), 5u);
+}
+
+// A value can enter the frontier with no record yet (a seed added
+// mid-crawl); it must still reach the ranking.
+TEST(MmmiSelectorTest, ValueDiscoveredWithoutRecordAfterSaturationIsServed) {
+  LocalStore store;
+  MmmiSelector selector(store);
+  selector.OnSaturation();
+  selector.OnValueDiscovered(7);
+  EXPECT_EQ(selector.SelectNext(), 7u);
+  EXPECT_EQ(selector.SelectNext(), kInvalidValueId);
+}
+
+// Feeds one event script to an MmmiSelector and to its rescan oracle
+// over a shared store, and checks every SelectNext against the oracle.
+class TwinSelectors {
+ public:
+  explicit TwinSelectors(MmmiOptions options)
+      : fast_(store_, options), oracle_(store_, options) {}
+
+  void Discover(ValueId v) {
+    fast_.OnValueDiscovered(v);
+    oracle_.OnValueDiscovered(v);
+  }
+  void Harvest(const std::vector<ValueId>& values) {
+    uint32_t slot = static_cast<uint32_t>(store_.num_records());
+    ASSERT_TRUE(store_.AddRecord(slot, values));
+    fast_.OnRecordHarvested(slot);
+    oracle_.OnRecordHarvested(slot);
+  }
+  void Complete(ValueId v) {
+    QueryOutcome outcome;
+    outcome.value = v;
+    fast_.OnQueryCompleted(outcome);
+    oracle_.OnQueryCompleted(outcome);
+  }
+  void Saturate() {
+    fast_.OnSaturation();
+    oracle_.OnSaturation();
+  }
+  ValueId SelectNext() {
+    ValueId v = fast_.SelectNext();
+    EXPECT_EQ(v, oracle_.SelectNext());
+    return v;
+  }
+
+ private:
+  LocalStore store_;
+  MmmiSelector fast_;
+  ReferenceMmmiSelector oracle_;
+};
+
+// Value 10's signature goes A -> B -> A across three batches: issuing
+// query 2 raises its best co/f_u from 1/2 to 1/1, then a late record of
+// the already-issued query 2 (as after an abandoned or limited drain)
+// brings it back to 1/2. A ranking structure that kept a stale entry
+// at key A would see 10 twice in batch 3 and refill early; the value
+// injected after batch 3's first pick would then jump the queue.
+TEST(MmmiSelectorTest, KeyReturningToAnEarlierValueKeepsBatchesFull) {
+  const MmmiRanking rankings[] = {MmmiRanking::kPureDependency,
+                                  MmmiRanking::kDegreeDiscount,
+                                  MmmiRanking::kWeightedDependency};
+  for (MmmiRanking ranking : rankings) {
+    SCOPED_TRACE(static_cast<int>(ranking));
+    TwinSelectors twins(MmmiOptions{2, ranking});
+    for (ValueId v : {10u, 40u, 20u, 21u, 22u, 23u}) twins.Discover(v);
+    twins.Harvest({1, 10});
+    twins.Harvest({1, 40});
+    twins.Harvest({2, 10});
+    twins.Harvest({20, 21, 22, 23});
+    twins.Complete(1);
+    twins.Saturate();
+
+    std::vector<std::vector<ValueId>> batches(4);
+    for (int i = 0; i < 2; ++i) batches[0].push_back(twins.SelectNext());
+    twins.Complete(2);  // 10: best co/f_u 1/2 -> 1/1
+    for (int i = 0; i < 2; ++i) batches[1].push_back(twins.SelectNext());
+    twins.Harvest({2, 97});  // f_2 = 2: 10 back to 1/2
+    batches[2].push_back(twins.SelectNext());
+    twins.Discover(30);
+    twins.Harvest({30, 96});
+    batches[2].push_back(twins.SelectNext());
+    for (ValueId v = twins.SelectNext(); v != kInvalidValueId;
+         v = twins.SelectNext()) {
+      batches[3].push_back(v);
+    }
+
+    EXPECT_EQ(batches[2], (std::vector<ValueId>{10, 40}));
+    EXPECT_EQ(batches[3], (std::vector<ValueId>{30}));
+    std::set<ValueId> served;
+    for (size_t b = 0; b < 3; ++b) {
+      EXPECT_EQ(batches[b].size(), 2u);
+      for (ValueId v : batches[b]) {
+        EXPECT_NE(v, kInvalidValueId);
+        EXPECT_TRUE(served.insert(v).second) << "served twice: " << v;
+      }
+    }
+  }
 }
 
 TEST(MmmiSelectorTest, FullCrawlWithSaturationSwitchCompletes) {

@@ -4,9 +4,9 @@
 // It keeps no co-occurrence state: every batch rescans each candidate's
 // local postings × record values to count co-occurrences with the
 // issued queries — the obvious reading of §3.3's s(q) over DBlocal.
-// MmmiSelector's incremental counters must yield the same batches in
-// the same order, hence byte-identical crawl traces. Only the default
-// options (MmmiRanking::kDegreeDiscount, batch 10) are modelled.
+// MmmiSelector's incremental counters and ordered ranking structure
+// must yield the same batches in the same order, hence byte-identical
+// crawl traces, under every MmmiRanking and batch size.
 
 #ifndef DEEPCRAWL_TESTS_REFERENCE_MMMI_SELECTOR_H_
 #define DEEPCRAWL_TESTS_REFERENCE_MMMI_SELECTOR_H_
@@ -24,15 +24,15 @@
 
 #include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/local_store.h"
+#include "src/crawler/mmmi_selector.h"
 
 namespace deepcrawl {
 
 class ReferenceMmmiSelector : public GreedyLinkSelector {
  public:
-  static constexpr size_t kBatchSize = 10;
-
-  explicit ReferenceMmmiSelector(const LocalStore& store)
-      : GreedyLinkSelector(store) {}
+  explicit ReferenceMmmiSelector(const LocalStore& store,
+                                 MmmiOptions options = MmmiOptions{})
+      : GreedyLinkSelector(store), options_(options) {}
 
   void OnQueryCompleted(const QueryOutcome& outcome) override {
     ValueId v = outcome.value;
@@ -60,11 +60,23 @@ class ReferenceMmmiSelector : public GreedyLinkSelector {
   }
 
  private:
-  // s(q) = max over issued u of ln(co(q, u) n / (num(q) num(u))), from
-  // one postings(q) × record-values scan; -inf when q co-occurs with no
-  // issued query. Pairs are folded in ascending partner order, the
-  // order MmmiSelector keeps its rows in.
-  double ComputeDependency(ValueId q) const {
+  struct Dependency {
+    double max_pmi;       // s(q); -inf when no co-occurrence
+    double weighted_pmi;  // co-weighted mean PMI; -inf when none
+  };
+  struct Scored {
+    double dependency;
+    uint64_t degree;
+    double combined;
+    ValueId value;
+  };
+
+  // s(q) = max over issued u of ln(co(q, u) n / (num(q) num(u))), and
+  // the co-weighted mean of the same PMIs, from one postings(q) ×
+  // record-values scan; -inf when q co-occurs with no issued query.
+  // Pairs are folded in ascending partner order, the order MmmiSelector
+  // keeps its rows in.
+  Dependency ComputeDependency(ValueId q) const {
     const LocalStore& db = store();
     std::unordered_map<ValueId, uint32_t> co_counts;
     for (uint32_t slot : db.LocalPostings(q)) {
@@ -76,45 +88,73 @@ class ReferenceMmmiSelector : public GreedyLinkSelector {
     std::vector<std::pair<ValueId, uint32_t>> cos(co_counts.begin(),
                                                   co_counts.end());
     std::sort(cos.begin(), cos.end());
-    double max_pmi = -std::numeric_limits<double>::infinity();
+    constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+    Dependency result{kNegInf, kNegInf};
     double n = static_cast<double>(db.num_records());
     double freq_q = static_cast<double>(db.LocalFrequency(q));
-    if (n == 0 || freq_q == 0) return max_pmi;
+    if (n == 0 || freq_q == 0) return result;
+    double weighted_sum = 0.0;
+    double weight_total = 0.0;
     for (const auto& [u, co] : cos) {
       double freq_u = static_cast<double>(db.LocalFrequency(u));
       double pmi = std::log(static_cast<double>(co) * n / (freq_q * freq_u));
-      max_pmi = std::max(max_pmi, pmi);
+      result.max_pmi = std::max(result.max_pmi, pmi);
+      weighted_sum += static_cast<double>(co) * pmi;
+      weight_total += static_cast<double>(co);
     }
-    return max_pmi;
+    if (weight_total > 0.0) result.weighted_pmi = weighted_sum / weight_total;
+    return result;
   }
 
-  // Ranks every pending candidate by (num(q) + 1) * exp(-s(q)), best
-  // first, ties to the smaller id, and queues the top kBatchSize.
+  // Scores every pending candidate and queues the top batch_size under
+  // the configured ranking.
   void RecomputeBatch() {
     std::span<const ValueId> candidates = PendingValues();
     if (candidates.empty()) return;
-    std::vector<std::pair<double, ValueId>> scored;
+    std::vector<Scored> scored;
     scored.reserve(candidates.size());
     for (ValueId v : candidates) {
-      double s = ComputeDependency(v);
-      double discount = std::exp(std::clamp(-s, -60.0, 60.0));
+      Dependency dep = ComputeDependency(v);
+      double penalty = options_.ranking == MmmiRanking::kWeightedDependency
+                           ? dep.weighted_pmi
+                           : dep.max_pmi;
+      double discount = std::exp(std::clamp(-penalty, -60.0, 60.0));
       double magnitude =
           static_cast<double>(store().LocalFrequency(v)) + 1.0;
-      scored.emplace_back(magnitude * discount, v);
+      scored.push_back(Scored{dep.max_pmi, store().LocalDegree(v),
+                              magnitude * discount, v});
     }
-    size_t take = std::min(kBatchSize, scored.size());
+    size_t take = std::min<size_t>(options_.batch_size, scored.size());
     auto middle = scored.begin() + static_cast<ptrdiff_t>(take);
-    std::partial_sort(scored.begin(), middle, scored.end(),
-                      [](const auto& a, const auto& b) {
-                        if (a.first != b.first) return a.first > b.first;
-                        return a.second < b.second;
-                      });
+    if (options_.ranking == MmmiRanking::kPureDependency) {
+      // Ascending dependency, then higher degree, then smaller id.
+      std::partial_sort(scored.begin(), middle, scored.end(),
+                        [](const Scored& a, const Scored& b) {
+                          if (a.dependency != b.dependency) {
+                            return a.dependency < b.dependency;
+                          }
+                          if (a.degree != b.degree) {
+                            return a.degree > b.degree;
+                          }
+                          return a.value < b.value;
+                        });
+    } else {
+      // Dependency-discounted popularity, best first.
+      std::partial_sort(scored.begin(), middle, scored.end(),
+                        [](const Scored& a, const Scored& b) {
+                          if (a.combined != b.combined) {
+                            return a.combined > b.combined;
+                          }
+                          return a.value < b.value;
+                        });
+    }
     batch_queue_.clear();
     for (auto it = scored.begin(); it != middle; ++it) {
-      batch_queue_.push_back(it->second);
+      batch_queue_.push_back(it->value);
     }
   }
 
+  MmmiOptions options_;
   bool saturated_ = false;
   std::vector<char> queried_bitmap_;
   std::deque<ValueId> batch_queue_;
