@@ -23,12 +23,14 @@ bool ExpectSectionMarker(CheckpointReader& reader, uint32_t marker,
 StatusOr<std::string> EncodeCrawlCheckpoint(const CrawlEngine& engine,
                                             const FaultyServer* faulty) {
   CheckpointWriter writer;
+  const size_t frame = writer.BeginFrame(kCrawlCheckpointVersion);
   DEEPCRAWL_RETURN_IF_ERROR(engine.SaveState(writer));
   WriteSectionMarker(writer, kSectionFaulty);
   writer.WriteU8(faulty != nullptr ? 1 : 0);
   if (faulty != nullptr) faulty->SaveState(writer);
   WriteSectionMarker(writer, kSectionEnd);
-  return FrameCheckpoint(writer.buffer(), kCrawlCheckpointVersion);
+  writer.EndFrame(frame);
+  return writer.TakeBuffer();
 }
 
 Status DecodeCrawlCheckpoint(std::string_view image, CrawlEngine& engine,

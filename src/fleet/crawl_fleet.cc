@@ -787,8 +787,10 @@ Status CrawlFleet::LoadState(CheckpointReader& reader) {
 
 StatusOr<std::string> EncodeFleetCheckpoint(const CrawlFleet& fleet) {
   CheckpointWriter writer;
+  const size_t frame = writer.BeginFrame(kFleetCheckpointVersion);
   DEEPCRAWL_RETURN_IF_ERROR(fleet.SaveState(writer));
-  return FrameCheckpoint(writer.buffer(), kFleetCheckpointVersion);
+  writer.EndFrame(frame);
+  return writer.TakeBuffer();
 }
 
 Status DecodeFleetCheckpoint(std::string_view image, CrawlFleet& fleet) {

@@ -10,7 +10,6 @@
 
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace deepcrawl {
 namespace {
@@ -27,7 +26,7 @@ uint64_t PackTag(int fd, uint64_t generation) {
 
 }  // namespace
 
-EventLoop::EventLoop() = default;
+EventLoop::EventLoop() : events_(256) {}
 
 EventLoop::~EventLoop() {
   if (wake_fd_ >= 0) close(wake_fd_);
@@ -122,16 +121,15 @@ int EventLoop::EffectiveTimeoutMs(int timeout_ms) const {
 
 Status EventLoop::RunOnce(int timeout_ms) {
   if (epoll_fd_ < 0) return Status::FailedPrecondition("EventLoop not Init()ed");
-  std::vector<struct epoll_event> events(256);
-  int n = epoll_wait(epoll_fd_, events.data(),
-                     static_cast<int>(events.size()),
+  int n = epoll_wait(epoll_fd_, events_.data(),
+                     static_cast<int>(events_.size()),
                      EffectiveTimeoutMs(timeout_ms));
   if (n < 0) {
     if (errno == EINTR) return Status::OK();
     return Errno("epoll_wait");
   }
   for (int i = 0; i < n; ++i) {
-    uint64_t tag = events[i].data.u64;
+    uint64_t tag = events_[i].data.u64;
     int fd = static_cast<int>(tag & 0xffffffffu);
     uint64_t generation = tag >> 32;
     if (fd == wake_fd_) {
@@ -144,17 +142,17 @@ Status EventLoop::RunOnce(int timeout_ms) {
     if (it == handlers_.end() || it->second.generation != generation) {
       continue;
     }
-    it->second.callback(events[i].events);
+    it->second.callback(events_[i].events);
   }
   RunDueTimers();
   return Status::OK();
 }
 
-void EventLoop::Run() {
+Status EventLoop::Run() {
   while (!stop_.load(std::memory_order_acquire)) {
-    Status status = RunOnce(-1);
-    DEEPCRAWL_CHECK(status.ok()) << "event loop: " << status.ToString();
+    DEEPCRAWL_RETURN_IF_ERROR(RunOnce(-1));
   }
+  return Status::OK();
 }
 
 void EventLoop::Stop() {

@@ -24,11 +24,14 @@
 #ifndef DEEPCRAWL_NET_EVENT_LOOP_H_
 #define DEEPCRAWL_NET_EVENT_LOOP_H_
 
+#include <sys/epoll.h>
+
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "src/util/status.h"
 
@@ -66,8 +69,10 @@ class EventLoop {
   // Monotonic clock, microseconds (CLOCK_MONOTONIC).
   static uint64_t NowMicros();
 
-  // Dispatches until Stop(). Must not be re-entered.
-  void Run();
+  // Dispatches until Stop(), then returns OK. A failed RunOnce (a loop
+  // that was never Init()ed, or an epoll_wait error) ends the loop and
+  // returns that Status instead. Must not be re-entered.
+  Status Run();
 
   // One epoll_wait batch plus due timers; `timeout_ms` < 0 blocks until
   // an event (tests drive the loop step by step with this).
@@ -99,6 +104,8 @@ class EventLoop {
   uint64_t next_generation_ = 1;
   std::unordered_map<int, Handler> handlers_;
   std::multimap<uint64_t, std::function<void()>> timers_;
+  // epoll_wait's output buffer, reused across batches.
+  std::vector<epoll_event> events_;
 };
 
 }  // namespace deepcrawl

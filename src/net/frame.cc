@@ -66,25 +66,23 @@ DecodedPage DecodePage(CheckpointReader& reader) {
   out.page.has_more = has_more == 1;
   uint64_t num_records = reader.ReadCount(kMinRecordBytes);
   out.page.records.reserve(num_records);
-  // Spans can only be planted once out.values stops reallocating, so
-  // first decode ids and per-record extents, then fix the spans up.
-  std::vector<std::pair<size_t, size_t>> extents;  // (offset, count)
-  extents.reserve(num_records);
+  // Every value takes 4 of the bytes that remain, so this reservation
+  // bounds the page's values: out.values never reallocates, and each
+  // record's span is planted as soon as its values are read — one pass.
+  out.values.reserve(reader.remaining() / 4);
   for (uint64_t i = 0; i < num_records; ++i) {
     ReturnedRecord record;
     record.id = reader.ReadU32();
     uint64_t num_values = reader.ReadCount(4);
-    extents.emplace_back(out.values.size(), num_values);
+    const size_t first = out.values.size();
     for (uint64_t j = 0; j < num_values; ++j) {
       out.values.push_back(reader.ReadU32());
     }
+    record.values =
+        std::span<const ValueId>(out.values.data() + first, num_values);
     out.page.records.push_back(record);
   }
   if (!reader.ok()) return DecodedPage{};
-  for (size_t i = 0; i < extents.size(); ++i) {
-    out.page.records[i].values = std::span<const ValueId>(
-        out.values.data() + extents[i].first, extents[i].second);
-  }
   return out;
 }
 
@@ -102,8 +100,21 @@ bool IsFetchType(WireMessageType type) {
   }
 }
 
-std::string FinishFrame(CheckpointWriter& body) {
-  return EncodeWireFrame(body.buffer());
+// Opens one wire frame at the end of `body`'s buffer: the u32 length
+// prefix and the inner header are reserved here and patched by
+// EndWireFrame once the body is written, so a frame is encoded in one
+// pass with no copy of its body. Returns where the frame starts.
+size_t BeginWireFrame(CheckpointWriter& body) {
+  const size_t frame_start = body.buffer().size();
+  body.WriteU32(0);  // frame length, patched by EndWireFrame
+  body.BeginFrame(kWireProtocolVersion);
+  return frame_start;
+}
+
+void EndWireFrame(CheckpointWriter& body, size_t frame_start) {
+  body.EndFrame(frame_start + 4);
+  body.PatchU32(frame_start, static_cast<uint32_t>(body.buffer().size() -
+                                                   frame_start - 4));
 }
 
 }  // namespace
@@ -167,38 +178,28 @@ Status DecodeStatus(CheckpointReader& reader) {
   return status;
 }
 
-std::string EncodeWireFrame(std::string_view body) {
-  std::string inner = FrameCheckpoint(body, kWireProtocolVersion);
-  std::string out;
-  out.reserve(4 + inner.size());
-  uint32_t len = static_cast<uint32_t>(inner.size());
-  out.push_back(static_cast<char>(len & 0xff));
-  out.push_back(static_cast<char>((len >> 8) & 0xff));
-  out.push_back(static_cast<char>((len >> 16) & 0xff));
-  out.push_back(static_cast<char>((len >> 24) & 0xff));
-  out.append(inner);
-  return out;
-}
-
-std::string EncodeHelloFrame() {
-  CheckpointWriter body;
+void AppendHelloFrame(std::string& out) {
+  CheckpointWriter body(out);
+  const size_t frame = BeginWireFrame(body);
   body.WriteU8(static_cast<uint8_t>(WireMessageType::kHello));
-  return FinishFrame(body);
+  EndWireFrame(body, frame);
 }
 
-std::string EncodeServerInfoFrame(const WireServerInfo& info) {
-  CheckpointWriter body;
+void AppendServerInfoFrame(std::string& out, const WireServerInfo& info) {
+  CheckpointWriter body(out);
+  const size_t frame = BeginWireFrame(body);
   body.WriteU8(static_cast<uint8_t>(WireMessageType::kServerInfo));
   EncodeServerOptions(body, info.options);
   body.WriteU32(info.num_values);
   body.WriteString(std::string_view(
       reinterpret_cast<const char*>(info.queriable_bitmap.data()),
       info.queriable_bitmap.size()));
-  return FinishFrame(body);
+  EndWireFrame(body, frame);
 }
 
-std::string EncodeRequestFrame(const WireRequest& request) {
-  CheckpointWriter body;
+void AppendRequestFrame(std::string& out, const WireRequest& request) {
+  CheckpointWriter body(out);
+  const size_t frame = BeginWireFrame(body);
   body.WriteU8(static_cast<uint8_t>(request.type));
   body.WriteU64(request.request_id);
   switch (request.type) {
@@ -222,25 +223,58 @@ std::string EncodeRequestFrame(const WireRequest& request) {
                              << static_cast<int>(request.type);
   }
   body.WriteU32(request.page_number);
-  return FinishFrame(body);
+  EndWireFrame(body, frame);
 }
 
-std::string EncodeResponseFrame(uint64_t request_id,
-                                const StatusOr<ResultPage>& result) {
-  CheckpointWriter body;
+void AppendResponseFrame(std::string& out, uint64_t request_id,
+                         const StatusOr<ResultPage>& result) {
+  CheckpointWriter body(out);
+  const size_t frame = BeginWireFrame(body);
   body.WriteU8(static_cast<uint8_t>(WireMessageType::kPageResult));
   body.WriteU64(request_id);
   EncodeStatus(body, result.status());
   if (result.ok()) EncodePage(body, *result);
-  return FinishFrame(body);
+  EndWireFrame(body, frame);
+}
+
+void AppendGoAwayFrame(std::string& out, const Status& status) {
+  DEEPCRAWL_CHECK(!status.ok()) << "GoAway must carry the shed reason";
+  CheckpointWriter body(out);
+  const size_t frame = BeginWireFrame(body);
+  body.WriteU8(static_cast<uint8_t>(WireMessageType::kGoAway));
+  EncodeStatus(body, status);
+  EndWireFrame(body, frame);
+}
+
+std::string EncodeHelloFrame() {
+  std::string frame;
+  AppendHelloFrame(frame);
+  return frame;
+}
+
+std::string EncodeServerInfoFrame(const WireServerInfo& info) {
+  std::string frame;
+  AppendServerInfoFrame(frame, info);
+  return frame;
+}
+
+std::string EncodeRequestFrame(const WireRequest& request) {
+  std::string frame;
+  AppendRequestFrame(frame, request);
+  return frame;
+}
+
+std::string EncodeResponseFrame(uint64_t request_id,
+                                const StatusOr<ResultPage>& result) {
+  std::string frame;
+  AppendResponseFrame(frame, request_id, result);
+  return frame;
 }
 
 std::string EncodeGoAwayFrame(const Status& status) {
-  DEEPCRAWL_CHECK(!status.ok()) << "GoAway must carry the shed reason";
-  CheckpointWriter body;
-  body.WriteU8(static_cast<uint8_t>(WireMessageType::kGoAway));
-  EncodeStatus(body, status);
-  return FinishFrame(body);
+  std::string frame;
+  AppendGoAwayFrame(frame, status);
+  return frame;
 }
 
 StatusOr<WireRequest> DecodeRequest(std::string_view body) {
@@ -336,16 +370,21 @@ StatusOr<WireServerMessage> DecodeServerMessage(std::string_view body) {
 }
 
 void FrameAssembler::Append(std::string_view bytes) {
-  // Compact once the consumed prefix dominates, so long-lived
-  // connections don't grow the buffer without bound.
-  if (pos_ > 4096 && pos_ >= buffer_.size() / 2) {
+  // Restart at the front once every frame was consumed (the common
+  // case: a read delivers whole frames), else compact once the consumed
+  // prefix dominates, so long-lived connections don't grow the buffer
+  // without bound. Either way earlier Next views die here.
+  if (pos_ == buffer_.size()) {
+    buffer_.clear();
+    pos_ = 0;
+  } else if (pos_ > 4096 && pos_ >= buffer_.size() / 2) {
     buffer_.erase(0, pos_);
     pos_ = 0;
   }
   buffer_.append(bytes);
 }
 
-StatusOr<bool> FrameAssembler::Next(std::string* body) {
+StatusOr<bool> FrameAssembler::Next(std::string_view* body) {
   if (failed_.has_value()) return *failed_;
   size_t available = buffer_.size() - pos_;
   if (available < 4) return false;
@@ -371,7 +410,7 @@ StatusOr<bool> FrameAssembler::Next(std::string* body) {
     failed_ = payload.status();
     return *failed_;
   }
-  body->assign(payload->data(), payload->size());
+  *body = *payload;
   pos_ += 4 + static_cast<size_t>(frame_len);
   return true;
 }

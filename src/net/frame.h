@@ -16,6 +16,12 @@
 // CheckpointReader, so corrupt input can produce an error, never a
 // crash or an out-of-bounds read (fuzzed in tests/net_fuzz_test.cc).
 //
+// Cost per frame: one encode pass straight into the destination buffer
+// (Append*Frame below), and no copy on decode — FrameAssembler::Next
+// hands out a view into its buffer, valid until the next Append, so
+// each side decodes a frame before reading more bytes. Golden bytes
+// for both directions are pinned in tests/net_frame_test.cc.
+//
 // Conversation shape: the client opens with kHello and the server
 // answers kServerInfo (interface schema: ServerOptions plus the
 // queriable-value bitmap). After that the client sends fetch requests —
@@ -127,14 +133,24 @@ struct WireServerMessage {
 
 // --- encoding ---------------------------------------------------------
 
-// Wraps an encoded body in the inner framing plus the length prefix.
-std::string EncodeWireFrame(std::string_view body);
+// Each Append*Frame encodes one whole frame onto the end of `out` (a
+// connection's send buffer or outbox) in one pass: the length prefix
+// and the inner header are reserved first and patched in place once
+// the body is written, and the checksum is appended last — no body is
+// copied after it is written.
+void AppendHelloFrame(std::string& out);
+void AppendServerInfoFrame(std::string& out, const WireServerInfo& info);
+void AppendRequestFrame(std::string& out, const WireRequest& request);
+// `result` is the backend's verbatim fetch outcome — error statuses
+// (fault injections included) cross the wire unchanged.
+void AppendResponseFrame(std::string& out, uint64_t request_id,
+                         const StatusOr<ResultPage>& result);
+void AppendGoAwayFrame(std::string& out, const Status& status);
 
+// The same frames as fresh strings (handshake constants, tests).
 std::string EncodeHelloFrame();
 std::string EncodeServerInfoFrame(const WireServerInfo& info);
 std::string EncodeRequestFrame(const WireRequest& request);
-// `result` is the backend's verbatim fetch outcome — error statuses
-// (fault injections included) cross the wire unchanged.
 std::string EncodeResponseFrame(uint64_t request_id,
                                 const StatusOr<ResultPage>& result);
 std::string EncodeGoAwayFrame(const Status& status);
@@ -158,10 +174,12 @@ class FrameAssembler {
 
   void Append(std::string_view bytes);
 
-  // True: a frame's body was extracted into `*body`. False: the stream
-  // holds no complete frame yet (feed more bytes). Error: corrupt
-  // stream, close the connection.
-  StatusOr<bool> Next(std::string* body);
+  // True: `*body` views the next frame's body inside the assembler's
+  // buffer — no copy. The view stays valid until the next Append (or
+  // the assembler's destruction), so decode it before reading more
+  // bytes. False: the stream holds no complete frame yet (feed more
+  // bytes). Error: corrupt stream, close the connection.
+  StatusOr<bool> Next(std::string_view* body);
 
   // Bytes buffered but not yet consumed by Next (diagnostics).
   size_t buffered_bytes() const { return buffer_.size() - pos_; }

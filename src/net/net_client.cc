@@ -123,11 +123,9 @@ Status NetConnection::Open(const std::string& host, uint16_t port,
   setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
   // Handshake: Hello out, ServerInfo back.
-  Status sent = Send(EncodeHelloFrame());
-  if (sent.ok()) {
-    uint64_t now = NowMs();
-    sent = SendAll(deadline > now ? deadline - now : 0);
-  }
+  AppendHelloFrame(send_buffer_);
+  uint64_t sent_at = NowMs();
+  Status sent = SendAll(deadline > sent_at ? deadline - sent_at : 0);
   if (!sent.ok()) {
     Close();
     return sent;
@@ -159,6 +157,13 @@ Status NetConnection::Send(std::string_view bytes) {
   }
   send_buffer_.append(bytes);
   return TryFlushSend();
+}
+
+uint64_t NetConnection::QueueRequest(const WireRequest& request) {
+  // TryFlushSend empties the buffer once everything has left, so this
+  // appends either at the front or behind bytes still pending.
+  AppendRequestFrame(send_buffer_, request);
+  return total_sent_ + (send_buffer_.size() - send_pos_);
 }
 
 Status NetConnection::TryFlushSend() {
@@ -218,7 +223,7 @@ Status NetConnection::FillFromSocket() {
 }
 
 StatusOr<bool> NetConnection::NextMessage(WireServerMessage* out) {
-  std::string body;
+  std::string_view body;
   StatusOr<bool> next = assembler_.Next(&body);
   if (!next.ok()) return next.status();
   if (!*next) return false;
@@ -316,7 +321,6 @@ void NetQueryClient::AccountFetch(uint32_t page_number) {
 StatusOr<ResultPage> NetQueryClient::RoundTrip(WireRequest request) {
   request.request_id = NextRequestId();
   AccountFetch(request.page_number);
-  const std::string frame = EncodeRequestFrame(request);
   const uint64_t started_us = NowUs();
   // The protocol is read-only, so a dead connection is simply reopened
   // and the request retransmitted. EnsureConnected bounds the time
@@ -328,8 +332,8 @@ StatusOr<ResultPage> NetQueryClient::RoundTrip(WireRequest request) {
   Status last = Status::Unavailable("no fetch attempt completed");
   for (uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
     DEEPCRAWL_RETURN_IF_ERROR(EnsureConnected(primary_));
-    Status sent = primary_.Send(frame);
-    if (sent.ok()) sent = primary_.SendAll(options_.request_timeout_ms);
+    primary_.QueueRequest(request);
+    Status sent = primary_.SendAll(options_.request_timeout_ms);
     if (!sent.ok()) {
       last = std::move(sent);
       primary_.Close();
@@ -425,16 +429,21 @@ struct NetFetchExecutor::Lane {
   NetConnection* conn = nullptr;
   std::vector<size_t> slots;
   std::vector<uint64_t> ids;           // request id per slot position
-  std::vector<size_t> send_end;        // sendbuf offset after each frame
+  std::vector<uint64_t> send_end;      // QueueRequest offset per slot
   std::vector<uint64_t> send_time_us;  // stamped as bytes reach the kernel
-  std::string sendbuf;
-  size_t sendbuf_pos = 0;   // handed to conn->Send already
   size_t sent_slots = 0;    // slots whose bytes the kernel accepted
   size_t next_unanswered = 0;
-  uint64_t base_sent = 0;   // conn->total_bytes_sent() at (re)build
   uint64_t last_progress_ms = 0;
   bool dead = false;
 
+  void Reset(NetConnection* connection, uint64_t now_ms) {
+    conn = connection;
+    slots.clear();
+    ids.clear();
+    next_unanswered = 0;
+    last_progress_ms = now_ms;
+    dead = false;
+  }
   bool done() const { return dead || next_unanswered == slots.size(); }
 };
 
@@ -442,6 +451,48 @@ NetFetchExecutor::NetFetchExecutor(NetQueryClient& client)
     : client_(client) {}
 
 NetFetchExecutor::~NetFetchExecutor() = default;
+
+void NetFetchExecutor::QueueLane(Lane& lane,
+                                 std::span<const FetchRequest> requests) {
+  lane.send_end.clear();
+  lane.send_time_us.assign(lane.slots.size(), 0);
+  lane.sent_slots = 0;
+  WireRequest wire;
+  for (size_t j = 0; j < lane.slots.size(); ++j) {
+    const FetchRequest& req = requests[lane.slots[j]];
+    wire.type = req.keyword ? WireMessageType::kFetchPageKeywordOf
+                            : WireMessageType::kFetchPage;
+    wire.request_id = lane.ids[j];
+    wire.value = req.value;
+    wire.page_number = req.page_number;
+    lane.send_end.push_back(lane.conn->QueueRequest(wire));
+  }
+}
+
+// A lane's connection died: reconnect within the window and retransmit
+// its unanswered suffix (same request ids, fresh byte stream), else
+// mark the lane dead and fail its remaining slots with `reason` (the
+// engine's RetryPolicy takes it from there).
+void NetFetchExecutor::FailOrRevive(
+    Lane& lane, const Status& reason, std::span<const FetchRequest> requests,
+    std::span<std::optional<StatusOr<ResultPage>>> results) {
+  lane.conn->Close();
+  Status revived = client_.EnsureConnected(*lane.conn);
+  if (revived.ok()) {
+    const auto answered = static_cast<ptrdiff_t>(lane.next_unanswered);
+    lane.slots.erase(lane.slots.begin(), lane.slots.begin() + answered);
+    lane.ids.erase(lane.ids.begin(), lane.ids.begin() + answered);
+    lane.next_unanswered = 0;
+    QueueLane(lane, requests);
+    lane.last_progress_ms = NowMs();
+    return;
+  }
+  lane.dead = true;
+  Status failed = reason.ok() ? revived : reason;
+  for (size_t j = lane.next_unanswered; j < lane.slots.size(); ++j) {
+    results[lane.slots[j]] = failed;
+  }
+}
 
 void NetFetchExecutor::FetchWave(
     QueryInterface& server, std::span<const FetchRequest> requests,
@@ -459,120 +510,56 @@ void NetFetchExecutor::FetchWave(
   // path); the rest live in secondary_ and are opened lazily. A
   // secondary that cannot be opened right now just shrinks the fan-out
   // for this wave — the primary alone can always carry it.
-  std::vector<NetConnection*> conns;
+  conns_.clear();
   if (client_.EnsureConnected(client_.primary_).ok()) {
-    conns.push_back(&client_.primary_);
+    conns_.push_back(&client_.primary_);
   }
   while (secondary_.size() + 1 < want_conns) {
     secondary_.push_back(std::make_unique<NetConnection>());
   }
   for (auto& conn : secondary_) {
-    if (conns.size() >= want_conns || conns.size() >= requests.size()) break;
+    if (conns_.size() >= want_conns || conns_.size() >= requests.size()) {
+      break;
+    }
     if (!conn->is_open() &&
         !conn->Open(opts.host, opts.port, opts.request_timeout_ms,
                     opts.max_frame_bytes)
              .ok()) {
       continue;
     }
-    conns.push_back(conn.get());
+    conns_.push_back(conn.get());
   }
-  if (conns.empty()) {
+  if (conns_.empty()) {
     Status unreachable =
         Status::Unavailable("server unreachable within reconnect window");
     for (size_t i = 0; i < requests.size(); ++i) results[i] = unreachable;
     return;
   }
 
-  // Round-robin the wave over the lanes and serialize each lane's
-  // share as ONE pipelined burst.
-  const size_t num_lanes = std::min(conns.size(), requests.size());
-  std::vector<Lane> lanes(num_lanes);
+  // Round-robin the wave over the lanes and encode each lane's share
+  // straight into its connection's send buffer as ONE pipelined burst.
+  const size_t num_lanes = std::min(conns_.size(), requests.size());
+  if (lanes_.size() < num_lanes) lanes_.resize(num_lanes);
+  const std::span<Lane> lanes(lanes_.data(), num_lanes);
   const uint64_t now_ms = NowMs();
-  for (size_t i = 0; i < num_lanes; ++i) {
-    lanes[i].conn = conns[i];
-    lanes[i].last_progress_ms = now_ms;
-  }
+  for (size_t i = 0; i < num_lanes; ++i) lanes[i].Reset(conns_[i], now_ms);
   for (size_t i = 0; i < requests.size(); ++i) {
     Lane& lane = lanes[i % num_lanes];
-    const FetchRequest& req = requests[i];
-    WireRequest wire;
-    wire.type = req.keyword ? WireMessageType::kFetchPageKeywordOf
-                            : WireMessageType::kFetchPage;
-    wire.request_id = client_.NextRequestId();
-    wire.value = req.value;
-    wire.page_number = req.page_number;
-    client_.AccountFetch(req.page_number);
     lane.slots.push_back(i);
-    lane.ids.push_back(wire.request_id);
-    lane.sendbuf.append(EncodeRequestFrame(wire));
-    lane.send_end.push_back(lane.sendbuf.size());
-    lane.send_time_us.push_back(0);
+    lane.ids.push_back(client_.NextRequestId());
+    client_.AccountFetch(requests[i].page_number);
   }
-  for (Lane& lane : lanes) lane.base_sent = lane.conn->total_bytes_sent();
+  for (Lane& lane : lanes) QueueLane(lane, requests);
 
-  // Rebuilds a lane's burst from its unanswered suffix (after a
-  // reconnect: same request ids, fresh byte stream).
-  auto rebuild_lane = [this](Lane& lane) {
-    lane.slots.erase(lane.slots.begin(),
-                     lane.slots.begin() +
-                         static_cast<ptrdiff_t>(lane.next_unanswered));
-    lane.ids.erase(lane.ids.begin(),
-                   lane.ids.begin() +
-                       static_cast<ptrdiff_t>(lane.next_unanswered));
-    lane.next_unanswered = 0;
-    lane.sendbuf.clear();
-    lane.sendbuf_pos = 0;
-    lane.send_end.clear();
-    lane.send_time_us.assign(lane.slots.size(), 0);
-    lane.sent_slots = 0;
-    lane.base_sent = lane.conn->total_bytes_sent();
-  };
-
-  // A lane's connection died: reconnect within the window and
-  // retransmit its unanswered suffix, else mark the lane dead and fail
-  // its remaining slots with `reason` (the engine's RetryPolicy takes
-  // it from there).
-  auto fail_or_revive = [&](Lane& lane, const Status& reason,
-                            std::span<const FetchRequest> reqs) {
-    lane.conn->Close();
-    Status revived = client_.EnsureConnected(*lane.conn);
-    if (revived.ok()) {
-      rebuild_lane(lane);
-      for (size_t j = 0; j < lane.slots.size(); ++j) {
-        size_t slot = lane.slots[j];
-        WireRequest wire;
-        wire.type = reqs[slot].keyword ? WireMessageType::kFetchPageKeywordOf
-                                       : WireMessageType::kFetchPage;
-        wire.request_id = lane.ids[j];
-        wire.value = reqs[slot].value;
-        wire.page_number = reqs[slot].page_number;
-        lane.sendbuf.append(EncodeRequestFrame(wire));
-        lane.send_end.push_back(lane.sendbuf.size());
-      }
-      lane.last_progress_ms = NowMs();
-      return;
-    }
-    lane.dead = true;
-    Status failed = reason.ok() ? revived : reason;
-    for (size_t j = lane.next_unanswered; j < lane.slots.size(); ++j) {
-      results[lane.slots[j]] = failed;
-    }
-  };
-
-  // Feeds as much of the lane's burst to the connection as fits and
-  // stamps the send time of every request fully accepted by the
-  // kernel. Returns false when the connection died.
+  // Hands the lane's queued bytes to the kernel (one write for the
+  // whole burst when the socket buffer takes it) and stamps the send
+  // time of every request fully accepted. False: the connection died.
   auto pump_send = [](Lane& lane) -> bool {
-    if (lane.sendbuf_pos < lane.sendbuf.size()) {
-      std::string_view chunk(lane.sendbuf.data() + lane.sendbuf_pos,
-                             lane.sendbuf.size() - lane.sendbuf_pos);
-      if (!lane.conn->Send(chunk).ok()) return false;
-      lane.sendbuf_pos = lane.sendbuf.size();
-    } else if (lane.conn->send_pending()) {
-      if (!lane.conn->TryFlushSend().ok()) return false;
+    if (lane.conn->send_pending() && !lane.conn->TryFlushSend().ok()) {
+      return false;
     }
-    uint64_t sent = lane.conn->total_bytes_sent() - lane.base_sent;
-    uint64_t now_us = NowUs();
+    const uint64_t sent = lane.conn->total_bytes_sent();
+    const uint64_t now_us = NowUs();
     while (lane.sent_slots < lane.slots.size() &&
            lane.send_end[lane.sent_slots] <= sent) {
       lane.send_time_us[lane.sent_slots++] = now_us;
@@ -581,31 +568,25 @@ void NetFetchExecutor::FetchWave(
   };
 
   for (Lane& lane : lanes) {
-    if (!pump_send(lane)) fail_or_revive(lane, Status::OK(), requests);
+    if (!pump_send(lane)) FailOrRevive(lane, Status::OK(), requests, results);
   }
 
-  std::vector<struct pollfd> pfds;
-  std::vector<Lane*> polled;
-  WireServerMessage message;
   for (;;) {
-    pfds.clear();
-    polled.clear();
+    pfds_.clear();
+    polled_.clear();
     for (Lane& lane : lanes) {
       if (lane.done()) continue;
-      struct pollfd pfd;
+      pollfd pfd;
       pfd.fd = lane.conn->fd();
       pfd.events = POLLIN;
-      if (lane.conn->send_pending() ||
-          lane.sendbuf_pos < lane.sendbuf.size()) {
-        pfd.events |= POLLOUT;
-      }
+      if (lane.conn->send_pending()) pfd.events |= POLLOUT;
       pfd.revents = 0;
-      pfds.push_back(pfd);
-      polled.push_back(&lane);
+      pfds_.push_back(pfd);
+      polled_.push_back(&lane);
     }
-    if (pfds.empty()) break;
+    if (pfds_.empty()) break;
 
-    int n = poll(pfds.data(), pfds.size(), 50);
+    int n = poll(pfds_.data(), pfds_.size(), 50);
     if (n < 0) {
       if (errno == EINTR) continue;
       // poll() itself failed (EINVAL/ENOMEM class): no lane can make
@@ -614,7 +595,7 @@ void NetFetchExecutor::FetchWave(
       // dereferences each optional unconditionally.
       Status poll_failed =
           Status::Unavailable(std::string("poll: ") + strerror(errno));
-      for (Lane* lane : polled) {
+      for (Lane* lane : polled_) {
         lane->dead = true;
         for (size_t j = lane->next_unanswered; j < lane->slots.size(); ++j) {
           results[lane->slots[j]] = poll_failed;
@@ -623,13 +604,13 @@ void NetFetchExecutor::FetchWave(
       break;
     }
 
-    for (size_t i = 0; i < polled.size(); ++i) {
-      Lane& lane = *polled[i];
+    for (size_t i = 0; i < polled_.size(); ++i) {
+      Lane& lane = *polled_[i];
       if (lane.done()) continue;
-      short revents = pfds[i].revents;
+      short revents = pfds_[i].revents;
       if (revents & (POLLOUT)) {
         if (!pump_send(lane)) {
-          fail_or_revive(lane, Status::OK(), requests);
+          FailOrRevive(lane, Status::OK(), requests, results);
           continue;
         }
         lane.last_progress_ms = NowMs();
@@ -638,19 +619,19 @@ void NetFetchExecutor::FetchWave(
         Status filled = lane.conn->FillFromSocket();
         bool lane_failed = !filled.ok();
         while (!lane_failed && !lane.done()) {
-          StatusOr<bool> next = lane.conn->NextMessage(&message);
+          StatusOr<bool> next = lane.conn->NextMessage(&message_);
           if (!next.ok()) {
             lane_failed = true;
             break;
           }
           if (!*next) break;
           lane.last_progress_ms = NowMs();
-          if (message.type == WireMessageType::kGoAway) {
+          if (message_.type == WireMessageType::kGoAway) {
             lane_failed = true;
             break;
           }
-          if (message.type != WireMessageType::kPageResult ||
-              message.request_id != lane.ids[lane.next_unanswered]) {
+          if (message_.type != WireMessageType::kPageResult ||
+              message_.request_id != lane.ids[lane.next_unanswered]) {
             lane_failed = true;  // out-of-order or foreign response
             break;
           }
@@ -659,23 +640,23 @@ void NetFetchExecutor::FetchWave(
             client_.rtt_.Record(NowUs() -
                                 lane.send_time_us[lane.next_unanswered]);
           }
-          if (message.status.ok()) {
-            results[slot] = client_.Retain(std::move(message.result));
+          if (message_.status.ok()) {
+            results[slot] = client_.Retain(std::move(message_.result));
           } else {
-            results[slot] = message.status;
+            results[slot] = message_.status;
           }
           ++lane.next_unanswered;
         }
         if (lane_failed) {
-          fail_or_revive(lane, Status::OK(), requests);
+          FailOrRevive(lane, Status::OK(), requests, results);
           continue;
         }
       }
       if (!lane.done() &&
           NowMs() - lane.last_progress_ms > opts.request_timeout_ms) {
-        fail_or_revive(
-            lane, Status::DeadlineExceeded("no response within timeout"),
-            requests);
+        FailOrRevive(lane,
+                     Status::DeadlineExceeded("no response within timeout"),
+                     requests, results);
       }
     }
   }

@@ -26,8 +26,12 @@
 //   * NetFetchExecutor — the CrawlEngine executor seam over sockets:
 //     FetchWave round-robins the wave's requests over up to
 //     `connections` NetConnections and PIPELINES each connection's
-//     share in one burst, then multiplexes with poll() until every
-//     slot has an answer. Responses fill their slot by request id, the
+//     share in one burst — every frame encoded straight into the
+//     connection's send buffer, handed to the kernel in one write —
+//     then multiplexes with poll() until every slot has an answer. Its
+//     lanes, pollfd array and send buffers are members reused across
+//     waves, so the wave's bookkeeping allocates nothing once warm.
+//     Responses fill their slot by request id, the
 //     engine commits in selector-rank order as always, so the crawl
 //     output stays a pure function of (seed, batch) no matter how
 //     responses interleave across connections (differential-tested
@@ -48,6 +52,8 @@
 
 #ifndef DEEPCRAWL_NET_NET_CLIENT_H_
 #define DEEPCRAWL_NET_NET_CLIENT_H_
+
+#include <poll.h>
 
 #include <cstdint>
 #include <deque>
@@ -115,6 +121,10 @@ class NetConnection {
   // Queues bytes and flushes as far as the kernel will take without
   // blocking. kUnavailable on a dead connection.
   Status Send(std::string_view bytes);
+  // Encodes `request`'s frame straight onto the send queue, without
+  // flushing (TryFlushSend / SendAll do that). Returns the offset
+  // total_bytes_sent() reaches once the whole frame has left.
+  uint64_t QueueRequest(const WireRequest& request);
   // Non-blocking flush of queued bytes.
   Status TryFlushSend();
   // Blocking flush of everything queued, bounded by `timeout_ms`.
@@ -122,7 +132,7 @@ class NetConnection {
   bool send_pending() const { return send_pos_ < send_buffer_.size(); }
   // Bytes of queued output already accepted by the kernel (monotonic
   // over the connection's lifetime; the executor timestamps a request's
-  // "sent" moment by comparing this against the request's end offset).
+  // "sent" moment by comparing this against QueueRequest's offset).
   uint64_t total_bytes_sent() const { return total_sent_; }
 
   // Blocking: next server message within `timeout_ms` (kDeadlineExceeded
@@ -131,7 +141,8 @@ class NetConnection {
   StatusOr<WireServerMessage> ReceiveMessage(uint64_t timeout_ms);
 
   // Non-blocking pair: pull available socket bytes into the assembler,
-  // then drain complete messages. NextMessage true = `*out` filled.
+  // then drain complete messages. NextMessage true = `*out` filled; it
+  // decodes straight from the assembler's buffer (no body copy).
   Status FillFromSocket();
   StatusOr<bool> NextMessage(WireServerMessage* out);
 
@@ -241,8 +252,22 @@ class NetFetchExecutor : public FetchExecutor {
  private:
   struct Lane;  // one connection plus its share of the wave
 
+  // Encodes the lane's unanswered requests onto its connection.
+  void QueueLane(Lane& lane, std::span<const FetchRequest> requests);
+  // Reconnects a lane whose connection died and re-queues its
+  // unanswered suffix, or fails those slots (see FetchWave).
+  void FailOrRevive(Lane& lane, const Status& reason,
+                    std::span<const FetchRequest> requests,
+                    std::span<std::optional<StatusOr<ResultPage>>> results);
+
   NetQueryClient& client_;
   std::vector<std::unique_ptr<NetConnection>> secondary_;
+  // Per-wave scratch, kept across waves so its capacity is reused.
+  std::vector<NetConnection*> conns_;
+  std::vector<Lane> lanes_;
+  std::vector<pollfd> pfds_;
+  std::vector<Lane*> polled_;
+  WireServerMessage message_;
 };
 
 }  // namespace deepcrawl

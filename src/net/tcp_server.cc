@@ -184,58 +184,53 @@ bool WebDbTcpServer::DrainReadable(Connection& conn) {
     return false;
   }
   if (conn.shedding) return true;
-  std::string body;
+  // Serve every complete request into the outbox, then flush ONCE: one
+  // write per drain, however many frames the read delivered. A corrupt
+  // frame part-way through still flushes the responses served before
+  // it, so the client gets every answer it would have had with a
+  // write per frame, and only then sees the close.
+  bool protocol_error = false;
   for (;;) {
+    std::string_view body;
     StatusOr<bool> next = conn.assembler.Next(&body);
-    if (!next.ok()) {
-      ++protocol_errors_;
-      CloseConnection(conn.fd);
-      return false;
-    }
-    if (!*next) return true;
-    switch (ServeBody(conn, body)) {
-      case ServeResult::kOk:
-        break;
-      case ServeResult::kProtocolError:
-        ++protocol_errors_;
-        CloseConnection(conn.fd);
-        return false;
-      case ServeResult::kConnectionLost:
-        // QueueFrame hit a write error and already destroyed the
-        // connection; `conn` is freed memory from here on.
-        return false;
+    if (next.ok() && !*next) break;  // no complete frame left
+    if (!next.ok() || !ServeBody(conn, body)) {
+      protocol_error = true;
+      break;
     }
   }
+  if (protocol_error) ++protocol_errors_;
+  // A failed flush already destroyed the connection; `conn` is freed.
+  if (!FlushOutbox(conn)) return false;
+  if (protocol_error) {
+    CloseConnection(conn.fd);
+    return false;
+  }
+  return true;
 }
 
-WebDbTcpServer::ServeResult WebDbTcpServer::ServeBody(
-    Connection& conn, const std::string& body) {
+bool WebDbTcpServer::ServeBody(Connection& conn, std::string_view body) {
   StatusOr<WireRequest> request = DecodeRequest(body);
-  if (!request.ok()) return ServeResult::kProtocolError;
+  if (!request.ok()) return false;
   if (request->type == WireMessageType::kHello) {
-    if (conn.saw_hello) {  // one handshake per connection
-      return ServeResult::kProtocolError;
-    }
+    if (conn.saw_hello) return false;  // one handshake per connection
     conn.saw_hello = true;
-    return QueueFrame(conn, server_info_frame_)
-               ? ServeResult::kOk
-               : ServeResult::kConnectionLost;
+    conn.outbox.append(server_info_frame_);
+    return true;
   }
-  if (!conn.saw_hello) {  // fetch before handshake
-    return ServeResult::kProtocolError;
-  }
+  if (!conn.saw_hello) return false;  // fetch before handshake
 
-  std::string frame = EncodeResponseFrame(request->request_id,
-                                          Dispatch(*request));
   ++requests_served_;
   if (options_.latency_us == 0) {
-    return QueueFrame(conn, std::move(frame)) ? ServeResult::kOk
-                                              : ServeResult::kConnectionLost;
+    AppendResponseFrame(conn.outbox, request->request_id, Dispatch(*request));
+    return true;
   }
   // Delay the RESPONSE, not the backend call: the backend's fault/meter
   // stream still sees arrival order, and equal delays preserve the
   // per-connection response order (timers with equal deadlines fire in
   // schedule order).
+  std::string frame = EncodeResponseFrame(request->request_id,
+                                          Dispatch(*request));
   uint64_t conn_id = conn.id;
   int fd = conn.fd;
   loop_.ScheduleAt(
@@ -247,7 +242,7 @@ WebDbTcpServer::ServeResult WebDbTcpServer::ServeBody(
         // a failed flush already closed it.
         QueueFrame(*it->second, std::move(frame));
       });
-  return ServeResult::kOk;
+  return true;
 }
 
 StatusOr<ResultPage> WebDbTcpServer::Dispatch(const WireRequest& request) {

@@ -4,7 +4,12 @@
 // Each accepted connection carries the Hello/ServerInfo handshake and
 // then any number of pipelined fetch requests; responses are written in
 // request order per connection, so a client that sends a whole wave
-// down one connection gets the wave back in the order it asked.
+// down one connection gets the wave back in the order it asked. A
+// readable connection is drained in one pass: every complete request
+// the read delivered is served into the connection's outbox, and the
+// outbox is flushed once — one write per connection per drain, not one
+// per response (with latency_us > 0 each delayed response is flushed
+// by its own timer instead).
 // Because every backend the repo ships is a pure function of the
 // request (WebDbServer reads fixed tables; FaultyServer in keyed mode
 // derives faults from the query identity), the bytes a client receives
@@ -25,8 +30,10 @@
 // RetryPolicy machinery already knows how to pace.
 //
 // Malformed input (bad length prefix, magic, version, checksum, or an
-// undecodable body) closes the connection immediately: framing sync is
-// gone, and the protocol never trusts bytes past a corrupt frame.
+// undecodable body) closes the connection: framing sync is gone, and
+// the protocol never trusts bytes past a corrupt frame. Responses to
+// the requests served before the corrupt frame in the same drain are
+// flushed first, so the client still receives them, then EOF.
 
 #ifndef DEEPCRAWL_NET_TCP_SERVER_H_
 #define DEEPCRAWL_NET_TCP_SERVER_H_
@@ -34,6 +41,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "src/net/event_loop.h"
@@ -111,18 +119,19 @@ class WebDbTcpServer {
 
   void OnAcceptable();
   void OnConnectionEvent(int fd, uint32_t events);
-  // Reads until EAGAIN, feeding the assembler and serving every
-  // complete request. Returns false when the connection died.
+  // Reads until EAGAIN, serves every complete request into the outbox,
+  // then flushes the outbox once. Returns false when the connection
+  // died (or was closed for a protocol error).
   bool DrainReadable(Connection& conn);
-  // Decodes and serves one request body. kProtocolError leaves the
-  // connection alive for the caller to count and close;
-  // kConnectionLost means the connection object was already destroyed
-  // mid-write — the caller must not touch `conn` again.
-  enum class ServeResult { kOk, kProtocolError, kConnectionLost };
-  ServeResult ServeBody(Connection& conn, const std::string& body);
+  // Decodes and serves one request body, appending its response to the
+  // outbox (or, with latency_us > 0, scheduling it). Never writes to
+  // the socket, so `conn` stays alive. False: protocol error — the
+  // caller counts it and closes the connection after flushing.
+  bool ServeBody(Connection& conn, std::string_view body);
   StatusOr<ResultPage> Dispatch(const WireRequest& request);
-  // Appends the frame and flushes. Returns false when the flush killed
-  // the connection (CloseConnection already ran; `conn` is freed).
+  // Appends the frame and flushes (shed GoAway, delayed responses).
+  // Returns false when the flush killed the connection
+  // (CloseConnection already ran; `conn` is freed).
   bool QueueFrame(Connection& conn, std::string frame);
   // Writes the outbox until EAGAIN/empty, (dis)arming EPOLLOUT.
   // Returns false when the connection died.

@@ -20,15 +20,19 @@ constexpr size_t kFooterSize = 8;          // checksum
 }  // namespace
 
 void CheckpointWriter::WriteU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buffer_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  const char bytes[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
+                         static_cast<char>(v >> 16),
+                         static_cast<char>(v >> 24)};
+  out_->append(bytes, sizeof(bytes));
 }
 
 void CheckpointWriter::WriteU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buffer_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  const char bytes[8] = {
+      static_cast<char>(v),       static_cast<char>(v >> 8),
+      static_cast<char>(v >> 16), static_cast<char>(v >> 24),
+      static_cast<char>(v >> 32), static_cast<char>(v >> 40),
+      static_cast<char>(v >> 48), static_cast<char>(v >> 56)};
+  out_->append(bytes, sizeof(bytes));
 }
 
 void CheckpointWriter::WriteDouble(double v) {
@@ -40,7 +44,30 @@ void CheckpointWriter::WriteDouble(double v) {
 
 void CheckpointWriter::WriteString(std::string_view text) {
   WriteU32(static_cast<uint32_t>(text.size()));
-  buffer_.append(text.data(), text.size());
+  out_->append(text.data(), text.size());
+}
+
+void CheckpointWriter::PatchU32(size_t offset, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    (*out_)[offset + i] = static_cast<char>(v >> (8 * i));
+  }
+}
+
+size_t CheckpointWriter::BeginFrame(uint32_t version) {
+  const size_t frame_start = out_->size();
+  out_->append(kMagic, sizeof(kMagic));
+  WriteU32(version);
+  WriteU64(0);  // payload size, patched by EndFrame
+  return frame_start;
+}
+
+void CheckpointWriter::EndFrame(size_t frame_start) {
+  const size_t payload_start = frame_start + kHeaderSize;
+  const uint64_t payload_size = out_->size() - payload_start;
+  PatchU32(payload_start - 8, static_cast<uint32_t>(payload_size));
+  PatchU32(payload_start - 4, static_cast<uint32_t>(payload_size >> 32));
+  WriteU64(CheckpointChecksum(
+      std::string_view(*out_).substr(payload_start)));
 }
 
 bool CheckpointReader::Require(size_t bytes) {
@@ -123,17 +150,12 @@ uint64_t CheckpointChecksum(std::string_view data) {
 }
 
 std::string FrameCheckpoint(std::string_view payload, uint32_t version) {
-  CheckpointWriter w;
   std::string framed;
   framed.reserve(kHeaderSize + payload.size() + kFooterSize);
-  framed.append(kMagic, sizeof(kMagic));
-  w.WriteU32(version);
-  w.WriteU64(payload.size());
-  framed.append(w.buffer());
+  CheckpointWriter writer(framed);
+  const size_t frame = writer.BeginFrame(version);
   framed.append(payload.data(), payload.size());
-  CheckpointWriter footer;
-  footer.WriteU64(CheckpointChecksum(payload));
-  framed.append(footer.buffer());
+  writer.EndFrame(frame);
   return framed;
 }
 

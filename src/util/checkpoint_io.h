@@ -28,10 +28,19 @@
 
 namespace deepcrawl {
 
-// Append-only little-endian encoder.
+// Append-only little-endian encoder. It owns its buffer by default, or
+// appends to a caller's string (a connection's send buffer), so a frame
+// is encoded straight into its destination.
 class CheckpointWriter {
  public:
-  void WriteU8(uint8_t v) { buffer_.push_back(static_cast<char>(v)); }
+  CheckpointWriter() : out_(&own_) {}
+  // Appends to `out`, which must outlive the writer.
+  explicit CheckpointWriter(std::string& out) : out_(&out) {}
+
+  CheckpointWriter(const CheckpointWriter&) = delete;
+  CheckpointWriter& operator=(const CheckpointWriter&) = delete;
+
+  void WriteU8(uint8_t v) { out_->push_back(static_cast<char>(v)); }
   void WriteU32(uint32_t v);
   void WriteU64(uint64_t v);
   // Doubles are serialized as their IEEE-754 bit pattern, so values
@@ -40,11 +49,24 @@ class CheckpointWriter {
   // Length-prefixed (u32) byte string.
   void WriteString(std::string_view text);
 
-  const std::string& buffer() const { return buffer_; }
-  std::string TakeBuffer() { return std::move(buffer_); }
+  // Overwrites the u32 at byte `offset` of the buffer (a length field
+  // reserved before its contents were known).
+  void PatchU32(size_t offset, uint32_t v);
+
+  // In-place form of FrameCheckpoint: BeginFrame appends the header
+  // with a placeholder payload size and returns where the frame
+  // starts; everything written after it is the payload; EndFrame
+  // patches the size and appends the checksum. The bytes equal
+  // FrameCheckpoint(payload, version) without copying the payload.
+  size_t BeginFrame(uint32_t version);
+  void EndFrame(size_t frame_start);
+
+  const std::string& buffer() const { return *out_; }
+  std::string TakeBuffer() { return std::move(*out_); }
 
  private:
-  std::string buffer_;
+  std::string own_;
+  std::string* out_;
 };
 
 // Bounds-checked little-endian decoder with sticky failure.
@@ -88,6 +110,7 @@ uint64_t CheckpointChecksum(std::string_view data);
 
 // Wraps `payload` in the magic/version/size/checksum framing:
 //   magic "DCPK" | u32 version | u64 payload size | payload | u64 fnv1a
+// (a copy; encoders frame in place with CheckpointWriter::BeginFrame).
 std::string FrameCheckpoint(std::string_view payload, uint32_t version);
 
 // Validates the framing of a full image and returns the payload slice

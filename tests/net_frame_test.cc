@@ -1,10 +1,12 @@
 // Round-trip tests for the wire protocol (src/net/frame.h): every
 // message type, every StatusCode (retry-after hint included), and the
-// FrameAssembler's incremental reassembly.
+// FrameAssembler's incremental reassembly, plus golden bytes for one
+// request and one response frame at kWireProtocolVersion.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/net/frame.h"
@@ -31,12 +33,12 @@ const StatusCode kAllCodes[] = {
 std::string BodyOf(const std::string& frame) {
   FrameAssembler assembler;
   assembler.Append(frame);
-  std::string body;
+  std::string_view body;
   StatusOr<bool> got = assembler.Next(&body);
   EXPECT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(got.ok() && got.value());
   EXPECT_EQ(assembler.buffered_bytes(), 0u);
-  return body;
+  return std::string(body);
 }
 
 TEST(NetFrameTest, WireStatusCodeRoundTripsEveryCode) {
@@ -240,7 +242,7 @@ TEST(NetFrameTest, AssemblerSplitsBackToBackFrames) {
 
   FrameAssembler assembler;
   assembler.Append(stream);
-  std::string body;
+  std::string_view body;
   int frames = 0;
   while (true) {
     StatusOr<bool> got = assembler.Next(&body);
@@ -260,7 +262,7 @@ TEST(NetFrameTest, AssemblerHandlesByteAtATimeDelivery) {
   std::string frame = EncodeRequestFrame(request);
 
   FrameAssembler assembler;
-  std::string body;
+  std::string_view body;
   for (size_t i = 0; i + 1 < frame.size(); ++i) {
     assembler.Append(std::string_view(frame).substr(i, 1));
     StatusOr<bool> got = assembler.Next(&body);
@@ -275,6 +277,66 @@ TEST(NetFrameTest, AssemblerHandlesByteAtATimeDelivery) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->request_id, request.request_id);
   EXPECT_EQ(decoded->values, request.values);
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    out.push_back(kDigits[static_cast<unsigned char>(c) >> 4]);
+    out.push_back(kDigits[static_cast<unsigned char>(c) & 0xf]);
+  }
+  return out;
+}
+
+TEST(NetFrameGoldenTest, FetchPageRequestFrameBytes) {
+  ASSERT_EQ(kWireProtocolVersion, 1u);
+  WireRequest request;
+  request.type = WireMessageType::kFetchPage;
+  request.request_id = 5;
+  request.value = 42;
+  request.page_number = 1;
+  EXPECT_EQ(Hex(EncodeRequestFrame(request)),
+            "29000000"            // u32 frame length (41)
+            "4443504b"            // magic "DCPK"
+            "01000000"            // u32 wire version
+            "1100000000000000"    // u64 body size (17)
+            "03"                  // kFetchPage
+            "0500000000000000"    // u64 request id
+            "2a000000"            // u32 value
+            "01000000"            // u32 page number
+            "6c03b62bed1a5562");  // u64 FNV-1a of the body
+}
+
+TEST(NetFrameGoldenTest, PageResultFrameBytes) {
+  ASSERT_EQ(kWireProtocolVersion, 1u);
+  std::vector<ValueId> rec0 = {10, 20, 30};
+  std::vector<ValueId> rec1 = {40};
+  std::vector<ValueId> rec2 = {};
+  ResultPage page;
+  page.records.push_back({101, rec0});
+  page.records.push_back({102, rec1});
+  page.records.push_back({103, rec2});
+  page.page_number = 2;
+  page.total_matches = 3;
+  page.has_more = true;
+  EXPECT_EQ(Hex(EncodeResponseFrame(9, StatusOr<ResultPage>(page))),
+            "6d000000"                    // u32 frame length (109)
+            "4443504b"                    // magic "DCPK"
+            "01000000"                    // u32 wire version
+            "5500000000000000"            // u64 body size (85)
+            "08"                          // kPageResult
+            "0900000000000000"            // u64 request id
+            "00" "00000000" "00"          // status: code, message, no hint
+            "02000000"                    // u32 page number
+            "01" "03000000"               // total_matches present, 3
+            "01"                          // has_more
+            "0300000000000000"            // u64 record count
+            "65000000" "0300000000000000"
+            "0a000000" "14000000" "1e000000"
+            "66000000" "0100000000000000" "28000000"
+            "67000000" "0000000000000000"
+            "62eef985e1425d41");          // u64 FNV-1a of the body
 }
 
 }  // namespace

@@ -52,9 +52,12 @@ enum class FeedOutcome { kError, kIncomplete, kFrame };
 FeedOutcome Feed(const std::string& stream, std::string* body) {
   FrameAssembler assembler;
   assembler.Append(stream);
-  StatusOr<bool> got = assembler.Next(body);
+  std::string_view view;
+  StatusOr<bool> got = assembler.Next(&view);
   if (!got.ok()) return FeedOutcome::kError;
-  return got.value() ? FeedOutcome::kFrame : FeedOutcome::kIncomplete;
+  if (!got.value()) return FeedOutcome::kIncomplete;
+  body->assign(view);  // the view dies with the assembler
+  return FeedOutcome::kFrame;
 }
 
 TEST(NetFuzzTest, EveryByteFlipIsRejectedOrIncomplete) {
@@ -82,7 +85,7 @@ TEST(NetFuzzTest, EveryTruncationIsIncompleteNeverAccepted) {
   for (size_t len = 0; len < frame.size(); ++len) {
     FrameAssembler assembler;
     assembler.Append(std::string_view(frame).substr(0, len));
-    std::string body;
+    std::string_view body;
     StatusOr<bool> got = assembler.Next(&body);
     ASSERT_TRUE(got.ok()) << "truncation at " << len << " errored: "
                           << got.status().ToString();
@@ -138,7 +141,7 @@ TEST(NetFuzzTest, ErrorIsStickyAcrossSubsequentAppends) {
   std::string garbage = "this is not a frame at all, not even close!!";
   FrameAssembler assembler;
   assembler.Append(garbage);
-  std::string body;
+  std::string_view body;
   StatusOr<bool> first = assembler.Next(&body);
   // Either an immediate error or an incomplete wait, depending on the
   // forged length those bytes happen to spell.

@@ -2,8 +2,9 @@
 // client (src/net/): handshake schema, fetch parity against the
 // in-process backend for every query form, fault propagation (status
 // codes and retry-after hints over the wire), pipelining order,
-// connection shedding, malformed-frame handling, server-restart
-// reconnection, and the pipelined fetch executor.
+// connection shedding, malformed-frame handling (mid-burst too),
+// server-restart reconnection, the pipelined fetch executor, and the
+// event loop's Status on failure.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -105,6 +107,14 @@ void ExpectSamePage(const StatusOr<ResultPage>& got,
                                    w.records[i].values.end()))
         << "record " << i;
   }
+}
+
+TEST(EventLoopTest, RunWithoutInitReturnsFailedPrecondition) {
+  // A loop failure surfaces as a Status from Run(), never an abort.
+  EventLoop loop;
+  Status status = loop.Run();
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+      << status.ToString();
 }
 
 TEST(NetServerTest, HandshakeExposesInterfaceSchema) {
@@ -337,6 +347,73 @@ TEST(NetServerTest, MalformedFrameClosesConnection) {
   ssize_t n = read(fd, buffer, sizeof(buffer));
   EXPECT_EQ(n, 0) << "server kept the connection alive past corruption";
   close(fd);
+
+  loop_server.Stop();
+  EXPECT_EQ(loop_server.server().protocol_errors(), 1u);
+}
+
+TEST(NetServerTest, CorruptFrameMidBurstStillAnswersEarlierRequests) {
+  Table table = MakeFigure1Table();
+  WebDbServer backend(table, ServerOptions{});
+  LoopServer loop_server(backend, OptionsFor(table));
+
+  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(loop_server.port());
+  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  // One write: the handshake, three good fetches, then a forged length
+  // prefix. The server must answer every request it served before the
+  // corruption, in order, and only then close the connection.
+  std::string burst = EncodeHelloFrame();
+  for (uint64_t id = 1; id <= 3; ++id) {
+    WireRequest request;
+    request.request_id = id;
+    request.value = static_cast<ValueId>(id - 1);
+    burst.append(EncodeRequestFrame(request));
+  }
+  const char forged[] = {4, 0, 0, 0};
+  burst.append(forged, sizeof(forged));
+  ASSERT_EQ(write(fd, burst.data(), burst.size()),
+            static_cast<ssize_t>(burst.size()));
+
+  std::string stream;
+  char buffer[4096];
+  for (;;) {
+    ssize_t n = read(fd, buffer, sizeof(buffer));
+    ASSERT_GE(n, 0) << "connection reset instead of closed";
+    if (n == 0) break;  // EOF
+    stream.append(buffer, static_cast<size_t>(n));
+  }
+  close(fd);
+  std::vector<WireServerMessage> messages;
+  size_t pos = 0;
+  while (pos + 4 <= stream.size()) {
+    uint32_t len = 0;
+    for (int i = 0; i < 4; ++i) {
+      len |= static_cast<uint32_t>(static_cast<uint8_t>(stream[pos + i]))
+             << (8 * i);
+    }
+    ASSERT_LE(pos + 4 + len, stream.size()) << "truncated response frame";
+    StatusOr<std::string_view> body = UnframeCheckpoint(
+        std::string_view(stream).substr(pos + 4, len), kWireProtocolVersion);
+    ASSERT_TRUE(body.ok()) << body.status().ToString();
+    StatusOr<WireServerMessage> message = DecodeServerMessage(*body);
+    ASSERT_TRUE(message.ok()) << message.status().ToString();
+    messages.push_back(std::move(*message));
+    pos += 4 + len;
+  }
+  EXPECT_EQ(pos, stream.size());
+  ASSERT_EQ(messages.size(), 4u);
+  EXPECT_EQ(messages[0].type, WireMessageType::kServerInfo);
+  for (uint64_t id = 1; id <= 3; ++id) {
+    EXPECT_EQ(messages[id].type, WireMessageType::kPageResult);
+    EXPECT_EQ(messages[id].request_id, id);
+    EXPECT_TRUE(messages[id].status.ok());
+  }
 
   loop_server.Stop();
   EXPECT_EQ(loop_server.server().protocol_errors(), 1u);

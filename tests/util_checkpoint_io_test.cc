@@ -15,6 +15,11 @@
 //     the rename and the directory after, and reports fsync/IO
 //     failures as Status::Internal (not NotFound, which is reserved
 //     for an uncreatable temp).
+//
+// The golden-byte tests at the end pin the little-endian encoding and
+// the magic/version/size/checksum framing byte for byte: both are
+// on-disk (checkpoint) and on-wire (src/net/frame.h) formats, so an
+// encoder rewrite must reproduce them exactly.
 
 #include "src/util/checkpoint_io.h"
 
@@ -22,6 +27,7 @@
 #include <unistd.h>
 
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -99,6 +105,41 @@ TEST(WriteFileAtomicTest, NoTempFilesLeftBehind) {
                       std::to_string(seq);
     EXPECT_FALSE(ReadFileBytes(tmp).ok()) << tmp;
   }
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    out.push_back(kDigits[static_cast<unsigned char>(c) >> 4]);
+    out.push_back(kDigits[static_cast<unsigned char>(c) & 0xf]);
+  }
+  return out;
+}
+
+TEST(CheckpointGoldenTest, WriterPrimitivesAreLittleEndian) {
+  CheckpointWriter writer;
+  writer.WriteU8(0xab);
+  writer.WriteU32(0x01020304u);
+  writer.WriteU64(0x0102030405060708ull);
+  writer.WriteDouble(1.0);  // IEEE-754 bits 0x3ff0000000000000
+  writer.WriteString("hi");
+  EXPECT_EQ(Hex(writer.buffer()),
+            "ab"
+            "04030201"
+            "0807060504030201"
+            "000000000000f03f"
+            "02000000"
+            "6869");
+}
+
+TEST(CheckpointGoldenTest, FrameCheckpointHeaderAndFooter) {
+  EXPECT_EQ(Hex(FrameCheckpoint("abc", 6)),
+            "4443504b"           // magic "DCPK"
+            "06000000"           // u32 version
+            "0300000000000000"   // u64 payload size
+            "616263"             // payload
+            "4b57410519a21fe7");  // u64 FNV-1a of the payload
 }
 
 }  // namespace

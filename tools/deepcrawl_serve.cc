@@ -144,7 +144,9 @@ Status Run(const Options& options) {
   sigaction(SIGINT, &action, nullptr);
   sigaction(SIGTERM, &action, nullptr);
 
-  loop.Run();
+  // A loop failure (epoll_wait error) ends serving with that Status,
+  // which main prints before exiting non-zero.
+  Status loop_status = loop.Run();
 
   g_loop = nullptr;
   server.Shutdown();
@@ -152,7 +154,7 @@ Status Run(const Options& options) {
             << server.connections_accepted() << " connections ("
             << server.connections_shed() << " shed, "
             << server.protocol_errors() << " protocol errors)\n";
-  return Status::OK();
+  return loop_status;
 }
 
 }  // namespace
