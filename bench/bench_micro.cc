@@ -149,8 +149,8 @@ int RunJsonSuite(const std::string& json_path) {
   const Table& table = SharedEbay();
   bench::BenchJson json("micro");
 
-  // LocalStore ingest: postings plus the CSR adjacency + flat
-  // edge-hash path.
+  // LocalStore ingest: the record-id map, CSR postings, and the flat
+  // edge hash feeding the per-value degree counters.
   double ingest_s = bench::BestWallSeconds([&] { IngestOnce(table); });
   json.Add("ingest_exact_rps",
            static_cast<double>(table.num_records()) / ingest_s, "records/s",

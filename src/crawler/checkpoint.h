@@ -8,7 +8,7 @@
 // another process, days later — as if it had never stopped. The
 // checkpoint layer captures everything the unified CrawlEngine needs
 // for that: the LocalStore statistics table, the selector's frontier /
-// heap / MMMI co-occurrence rows, the retry queue and re-queue budgets,
+// MMMI co-occurrence rows, the retry queue and re-queue budgets,
 // parked drain slots and the wave cursor, the simulated clock, trace
 // points, resilience counters, and (optionally) the fault proxy's keyed
 // attempt table and RNG. The restore contract is *bit-identity*:
@@ -64,7 +64,10 @@ class FaultyServer;
 //     STOR has only the logical replay form again.
 // v6: CONF lost the exact-degrees byte (LocalStore has one degree mode)
 //     and SELC lost MMMI's scoring-path byte and co-bump counter.
-inline constexpr uint32_t kCrawlCheckpointVersion = 6;
+// v7: the greedy selector's SELC payload is the frontier alone; its heap
+//     (and the last-pushed-degree table and push counter) is rebuilt
+//     from the restored store instead of being stored.
+inline constexpr uint32_t kCrawlCheckpointVersion = 7;
 
 // Section markers (fourcc, little-endian u32). Sections appear in file
 // order: CONFIG, ENGINE (store + selector nested inside), optional

@@ -267,10 +267,7 @@ Status CrawlEngine::CommitFetch(std::optional<Slot>& slot_box,
   const ResultPage& page = *fetched;
   for (const ReturnedRecord& record : page.records) {
     ++slot.outcome.records_returned;
-    if (store_.ContainsRecord(record.id)) {
-      store_.ObserveDuplicate(record.id);
-      continue;
-    }
+    if (store_.ObserveIfStored(record.id)) continue;
     // Decompose first so the selector hears about new values before the
     // record-harvest notification (see QuerySelector contract).
     for (ValueId v : record.values) DiscoverValue(v);
@@ -511,8 +508,9 @@ Status CrawlEngine::SaveState(CheckpointWriter& writer) const {
 
   // STORE, in logical replay form: original id, observation count, and
   // values per record, in harvest order. AddRecord/RestoreObservations
-  // rebuild the CSR arenas, edge hash, degrees, and postings exactly,
-  // because all of them are pure functions of the add sequence.
+  // rebuild the postings arena, edge hash, degree counters and record-id
+  // map exactly, because all of them are pure functions of the add
+  // sequence.
   WriteSectionMarker(writer, kSectionStore);
   writer.WriteU64(store_.num_records());
   for (uint32_t slot = 0; slot < store_.num_records(); ++slot) {
@@ -689,7 +687,7 @@ Status CrawlEngine::LoadState(CheckpointReader& reader) {
     }
     store_.AddRecord(id, values);
     // Restore the duplicate-observation counter directly rather than
-    // replaying ObserveDuplicate N times: the count is attacker-visible
+    // replaying ObserveIfStored N times: the count is attacker-visible
     // data, and a forged value must cost O(1), not O(N) replay work.
     store_.RestoreObservations(id, observations);
   }
@@ -699,6 +697,8 @@ Status CrawlEngine::LoadState(CheckpointReader& reader) {
   }
   DEEPCRAWL_RETURN_IF_ERROR(reader.status());
 
+  // SELC after STOR: selectors rebuild derived state (the greedy degree
+  // heap) from the restored store's statistics.
   if (!ExpectSectionMarker(reader, kSectionSelector, "SELC")) {
     return reader.status();
   }

@@ -1,7 +1,5 @@
 #include "src/crawler/greedy_link_selector.h"
 
-#include <algorithm>
-
 #include "src/util/checkpoint_io.h"
 #include "src/util/logging.h"
 
@@ -12,102 +10,92 @@ GreedyLinkSelector::GreedyLinkSelector(const LocalStore& store)
   heap_.reserve(1024);
 }
 
-void GreedyLinkSelector::EnsureCapacity(ValueId v) {
-  if (v < last_pushed_degree_.size()) return;
-  last_pushed_degree_.resize(static_cast<size_t>(v) + 1, kNeverPushed);
+void GreedyLinkSelector::Place(size_t i, uint64_t key) {
+  heap_[i] = key;
+  heap_pos_[ValueOf(key)] = static_cast<uint32_t>(i);
 }
 
-void GreedyLinkSelector::PushEntry(ValueId v, uint64_t degree) {
-  last_pushed_degree_[v] = degree;
-  heap_.push_back(HeapEntry{degree, v});
-  std::push_heap(heap_.begin(), heap_.end());
-  ++heap_pushes_;
+void GreedyLinkSelector::SiftUp(size_t i) {
+  uint64_t key = heap_[i];
+  while (i > 0) {
+    size_t parent = (i - 1) / 2;
+    if (heap_[parent] > key) break;
+    Place(i, heap_[parent]);
+    i = parent;
+  }
+  Place(i, key);
+}
+
+void GreedyLinkSelector::SiftDown(size_t i) {
+  uint64_t key = heap_[i];
+  const size_t n = heap_.size();
+  for (;;) {
+    size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_[child + 1] > heap_[child]) ++child;
+    if (heap_[child] < key) break;
+    Place(i, heap_[child]);
+    i = child;
+  }
+  Place(i, key);
 }
 
 void GreedyLinkSelector::Push(ValueId v) {
-  if (!IsPending(v)) return;
-  uint64_t degree = store().LocalDegree(v);
-  // The heap already holds an entry at this exact key; a duplicate
-  // cannot change pop order (see header).
-  if (degree == last_pushed_degree_[v]) return;
-  PushEntry(v, degree);
+  if (v >= heap_pos_.size()) {
+    heap_pos_.resize(static_cast<size_t>(v) + 1, kNoPosition);
+  }
+  heap_.push_back(Key(store().LocalDegree(v), v));
+  SiftUp(heap_.size() - 1);
+  ++heap_pushes_;
 }
 
-void GreedyLinkSelector::OnFrontierInsert(ValueId v) {
-  EnsureCapacity(v);
-  PushEntry(v, store().LocalDegree(v));
-}
+void GreedyLinkSelector::OnFrontierInsert(ValueId v) { Push(v); }
 
 void GreedyLinkSelector::OnRecordHarvested(uint32_t slot) {
-  // Every pending value in the record may have gained links; refresh.
+  // Every pending value in the record may have gained links; raise its
+  // key in place. A value listed twice in the record, or one whose
+  // degree did not move, already holds its current key.
   for (ValueId v : store().RecordValues(slot)) {
-    Push(v);
+    if (!IsPending(v)) continue;
+    uint32_t pos = heap_pos_[v];
+    uint64_t key = Key(store().LocalDegree(v), v);
+    if (key == heap_[pos]) continue;
+    DEEPCRAWL_DCHECK(key > heap_[pos]) << "local degree shrank";
+    heap_[pos] = key;
+    SiftUp(pos);
   }
 }
 
 Status GreedyLinkSelector::SaveState(CheckpointWriter& writer) const {
-  writer.WriteU64(heap_.size());
-  for (const HeapEntry& entry : heap_) {
-    writer.WriteU64(entry.degree);
-    writer.WriteU32(entry.value);
-  }
   SaveFrontier(writer);
-  uint64_t pushed = 0;
-  for (uint64_t degree : last_pushed_degree_) {
-    if (degree != kNeverPushed) ++pushed;
-  }
-  writer.WriteU64(pushed);
-  for (size_t v = 0; v < last_pushed_degree_.size(); ++v) {
-    if (last_pushed_degree_[v] == kNeverPushed) continue;
-    writer.WriteU32(static_cast<ValueId>(v));
-    writer.WriteU64(last_pushed_degree_[v]);
-  }
-  writer.WriteU64(heap_pushes_);
   return Status::OK();
 }
 
 Status GreedyLinkSelector::LoadState(CheckpointReader& reader,
                                      ValueId value_bound) {
-  heap_.clear();
-  last_pushed_degree_.assign(value_bound, kNeverPushed);
-  uint64_t heap_size = reader.ReadCount(12);
-  heap_.reserve(static_cast<size_t>(heap_size));
-  for (uint64_t i = 0; i < heap_size && reader.ok(); ++i) {
-    uint64_t degree = reader.ReadU64();
-    ValueId v = reader.ReadU32();
-    if (v >= value_bound) {
-      reader.MarkCorrupt("heap value id out of range");
-      break;
-    }
-    // Entries were saved in heap order, so the vector is a valid
-    // max-heap as-is — pop order is preserved exactly.
-    heap_.push_back(HeapEntry{degree, v});
-  }
   LoadFrontier(reader, value_bound);
-  uint64_t pushed = reader.ReadCount(12);
-  for (uint64_t i = 0; i < pushed && reader.ok(); ++i) {
-    ValueId v = reader.ReadU32();
-    uint64_t degree = reader.ReadU64();
-    if (v >= value_bound) {
-      reader.MarkCorrupt("pushed-degree value id out of range");
-      break;
-    }
-    last_pushed_degree_[v] = degree;
+  heap_.clear();
+  heap_pos_.assign(value_bound, kNoPosition);
+  heap_pushes_ = 0;
+  if (reader.ok()) {
+    for (ValueId v : PendingValues()) Push(v);
   }
-  heap_pushes_ = reader.ReadU64();
   return reader.status();
 }
 
 ValueId GreedyLinkSelector::SelectNext() {
   while (!heap_.empty()) {
-    HeapEntry top = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end());
+    ValueId v = ValueOf(heap_.front());
+    heap_pos_[v] = kNoPosition;
+    uint64_t last = heap_.back();
     heap_.pop_back();
-    if (!IsPending(top.value)) continue;  // already selected earlier
-    uint64_t degree = store().LocalDegree(top.value);
-    if (degree != top.degree) continue;  // stale; a fresher entry exists
-    MarkNotPending(top.value);
-    return top.value;
+    if (!heap_.empty()) {
+      heap_.front() = last;
+      SiftDown(0);
+    }
+    if (!IsPending(v)) continue;  // taken by MMMI's batch or OnValueTaken
+    MarkNotPending(v);
+    return v;
   }
   return kInvalidValueId;
 }

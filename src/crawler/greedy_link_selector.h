@@ -6,31 +6,25 @@
 // and always queries the frontier value with the greatest link number —
 // hub values uncover large portions of the database quickly.
 //
-// Implementation: a lazy max-heap keyed by local degree, held in an
-// explicit vector (std::push_heap/pop_heap) so the backing storage is
-// reserved once and reused across the crawl. Degrees only grow, so
-// entries are re-pushed when a harvested record grows a pending value's
-// degree, and stale (smaller-degree) entries are skipped on pop. A
-// per-value last-pushed-degree table suppresses the duplicate pushes
-// the old implementation made for every record touching a pending value
-// even when its degree did not change (records re-containing an
-// existing neighbor pair): while v is pending the heap always holds an
-// entry at v's current degree — degree growth implies v appeared in the
-// record that grew it, which triggers a fresh push — and identical
-// (degree, value) keys are interchangeable under the heap's total
-// order, so dropping same-degree re-pushes cannot change pop order.
-// This bounds lifetime heap pushes by
-//   #discovered values + Σ_v LocalDegree(v) increments,
-// instead of #discovered + Σ records × record width.
+// Implementation: an indexed binary max-heap with one entry per value
+// the frontier received, and a per-value position index. Degrees only
+// grow, so when a harvested record grows a pending value's degree its
+// entry's key is raised in place and sifted up. Every pending value
+// therefore has exactly one entry, at its current degree. Values that
+// leave the frontier some other way (MMMI's batch, or OnValueTaken from
+// an adaptive chain) keep their entry until SelectNext pops and skips
+// it. The key (degree desc, id asc) is a strict total order, so the
+// first pending value popped is the argmax over the pending set, however
+// the heap is laid out. Lifetime heap pushes equal the number of values
+// the frontier received.
 //
 // The frontier (Lto-query) lives in the shared FrontierSelector base
-// (query_selector.h); this class adds the degree-keyed heap on top.
+// (query_selector.h); this class adds the degree heap on top.
 
 #ifndef DEEPCRAWL_CRAWLER_GREEDY_LINK_SELECTOR_H_
 #define DEEPCRAWL_CRAWLER_GREEDY_LINK_SELECTOR_H_
 
 #include <cstdint>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -49,10 +43,10 @@ class GreedyLinkSelector : public FrontierSelector {
   ValueId SelectNext() override;
   std::string_view name() const override { return "greedy-link"; }
 
-  // Checkpointing: the heap vector is serialized verbatim (it is already
-  // heap-ordered, so restoring it preserves pop order exactly), the
-  // frontier in its current swap-erase permutation, and the
-  // last-pushed-degree table sparsely.
+  // Checkpointing: only the frontier, in its current swap-erase
+  // permutation. The heap is derived state: LoadState rebuilds it from
+  // the store's degrees, so the store must be restored first (the
+  // engine and the fleet restore STOR before SELC).
   Status SaveState(CheckpointWriter& writer) const override;
   Status LoadState(CheckpointReader& reader, ValueId value_bound) override;
 
@@ -61,31 +55,26 @@ class GreedyLinkSelector : public FrontierSelector {
   uint64_t heap_pushes() const { return heap_pushes_; }
 
  protected:
-  static constexpr uint64_t kNeverPushed = UINT64_MAX;
-
-  // Re-inserts `v` with its current degree (no-op unless pending or the
-  // degree matches the entry already in the heap).
-  void Push(ValueId v);
-
   void OnFrontierInsert(ValueId v) override;
 
  private:
-  struct HeapEntry {
-    uint64_t degree;
-    ValueId value;
-    bool operator<(const HeapEntry& other) const {
-      if (degree != other.degree) return degree < other.degree;
-      // Deterministic tie-break: prefer smaller id (max-heap pops it last
-      // among equals reversed, so compare greater-id as "less").
-      return value > other.value;
-    }
-  };
+  // Degree in the high half, the complemented id in the low half: one
+  // integer comparison orders (degree desc, id asc). Degrees and ids
+  // both fit in 32 bits, and no two entries share a value.
+  static uint64_t Key(uint64_t degree, ValueId v) {
+    return (degree << 32) | (UINT32_MAX - v);
+  }
+  static ValueId ValueOf(uint64_t key) {
+    return UINT32_MAX - static_cast<uint32_t>(key);
+  }
 
-  void EnsureCapacity(ValueId v);
-  void PushEntry(ValueId v, uint64_t degree);
+  void Push(ValueId v);
+  void Place(size_t i, uint64_t key);
+  void SiftUp(size_t i);
+  void SiftDown(size_t i);
 
-  std::vector<HeapEntry> heap_;
-  std::vector<uint64_t> last_pushed_degree_;  // by value; kNeverPushed
+  std::vector<uint64_t> heap_;
+  std::vector<uint32_t> heap_pos_;  // by value; kNoPosition = no entry
   uint64_t heap_pushes_ = 0;
 };
 

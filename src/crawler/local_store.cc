@@ -8,14 +8,17 @@ void LocalStore::EnsureValueCapacity(ValueId v) {
   if (v < local_frequency_.size()) return;
   size_t new_size = static_cast<size_t>(v) + 1;
   local_frequency_.resize(new_size, 0);
+  degree_.resize(new_size, 0);
   postings_csr_.EnsureRows(new_size);
-  adjacency_csr_.EnsureRows(new_size);
 }
 
 bool LocalStore::AddRecord(RecordId id, std::span<const ValueId> values) {
   DEEPCRAWL_CHECK(!values.empty()) << "harvested record has no values";
   uint32_t slot = static_cast<uint32_t>(num_records());
-  if (!slot_of_.emplace(id, slot).second) return false;
+  bool inserted = false;
+  uint32_t& stored_slot = slot_of_.Slot(uint64_t{id} + 1, &inserted);
+  if (!inserted) return false;
+  stored_slot = slot + 1;
 
   record_values_.insert(record_values_.end(), values.begin(), values.end());
   record_offsets_.push_back(record_values_.size());
@@ -28,9 +31,8 @@ bool LocalStore::AddRecord(RecordId id, std::span<const ValueId> values) {
     ++local_frequency_[v];
     postings_csr_.Append(v, slot);
   }
-  // One probe per unordered pair: a new (min, max) edge appends each
-  // endpoint to the other's adjacency row, in record order — so the
-  // rows come out in first-co-occurrence order deterministically.
+  // One probe per unordered pair; a new (min, max) edge adds one to
+  // both endpoints' degrees.
   for (size_t i = 0; i + 1 < values.size(); ++i) {
     for (size_t j = i + 1; j < values.size(); ++j) {
       ValueId a = values[i];
@@ -40,8 +42,8 @@ bool LocalStore::AddRecord(RecordId id, std::span<const ValueId> values) {
       ValueId hi = a < b ? b : a;
       uint64_t key = (static_cast<uint64_t>(lo) << 32) | hi;
       if (edge_set_.Insert(key)) {
-        adjacency_csr_.Append(a, b);
-        adjacency_csr_.Append(b, a);
+        ++degree_[a];
+        ++degree_[b];
       }
     }
   }
@@ -49,23 +51,23 @@ bool LocalStore::AddRecord(RecordId id, std::span<const ValueId> values) {
 }
 
 bool LocalStore::ContainsRecord(RecordId id) const {
-  return slot_of_.count(id) != 0;
+  return slot_of_.Find(uint64_t{id} + 1) != 0;
 }
 
-void LocalStore::ObserveDuplicate(RecordId id) {
-  auto it = slot_of_.find(id);
-  DEEPCRAWL_CHECK(it != slot_of_.end())
-      << "duplicate observation of a record never added";
-  ++observation_count_[it->second];
+bool LocalStore::ObserveIfStored(RecordId id) {
+  uint32_t stored_slot = slot_of_.Find(uint64_t{id} + 1);
+  if (stored_slot == 0) return false;
+  ++observation_count_[stored_slot - 1];
   ++num_observations_;
+  return true;
 }
 
 void LocalStore::RestoreObservations(RecordId id, uint32_t count) {
   DEEPCRAWL_CHECK_GE(count, 1u);
-  auto it = slot_of_.find(id);
-  DEEPCRAWL_CHECK(it != slot_of_.end())
+  uint32_t stored_slot = slot_of_.Find(uint64_t{id} + 1);
+  DEEPCRAWL_CHECK(stored_slot != 0)
       << "restoring observations of a record never added";
-  uint32_t& stored = observation_count_[it->second];
+  uint32_t& stored = observation_count_[stored_slot - 1];
   num_observations_ += count;
   num_observations_ -= stored;
   stored = count;
@@ -98,13 +100,8 @@ uint32_t LocalStore::LocalFrequency(ValueId v) const {
 }
 
 uint64_t LocalStore::LocalDegree(ValueId v) const {
-  if (v >= local_frequency_.size()) return 0;
-  return adjacency_csr_.RowSize(v);
-}
-
-std::span<const ValueId> LocalStore::NeighborsSpan(ValueId v) const {
-  if (v >= local_frequency_.size()) return {};
-  return adjacency_csr_.Row(v);
+  if (v >= degree_.size()) return 0;
+  return degree_[v];
 }
 
 std::span<const uint32_t> LocalStore::LocalPostings(ValueId v) const {

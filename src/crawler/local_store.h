@@ -14,13 +14,14 @@
 //     G_local (distinct co-occurring values), maintained incrementally,
 //     powering the greedy link-based selector of §3.2.
 //
-// Layout: postings and the G_local adjacency live in ChunkedArena
-// dynamic-CSR stores (one flat buffer each, amortized relocation on
-// doubling, epoch compaction), and edge dedup goes through one flat
-// open-addressing hash of packed (min, max) value pairs — a single
-// probe per record value pair instead of two std::unordered_set
-// inserts. The pre-optimization layout (one unordered_set per value,
-// one vector per posting list) lives on as a test oracle in
+// Layout: postings live in a ChunkedArena dynamic-CSR store (one flat
+// buffer, amortized relocation on doubling, epoch compaction). G_local
+// is kept only as far as selection reads it: one flat open-addressing
+// hash of packed (min, max) value pairs deduplicates edges — one probe
+// per record value pair — and a new edge raises both endpoints' degree
+// counters. No neighbour lists are kept. Record ids map to slots through
+// a flat hash as well, so a returned record costs one probe. The
+// per-value containers this replaced live on as a test oracle in
 // tests/reference_local_store.h; see DESIGN.md §9.
 
 #ifndef DEEPCRAWL_CRAWLER_LOCAL_STORE_H_
@@ -28,7 +29,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/relation/types.h"
@@ -50,15 +50,15 @@ class LocalStore {
 
   bool ContainsRecord(RecordId id) const;
 
-  // Notes that an already-stored record was returned again by some
-  // query. Duplicate-observation counts ("abundance data") feed the
-  // Chao-style online size estimators in src/estimate. Aborts when the
-  // record was never added.
-  void ObserveDuplicate(RecordId id);
+  // When the record is already stored, notes that some query returned it
+  // again and returns true; otherwise changes nothing and returns false.
+  // One hash probe either way. Duplicate-observation counts ("abundance
+  // data") feed the Chao-style online size estimators in src/estimate.
+  bool ObserveIfStored(RecordId id);
 
   // Checkpoint-restore path: sets the record's observation counter to
   // `count` (>= 1) in one step, equivalent to AddRecord followed by
-  // count - 1 ObserveDuplicate calls but O(1) — decode cost must not
+  // count - 1 ObserveIfStored calls but O(1) — decode cost must not
   // scale with a counter read from (possibly corrupt) input. Aborts
   // when the record was never added or `count` is zero.
   void RestoreObservations(RecordId id, uint32_t count);
@@ -77,11 +77,6 @@ class LocalStore {
 
   // Degree of `v` in G_local: the number of distinct co-occurring values.
   uint64_t LocalDegree(ValueId v) const;
-
-  // Distinct G_local neighbors of `v`, in first-co-occurrence order
-  // (deterministic); its size is LocalDegree(v). Invalidated by the next
-  // AddRecord.
-  std::span<const ValueId> NeighborsSpan(ValueId v) const;
 
   // Local record slots (indices into this store) containing `v`, in
   // harvest order. Invalidated by the next AddRecord.
@@ -105,17 +100,19 @@ class LocalStore {
   std::vector<ValueId> record_values_;
   std::vector<size_t> record_offsets_ = {0};
   std::vector<RecordId> original_ids_;
-  std::unordered_map<RecordId, uint32_t> slot_of_;
+  // (id + 1) -> (slot + 1): 0 stays free as both the empty-slot key and
+  // FlatMap64::Find's "absent" answer.
+  FlatMap64 slot_of_;
   std::vector<uint32_t> observation_count_;  // per slot
   uint64_t num_observations_ = 0;
 
   // Per-value statistics, indexed by ValueId (grown on demand).
   std::vector<uint32_t> local_frequency_;
+  std::vector<uint32_t> degree_;
 
-  // Dynamic-CSR postings and adjacency, plus the flat edge hash that
-  // deduplicates G_local edges ((min << 32) | max keys).
+  // Dynamic-CSR postings, plus the flat edge hash that deduplicates
+  // G_local edges ((min << 32) | max keys).
   ChunkedArena<uint32_t> postings_csr_;
-  ChunkedArena<ValueId> adjacency_csr_;
   FlatSet64 edge_set_;
 };
 

@@ -11,8 +11,9 @@
 // the online policies are measured against in the ablation benches.
 //
 // num(q, DBlocal) only grows, so the true HR of a fixed candidate only
-// shrinks; the selector therefore uses the same lazy max-heap pattern as
-// GreedyLinkSelector with guaranteed-fresh pops.
+// shrinks; the selector therefore uses a lazy max-heap: every harvested
+// record re-pushes its pending values at their current rate, and a pop
+// whose rate no longer matches is skipped as stale.
 
 #ifndef DEEPCRAWL_CRAWLER_ORACLE_SELECTOR_H_
 #define DEEPCRAWL_CRAWLER_ORACLE_SELECTOR_H_

@@ -776,6 +776,8 @@ Status CrawlFleet::LoadState(CheckpointReader& reader) {
     DEEPCRAWL_RETURN_IF_ERROR(reader.status());
     src.bucket.Restore(tokens, last_refill);
     DEEPCRAWL_RETURN_IF_ERROR(src.breaker.LoadState(reader));
+    // The engine payload restores its store (STOR) before its selector
+    // (SELC), which rebuilds its greedy heap from the store's degrees.
     DEEPCRAWL_RETURN_IF_ERROR(src.engine->LoadState(reader));
     DEEPCRAWL_RETURN_IF_ERROR(src.faulty->LoadState(reader));
   }

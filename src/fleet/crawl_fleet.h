@@ -268,7 +268,8 @@ Status WriteFleetTraceCsv(const FleetResult& result, std::ostream& output);
 //        embed CrawlEngine::SaveState, so every engine bump is a fleet
 //        bump too).
 // v1006: fleet format 1 over engine payload version 6.
-inline constexpr uint32_t kFleetCheckpointVersion = 1006;
+// v1007: fleet format 1 over engine payload version 7.
+inline constexpr uint32_t kFleetCheckpointVersion = 1007;
 
 inline constexpr uint32_t kSectionFleet = 0x54454c46;        // "FLET"
 inline constexpr uint32_t kSectionFleetSource = 0x43525346;  // "FSRC"

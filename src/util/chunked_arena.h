@@ -1,13 +1,13 @@
 // ChunkedArena: per-row growable lists packed into one flat arena — a
 // dynamic CSR layout with amortized relocation and epoch compaction.
 //
-// The LocalStore keeps two families of per-value lists that grow one
-// element at a time as records are harvested: the local postings
-// (record slots containing a value) and the local-AVG adjacency
-// (distinct co-occurring values). Holding each list in its own
-// std::vector (let alone std::unordered_set) costs an allocation per
-// list plus scattered heap traffic on every scan. This container packs
-// every row into a single contiguous arena:
+// The crawler keeps per-value lists that grow one element at a time as
+// records are harvested: the LocalStore's local postings (record slots
+// containing a value) and MmmiSelector's co-occurrence rows (issued
+// partner, count). Holding each list in its own std::vector (let alone
+// std::unordered_set) costs an allocation per list plus scattered heap
+// traffic on every scan. This container packs every row into a single
+// contiguous arena:
 //
 //   * each row owns a [offset, offset+capacity) chunk of the arena;
 //   * Append into a full row relocates it to the arena tail with

@@ -1,7 +1,7 @@
 // Flat open-addressing hash containers for the crawler's hot paths.
 //
 // The crawl loop's per-record bookkeeping (edge dedup in the local AVG,
-// co-occurrence counters for §3.3's MMMI scores) used to live in
+// the record id -> slot map of the local store) used to live in
 // std::unordered_set / std::unordered_map — one heap node per entry,
 // pointer-chasing on every probe. These two containers replace them with
 // single flat arrays and linear probing: one cache line per successful
@@ -10,8 +10,9 @@
 // only, no erase — because that is exactly what the crawl loop needs.
 //
 // Key convention: 0 is the empty-slot sentinel, so keys must be nonzero.
-// Both call sites pack two distinct 32-bit ids into one key
-// ((a << 32) | b with a != b), which can never be 0.
+// The edge set packs two distinct 32-bit ids into one key
+// ((a << 32) | b with a != b), and the record map keys by id + 1;
+// neither can be 0.
 
 #ifndef DEEPCRAWL_UTIL_FLAT_HASH_H_
 #define DEEPCRAWL_UTIL_FLAT_HASH_H_

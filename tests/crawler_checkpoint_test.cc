@@ -295,6 +295,63 @@ TEST(CrawlCheckpointTest, VersionMismatchNamesBothVersions) {
   }
 }
 
+// A real v6 image, as the v6 encoder wrote it: a greedy-link crawl of
+// testing_util::MakeFigure1Table() from value 0, stopped after 2
+// rounds. Its SELC section still carries the heap entries (stale ones
+// included), the last-pushed-degree table and the push counter that v7
+// dropped.
+constexpr char kGreedyV6Image[] =
+    "\x44\x43\x50\x4b\x06\x00\x00\x00\x8a\x01\x00\x00\x00\x00\x00\x00"
+    "\x43\x4f\x4e\x46\x01\x00\x00\x00\x00\x0b\x00\x00\x00\x67\x72\x65"
+    "\x65\x64\x79\x2d\x6c\x69\x6e\x6b\x02\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x45\x4e\x47\x49\x02\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00"
+    "\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x03\x00\x00\x00\x01\x01\x01\x02\x00\x00\x00"
+    "\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"
+    "\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x53\x54\x4f\x52\x01\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x02\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00"
+    "\x00\x01\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00"
+    "\x00\x53\x45\x4c\x43\x03\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00"
+    "\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00"
+    "\x00\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x03\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x01\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00"
+    "\x00\x02\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x00\x00\x00"
+    "\x00\x46\x41\x4c\x54\x00\x45\x4e\x44\x21\x11\x6d\xc0\x0f\x60\x64"
+    "\x6b\xa9";
+
+TEST(CrawlCheckpointTest, RealV6ImageIsRejectedByVersion) {
+  const std::string v6(kGreedyV6Image, sizeof(kGreedyV6Image) - 1);
+  // The frame itself is intact: magic, size and checksum hold under v6.
+  ASSERT_TRUE(UnframeCheckpoint(v6, 6).ok());
+  Table table = testing_util::MakeFigure1Table();
+  WebDbServer server(table, ServerOptions());
+  LocalStore store;
+  GreedyLinkSelector selector(store);
+  CrawlEngine engine(server, selector, store, CrawlOptions{});
+  Status status = DecodeCrawlCheckpoint(v6, engine, nullptr);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("file has version 6"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find(
+                "reads version " + std::to_string(kCrawlCheckpointVersion)),
+            std::string::npos)
+      << status.ToString();
+  // Rejected before any section was decoded.
+  EXPECT_EQ(store.num_records(), 0u);
+  EXPECT_EQ(selector.frontier_size(), 0u);
+  EXPECT_EQ(engine.rounds_used(), 0u);
+}
+
 // Offset of the retry-queue count in a checkpoint payload: ENGI's
 // marker, four u64 counters, the saturation u8, the seen bitmap, the
 // trace points and eight resilience u64s precede it.

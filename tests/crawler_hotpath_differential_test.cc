@@ -1,28 +1,34 @@
 // Differential suite for the hot-path overhaul: the optimized data
 // structures must be observationally INVISIBLE.
 //
-// Two optimizations are cross-checked against reference
+// Three optimizations are cross-checked against reference
 // implementations:
 //
-//   * LocalStore: epoch-compacted CSR arenas + flat edge hash vs the
-//     per-value containers of tests/reference_local_store.h. Every
-//     crawl runs its selector behind StoreOracleSelector, which replays
-//     each harvested record into the oracle and compares the record's
-//     values after every add — not only the final trace;
+//   * LocalStore: CSR postings, a flat edge hash and per-value degree
+//     counters vs the per-value containers of
+//     tests/reference_local_store.h. Every crawl runs its selector
+//     behind StoreOracleSelector, which replays each harvested record
+//     into the oracle and compares the record's values after every add
+//     — not only the final trace;
+//   * Greedy Link selection: GreedyLinkSelector's degree heap vs the
+//     pending-set rescan of tests/reference_greedy_selector.h;
 //   * MMMI scoring: MmmiSelector's incrementally-maintained
 //     co-occurrence counters and ordered ranking structure vs the full
 //     postings rescan of tests/reference_mmmi_selector.h.
 //
-// For every MmmiRanking and fault profile, serial and parallel
-// (--threads 8 --batch 8), an MmmiSelector crawl must produce a
-// byte-identical CrawlTrace (CSV serialization compared as strings) and
-// identical meters/harvest order/resilience counters to a
-// ReferenceMmmiSelector crawl. Extra rows drain queries incompletely
-// on purpose (a result limit, a §3.4 abort): besides abandonment under
-// faults, those are the crawls in which an issued query's local
-// frequency still moves after it completed. The other policies have one
-// scorer each, so they run once per configuration, store-checked after
-// every add.
+// For every fault profile, serial and parallel (--threads 8 --batch 8),
+// a GreedyLinkSelector crawl and an MmmiSelector crawl (every
+// MmmiRanking) must each produce a byte-identical CrawlTrace (CSV
+// serialization compared as strings) and identical meters/harvest
+// order/resilience counters to the matching oracle crawl. Extra rows
+// drain queries incompletely on purpose (a result limit, a §3.4 abort):
+// besides abandonment under faults, those are the crawls in which an
+// issued query's local frequency still moves after it completed. Two
+// more greedy rows run it as the second child of an adaptive chain
+// (values taken by the first child leave the heap behind) and resume it
+// from a mid-crawl checkpoint (the heap is rebuilt, not restored). The
+// other policies have one scorer each, so they run once per
+// configuration, store-checked after every add.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +40,8 @@
 #include <vector>
 
 #include "src/crawler/abort_policy.h"
+#include "src/crawler/adaptive_selector.h"
+#include "src/crawler/checkpoint.h"
 #include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/local_store.h"
@@ -45,6 +53,7 @@
 #include "src/server/faulty_server.h"
 #include "src/server/locked_interface.h"
 #include "src/server/web_db_server.h"
+#include "tests/reference_greedy_selector.h"
 #include "tests/reference_local_store.h"
 #include "tests/reference_mmmi_selector.h"
 
@@ -54,10 +63,10 @@ namespace {
 constexpr uint64_t kFaultSeed = 29;
 constexpr uint64_t kSelectorSeed = 5;
 
-// Policies with a single implementation; "mmmi" is instead run against
-// its rescan oracle, "mmmi-reference".
-const char* const kSingleScorerPolicies[] = {"bfs", "dfs", "random",
-                                             "greedy"};
+// Policies with a single implementation; "greedy" and "mmmi" are
+// instead run against their rescan oracles, "greedy-reference" and
+// "mmmi-reference".
+const char* const kSingleScorerPolicies[] = {"bfs", "dfs", "random"};
 const char* const kProfiles[] = {"none", "flaky", "lossy", "hostile"};
 
 struct NamedRanking {
@@ -102,6 +111,26 @@ std::unique_ptr<QuerySelector> MakeSelector(const std::string& policy,
     return std::make_unique<RandomSelector>(kSelectorSeed);
   }
   if (policy == "greedy") return std::make_unique<GreedyLinkSelector>(store);
+  if (policy == "greedy-reference") {
+    return std::make_unique<ReferenceGreedySelector>(store);
+  }
+  if (policy == "adaptive" || policy == "adaptive-reference") {
+    // bfs first, so greedy sits out the first phase while bfs takes
+    // values from under its heap; eager thresholds make the switch
+    // happen on this small target.
+    std::vector<std::unique_ptr<QuerySelector>> children;
+    children.push_back(std::make_unique<BfsSelector>());
+    children.push_back(MakeSelector(
+        policy == "adaptive" ? "greedy" : "greedy-reference", store,
+        ranking));
+    AdaptiveOptions adaptive_options;
+    adaptive_options.ewma_alpha = 0.4;
+    adaptive_options.switch_decay = 0.6;
+    adaptive_options.hr_floor = 0.4;
+    adaptive_options.min_phase_queries = 8;
+    return std::make_unique<AdaptiveSelector>(std::move(children),
+                                              adaptive_options);
+  }
   MmmiOptions mmmi_options;
   mmmi_options.ranking = ranking;
   if (policy == "mmmi") {
@@ -163,6 +192,7 @@ class StoreOracleSelector : public QuerySelector {
     return inner_->MaySelectUndiscovered();
   }
 
+  QuerySelector& inner() { return *inner_; }
   uint64_t checked_adds() const { return checked_adds_; }
   // Records harvested after one of their values' queries completed.
   uint64_t late_records() const { return late_records_; }
@@ -215,6 +245,8 @@ struct RunOutput {
   uint64_t clock_ticks = 0;
   std::string trace_csv;
   uint64_t late_records = 0;  // not compared
+  uint64_t phase_switches = 0;  // adaptive chains only; not compared
+  size_t restored_frontier = 0;  // resumed crawls only; not compared
 };
 
 RunOutput Capture(const CrawlResult& result, const LocalStore& store,
@@ -274,6 +306,85 @@ RunOutput RunVariant(const std::string& policy,
   EXPECT_EQ(selector.checked_adds(), store.num_records());
   RunOutput out = Capture(*result, store, crawler.clock().now());
   out.late_records = selector.late_records();
+  if (auto* adaptive = dynamic_cast<AdaptiveSelector*>(&selector.inner())) {
+    out.phase_switches = adaptive->phase_switches();
+  }
+  return out;
+}
+
+// A greedy crawl interrupted at a mid-crawl checkpoint and resumed in a
+// fresh stack (new store, selector, engine and fault proxy), so the
+// second half runs on the state LoadState rebuilt. No store oracle: the
+// resumed store starts from a replay the oracle never saw.
+RunOutput RunGreedyResumed(const std::string& profile_name,
+                           uint32_t threads, uint32_t batch) {
+  const Table& target = DifferentialTarget();
+  const bool serial = threads == 0;
+  EngineOptions engine_options;
+  if (!serial) engine_options = {.threads = threads, .batch = batch};
+  struct Stack {
+    WebDbServer backend;
+    std::optional<FaultyServer> faulty;
+    std::optional<LockedQueryInterface> locked;
+    QueryInterface* server = nullptr;
+    LocalStore store;
+    GreedyLinkSelector selector{store};
+    RetryPolicy retry{RetryPolicyConfig()};
+    Stack(const Table& table, const FaultProfile& profile, bool serial)
+        : backend(table, ServerOptions()) {
+      server = &backend;
+      if (!profile.IsAllZero()) {
+        faulty.emplace(backend, profile, kFaultSeed);
+        faulty->set_keyed_faults(true);
+        server = &*faulty;
+      }
+      if (!serial) {
+        locked.emplace(*server);
+        server = &*locked;
+      }
+    }
+    FaultyServer* faulty_ptr() { return faulty ? &*faulty : nullptr; }
+  };
+  FaultProfile profile = ProfileByName(profile_name);
+
+  // First leg: a one-shot crawl that encodes a checkpoint every 16
+  // waves; the resume starts from the middle one.
+  std::vector<std::string> images;
+  {
+    Stack first(target, profile, serial);
+    EngineOptions checkpointing = engine_options;
+    checkpointing.checkpoint_every_waves = 1;
+    FaultyServer* faulty = first.faulty_ptr();
+    checkpointing.checkpoint_sink = [&images,
+                                     faulty](const CrawlEngine& engine) {
+      StatusOr<std::string> image = EncodeCrawlCheckpoint(engine, faulty);
+      if (!image.ok()) return image.status();
+      images.push_back(std::move(*image));
+      return Status::OK();
+    };
+    CrawlEngine crawler(*first.server, first.selector, first.store,
+                        BaseOptions(target), checkpointing, nullptr,
+                        &first.retry);
+    crawler.AddSeed(FirstQueriableSeed(target));
+    StatusOr<CrawlResult> result = crawler.Run();
+    DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
+  }
+  DEEPCRAWL_CHECK(!images.empty()) << "crawl ended before its first wave";
+  const std::string& image = images[images.size() / 2];
+
+  // Second leg: restore and run to the end.
+  Stack second(target, profile, serial);
+  CrawlEngine crawler(*second.server, second.selector, second.store,
+                      BaseOptions(target), engine_options, nullptr,
+                      &second.retry);
+  Status loaded = DecodeCrawlCheckpoint(image, crawler, second.faulty_ptr());
+  DEEPCRAWL_CHECK(loaded.ok()) << loaded.ToString();
+  size_t restored_frontier = second.selector.frontier_size();
+  StatusOr<CrawlResult> result = crawler.Run();
+  DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
+  EXPECT_EQ(second.selector.heap_size(), 0u);
+  RunOutput out = Capture(*result, second.store, crawler.clock().now());
+  out.restored_frontier = restored_frontier;
   return out;
 }
 
@@ -291,12 +402,16 @@ void ExpectIdentical(const RunOutput& a, const RunOutput& b,
   EXPECT_EQ(a.trace_csv, b.trace_csv);  // byte-identical serialization
 }
 
-// The incremental MMMI scorer vs the rescan oracle for every ranking
-// and fault profile, and one crawl of every other policy; each crawl is
-// store-checked after every add. threads == 0 is the serial engine.
+// The greedy heap and the incremental MMMI scorer vs their rescan
+// oracles (MMMI under every ranking) for every fault profile, and one
+// crawl of every other policy; each crawl is store-checked after every
+// add. threads == 0 is the serial engine.
 void CheckAllProfiles(uint32_t threads, uint32_t batch,
                       const std::string& label) {
   for (const char* profile : kProfiles) {
+    ExpectIdentical(RunVariant("greedy", profile, threads, batch),
+                    RunVariant("greedy-reference", profile, threads, batch),
+                    label + "/greedy/" + profile);
     for (const NamedRanking& named : kRankings) {
       ExpectIdentical(
           RunVariant("mmmi", profile, threads, batch, named.ranking),
@@ -345,6 +460,46 @@ TEST(HotPathDifferentialTest, IncompleteDrainsAllRankings) {
       }
     }
   }
+}
+
+// Greedy as the second child of an adaptive chain: while bfs is active,
+// every value it issues reaches greedy through OnValueTaken and leaves
+// greedy's frontier but not its heap, so after the switch greedy's
+// SelectNext must skip those entries.
+TEST(HotPathDifferentialTest, GreedyAfterAdaptiveSwitchAllProfiles) {
+  for (const char* profile : kProfiles) {
+    for (uint32_t threads : {0u, 8u}) {
+      std::string label = std::string("adaptive/") + profile +
+                          (threads == 0 ? "/serial" : "/parallel");
+      RunOutput fast = RunVariant("adaptive", profile, threads, threads);
+      ExpectIdentical(
+          fast, RunVariant("adaptive-reference", profile, threads, threads),
+          label);
+      EXPECT_GT(fast.phase_switches, 0u) << label;
+    }
+  }
+}
+
+// A greedy crawl resumed from a checkpoint taken halfway must finish
+// exactly as the uninterrupted oracle crawl does. (Under "lossy" the
+// seed's page comes back truncated to nothing, so that crawl ends after
+// one wave and resumes at its end; every other crawl resumes with a
+// nonempty frontier.)
+TEST(HotPathDifferentialTest, GreedyCheckpointResumeMidCrawl) {
+  int mid_crawl_resumes = 0;
+  for (const char* profile : kProfiles) {
+    for (uint32_t threads : {0u, 8u}) {
+      std::string label = std::string("resume/") + profile +
+                          (threads == 0 ? "/serial" : "/parallel");
+      RunOutput resumed = RunGreedyResumed(profile, threads, threads);
+      if (resumed.restored_frontier > 0) ++mid_crawl_resumes;
+      ExpectIdentical(resumed,
+                      RunVariant("greedy-reference", profile, threads,
+                                 threads),
+                      label);
+    }
+  }
+  EXPECT_GE(mid_crawl_resumes, 6);
 }
 
 }  // namespace

@@ -73,20 +73,31 @@ TEST(LocalStoreTest, NumValuesSeenGrowsWithMaxId) {
   EXPECT_EQ(store.LocalFrequency(50), 0u);
 }
 
-TEST(LocalStoreTest, NeighborsSpanListsDistinctNeighborsInDiscoveryOrder) {
+TEST(LocalStoreTest, DegreeIgnoresPairRepeatedInLaterRecord) {
   LocalStore store;
   store.AddRecord(0, V({1, 2, 3}));
   store.AddRecord(1, V({1, 4, 2}));  // edge 1-2 already known, 1-4 and 4-2 new
-  auto n1 = store.NeighborsSpan(1);
-  ASSERT_EQ(n1.size(), 3u);
-  EXPECT_EQ(n1[0], 2u);  // first co-occurrence order, duplicates elided
-  EXPECT_EQ(n1[1], 3u);
-  EXPECT_EQ(n1[2], 4u);
-  auto n4 = store.NeighborsSpan(4);
-  ASSERT_EQ(n4.size(), 2u);
-  EXPECT_EQ(n4[0], 1u);
-  EXPECT_EQ(n4[1], 2u);
-  EXPECT_TRUE(store.NeighborsSpan(99).empty());
+  EXPECT_EQ(store.LocalDegree(1), 3u);  // {2, 3, 4}
+  EXPECT_EQ(store.LocalDegree(2), 3u);  // {1, 3, 4}
+  EXPECT_EQ(store.LocalDegree(3), 2u);  // {1, 2}
+  EXPECT_EQ(store.LocalDegree(4), 2u);  // {1, 2}
+  store.AddRecord(2, V({2, 1}));  // only known edges, in reverse order
+  EXPECT_EQ(store.LocalDegree(1), 3u);
+  EXPECT_EQ(store.LocalDegree(2), 3u);
+  EXPECT_EQ(store.LocalFrequency(1), 3u);
+  EXPECT_EQ(store.LocalDegree(99), 0u);
+}
+
+TEST(LocalStoreTest, DegreeIgnoresSelfPairs) {
+  LocalStore store;
+  store.AddRecord(0, V({7, 7}));
+  EXPECT_EQ(store.LocalDegree(7), 0u);  // a == a is no edge
+  store.AddRecord(1, V({5, 5, 6}));
+  EXPECT_EQ(store.LocalDegree(5), 1u);  // {6}, counted once
+  EXPECT_EQ(store.LocalDegree(6), 1u);  // {5}
+  store.AddRecord(2, V({6, 5, 6, 5}));
+  EXPECT_EQ(store.LocalDegree(5), 1u);
+  EXPECT_EQ(store.LocalDegree(6), 1u);
 }
 
 using RecordStream = std::vector<std::pair<RecordId, std::vector<ValueId>>>;
@@ -139,17 +150,22 @@ TEST(LocalStoreTest, MatchesReferenceStore) {
   }
 }
 
-TEST(LocalStoreTest, NeighborsSpanSizeMatchesLocalDegree) {
+TEST(LocalStoreTest, HubDegreeCountsEveryDistinctNeighbor) {
   LocalStore store;
-  // Chain with a hub: enough growth to relocate CSR rows repeatedly.
+  // A chain through a hub: record k holds {0, k + 1, k + 2}.
   for (RecordId id = 0; id < 200; ++id) {
     store.AddRecord(id, V({0, static_cast<ValueId>(id + 1),
                            static_cast<ValueId>(id + 2)}));
   }
-  for (ValueId v = 0; v < store.num_values_seen(); ++v) {
-    EXPECT_EQ(store.NeighborsSpan(v).size(), store.LocalDegree(v)) << v;
-  }
   EXPECT_EQ(store.LocalDegree(0), 201u);  // hub saw every other value
+  // Chain ends see the hub and one chain neighbour; inner values see the
+  // hub and both chain neighbours.
+  EXPECT_EQ(store.LocalDegree(1), 2u);
+  EXPECT_EQ(store.LocalDegree(201), 2u);
+  for (ValueId v = 2; v <= 200; ++v) {
+    EXPECT_EQ(store.LocalDegree(v), 3u) << v;
+  }
+  EXPECT_EQ(store.LocalDegree(202), 0u);
 }
 
 TEST(LocalStoreDeathTest, EmptyRecordAborts) {

@@ -21,26 +21,32 @@ TEST(ObservationStatsTest, AddAndDuplicateCounting) {
   store.AddRecord(10, V({1}));
   store.AddRecord(20, V({2}));
   EXPECT_EQ(store.num_observations(), 2u);
-  store.ObserveDuplicate(10);
-  store.ObserveDuplicate(10);
+  EXPECT_TRUE(store.ObserveIfStored(10));
+  EXPECT_TRUE(store.ObserveIfStored(10));
   EXPECT_EQ(store.num_observations(), 4u);
   EXPECT_EQ(store.RecordsObservedTimes(1), 1u);  // record 20
   EXPECT_EQ(store.RecordsObservedTimes(2), 0u);
   EXPECT_EQ(store.RecordsObservedTimes(3), 1u);  // record 10
 }
 
-TEST(ObservationStatsDeathTest, DuplicateOfUnknownRecordAborts) {
+TEST(ObservationStatsTest, UnknownRecordIsNotObserved) {
   LocalStore store;
-  EXPECT_DEATH(store.ObserveDuplicate(7), "never added");
+  EXPECT_FALSE(store.ObserveIfStored(7));
+  store.AddRecord(10, V({1}));
+  EXPECT_FALSE(store.ObserveIfStored(7));
+  EXPECT_FALSE(store.ObserveIfStored(11));
+  EXPECT_EQ(store.num_observations(), 1u);
+  EXPECT_EQ(store.RecordsObservedTimes(1), 1u);
+  EXPECT_FALSE(store.ContainsRecord(7));
 }
 
 TEST(Chao1Test, ClassicFormula) {
   LocalStore store;
   // 3 singletons, 1 doubleton, 1 tripleton: S_obs = 5.
   for (RecordId r = 0; r < 5; ++r) store.AddRecord(r, V({r}));
-  store.ObserveDuplicate(3);
-  store.ObserveDuplicate(4);
-  store.ObserveDuplicate(4);
+  EXPECT_TRUE(store.ObserveIfStored(3));
+  EXPECT_TRUE(store.ObserveIfStored(4));
+  EXPECT_TRUE(store.ObserveIfStored(4));
   ChaoEstimate estimate = Chao1Estimate(store);
   EXPECT_EQ(estimate.observed_records, 5u);
   EXPECT_EQ(estimate.singletons, 3u);
@@ -61,7 +67,7 @@ TEST(Chao1Test, EmptyStore) {
 TEST(Chao1Test, NoSingletonsMeansSaturated) {
   LocalStore store;
   store.AddRecord(0, V({1}));
-  store.ObserveDuplicate(0);
+  EXPECT_TRUE(store.ObserveIfStored(0));
   ChaoEstimate estimate = Chao1Estimate(store);
   EXPECT_DOUBLE_EQ(estimate.estimated_total, 1.0);
   EXPECT_DOUBLE_EQ(estimate.estimated_coverage, 1.0);

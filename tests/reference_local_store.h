@@ -2,11 +2,11 @@
 // kept as a test oracle for LocalStore (src/crawler/local_store.h).
 //
 // One std::vector of record slots per value for the postings, and one
-// std::unordered_set plus one first-co-occurrence-ordered std::vector
-// per value for the G_local adjacency — the obvious containers, with no
-// arenas, compaction or edge hash. LocalStore must be observationally
-// identical to it: same frequencies, degrees, and the same element
-// order in every neighbor and posting list.
+// std::unordered_set of neighbours per value for G_local — the obvious
+// containers, with no arenas, compaction, edge hash or degree counters.
+// LocalStore must be observationally identical to it: same frequencies,
+// degrees (neighbour-set sizes), and the same element order in every
+// posting list.
 
 #ifndef DEEPCRAWL_TESTS_REFERENCE_LOCAL_STORE_H_
 #define DEEPCRAWL_TESTS_REFERENCE_LOCAL_STORE_H_
@@ -42,12 +42,8 @@ class ReferenceLocalStore {
         ValueId a = values[i];
         ValueId b = values[j];
         if (a == b) continue;
-        if (neighbor_sets_[a].insert(b).second) {
-          neighbor_lists_[a].push_back(b);
-        }
-        if (neighbor_sets_[b].insert(a).second) {
-          neighbor_lists_[b].push_back(a);
-        }
+        neighbor_sets_[a].insert(b);
+        neighbor_sets_[b].insert(a);
       }
     }
     return true;
@@ -65,11 +61,6 @@ class ReferenceLocalStore {
     return neighbor_sets_[v].size();
   }
 
-  std::span<const ValueId> NeighborsSpan(ValueId v) const {
-    if (v >= local_frequency_.size()) return {};
-    return neighbor_lists_[v];
-  }
-
   std::span<const uint32_t> LocalPostings(ValueId v) const {
     if (v >= local_frequency_.size()) return {};
     return local_postings_[v];
@@ -82,18 +73,16 @@ class ReferenceLocalStore {
     local_frequency_.resize(new_size, 0);
     local_postings_.resize(new_size);
     neighbor_sets_.resize(new_size);
-    neighbor_lists_.resize(new_size);
   }
 
   std::unordered_map<RecordId, uint32_t> slot_of_;
   std::vector<uint32_t> local_frequency_;
   std::vector<std::vector<uint32_t>> local_postings_;
   std::vector<std::unordered_set<ValueId>> neighbor_sets_;
-  std::vector<std::vector<ValueId>> neighbor_lists_;
 };
 
 // Compares every per-value statistic of `v` — frequency, degree, and
-// the neighbor and posting lists element by element.
+// the posting list element by element.
 inline ::testing::AssertionResult ValueMatchesReference(
     const LocalStore& store, const ReferenceLocalStore& oracle, ValueId v) {
   if (store.LocalFrequency(v) != oracle.LocalFrequency(v)) {
@@ -105,15 +94,6 @@ inline ::testing::AssertionResult ValueMatchesReference(
     return ::testing::AssertionFailure()
            << "value " << v << ": LocalDegree " << store.LocalDegree(v)
            << " vs reference " << oracle.LocalDegree(v);
-  }
-  std::span<const ValueId> neighbors = store.NeighborsSpan(v);
-  std::span<const ValueId> ref_neighbors = oracle.NeighborsSpan(v);
-  if (!std::equal(neighbors.begin(), neighbors.end(), ref_neighbors.begin(),
-                  ref_neighbors.end())) {
-    return ::testing::AssertionFailure()
-           << "value " << v << ": NeighborsSpan differs (size "
-           << neighbors.size() << " vs reference " << ref_neighbors.size()
-           << ")";
   }
   std::span<const uint32_t> postings = store.LocalPostings(v);
   std::span<const uint32_t> ref_postings = oracle.LocalPostings(v);

@@ -6,7 +6,9 @@
 // issued queries — the obvious reading of §3.3's s(q) over DBlocal.
 // MmmiSelector's incremental counters and ordered ranking structure
 // must yield the same batches in the same order, hence byte-identical
-// crawl traces, under every MmmiRanking and batch size.
+// crawl traces, under every MmmiRanking and batch size. Before
+// saturation it is plain greedy: the rescan of
+// tests/reference_greedy_selector.h, not the heap under test.
 
 #ifndef DEEPCRAWL_TESTS_REFERENCE_MMMI_SELECTOR_H_
 #define DEEPCRAWL_TESTS_REFERENCE_MMMI_SELECTOR_H_
@@ -22,17 +24,17 @@
 #include <utility>
 #include <vector>
 
-#include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/local_store.h"
 #include "src/crawler/mmmi_selector.h"
+#include "tests/reference_greedy_selector.h"
 
 namespace deepcrawl {
 
-class ReferenceMmmiSelector : public GreedyLinkSelector {
+class ReferenceMmmiSelector : public ReferenceGreedySelector {
  public:
   explicit ReferenceMmmiSelector(const LocalStore& store,
                                  MmmiOptions options = MmmiOptions{})
-      : GreedyLinkSelector(store), options_(options) {}
+      : ReferenceGreedySelector(store), options_(options) {}
 
   void OnQueryCompleted(const QueryOutcome& outcome) override {
     ValueId v = outcome.value;
@@ -45,7 +47,7 @@ class ReferenceMmmiSelector : public GreedyLinkSelector {
   std::string_view name() const override { return "greedy-link+mmmi"; }
 
   ValueId SelectNext() override {
-    if (!saturated_) return GreedyLinkSelector::SelectNext();
+    if (!saturated_) return ReferenceGreedySelector::SelectNext();
     for (;;) {
       if (batch_queue_.empty()) {
         RecomputeBatch();

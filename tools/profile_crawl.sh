@@ -1,37 +1,59 @@
 #!/usr/bin/env bash
-# Flamegraph-ready profile of a crawl: builds deepcrawl_crawl in Release
-# with frame pointers kept (-DDEEPCRAWL_PROFILE=ON), runs it under
-# `perf record -g`, and prints the hottest stacks. Start every hot-path
-# investigation here — the PR that introduced this (CSR local graph +
-# incremental MMMI) was scoped off exactly such a profile.
+# Profile of a crawl. With `perf` on PATH: builds deepcrawl_crawl in
+# Release with frame pointers kept (-DDEEPCRAWL_PROFILE=ON), runs it
+# under `perf record -g`, and prints the hottest stacks. Without perf:
+# builds it with gprof instrumentation (-pg) into its own build
+# directory, runs it, and prints the `gprof -b -p` flat profile. Start
+# every hot-path investigation here — the PR that introduced this (CSR
+# local graph + incremental MMMI) was scoped off exactly such a profile.
 #
 # Usage:
 #   tools/profile_crawl.sh [crawl args...]
 #
 # Default crawl args exercise the MMMI marginal phase (the historical
 # hot spot): eBay at scale 0.1, crawl to 99% with the switch at 85%.
-# Output: build-profile/perf.data (open with `perf report`) plus an
-# inline `perf report --stdio` summary. Pipe perf.data through
+# Output with perf: build-profile/perf.data (open with `perf report`)
+# plus an inline `perf report --stdio` summary. Pipe perf.data through
 # stackcollapse-perf.pl/flamegraph.pl for an SVG if you have FlameGraph
-# checked out.
+# checked out. Output without perf: build-gprof/gmon.out and
+# build-gprof/flat.txt, the flat profile (self time per function, call
+# counts), whose head is printed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-if ! command -v perf >/dev/null 2>&1; then
-  echo "perf not found; install linux-tools for your kernel" >&2
-  exit 2
-fi
-
-BUILD_DIR=build-profile
-cmake -B "${BUILD_DIR}" -S . \
-  -DCMAKE_BUILD_TYPE=Release -DDEEPCRAWL_PROFILE=ON
-cmake --build "${BUILD_DIR}" -j --target deepcrawl_crawl
 
 ARGS=("$@")
 if [[ ${#ARGS[@]} -eq 0 ]]; then
   ARGS=(--workload=ebay --scale=0.1 --policy=mmmi
         --target-coverage=0.99 --saturation=0.85)
 fi
+
+if ! command -v perf >/dev/null 2>&1; then
+  echo "perf not found; falling back to a gprof (-pg) build" >&2
+  BUILD_DIR=build-gprof
+  cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release \
+    -DDEEPCRAWL_BUILD_TESTS=OFF -DDEEPCRAWL_BUILD_BENCHMARKS=OFF \
+    -DDEEPCRAWL_BUILD_EXAMPLES=OFF \
+    -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS=-pg
+  cmake --build "${BUILD_DIR}" -j "$(nproc)" --target deepcrawl_crawl
+  # The instrumented binary writes gmon.out into the working directory
+  # at exit; keep it with the build.
+  "${BUILD_DIR}/tools/deepcrawl_crawl" "${ARGS[@]}"
+  mv gmon.out "${BUILD_DIR}/gmon.out"
+  gprof -b -p "${BUILD_DIR}/tools/deepcrawl_crawl" "${BUILD_DIR}/gmon.out" \
+    > "${BUILD_DIR}/flat.txt"
+  echo
+  echo "=== flat profile (gprof -b -p, top 40 lines) ==="
+  head -40 "${BUILD_DIR}/flat.txt"
+  echo
+  echo "full profile: gprof ${BUILD_DIR}/tools/deepcrawl_crawl" \
+    "${BUILD_DIR}/gmon.out"
+  exit 0
+fi
+
+BUILD_DIR=build-profile
+cmake -B "${BUILD_DIR}" -S . \
+  -DCMAKE_BUILD_TYPE=Release -DDEEPCRAWL_PROFILE=ON
+cmake --build "${BUILD_DIR}" -j "$(nproc)" --target deepcrawl_crawl
 
 perf record -g --output="${BUILD_DIR}/perf.data" -- \
   "${BUILD_DIR}/tools/deepcrawl_crawl" "${ARGS[@]}"
