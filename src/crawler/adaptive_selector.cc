@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/util/checkpoint_io.h"
 #include "src/util/logging.h"
 
 namespace deepcrawl {
@@ -93,85 +92,6 @@ ValueId AdaptiveSelector::SelectNext() {
     if (active_ + 1 >= children_.size()) return kInvalidValueId;
     AdvancePhase();
   }
-}
-
-Status AdaptiveSelector::SaveState(CheckpointWriter& writer) const {
-  // Fingerprint: the chain composition and switch rule change selection,
-  // so a checkpoint must not silently resume under different ones.
-  writer.WriteU32(static_cast<uint32_t>(children_.size()));
-  for (const auto& child : children_) {
-    writer.WriteString(std::string(child->name()));
-  }
-  writer.WriteDouble(options_.ewma_alpha);
-  writer.WriteDouble(options_.switch_decay);
-  writer.WriteDouble(options_.hr_floor);
-  writer.WriteU32(options_.min_phase_queries);
-
-  writer.WriteU32(static_cast<uint32_t>(active_));
-  writer.WriteU64(phase_queries_);
-  writer.WriteU64(phase_switches_);
-  writer.WriteDouble(peak_hr_);
-  writer.WriteU8(estimator_.seen ? 1 : 0);
-  writer.WriteDouble(estimator_.hr);
-  writer.WriteDouble(estimator_.err);
-  for (const auto& child : children_) {
-    DEEPCRAWL_RETURN_IF_ERROR(child->SaveState(writer));
-  }
-  return Status::OK();
-}
-
-Status AdaptiveSelector::LoadState(CheckpointReader& reader,
-                                   ValueId value_bound) {
-  uint32_t num_children = reader.ReadU32();
-  DEEPCRAWL_RETURN_IF_ERROR(reader.status());
-  if (num_children != children_.size()) {
-    return Status::InvalidArgument(
-        "checkpoint adaptive chain length differs from the "
-        "checkpointing run");
-  }
-  for (const auto& child : children_) {
-    std::string child_name = reader.ReadString();
-    DEEPCRAWL_RETURN_IF_ERROR(reader.status());
-    if (child_name != child->name()) {
-      return Status::InvalidArgument(
-          "checkpoint adaptive chain mismatch: expected child '" +
-          std::string(child->name()) + "', checkpoint has '" + child_name +
-          "'");
-    }
-  }
-  double alpha = reader.ReadDouble();
-  double decay = reader.ReadDouble();
-  double floor = reader.ReadDouble();
-  uint32_t min_phase = reader.ReadU32();
-  DEEPCRAWL_RETURN_IF_ERROR(reader.status());
-  if (alpha != options_.ewma_alpha || decay != options_.switch_decay ||
-      floor != options_.hr_floor || min_phase != options_.min_phase_queries) {
-    return Status::InvalidArgument(
-        "checkpoint adaptive switch options differ from the "
-        "checkpointing run");
-  }
-  uint32_t active = reader.ReadU32();
-  phase_queries_ = reader.ReadU64();
-  phase_switches_ = reader.ReadU64();
-  peak_hr_ = reader.ReadDouble();
-  estimator_.seen = reader.ReadU8() != 0;
-  estimator_.hr = reader.ReadDouble();
-  estimator_.err = reader.ReadDouble();
-  DEEPCRAWL_RETURN_IF_ERROR(reader.status());
-  if (active >= children_.size()) {
-    reader.MarkCorrupt("adaptive active phase out of range");
-    return reader.status();
-  }
-  if (!(peak_hr_ >= 0.0) || !(estimator_.hr >= 0.0) ||
-      !(estimator_.err >= 0.0)) {
-    reader.MarkCorrupt("adaptive estimator state out of range");
-    return reader.status();
-  }
-  active_ = active;
-  for (auto& child : children_) {
-    DEEPCRAWL_RETURN_IF_ERROR(child->LoadState(reader, value_bound));
-  }
-  return reader.status();
 }
 
 }  // namespace deepcrawl

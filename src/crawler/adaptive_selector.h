@@ -21,10 +21,9 @@
 //
 // Determinism: the switch rule is evaluated inside OnQueryCompleted,
 // which the engine's wave committer replays in deterministic order, so
-// the switch wave is a pure function of the crawl history — the
+// the switch wave is a pure function of the crawl history: a
+// checkpoint's replay rebuilds every phase and child exactly, and the
 // bit-identity resume contract holds across the switch boundary.
-// SaveState serializes the estimator, phase counters, and every child
-// in chain order behind a fingerprint (chain names + switch options).
 
 #ifndef DEEPCRAWL_CRAWLER_ADAPTIVE_SELECTOR_H_
 #define DEEPCRAWL_CRAWLER_ADAPTIVE_SELECTOR_H_
@@ -70,9 +69,6 @@ class AdaptiveSelector : public QuerySelector {
   ValueId SelectNext() override;
   std::string_view name() const override { return name_; }
 
-  Status SaveState(CheckpointWriter& writer) const override;
-  Status LoadState(CheckpointReader& reader, ValueId value_bound) override;
-
   // Introspection for tests and reports.
   size_t active_phase() const { return active_; }
   size_t num_phases() const { return children_.size(); }
@@ -84,7 +80,7 @@ class AdaptiveSelector : public QuerySelector {
 
   std::vector<std::unique_ptr<QuerySelector>> children_;
   AdaptiveOptions options_;
-  std::string name_;  // "adaptive(a,b,...)", stable for CONF validation
+  std::string name_;  // "adaptive(a,b,...)", checked by checkpoint CONF
 
   size_t active_ = 0;
   uint64_t phase_queries_ = 0;

@@ -24,7 +24,7 @@ StatusOr<std::string> EncodeCrawlCheckpoint(const CrawlEngine& engine,
                                             const FaultyServer* faulty) {
   CheckpointWriter writer;
   const size_t frame = writer.BeginFrame(kCrawlCheckpointVersion);
-  DEEPCRAWL_RETURN_IF_ERROR(engine.SaveState(writer));
+  engine.SaveState(writer);
   WriteSectionMarker(writer, kSectionFaulty);
   writer.WriteU8(faulty != nullptr ? 1 : 0);
   if (faulty != nullptr) faulty->SaveState(writer);

@@ -1,20 +1,21 @@
-// CrawlCheckpoint: versioned binary serialization of a crawl's full
-// state, so a long-running crawl survives process restarts (DESIGN.md
-// §10).
+// CrawlCheckpoint: a crawl's inputs, saved so a long-running crawl
+// survives process restarts (DESIGN.md §10).
 //
 // The paper's crawls are long conversations with live, rate-limited
 // sources (§2.3 cost model, §5.4 result-size limits); a production
 // crawler must be able to stop after any wave and continue later — on
-// another process, days later — as if it had never stopped. The
-// checkpoint layer captures everything the unified CrawlEngine needs
-// for that: the LocalStore statistics table, the selector's frontier /
-// MMMI co-occurrence rows, the retry queue and re-queue budgets,
-// parked drain slots and the wave cursor, the simulated clock, trace
-// points, resilience counters, and (optionally) the fault proxy's keyed
-// attempt table and RNG. The restore contract is *bit-identity*:
+// another process, days later — as if it had never stopped, without
+// paying again for the rounds it already spent. Everything a crawl
+// holds (local store, selector statistics and frontier, retry queue,
+// clock, trace, resilience counters) is a pure function of what it was
+// given: its seeds, its Run() budgets and the pages the source
+// returned. So a checkpoint holds exactly that — the engine's fetch
+// log — plus the fault proxy's keyed attempt table and RNG, which live
+// on the server side. Restore replays the log through the real engine
+// with no server call. The restore contract is *bit-identity*:
 // checkpoint + restore + continue emits the same trace CSV as the
 // uninterrupted run, under every selector, fault profile, and executor
-// (proven by the sweep in tests/crawler_parallel_differential_test.cc).
+// (proven by the sweeps in tests/crawler_parallel_differential_test.cc).
 //
 // File format (little-endian; framing lives in src/util/checkpoint_io.h):
 //
@@ -25,16 +26,17 @@
 //       16+N   u64 FNV-1a checksum of the payload
 //
 // The payload is a fixed sequence of sections, each introduced by a
-// fourcc marker: CONFIG (construction fingerprint, verified before any
-// state is touched), ENGINE (loop state incl. store + selector,
-// serialized by CrawlEngine::SaveState), FAULTY (optional fault-proxy
-// state), END. Any mangled byte — truncation, flipped bits, a wrong
-// version, a size/checksum mismatch — is rejected with a clean Status
-// before any section is decoded; decode itself is sticky-failure
-// bounds-checked, so even a file that forges the checksum can only
-// produce an error, never a crash or a silent partial load. Versioning
-// rule: any change to the payload layout bumps kCrawlCheckpointVersion;
-// old versions are rejected, never half-read.
+// fourcc marker: CONFIG (construction fingerprint, verified before the
+// replay starts), LOG (the fetch log, written by CrawlEngine::SaveState),
+// FAULTY (optional fault-proxy state), END. Any mangled byte —
+// truncation, flipped bits, a wrong version, a size/checksum mismatch —
+// is rejected with a clean Status before any section is decoded. A file
+// that forges the checksum can only produce an error too: the log
+// reader is sticky-failure bounds-checked, each logged fetch drives
+// exactly one commit and must be the fetch the replayed engine asks
+// for, and the replay must end at the logged totals. Versioning rule:
+// any change to the payload layout bumps kCrawlCheckpointVersion; old
+// versions are rejected, never half-read.
 //
 // Files are written atomically (temp file + rename), so a crawl killed
 // mid-save leaves the previous checkpoint intact.
@@ -67,17 +69,45 @@ class FaultyServer;
 // v7: the greedy selector's SELC payload is the frontier alone; its heap
 //     (and the last-pushed-degree table and push counter) is rebuilt
 //     from the restored store instead of being stored.
-inline constexpr uint32_t kCrawlCheckpointVersion = 7;
+// v8: the state sections (ENGI, STOR, SELC) are replaced by LOG, the
+//     fetch log that LoadState replays; no component serializes itself.
+inline constexpr uint32_t kCrawlCheckpointVersion = 8;
 
 // Section markers (fourcc, little-endian u32). Sections appear in file
-// order: CONFIG, ENGINE (store + selector nested inside), optional
-// FAULTY, END.
-inline constexpr uint32_t kSectionConfig = 0x464e4f43;    // "CONF"
-inline constexpr uint32_t kSectionEngine = 0x49474e45;    // "ENGI"
-inline constexpr uint32_t kSectionStore = 0x524f5453;     // "STOR"
-inline constexpr uint32_t kSectionSelector = 0x434c4553;  // "SELC"
-inline constexpr uint32_t kSectionFaulty = 0x544c4146;    // "FALT"
-inline constexpr uint32_t kSectionEnd = 0x21444e45;       // "END!"
+// order: CONFIG, LOG, FAULTY, END.
+inline constexpr uint32_t kSectionConfig = 0x464e4f43;  // "CONF"
+inline constexpr uint32_t kSectionLog = 0x20474f4c;     // "LOG "
+inline constexpr uint32_t kSectionFaulty = 0x544c4146;  // "FALT"
+inline constexpr uint32_t kSectionEnd = 0x21444e45;     // "END!"
+
+// LOG entries (written by CrawlEngine::SaveState), each opened by a
+// one-byte tag; "var" is an LEB128 varint. The same tags are the kinds
+// of the engine's in-memory log marks.
+//   kLogSeed     var value: AddSeed(value)
+//   kLogRun      u64 max_rounds, u64 target_records: a Run() whose
+//                budgets differ from the last logged ones
+//   kLogCut      a Run() interrupted at a wave boundary before its stop
+//                checks (saved from a checkpoint sink, or resumed there)
+//   kLogPage     var value, u8 flags (kLogHasMore | kLogHasTotal),
+//                [var total_matches], var n, then n records in page
+//                order, each var (id << 1 | kind): kRecordNew (the
+//                record's first occurrence) is followed by var k and k
+//                var values, kRecordRepeat by nothing
+//   kLogFailure  var value, u8 status code, u8 flags (kLogHasHint),
+//                [var retry-after hint]
+//   kLogEnd      u64 rounds, u64 waves, u64 records: the totals the
+//                replay must reach
+inline constexpr uint8_t kLogSeed = 1;
+inline constexpr uint8_t kLogRun = 2;
+inline constexpr uint8_t kLogCut = 3;
+inline constexpr uint8_t kLogPage = 4;
+inline constexpr uint8_t kLogFailure = 5;
+inline constexpr uint8_t kLogEnd = 6;
+inline constexpr uint8_t kLogHasMore = 1;
+inline constexpr uint8_t kLogHasTotal = 2;
+inline constexpr uint8_t kLogHasHint = 4;
+inline constexpr uint8_t kRecordRepeat = 0;
+inline constexpr uint8_t kRecordNew = 1;
 
 void WriteSectionMarker(CheckpointWriter& writer, uint32_t marker);
 // Consumes a marker and latches the reader corrupt (naming the expected
@@ -87,11 +117,11 @@ bool ExpectSectionMarker(CheckpointReader& reader, uint32_t marker,
 
 // --- whole-crawl orchestration ---------------------------------------
 //
-// One checkpoint covers the engine (which serializes its own state plus
-// the LocalStore and selector sections) and, when the crawl runs behind
-// a fault-injecting proxy, the proxy's keyed-attempt/RNG state — without
-// it, a resumed crawl would re-draw fault decisions for re-fetched pages
-// and diverge from the uninterrupted run.
+// One checkpoint covers the engine (its CONF and LOG sections) and, when
+// the crawl runs behind a fault-injecting proxy, the proxy's
+// keyed-attempt/RNG state — without it, a resumed crawl would re-draw
+// fault decisions for later fetches and diverge from the uninterrupted
+// run.
 
 // Serializes engine (+ proxy) state into a framed checkpoint image.
 // `faulty` may be null (no fault proxy in the stack).
@@ -99,11 +129,11 @@ StatusOr<std::string> EncodeCrawlCheckpoint(const CrawlEngine& engine,
                                             const FaultyServer* faulty);
 
 // Restores a framed checkpoint image into a freshly constructed engine
-// (+ proxy). The engine must have an empty store and no rounds used;
-// construction parameters (selector policy, batch, store options, fault
-// setup) must match the checkpointing run, or a clean error is
-// returned. On error the engine may be partially populated and must be
-// discarded.
+// (+ proxy) by replaying its fetch log. The engine must have an empty
+// store and no rounds used; construction parameters (selector policy
+// and options, batch, retry and abort policies, fault setup) must match
+// the checkpointing run, or a clean error is returned. On error the
+// engine may be partially populated and must be discarded.
 Status DecodeCrawlCheckpoint(std::string_view image, CrawlEngine& engine,
                              FaultyServer* faulty);
 

@@ -6,9 +6,190 @@
 
 #include "src/crawler/checkpoint.h"
 #include "src/util/checkpoint_io.h"
+#include "src/util/flat_hash.h"
 #include "src/util/logging.h"
 
 namespace deepcrawl {
+
+// Reads a checkpoint's LOG section entry by entry while LoadState
+// replays it. Every count is checked against the bytes behind it, every
+// value id against the source's catalog, and every record against the
+// ones declared before it, so a forged log yields a clean error and
+// never an allocation larger than the catalog.
+class CrawlEngine::Replay {
+ public:
+  Replay(const CrawlEngine& engine, CheckpointReader& reader)
+      : engine_(engine),
+        reader_(reader),
+        value_bound_(engine.server_.num_values()),
+        page_size_(engine.server_.options().page_size) {}
+
+  CheckpointReader& reader() { return reader_; }
+  uint64_t fetches() const { return fetches_; }
+  Status status() const { return status_.ok() ? reader_.status() : status_; }
+
+  // The next entry's tag, without consuming it (0 once reading failed).
+  uint8_t Peek() {
+    if (!has_tag_) {
+      tag_ = reader_.ReadU8();
+      has_tag_ = true;
+    }
+    return tag_;
+  }
+  void Take() { has_tag_ = false; }
+
+  // Consumes a cut when it is the next entry.
+  bool TakeCut() {
+    if (!status_.ok() || Peek() != kLogCut) return false;
+    Take();
+    return true;
+  }
+
+  ValueId ReadValue() {
+    const uint64_t v = reader_.ReadVarint();
+    if (reader_.ok() && v >= value_bound_) {
+      reader_.MarkCorrupt("logged value id " + std::to_string(v) +
+                          " is outside the source's catalog of " +
+                          std::to_string(value_bound_) + " values");
+    }
+    return static_cast<ValueId>(v);
+  }
+
+  // A varint that must fit 32 bits (a total, a hint, a record id).
+  uint32_t ReadU32Varint(const char* what) {
+    const uint64_t v = reader_.ReadVarint();
+    if (reader_.ok() && v > UINT32_MAX) {
+      reader_.MarkCorrupt(std::string("logged ") + what + " out of range");
+    }
+    return static_cast<uint32_t>(v);
+  }
+
+  // Fails the replay (the first failure wins) and returns the failure.
+  Status Diverge(const std::string& detail) {
+    if (status_.ok()) {
+      status_ = Status::InvalidArgument(
+          "replay diverged at fetch " + std::to_string(fetches_) + " (wave " +
+          std::to_string(engine_.waves_completed_) + "): " + detail);
+    }
+    return status_;
+  }
+
+  // The logged result of the next fetch, which must be `request`. The
+  // page's record values stay valid until the next call. A failure
+  // comes back as a status the engine never retries, so the replayed
+  // Run() stops at once.
+  StatusOr<ResultPage> Serve(const FetchRequest& request);
+
+ private:
+  const CrawlEngine& engine_;
+  CheckpointReader& reader_;
+  const ValueId value_bound_;
+  const uint32_t page_size_;
+  bool has_tag_ = false;
+  uint8_t tag_ = 0;
+  uint64_t fetches_ = 0;
+  Status status_;
+  // id + 1 of every record the log declared new so far.
+  FlatSet64 declared_;
+  // The current page's new-record values, and each record's offset.
+  std::vector<ValueId> values_;
+  std::vector<size_t> offsets_;
+};
+
+StatusOr<ResultPage> CrawlEngine::Replay::Serve(const FetchRequest& request) {
+  if (!status().ok()) return status();
+  auto diverge = [&](const std::string& logged) {
+    return Diverge("the crawl asks for value " +
+                   std::to_string(request.value) + " page " +
+                   std::to_string(request.page_number) + ", " + logged);
+  };
+  const uint8_t tag = Peek();
+  if (!reader_.ok()) return status();
+  if (tag != kLogPage && tag != kLogFailure) {
+    return diverge("the log has no fetch here");
+  }
+  Take();
+  const uint64_t logged = reader_.ReadVarint();
+  if (!reader_.ok()) return status();
+  if (logged != request.value) {
+    return diverge("the log fetched value " + std::to_string(logged));
+  }
+  ++fetches_;
+
+  if (tag == kLogFailure) {
+    const uint8_t code = reader_.ReadU8();
+    const uint8_t flags = reader_.ReadU8();
+    const uint32_t hint = (flags & kLogHasHint) ? ReadU32Varint("hint") : 0;
+    if (reader_.ok() &&
+        (code == 0 ||
+         code > static_cast<uint8_t>(StatusCode::kDeadlineExceeded) ||
+         (flags & ~kLogHasHint) != 0)) {
+      reader_.MarkCorrupt("logged fetch failure invalid");
+    }
+    if (!reader_.ok()) return status();
+    Status failure(static_cast<StatusCode>(code), "logged fetch failure");
+    if (flags & kLogHasHint) return failure.WithRetryAfter(hint);
+    return failure;
+  }
+
+  const uint8_t flags = reader_.ReadU8();
+  const uint32_t total = (flags & kLogHasTotal) ? ReadU32Varint("total") : 0;
+  if (reader_.ok() && (flags & ~(kLogHasMore | kLogHasTotal)) != 0) {
+    reader_.MarkCorrupt("logged page flags invalid");
+  }
+  const uint64_t num_records = reader_.ReadVarintCount(1);
+  if (reader_.ok() && num_records > page_size_) {
+    reader_.MarkCorrupt("logged page holds more records than the source's "
+                        "page size");
+  }
+  if (!reader_.ok()) return status();
+  ResultPage page;
+  page.page_number = request.page_number;
+  page.has_more = (flags & kLogHasMore) != 0;
+  if (flags & kLogHasTotal) page.total_matches = total;
+  page.records.resize(static_cast<size_t>(num_records));
+  values_.clear();
+  offsets_.clear();
+  for (ReturnedRecord& record : page.records) {
+    // The record id, shifted left, with kRecordNew or kRecordRepeat in
+    // the low bit.
+    const uint64_t key = reader_.ReadVarint();
+    record.id = static_cast<RecordId>(key >> 1);
+    offsets_.push_back(values_.size());
+    if (reader_.ok() && (key >> 1) > UINT32_MAX) {
+      reader_.MarkCorrupt("logged record id out of range");
+    }
+    if (!reader_.ok()) break;
+    if ((key & 1) == kRecordRepeat) {
+      if (!declared_.Contains(uint64_t{record.id} + 1)) {
+        reader_.MarkCorrupt("logged repeat of record " +
+                            std::to_string(record.id) +
+                            ", which was never stored");
+        break;
+      }
+      continue;
+    }
+    if (!declared_.Insert(uint64_t{record.id} + 1)) {
+      reader_.MarkCorrupt("logged record " + std::to_string(record.id) +
+                          " declared new twice");
+      break;
+    }
+    const uint64_t num_values = reader_.ReadVarintCount(1);
+    if (reader_.ok() && num_values == 0) {
+      reader_.MarkCorrupt("logged record without values");
+    }
+    for (uint64_t i = 0; i < num_values && reader_.ok(); ++i) {
+      values_.push_back(ReadValue());
+    }
+  }
+  if (!reader_.ok()) return status();
+  offsets_.push_back(values_.size());
+  for (size_t i = 0; i < page.records.size(); ++i) {
+    page.records[i].values = std::span<const ValueId>(
+        values_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]);
+  }
+  return page;
+}
 
 const char* StopReasonToString(StopReason reason) {
   switch (reason) {
@@ -115,48 +296,6 @@ ValueId DegradationTracker::PopRetry() {
   return value;
 }
 
-void DegradationTracker::SaveState(CheckpointWriter& writer) const {
-  writer.WriteU64(retry_queue_.size());
-  for (ValueId v : retry_queue_) writer.WriteU32(v);
-  // Sorted by value, so the encoding is independent of hash-map order.
-  std::vector<std::pair<ValueId, uint32_t>> counts(requeue_count_.begin(),
-                                                   requeue_count_.end());
-  std::sort(counts.begin(), counts.end());
-  writer.WriteU64(counts.size());
-  for (const auto& [value, requeues] : counts) {
-    writer.WriteU32(value);
-    writer.WriteU32(requeues);
-  }
-}
-
-Status DegradationTracker::LoadState(CheckpointReader& reader,
-                                     ValueId value_bound) {
-  retry_queue_.clear();
-  requeue_count_.clear();
-  uint64_t queued = reader.ReadCount(4);
-  for (uint64_t i = 0; i < queued && reader.ok(); ++i) {
-    ValueId value = reader.ReadU32();
-    if (value >= value_bound) {
-      reader.MarkCorrupt("retry-queue value id out of range");
-      break;
-    }
-    retry_queue_.push_back(value);
-  }
-  uint64_t counted = reader.ReadCount(8);
-  for (uint64_t i = 0; i < counted && reader.ok(); ++i) {
-    ValueId value = reader.ReadU32();
-    uint32_t requeues = reader.ReadU32();
-    if (value >= value_bound) {
-      reader.MarkCorrupt("re-queue count value id out of range");
-      break;
-    }
-    if (!requeue_count_.emplace(value, requeues).second) {
-      reader.MarkCorrupt("duplicate value in re-queue count table");
-    }
-  }
-  return reader.status();
-}
-
 CrawlEngine::CrawlEngine(QueryInterface& server, QuerySelector& selector,
                          LocalStore& store, CrawlOptions options,
                          EngineOptions engine_options,
@@ -197,7 +336,57 @@ void CrawlEngine::DiscoverValue(ValueId v) {
   selector_.OnValueDiscovered(v);
 }
 
-void CrawlEngine::AddSeed(ValueId v) { DiscoverValue(v); }
+void CrawlEngine::AddSeed(ValueId v) {
+  log_marks_.push_back(
+      LogMark{.fetch_index = log_fetches_.size(), .kind = kLogSeed, .seed = v});
+  DiscoverValue(v);
+}
+
+void CrawlEngine::LogRunEntry() {
+  const uint64_t at = log_fetches_.size();
+  // Resuming an interrupted Run(): the cut tells a replay to stop the
+  // earlier Run() at this boundary, where it stopped.
+  if (boundary_open_) {
+    log_marks_.push_back(LogMark{.fetch_index = at, .kind = kLogCut});
+  }
+  for (auto it = log_marks_.rbegin(); it != log_marks_.rend(); ++it) {
+    if (it->kind != kLogRun) continue;
+    if (it->max_rounds == options_.max_rounds &&
+        it->target_records == options_.target_records) {
+      return;
+    }
+    break;
+  }
+  log_marks_.push_back(LogMark{.fetch_index = at,
+                               .kind = kLogRun,
+                               .max_rounds = options_.max_rounds,
+                               .target_records = options_.target_records});
+}
+
+void CrawlEngine::LogFetch(ValueId value,
+                           const StatusOr<ResultPage>& fetched) {
+  LoggedFetch entry;
+  entry.value = value;
+  if (!fetched.ok()) {
+    entry.code = static_cast<uint8_t>(fetched.status().code());
+    if (fetched.status().retry_after_rounds().has_value()) {
+      entry.flags = kLogHasHint;
+      entry.total_or_hint = *fetched.status().retry_after_rounds();
+    }
+  } else {
+    const ResultPage& page = *fetched;
+    entry.num_records = static_cast<uint32_t>(page.records.size());
+    if (page.has_more) entry.flags |= kLogHasMore;
+    if (page.total_matches.has_value()) {
+      entry.flags |= kLogHasTotal;
+      entry.total_or_hint = *page.total_matches;
+    }
+    for (const ReturnedRecord& record : page.records) {
+      log_records_.push_back(record.id);
+    }
+  }
+  log_fetches_.push_back(entry);
+}
 
 ValueId CrawlEngine::NextValue() {
   ValueId value = selector_.SelectNext();
@@ -233,6 +422,7 @@ CrawlResult CrawlEngine::MakeResult(StopReason reason) const {
 Status CrawlEngine::CommitFetch(std::optional<Slot>& slot_box,
                                 StatusOr<ResultPage> fetched) {
   Slot& slot = *slot_box;
+  LogFetch(slot.value, fetched);
   ++rounds_used_;
   if (!fetched.ok()) {
     switch (degradation_.OnFetchFailure(fetched.status(), slot.value,
@@ -324,25 +514,36 @@ Status CrawlEngine::CommitFetch(std::optional<Slot>& slot_box,
 }
 
 StatusOr<CrawlResult> CrawlEngine::Run() {
+  LogRunEntry();
   for (;;) {
     if (wave_pos_ >= wave_.size()) {
       // Between waves: this is the engine's durable boundary. The wave
       // buffer is cleared BEFORE the checkpoint sink fires, so a
-      // checkpoint image never contains a completed wave — a restored
-      // engine re-enters here with an empty wave and neither re-commits
-      // work nor re-fires the sink for the wave that triggered the save.
+      // restored engine re-enters here with an empty wave and neither
+      // re-commits work nor re-fires the sink for the wave that
+      // triggered the save.
       bool wave_just_completed = !wave_.empty();
       wave_.clear();
       wave_pos_ = 0;
       if (wave_just_completed) {
         ++waves_completed_;
-        if (engine_options_.checkpoint_every_waves > 0 &&
-            engine_options_.checkpoint_sink != nullptr &&
-            waves_completed_ % engine_options_.checkpoint_every_waves == 0) {
+        boundary_open_ = true;
+        if (replay_ != nullptr) {
+          // The log was saved (or its Run() interrupted) right here:
+          // stop where the saved engine stood, before the stop checks
+          // and the next refill's SelectNext. ReplayLog discards the
+          // result.
+          if (replay_->TakeCut()) return MakeResult(StopReason::kRoundBudget);
+        } else if (engine_options_.checkpoint_every_waves > 0 &&
+                   engine_options_.checkpoint_sink != nullptr &&
+                   waves_completed_ %
+                           engine_options_.checkpoint_every_waves ==
+                       0) {
           Status saved = engine_options_.checkpoint_sink(*this);
           if (!saved.ok()) return saved;
         }
       }
+      boundary_open_ = false;
       // Evaluate stop conditions (priority matches the historical serial
       // loop exactly — target, budget, frontier) and build the next
       // wave. While a wave is in progress these checks are deliberately
@@ -364,10 +565,8 @@ StatusOr<CrawlResult> CrawlEngine::Run() {
         if (value == kInvalidValueId) break;
         if (selector_.MaySelectUndiscovered()) {
           // Interface-driven selectors may issue a value before any
-          // result page revealed it; record it as seen so every id the
-          // crawl touched stays below seen_.size() (the checkpoint
-          // id-validation bound). The value is entering Lqueried, so a
-          // later sighting on a page must not re-announce it.
+          // result page revealed it. The value is entering Lqueried, so
+          // a later sighting on a page must not re-announce it.
           if (value >= seen_.size()) {
             seen_.resize(static_cast<size_t>(value) + 1, 0);
           }
@@ -410,14 +609,21 @@ StatusOr<CrawlResult> CrawlEngine::Run() {
       fetch_requests_.push_back(FetchRequest{
           slot.value, slot.next_page, options_.use_keyword_interface});
     }
-    executor_->FetchWave(server_, fetch_requests_, fetch_results_);
+    // A replay serves each fetch from the log as it is committed: a
+    // commit that fails the crawl leaves the rest of the wave unread, as
+    // the saved engine never logged it.
+    if (replay_ == nullptr) {
+      executor_->FetchWave(server_, fetch_requests_, fetch_results_);
+    }
 
     // Commit phase: strictly by slot rank, never by completion order.
     wave_points_.clear();
     Status committed = Status::OK();
     for (size_t i = 0; i < slice; ++i) {
       committed = CommitFetch(slots_[wave_[wave_pos_]],
-                              std::move(*fetch_results_[i]));
+                              replay_ != nullptr
+                                  ? replay_->Serve(fetch_requests_[i])
+                                  : std::move(*fetch_results_[i]));
       ++wave_pos_;
       if (!committed.ok()) break;
     }
@@ -428,41 +634,10 @@ StatusOr<CrawlResult> CrawlEngine::Run() {
 
 // --- checkpointing ----------------------------------------------------
 
-namespace {
-
-void SaveOutcome(CheckpointWriter& writer, const QueryOutcome& outcome) {
-  writer.WriteU32(outcome.value);
-  writer.WriteU8(outcome.total_matches.has_value() ? 1 : 0);
-  writer.WriteU32(outcome.total_matches.value_or(0));
-  writer.WriteU32(outcome.pages_fetched);
-  writer.WriteU32(outcome.records_returned);
-  writer.WriteU32(outcome.new_records);
-  writer.WriteU8(outcome.aborted ? 1 : 0);
-  writer.WriteU32(outcome.fetch_failures);
-  writer.WriteU8(outcome.degraded ? 1 : 0);
-}
-
-QueryOutcome LoadOutcome(CheckpointReader& reader) {
-  QueryOutcome outcome;
-  outcome.value = reader.ReadU32();
-  bool has_total = reader.ReadU8() != 0;
-  uint32_t total = reader.ReadU32();
-  if (has_total) outcome.total_matches = total;
-  outcome.pages_fetched = reader.ReadU32();
-  outcome.records_returned = reader.ReadU32();
-  outcome.new_records = reader.ReadU32();
-  outcome.aborted = reader.ReadU8() != 0;
-  outcome.fetch_failures = reader.ReadU32();
-  outcome.degraded = reader.ReadU8() != 0;
-  return outcome;
-}
-
-}  // namespace
-
-Status CrawlEngine::SaveState(CheckpointWriter& writer) const {
-  // CONFIG: the construction fingerprint, verified on load before any
-  // state is touched. `threads` is deliberately absent — it is
-  // wall-clock only, so a checkpoint may be resumed at any thread count.
+void CrawlEngine::SaveState(CheckpointWriter& writer) const {
+  // CONFIG: the construction fingerprint, verified on load before the
+  // replay starts. `threads` is deliberately absent — it is wall-clock
+  // only, so a checkpoint may be resumed at any thread count.
   WriteSectionMarker(writer, kSectionConfig);
   writer.WriteU32(engine_options_.batch);
   writer.WriteU8(options_.use_keyword_interface ? 1 : 0);
@@ -471,66 +646,126 @@ Status CrawlEngine::SaveState(CheckpointWriter& writer) const {
   writer.WriteU64(options_.target_records);
   writer.WriteU64(options_.saturation_records);
 
-  // ENGINE: the wave loop's own state.
-  WriteSectionMarker(writer, kSectionEngine);
+  // LOG: marks and fetches in the order they happened. A page's records
+  // are written by id. The store keeps records in first-occurrence
+  // order, so the record in slot `next_slot` is the next one the log
+  // meets for the first time, and only that occurrence carries values.
+  WriteSectionMarker(writer, kSectionLog);
+  size_t next_mark = 0;
+  size_t next_record = 0;
+  uint32_t next_slot = 0;
+  auto write_marks = [&](uint64_t fetch_index) {
+    for (; next_mark < log_marks_.size() &&
+           log_marks_[next_mark].fetch_index <= fetch_index;
+         ++next_mark) {
+      const LogMark& mark = log_marks_[next_mark];
+      writer.WriteU8(mark.kind);
+      if (mark.kind == kLogSeed) writer.WriteVarint(mark.seed);
+      if (mark.kind == kLogRun) {
+        writer.WriteU64(mark.max_rounds);
+        writer.WriteU64(mark.target_records);
+      }
+    }
+  };
+  for (uint64_t f = 0; f < log_fetches_.size(); ++f) {
+    write_marks(f);
+    const LoggedFetch& fetch = log_fetches_[f];
+    const bool failed = fetch.code != static_cast<uint8_t>(StatusCode::kOk);
+    writer.WriteU8(failed ? kLogFailure : kLogPage);
+    writer.WriteVarint(fetch.value);
+    if (failed) {
+      writer.WriteU8(fetch.code);
+      writer.WriteU8(fetch.flags);
+      if (fetch.flags & kLogHasHint) writer.WriteVarint(fetch.total_or_hint);
+      continue;
+    }
+    writer.WriteU8(fetch.flags);
+    if (fetch.flags & kLogHasTotal) writer.WriteVarint(fetch.total_or_hint);
+    writer.WriteVarint(fetch.num_records);
+    for (uint32_t r = 0; r < fetch.num_records; ++r) {
+      const RecordId id = log_records_[next_record++];
+      const uint64_t key = uint64_t{id} << 1;
+      if (next_slot < store_.num_records() &&
+          store_.OriginalRecordId(next_slot) == id) {
+        writer.WriteVarint(key | kRecordNew);
+        std::span<const ValueId> values = store_.RecordValues(next_slot++);
+        writer.WriteVarint(values.size());
+        for (ValueId v : values) writer.WriteVarint(v);
+      } else {
+        writer.WriteVarint(key | kRecordRepeat);
+      }
+    }
+  }
+  write_marks(log_fetches_.size());
+  if (boundary_open_) writer.WriteU8(kLogCut);
+  writer.WriteU8(kLogEnd);
   writer.WriteU64(rounds_used_);
-  writer.WriteU64(queries_issued_);
   writer.WriteU64(waves_completed_);
-  writer.WriteU64(clock_.now());
-  writer.WriteU8(saturation_notified_ ? 1 : 0);
-  writer.WriteString(std::string_view(seen_.data(), seen_.size()));
-  writer.WriteU64(trace_.points().size());
-  for (const TracePoint& point : trace_.points()) {
-    writer.WriteU64(point.rounds);
-    writer.WriteU64(point.records);
-  }
-  const ResilienceCounters& res = trace_.resilience();
-  writer.WriteU64(res.transient_failures);
-  writer.WriteU64(res.retries);
-  writer.WriteU64(res.backoff_ticks);
-  writer.WriteU64(res.requeues);
-  writer.WriteU64(res.abandoned_values);
-  writer.WriteU64(res.degraded_queries);
-  writer.WriteU64(res.rate_limit_rejections);
-  writer.WriteU64(res.max_retry_after_hint);
-  degradation_.SaveState(writer);
-  for (const auto& slot_box : slots_) {
-    writer.WriteU8(slot_box.has_value() ? 1 : 0);
-    if (!slot_box.has_value()) continue;
-    writer.WriteU32(slot_box->value);
-    writer.WriteU32(slot_box->next_page);
-    writer.WriteU32(slot_box->failures);
-    SaveOutcome(writer, slot_box->outcome);
-  }
-  writer.WriteU64(wave_.size());
-  for (size_t index : wave_) writer.WriteU64(index);
-  writer.WriteU64(wave_pos_);
-
-  // STORE, in logical replay form: original id, observation count, and
-  // values per record, in harvest order. AddRecord/RestoreObservations
-  // rebuild the postings arena, edge hash, degree counters and record-id
-  // map exactly, because all of them are pure functions of the add
-  // sequence.
-  WriteSectionMarker(writer, kSectionStore);
   writer.WriteU64(store_.num_records());
-  for (uint32_t slot = 0; slot < store_.num_records(); ++slot) {
-    writer.WriteU32(store_.OriginalRecordId(slot));
-    writer.WriteU32(store_.ObservationCount(slot));
-    std::span<const ValueId> values = store_.RecordValues(slot);
-    writer.WriteU32(static_cast<uint32_t>(values.size()));
-    for (ValueId v : values) writer.WriteU32(v);
-  }
-  writer.WriteU64(store_.num_observations());
+}
 
-  // SELECTOR: the policy serializes itself (oracle/domain policies
-  // reject with a clean FailedPrecondition).
-  WriteSectionMarker(writer, kSectionSelector);
-  return selector_.SaveState(writer);
+Status CrawlEngine::ReplayLog(Replay& replay) {
+  CheckpointReader& reader = replay.reader();
+  for (;;) {
+    switch (replay.Peek()) {
+      case kLogSeed: {
+        replay.Take();
+        ValueId seed = replay.ReadValue();
+        DEEPCRAWL_RETURN_IF_ERROR(replay.status());
+        AddSeed(seed);
+        break;
+      }
+      case kLogRun: {
+        replay.Take();
+        options_.max_rounds = reader.ReadU64();
+        options_.target_records = reader.ReadU64();
+        DEEPCRAWL_RETURN_IF_ERROR(replay.status());
+        // A Run() that fails the crawl replays a logged failure; only
+        // the replay's own status says whether the log holds.
+        (void)Run();
+        DEEPCRAWL_RETURN_IF_ERROR(replay.status());
+        break;
+      }
+      case kLogPage:
+      case kLogFailure: {
+        // Fetches with no Run() entry before them: the caller ran again
+        // under unchanged budgets.
+        const uint64_t before = replay.fetches();
+        (void)Run();
+        DEEPCRAWL_RETURN_IF_ERROR(replay.status());
+        if (replay.fetches() == before) {
+          return replay.Diverge("the crawl stops before the logged fetch");
+        }
+        break;
+      }
+      case kLogEnd: {
+        replay.Take();
+        const uint64_t rounds = reader.ReadU64();
+        const uint64_t waves = reader.ReadU64();
+        const uint64_t records = reader.ReadU64();
+        DEEPCRAWL_RETURN_IF_ERROR(replay.status());
+        if (rounds != rounds_used_ || waves != waves_completed_ ||
+            records != store_.num_records()) {
+          return replay.Diverge(
+              "the replay ends at " + std::to_string(rounds_used_) +
+              " rounds, " + std::to_string(waves_completed_) + " waves and " +
+              std::to_string(store_.num_records()) + " records, the log at " +
+              std::to_string(rounds) + ", " + std::to_string(waves) +
+              " and " + std::to_string(records));
+        }
+        return Status::OK();
+      }
+      default:
+        DEEPCRAWL_RETURN_IF_ERROR(replay.status());
+        reader.MarkCorrupt("fetch-log entry out of place");
+        return reader.status();
+    }
+  }
 }
 
 Status CrawlEngine::LoadState(CheckpointReader& reader) {
   if (rounds_used_ != 0 || store_.num_records() != 0 || !trace_.empty() ||
-      !seen_.empty()) {
+      !seen_.empty() || !log_marks_.empty()) {
     return Status::FailedPrecondition(
         "checkpoint restore requires a freshly constructed engine "
         "(empty store, no rounds used)");
@@ -564,145 +799,26 @@ Status CrawlEngine::LoadState(CheckpointReader& reader) {
         selector_name + "', engine runs policy '" +
         std::string(selector_.name()) + "'");
   }
+  if (saturation_records != options_.saturation_records) {
+    return Status::InvalidArgument(
+        "checkpoint saturation mismatch: file has saturation_records=" +
+        std::to_string(saturation_records) + ", engine was built with " +
+        std::to_string(options_.saturation_records));
+  }
+
+  // LOG: replayed through Run(). The checkpoint sink stays silent and no
+  // fetch reaches the server.
+  if (!ExpectSectionMarker(reader, kSectionLog, "LOG ")) {
+    return reader.status();
+  }
+  Replay replay(*this, reader);
+  replay_ = &replay;
+  Status replayed = ReplayLog(replay);
+  replay_ = nullptr;
+  DEEPCRAWL_RETURN_IF_ERROR(replayed);
   options_.max_rounds = max_rounds;
   options_.target_records = target_records;
-  options_.saturation_records = saturation_records;
-
-  if (!ExpectSectionMarker(reader, kSectionEngine, "ENGI")) {
-    return reader.status();
-  }
-  rounds_used_ = reader.ReadU64();
-  queries_issued_ = reader.ReadU64();
-  waves_completed_ = reader.ReadU64();
-  uint64_t clock_now = reader.ReadU64();
-  saturation_notified_ = reader.ReadU8() != 0;
-  std::string seen_bytes = reader.ReadString();
-  if (seen_bytes.find_first_not_of(std::string_view("\0\1", 2)) !=
-      std::string::npos) {
-    reader.MarkCorrupt("seen bitmap byte is neither 0 nor 1");
-  }
-  DEEPCRAWL_RETURN_IF_ERROR(reader.status());
-  clock_.set_now(clock_now);
-  seen_.assign(seen_bytes.begin(), seen_bytes.end());
-  // Every value id a crawl ever touched went through DiscoverValue, so
-  // the seen bitmap bounds every id in the sections below — the bound
-  // that keeps a forged id from driving a giant table resize.
-  ValueId value_bound = static_cast<ValueId>(seen_.size());
-
-  uint64_t num_points = reader.ReadCount(16);
-  uint64_t last_rounds = 0;
-  uint64_t last_records = 0;
-  for (uint64_t i = 0; i < num_points && reader.ok(); ++i) {
-    uint64_t rounds = reader.ReadU64();
-    uint64_t records = reader.ReadU64();
-    // Stored points are collapsed (strictly increasing rounds), so the
-    // replay below reproduces the exact points vector.
-    if (i > 0 && (rounds <= last_rounds || records < last_records)) {
-      reader.MarkCorrupt("trace points not monotone");
-      break;
-    }
-    last_rounds = rounds;
-    last_records = records;
-    trace_.Add(rounds, records);
-  }
-  ResilienceCounters& res = trace_.resilience();
-  res.transient_failures = reader.ReadU64();
-  res.retries = reader.ReadU64();
-  res.backoff_ticks = reader.ReadU64();
-  res.requeues = reader.ReadU64();
-  res.abandoned_values = reader.ReadU64();
-  res.degraded_queries = reader.ReadU64();
-  res.rate_limit_rejections = reader.ReadU64();
-  res.max_retry_after_hint = reader.ReadU64();
-  DEEPCRAWL_RETURN_IF_ERROR(degradation_.LoadState(reader, value_bound));
-  for (auto& slot_box : slots_) {
-    bool present = reader.ReadU8() != 0;
-    if (!reader.ok()) break;
-    if (!present) {
-      slot_box.reset();
-      continue;
-    }
-    Slot slot;
-    slot.value = reader.ReadU32();
-    slot.next_page = reader.ReadU32();
-    slot.failures = reader.ReadU32();
-    slot.outcome = LoadOutcome(reader);
-    if (slot.value >= value_bound) {
-      reader.MarkCorrupt("slot value id out of range");
-      break;
-    }
-    slot_box = std::move(slot);
-  }
-  wave_.clear();
-  uint64_t wave_size = reader.ReadCount(8);
-  for (uint64_t i = 0; i < wave_size && reader.ok(); ++i) {
-    uint64_t index = reader.ReadU64();
-    if (index >= slots_.size() || !slots_[index].has_value() ||
-        (!wave_.empty() && index <= wave_.back())) {
-      reader.MarkCorrupt("wave slot index invalid");
-      break;
-    }
-    wave_.push_back(static_cast<size_t>(index));
-  }
-  uint64_t wave_pos = reader.ReadU64();
-  if (reader.ok() && wave_pos > wave_.size()) {
-    reader.MarkCorrupt("wave position past the wave's end");
-  }
-  wave_pos_ = static_cast<size_t>(wave_pos);
-  DEEPCRAWL_RETURN_IF_ERROR(reader.status());
-
-  if (!ExpectSectionMarker(reader, kSectionStore, "STOR")) {
-    return reader.status();
-  }
-  uint64_t num_records = reader.ReadCount(16);
-  std::vector<ValueId> values;
-  for (uint64_t i = 0; i < num_records && reader.ok(); ++i) {
-    RecordId id = reader.ReadU32();
-    uint32_t observations = reader.ReadU32();
-    uint32_t num_values = reader.ReadU32();
-    if (!reader.ok()) break;
-    if (observations == 0) {
-      reader.MarkCorrupt("record with zero observations");
-      break;
-    }
-    if (num_values == 0 ||
-        static_cast<uint64_t>(num_values) * 4 > reader.remaining()) {
-      reader.MarkCorrupt("record value count invalid");
-      break;
-    }
-    values.clear();
-    values.reserve(num_values);
-    for (uint32_t j = 0; j < num_values; ++j) {
-      ValueId v = reader.ReadU32();
-      if (v >= value_bound) {
-        reader.MarkCorrupt("record value id out of range");
-        break;
-      }
-      values.push_back(v);
-    }
-    if (!reader.ok()) break;
-    if (store_.ContainsRecord(id)) {
-      reader.MarkCorrupt("duplicate record id in store section");
-      break;
-    }
-    store_.AddRecord(id, values);
-    // Restore the duplicate-observation counter directly rather than
-    // replaying ObserveIfStored N times: the count is attacker-visible
-    // data, and a forged value must cost O(1), not O(N) replay work.
-    store_.RestoreObservations(id, observations);
-  }
-  uint64_t expected_observations = reader.ReadU64();
-  if (reader.ok() && expected_observations != store_.num_observations()) {
-    reader.MarkCorrupt("store observation total does not add up");
-  }
-  DEEPCRAWL_RETURN_IF_ERROR(reader.status());
-
-  // SELC after STOR: selectors rebuild derived state (the greedy degree
-  // heap) from the restored store's statistics.
-  if (!ExpectSectionMarker(reader, kSectionSelector, "SELC")) {
-    return reader.status();
-  }
-  return selector_.LoadState(reader, value_bound);
+  return Status::OK();
 }
 
 }  // namespace deepcrawl

@@ -25,12 +25,15 @@
 //     candidates from the previous wave's knowledge (the round-limited
 //     access model of Sheng et al., PAPERS.md).
 //
-// Checkpoint/resume: SaveState/LoadState serialize the engine's entire
-// crawl state — local store, selector, retry queues, parked slots, wave
-// cursor, clock, trace, resilience counters — such that checkpoint +
-// restore + continue emits the SAME trace CSV byte-for-byte as the
-// uninterrupted run. See src/crawler/checkpoint.h for the file format
-// and the whole-crawl orchestration (including fault-proxy state).
+// Checkpoint/resume: a crawl's state is a pure function of its inputs —
+// the seeds, every Run() call's budgets, and every committed fetch
+// result. The engine records those inputs as it goes (the fetch log);
+// SaveState writes the log, and LoadState rebuilds store, selector,
+// retry queue, clock and trace by replaying it through this same
+// engine code with no server call, so checkpoint + restore + continue
+// emits the SAME trace CSV byte-for-byte as the uninterrupted run. See
+// src/crawler/checkpoint.h for the file format and the whole-crawl
+// orchestration (including fault-proxy state).
 
 #ifndef DEEPCRAWL_CRAWLER_CRAWL_ENGINE_H_
 #define DEEPCRAWL_CRAWLER_CRAWL_ENGINE_H_
@@ -193,11 +196,6 @@ class DegradationTracker {
   // Pops the next re-queued value (frontier tail), or kInvalidValueId.
   ValueId PopRetry();
 
-  void SaveState(CheckpointWriter& writer) const;
-  // `value_bound` is an exclusive bound on every decoded value id; an id
-  // at or above it latches the reader corrupt.
-  Status LoadState(CheckpointReader& reader, ValueId value_bound);
-
  private:
   const RetryPolicy* policy_;
   SimulatedClock& clock_;
@@ -274,15 +272,21 @@ class CrawlEngine {
   const EngineOptions& engine_options() const { return engine_options_; }
 
   // --- checkpointing ---------------------------------------------------
-  // Serializes the engine's full crawl state (config fingerprint, loop
-  // state, local store, selector) into `writer`. Fails cleanly when the
-  // selector does not support checkpointing (oracle/domain policies).
-  Status SaveState(CheckpointWriter& writer) const;
+  // Writes the construction fingerprint (CONF) and the fetch log (LOG):
+  // seeds, Run() budgets and every committed fetch, each stored record's
+  // values written once at its first occurrence. Any engine can be
+  // saved, under any selector.
+  void SaveState(CheckpointWriter& writer) const;
   // Restores state saved by SaveState into a freshly constructed engine
-  // whose construction parameters (batch, keyword mode, store options,
-  // selector policy) match the checkpointing run; anything else is
+  // whose construction parameters (batch, keyword mode, selector policy
+  // and its options, retry and abort policies) match the checkpointing
+  // run, by replaying the log through this engine with no server call.
+  // The replay stops where the saved engine stood: at the wave boundary
+  // a checkpoint sink saw, or where its last Run() returned. Anything
+  // inconsistent — a mismatched fingerprint, a forged or corrupt log, a
+  // replay that asks for a different fetch than the log holds — is
   // rejected with a clean error. On error the engine may be partially
-  // populated and must be discarded — never continue a crawl on it.
+  // populated and must be discarded; never continue a crawl on it.
   Status LoadState(CheckpointReader& reader);
 
  private:
@@ -296,8 +300,40 @@ class CrawlEngine {
     QueryOutcome outcome;
   };
 
+  // Serves each committed fetch from a checkpoint's fetch log while
+  // LoadState replays it.
+  class Replay;
+
+  // One committed fetch of the fetch log. The page's record ids follow
+  // in log_records_, in page order.
+  struct LoggedFetch {
+    ValueId value = kInvalidValueId;
+    uint32_t num_records = 0;    // success only
+    uint32_t total_or_hint = 0;  // total_matches, or the retry-after hint
+    uint8_t code = 0;            // StatusCode; kOk for a page
+    uint8_t flags = 0;           // kLogHasMore | kLogHasTotal | kLogHasHint
+  };
+  // A log entry between fetches: a seed, a Run() whose budgets differ
+  // from the last logged ones, or a cut — the point where a Run() was
+  // interrupted at a wave boundary (a checkpoint sink that failed, or a
+  // restored engine that resumed there) before its stop checks ran.
+  struct LogMark {
+    uint64_t fetch_index = 0;  // fetches logged before it
+    uint8_t kind = 0;
+    ValueId seed = kInvalidValueId;
+    uint64_t max_rounds = 0;
+    uint64_t target_records = 0;
+  };
+
   void DiscoverValue(ValueId v);
   ValueId NextValue();
+  // Log a cut when this Run() resumes an interrupted one, then its
+  // budgets when they changed.
+  void LogRunEntry();
+  void LogFetch(ValueId value, const StatusOr<ResultPage>& fetched);
+  // Drives the logged seeds and Run() calls through the engine until the
+  // log's end entry; returns the first replay failure.
+  Status ReplayLog(Replay& replay);
   // Applies one fetched page to the crawl state. Clears `slot_box` when
   // the drain ended; leaves it parked for the next wave otherwise.
   // Returns a non-OK status only when the crawl must fail.
@@ -346,6 +382,17 @@ class CrawlEngine {
   // so steady-state waves allocate nothing.
   std::vector<std::optional<StatusOr<ResultPage>>> fetch_results_;
   std::vector<FetchRequest> fetch_requests_;
+
+  // True while the engine stands at a wave boundary whose stop checks
+  // have not run yet: inside the checkpoint sink, after the sink failed,
+  // or after a replay paused there. A save then ends its log with a cut.
+  bool boundary_open_ = false;
+  // The fetch log: the crawl's inputs, recorded always (see SaveState).
+  std::vector<LoggedFetch> log_fetches_;
+  std::vector<RecordId> log_records_;
+  std::vector<LogMark> log_marks_;
+  // Non-null only while LoadState replays a log.
+  Replay* replay_ = nullptr;
 };
 
 }  // namespace deepcrawl

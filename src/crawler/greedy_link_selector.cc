@@ -1,6 +1,5 @@
 #include "src/crawler/greedy_link_selector.h"
 
-#include "src/util/checkpoint_io.h"
 #include "src/util/logging.h"
 
 namespace deepcrawl {
@@ -64,23 +63,6 @@ void GreedyLinkSelector::OnRecordHarvested(uint32_t slot) {
     heap_[pos] = key;
     SiftUp(pos);
   }
-}
-
-Status GreedyLinkSelector::SaveState(CheckpointWriter& writer) const {
-  SaveFrontier(writer);
-  return Status::OK();
-}
-
-Status GreedyLinkSelector::LoadState(CheckpointReader& reader,
-                                     ValueId value_bound) {
-  LoadFrontier(reader, value_bound);
-  heap_.clear();
-  heap_pos_.assign(value_bound, kNoPosition);
-  heap_pushes_ = 0;
-  if (reader.ok()) {
-    for (ValueId v : PendingValues()) Push(v);
-  }
-  return reader.status();
 }
 
 ValueId GreedyLinkSelector::SelectNext() {

@@ -43,13 +43,6 @@ class GreedyLinkSelector : public FrontierSelector {
   ValueId SelectNext() override;
   std::string_view name() const override { return "greedy-link"; }
 
-  // Checkpointing: only the frontier, in its current swap-erase
-  // permutation. The heap is derived state: LoadState rebuilds it from
-  // the store's degrees, so the store must be restored first (the
-  // engine and the fleet restore STOR before SELC).
-  Status SaveState(CheckpointWriter& writer) const override;
-  Status LoadState(CheckpointReader& reader, ValueId value_bound) override;
-
   // Diagnostics for the stress test's heap-growth assertion.
   size_t heap_size() const { return heap_.size(); }
   uint64_t heap_pushes() const { return heap_pushes_; }

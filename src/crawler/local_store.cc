@@ -62,17 +62,6 @@ bool LocalStore::ObserveIfStored(RecordId id) {
   return true;
 }
 
-void LocalStore::RestoreObservations(RecordId id, uint32_t count) {
-  DEEPCRAWL_CHECK_GE(count, 1u);
-  uint32_t stored_slot = slot_of_.Find(uint64_t{id} + 1);
-  DEEPCRAWL_CHECK(stored_slot != 0)
-      << "restoring observations of a record never added";
-  uint32_t& stored = observation_count_[stored_slot - 1];
-  num_observations_ += count;
-  num_observations_ -= stored;
-  stored = count;
-}
-
 uint64_t LocalStore::num_observations() const {
   return num_observations_;
 }
@@ -119,10 +108,6 @@ std::span<const ValueId> LocalStore::RecordValues(uint32_t slot) const {
 RecordId LocalStore::OriginalRecordId(uint32_t slot) const {
   DEEPCRAWL_CHECK_LT(slot, num_records()) << "local record slot out of range";
   return original_ids_[slot];
-}
-
-uint32_t LocalStore::ObservationCount(uint32_t slot) const {
-  return observation_count_[slot];
 }
 
 }  // namespace deepcrawl

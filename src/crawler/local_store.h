@@ -56,13 +56,6 @@ class LocalStore {
   // data") feed the Chao-style online size estimators in src/estimate.
   bool ObserveIfStored(RecordId id);
 
-  // Checkpoint-restore path: sets the record's observation counter to
-  // `count` (>= 1) in one step, equivalent to AddRecord followed by
-  // count - 1 ObserveIfStored calls but O(1) — decode cost must not
-  // scale with a counter read from (possibly corrupt) input. Aborts
-  // when the record was never added or `count` is zero.
-  void RestoreObservations(RecordId id, uint32_t count);
-
   // Total result records observed, duplicates included.
   uint64_t num_observations() const;
 
@@ -88,10 +81,6 @@ class LocalStore {
 
   // Original (server-side) record id of slot `slot`.
   RecordId OriginalRecordId(uint32_t slot) const;
-
-  // Times the record in slot `slot` was observed (>= 1), for the
-  // checkpoint layer's logical-replay serialization.
-  uint32_t ObservationCount(uint32_t slot) const;
 
  private:
   void EnsureValueCapacity(ValueId v);

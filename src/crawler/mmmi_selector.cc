@@ -7,7 +7,6 @@
 #include <numeric>
 #include <optional>
 
-#include "src/util/checkpoint_io.h"
 #include "src/util/logging.h"
 
 namespace deepcrawl {
@@ -329,92 +328,6 @@ void MmmiSelector::RecomputeBatch() {
   for (size_t i = 0; i < take; ++i) {
     batch_queue_.push_back(scored_[i].value);
   }
-}
-
-Status MmmiSelector::SaveState(CheckpointWriter& writer) const {
-  DEEPCRAWL_RETURN_IF_ERROR(GreedyLinkSelector::SaveState(writer));
-  // Options fingerprint: the ranking mode changes selection, so a
-  // checkpoint must not silently resume under a different one.
-  writer.WriteU32(options_.batch_size);
-  writer.WriteU8(static_cast<uint8_t>(options_.ranking));
-  writer.WriteU8(saturated_ ? 1 : 0);
-  writer.WriteString(
-      std::string_view(queried_bitmap_.data(), queried_bitmap_.size()));
-  writer.WriteU64(batch_queue_.size());
-  for (ValueId v : batch_queue_) writer.WriteU32(v);
-  writer.WriteU64(partners_.num_rows());
-  for (size_t row = 0; row < partners_.num_rows(); ++row) {
-    std::span<const std::pair<ValueId, uint32_t>> entries =
-        partners_.Row(row);
-    writer.WriteU64(entries.size());
-    for (const auto& [partner, co] : entries) {
-      writer.WriteU32(partner);
-      writer.WriteU32(co);
-    }
-  }
-  return Status::OK();
-}
-
-Status MmmiSelector::LoadState(CheckpointReader& reader,
-                               ValueId value_bound) {
-  DEEPCRAWL_RETURN_IF_ERROR(
-      GreedyLinkSelector::LoadState(reader, value_bound));
-  uint32_t batch_size = reader.ReadU32();
-  uint8_t ranking = reader.ReadU8();
-  DEEPCRAWL_RETURN_IF_ERROR(reader.status());
-  if (batch_size != options_.batch_size ||
-      ranking != static_cast<uint8_t>(options_.ranking)) {
-    return Status::InvalidArgument(
-        "checkpoint MMMI-options mismatch: batch size or ranking mode "
-        "differs from the checkpointing run");
-  }
-  saturated_ = reader.ReadU8() != 0;
-  std::string bitmap = reader.ReadString();
-  if (bitmap.find_first_not_of(std::string_view("\0\1", 2)) !=
-      std::string::npos) {
-    reader.MarkCorrupt("queried bitmap byte is neither 0 nor 1");
-  }
-  queried_bitmap_.assign(bitmap.begin(), bitmap.end());
-  batch_queue_.clear();
-  uint64_t queued = reader.ReadCount(4);
-  for (uint64_t i = 0; i < queued && reader.ok(); ++i) {
-    ValueId v = reader.ReadU32();
-    if (v >= value_bound) {
-      reader.MarkCorrupt("batch-queue value id out of range");
-      break;
-    }
-    batch_queue_.push_back(v);
-  }
-  partners_ = ChunkedArena<std::pair<ValueId, uint32_t>>();
-  uint64_t num_rows = reader.ReadCount(8);
-  if (reader.ok() && num_rows > value_bound) {
-    reader.MarkCorrupt("co-occurrence row count out of range");
-  }
-  if (reader.ok()) partners_.EnsureRows(static_cast<size_t>(num_rows));
-  for (uint64_t row = 0; row < num_rows && reader.ok(); ++row) {
-    uint64_t entries = reader.ReadCount(8);
-    ValueId last_partner = 0;
-    for (uint64_t i = 0; i < entries && reader.ok(); ++i) {
-      ValueId partner = reader.ReadU32();
-      uint32_t co = reader.ReadU32();
-      // Rows must come back sorted ascending by partner id — the
-      // invariant CachedDependency's aggregation order relies on.
-      if (partner >= value_bound || co == 0 ||
-          (i > 0 && partner <= last_partner)) {
-        reader.MarkCorrupt("co-occurrence row invalid");
-        break;
-      }
-      last_partner = partner;
-      partners_.Append(static_cast<size_t>(row), {partner, co});
-    }
-  }
-  // The ranking structure is derived state: rebuild it from scratch.
-  ranked_.clear();
-  slots_.clear();
-  dirty_.clear();
-  moved_.clear();
-  if (reader.ok()) MarkAllPendingDirty();
-  return reader.status();
 }
 
 ValueId MmmiSelector::SelectNext() {

@@ -63,10 +63,10 @@
 //   * Dirty set. A key moves only with f_v, v's own row, or f_u of an
 //     issued partner. Values are marked dirty when they appear in a
 //     harvested record, are the target of a Bump, or enter the frontier
-//     (and all pending values at saturation or LoadState). f_u of an
-//     issued u moves only after an incomplete drain (abandonment, a
-//     §3.4 abort, a result limit); such a u marks the pending values of
-//     its local records dirty, so no reverse index is needed.
+//     (and all pending values at saturation). f_u of an issued u moves
+//     only after an incomplete drain (abandonment, a §3.4 abort, a
+//     result limit); such a u marks the pending values of its local
+//     records dirty, so no reverse index is needed.
 //   * One entry per value. A rescore erases the value's old entry before
 //     inserting the new one, so a key that returns to an earlier value
 //     cannot leave a stale twin behind (a lazy heap would need per-value
@@ -76,9 +76,7 @@
 // descending exp(-s')), then degree. kWeightedDependency's mean folds
 // the whole row, so each of its values is a group of one, keyed by
 // (f+1)·exp(-mean_u ln(co/(f_v·f_u))); its summed rounding grows with
-// row length, so its band takes a wider 1e-6 margin. The structure is
-// derived state: checkpoints do not carry it, LoadState rebuilds it.
-// See DESIGN.md §9.
+// row length, so its band takes a wider 1e-6 margin. See DESIGN.md §9.
 
 #ifndef DEEPCRAWL_CRAWLER_MMMI_SELECTOR_H_
 #define DEEPCRAWL_CRAWLER_MMMI_SELECTOR_H_
@@ -139,14 +137,6 @@ class MmmiSelector : public GreedyLinkSelector {
   }
 
   bool saturated() const { return saturated_; }
-
-  // Checkpointing: base (greedy) state plus the saturation flag, issued
-  // bitmap, batch queue, and the incremental co-occurrence rows (each
-  // row restored in its sorted-ascending order). The MmmiOptions
-  // fingerprint is verified on load. The ranking structure is derived
-  // state: LoadState rebuilds it from the restored rows.
-  Status SaveState(CheckpointWriter& writer) const override;
-  Status LoadState(CheckpointReader& reader, ValueId value_bound) override;
 
   // Dependency score s(q) of a candidate against the issued queries,
   // from the incremental co-occurrence counters — so it only credits

@@ -2,35 +2,9 @@
 
 #include <algorithm>
 
-#include "src/util/checkpoint_io.h"
-
 namespace deepcrawl {
 
 namespace {
-
-// Shared frontier-container codec: all three naive selectors keep
-// Lto-query as a flat sequence of value ids.
-template <typename Container>
-void SaveFrontier(CheckpointWriter& writer, const Container& frontier) {
-  writer.WriteU64(frontier.size());
-  for (ValueId v : frontier) writer.WriteU32(v);
-}
-
-template <typename Container>
-Status LoadFrontier(CheckpointReader& reader, ValueId value_bound,
-                    const char* what, Container& frontier) {
-  frontier.clear();
-  uint64_t count = reader.ReadCount(4);
-  for (uint64_t i = 0; i < count && reader.ok(); ++i) {
-    ValueId v = reader.ReadU32();
-    if (v >= value_bound) {
-      reader.MarkCorrupt(std::string(what) + " frontier value out of range");
-      break;
-    }
-    frontier.push_back(v);
-  }
-  return reader.status();
-}
 
 // Removes the first occurrence of `v`, preserving the relative order of
 // the remaining entries (so the take is deterministic and the container
@@ -69,40 +43,6 @@ ValueId RandomSelector::SelectNext() {
   pool_[i] = pool_.back();
   pool_.pop_back();
   return v;
-}
-
-Status BfsSelector::SaveState(CheckpointWriter& writer) const {
-  SaveFrontier(writer, queue_);
-  return Status::OK();
-}
-
-Status BfsSelector::LoadState(CheckpointReader& reader, ValueId value_bound) {
-  return LoadFrontier(reader, value_bound, "bfs", queue_);
-}
-
-Status DfsSelector::SaveState(CheckpointWriter& writer) const {
-  SaveFrontier(writer, stack_);
-  return Status::OK();
-}
-
-Status DfsSelector::LoadState(CheckpointReader& reader, ValueId value_bound) {
-  return LoadFrontier(reader, value_bound, "dfs", stack_);
-}
-
-Status RandomSelector::SaveState(CheckpointWriter& writer) const {
-  writer.WriteU64(rng_.state());
-  writer.WriteU64(rng_.inc());
-  SaveFrontier(writer, pool_);
-  return Status::OK();
-}
-
-Status RandomSelector::LoadState(CheckpointReader& reader,
-                                 ValueId value_bound) {
-  uint64_t state = reader.ReadU64();
-  uint64_t inc = reader.ReadU64();
-  if (!reader.ok()) return reader.status();
-  rng_.RestoreRaw(state, inc);
-  return LoadFrontier(reader, value_bound, "random", pool_);
 }
 
 }  // namespace deepcrawl

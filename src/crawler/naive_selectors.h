@@ -27,8 +27,6 @@ class BfsSelector : public QuerySelector {
   void OnValueTaken(ValueId v) override;
   ValueId SelectNext() override;
   std::string_view name() const override { return "bfs"; }
-  Status SaveState(CheckpointWriter& writer) const override;
-  Status LoadState(CheckpointReader& reader, ValueId value_bound) override;
 
  private:
   std::deque<ValueId> queue_;
@@ -43,8 +41,6 @@ class DfsSelector : public QuerySelector {
   void OnValueTaken(ValueId v) override;
   ValueId SelectNext() override;
   std::string_view name() const override { return "dfs"; }
-  Status SaveState(CheckpointWriter& writer) const override;
-  Status LoadState(CheckpointReader& reader, ValueId value_bound) override;
 
  private:
   std::vector<ValueId> stack_;
@@ -59,8 +55,6 @@ class RandomSelector : public QuerySelector {
   void OnValueTaken(ValueId v) override;
   ValueId SelectNext() override;
   std::string_view name() const override { return "random"; }
-  Status SaveState(CheckpointWriter& writer) const override;
-  Status LoadState(CheckpointReader& reader, ValueId value_bound) override;
 
  private:
   Pcg32 rng_;

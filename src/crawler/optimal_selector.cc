@@ -3,23 +3,9 @@
 #include <algorithm>
 #include <string>
 
-#include "src/util/checkpoint_io.h"
 #include "src/util/logging.h"
 
 namespace deepcrawl {
-namespace {
-
-// FNV-1a 64-bit fold of one u64 (byte-wise, little-endian).
-uint64_t FnvMix(uint64_t hash, uint64_t word) {
-  constexpr uint64_t kPrime = 1099511628211ULL;
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (word >> (8 * i)) & 0xff;
-    hash *= kPrime;
-  }
-  return hash;
-}
-
-}  // namespace
 
 bool QueryHierarchy::ParseInterval(std::string_view text, uint32_t& lo,
                                    uint32_t& hi) {
@@ -107,17 +93,6 @@ StatusOr<QueryHierarchy> QueryHierarchy::FromCatalog(
     hierarchy.node_of_[hierarchy.nodes_[i].value] = i;
   }
   return hierarchy;
-}
-
-uint64_t QueryHierarchy::Fingerprint() const {
-  uint64_t hash = 14695981039346656037ULL;
-  hash = FnvMix(hash, nodes_.size());
-  for (const Node& node : nodes_) {
-    hash = FnvMix(hash, node.value);
-    hash = FnvMix(hash, (static_cast<uint64_t>(node.lo) << 32) | node.hi);
-    hash = FnvMix(hash, node.parent);
-  }
-  return hash;
 }
 
 RankOptimalSelector::RankOptimalSelector(const LocalStore& store,
@@ -227,90 +202,6 @@ ValueId RankOptimalSelector::SelectNext() {
   ValueId v = GreedyLinkSelector::SelectNext();
   if (v != kInvalidValueId) ++fallback_selects_;
   return v;
-}
-
-Status RankOptimalSelector::SaveState(CheckpointWriter& writer) const {
-  DEEPCRAWL_RETURN_IF_ERROR(GreedyLinkSelector::SaveState(writer));
-  // Options + hierarchy fingerprint: a resume must not silently continue
-  // under a different mode, limit, or rank forest.
-  writer.WriteU8(static_cast<uint8_t>(options_.mode));
-  writer.WriteU32(options_.result_limit);
-  writer.WriteU64(hierarchy_.Fingerprint());
-  writer.WriteU64(status_.size());
-  for (NodeStatus s : status_) writer.WriteU8(static_cast<uint8_t>(s));
-  for (size_t i = 0; i < status_.size(); ++i) {
-    writer.WriteU8(has_count_[i]);
-    writer.WriteU32(count_[i]);
-  }
-  writer.WriteU64(descent_.size());
-  for (uint32_t node : descent_) writer.WriteU32(node);
-  writer.WriteU64(descended_);
-  writer.WriteU64(skipped_);
-  writer.WriteU64(resolved_);
-  writer.WriteU64(overflowed_);
-  writer.WriteU64(fallback_selects_);
-  return Status::OK();
-}
-
-Status RankOptimalSelector::LoadState(CheckpointReader& reader,
-                                      ValueId value_bound) {
-  DEEPCRAWL_RETURN_IF_ERROR(
-      GreedyLinkSelector::LoadState(reader, value_bound));
-  uint8_t mode = reader.ReadU8();
-  uint32_t result_limit = reader.ReadU32();
-  uint64_t fingerprint = reader.ReadU64();
-  DEEPCRAWL_RETURN_IF_ERROR(reader.status());
-  if (mode != static_cast<uint8_t>(options_.mode) ||
-      result_limit != options_.result_limit ||
-      fingerprint != hierarchy_.Fingerprint()) {
-    return Status::InvalidArgument(
-        "checkpoint optimal-selector mismatch: mode, result limit, or "
-        "rank hierarchy differs from the checkpointing run");
-  }
-  uint64_t num_nodes = reader.ReadCount(1);
-  if (reader.ok() && num_nodes != hierarchy_.num_nodes()) {
-    reader.MarkCorrupt("optimal-selector node count mismatch");
-  }
-  status_.assign(hierarchy_.num_nodes(), NodeStatus::kUnvisited);
-  for (uint64_t i = 0; i < num_nodes && reader.ok(); ++i) {
-    uint8_t s = reader.ReadU8();
-    if (s > static_cast<uint8_t>(NodeStatus::kSkipped)) {
-      reader.MarkCorrupt("optimal-selector node status invalid");
-      break;
-    }
-    status_[i] = static_cast<NodeStatus>(s);
-  }
-  has_count_.assign(hierarchy_.num_nodes(), 0);
-  count_.assign(hierarchy_.num_nodes(), 0);
-  for (uint64_t i = 0; i < num_nodes && reader.ok(); ++i) {
-    uint8_t has = reader.ReadU8();
-    uint32_t count = reader.ReadU32();
-    if (has > 1) {
-      reader.MarkCorrupt("optimal-selector count flag invalid");
-      break;
-    }
-    has_count_[i] = has;
-    count_[i] = count;
-  }
-  descent_.clear();
-  uint64_t queued = reader.ReadCount(4);
-  std::vector<char> in_queue(hierarchy_.num_nodes(), 0);
-  for (uint64_t i = 0; i < queued && reader.ok(); ++i) {
-    uint32_t node = reader.ReadU32();
-    if (node >= hierarchy_.num_nodes() ||
-        status_[node] != NodeStatus::kQueued || in_queue[node]) {
-      reader.MarkCorrupt("optimal-selector descent queue invalid");
-      break;
-    }
-    in_queue[node] = 1;
-    descent_.push_back(node);
-  }
-  descended_ = reader.ReadU64();
-  skipped_ = reader.ReadU64();
-  resolved_ = reader.ReadU64();
-  overflowed_ = reader.ReadU64();
-  fallback_selects_ = reader.ReadU64();
-  return reader.status();
 }
 
 }  // namespace deepcrawl

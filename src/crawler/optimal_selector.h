@@ -112,10 +112,6 @@ class QueryHierarchy {
     return v < node_of_.size() ? node_of_[v] : kNoNode;
   }
 
-  // FNV-1a over the forest structure; checkpoints verify it so a resume
-  // against a different hierarchy is rejected, not silently wrong.
-  uint64_t Fingerprint() const;
-
  private:
   std::vector<Node> nodes_;
   std::vector<uint32_t> roots_;
@@ -152,13 +148,6 @@ class RankOptimalSelector : public GreedyLinkSelector {
   // any result page yet (interface knowledge); the engine marks them
   // seen at issue time.
   bool MaySelectUndiscovered() const override { return true; }
-
-  // Checkpointing: base greedy state, an options + hierarchy fingerprint
-  // (verified on load), per-node status/count arrays, the descent queue,
-  // and the diagnostics counters — the SELC section round-trips the full
-  // descent mid-crawl.
-  Status SaveState(CheckpointWriter& writer) const override;
-  Status LoadState(CheckpointReader& reader, ValueId value_bound) override;
 
   const QueryHierarchy& hierarchy() const { return hierarchy_; }
 

@@ -1,7 +1,6 @@
 #include "src/crawler/query_selector.h"
 
 #include "src/crawler/local_store.h"
-#include "src/util/checkpoint_io.h"
 #include "src/util/logging.h"
 
 namespace deepcrawl {
@@ -25,27 +24,6 @@ void FrontierSelector::OnValueDiscovered(ValueId v) {
 
 void FrontierSelector::OnValueTaken(ValueId v) {
   if (IsPending(v)) MarkNotPending(v);
-}
-
-void FrontierSelector::SaveFrontier(CheckpointWriter& writer) const {
-  writer.WriteU64(frontier_.size());
-  for (ValueId v : frontier_) writer.WriteU32(v);
-}
-
-void FrontierSelector::LoadFrontier(CheckpointReader& reader,
-                                    ValueId value_bound) {
-  frontier_.clear();
-  frontier_pos_.assign(value_bound, kNoPosition);
-  uint64_t frontier_size = reader.ReadCount(4);
-  for (uint64_t i = 0; i < frontier_size && reader.ok(); ++i) {
-    ValueId v = reader.ReadU32();
-    if (v >= value_bound || frontier_pos_[v] != kNoPosition) {
-      reader.MarkCorrupt("frontier value id invalid");
-      break;
-    }
-    frontier_pos_[v] = static_cast<uint32_t>(frontier_.size());
-    frontier_.push_back(v);
-  }
 }
 
 }  // namespace deepcrawl

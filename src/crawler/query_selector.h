@@ -95,21 +95,16 @@ class QuerySelector {
   // True when SelectNext may return a value the crawl has not seen on
   // any result page yet (interface-driven selection, e.g. the Sheng et
   // al. rank hierarchy of optimal_selector.h). The engine then marks
-  // such values seen at issue time, keeping the checkpoint id-bound
-  // invariant (every id the crawl touched < seen-bitmap size) sound.
-  // Frontier-driven selectors keep the default: the engine's discovery
-  // path stays byte-identical for them.
+  // such values seen at issue time, so a later sighting on a page does
+  // not announce them again. Frontier-driven selectors keep the
+  // default: the engine's discovery path stays byte-identical for them.
   virtual bool MaySelectUndiscovered() const { return false; }
 
-  // --- checkpointing (see src/crawler/checkpoint.h) -------------------
-  // Serializes/restores the selector's full decision state, such that a
-  // restored selector continues the crawl bit-identically. LoadState is
-  // called on a freshly constructed selector whose construction
-  // parameters match the checkpointing run; `value_bound` is an
-  // exclusive upper bound on every value id the crawl has seen, for
-  // validating decoded ids. The default rejects cleanly, so policies
-  // with external state (oracle/domain scripts) are non-checkpointable
-  // rather than silently wrong.
+  // Unused by the crawl: checkpoints replay the engine's fetch log
+  // (src/crawler/checkpoint.h), which rebuilds every selector through its
+  // event callbacks, so no selector serializes itself. These two remain
+  // only because the benchmark's TimedSelector (crawlbench/tracing.h)
+  // overrides and forwards them; they go with its next change.
   virtual Status SaveState(CheckpointWriter& writer) const {
     (void)writer;
     return Status::FailedPrecondition(
@@ -133,12 +128,6 @@ class QuerySelector {
 // LocalStore they read statistics from. Each of them used to carry its
 // own copy; this base holds it once. Scoring stays in the derived
 // classes — that is precisely where the paper's techniques differ.
-//
-// Checkpoint note: SaveFrontier/LoadFrontier serialize the frontier in
-// its current swap-erase permutation, byte-identical to the layout the
-// pre-refactor GreedyLinkSelector wrote, so derived selectors keep their
-// existing checkpoint formats by calling them in the same sequence
-// position as before.
 class FrontierSelector : public QuerySelector {
  public:
   // `store` must outlive the selector and be the store the crawl feeds;
@@ -178,12 +167,6 @@ class FrontierSelector : public QuerySelector {
   // selectors hook their per-candidate bookkeeping (heap pushes, weight
   // tables) here instead of overriding OnValueDiscovered.
   virtual void OnFrontierInsert(ValueId v) { (void)v; }
-
-  // Serialization of the frontier alone (u64 size + u32 values in the
-  // current permutation). LoadFrontier resets the position index to
-  // `value_bound` slots and flags corruption on the reader.
-  void SaveFrontier(CheckpointWriter& writer) const;
-  void LoadFrontier(CheckpointReader& reader, ValueId value_bound);
 
  private:
   const LocalStore& store_;

@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "src/util/checkpoint_io.h"
 
 namespace deepcrawl {
 
@@ -13,32 +12,6 @@ ScriptedSelector::ScriptedSelector(std::vector<ValueId> script)
 ValueId ScriptedSelector::SelectNext() {
   if (cursor_ >= script_.size()) return kInvalidValueId;
   return script_[cursor_++];
-}
-
-Status ScriptedSelector::SaveState(CheckpointWriter& writer) const {
-  writer.WriteU64(script_.size());
-  writer.WriteU64(cursor_);
-  return Status::OK();
-}
-
-Status ScriptedSelector::LoadState(CheckpointReader& reader,
-                                   ValueId value_bound) {
-  (void)value_bound;  // the script is authoritative, not crawl-derived
-  uint64_t script_size = reader.ReadU64();
-  uint64_t cursor = reader.ReadU64();
-  if (!reader.ok()) return reader.status();
-  if (script_size != script_.size()) {
-    return Status::InvalidArgument(
-        "checkpoint script mismatch: file expects a script of " +
-        std::to_string(script_size) + " values, this selector holds " +
-        std::to_string(script_.size()));
-  }
-  if (cursor > script_.size()) {
-    return Status::InvalidArgument(
-        "corrupt checkpoint: script cursor past the script's end");
-  }
-  cursor_ = static_cast<size_t>(cursor);
-  return Status::OK();
 }
 
 }  // namespace deepcrawl

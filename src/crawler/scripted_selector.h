@@ -32,11 +32,6 @@ class ScriptedSelector : public QuerySelector {
 
   size_t remaining() const { return script_.size() - cursor_; }
 
-  // Checkpointing: only the cursor is state — the script itself is a
-  // construction parameter, fingerprinted by length on load.
-  Status SaveState(CheckpointWriter& writer) const override;
-  Status LoadState(CheckpointReader& reader, ValueId value_bound) override;
-
  private:
   std::vector<ValueId> script_;
   size_t cursor_ = 0;

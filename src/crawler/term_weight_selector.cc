@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/util/checkpoint_io.h"
 #include "src/util/logging.h"
 
 namespace deepcrawl {
@@ -59,37 +58,6 @@ ValueId TermWeightSelector::SelectNext() {
     MarkNotPending(v);
     return v;
   }
-}
-
-Status TermWeightSelector::SaveState(CheckpointWriter& writer) const {
-  SaveFrontier(writer);
-  writer.WriteU32(options_.batch_size);
-  writer.WriteU64(batch_queue_.size());
-  for (ValueId v : batch_queue_) writer.WriteU32(v);
-  return Status::OK();
-}
-
-Status TermWeightSelector::LoadState(CheckpointReader& reader,
-                                     ValueId value_bound) {
-  LoadFrontier(reader, value_bound);
-  uint32_t batch_size = reader.ReadU32();
-  DEEPCRAWL_RETURN_IF_ERROR(reader.status());
-  if (batch_size != options_.batch_size) {
-    return Status::InvalidArgument(
-        "checkpoint term-weight batch size differs from the "
-        "checkpointing run");
-  }
-  batch_queue_.clear();
-  uint64_t queued = reader.ReadCount(4);
-  for (uint64_t i = 0; i < queued && reader.ok(); ++i) {
-    ValueId v = reader.ReadU32();
-    if (v >= value_bound) {
-      reader.MarkCorrupt("batch-queue value id out of range");
-      break;
-    }
-    batch_queue_.push_back(v);
-  }
-  return reader.status();
 }
 
 }  // namespace deepcrawl

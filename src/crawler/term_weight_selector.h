@@ -49,12 +49,6 @@ class TermWeightSelector : public FrontierSelector {
   ValueId SelectNext() override;
   std::string_view name() const override { return "term-weight"; }
 
-  // Checkpointing: frontier + options fingerprint + the in-flight batch
-  // queue. Weights are pure functions of the LocalStore, so nothing
-  // else needs to survive a restart.
-  Status SaveState(CheckpointWriter& writer) const override;
-  Status LoadState(CheckpointReader& reader, ValueId value_bound) override;
-
   // The ranking weight of candidate `v` on the current DBlocal
   // (exposed for tests).
   double Weight(ValueId v) const;

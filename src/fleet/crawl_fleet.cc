@@ -653,7 +653,7 @@ Status CrawlFleet::SaveState(CheckpointWriter& writer) const {
     writer.WriteDouble(src.bucket.tokens());
     writer.WriteU64(src.bucket.last_refill());
     src.breaker.SaveState(writer);
-    DEEPCRAWL_RETURN_IF_ERROR(src.engine->SaveState(writer));
+    src.engine->SaveState(writer);
     src.faulty->SaveState(writer);
   }
   WriteSectionMarker(writer, kSectionEnd);
@@ -776,8 +776,8 @@ Status CrawlFleet::LoadState(CheckpointReader& reader) {
     DEEPCRAWL_RETURN_IF_ERROR(reader.status());
     src.bucket.Restore(tokens, last_refill);
     DEEPCRAWL_RETURN_IF_ERROR(src.breaker.LoadState(reader));
-    // The engine payload restores its store (STOR) before its selector
-    // (SELC), which rebuilds its greedy heap from the store's degrees.
+    // The engine payload replays its fetch log; the fault proxy it was
+    // recorded behind is restored after it, since replay never fetches.
     DEEPCRAWL_RETURN_IF_ERROR(src.engine->LoadState(reader));
     DEEPCRAWL_RETURN_IF_ERROR(src.faulty->LoadState(reader));
   }

@@ -269,7 +269,9 @@ Status WriteFleetTraceCsv(const FleetResult& result, std::ostream& output);
 //        bump too).
 // v1006: fleet format 1 over engine payload version 6.
 // v1007: fleet format 1 over engine payload version 7.
-inline constexpr uint32_t kFleetCheckpointVersion = 1007;
+// v1008: fleet format 1 over engine payload version 8 (the engine
+//        payload is its fetch log, replayed on load).
+inline constexpr uint32_t kFleetCheckpointVersion = 1008;
 
 inline constexpr uint32_t kSectionFleet = 0x54454c46;        // "FLET"
 inline constexpr uint32_t kSectionFleetSource = 0x43525346;  // "FSRC"

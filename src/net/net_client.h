@@ -186,6 +186,7 @@ class NetQueryClient : public QueryInterface {
   bool IsQueriableValue(ValueId value) const override {
     return info_.IsQueriable(value);
   }
+  uint32_t num_values() const override { return info_.num_values; }
 
   const WireServerInfo& server_info() const { return info_; }
   const NetClientOptions& net_options() const { return options_; }

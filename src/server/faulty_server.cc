@@ -282,17 +282,26 @@ Status FaultyServer::LoadState(CheckpointReader& reader) {
   if (reader.ok() && schedule_pos > schedule_.size()) {
     reader.MarkCorrupt("fault-schedule position past the schedule's end");
   }
+  if (reader.ok() && (rng_inc & 1) == 0) {
+    reader.MarkCorrupt("fault RNG increment is even");
+  }
   DEEPCRAWL_RETURN_IF_ERROR(reader.status());
   schedule_pos_ = static_cast<size_t>(schedule_pos);
   rng_.RestoreRaw(rng_state, rng_inc);
   keyed_attempts_.clear();
   uint64_t attempts = reader.ReadCount(12);
+  uint64_t last_key = 0;
   for (uint64_t i = 0; i < attempts && reader.ok(); ++i) {
     uint64_t page_key = reader.ReadU64();
     uint32_t count = reader.ReadU32();
-    if (!keyed_attempts_.emplace(page_key, count).second) {
-      reader.MarkCorrupt("duplicate page key in keyed-attempt table");
+    // SaveState writes the table sorted, and a key exists only once
+    // a page was attempted.
+    if (reader.ok() && ((i > 0 && page_key <= last_key) || count == 0)) {
+      reader.MarkCorrupt("keyed-attempt table not sorted or has a 0 count");
+      break;
     }
+    last_key = page_key;
+    keyed_attempts_.emplace(page_key, count);
   }
   injected_failure_rounds_ = reader.ReadU64();
   injected_failure_queries_ = reader.ReadU64();
@@ -301,6 +310,14 @@ Status FaultyServer::LoadState(CheckpointReader& reader) {
   counters_.rate_limited = reader.ReadU64();
   counters_.truncated_pages = reader.ReadU64();
   counters_.duplicated_records = reader.ReadU64();
+  // Each injected failure bumps exactly one failure counter; ResetMeters
+  // zeroes only the injected tallies.
+  if (reader.ok() &&
+      (injected_failure_queries_ > injected_failure_rounds_ ||
+       injected_failure_rounds_ > counters_.unavailable + counters_.timeouts +
+                                      counters_.rate_limited)) {
+    reader.MarkCorrupt("fault counters do not add up");
+  }
   return reader.status();
 }
 

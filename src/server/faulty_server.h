@@ -179,6 +179,7 @@ class FaultyServer : public QueryInterface {
   bool IsQueriableValue(ValueId value) const override {
     return inner_.IsQueriableValue(value);
   }
+  uint32_t num_values() const override { return inner_.num_values(); }
   RttCounters rtt_counters() const override { return inner_.rtt_counters(); }
 
   const FaultProfile& profile() const { return profile_; }

@@ -69,6 +69,7 @@ class LockedQueryInterface : public QueryInterface {
   bool IsQueriableValue(ValueId value) const override {
     return inner_.IsQueriableValue(value);
   }
+  uint32_t num_values() const override { return inner_.num_values(); }
 
   uint64_t latency_us() const { return latency_us_; }
 

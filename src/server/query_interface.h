@@ -166,6 +166,11 @@ class QueryInterface {
   // attribute (Definition 2.2's Aq). Crawlers use this to keep
   // unqueriable values out of Lto-query. Unknown ids are unqueriable.
   virtual bool IsQueriableValue(ValueId value) const = 0;
+
+  // Size of the value catalog: every value id a result page can carry
+  // is below it. Checkpoint restore bounds the ids of a (possibly
+  // forged) fetch log with it. The default knows no bound.
+  virtual uint32_t num_values() const { return UINT32_MAX; }
 };
 
 }  // namespace deepcrawl

@@ -69,6 +69,9 @@ class WebDbServer : public QueryInterface {
 
   const ServerOptions& options() const override { return options_; }
   bool IsQueriableValue(ValueId value) const override;
+  uint32_t num_values() const override {
+    return static_cast<uint32_t>(table_.catalog().size());
+  }
 
   // --- harness-only introspection (not visible to selectors) -----------
 

@@ -121,14 +121,44 @@ std::string CheckpointReader::ReadString() {
   return text;
 }
 
-uint64_t CheckpointReader::ReadCount(size_t elem_size) {
-  uint64_t count = ReadU64();
-  if (!ok()) return 0;
-  if (elem_size == 0 || count > remaining() / elem_size) {
-    MarkCorrupt("element count exceeds remaining checkpoint data");
+uint64_t CheckpointReader::ReadVarint() {
+  uint64_t v = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    if (!Require(1)) return 0;
+    const uint8_t byte = static_cast<uint8_t>(data_[pos_++]);
+    if (shift == 63 && byte > 1) break;  // past 64 bits
+    v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      if (byte == 0 && shift > 0) break;  // non-minimal
+      return v;
+    }
+  }
+  MarkCorrupt("malformed varint");
+  return 0;
+}
+
+namespace {
+
+// Latches `reader` corrupt unless `count` elements of at least
+// `elem_size` bytes fit in what remains.
+uint64_t CheckedCount(CheckpointReader& reader, uint64_t count,
+                      size_t elem_size) {
+  if (!reader.ok()) return 0;
+  if (elem_size == 0 || count > reader.remaining() / elem_size) {
+    reader.MarkCorrupt("element count exceeds remaining checkpoint data");
     return 0;
   }
   return count;
+}
+
+}  // namespace
+
+uint64_t CheckpointReader::ReadCount(size_t elem_size) {
+  return CheckedCount(*this, ReadU64(), elem_size);
+}
+
+uint64_t CheckpointReader::ReadVarintCount(size_t min_elem_size) {
+  return CheckedCount(*this, ReadVarint(), min_elem_size);
 }
 
 void CheckpointReader::MarkCorrupt(std::string reason) {

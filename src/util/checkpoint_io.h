@@ -48,6 +48,13 @@ class CheckpointWriter {
   void WriteDouble(double v);
   // Length-prefixed (u32) byte string.
   void WriteString(std::string_view text);
+  // LEB128: 7 bits per byte, low group first, high bit = "more follows".
+  void WriteVarint(uint64_t v) {
+    for (; v >= 0x80; v >>= 7) {
+      out_->push_back(static_cast<char>((v & 0x7f) | 0x80));
+    }
+    out_->push_back(static_cast<char>(v));
+  }
 
   // Overwrites the u32 at byte `offset` of the buffer (a length field
   // reserved before its contents were known).
@@ -79,12 +86,17 @@ class CheckpointReader {
   uint64_t ReadU64();
   double ReadDouble();
   std::string ReadString();
+  // Rejects truncated, overlong (past 64 bits) and non-minimal encodings.
+  uint64_t ReadVarint();
 
   // Reads a u64 element count and validates that `count * elem_size`
   // bytes actually remain, so corrupt counts can never drive a huge
   // allocation. Returns 0 (latching failure) on a bad count;
   // `elem_size` must be >= 1.
   uint64_t ReadCount(size_t elem_size);
+  // ReadCount for a varint count whose elements take at least
+  // `min_elem_size` bytes each.
+  uint64_t ReadVarintCount(size_t min_elem_size);
 
   // Latches the failed state with a reason (semantic validation
   // failures, e.g. an out-of-range value id).

@@ -4,15 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <set>
 #include <vector>
 
 #include "src/crawler/adaptive_selector.h"
+#include "src/crawler/checkpoint.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/local_store.h"
 #include "src/crawler/term_weight_selector.h"
-#include "src/util/checkpoint_io.h"
+#include "src/datagen/movie_domain.h"
+#include "src/server/web_db_server.h"
 
 namespace deepcrawl {
 namespace {
@@ -25,6 +29,71 @@ void AddHub(LocalStore& store, QuerySelector& selector, ValueId v,
     store.AddRecord(next_slot, std::vector<ValueId>{v, next_filler++});
     selector.OnRecordHarvested(next_slot++);
   }
+}
+
+// --- checkpoint resume through the engine -----------------------------
+//
+// A checkpoint holds the crawl's fetch log, and restoring it replays the
+// log through the selector's event callbacks (src/crawler/checkpoint.h),
+// so these tests crawl a real (small) source end to end.
+
+const Table& ResumeTarget() {
+  static const Table* table = [] {
+    MovieDomainPairConfig config;
+    config.universe_size = 500;
+    config.target_size = 120;
+    config.seed = 11;
+    StatusOr<MovieDomainPair> pair = GenerateMovieDomainPair(config);
+    DEEPCRAWL_CHECK(pair.ok()) << pair.status().ToString();
+    return new Table(std::move(pair->target));
+  }();
+  return *table;
+}
+
+using MakeSelectorFn =
+    std::function<std::unique_ptr<QuerySelector>(const LocalStore&)>;
+
+struct EngineCrawl {
+  explicit EngineCrawl(const MakeSelectorFn& make)
+      : server(ResumeTarget(), ServerOptions()),
+        selector(make(store)),
+        engine(server, *selector, store, CrawlOptions{}) {}
+
+  // Crawls from the target's first value for `rounds` rounds (0 = to
+  // the end).
+  CrawlResult Crawl(uint64_t rounds) {
+    for (ValueId v = 0; v < ResumeTarget().num_distinct_values(); ++v) {
+      if (ResumeTarget().value_frequency(v) == 0) continue;
+      engine.AddSeed(v);
+      break;
+    }
+    return Continue(rounds);
+  }
+  CrawlResult Continue(uint64_t rounds) {
+    engine.set_max_rounds(rounds);
+    StatusOr<CrawlResult> result = engine.Run();
+    DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
+    return std::move(result).value();
+  }
+  std::string Image() const {
+    StatusOr<std::string> image = EncodeCrawlCheckpoint(engine, nullptr);
+    DEEPCRAWL_CHECK(image.ok()) << image.status().ToString();
+    return std::move(image).value();
+  }
+  Status Restore(const std::string& image) {
+    return DecodeCrawlCheckpoint(image, engine, nullptr);
+  }
+
+  WebDbServer server;
+  LocalStore store;
+  std::unique_ptr<QuerySelector> selector;
+  CrawlEngine engine;
+};
+
+MakeSelectorFn TermWeight(TermWeightOptions options = TermWeightOptions{}) {
+  return [options](const LocalStore& store) {
+    return std::make_unique<TermWeightSelector>(store, options);
+  };
 }
 
 TEST(TermWeightSelectorTest, WeightIsUnimodalInDocumentFrequency) {
@@ -97,54 +166,38 @@ TEST(TermWeightSelectorTest, StaleBatchEntriesAreSkippedAfterTaken) {
 }
 
 TEST(TermWeightSelectorTest, CheckpointRoundTripContinuesIdentically) {
-  LocalStore store;
-  TermWeightSelector selector(store);
-  for (ValueId v = 1; v <= 6; ++v) selector.OnValueDiscovered(v);
-  uint32_t slot = 0;
-  ValueId filler = 100;
-  AddHub(store, selector, 1, 3, slot, filler);
-  AddHub(store, selector, 4, 2, slot, filler);
-  ASSERT_NE(selector.SelectNext(), kInvalidValueId);
+  EngineCrawl reference(TermWeight());
+  CrawlResult full = reference.Crawl(0);
+  ASSERT_GT(full.rounds, 20u);
 
-  CheckpointWriter writer;
-  ASSERT_TRUE(selector.SaveState(writer).ok());
-  std::string image = writer.TakeBuffer();
-
-  // The engine restores the store separately; mirror its contents here.
-  LocalStore other_store;
-  for (uint32_t s = 0; s < store.num_records(); ++s) {
-    std::span<const ValueId> values = store.RecordValues(s);
-    other_store.AddRecord(s, std::vector<ValueId>(values.begin(),
-                                                  values.end()));
-  }
-  TermWeightSelector restored(other_store);
-  CheckpointReader reader(image);
-  Status loaded = restored.LoadState(reader, /*value_bound=*/200);
+  EngineCrawl first(TermWeight());
+  first.Crawl(full.rounds / 2);
+  EngineCrawl restored(TermWeight());
+  Status loaded = restored.Restore(first.Image());
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
-  EXPECT_TRUE(reader.AtEnd());
-  EXPECT_EQ(restored.frontier_size(), selector.frontier_size());
-  for (;;) {
-    ValueId a = selector.SelectNext();
-    ValueId b = restored.SelectNext();
-    ASSERT_EQ(a, b);
-    if (a == kInvalidValueId) break;
+  EXPECT_EQ(restored.store.num_records(), first.store.num_records());
+  CrawlResult cont = restored.Continue(0);
+  EXPECT_EQ(cont.rounds, full.rounds);
+  EXPECT_EQ(cont.trace.points(), full.trace.points());
+  ASSERT_EQ(restored.store.num_records(), reference.store.num_records());
+  for (uint32_t slot = 0; slot < reference.store.num_records(); ++slot) {
+    ASSERT_EQ(restored.store.OriginalRecordId(slot),
+              reference.store.OriginalRecordId(slot));
   }
 }
 
+// The batch size shapes the pick order, so a log recorded under one
+// cannot replay under another: the replay diverges with a clean error.
 TEST(TermWeightSelectorTest, CheckpointRejectsBatchSizeMismatch) {
-  LocalStore store;
-  TermWeightSelector selector(store);
-  selector.OnValueDiscovered(1);
-  CheckpointWriter writer;
-  ASSERT_TRUE(selector.SaveState(writer).ok());
-  std::string image = writer.TakeBuffer();
-
+  EngineCrawl first(TermWeight());
+  first.Crawl(0);
   TermWeightOptions narrow;
   narrow.batch_size = 2;
-  TermWeightSelector restored(store, narrow);
-  CheckpointReader reader(image);
-  EXPECT_EQ(restored.LoadState(reader, 10).code(),
-            StatusCode::kInvalidArgument);
+  EngineCrawl restored(TermWeight(narrow));
+  Status loaded = restored.Restore(first.Image());
+  EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.message().find("replay diverged"), std::string::npos)
+      << loaded.ToString();
 }
 
 // --- adaptive meta-selector -------------------------------------------
@@ -245,71 +298,66 @@ TEST(AdaptiveSelectorTest, ExhaustedPhaseFallsThroughTheChain) {
   EXPECT_EQ(chain.selector->SelectNext(), kInvalidValueId);
 }
 
+MakeSelectorFn GreedyThenTermWeight(AdaptiveOptions options,
+                                    bool reversed = false) {
+  return [options, reversed](const LocalStore& store) {
+    std::vector<std::unique_ptr<QuerySelector>> children;
+    children.push_back(std::make_unique<GreedyLinkSelector>(store));
+    children.push_back(std::make_unique<TermWeightSelector>(store));
+    if (reversed) std::swap(children[0], children[1]);
+    return std::make_unique<AdaptiveSelector>(std::move(children), options);
+  };
+}
+
 TEST(AdaptiveSelectorTest, CheckpointRoundTripAcrossTheSwitchBoundary) {
-  Chain chain(FastSwitch());
-  for (ValueId v = 1; v <= 6; ++v) chain.selector->OnValueDiscovered(v);
-  uint32_t slot = 0;
-  ValueId filler = 10;
-  AddHub(chain.store, *chain.selector, 2, 3, slot, filler);
-  // Drive past the switch: the checkpoint captures phase 1 mid-flight.
-  chain.selector->OnQueryCompleted(Harvested(1, 10));
-  chain.selector->OnQueryCompleted(Harvested(2, 10));
-  chain.selector->OnQueryCompleted(Harvested(3, 1));
-  ASSERT_EQ(chain.selector->active_phase(), 1u);
-  ASSERT_NE(chain.selector->SelectNext(), kInvalidValueId);
+  EngineCrawl reference(GreedyThenTermWeight(FastSwitch()));
+  CrawlResult full = reference.Crawl(0);
 
-  CheckpointWriter writer;
-  ASSERT_TRUE(chain.selector->SaveState(writer).ok());
-  std::string image = writer.TakeBuffer();
-
-  Chain restored(FastSwitch());
-  for (uint32_t s = 0; s < chain.store.num_records(); ++s) {
-    std::span<const ValueId> values = chain.store.RecordValues(s);
-    restored.store.AddRecord(s, std::vector<ValueId>(values.begin(),
-                                                     values.end()));
+  // Checkpoint a few rounds past the switch: phase 1 mid-flight.
+  uint64_t rounds = 1;
+  for (;; ++rounds) {
+    EngineCrawl probe(GreedyThenTermWeight(FastSwitch()));
+    probe.Crawl(rounds);
+    auto& chain = static_cast<AdaptiveSelector&>(*probe.selector);
+    if (chain.active_phase() == 1) break;
+    ASSERT_LT(rounds, full.rounds) << "the crawl never switched";
   }
-  CheckpointReader reader(image);
-  Status loaded = restored.selector->LoadState(reader, /*value_bound=*/50);
+  EngineCrawl first(GreedyThenTermWeight(FastSwitch()));
+  first.Crawl(rounds + 3);
+  EngineCrawl restored(GreedyThenTermWeight(FastSwitch()));
+  Status loaded = restored.Restore(first.Image());
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
-  EXPECT_TRUE(reader.AtEnd());
-  EXPECT_EQ(restored.selector->active_phase(), 1u);
-  EXPECT_EQ(restored.selector->phase_switches(), 1u);
-  EXPECT_DOUBLE_EQ(restored.selector->estimator().hr,
-                   chain.selector->estimator().hr);
-  for (;;) {
-    ValueId a = chain.selector->SelectNext();
-    ValueId b = restored.selector->SelectNext();
-    ASSERT_EQ(a, b);
-    if (a == kInvalidValueId) break;
-    chain.selector->OnQueryCompleted(Harvested(a, 1));
-    restored.selector->OnQueryCompleted(Harvested(b, 1));
-  }
+  auto& before = static_cast<AdaptiveSelector&>(*first.selector);
+  auto& after = static_cast<AdaptiveSelector&>(*restored.selector);
+  EXPECT_EQ(after.active_phase(), 1u);
+  EXPECT_EQ(after.phase_switches(), before.phase_switches());
+  EXPECT_DOUBLE_EQ(after.estimator().hr, before.estimator().hr);
+  CrawlResult cont = restored.Continue(0);
+  EXPECT_EQ(cont.rounds, full.rounds);
+  EXPECT_EQ(cont.trace.points(), full.trace.points());
 }
 
 TEST(AdaptiveSelectorTest, CheckpointRejectsChainAndOptionMismatches) {
-  Chain chain(FastSwitch());
-  chain.selector->OnValueDiscovered(1);
-  CheckpointWriter writer;
-  ASSERT_TRUE(chain.selector->SaveState(writer).ok());
-  std::string image = writer.TakeBuffer();
+  EngineCrawl first(GreedyThenTermWeight(FastSwitch()));
+  first.Crawl(0);
+  const std::string image = first.Image();
 
-  // Different switch options.
+  // Different switch options: the switch moves, the picks after it
+  // differ, and the replay diverges.
   {
-    Chain other;  // default options
-    CheckpointReader reader(image);
-    EXPECT_EQ(other.selector->LoadState(reader, 10).code(),
-              StatusCode::kInvalidArgument);
+    EngineCrawl other(GreedyThenTermWeight(AdaptiveOptions{}));
+    Status loaded = other.Restore(image);
+    EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.message().find("replay diverged"), std::string::npos)
+        << loaded.ToString();
   }
-  // Different chain composition.
+  // Different chain composition: the selector names differ.
   {
-    LocalStore store;
-    std::vector<std::unique_ptr<QuerySelector>> children;
-    children.push_back(std::make_unique<TermWeightSelector>(store));
-    children.push_back(std::make_unique<GreedyLinkSelector>(store));
-    AdaptiveSelector reversed(std::move(children), FastSwitch());
-    CheckpointReader reader(image);
-    EXPECT_EQ(reversed.LoadState(reader, 10).code(),
-              StatusCode::kInvalidArgument);
+    EngineCrawl reversed(GreedyThenTermWeight(FastSwitch(), true));
+    Status loaded = reversed.Restore(image);
+    EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.message().find("selector mismatch"), std::string::npos)
+        << loaded.ToString();
   }
 }
 

@@ -1,8 +1,8 @@
 // Corruption and contract tests for the crawl checkpoint layer
 // (src/crawler/checkpoint.h): a checkpoint file round-trips exactly,
 // and EVERY mangled input — any flipped byte, any truncation, a wrong
-// version, a mismatched stack — is rejected with a clean Status, never
-// a crash, CHECK-abort, or silent partial load. This suite runs inside
+// version, a mismatched stack, a forged fetch log — is rejected with a
+// clean Status, never a crash, CHECK-abort, or silent partial load. This suite runs inside
 // deepcrawl_concurrency_tests so the sweep also executes under ASan and
 // TSan via tools/check.sh.
 //
@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/crawler/checkpoint.h"
@@ -28,6 +29,8 @@
 #include "src/crawler/oracle_selector.h"
 #include "src/crawler/retry_policy.h"
 #include "src/datagen/movie_domain.h"
+#include "src/domain/domain_selector.h"
+#include "src/domain/domain_table.h"
 #include "src/server/faulty_server.h"
 #include "src/server/web_db_server.h"
 #include "src/util/checkpoint_io.h"
@@ -73,12 +76,44 @@ WebDbServer& SharedBackend() {
   return *server;
 }
 
+// The domain policy crawls its own copy of the target: building the
+// domain table from a same-domain sample adds the sample's values to
+// the target's catalog before the server indexes it.
+struct DomainParts {
+  explicit DomainParts(MovieDomainPair pair)
+      : target(std::move(pair.target)),
+        dt(DomainTable::Build(pair.dm1, target.schema(),
+                              target.mutable_catalog())),
+        server(target, ServerOptions()) {}
+
+  Table target;
+  DomainTable dt;
+  WebDbServer server;
+};
+
+DomainParts& SharedDomainParts() {
+  static DomainParts* parts = [] {
+    MovieDomainPairConfig config;
+    config.universe_size = 500;
+    config.target_size = 120;
+    config.seed = 11;
+    StatusOr<MovieDomainPair> pair = GenerateMovieDomainPair(config);
+    DEEPCRAWL_CHECK(pair.ok()) << pair.status().ToString();
+    return new DomainParts(std::move(pair).value());
+  }();
+  return *parts;
+}
+
 // One complete crawl stack whose pieces live long enough to restore a
 // checkpoint into and run to completion.
 struct Stack {
   explicit Stack(const std::string& policy, bool with_faults = false,
                  uint32_t batch = 1)
-      : backend(SharedBackend()) {
+      : backend(policy == "domain" ? SharedDomainParts().server
+                                   : SharedBackend()),
+        seed(FirstQueriableSeed(policy == "domain"
+                                    ? SharedDomainParts().target
+                                    : CheckpointTarget())) {
     QueryInterface* server_ptr = &backend;
     if (with_faults) {
       FaultProfile profile;
@@ -98,6 +133,9 @@ struct Stack {
       selector = std::make_unique<OracleSelector>(store, backend.index(),
                                                   ServerOptions().page_size,
                                                   ServerOptions().result_limit);
+    } else if (policy == "domain") {
+      selector = std::make_unique<DomainSelector>(store, SharedDomainParts().dt,
+                                                  ServerOptions().page_size);
     } else {
       ADD_FAILURE() << "unknown policy " << policy;
     }
@@ -112,6 +150,7 @@ struct Stack {
   FaultyServer* faulty_ptr() { return faulty ? &*faulty : nullptr; }
 
   WebDbServer& backend;
+  ValueId seed;
   std::optional<FaultyServer> faulty;
   LocalStore store;
   std::unique_ptr<QuerySelector> selector;
@@ -352,53 +391,257 @@ TEST(CrawlCheckpointTest, RealV6ImageIsRejectedByVersion) {
   EXPECT_EQ(engine.rounds_used(), 0u);
 }
 
-// Offset of the retry-queue count in a checkpoint payload: ENGI's
-// marker, four u64 counters, the saturation u8, the seen bitmap, the
-// trace points and eight resilience u64s precede it.
-size_t RetryQueueOffset(std::string_view payload) {
-  size_t engine = payload.find("ENGI");
-  DEEPCRAWL_CHECK(engine != std::string_view::npos);
-  CheckpointReader reader(payload.substr(engine));
-  reader.ReadU32();
-  for (int i = 0; i < 4; ++i) reader.ReadU64();
-  reader.ReadU8();
-  reader.ReadString();
-  for (uint64_t i = 2 * reader.ReadU64() + 8; i > 0; --i) reader.ReadU64();
-  DEEPCRAWL_CHECK(reader.ok());
-  return payload.size() - reader.remaining();
+// A real v7 image, as the v7 encoder wrote it: the same crawl as the v6
+// image above. Its ENGI, STOR and SELC sections hold the engine, store
+// and greedy frontier state that v8 replaced with the fetch log.
+constexpr char kGreedyV7Image[] =
+    "\x44\x43\x50\x4b\x07\x00\x00\x00\x2a\x01\x00\x00\x00\x00\x00\x00"
+    "\x43\x4f\x4e\x46\x01\x00\x00\x00\x00\x0b\x00\x00\x00\x67\x72\x65"
+    "\x65\x64\x79\x2d\x6c\x69\x6e\x6b\x02\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x45\x4e\x47\x49\x02\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00"
+    "\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x03\x00\x00\x00\x01\x01\x01\x02\x00\x00\x00"
+    "\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"
+    "\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x53\x54\x4f\x52\x01\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x02\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00"
+    "\x00\x01\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00"
+    "\x00\x53\x45\x4c\x43\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00"
+    "\x00\x46\x41\x4c\x54\x00\x45\x4e\x44\x21\xba\xbe\x46\x27\xab\x1c"
+    "\xd7\xaf";
+
+TEST(CrawlCheckpointTest, RealV7ImageIsRejectedByVersion) {
+  const std::string v7(kGreedyV7Image, sizeof(kGreedyV7Image) - 1);
+  ASSERT_TRUE(UnframeCheckpoint(v7, 7).ok());
+  Table table = testing_util::MakeFigure1Table();
+  WebDbServer server(table, ServerOptions());
+  LocalStore store;
+  GreedyLinkSelector selector(store);
+  CrawlEngine engine(server, selector, store, CrawlOptions{});
+  Status status = DecodeCrawlCheckpoint(v7, engine, nullptr);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("file has version 7"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(store.num_records(), 0u);
+  EXPECT_EQ(engine.rounds_used(), 0u);
 }
 
-// A checksum-valid image whose retry queue or re-queue count table
-// names a value id beyond every id the crawl has seen must be rejected:
-// resuming it would pop that id into MMMI, whose issued bitmap would
-// grow to ~4 GB.
-TEST(CrawlCheckpointTest, RetryQueueIdsAreBoundsChecked) {
-  std::string image = MidCrawlImage("mmmi", /*with_faults=*/false);
+// --- forged fetch logs -------------------------------------------------
+//
+// The tests below rewrite fields of a valid image's LOG section and
+// reframe it with a correct checksum, so only the log reader and the
+// replay stand between the forgery and the engine.
+
+// Where a forgeable field of a payload's LOG section lies.
+struct Field {
+  size_t offset = 0;
+  size_t size = 0;
+};
+
+struct LogLayout {
+  std::vector<Field> fetch_values;   // value of each logged fetch
+  std::vector<Field> record_counts;  // record count of each page
+  std::vector<Field> repeat_ids;     // (id << 1) of each repeated record
+  std::vector<Field> value_counts;   // value count of each new record
+  std::vector<Field> record_values;  // first value of each new record
+};
+
+LogLayout ParseLog(std::string_view payload) {
+  LogLayout layout;
+  CheckpointReader reader(payload);
+  auto offset = [&] { return payload.size() - reader.remaining(); };
+  // Reads one varint into `value` and returns where it lay.
+  uint64_t value = 0;
+  auto varint = [&] {
+    Field field{offset(), 0};
+    value = reader.ReadVarint();
+    field.size = offset() - field.offset;
+    return field;
+  };
+  // CONF: marker, batch, keyword byte, selector name, three budgets.
+  reader.ReadU32();
+  reader.ReadU32();
+  reader.ReadU8();
+  reader.ReadString();
+  for (int i = 0; i < 3; ++i) reader.ReadU64();
+  EXPECT_EQ(reader.ReadU32(), kSectionLog);
+  for (;;) {
+    uint8_t tag = reader.ReadU8();
+    DEEPCRAWL_CHECK(reader.ok());
+    if (tag == kLogEnd) return layout;
+    if (tag == kLogSeed) {
+      reader.ReadVarint();
+    } else if (tag == kLogRun) {
+      reader.ReadU64();
+      reader.ReadU64();
+    } else if (tag == kLogFailure) {
+      layout.fetch_values.push_back(varint());
+      reader.ReadU8();
+      if (reader.ReadU8() & kLogHasHint) reader.ReadVarint();
+    } else if (tag == kLogPage) {
+      layout.fetch_values.push_back(varint());
+      if (reader.ReadU8() & kLogHasTotal) reader.ReadVarint();
+      layout.record_counts.push_back(varint());
+      for (uint64_t n = value; n > 0; --n) {
+        Field key = varint();
+        if ((value & 1) == kRecordRepeat) {
+          layout.repeat_ids.push_back(key);
+          continue;
+        }
+        layout.value_counts.push_back(varint());
+        uint64_t k = value;
+        layout.record_values.push_back(varint());
+        for (; k > 1; --k) reader.ReadVarint();
+      }
+    } else {
+      DEEPCRAWL_CHECK(tag == kLogCut) << "unknown log tag " << int{tag};
+    }
+  }
+}
+
+// `image` with `field` of its payload replaced by `bytes`, reframed
+// with a valid checksum.
+std::string Forge(const std::string& image, Field field,
+                  const CheckpointWriter& bytes) {
   StatusOr<std::string_view> payload =
       UnframeCheckpoint(image, kCrawlCheckpointVersion);
-  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
-  size_t offset = RetryQueueOffset(*payload);
-  // Fault-free, so both tables are empty: two u64 zero counts.
-  ASSERT_EQ(payload->substr(offset, 16), std::string(16, '\0'));
-  constexpr ValueId kForged = 0xFFFFFFF0u;
-  CheckpointWriter in_queue;  // retry queue {kForged}, no counts
-  in_queue.WriteU64(1);
-  in_queue.WriteU32(kForged);
-  in_queue.WriteU64(0);
-  CheckpointWriter in_counts;  // empty retry queue, counts {kForged: 1}
-  in_counts.WriteU64(0);
-  in_counts.WriteU64(1);
-  in_counts.WriteU32(kForged);
-  in_counts.WriteU32(1);
-  for (const CheckpointWriter* tables : {&in_queue, &in_counts}) {
-    std::string forged(*payload);
-    forged.replace(offset, 16, tables->buffer());
-    Status status =
-        TryDecode(FrameCheckpoint(forged, kCrawlCheckpointVersion), "mmmi",
-                  /*with_faults=*/false);
+  DEEPCRAWL_CHECK(payload.ok()) << payload.status().ToString();
+  std::string forged(*payload);
+  forged.replace(field.offset, field.size, bytes.buffer());
+  return FrameCheckpoint(forged, kCrawlCheckpointVersion);
+}
+
+// The varint stored in `field` of `image`'s payload.
+uint64_t ValueAt(const std::string& image, Field field) {
+  StatusOr<std::string_view> payload =
+      UnframeCheckpoint(image, kCrawlCheckpointVersion);
+  DEEPCRAWL_CHECK(payload.ok()) << payload.status().ToString();
+  CheckpointReader reader(payload->substr(field.offset, field.size));
+  return reader.ReadVarint();
+}
+
+LogLayout LayoutOf(const std::string& image) {
+  StatusOr<std::string_view> payload =
+      UnframeCheckpoint(image, kCrawlCheckpointVersion);
+  DEEPCRAWL_CHECK(payload.ok()) << payload.status().ToString();
+  return ParseLog(*payload);
+}
+
+// A logged fetch of another value than the one the replayed selector
+// picks names the fetch and wave where the replay left the log.
+TEST(CrawlCheckpointTest, ForgedFetchValueDivergesCleanly) {
+  std::string image = MidCrawlImage("mmmi", /*with_faults=*/false);
+  LogLayout layout = LayoutOf(image);
+  ASSERT_GT(layout.fetch_values.size(), 20u);
+  CheckpointWriter other;
+  other.WriteVarint(ValueAt(image, layout.fetch_values[20]) + 1);
+  Status status = TryDecode(Forge(image, layout.fetch_values[20], other),
+                            "mmmi", /*with_faults=*/false);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("replay diverged at fetch 20 (wave 20)"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST(CrawlCheckpointTest, ForgedRepeatOfUnstoredRecordIsRejected) {
+  std::string image = MidCrawlImage("mmmi", /*with_faults=*/false);
+  LogLayout layout = LayoutOf(image);
+  ASSERT_FALSE(layout.repeat_ids.empty());
+  CheckpointWriter never_stored;
+  never_stored.WriteVarint(uint64_t{0xFFFFFF00u} << 1 | kRecordRepeat);
+  for (Field field : {layout.repeat_ids.front(), layout.repeat_ids.back()}) {
+    Status status = TryDecode(Forge(image, field, never_stored), "mmmi",
+                              /*with_faults=*/false);
     ASSERT_FALSE(status.ok());
-    EXPECT_NE(status.message().find("out of range"), std::string::npos)
+    EXPECT_NE(status.message().find("never stored"), std::string::npos)
         << status.ToString();
+  }
+}
+
+// A record count or value count larger than the bytes behind it is
+// rejected before anything is sized by it.
+TEST(CrawlCheckpointTest, ForgedCountsLargerThanTheirBytesAreRejected) {
+  std::string image = MidCrawlImage("mmmi", /*with_faults=*/false);
+  LogLayout layout = LayoutOf(image);
+  ASSERT_FALSE(layout.record_counts.empty());
+  ASSERT_FALSE(layout.value_counts.empty());
+  CheckpointWriter huge;
+  huge.WriteVarint(uint64_t{1} << 40);
+  for (Field field : {layout.record_counts.front(),
+                       layout.record_counts.back(),
+                       layout.value_counts.front(),
+                       layout.value_counts.back()}) {
+    Status status =
+        TryDecode(Forge(image, field, huge), "mmmi", /*with_faults=*/false);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("exceeds remaining"), std::string::npos)
+        << status.ToString();
+  }
+}
+
+// A record value at or above the source's catalog size is rejected: a
+// replay would otherwise size the seen bitmap, the store's per-value
+// tables and MMMI's issued bitmap by it (~4 GB each).
+TEST(CrawlCheckpointTest, ForgedLogValueIdsAreBoundsChecked) {
+  std::string image = MidCrawlImage("mmmi", /*with_faults=*/false);
+  LogLayout layout = LayoutOf(image);
+  ASSERT_FALSE(layout.record_values.empty());
+  const uint32_t catalog = SharedBackend().num_values();
+  for (ValueId forged : {ValueId{0xFFFFFFF0u}, ValueId{catalog}}) {
+    CheckpointWriter value;
+    value.WriteVarint(forged);
+    for (Field field :
+         {layout.record_values.front(), layout.record_values.back()}) {
+      Status status =
+          TryDecode(Forge(image, field, value), "mmmi", /*with_faults=*/false);
+      ASSERT_FALSE(status.ok());
+      EXPECT_NE(status.message().find("outside the source's catalog"),
+                std::string::npos)
+          << status.ToString();
+    }
+  }
+}
+
+// An image saved after Run() stopped on a round budget in the middle of
+// a batched wave resumes into the uninterrupted crawl: the replay stops
+// where that Run() did, and the next Run() finishes the wave.
+TEST(CrawlCheckpointTest, MidWaveImageAfterBudgetStopResumesIdentically) {
+  constexpr uint32_t kBatch = 8;
+  Stack reference("greedy", /*with_faults=*/true, kBatch);
+  reference.engine->AddSeed(reference.seed);
+  StatusOr<CrawlResult> full = reference.engine->Run();
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+
+  for (uint64_t budget = 1; budget <= 60; ++budget) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    Stack first("greedy", /*with_faults=*/true, kBatch);
+    first.engine->AddSeed(first.seed);
+    first.engine->set_max_rounds(budget);
+    ASSERT_TRUE(first.engine->Run().ok());
+    StatusOr<std::string> image =
+        EncodeCrawlCheckpoint(*first.engine, first.faulty_ptr());
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+
+    Stack resumed("greedy", /*with_faults=*/true, kBatch);
+    Status loaded = DecodeCrawlCheckpoint(*image, *resumed.engine,
+                                          resumed.faulty_ptr());
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+    resumed.engine->set_max_rounds(0);
+    StatusOr<CrawlResult> cont = resumed.engine->Run();
+    ASSERT_TRUE(cont.ok()) << cont.status().ToString();
+    EXPECT_EQ(full->rounds, cont->rounds);
+    EXPECT_EQ(full->queries, cont->queries);
+    EXPECT_EQ(full->trace.points(), cont->trace.points());
+    EXPECT_EQ(full->resilience, cont->resilience);
+    EXPECT_EQ(reference.engine->waves_completed(),
+              resumed.engine->waves_completed());
   }
 }
 
@@ -436,17 +679,42 @@ TEST(CrawlCheckpointTest, RestoreRequiresFreshEngine) {
   ASSERT_FALSE(status.ok());
 }
 
-// Selectors outside the checkpointable set (oracle, domain) must reject
-// encoding with a clean error, not a crash or a silent partial file.
-TEST(CrawlCheckpointTest, OracleSelectorRejectsCheckpointing) {
-  Stack stack("oracle");
-  stack.engine->AddSeed(FirstQueriableSeed(CheckpointTarget()));
-  stack.engine->set_max_rounds(10);
-  ASSERT_TRUE(stack.engine->Run().ok());
-  StatusOr<std::string> image =
-      EncodeCrawlCheckpoint(*stack.engine, nullptr);
-  ASSERT_FALSE(image.ok());
-  EXPECT_NE(image.status().message().find("checkpoint"), std::string::npos);
+// Policies whose selectors read ground truth (oracle) or a domain table
+// built from a second database (domain) resume like every other: their
+// state is rebuilt by replaying the log through their event callbacks.
+void ExpectResumesIdentically(const std::string& policy) {
+  Stack reference(policy);
+  reference.engine->AddSeed(reference.seed);
+  StatusOr<CrawlResult> full = reference.engine->Run();
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_GT(full->rounds, 20u);
+
+  Stack first(policy);
+  first.engine->AddSeed(first.seed);
+  first.engine->set_max_rounds(full->rounds / 2);
+  ASSERT_TRUE(first.engine->Run().ok());
+  StatusOr<std::string> image = EncodeCrawlCheckpoint(*first.engine, nullptr);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+
+  Stack resumed(policy);
+  Status loaded = DecodeCrawlCheckpoint(*image, *resumed.engine, nullptr);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  EXPECT_EQ(resumed.engine->rounds_used(), first.engine->rounds_used());
+  resumed.engine->set_max_rounds(0);
+  StatusOr<CrawlResult> cont = resumed.engine->Run();
+  ASSERT_TRUE(cont.ok()) << cont.status().ToString();
+  EXPECT_EQ(full->rounds, cont->rounds);
+  EXPECT_EQ(full->queries, cont->queries);
+  EXPECT_EQ(full->records, cont->records);
+  EXPECT_EQ(full->trace.points(), cont->trace.points());
+}
+
+TEST(CrawlCheckpointTest, OracleSelectorResumesIdentically) {
+  ExpectResumesIdentically("oracle");
+}
+
+TEST(CrawlCheckpointTest, DomainSelectorResumesIdentically) {
+  ExpectResumesIdentically("domain");
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // (src/crawler/optimal_selector.h): interval parsing, hierarchy
 // construction, the rank/threshold descent mechanics (right-before-left
 // order, count-arithmetic skipping, empty-result and degraded-drain
-// handling, deterministic tie-breaking), and SELC checkpoint round-trip
-// including options/hierarchy mismatch rejection. The end-to-end
+// handling, deterministic tie-breaking), and checkpoint resume
+// mid-descent including options/hierarchy mismatch rejection. The end-to-end
 // competitive bounds live in
 // tests/crawler_optimal_competitive_property_test.cc.
 
@@ -12,8 +12,11 @@
 #include <string>
 #include <vector>
 
+#include "src/crawler/checkpoint.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/local_store.h"
 #include "src/crawler/optimal_selector.h"
+#include "src/server/web_db_server.h"
 #include "src/util/checkpoint_io.h"
 #include "tests/test_util.h"
 
@@ -328,127 +331,151 @@ TEST(OptimalSelectorTest, DeterministicAcrossIdenticalRuns) {
   EXPECT_EQ(first, run());
 }
 
-// --- SELC checkpoint state ------------------------------------------
+// --- checkpoint resume mid-descent ---------------------------------
+//
+// A checkpoint holds the crawl's fetch log; restoring it replays the
+// descent through the selector's event callbacks, so these tests crawl
+// the dyadic table behind a result limit of one record per query.
+
+ServerOptions LimitOne() {
+  ServerOptions options;
+  options.result_limit = 1;
+  return options;
+}
+
+struct DescentCrawl {
+  DescentCrawl(const Table& table, QueryHierarchy hierarchy,
+               OptimalSelectorOptions options)
+      : server(table, LimitOne()),
+        selector(store, std::move(hierarchy), options),
+        engine(server, selector, store, CrawlOptions{}) {}
+
+  // Crawls from the hierarchy root for `rounds` rounds (0 = to the end).
+  CrawlResult Crawl(const Table& table, uint64_t rounds) {
+    engine.AddSeed(GetValueId(table, "range", "r0-3"));
+    return Continue(rounds);
+  }
+  CrawlResult Continue(uint64_t rounds) {
+    engine.set_max_rounds(rounds);
+    StatusOr<CrawlResult> result = engine.Run();
+    DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
+    return std::move(result).value();
+  }
+  std::string Image() const {
+    StatusOr<std::string> image = EncodeCrawlCheckpoint(engine, nullptr);
+    DEEPCRAWL_CHECK(image.ok()) << image.status().ToString();
+    return std::move(image).value();
+  }
+
+  WebDbServer server;
+  LocalStore store;
+  RankOptimalSelector selector;
+  CrawlEngine engine;
+};
+
+OptimalSelectorOptions RankLimitOne() {
+  OptimalSelectorOptions options;
+  options.result_limit = 1;
+  return options;
+}
 
 TEST(OptimalSelectorTest, CheckpointRoundTripsMidDescent) {
   Table table = DyadicTable();
-  LocalStore store;
-  OptimalSelectorOptions options;
-  options.result_limit = 1;
-  RankOptimalSelector selector(store, HierarchyOf(table), options);
+  DescentCrawl reference(table, HierarchyOf(table), RankLimitOne());
+  CrawlResult full = reference.Crawl(table, 0);
 
-  // Advance mid-descent: root resolved, both halves queued, right half
-  // issued+resolved, leaves queued.
-  ValueId root = GetValueId(table, "range", "r0-3");
-  selector.OnValueDiscovered(root);
-  ASSERT_EQ(selector.SelectNext(), root);
-  selector.OnQueryCompleted(CountedOutcome(root, 4, 1));
-  ValueId right = GetValueId(table, "range", "r2-3");
-  ASSERT_EQ(selector.SelectNext(), right);
-  selector.OnQueryCompleted(CountedOutcome(right, 2, 1));
-
-  CheckpointWriter writer;
-  ASSERT_TRUE(selector.SaveState(writer).ok());
-  std::string image = writer.TakeBuffer();
-
-  LocalStore other_store;
-  RankOptimalSelector restored(other_store, HierarchyOf(table), options);
-  CheckpointReader reader(image);
-  Status loaded = restored.LoadState(
-      reader, static_cast<ValueId>(table.num_distinct_values()));
+  // Two rounds in: root resolved, right half issued and resolved, left
+  // half and the right leaves queued.
+  DescentCrawl first(table, HierarchyOf(table), RankLimitOne());
+  first.Crawl(table, 2);
+  ASSERT_EQ(first.selector.descent_queries(), 2u);
+  DescentCrawl restored(table, HierarchyOf(table), RankLimitOne());
+  Status loaded =
+      DecodeCrawlCheckpoint(first.Image(), restored.engine, nullptr);
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
-  EXPECT_TRUE(reader.AtEnd());
-  EXPECT_EQ(restored.descent_queries(), selector.descent_queries());
-  EXPECT_EQ(restored.resolved_nodes(), selector.resolved_nodes());
-  EXPECT_EQ(restored.overflowed_nodes(), selector.overflowed_nodes());
+  EXPECT_EQ(restored.selector.descent_queries(),
+            first.selector.descent_queries());
+  EXPECT_EQ(restored.selector.resolved_nodes(),
+            first.selector.resolved_nodes());
+  EXPECT_EQ(restored.selector.overflowed_nodes(),
+            first.selector.overflowed_nodes());
 
   // Both continue with the identical pick sequence to exhaustion.
-  for (;;) {
-    ValueId a = selector.SelectNext();
-    ValueId b = restored.SelectNext();
-    ASSERT_EQ(a, b);
-    if (a == kInvalidValueId) break;
-    selector.OnQueryCompleted(CountedOutcome(a, 1, 1));
-    restored.OnQueryCompleted(CountedOutcome(b, 1, 1));
-  }
+  CrawlResult cont = restored.Continue(0);
+  EXPECT_EQ(cont.rounds, full.rounds);
+  EXPECT_EQ(cont.trace.points(), full.trace.points());
+  EXPECT_EQ(restored.selector.descent_queries(),
+            reference.selector.descent_queries());
+  EXPECT_EQ(restored.selector.skipped_by_count(),
+            reference.selector.skipped_by_count());
 }
 
 TEST(OptimalSelectorTest, CheckpointRejectsOptionsMismatch) {
   Table table = DyadicTable();
-  LocalStore store;
-  OptimalSelectorOptions rank_options;
-  rank_options.result_limit = 1;
-  RankOptimalSelector selector(store, HierarchyOf(table), rank_options);
-  CheckpointWriter writer;
-  ASSERT_TRUE(selector.SaveState(writer).ok());
-  std::string image = writer.TakeBuffer();
-  ValueId bound = static_cast<ValueId>(table.num_distinct_values());
+  DescentCrawl first(table, HierarchyOf(table), RankLimitOne());
+  first.Crawl(table, 0);
+  const std::string image = first.Image();
 
-  // Different mode.
+  // Different mode: the policy names differ.
   {
-    OptimalSelectorOptions options;
+    OptimalSelectorOptions options = RankLimitOne();
     options.mode = OptimalMode::kThreshold;
-    options.result_limit = 1;
-    RankOptimalSelector restored(store, HierarchyOf(table), options);
-    CheckpointReader reader(image);
-    Status loaded = restored.LoadState(reader, bound);
+    DescentCrawl restored(table, HierarchyOf(table), options);
+    Status loaded = DecodeCrawlCheckpoint(image, restored.engine, nullptr);
     EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument);
   }
-  // Different result limit.
+  // Different result limit, or another table's forest: the descent
+  // picks other values, so the replay diverges.
   {
     OptimalSelectorOptions options;
     options.result_limit = 2;
-    RankOptimalSelector restored(store, HierarchyOf(table), options);
-    CheckpointReader reader(image);
-    Status loaded = restored.LoadState(reader, bound);
+    DescentCrawl restored(table, HierarchyOf(table), options);
+    Status loaded = DecodeCrawlCheckpoint(image, restored.engine, nullptr);
     EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.message().find("replay diverged"), std::string::npos)
+        << loaded.ToString();
   }
-  // Different hierarchy (another table's forest).
   {
     Table other = MakeTable({
         {{"range", "r0-1"}, {"name", "n0"}},
         {{"range", "r0-0"}, {"name", "n1"}},
     });
-    RankOptimalSelector restored(store, HierarchyOf(other), rank_options);
-    CheckpointReader reader(image);
-    Status loaded = restored.LoadState(reader, bound);
+    DescentCrawl restored(table, HierarchyOf(other), RankLimitOne());
+    Status loaded = DecodeCrawlCheckpoint(image, restored.engine, nullptr);
     EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.message().find("replay diverged"), std::string::npos)
+        << loaded.ToString();
   }
 }
 
-TEST(OptimalSelectorTest, CheckpointRejectsCorruptDescentQueue) {
+TEST(OptimalSelectorTest, CheckpointRejectsCorruptLogMidDescent) {
   Table table = DyadicTable();
-  LocalStore store;
-  OptimalSelectorOptions options;
-  options.result_limit = 1;
-  RankOptimalSelector selector(store, HierarchyOf(table), options);
-  ValueId root = GetValueId(table, "range", "r0-3");
-  selector.OnValueDiscovered(root);
-  ASSERT_EQ(selector.SelectNext(), root);
-  selector.OnQueryCompleted(CountedOutcome(root, 4, 1));  // 2 queued
+  DescentCrawl first(table, HierarchyOf(table), RankLimitOne());
+  first.Crawl(table, 1);  // root resolved, both halves queued
+  const std::string image = first.Image();
+  StatusOr<std::string_view> payload =
+      UnframeCheckpoint(image, kCrawlCheckpointVersion);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
 
-  CheckpointWriter writer;
-  ASSERT_TRUE(selector.SaveState(writer).ok());
-  std::string image = writer.TakeBuffer();
-  ValueId bound = static_cast<ValueId>(table.num_distinct_values());
-
-  // Truncations and bit flips must produce clean errors, never crashes.
-  for (size_t cut : {image.size() - 1, image.size() / 2, size_t{1}}) {
-    RankOptimalSelector restored(store, HierarchyOf(table), options);
-    CheckpointReader reader(std::string_view(image).substr(0, cut));
-    EXPECT_FALSE(restored.LoadState(reader, bound).ok()) << "cut=" << cut;
+  // Reframed truncations and bit flips must produce clean errors, never
+  // crashes; a flip that still decodes must leave a usable crawl.
+  for (size_t cut : {payload->size() - 1, payload->size() / 2, size_t{1}}) {
+    DescentCrawl restored(table, HierarchyOf(table), RankLimitOne());
+    EXPECT_FALSE(DecodeCrawlCheckpoint(
+                     FrameCheckpoint(payload->substr(0, cut),
+                                     kCrawlCheckpointVersion),
+                     restored.engine, nullptr)
+                     .ok())
+        << "cut=" << cut;
   }
-  for (size_t flip = 0; flip < image.size(); flip += 7) {
-    std::string mutated = image;
+  for (size_t flip = 0; flip < payload->size(); ++flip) {
+    std::string mutated(*payload);
     mutated[flip] = static_cast<char>(mutated[flip] ^ 0x2a);
-    RankOptimalSelector restored(store, HierarchyOf(table), options);
-    CheckpointReader reader(mutated);
-    Status loaded = restored.LoadState(reader, bound);
-    if (loaded.ok()) {
-      // A flip may land in dead bytes; the restored selector must still
-      // be usable without crashing.
-      restored.SelectNext();
-    }
+    DescentCrawl restored(table, HierarchyOf(table), RankLimitOne());
+    Status loaded = DecodeCrawlCheckpoint(
+        FrameCheckpoint(mutated, kCrawlCheckpointVersion), restored.engine,
+        nullptr);
+    if (loaded.ok()) restored.Continue(0);
   }
 }
 

@@ -29,6 +29,7 @@
 #include "src/crawler/mmmi_selector.h"
 #include "src/crawler/naive_selectors.h"
 #include "src/crawler/optimal_selector.h"
+#include "src/crawler/oracle_selector.h"
 #include "src/crawler/retry_policy.h"
 #include "src/crawler/trace_io.h"
 #include "src/datagen/adversarial_workload.h"
@@ -44,7 +45,8 @@ namespace {
 constexpr uint64_t kFaultSeed = 29;
 constexpr uint64_t kSelectorSeed = 5;
 
-const char* const kPolicies[] = {"bfs", "dfs", "random", "greedy", "mmmi"};
+const char* const kPolicies[] = {"bfs",    "dfs",  "random",
+                                 "greedy", "mmmi", "oracle"};
 const char* const kProfiles[] = {"none", "flaky", "lossy", "hostile"};
 
 FaultProfile ProfileByName(const std::string& name) {
@@ -93,13 +95,17 @@ const Table& DifferentialTarget() {
 // the optimal selectors run their native hierarchy descent.
 struct Env {
   const Table* target = nullptr;
+  // Ground truth for the oracle policy (movie env only).
+  const InvertedIndex* truth = nullptr;
   ServerOptions server_options;
   ValueId seed_value = kInvalidValueId;
 };
 
 Env MovieEnv() {
+  static const InvertedIndex* truth = new InvertedIndex(DifferentialTarget());
   Env env;
   env.target = &DifferentialTarget();
+  env.truth = truth;
   env.seed_value = FirstQueriableSeed(*env.target);
   return env;
 }
@@ -141,6 +147,12 @@ std::unique_ptr<QuerySelector> MakeSelector(const std::string& policy,
   }
   if (policy == "greedy") return std::make_unique<GreedyLinkSelector>(store);
   if (policy == "mmmi") return std::make_unique<MmmiSelector>(store);
+  if (policy == "oracle") {
+    DEEPCRAWL_CHECK(env.truth != nullptr) << "env has no ground truth";
+    return std::make_unique<OracleSelector>(
+        store, *env.truth, env.server_options.page_size,
+        env.server_options.result_limit);
+  }
   if (policy == "opt-rank" || policy == "opt-threshold") {
     StatusOr<AttributeId> rank_attr =
         env.target->schema().FindAttribute("range");

@@ -133,6 +133,47 @@ TEST(CheckpointGoldenTest, WriterPrimitivesAreLittleEndian) {
             "6869");
 }
 
+TEST(CheckpointGoldenTest, VarintsAreLeb128) {
+  CheckpointWriter writer;
+  for (uint64_t v : {uint64_t{0}, uint64_t{127}, uint64_t{128},
+                     uint64_t{300}, ~uint64_t{0}}) {
+    writer.WriteVarint(v);
+  }
+  EXPECT_EQ(Hex(writer.buffer()),
+            "00"
+            "7f"
+            "8001"
+            "ac02"
+            "ffffffffffffffffff01");
+  CheckpointReader reader(writer.buffer());
+  EXPECT_EQ(reader.ReadVarint(), 0u);
+  EXPECT_EQ(reader.ReadVarint(), 127u);
+  EXPECT_EQ(reader.ReadVarint(), 128u);
+  EXPECT_EQ(reader.ReadVarint(), 300u);
+  EXPECT_EQ(reader.ReadVarint(), ~uint64_t{0});
+  EXPECT_TRUE(reader.ok());
+  EXPECT_TRUE(reader.AtEnd());
+}
+
+TEST(CheckpointReaderTest, MalformedVarintsAreRejected) {
+  // Truncated, non-minimal, and past 64 bits.
+  for (std::string_view bytes :
+       {std::string_view("\x80", 1), std::string_view("\x80\x00", 2),
+        std::string_view("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02", 10)}) {
+    CheckpointReader reader(bytes);
+    reader.ReadVarint();
+    EXPECT_FALSE(reader.ok()) << Hex(bytes);
+  }
+  // A varint count larger than the bytes behind it.
+  CheckpointWriter writer;
+  writer.WriteVarint(3);
+  writer.WriteU8(0);
+  writer.WriteU8(0);
+  CheckpointReader reader(writer.buffer());
+  EXPECT_EQ(reader.ReadVarintCount(1), 0u);
+  EXPECT_FALSE(reader.ok());
+}
+
 TEST(CheckpointGoldenTest, FrameCheckpointHeaderAndFooter) {
   EXPECT_EQ(Hex(FrameCheckpoint("abc", 6)),
             "4443504b"           // magic "DCPK"

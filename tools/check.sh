@@ -3,14 +3,15 @@
 # build, a ThreadSanitizer build for the concurrency suite, a
 # Release-mode perf pass that guards the committed BENCH_*.json
 # baselines, a kill/resume pass that SIGKILLs a checkpointing crawl
-# mid-run and proves the resumed crawl's trace is byte-identical to an
-# uninterrupted one, the same kill/resume differential against a whole
-# fleet crawling under scripted chaos, a competitive-guarantee gate
-# that crawls a small adversarial greedy-trap instance end to end and
-# fails when the opt-rank selector exceeds its 2x-of-OPT bound (or when
-# the greedy lower-bound gap collapses), and a network resilience pass
-# that SIGKILLs a deepcrawl_serve process under a live TCP crawl,
-# restarts it on the same port, and proves the client reconnected,
+# mid-run (a greedy crawl, then an oracle one) and proves the resumed
+# crawl's trace is byte-identical to an uninterrupted one, the same
+# kill/resume differential against a whole fleet crawling under
+# scripted chaos, a competitive-guarantee gate that crawls a small
+# adversarial greedy-trap instance end to end and fails when the
+# opt-rank selector exceeds its 2x-of-OPT bound (or when the greedy
+# lower-bound gap collapses), and a network resilience pass that
+# SIGKILLs a deepcrawl_serve process under a live TCP crawl, restarts
+# it on the same port, and proves the client reconnected,
 # retransmitted, and produced a byte-identical trace. A ninth pass
 # points the same kill/resume
 # differential at the adaptive meta-selector crawling a textual source
@@ -172,6 +173,19 @@ else
   kill_resume_differential "kill/resume differential" \
     "${RESUME_DIR}/crawl.ckpt" "${RESUME_DIR}/full.csv" \
     "${RESUME_DIR}/resumed.csv" KR_BG KR_RESUME
+  # The same differential for the oracle policy, whose selector reads the
+  # backend's ground truth: no selector serializes itself, so only the
+  # replay of the checkpoint's fetch log can rebuild it.
+  ORACLE_ARGS=(--workload=ebay --scale=0.05 --policy=oracle
+    --fault-profile=flaky --threads=4 --batch=4)
+  "${CRAWL}" "${ORACLE_ARGS[@]}" --trace-csv="${RESUME_DIR}/oracle-full.csv" \
+    > /dev/null
+  KR_BG=("${CRAWL}" "${ORACLE_ARGS[@]}" --latency-us=5000
+    --checkpoint="${RESUME_DIR}/oracle.ckpt" --checkpoint-every=1)
+  KR_RESUME=("${CRAWL}" "${ORACLE_ARGS[@]}")
+  kill_resume_differential "oracle kill/resume differential" \
+    "${RESUME_DIR}/oracle.ckpt" "${RESUME_DIR}/oracle-full.csv" \
+    "${RESUME_DIR}/oracle-resumed.csv" KR_BG KR_RESUME
 fi
 
 if [[ "${skip_resume}" == 1 ]]; then
@@ -327,8 +341,9 @@ else
   # generated textual database through the keyword box under faults,
   # parallel and batched. The SIGKILL lands while the chain's estimator
   # and phase counters are live state, so the resumed crawl only matches
-  # byte for byte if the SELC section restores the whole chain — active
-  # phase, per-child frontiers, EWMA — exactly, switch wave included.
+  # byte for byte if replaying the fetch log rebuilds the whole chain —
+  # active phase, per-child frontiers, EWMA — exactly, switch wave
+  # included.
   ADAPT_DIR="$(mktemp -d)"
   trap 'rm -rf "${RESUME_DIR:-}" "${FLEET_DIR:-}" "${NET_DIR:-}" "${ADAPT_DIR}"' EXIT
   CRAWL=./build/tools/deepcrawl_crawl

@@ -365,10 +365,11 @@ Status Run(const Options& options) {
               << options.latency_us << "us/fetch\n";
   }
   if (!options.resume_from.empty()) {
-    // Restores the full crawl state (store, selector, retry queues,
-    // parked slots, clock, trace, fault-proxy RNG). The command line
-    // must rebuild the same stack the checkpoint was taken from; the
-    // budgets below are then re-applied so a resume can raise them.
+    // Rebuilds the crawl state (store, selector, retry queues, parked
+    // slots, clock, trace) by replaying the checkpoint's fetch log, and
+    // restores the fault-proxy RNG. The command line must rebuild the
+    // same stack the checkpoint was taken from; the budgets below are
+    // then re-applied so a resume can raise them.
     DEEPCRAWL_RETURN_IF_ERROR(
         LoadCrawlCheckpoint(options.resume_from, engine, faulty_ptr));
     engine.set_max_rounds(crawl_options.max_rounds);
@@ -531,7 +532,8 @@ int main(int argc, char** argv) {
                   "checkpoint after every N completed waves "
                   "(0 = never; needs --checkpoint)");
   parser.AddString("resume-from", &options.resume_from,
-                   "resume a crawl from this checkpoint file; the other "
+                   "resume a crawl from this checkpoint file by replaying "
+                   "its fetch log (no source call; any policy); the other "
                    "flags must rebuild the stack it was taken from "
                    "(--max-rounds/--target-coverage may be raised)");
   parser.AddBool("list-selectors", &options.list_selectors,

@@ -41,8 +41,8 @@ constexpr SelectorInfo kRegistry[] = {
 };
 
 // Policies an adaptive chain may contain: frontier-driven (the shared
-// event stream fully describes their candidate set) and checkpointable
-// without external scripts.
+// event stream fully describes their candidate set) and built from the
+// local store alone, without ground truth or a domain table.
 bool ChainEligible(const std::string& policy) {
   return policy == "bfs" || policy == "dfs" || policy == "random" ||
          policy == "greedy" || policy == "mmmi" || policy == "term-weight";
