@@ -633,8 +633,8 @@ TEST(ParallelCrawlerDifferentialTest, AbortPolicyEquivalence) {
 // per-node status/count arrays); the same contracts that hold for the
 // classic selectors must hold for them: batch == 1 parallel is
 // bit-identical to serial, thread count never matters, and every
-// checkpoint resumes into the exact one-shot output via the SELC
-// section round-trip.
+// checkpoint resumes into the exact one-shot output by replaying its
+// fetch log.
 
 TEST(ParallelCrawlerDifferentialTest, OptimalSerialEquivalenceAllProfiles) {
   const Env env = AdversarialEnv();
