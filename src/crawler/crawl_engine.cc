@@ -156,7 +156,7 @@ StatusOr<ResultPage> CrawlEngine::Replay::Serve(const FetchRequest& request) {
     const uint64_t key = reader_.ReadVarint();
     record.id = static_cast<RecordId>(key >> 1);
     offsets_.push_back(values_.size());
-    if (reader_.ok() && (key >> 1) > UINT32_MAX) {
+    if (reader_.ok() && (key >> 1) >= kInvalidRecordId) {
       reader_.MarkCorrupt("logged record id out of range");
     }
     if (!reader_.ok()) break;

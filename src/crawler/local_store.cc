@@ -14,25 +14,16 @@ void LocalStore::EnsureValueCapacity(ValueId v) {
 
 bool LocalStore::AddRecord(RecordId id, std::span<const ValueId> values) {
   DEEPCRAWL_CHECK(!values.empty()) << "harvested record has no values";
+  DEEPCRAWL_CHECK(id != kInvalidRecordId) << "harvested record has no id";
+  if (!observations_.Insert(RecordKey(id))) return false;
   uint32_t slot = static_cast<uint32_t>(num_records());
-  bool inserted = false;
-  uint32_t& stored_slot = slot_of_.Slot(uint64_t{id} + 1, &inserted);
-  if (!inserted) return false;
-  stored_slot = slot + 1;
-
-  record_values_.insert(record_values_.end(), values.begin(), values.end());
-  record_offsets_.push_back(record_values_.size());
-  original_ids_.push_back(id);
-  observation_count_.push_back(1);
   ++num_observations_;
 
-  for (ValueId v : values) {
-    EnsureValueCapacity(v);
-    ++local_frequency_[v];
-    postings_csr_.Append(v, slot);
-  }
-  // One probe per unordered pair; a new (min, max) edge adds one to
-  // both endpoints' degrees.
+  // Each unordered pair's (min, max) key, hashed, with its home slot in
+  // the edge set prefetched now: the misses overlap with each other and
+  // with the per-value updates below.
+  pair_keys_.clear();
+  pair_hashes_.clear();
   for (size_t i = 0; i + 1 < values.size(); ++i) {
     for (size_t j = i + 1; j < values.size(); ++j) {
       ValueId a = values[i];
@@ -41,23 +32,39 @@ bool LocalStore::AddRecord(RecordId id, std::span<const ValueId> values) {
       ValueId lo = a < b ? a : b;
       ValueId hi = a < b ? b : a;
       uint64_t key = (static_cast<uint64_t>(lo) << 32) | hi;
-      if (edge_set_.Insert(key)) {
-        ++degree_[a];
-        ++degree_[b];
-      }
+      uint64_t hash = FlatHashMix(key);
+      edge_set_.Prefetch(hash);
+      pair_keys_.push_back(key);
+      pair_hashes_.push_back(hash);
+    }
+  }
+
+  record_values_.insert(record_values_.end(), values.begin(), values.end());
+  record_offsets_.push_back(record_values_.size());
+  original_ids_.push_back(id);
+  for (ValueId v : values) {
+    EnsureValueCapacity(v);
+    ++local_frequency_[v];
+    postings_csr_.Append(v, slot);
+  }
+  // One insert per pair, in pair order; a new edge adds one to both
+  // endpoints' degrees.
+  for (size_t k = 0; k < pair_keys_.size(); ++k) {
+    uint64_t key = pair_keys_[k];
+    if (edge_set_.InsertHashed(key, pair_hashes_[k])) {
+      ++degree_[static_cast<ValueId>(key >> 32)];
+      ++degree_[static_cast<ValueId>(key)];
     }
   }
   return true;
 }
 
 bool LocalStore::ContainsRecord(RecordId id) const {
-  return slot_of_.Find(uint64_t{id} + 1) != 0;
+  return observations_.Contains(RecordKey(id));
 }
 
 bool LocalStore::ObserveIfStored(RecordId id) {
-  uint32_t stored_slot = slot_of_.Find(uint64_t{id} + 1);
-  if (stored_slot == 0) return false;
-  ++observation_count_[stored_slot - 1];
+  if (!observations_.IncrementIfPresent(RecordKey(id))) return false;
   ++num_observations_;
   return true;
 }
@@ -76,11 +83,7 @@ size_t LocalStore::num_values_seen() const {
 
 size_t LocalStore::RecordsObservedTimes(uint32_t k) const {
   DEEPCRAWL_CHECK_GE(k, 1u);
-  size_t count = 0;
-  for (uint32_t observations : observation_count_) {
-    if (observations == k) ++count;
-  }
-  return count;
+  return observations_.CountEquals(k);
 }
 
 uint32_t LocalStore::LocalFrequency(ValueId v) const {

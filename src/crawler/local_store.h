@@ -19,10 +19,15 @@
 // is kept only as far as selection reads it: one flat open-addressing
 // hash of packed (min, max) value pairs deduplicates edges — one probe
 // per record value pair — and a new edge raises both endpoints' degree
-// counters. No neighbour lists are kept. Record ids map to slots through
-// a flat hash as well, so a returned record costs one probe. The
-// per-value containers this replaced live on as a test oracle in
-// tests/reference_local_store.h; see DESIGN.md §9.
+// counters. No neighbour lists are kept. AddRecord computes a record's
+// pair keys and hashes first and prefetches every home slot before the
+// first insert, so the pair probes' cache misses overlap; the inserts
+// run in the same order as without it. The record index is one flat
+// hash of packed 8-byte entries, (observations << 32) | (id + 1): a
+// returned record costs one probe, and a duplicate bumps its count in
+// the slot that probe found. The per-value containers this replaced
+// live on as a test oracle in tests/reference_local_store.h; see
+// DESIGN.md §9.
 
 #ifndef DEEPCRAWL_CRAWLER_LOCAL_STORE_H_
 #define DEEPCRAWL_CRAWLER_LOCAL_STORE_H_
@@ -45,7 +50,8 @@ class LocalStore {
   LocalStore& operator=(const LocalStore&) = delete;
 
   // Adds a harvested record. Returns true when the record was new.
-  // A new record starts with one observation.
+  // A new record starts with one observation. `id` must not be
+  // kInvalidRecordId and `values` must not be empty.
   bool AddRecord(RecordId id, std::span<const ValueId> values);
 
   bool ContainsRecord(RecordId id) const;
@@ -85,14 +91,16 @@ class LocalStore {
  private:
   void EnsureValueCapacity(ValueId v);
 
+  // Record index key: 0 is the map's empty slot, and kInvalidRecordId
+  // maps to it, so that id is never found.
+  static uint32_t RecordKey(RecordId id) { return id + 1; }
+
   // Record content, CSR-style; slot i holds the i-th harvested record.
   std::vector<ValueId> record_values_;
   std::vector<size_t> record_offsets_ = {0};
   std::vector<RecordId> original_ids_;
-  // (id + 1) -> (slot + 1): 0 stays free as both the empty-slot key and
-  // FlatMap64::Find's "absent" answer.
-  FlatMap64 slot_of_;
-  std::vector<uint32_t> observation_count_;  // per slot
+  // RecordKey(id) -> times the record was observed.
+  FlatCountMap32 observations_;
   uint64_t num_observations_ = 0;
 
   // Per-value statistics, indexed by ValueId (grown on demand).
@@ -103,6 +111,10 @@ class LocalStore {
   // G_local edges ((min << 32) | max keys).
   ChunkedArena<uint32_t> postings_csr_;
   FlatSet64 edge_set_;
+  // AddRecord's scratch: the current record's pair keys and their
+  // hashes, reused across records.
+  std::vector<uint64_t> pair_keys_;
+  std::vector<uint64_t> pair_hashes_;
 };
 
 }  // namespace deepcrawl

@@ -73,7 +73,12 @@ DecodedPage DecodePage(CheckpointReader& reader) {
   for (uint64_t i = 0; i < num_records; ++i) {
     ReturnedRecord record;
     record.id = reader.ReadU32();
+    if (record.id == kInvalidRecordId) {
+      reader.MarkCorrupt("record id out of range");
+    }
     uint64_t num_values = reader.ReadCount(4);
+    if (num_values == 0) reader.MarkCorrupt("record without values");
+    if (!reader.ok()) break;
     const size_t first = out.values.size();
     for (uint64_t j = 0; j < num_values; ++j) {
       out.values.push_back(reader.ReadU32());

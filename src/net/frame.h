@@ -159,7 +159,10 @@ std::string EncodeGoAwayFrame(const Status& status);
 
 // Server side: decodes a request body (kHello or any fetch form).
 StatusOr<WireRequest> DecodeRequest(std::string_view body);
-// Client side: decodes a server message body.
+// Client side: decodes a server message body. A page record with no
+// values or with id kInvalidRecordId is malformed (the crawl's store
+// can hold neither); value ids are bounded by the connection, which
+// knows the handshake's num_values (NetConnection::NextMessage).
 StatusOr<WireServerMessage> DecodeServerMessage(std::string_view body);
 
 // Incremental frame extraction from a byte stream. Feed arbitrary

@@ -229,6 +229,18 @@ StatusOr<bool> NetConnection::NextMessage(WireServerMessage* out) {
   if (!*next) return false;
   StatusOr<WireServerMessage> message = DecodeServerMessage(body);
   if (!message.ok()) return message.status();
+  if (message->type == WireMessageType::kPageResult) {
+    // Every value a page carries must be in the catalog the handshake
+    // announced: the store and the engine size per-value arrays by it.
+    for (ValueId value : message->result.values) {
+      if (value >= info_.num_values) {
+        return Status::InvalidArgument(
+            "result page carries value " + std::to_string(value) +
+            ", outside the server's " + std::to_string(info_.num_values) +
+            " values");
+      }
+    }
+  }
   *out = std::move(*message);
   return true;
 }
@@ -434,6 +446,7 @@ struct NetFetchExecutor::Lane {
   size_t sent_slots = 0;    // slots whose bytes the kernel accepted
   size_t next_unanswered = 0;
   uint64_t last_progress_ms = 0;
+  uint32_t attempts = 1;  // sends of the lane's share this wave
   bool dead = false;
 
   void Reset(NetConnection* connection, uint64_t now_ms) {
@@ -442,6 +455,7 @@ struct NetFetchExecutor::Lane {
     ids.clear();
     next_unanswered = 0;
     last_progress_ms = now_ms;
+    attempts = 1;
     dead = false;
   }
   bool done() const { return dead || next_unanswered == slots.size(); }
@@ -477,8 +491,19 @@ void NetFetchExecutor::FailOrRevive(
     Lane& lane, const Status& reason, std::span<const FetchRequest> requests,
     std::span<std::optional<StatusOr<ResultPage>>> results) {
   lane.conn->Close();
-  Status revived = client_.EnsureConnected(*lane.conn);
+  // Like a serial fetch, a lane spends at most request_attempts sends
+  // per wave: a server that keeps answering with a malformed page, or
+  // never answers, fails the slots instead of being retried forever.
+  const uint32_t max_attempts =
+      std::max<uint32_t>(1, client_.net_options().request_attempts);
+  Status revived =
+      lane.attempts < max_attempts
+          ? client_.EnsureConnected(*lane.conn)
+          : Status::Unavailable("connection failed " +
+                                std::to_string(lane.attempts) +
+                                " times in one wave");
   if (revived.ok()) {
+    ++lane.attempts;
     const auto answered = static_cast<ptrdiff_t>(lane.next_unanswered);
     lane.slots.erase(lane.slots.begin(), lane.slots.begin() + answered);
     lane.ids.erase(lane.ids.begin(), lane.ids.begin() + answered);
@@ -618,10 +643,14 @@ void NetFetchExecutor::FetchWave(
       if (revents & (POLLIN | POLLHUP | POLLERR)) {
         Status filled = lane.conn->FillFromSocket();
         bool lane_failed = !filled.ok();
+        // A malformed message; the slots fail with it once the lane is
+        // out of attempts.
+        Status protocol_error;
         while (!lane_failed && !lane.done()) {
           StatusOr<bool> next = lane.conn->NextMessage(&message_);
           if (!next.ok()) {
             lane_failed = true;
+            protocol_error = next.status();
             break;
           }
           if (!*next) break;
@@ -648,7 +677,7 @@ void NetFetchExecutor::FetchWave(
           ++lane.next_unanswered;
         }
         if (lane_failed) {
-          FailOrRevive(lane, Status::OK(), requests, results);
+          FailOrRevive(lane, protocol_error, requests, results);
           continue;
         }
       }

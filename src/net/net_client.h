@@ -78,11 +78,12 @@ struct NetClientOptions {
   // Ceiling on one request/response round; a fetch that exceeds it is
   // treated as a dead connection (reconnect, retransmit).
   uint64_t request_timeout_ms = 30'000;
-  // Total attempts (send + await rounds) a serial fetch may spend
-  // before surfacing the last failure. Bounds the pathological case of
-  // a server that keeps accepting connections but never answers within
-  // request_timeout_ms: without a cap the client would reconnect,
-  // retransmit, and time out forever.
+  // Total attempts (send + await rounds) a serial fetch, or one lane
+  // of a pipelined wave, may spend before surfacing the last failure.
+  // Bounds the pathological case of a server that keeps accepting
+  // connections but never answers within request_timeout_ms, or
+  // answers with malformed pages: without a cap the client would
+  // reconnect, retransmit, and fail forever.
   uint32_t request_attempts = 3;
   // Total budget for re-reaching a dead server (covers the initial
   // connect too); exhausted -> the fetch fails with kUnavailable.
@@ -142,7 +143,9 @@ class NetConnection {
 
   // Non-blocking pair: pull available socket bytes into the assembler,
   // then drain complete messages. NextMessage true = `*out` filled; it
-  // decodes straight from the assembler's buffer (no body copy).
+  // decodes straight from the assembler's buffer (no body copy). A
+  // malformed message, or a page carrying a value id at or above the
+  // handshake's num_values, is a protocol error (kInvalidArgument).
   Status FillFromSocket();
   StatusOr<bool> NextMessage(WireServerMessage* out);
 
@@ -256,7 +259,9 @@ class NetFetchExecutor : public FetchExecutor {
   // Encodes the lane's unanswered requests onto its connection.
   void QueueLane(Lane& lane, std::span<const FetchRequest> requests);
   // Reconnects a lane whose connection died and re-queues its
-  // unanswered suffix, or fails those slots (see FetchWave).
+  // unanswered suffix, or fails those slots with `reason` (when not OK)
+  // once the reconnect fails or the lane has spent request_attempts
+  // sends this wave.
   void FailOrRevive(Lane& lane, const Status& reason,
                     std::span<const FetchRequest> requests,
                     std::span<std::optional<StatusOr<ResultPage>>> results);

@@ -1,17 +1,23 @@
 // Flat open-addressing hash containers for the crawler's hot paths.
 //
 // The crawl loop's per-record bookkeeping (edge dedup in the local AVG,
-// the record id -> slot map of the local store) used to live in
+// the record index of the local store) used to live in
 // std::unordered_set / std::unordered_map — one heap node per entry,
 // pointer-chasing on every probe. These two containers replace them with
-// single flat arrays and linear probing: one cache line per successful
-// probe in the common case, amortized-doubling rehash ("epoch" rebuilds),
-// no per-entry allocation. Both are deliberately minimal — 64-bit keys
-// only, no erase — because that is exactly what the crawl loop needs.
+// single flat arrays of 8-byte slots and linear probing: one cache line
+// per probe in the common case, amortized-doubling rehash ("epoch"
+// rebuilds), no per-entry allocation. Both are deliberately minimal — no
+// erase — because that is exactly what the crawl loop needs.
+//
+// Probes into a table far larger than the cache are independent misses.
+// FlatSet64 exposes Prefetch so a caller that knows its next keys (a
+// record's value pairs) can issue every miss before the first probe
+// waits on one; the inserts that follow are the same operations in the
+// same order, so prefetching changes no content and no growth point.
 //
 // Key convention: 0 is the empty-slot sentinel, so keys must be nonzero.
 // The edge set packs two distinct 32-bit ids into one key
-// ((a << 32) | b with a != b), and the record map keys by id + 1;
+// ((a << 32) | b with a != b), and the record index keys by id + 1;
 // neither can be 0.
 
 #ifndef DEEPCRAWL_UTIL_FLAT_HASH_H_
@@ -44,10 +50,15 @@ class FlatSet64 {
   FlatSet64() = default;
 
   // Inserts `key`; returns true when it was not present before.
-  bool Insert(uint64_t key) {
+  bool Insert(uint64_t key) { return InsertHashed(key, FlatHashMix(key)); }
+
+  // Insert with `hash` == FlatHashMix(key) computed by the caller, who
+  // has usually passed it to Prefetch already.
+  bool InsertHashed(uint64_t key, uint64_t hash) {
     DEEPCRAWL_DCHECK(key != 0) << "0 is the empty-slot sentinel";
+    DEEPCRAWL_DCHECK(hash == FlatHashMix(key));
     if (slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3) Grow();
-    size_t i = FlatHashMix(key) & mask_;
+    size_t i = hash & mask_;
     while (slots_[i] != 0) {
       if (slots_[i] == key) return false;
       i = (i + 1) & mask_;
@@ -55,6 +66,13 @@ class FlatSet64 {
     slots_[i] = key;
     ++size_;
     return true;
+  }
+
+  // Starts loading the home slot of the key whose FlatHashMix is
+  // `hash`, for a later InsertHashed. A growth in between only wastes
+  // the prefetch.
+  void Prefetch(uint64_t hash) const {
+    if (!slots_.empty()) __builtin_prefetch(&slots_[hash & mask_], 1);
   }
 
   bool Contains(uint64_t key) const {
@@ -68,6 +86,7 @@ class FlatSet64 {
   }
 
   size_t size() const { return size_; }
+  size_t capacity() const { return slots_.size(); }
 
  private:
   void Grow() {
@@ -88,65 +107,88 @@ class FlatSet64 {
   size_t size_ = 0;
 };
 
-// Open-addressing map from nonzero 64-bit keys to 32-bit counters.
-class FlatMap64 {
+// Open-addressing map from nonzero 32-bit keys to 32-bit counts, packed
+// into one 8-byte slot, (count << 32) | key: a probe that finds the key
+// has the count in the same cache line. A count wraps at 2^32.
+class FlatCountMap32 {
  public:
-  FlatMap64() = default;
+  FlatCountMap32() = default;
 
-  // Returns a reference to the value slot for `key`, inserting it with
-  // value 0 when absent. `inserted` (optional) reports whether the key
-  // was new. The reference is invalidated by the next Increment/
-  // operator[] call (the table may rehash).
-  uint32_t& Slot(uint64_t key, bool* inserted = nullptr) {
+  // Inserts `key` with count 1; returns false, changing nothing, when
+  // it is already present.
+  bool Insert(uint32_t key) {
     DEEPCRAWL_DCHECK(key != 0) << "0 is the empty-slot sentinel";
-    if (keys_.empty() || (size_ + 1) * 4 > keys_.size() * 3) Grow();
+    if (slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3) Grow();
     size_t i = FlatHashMix(key) & mask_;
-    while (keys_[i] != 0) {
-      if (keys_[i] == key) {
-        if (inserted != nullptr) *inserted = false;
-        return values_[i];
-      }
+    while (slots_[i] != 0) {
+      if (static_cast<uint32_t>(slots_[i]) == key) return false;
       i = (i + 1) & mask_;
     }
-    keys_[i] = key;
-    values_[i] = 0;
+    slots_[i] = kOne | key;
     ++size_;
-    if (inserted != nullptr) *inserted = true;
-    return values_[i];
+    return true;
   }
 
-  // Value for `key`, or 0 when absent.
-  uint32_t Find(uint64_t key) const {
-    if (keys_.empty()) return 0;
-    size_t i = FlatHashMix(key) & mask_;
-    while (keys_[i] != 0) {
-      if (keys_[i] == key) return values_[i];
-      i = (i + 1) & mask_;
+  // Adds one to the count of `key` and returns true when it is present;
+  // otherwise changes nothing and returns false. Key 0 is never present.
+  bool IncrementIfPresent(uint32_t key) {
+    const size_t i = IndexOf(key);
+    if (i == kAbsent) return false;
+    slots_[i] += kOne;
+    return true;
+  }
+
+  bool Contains(uint32_t key) const { return IndexOf(key) != kAbsent; }
+
+  // Count of `key`, or 0 when absent.
+  uint32_t Count(uint32_t key) const {
+    const size_t i = IndexOf(key);
+    return i == kAbsent ? 0 : static_cast<uint32_t>(slots_[i] >> 32);
+  }
+
+  // Number of keys whose count is exactly `count`; one pass over the
+  // slots.
+  size_t CountEquals(uint32_t count) const {
+    size_t n = 0;
+    for (uint64_t slot : slots_) {
+      if (slot != 0 && static_cast<uint32_t>(slot >> 32) == count) ++n;
     }
-    return 0;
+    return n;
   }
 
   size_t size() const { return size_; }
 
  private:
+  static constexpr uint64_t kOne = uint64_t{1} << 32;
+  static constexpr size_t kAbsent = SIZE_MAX;
+
+  // Slot index holding `key`, or kAbsent.
+  size_t IndexOf(uint32_t key) const {
+    if (slots_.empty()) return kAbsent;
+    size_t i = FlatHashMix(key) & mask_;
+    while (slots_[i] != 0) {
+      if (static_cast<uint32_t>(slots_[i]) == key) return i;
+      i = (i + 1) & mask_;
+    }
+    return kAbsent;
+  }
+
   void Grow() {
-    size_t new_cap = keys_.empty() ? 64 : keys_.size() * 2;
-    std::vector<uint64_t> old_keys = std::move(keys_);
-    std::vector<uint32_t> old_values = std::move(values_);
-    keys_.assign(new_cap, 0);
-    values_.assign(new_cap, 0);
+    size_t new_cap = slots_.empty() ? 64 : slots_.size() * 2;
+    std::vector<uint64_t> old = std::move(slots_);
+    slots_.assign(new_cap, 0);
     mask_ = new_cap - 1;
-    for (size_t j = 0; j < old_keys.size(); ++j) {
-      if (old_keys[j] == 0) continue;
-      size_t i = FlatHashMix(old_keys[j]) & mask_;
-      while (keys_[i] != 0) i = (i + 1) & mask_;
-      keys_[i] = old_keys[j];
-      values_[i] = old_values[j];
+    for (uint64_t slot : old) {
+      if (slot == 0) continue;
+      size_t i = FlatHashMix(static_cast<uint32_t>(slot)) & mask_;
+      while (slots_[i] != 0) i = (i + 1) & mask_;
+      slots_[i] = slot;
     }
   }
 
-  std::vector<uint64_t> keys_;  // 0 = empty
-  std::vector<uint32_t> values_;
+  // 0 = empty. An occupied slot's low half (the key) is nonzero, so a
+  // count that wraps to 0 never empties it.
+  std::vector<uint64_t> slots_;
   size_t mask_ = 0;
   size_t size_ = 0;
 };

@@ -18,6 +18,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/crawler/checkpoint.h"
@@ -449,6 +450,7 @@ struct LogLayout {
   std::vector<Field> fetch_values;   // value of each logged fetch
   std::vector<Field> record_counts;  // record count of each page
   std::vector<Field> repeat_ids;     // (id << 1) of each repeated record
+  std::vector<Field> new_ids;        // (id << 1 | 1) of each new record
   std::vector<Field> value_counts;   // value count of each new record
   std::vector<Field> record_values;  // first value of each new record
 };
@@ -495,6 +497,7 @@ LogLayout ParseLog(std::string_view payload) {
           layout.repeat_ids.push_back(key);
           continue;
         }
+        layout.new_ids.push_back(key);
         layout.value_counts.push_back(varint());
         uint64_t k = value;
         layout.record_values.push_back(varint());
@@ -606,6 +609,53 @@ TEST(CrawlCheckpointTest, ForgedLogValueIdsAreBoundsChecked) {
                 std::string::npos)
           << status.ToString();
     }
+  }
+}
+
+// A new record with no values is rejected: the store holds only
+// records that carry at least one value.
+TEST(CrawlCheckpointTest, ForgedRecordWithoutValuesIsRejected) {
+  std::string image = MidCrawlImage("mmmi", /*with_faults=*/false);
+  LogLayout layout = LayoutOf(image);
+  ASSERT_FALSE(layout.value_counts.empty());
+  CheckpointWriter zero;
+  zero.WriteVarint(0);
+  for (Field field :
+       {layout.value_counts.front(), layout.value_counts.back()}) {
+    Status status =
+        TryDecode(Forge(image, field, zero), "mmmi", /*with_faults=*/false);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("logged record without values"),
+              std::string::npos)
+        << status.ToString();
+  }
+}
+
+// Record id kInvalidRecordId is rejected, new or repeated: the store's
+// record index keys by id + 1, which that id would wrap to its empty
+// slot.
+TEST(CrawlCheckpointTest, ForgedInvalidRecordIdIsRejected) {
+  std::string image = MidCrawlImage("mmmi", /*with_faults=*/false);
+  LogLayout layout = LayoutOf(image);
+  ASSERT_FALSE(layout.new_ids.empty());
+  ASSERT_FALSE(layout.repeat_ids.empty());
+  const uint64_t invalid = uint64_t{kInvalidRecordId} << 1;
+  CheckpointWriter as_new;
+  as_new.WriteVarint(invalid | kRecordNew);
+  CheckpointWriter as_repeat;
+  as_repeat.WriteVarint(invalid | kRecordRepeat);
+  const std::pair<Field, const CheckpointWriter*> forgeries[] = {
+      {layout.new_ids.front(), &as_new},
+      {layout.new_ids.back(), &as_new},
+      {layout.repeat_ids.front(), &as_repeat},
+  };
+  for (const auto& [field, bytes] : forgeries) {
+    Status status =
+        TryDecode(Forge(image, field, *bytes), "mmmi", /*with_faults=*/false);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("logged record id out of range"),
+              std::string::npos)
+        << status.ToString();
   }
 }
 

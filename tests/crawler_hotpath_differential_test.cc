@@ -9,7 +9,9 @@
 //     tests/reference_local_store.h. Every crawl runs its selector
 //     behind StoreOracleSelector, which replays each harvested record
 //     into the oracle and compares the record's values after every add
-//     — not only the final trace;
+//     — not only the final trace. After the crawl, the store's
+//     observation counts (duplicates included) must match the oracle's,
+//     fed from every page the engine received;
 //   * Greedy Link selection: GreedyLinkSelector's degree heap vs the
 //     pending-set rescan of tests/reference_greedy_selector.h;
 //   * MMMI scoring: MmmiSelector's incrementally-maintained
@@ -36,6 +38,8 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -193,6 +197,7 @@ class StoreOracleSelector : public QuerySelector {
   }
 
   QuerySelector& inner() { return *inner_; }
+  ReferenceLocalStore& oracle() { return oracle_; }
   uint64_t checked_adds() const { return checked_adds_; }
   // Records harvested after one of their values' queries completed.
   uint64_t late_records() const { return late_records_; }
@@ -206,6 +211,83 @@ class StoreOracleSelector : public QuerySelector {
   uint64_t late_records_ = 0;
   bool diverged_ = false;
 };
+
+// Forwards every call to `inner` and counts how often each record id
+// appears on a page that came back OK. A crawl that returns OK commits
+// every page it fetched, so with the tap between the engine and the
+// server these counts are the records' observation counts.
+class ObservationTap : public QueryInterface {
+ public:
+  explicit ObservationTap(QueryInterface& inner) : inner_(inner) {}
+
+  StatusOr<ResultPage> FetchPage(ValueId value,
+                                 uint32_t page_number) override {
+    return Count(inner_.FetchPage(value, page_number));
+  }
+  StatusOr<ResultPage> FetchPageByText(AttributeId attr,
+                                       std::string_view text,
+                                       uint32_t page_number) override {
+    return Count(inner_.FetchPageByText(attr, text, page_number));
+  }
+  StatusOr<ResultPage> FetchPageByKeyword(std::string_view text,
+                                          uint32_t page_number) override {
+    return Count(inner_.FetchPageByKeyword(text, page_number));
+  }
+  StatusOr<ResultPage> FetchPageConjunctive(
+      std::span<const ValueId> values, uint32_t page_number) override {
+    return Count(inner_.FetchPageConjunctive(values, page_number));
+  }
+  StatusOr<ResultPage> FetchPageKeywordOf(ValueId value,
+                                          uint32_t page_number) override {
+    return Count(inner_.FetchPageKeywordOf(value, page_number));
+  }
+  uint64_t communication_rounds() const override {
+    return inner_.communication_rounds();
+  }
+  uint64_t queries_issued() const override { return inner_.queries_issued(); }
+  void ResetMeters() override { inner_.ResetMeters(); }
+  RttCounters rtt_counters() const override { return inner_.rtt_counters(); }
+  const ServerOptions& options() const override { return inner_.options(); }
+  bool IsQueriableValue(ValueId value) const override {
+    return inner_.IsQueriableValue(value);
+  }
+  uint32_t num_values() const override { return inner_.num_values(); }
+
+  const std::unordered_map<RecordId, uint32_t>& appearances() const {
+    return appearances_;
+  }
+
+ private:
+  StatusOr<ResultPage> Count(StatusOr<ResultPage> page) {
+    if (page.ok()) {
+      for (const ReturnedRecord& record : page->records) {
+        ++appearances_[record.id];
+      }
+    }
+    return page;
+  }
+
+  QueryInterface& inner_;
+  std::unordered_map<RecordId, uint32_t> appearances_;
+};
+
+// Feeds every repeat appearance the tap saw into the store oracle and
+// compares the observation statistics with the crawl's store.
+void ExpectObservationsMatch(const LocalStore& store,
+                             const ObservationTap& tap,
+                             ReferenceLocalStore& oracle) {
+  EXPECT_EQ(tap.appearances().size(), oracle.num_records());
+  for (const auto& [id, appearances] : tap.appearances()) {
+    for (uint32_t i = 1; i < appearances; ++i) {
+      EXPECT_TRUE(oracle.ObserveIfStored(id)) << "record " << id;
+    }
+  }
+  EXPECT_EQ(store.num_observations(), oracle.num_observations());
+  for (uint32_t k = 1; k <= 3; ++k) {
+    EXPECT_EQ(store.RecordsObservedTimes(k), oracle.RecordsObservedTimes(k))
+        << "records observed " << k << " times";
+  }
+}
 
 ValueId FirstQueriableSeed(const Table& table) {
   for (ValueId v = 0; v < table.num_distinct_values(); ++v) {
@@ -289,13 +371,13 @@ RunOutput RunVariant(const std::string& policy,
     faulty->set_keyed_faults(true);
     direct = &*faulty;
   }
+  ObservationTap tap(*direct);
   LocalStore store;
   StoreOracleSelector selector(MakeSelector(policy, store, ranking), store);
   RetryPolicy retry((RetryPolicyConfig()));
   const bool serial = threads == 0;
-  LockedQueryInterface locked(*direct);
-  QueryInterface& server =
-      serial ? *direct : static_cast<QueryInterface&>(locked);
+  LockedQueryInterface locked(tap);
+  QueryInterface& server = serial ? tap : static_cast<QueryInterface&>(locked);
   EngineOptions engine_options;
   if (!serial) engine_options = {.threads = threads, .batch = batch};
   CrawlEngine crawler(server, selector, store, options, engine_options,
@@ -304,6 +386,7 @@ RunOutput RunVariant(const std::string& policy,
   StatusOr<CrawlResult> result = crawler.Run();
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
   EXPECT_EQ(selector.checked_adds(), store.num_records());
+  ExpectObservationsMatch(store, tap, selector.oracle());
   RunOutput out = Capture(*result, store, crawler.clock().now());
   out.late_records = selector.late_records();
   if (auto* adaptive = dynamic_cast<AdaptiveSelector*>(&selector.inner())) {

@@ -22,6 +22,24 @@ TEST(LocalStoreTest, AddRecordDeduplicatesByRecordId) {
   EXPECT_FALSE(store.ContainsRecord(8));
 }
 
+// The record index keys by id + 1, which wraps kInvalidRecordId to its
+// empty-slot key: that id must never read as stored, while the largest
+// valid id is stored and counted like any other.
+TEST(LocalStoreTest, InvalidRecordIdIsNeverStored) {
+  LocalStore store;
+  EXPECT_FALSE(store.ContainsRecord(kInvalidRecordId));
+  EXPECT_TRUE(store.AddRecord(kInvalidRecordId - 1, V({1, 2})));
+  EXPECT_TRUE(store.AddRecord(0, V({2, 3})));
+  EXPECT_FALSE(store.ContainsRecord(kInvalidRecordId));
+  EXPECT_FALSE(store.ObserveIfStored(kInvalidRecordId));
+  EXPECT_TRUE(store.ContainsRecord(kInvalidRecordId - 1));
+  EXPECT_TRUE(store.ObserveIfStored(kInvalidRecordId - 1));
+  EXPECT_EQ(store.OriginalRecordId(0), kInvalidRecordId - 1);
+  EXPECT_EQ(store.num_observations(), 3u);
+  EXPECT_EQ(store.RecordsObservedTimes(1), 1u);
+  EXPECT_EQ(store.RecordsObservedTimes(2), 1u);
+}
+
 TEST(LocalStoreTest, LocalFrequencyCountsRecords) {
   LocalStore store;
   store.AddRecord(0, V({1, 2}));

@@ -165,7 +165,7 @@ TEST(NetFrameTest, ServerInfoRoundTrips) {
 TEST(NetFrameTest, OkPageRoundTrips) {
   std::vector<ValueId> rec0 = {10, 20, 30};
   std::vector<ValueId> rec1 = {40};
-  std::vector<ValueId> rec2 = {};
+  std::vector<ValueId> rec2 = {50, 60};
   ResultPage page;
   page.records.push_back({101, rec0});
   page.records.push_back({102, rec1});
@@ -192,6 +192,43 @@ TEST(NetFrameTest, OkPageRoundTrips) {
   EXPECT_EQ(got.page_number, page.page_number);
   EXPECT_EQ(got.total_matches, page.total_matches);
   EXPECT_EQ(got.has_more, page.has_more);
+}
+
+// A page record the crawl's store cannot hold is malformed on the wire:
+// one with no values, or with id kInvalidRecordId.
+TEST(NetFrameTest, PageRecordWithoutValuesIsRejected) {
+  std::vector<ValueId> good = {10, 20};
+  std::vector<ValueId> empty = {};
+  ResultPage page;
+  page.records.push_back({101, good});
+  page.records.push_back({102, empty});
+  StatusOr<WireServerMessage> decoded = DecodeServerMessage(
+      BodyOf(EncodeResponseFrame(7, StatusOr<ResultPage>(page))));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("record without values"),
+            std::string::npos)
+      << decoded.status().ToString();
+}
+
+TEST(NetFrameTest, PageRecordWithInvalidIdIsRejected) {
+  std::vector<ValueId> values = {10, 20};
+  ResultPage page;
+  page.records.push_back({kInvalidRecordId, values});
+  StatusOr<WireServerMessage> decoded = DecodeServerMessage(
+      BodyOf(EncodeResponseFrame(7, StatusOr<ResultPage>(page))));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("record id out of range"),
+            std::string::npos)
+      << decoded.status().ToString();
+
+  // The largest valid id still decodes.
+  page.records[0].id = kInvalidRecordId - 1;
+  decoded = DecodeServerMessage(
+      BodyOf(EncodeResponseFrame(7, StatusOr<ResultPage>(page))));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->result.page.records[0].id, kInvalidRecordId - 1);
 }
 
 TEST(NetFrameTest, AbsentTotalMatchesRoundTrips) {

@@ -21,6 +21,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/crawler/crawl_engine.h"
+#include "src/crawler/greedy_link_selector.h"
+#include "src/crawler/local_store.h"
 #include "src/net/event_loop.h"
 #include "src/net/net_client.h"
 #include "src/net/tcp_server.h"
@@ -550,6 +553,190 @@ TEST(NetServerTest, SilentServerFailsAfterBoundedAttempts) {
   ASSERT_FALSE(fetched.ok());
   EXPECT_EQ(fetched.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_LT(elapsed.count(), 3000) << "attempt cap did not bound the fetch";
+}
+
+// Completes the handshake, announcing `num_values` values (all
+// queriable), then answers every fetch with one fixed page, however
+// malformed: EncodeResponseFrame writes what it is given, so the
+// forgery reaches the client with valid framing and checksum. Each
+// connection gets its own thread, so a pipelined client's lanes all
+// complete their handshakes; past kMaxConnections a connection is
+// closed at once, so a client that reconnects without bound fails
+// instead of piling up threads.
+class ForgingServer {
+ public:
+  ForgingServer(const ResultPage& page, uint32_t num_values) : page_(page) {
+    listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
+    DEEPCRAWL_CHECK(listen_fd_ >= 0);
+    int one = 1;
+    setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    DEEPCRAWL_CHECK(bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                         sizeof(addr)) == 0);
+    DEEPCRAWL_CHECK(listen(listen_fd_, 8) == 0);
+    socklen_t len = sizeof(addr);
+    DEEPCRAWL_CHECK(getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                                &len) == 0);
+    port_ = ntohs(addr.sin_port);
+    WireServerInfo info;
+    info.num_values = num_values;
+    info.queriable_bitmap.assign((num_values + 7) / 8, 0xFF);
+    info_frame_ = EncodeServerInfoFrame(info);
+    acceptor_ = std::thread([this] { Accept(); });
+  }
+  ForgingServer(const ForgingServer&) = delete;
+  ForgingServer& operator=(const ForgingServer&) = delete;
+  ~ForgingServer() {
+    shutdown(listen_fd_, SHUT_RDWR);
+    close(listen_fd_);
+    acceptor_.join();
+    for (std::thread& connection : connections_) connection.join();
+  }
+  uint16_t port() const { return port_; }
+
+ private:
+  static constexpr size_t kMaxConnections = 32;
+
+  // Only the acceptor thread touches connections_ until the destructor
+  // joins it.
+  void Accept() {
+    for (;;) {
+      int fd = accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      if (connections_.size() >= kMaxConnections) {
+        close(fd);
+        continue;
+      }
+      connections_.emplace_back([this, fd] { Serve(fd); });
+    }
+  }
+
+  // Runs until the client hangs up.
+  void Serve(int fd) {
+    FrameAssembler assembler;
+    bool open = write(fd, info_frame_.data(), info_frame_.size()) > 0;
+    char buf[4096];
+    while (open) {
+      ssize_t got = read(fd, buf, sizeof(buf));
+      if (got <= 0) break;
+      assembler.Append(std::string_view(buf, static_cast<size_t>(got)));
+      std::string_view body;
+      for (;;) {
+        StatusOr<bool> next = assembler.Next(&body);
+        if (!next.ok()) open = false;
+        if (!next.ok() || !*next) break;
+        StatusOr<WireRequest> request = DecodeRequest(body);
+        if (!request.ok() || request->type == WireMessageType::kHello) {
+          continue;
+        }
+        std::string reply = EncodeResponseFrame(request->request_id,
+                                                StatusOr<ResultPage>(page_));
+        if (write(fd, reply.data(), reply.size()) <= 0) {
+          open = false;
+          break;
+        }
+      }
+    }
+    close(fd);
+  }
+
+  const ResultPage& page_;
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  std::string info_frame_;
+  std::vector<std::thread> connections_;
+  std::thread acceptor_;
+};
+
+// A page the crawl's store cannot hold is a protocol error at the
+// client, whichever path fetched it: a record with no values, record
+// id kInvalidRecordId, or a value id at or above the handshake's
+// num_values (the engine and store would size per-value arrays by it).
+// Each comes back as kInvalidArgument within the attempt cap, and a
+// crawl over it stops with that Status instead of aborting.
+TEST(NetServerTest, ForgedPagesAreProtocolErrorsOnEveryPath) {
+  constexpr uint32_t kNumValues = 16;
+  const std::vector<ValueId> good = {0, 1};
+  const std::vector<ValueId> none = {};
+  const std::vector<ValueId> at_bound = {0, kNumValues};
+  const std::vector<ValueId> huge = {0xFFFFFFF0u};
+  struct Forgery {
+    const char* name;
+    ReturnedRecord record;
+    const char* message;
+  };
+  const Forgery forgeries[] = {
+      {"no values", {5, none}, "record without values"},
+      {"invalid id", {kInvalidRecordId, good}, "record id out of range"},
+      {"value at num_values", {5, at_bound}, "outside the server's 16 values"},
+      {"huge value", {5, huge}, "outside the server's 16 values"},
+  };
+  for (const Forgery& forgery : forgeries) {
+    SCOPED_TRACE(forgery.name);
+    ResultPage page;
+    page.records.push_back({4, good});  // a valid record ahead of it
+    page.records.push_back(forgery.record);
+    ForgingServer server(page, kNumValues);
+    NetClientOptions options = ClientOptions(server.port(), 2);
+    options.request_attempts = 2;
+    auto expect_protocol_error = [&](const Status& status) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << status.ToString();
+      EXPECT_NE(status.message().find(forgery.message), std::string::npos)
+          << status.ToString();
+    };
+
+    // Serial round trip.
+    {
+      StatusOr<std::unique_ptr<NetQueryClient>> client =
+          NetQueryClient::Connect(options);
+      ASSERT_TRUE(client.ok()) << client.status().ToString();
+      StatusOr<ResultPage> fetched = (*client)->FetchPage(0, 0);
+      ASSERT_FALSE(fetched.ok());
+      expect_protocol_error(fetched.status());
+    }
+    // Pipelined wave over two connections.
+    {
+      StatusOr<std::unique_ptr<NetQueryClient>> client =
+          NetQueryClient::Connect(options);
+      ASSERT_TRUE(client.ok()) << client.status().ToString();
+      NetFetchExecutor executor(**client);
+      std::vector<FetchRequest> requests;
+      for (ValueId v = 0; v < 4; ++v) requests.push_back({v, 0, false});
+      std::vector<std::optional<StatusOr<ResultPage>>> results(
+          requests.size());
+      executor.FetchWave(**client, requests, results);
+      for (const auto& result : results) {
+        ASSERT_TRUE(result.has_value());
+        ASSERT_FALSE(result->ok());
+        expect_protocol_error(result->status());
+      }
+    }
+    // A crawl, serial and batched: Run() returns the error and the
+    // store holds nothing.
+    for (uint32_t batch : {0u, 4u}) {
+      StatusOr<std::unique_ptr<NetQueryClient>> client =
+          NetQueryClient::Connect(options);
+      ASSERT_TRUE(client.ok()) << client.status().ToString();
+      NetFetchExecutor executor(**client);
+      LocalStore store;
+      GreedyLinkSelector selector(store);
+      EngineOptions engine_options;
+      if (batch > 0) {
+        engine_options.batch = batch;
+        engine_options.shared_executor = &executor;
+      }
+      CrawlEngine engine(**client, selector, store, CrawlOptions{},
+                         engine_options);
+      engine.AddSeed(0);
+      StatusOr<CrawlResult> result = engine.Run();
+      ASSERT_FALSE(result.ok());
+      expect_protocol_error(result.status());
+      EXPECT_EQ(store.num_records(), 0u);
+    }
+  }
 }
 
 TEST(NetServerTest, PipelinedClientResetMidDrainLeavesServerHealthy) {

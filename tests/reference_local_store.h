@@ -5,8 +5,8 @@
 // std::unordered_set of neighbours per value for G_local — the obvious
 // containers, with no arenas, compaction, edge hash or degree counters.
 // LocalStore must be observationally identical to it: same frequencies,
-// degrees (neighbour-set sizes), and the same element order in every
-// posting list.
+// degrees (neighbour-set sizes), the same element order in every
+// posting list, and the same per-record observation counts.
 
 #ifndef DEEPCRAWL_TESTS_REFERENCE_LOCAL_STORE_H_
 #define DEEPCRAWL_TESTS_REFERENCE_LOCAL_STORE_H_
@@ -30,8 +30,9 @@ class ReferenceLocalStore {
   // Same contract as LocalStore::AddRecord: returns true when `id` was
   // new, and only then updates the statistics.
   bool AddRecord(RecordId id, std::span<const ValueId> values) {
-    uint32_t slot = static_cast<uint32_t>(slot_of_.size());
-    if (!slot_of_.emplace(id, slot).second) return false;
+    uint32_t slot = static_cast<uint32_t>(observations_.size());
+    if (!observations_.emplace(id, 1).second) return false;
+    ++num_observations_;
     for (ValueId v : values) {
       EnsureValueCapacity(v);
       ++local_frequency_[v];
@@ -49,7 +50,26 @@ class ReferenceLocalStore {
     return true;
   }
 
-  size_t num_records() const { return slot_of_.size(); }
+  // Same contract as LocalStore::ObserveIfStored.
+  bool ObserveIfStored(RecordId id) {
+    auto it = observations_.find(id);
+    if (it == observations_.end()) return false;
+    ++it->second;
+    ++num_observations_;
+    return true;
+  }
+
+  uint64_t num_observations() const { return num_observations_; }
+
+  size_t RecordsObservedTimes(uint32_t k) const {
+    size_t count = 0;
+    for (const auto& [id, observations] : observations_) {
+      if (observations == k) ++count;
+    }
+    return count;
+  }
+
+  size_t num_records() const { return observations_.size(); }
   size_t num_values_seen() const { return local_frequency_.size(); }
 
   uint32_t LocalFrequency(ValueId v) const {
@@ -75,7 +95,8 @@ class ReferenceLocalStore {
     neighbor_sets_.resize(new_size);
   }
 
-  std::unordered_map<RecordId, uint32_t> slot_of_;
+  std::unordered_map<RecordId, uint32_t> observations_;  // per record id
+  uint64_t num_observations_ = 0;
   std::vector<uint32_t> local_frequency_;
   std::vector<std::vector<uint32_t>> local_postings_;
   std::vector<std::unordered_set<ValueId>> neighbor_sets_;

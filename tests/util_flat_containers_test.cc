@@ -59,34 +59,121 @@ TEST(FlatSet64Test, MatchesUnorderedSetUnderRandomOps) {
   }
 }
 
-TEST(FlatMap64Test, SlotInsertsZeroInitialized) {
-  FlatMap64 map;
-  bool inserted = false;
-  uint32_t& slot = map.Slot(99, &inserted);
-  EXPECT_TRUE(inserted);
-  EXPECT_EQ(slot, 0u);
-  slot = 17;
-  inserted = true;
-  EXPECT_EQ(map.Slot(99, &inserted), 17u);
-  EXPECT_FALSE(inserted);
-  EXPECT_EQ(map.Find(99), 17u);
-  EXPECT_EQ(map.Find(100), 0u);  // absent reads as zero
+TEST(FlatSet64Test, PrefetchThenInsertMatchesPlainInsert) {
+  // The store's ingest order: hash a batch of keys, prefetch every home
+  // slot, then insert the batch in order. Membership and the capacity
+  // after every insert must equal plain Insert's, growth points included.
+  FlatSet64 plain;
+  FlatSet64 prefetched;
+  std::mt19937_64 rng(4242);
+  std::uniform_int_distribution<uint64_t> keys(1, 20000);
+  std::uniform_int_distribution<size_t> batch_size(1, 40);
+  std::vector<uint64_t> batch;
+  std::vector<uint64_t> hashes;
+  size_t grows = 0;
+  while (plain.size() < 12000) {
+    batch.clear();
+    hashes.clear();
+    for (size_t n = batch_size(rng); n > 0; --n) {
+      batch.push_back(keys(rng));
+      hashes.push_back(FlatHashMix(batch.back()));
+      prefetched.Prefetch(hashes.back());
+    }
+    for (size_t k = 0; k < batch.size(); ++k) {
+      const size_t capacity_before = plain.capacity();
+      ASSERT_EQ(prefetched.InsertHashed(batch[k], hashes[k]),
+                plain.Insert(batch[k]));
+      ASSERT_EQ(prefetched.capacity(), plain.capacity());
+      ASSERT_EQ(prefetched.size(), plain.size());
+      if (plain.capacity() != capacity_before) ++grows;
+    }
+  }
+  EXPECT_GE(grows, 8u);  // 64 slots doubled past 12000 keys
+  for (uint64_t key = 1; key <= 20000; ++key) {
+    ASSERT_EQ(prefetched.Contains(key), plain.Contains(key)) << key;
+  }
+}
+
+TEST(FlatCountMap32Test, InsertStartsCountAtOne) {
+  FlatCountMap32 map;
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_FALSE(map.Contains(99));
+  EXPECT_TRUE(map.Insert(99));
+  EXPECT_TRUE(map.Contains(99));
+  EXPECT_EQ(map.Count(99), 1u);
+  EXPECT_TRUE(map.IncrementIfPresent(99));
+  EXPECT_TRUE(map.IncrementIfPresent(99));
+  EXPECT_FALSE(map.Insert(99));  // present: the count is kept
+  EXPECT_EQ(map.Count(99), 3u);
+  EXPECT_EQ(map.Count(100), 0u);  // absent reads as zero
   EXPECT_EQ(map.size(), 1u);
 }
 
-TEST(FlatMap64Test, MatchesUnorderedMapUnderRandomBumps) {
-  FlatMap64 map;
-  std::unordered_map<uint64_t, uint32_t> reference;
+TEST(FlatCountMap32Test, IncrementIfPresentLeavesAbsentKeysAlone) {
+  FlatCountMap32 map;
+  EXPECT_FALSE(map.IncrementIfPresent(5));  // empty table
+  EXPECT_TRUE(map.Insert(5));
+  EXPECT_FALSE(map.IncrementIfPresent(6));
+  EXPECT_FALSE(map.Contains(6));
+  // Key 0 is the empty-slot sentinel: never found, never counted.
+  EXPECT_FALSE(map.IncrementIfPresent(0));
+  EXPECT_FALSE(map.Contains(0));
+  EXPECT_EQ(map.size(), 1u);
+  EXPECT_EQ(map.CountEquals(1), 1u);
+}
+
+TEST(FlatCountMap32Test, KeysUseTheFullThirtyTwoBits) {
+  // Record index keys are id + 1, up to UINT32_MAX; the count in the
+  // high half must not bleed into the key.
+  FlatCountMap32 map;
+  const uint32_t top = UINT32_MAX;
+  EXPECT_TRUE(map.Insert(top));
+  EXPECT_TRUE(map.Insert(1));
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(map.IncrementIfPresent(top));
+  EXPECT_EQ(map.Count(top), 6u);
+  EXPECT_EQ(map.Count(1), 1u);
+  EXPECT_EQ(map.CountEquals(6), 1u);
+  EXPECT_EQ(map.CountEquals(1), 1u);
+}
+
+TEST(FlatCountMap32Test, MatchesUnorderedMapUnderRandomOps) {
+  FlatCountMap32 map;
+  std::unordered_map<uint32_t, uint32_t> reference;
   std::mt19937_64 rng(99);
-  std::uniform_int_distribution<uint64_t> keys(1, 3000);
-  for (int i = 0; i < 60000; ++i) {
-    uint64_t key = keys(rng);
-    ++map.Slot(key);  // the co-occurrence counter idiom
-    ++reference[key];
+  // Keys spread over the whole 32-bit range, drawn from a small pool so
+  // operations revisit earlier keys; the pool forces several growths.
+  std::vector<uint32_t> pool;
+  std::uniform_int_distribution<uint32_t> any_key(1, UINT32_MAX);
+  for (int i = 0; i < 4000; ++i) pool.push_back(any_key(rng));
+  std::uniform_int_distribution<size_t> pick(0, pool.size() - 1);
+  std::uniform_int_distribution<int> op(0, 2);
+  for (int i = 0; i < 80000; ++i) {
+    const uint32_t key = pool[pick(rng)];
+    auto it = reference.find(key);
+    switch (op(rng)) {
+      case 0:
+        ASSERT_EQ(map.Insert(key), it == reference.end());
+        if (it == reference.end()) reference.emplace(key, 1);
+        break;
+      case 1:
+        ASSERT_EQ(map.IncrementIfPresent(key), it != reference.end());
+        if (it != reference.end()) ++it->second;
+        break;
+      default:
+        ASSERT_EQ(map.Contains(key), it != reference.end());
+        ASSERT_EQ(map.Count(key), it == reference.end() ? 0 : it->second);
+        break;
+    }
+    ASSERT_EQ(map.size(), reference.size());
   }
-  EXPECT_EQ(map.size(), reference.size());
+  std::unordered_map<uint32_t, size_t> with_count;
   for (const auto& [key, count] : reference) {
-    EXPECT_EQ(map.Find(key), count) << key;
+    EXPECT_EQ(map.Count(key), count) << key;
+    ++with_count[count];
+  }
+  ASSERT_GT(with_count.size(), 3u);
+  for (const auto& [count, keys] : with_count) {
+    EXPECT_EQ(map.CountEquals(count), keys) << count;
   }
 }
 

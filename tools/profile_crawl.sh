@@ -4,14 +4,20 @@
 # under `perf record -g`, and prints the hottest stacks. Without perf:
 # builds it with gprof instrumentation (-pg) into its own build
 # directory, runs it, and prints the `gprof -b -p` flat profile. Start
-# every hot-path investigation here — the PR that introduced this (CSR
-# local graph + incremental MMMI) was scoped off exactly such a profile.
+# every hot-path investigation here — the CSR local graph, the
+# incremental MMMI scorer and the store's prefetched ingest were each
+# scoped off such a profile.
 #
 # Usage:
 #   tools/profile_crawl.sh [crawl args...]
 #
-# Default crawl args exercise the MMMI marginal phase (the historical
-# hot spot): eBay at scale 0.1, crawl to 99% with the switch at 85%.
+# Default crawl args are the paper's baseline crawl in the shape of
+# crawlbench's greedy-imdb workload (IMDB at scale 0.3, greedy), whose
+# hot spot is the local store's ingest (LocalStore::AddRecord's edge
+# hash). The MMMI marginal phase, the hot spot before the incremental
+# scorer, now takes a fraction of a second; profile it with
+# `--workload=ebay --scale=0.1 --policy=mmmi --target-coverage=0.99
+# --saturation=0.85`.
 # Output with perf: build-profile/perf.data (open with `perf report`)
 # plus an inline `perf report --stdio` summary. Pipe perf.data through
 # stackcollapse-perf.pl/flamegraph.pl for an SVG if you have FlameGraph
@@ -23,8 +29,7 @@ cd "$(dirname "$0")/.."
 
 ARGS=("$@")
 if [[ ${#ARGS[@]} -eq 0 ]]; then
-  ARGS=(--workload=ebay --scale=0.1 --policy=mmmi
-        --target-coverage=0.99 --saturation=0.85)
+  ARGS=(--workload=imdb --scale=0.3 --policy=greedy)
 fi
 
 if ! command -v perf >/dev/null 2>&1; then
