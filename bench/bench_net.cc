@@ -297,8 +297,10 @@ void PrintSweep(const std::vector<LevelResult>& results,
 }
 
 void RunJsonSuite(const Table& target, const std::string& json_path) {
-  std::vector<LevelResult> results = RunThroughputSweep(target);
+  // The crawl runs first, so its wall clock does not time the heap the
+  // 1000-connection sweep leaves behind.
   CrawlWalls walls = RunCrawlComparison(target);
+  std::vector<LevelResult> results = RunThroughputSweep(target);
   BenchJson json("net");
   for (const LevelResult& r : results) {
     std::string suffix = std::to_string(r.connections) + "conn";
@@ -329,10 +331,10 @@ int main(int argc, char** argv) {
     deepcrawl::bench::RunJsonSuite(target, json_path);
     return 0;
   }
-  std::vector<deepcrawl::bench::LevelResult> results =
-      deepcrawl::bench::RunThroughputSweep(target);
   deepcrawl::bench::CrawlWalls walls =
       deepcrawl::bench::RunCrawlComparison(target);
+  std::vector<deepcrawl::bench::LevelResult> results =
+      deepcrawl::bench::RunThroughputSweep(target);
   deepcrawl::bench::PrintSweep(results, walls);
   return 0;
 }

@@ -11,32 +11,69 @@
 
 namespace deepcrawl {
 
-// Reads a checkpoint's LOG section entry by entry while LoadState
-// replays it. Every count is checked against the bytes behind it, every
-// value id against the source's catalog, and every record against the
-// ones declared before it, so a forged log yields a clean error and
-// never an allocation larger than the catalog.
+// Reads a checkpoint's LOG section entry by entry during a replay.
+// Every count is checked against the bytes behind it, every value id
+// against the source's catalog, and every record against the ones
+// declared before it, so a forged log yields a clean error and never an
+// allocation larger than the catalog.
 class CrawlEngine::Replay {
  public:
-  Replay(const CrawlEngine& engine, CheckpointReader& reader)
-      : engine_(engine),
+  // `max_rounds` and `target_records` are the CONF budgets, restored
+  // when the replay ends.
+  Replay(const CrawlEngine& engine, CheckpointReader& reader,
+         uint64_t max_rounds, uint64_t target_records)
+      : max_rounds(max_rounds),
+        target_records(target_records),
+        engine_(engine),
         reader_(reader),
         value_bound_(engine.server_.num_values()),
         page_size_(engine.server_.options().page_size) {}
 
+  const uint64_t max_rounds;
+  const uint64_t target_records;
+
   CheckpointReader& reader() { return reader_; }
-  uint64_t fetches() const { return fetches_; }
+  // Entries consumed so far.
+  uint64_t taken() const { return taken_; }
   Status status() const { return status_.ok() ? reader_.status() : status_; }
 
   // The next entry's tag, without consuming it (0 once reading failed).
+  // A seed's or a Run()'s fields are read with the tag, into mark().
   uint8_t Peek() {
     if (!has_tag_) {
       tag_ = reader_.ReadU8();
       has_tag_ = true;
+      mark_ = LogMark{.kind = tag_};
+      if (tag_ == kLogSeed) mark_.seed = ReadValue();
+      if (tag_ == kLogRun) {
+        mark_.max_rounds = reader_.ReadU64();
+        mark_.target_records = reader_.ReadU64();
+      }
     }
-    return tag_;
+    return reader_.ok() ? tag_ : 0;
   }
-  void Take() { has_tag_ = false; }
+  const LogMark& mark() const { return mark_; }
+  void Take() {
+    has_tag_ = false;
+    ++taken_;
+  }
+
+  // Consumes the next entry, which must be `call`: a seed the replayed
+  // caller planted, or the budgets of a Run() it made.
+  void Expect(const LogMark& call) {
+    if (!status().ok()) return;
+    const uint8_t tag = Peek();
+    if (!reader_.ok()) return;
+    if (tag == call.kind && mark_.seed == call.seed &&
+        mark_.max_rounds == call.max_rounds &&
+        mark_.target_records == call.target_records) {
+      Take();
+      return;
+    }
+    const bool is_mark = tag == kLogSeed || tag == kLogRun;
+    Diverge("the caller makes " + Describe(call) + ", the log " +
+            (is_mark ? "has " + Describe(mark_) : "has no such entry here"));
+  }
 
   // Consumes a cut when it is the next entry.
   bool TakeCut() {
@@ -64,6 +101,9 @@ class CrawlEngine::Replay {
     return static_cast<uint32_t>(v);
   }
 
+  // The log must end here, at the engine's totals.
+  Status Finish();
+
   // Fails the replay (the first failure wins) and returns the failure.
   Status Diverge(const std::string& detail) {
     if (status_.ok()) {
@@ -81,12 +121,20 @@ class CrawlEngine::Replay {
   StatusOr<ResultPage> Serve(const FetchRequest& request);
 
  private:
+  static std::string Describe(const LogMark& mark) {
+    if (mark.kind == kLogSeed) return "seed " + std::to_string(mark.seed);
+    return "a Run() to " + std::to_string(mark.max_rounds) + " rounds and " +
+           std::to_string(mark.target_records) + " records";
+  }
+
   const CrawlEngine& engine_;
   CheckpointReader& reader_;
   const ValueId value_bound_;
   const uint32_t page_size_;
   bool has_tag_ = false;
   uint8_t tag_ = 0;
+  LogMark mark_;
+  uint64_t taken_ = 0;
   uint64_t fetches_ = 0;
   Status status_;
   // id + 1 of every record the log declared new so far.
@@ -189,6 +237,29 @@ StatusOr<ResultPage> CrawlEngine::Replay::Serve(const FetchRequest& request) {
         values_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]);
   }
   return page;
+}
+
+Status CrawlEngine::Replay::Finish() {
+  if (Peek() != kLogEnd) {
+    DEEPCRAWL_RETURN_IF_ERROR(status());
+    return Diverge("the log holds entries past where the replay stops");
+  }
+  Take();
+  const uint64_t rounds = reader_.ReadU64();
+  const uint64_t waves = reader_.ReadU64();
+  const uint64_t records = reader_.ReadU64();
+  DEEPCRAWL_RETURN_IF_ERROR(status());
+  const uint64_t num_records = engine_.store_.num_records();
+  if (rounds != engine_.rounds_used_ || waves != engine_.waves_completed_ ||
+      records != num_records) {
+    return Diverge("the replay ends at " +
+                   std::to_string(engine_.rounds_used_) + " rounds, " +
+                   std::to_string(engine_.waves_completed_) + " waves and " +
+                   std::to_string(num_records) + " records, the log at " +
+                   std::to_string(rounds) + ", " + std::to_string(waves) +
+                   " and " + std::to_string(records));
+  }
+  return Status::OK();
 }
 
 const char* StopReasonToString(StopReason reason) {
@@ -325,6 +396,8 @@ CrawlEngine::CrawlEngine(QueryInterface& server, QuerySelector& selector,
   slots_.resize(engine_options_.batch);
 }
 
+CrawlEngine::~CrawlEngine() = default;
+
 void CrawlEngine::DiscoverValue(ValueId v) {
   if (v >= seen_.size()) seen_.resize(static_cast<size_t>(v) + 1, 0);
   if (seen_[v]) return;
@@ -339,6 +412,7 @@ void CrawlEngine::DiscoverValue(ValueId v) {
 void CrawlEngine::AddSeed(ValueId v) {
   log_marks_.push_back(
       LogMark{.fetch_index = log_fetches_.size(), .kind = kLogSeed, .seed = v});
+  if (replay_ != nullptr) replay_->Expect(log_marks_.back());
   DiscoverValue(v);
 }
 
@@ -361,6 +435,7 @@ void CrawlEngine::LogRunEntry() {
                                .kind = kLogRun,
                                .max_rounds = options_.max_rounds,
                                .target_records = options_.target_records});
+  if (replay_ != nullptr) replay_->Expect(log_marks_.back());
 }
 
 void CrawlEngine::LogFetch(ValueId value,
@@ -515,6 +590,7 @@ Status CrawlEngine::CommitFetch(std::optional<Slot>& slot_box,
 
 StatusOr<CrawlResult> CrawlEngine::Run() {
   LogRunEntry();
+  if (replay_ != nullptr) DEEPCRAWL_RETURN_IF_ERROR(replay_->status());
   for (;;) {
     if (wave_pos_ >= wave_.size()) {
       // Between waves: this is the engine's durable boundary. The wave
@@ -531,8 +607,7 @@ StatusOr<CrawlResult> CrawlEngine::Run() {
         if (replay_ != nullptr) {
           // The log was saved (or its Run() interrupted) right here:
           // stop where the saved engine stood, before the stop checks
-          // and the next refill's SelectNext. ReplayLog discards the
-          // result.
+          // and the next refill's SelectNext.
           if (replay_->TakeCut()) return MakeResult(StopReason::kRoundBudget);
         } else if (engine_options_.checkpoint_every_waves > 0 &&
                    engine_options_.checkpoint_sink != nullptr &&
@@ -704,68 +779,9 @@ void CrawlEngine::SaveState(CheckpointWriter& writer) const {
   writer.WriteU64(store_.num_records());
 }
 
-Status CrawlEngine::ReplayLog(Replay& replay) {
-  CheckpointReader& reader = replay.reader();
-  for (;;) {
-    switch (replay.Peek()) {
-      case kLogSeed: {
-        replay.Take();
-        ValueId seed = replay.ReadValue();
-        DEEPCRAWL_RETURN_IF_ERROR(replay.status());
-        AddSeed(seed);
-        break;
-      }
-      case kLogRun: {
-        replay.Take();
-        options_.max_rounds = reader.ReadU64();
-        options_.target_records = reader.ReadU64();
-        DEEPCRAWL_RETURN_IF_ERROR(replay.status());
-        // A Run() that fails the crawl replays a logged failure; only
-        // the replay's own status says whether the log holds.
-        (void)Run();
-        DEEPCRAWL_RETURN_IF_ERROR(replay.status());
-        break;
-      }
-      case kLogPage:
-      case kLogFailure: {
-        // Fetches with no Run() entry before them: the caller ran again
-        // under unchanged budgets.
-        const uint64_t before = replay.fetches();
-        (void)Run();
-        DEEPCRAWL_RETURN_IF_ERROR(replay.status());
-        if (replay.fetches() == before) {
-          return replay.Diverge("the crawl stops before the logged fetch");
-        }
-        break;
-      }
-      case kLogEnd: {
-        replay.Take();
-        const uint64_t rounds = reader.ReadU64();
-        const uint64_t waves = reader.ReadU64();
-        const uint64_t records = reader.ReadU64();
-        DEEPCRAWL_RETURN_IF_ERROR(replay.status());
-        if (rounds != rounds_used_ || waves != waves_completed_ ||
-            records != store_.num_records()) {
-          return replay.Diverge(
-              "the replay ends at " + std::to_string(rounds_used_) +
-              " rounds, " + std::to_string(waves_completed_) + " waves and " +
-              std::to_string(store_.num_records()) + " records, the log at " +
-              std::to_string(rounds) + ", " + std::to_string(waves) +
-              " and " + std::to_string(records));
-        }
-        return Status::OK();
-      }
-      default:
-        DEEPCRAWL_RETURN_IF_ERROR(replay.status());
-        reader.MarkCorrupt("fetch-log entry out of place");
-        return reader.status();
-    }
-  }
-}
-
-Status CrawlEngine::LoadState(CheckpointReader& reader) {
-  if (rounds_used_ != 0 || store_.num_records() != 0 || !trace_.empty() ||
-      !seen_.empty() || !log_marks_.empty()) {
+Status CrawlEngine::BeginReplay(CheckpointReader& reader) {
+  if (replay_ != nullptr || rounds_used_ != 0 || store_.num_records() != 0 ||
+      !trace_.empty() || !seen_.empty() || !log_marks_.empty()) {
     return Status::FailedPrecondition(
         "checkpoint restore requires a freshly constructed engine "
         "(empty store, no rounds used)");
@@ -806,19 +822,67 @@ Status CrawlEngine::LoadState(CheckpointReader& reader) {
         std::to_string(options_.saturation_records));
   }
 
-  // LOG: replayed through Run(). The checkpoint sink stays silent and no
-  // fetch reaches the server.
+  // LOG: replayed through AddSeed and Run(). The checkpoint sink stays
+  // silent and no fetch reaches the server.
   if (!ExpectSectionMarker(reader, kSectionLog, "LOG ")) {
     return reader.status();
   }
-  Replay replay(*this, reader);
-  replay_ = &replay;
-  Status replayed = ReplayLog(replay);
-  replay_ = nullptr;
-  DEEPCRAWL_RETURN_IF_ERROR(replayed);
-  options_.max_rounds = max_rounds;
-  options_.target_records = target_records;
+  replay_ = std::make_unique<Replay>(*this, reader, max_rounds,
+                                     target_records);
   return Status::OK();
+}
+
+Status CrawlEngine::EndReplay() {
+  if (replay_ == nullptr) {
+    return Status::FailedPrecondition("no checkpoint replay in progress");
+  }
+  Status finished = replay_->Finish();
+  options_.max_rounds = replay_->max_rounds;
+  options_.target_records = replay_->target_records;
+  replay_.reset();
+  return finished;
+}
+
+Status CrawlEngine::ReplayLog() {
+  Replay& replay = *replay_;
+  for (;;) {
+    const uint8_t tag = replay.Peek();
+    DEEPCRAWL_RETURN_IF_ERROR(replay.status());
+    const uint64_t taken = replay.taken();
+    switch (tag) {
+      case kLogEnd:
+        return Status::OK();
+      case kLogSeed:
+        AddSeed(replay.mark().seed);
+        break;
+      case kLogRun:
+        options_.max_rounds = replay.mark().max_rounds;
+        options_.target_records = replay.mark().target_records;
+        [[fallthrough]];
+      case kLogPage:
+      case kLogFailure:
+        // A fetch with no Run() entry before it: the caller ran again
+        // under unchanged budgets. A Run() that fails the crawl replays a
+        // logged failure; only the replay's own status says whether the
+        // log holds.
+        (void)Run();
+        break;
+      default:
+        replay.reader().MarkCorrupt("fetch-log entry out of place");
+        return replay.status();
+    }
+    DEEPCRAWL_RETURN_IF_ERROR(replay.status());
+    if (replay.taken() == taken) {
+      return replay.Diverge("the crawl stops before the logged entry");
+    }
+  }
+}
+
+Status CrawlEngine::LoadState(CheckpointReader& reader) {
+  DEEPCRAWL_RETURN_IF_ERROR(BeginReplay(reader));
+  Status replayed = ReplayLog();
+  Status ended = EndReplay();
+  return replayed.ok() ? ended : replayed;
 }
 
 }  // namespace deepcrawl

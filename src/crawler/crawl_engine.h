@@ -28,9 +28,10 @@
 // Checkpoint/resume: a crawl's state is a pure function of its inputs —
 // the seeds, every Run() call's budgets, and every committed fetch
 // result. The engine records those inputs as it goes (the fetch log);
-// SaveState writes the log, and LoadState rebuilds store, selector,
-// retry queue, clock and trace by replaying it through this same
-// engine code with no server call, so checkpoint + restore + continue
+// SaveState writes the log. A replay (BeginReplay ... EndReplay)
+// rebuilds store, selector, retry queue, clock and trace by issuing the
+// logged calls again through this same engine code, each fetch served
+// from the log with no server call, so checkpoint + restore + continue
 // emits the SAME trace CSV byte-for-byte as the uninterrupted run. See
 // src/crawler/checkpoint.h for the file format and the whole-crawl
 // orchestration (including fault-proxy state).
@@ -241,6 +242,8 @@ class CrawlEngine {
               AbortPolicy* abort_policy = nullptr,
               const RetryPolicy* retry_policy = nullptr);
 
+  ~CrawlEngine();
+
   CrawlEngine(const CrawlEngine&) = delete;
   CrawlEngine& operator=(const CrawlEngine&) = delete;
 
@@ -277,16 +280,25 @@ class CrawlEngine {
   // values written once at its first occurrence. Any engine can be
   // saved, under any selector.
   void SaveState(CheckpointWriter& writer) const;
-  // Restores state saved by SaveState into a freshly constructed engine
-  // whose construction parameters (batch, keyword mode, selector policy
-  // and its options, retry and abort policies) match the checkpointing
-  // run, by replaying the log through this engine with no server call.
-  // The replay stops where the saved engine stood: at the wave boundary
-  // a checkpoint sink saw, or where its last Run() returned. Anything
-  // inconsistent — a mismatched fingerprint, a forged or corrupt log, a
-  // replay that asks for a different fetch than the log holds — is
-  // rejected with a clean error. On error the engine may be partially
-  // populated and must be discarded; never continue a crawl on it.
+  // Starts restoring state saved by SaveState into a freshly constructed
+  // engine whose construction parameters (batch, keyword mode, selector
+  // policy and its options, retry and abort policies) match the
+  // checkpointing run: checks the CONF fingerprint and opens the LOG,
+  // which `reader` must keep readable until EndReplay. Until then the
+  // caller repeats the saved engine's AddSeed and Run() calls; each
+  // must be the next one the log holds, and every fetch is served from
+  // the log with no server call. A Run() stops where the saved one did,
+  // at a wave boundary a checkpoint sink saw included.
+  Status BeginReplay(CheckpointReader& reader);
+  // Ends the replay: the log must be used up, at the rounds, waves and
+  // records it ends with. Restores the budgets the saved engine held.
+  // Returns the replay's first failure: a forged or corrupt log, or a
+  // call or fetch other than the logged one.
+  Status EndReplay();
+  // A whole replay driven by the log itself: BeginReplay, the logged
+  // seeds and Run() calls, EndReplay. On any error (from these three as
+  // well) the engine may be partially populated and must be discarded;
+  // never continue a crawl on it.
   Status LoadState(CheckpointReader& reader);
 
  private:
@@ -300,8 +312,8 @@ class CrawlEngine {
     QueryOutcome outcome;
   };
 
-  // Serves each committed fetch from a checkpoint's fetch log while
-  // LoadState replays it.
+  // Checks each replayed call, and serves each committed fetch, from a
+  // checkpoint's fetch log between BeginReplay and EndReplay.
   class Replay;
 
   // One committed fetch of the fetch log. The page's record ids follow
@@ -331,9 +343,9 @@ class CrawlEngine {
   // budgets when they changed.
   void LogRunEntry();
   void LogFetch(ValueId value, const StatusOr<ResultPage>& fetched);
-  // Drives the logged seeds and Run() calls through the engine until the
-  // log's end entry; returns the first replay failure.
-  Status ReplayLog(Replay& replay);
+  // Makes the logged seed and Run() calls again until the log's end
+  // entry; returns the first replay failure.
+  Status ReplayLog();
   // Applies one fetched page to the crawl state. Clears `slot_box` when
   // the drain ended; leaves it parked for the next wave otherwise.
   // Returns a non-OK status only when the crawl must fail.
@@ -391,8 +403,8 @@ class CrawlEngine {
   std::vector<LoggedFetch> log_fetches_;
   std::vector<RecordId> log_records_;
   std::vector<LogMark> log_marks_;
-  // Non-null only while LoadState replays a log.
-  Replay* replay_ = nullptr;
+  // Non-null only between BeginReplay and EndReplay.
+  std::unique_ptr<Replay> replay_;
 };
 
 }  // namespace deepcrawl

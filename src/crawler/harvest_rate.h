@@ -9,9 +9,9 @@
 // score (optimistic floor × failure discount); the adaptive selector
 // compares it against its per-phase peak to detect the §3.3 saturation
 // knee. Keeping the arithmetic in one place keeps the two bit-identical
-// to their pre-refactor implementations — CrawlFleet serializes the
-// three fields verbatim in its FSRC record, so field semantics and
-// update order here are part of the fleet checkpoint format.
+// to their pre-refactor implementations. No checkpoint stores these
+// fields: a resumed fleet or selector rebuilds them by replaying the
+// turns or waves that produced them.
 
 #ifndef DEEPCRAWL_CRAWLER_HARVEST_RATE_H_
 #define DEEPCRAWL_CRAWLER_HARVEST_RATE_H_

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/util/checkpoint_io.h"
 #include "src/util/logging.h"
 
 namespace deepcrawl {
@@ -117,48 +116,6 @@ uint64_t CircuitBreaker::TicksOpen(uint64_t now) const {
     ticks += now - open_since_;
   }
   return ticks;
-}
-
-void CircuitBreaker::SaveState(CheckpointWriter& writer) const {
-  writer.WriteU8(static_cast<uint8_t>(state_));
-  writer.WriteU32(consecutive_failed_);
-  writer.WriteDouble(error_ewma_);
-  writer.WriteU64(turns_observed_);
-  writer.WriteU64(cooldown_);
-  writer.WriteU64(admit_at_);
-  writer.WriteU64(open_since_);
-  writer.WriteU64(ticks_open_);
-  writer.WriteU32(transitions_.opens);
-  writer.WriteU32(transitions_.reopens);
-  writer.WriteU32(transitions_.closes);
-  writer.WriteU32(transitions_.probes);
-}
-
-Status CircuitBreaker::LoadState(CheckpointReader& reader) {
-  uint8_t state = reader.ReadU8();
-  if (reader.ok() && state > static_cast<uint8_t>(BreakerState::kHalfOpen)) {
-    reader.MarkCorrupt("breaker state out of range");
-  }
-  state_ = static_cast<BreakerState>(state);
-  consecutive_failed_ = reader.ReadU32();
-  error_ewma_ = reader.ReadDouble();
-  if (reader.ok() && !(error_ewma_ >= 0.0 && error_ewma_ <= 1.0)) {
-    reader.MarkCorrupt("breaker error EWMA out of range");
-  }
-  turns_observed_ = reader.ReadU64();
-  cooldown_ = reader.ReadU64();
-  if (reader.ok() && (cooldown_ < config_.cooldown_ticks ||
-                      cooldown_ > config_.max_cooldown_ticks)) {
-    reader.MarkCorrupt("breaker cooldown out of range");
-  }
-  admit_at_ = reader.ReadU64();
-  open_since_ = reader.ReadU64();
-  ticks_open_ = reader.ReadU64();
-  transitions_.opens = reader.ReadU32();
-  transitions_.reopens = reader.ReadU32();
-  transitions_.closes = reader.ReadU32();
-  transitions_.probes = reader.ReadU32();
-  return reader.status();
 }
 
 }  // namespace deepcrawl

@@ -24,7 +24,7 @@
 //
 // Everything is integer/double arithmetic over the fleet's simulated
 // clock — no wall time — so breaker behaviour is a pure function of the
-// turn history and checkpoints bit-identically.
+// turn history, and a fleet checkpoint rebuilds it by replaying turns.
 
 #ifndef DEEPCRAWL_FLEET_CIRCUIT_BREAKER_H_
 #define DEEPCRAWL_FLEET_CIRCUIT_BREAKER_H_
@@ -32,12 +32,8 @@
 #include <cstdint>
 
 #include "src/crawler/metrics.h"
-#include "src/util/status.h"
 
 namespace deepcrawl {
-
-class CheckpointReader;
-class CheckpointWriter;
 
 struct CircuitBreakerConfig {
   // Trip after this many consecutive fully-failed turns (a turn that
@@ -106,10 +102,6 @@ class CircuitBreaker {
 
   const BreakerTransitions& transitions() const { return transitions_; }
   double error_ewma() const { return error_ewma_; }
-  const CircuitBreakerConfig& config() const { return config_; }
-
-  void SaveState(CheckpointWriter& writer) const;
-  Status LoadState(CheckpointReader& reader);
 
  private:
   void TripOpen(uint64_t now);

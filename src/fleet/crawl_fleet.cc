@@ -60,7 +60,7 @@ struct CrawlFleet::Source {
   uint64_t turns = 0;
   // Marginal-harvest health: EWMAs of records-per-round and
   // failures-per-round over granted turns (shared estimator, see
-  // src/crawler/harvest_rate.h; its fields are serialized verbatim).
+  // src/crawler/harvest_rate.h).
   HarvestRateEwma health;
   bool finished = false;
   StopReason stop_reason = StopReason::kRoundBudget;
@@ -249,8 +249,8 @@ Status CrawlFleet::RunTurn(uint32_t i) {
   DEEPCRAWL_DCHECK(grant >= 1) << "eligibility admitted an unaffordable turn";
 
   // Chaos: the forced action for this turn is a pure function of
-  // (schedule, global turn counter), both checkpointed — a resumed fleet
-  // recomputes the same window.
+  // (schedule, global turn counter), so a replayed fleet recomputes the
+  // same window.
   src.faulty->set_forced_action(
       ForcedActionAt(options_.chaos, i, turns_completed_));
 
@@ -321,7 +321,7 @@ void CrawlFleet::AdvanceToNextEligibility() {
     if (!Active(src)) continue;
     uint64_t at = src.breaker.EligibleAt(clock_);
     at = std::max(at, src.not_before);
-    at = std::max(at, clock_ + src.bucket.TicksUntilToken(clock_));
+    at = std::max(at, clock_ + src.bucket.TicksUntilToken());
     best = std::min(best, at);
   }
   // Guard: always make progress, even if a stale bound pointed backwards.
@@ -349,13 +349,24 @@ void CrawlFleet::PlantSeeds() {
   }
 }
 
-StatusOr<FleetResult> CrawlFleet::Run() {
-  if (!seeded_) {
-    PlantSeeds();
-    seeded_ = true;
+void CrawlFleet::MarkBudget() {
+  if (budgets_.empty() ||
+      budgets_.back().max_total_rounds != options_.max_total_rounds) {
+    budgets_.push_back(BudgetMark{turns_completed_, options_.max_total_rounds});
   }
+}
+
+StatusOr<FleetResult> CrawlFleet::Run() {
+  // The first Run() plants the seeds; a Run() under a new budget marks it.
+  if (budgets_.empty()) PlantSeeds();
+  MarkBudget();
+  DEEPCRAWL_RETURN_IF_ERROR(RunTurns(UINT64_MAX));
+  return BuildResult();
+}
+
+Status CrawlFleet::RunTurns(uint64_t turn_limit) {
   std::vector<uint32_t> eligible;
-  for (;;) {
+  while (turns_completed_ < turn_limit) {
     if (options_.max_total_rounds > 0 &&
         total_rounds_ >= options_.max_total_rounds) {
       break;
@@ -376,7 +387,7 @@ StatusOr<FleetResult> CrawlFleet::Run() {
     }
     DEEPCRAWL_RETURN_IF_ERROR(RunTurn(Pick(eligible)));
   }
-  return BuildResult();
+  return Status::OK();
 }
 
 SourceDegradation CrawlFleet::DegradationOf(uint32_t i) const {
@@ -491,177 +502,79 @@ Status WriteFleetTraceCsv(const FleetResult& result, std::ostream& output) {
 namespace {
 
 // The fleet-level config fingerprint: every knob the scheduler's
-// behaviour depends on. Written by Save, compared field-for-field by
-// Load — resuming under a different config would silently diverge.
-struct FleetFingerprint {
-  uint64_t seed;
-  uint32_t num_sources;
-  uint8_t scheduler;
-  uint32_t batch;
-  uint64_t turn_rounds;
-  uint64_t source_deadline_rounds;
-  uint32_t brk_consecutive;
-  double brk_error_rate;
-  uint32_t brk_min_turns;
-  double brk_alpha;
-  uint64_t brk_cooldown;
-  double brk_multiplier;
-  uint64_t brk_max_cooldown;
-  uint32_t brk_quarantine;
-  uint32_t brk_abandon;
-  double pol_rate;
-  double pol_burst;
-  uint32_t retry_attempts;
-  uint64_t retry_initial;
-  uint64_t retry_max_backoff;
-  double retry_multiplier;
-  double retry_jitter;
-  uint32_t retry_requeues;
-  double hr_alpha;
-  double hr_floor;
-
-  bool operator==(const FleetFingerprint&) const = default;
-};
-
-FleetFingerprint FingerprintOf(const FleetOptions& options,
-                               uint32_t num_sources) {
-  FleetFingerprint fp;
-  fp.seed = options.seed;
-  fp.num_sources = num_sources;
-  fp.scheduler = static_cast<uint8_t>(options.scheduler);
-  fp.batch = options.batch;
-  fp.turn_rounds = options.turn_rounds;
-  fp.source_deadline_rounds = options.source_deadline_rounds;
-  fp.brk_consecutive = options.breaker.consecutive_failed_turns;
-  fp.brk_error_rate = options.breaker.error_rate_to_open;
-  fp.brk_min_turns = options.breaker.min_turns_for_rate;
-  fp.brk_alpha = options.breaker.ewma_alpha;
-  fp.brk_cooldown = options.breaker.cooldown_ticks;
-  fp.brk_multiplier = options.breaker.cooldown_multiplier;
-  fp.brk_max_cooldown = options.breaker.max_cooldown_ticks;
-  fp.brk_quarantine = options.breaker.quarantine_after_trips;
-  fp.brk_abandon = options.breaker.abandon_after_trips;
-  fp.pol_rate = options.politeness.rounds_per_tick;
-  fp.pol_burst = options.politeness.burst;
-  fp.retry_attempts = options.retry.max_attempts;
-  fp.retry_initial = options.retry.initial_backoff_ticks;
-  fp.retry_max_backoff = options.retry.max_backoff_ticks;
-  fp.retry_multiplier = options.retry.backoff_multiplier;
-  fp.retry_jitter = options.retry.jitter;
-  fp.retry_requeues = options.retry.max_requeues;
-  fp.hr_alpha = options.hr_ewma_alpha;
-  fp.hr_floor = options.hr_floor;
-  return fp;
-}
-
-void SaveFingerprint(CheckpointWriter& writer, const FleetFingerprint& fp) {
-  writer.WriteU64(fp.seed);
-  writer.WriteU32(fp.num_sources);
-  writer.WriteU8(fp.scheduler);
-  writer.WriteU32(fp.batch);
-  writer.WriteU64(fp.turn_rounds);
-  writer.WriteU64(fp.source_deadline_rounds);
-  writer.WriteU32(fp.brk_consecutive);
-  writer.WriteDouble(fp.brk_error_rate);
-  writer.WriteU32(fp.brk_min_turns);
-  writer.WriteDouble(fp.brk_alpha);
-  writer.WriteU64(fp.brk_cooldown);
-  writer.WriteDouble(fp.brk_multiplier);
-  writer.WriteU64(fp.brk_max_cooldown);
-  writer.WriteU32(fp.brk_quarantine);
-  writer.WriteU32(fp.brk_abandon);
-  writer.WriteDouble(fp.pol_rate);
-  writer.WriteDouble(fp.pol_burst);
-  writer.WriteU32(fp.retry_attempts);
-  writer.WriteU64(fp.retry_initial);
-  writer.WriteU64(fp.retry_max_backoff);
-  writer.WriteDouble(fp.retry_multiplier);
-  writer.WriteDouble(fp.retry_jitter);
-  writer.WriteU32(fp.retry_requeues);
-  writer.WriteDouble(fp.hr_alpha);
-  writer.WriteDouble(fp.hr_floor);
-}
-
-FleetFingerprint LoadFingerprint(CheckpointReader& reader) {
-  FleetFingerprint fp;
-  fp.seed = reader.ReadU64();
-  fp.num_sources = reader.ReadU32();
-  fp.scheduler = reader.ReadU8();
-  fp.batch = reader.ReadU32();
-  fp.turn_rounds = reader.ReadU64();
-  fp.source_deadline_rounds = reader.ReadU64();
-  fp.brk_consecutive = reader.ReadU32();
-  fp.brk_error_rate = reader.ReadDouble();
-  fp.brk_min_turns = reader.ReadU32();
-  fp.brk_alpha = reader.ReadDouble();
-  fp.brk_cooldown = reader.ReadU64();
-  fp.brk_multiplier = reader.ReadDouble();
-  fp.brk_max_cooldown = reader.ReadU64();
-  fp.brk_quarantine = reader.ReadU32();
-  fp.brk_abandon = reader.ReadU32();
-  fp.pol_rate = reader.ReadDouble();
-  fp.pol_burst = reader.ReadDouble();
-  fp.retry_attempts = reader.ReadU32();
-  fp.retry_initial = reader.ReadU64();
-  fp.retry_max_backoff = reader.ReadU64();
-  fp.retry_multiplier = reader.ReadDouble();
-  fp.retry_jitter = reader.ReadDouble();
-  fp.retry_requeues = reader.ReadU32();
-  fp.hr_alpha = reader.ReadDouble();
-  fp.hr_floor = reader.ReadDouble();
-  return fp;
+// behaviour depends on, then the chaos schedule. Save writes it, and Load
+// compares it byte for byte with the loading fleet's own — resuming
+// under a different config would silently diverge.
+void WriteFingerprint(CheckpointWriter& writer, const FleetOptions& options,
+                      uint32_t num_sources) {
+  writer.WriteU64(options.seed);
+  writer.WriteU32(num_sources);
+  writer.WriteU8(static_cast<uint8_t>(options.scheduler));
+  writer.WriteU32(options.batch);
+  writer.WriteU64(options.turn_rounds);
+  writer.WriteU64(options.source_deadline_rounds);
+  writer.WriteU32(options.breaker.consecutive_failed_turns);
+  writer.WriteDouble(options.breaker.error_rate_to_open);
+  writer.WriteU32(options.breaker.min_turns_for_rate);
+  writer.WriteDouble(options.breaker.ewma_alpha);
+  writer.WriteU64(options.breaker.cooldown_ticks);
+  writer.WriteDouble(options.breaker.cooldown_multiplier);
+  writer.WriteU64(options.breaker.max_cooldown_ticks);
+  writer.WriteU32(options.breaker.quarantine_after_trips);
+  writer.WriteU32(options.breaker.abandon_after_trips);
+  writer.WriteDouble(options.politeness.rounds_per_tick);
+  writer.WriteDouble(options.politeness.burst);
+  writer.WriteU32(options.retry.max_attempts);
+  writer.WriteU64(options.retry.initial_backoff_ticks);
+  writer.WriteU64(options.retry.max_backoff_ticks);
+  writer.WriteDouble(options.retry.backoff_multiplier);
+  writer.WriteDouble(options.retry.jitter);
+  writer.WriteU32(options.retry.max_requeues);
+  writer.WriteDouble(options.hr_ewma_alpha);
+  writer.WriteDouble(options.hr_floor);
+  writer.WriteU64(options.chaos.size());
+  for (const ChaosEvent& event : options.chaos) {
+    writer.WriteU32(event.source);
+    writer.WriteU64(event.begin_turn);
+    writer.WriteU64(event.end_turn);
+    writer.WriteU8(static_cast<uint8_t>(event.action));
+  }
 }
 
 }  // namespace
 
 Status CrawlFleet::SaveState(CheckpointWriter& writer) const {
   WriteSectionMarker(writer, kSectionFleet);
-  SaveFingerprint(writer, FingerprintOf(options_, num_sources()));
-  writer.WriteU64(options_.chaos.size());
-  for (const ChaosEvent& event : options_.chaos) {
-    writer.WriteU32(event.source);
-    writer.WriteU64(event.begin_turn);
-    writer.WriteU64(event.end_turn);
-    writer.WriteU8(static_cast<uint8_t>(event.action));
+  WriteFingerprint(writer, options_, num_sources());
+  writer.WriteU64(budgets_.size());
+  for (const BudgetMark& mark : budgets_) {
+    writer.WriteU64(mark.turn);
+    writer.WriteU64(mark.max_total_rounds);
   }
-  writer.WriteU64(clock_);
-  writer.WriteU64(total_rounds_);
-  writer.WriteU64(total_records_);
   writer.WriteU64(turns_completed_);
-  writer.WriteU64(idle_ticks_);
-  writer.WriteU32(last_picked_);
-  writer.WriteU8(seeded_ ? 1 : 0);
-  writer.WriteU64(fleet_trace_.points().size());
-  for (const TracePoint& point : fleet_trace_.points()) {
-    writer.WriteU64(point.rounds);
-    writer.WriteU64(point.records);
-  }
 
   for (uint32_t i = 0; i < sources_.size(); ++i) {
-    const Source& src = sources_[i];
     WriteSectionMarker(writer, kSectionFleetSource);
     writer.WriteString(specs_[i].name);
-    writer.WriteU8(src.finished ? 1 : 0);
-    writer.WriteU8(static_cast<uint8_t>(src.stop_reason));
-    writer.WriteU8(static_cast<uint8_t>(src.error.code()));
-    writer.WriteString(src.error.message());
-    writer.WriteU64(src.not_before);
-    writer.WriteU64(src.turns);
-    writer.WriteU8(src.health.seen ? 1 : 0);
-    writer.WriteDouble(src.health.hr);
-    writer.WriteDouble(src.health.err);
-    writer.WriteDouble(src.bucket.tokens());
-    writer.WriteU64(src.bucket.last_refill());
-    src.breaker.SaveState(writer);
-    src.engine->SaveState(writer);
-    src.faulty->SaveState(writer);
+    // The engine's sections as one length-prefixed blob, so the replay
+    // can give each engine a reader of its own.
+    const size_t length_at = writer.buffer().size();
+    writer.WriteU32(0);
+    sources_[i].engine->SaveState(writer);
+    const size_t length = writer.buffer().size() - length_at - 4;
+    if (length > UINT32_MAX) {
+      return Status::ResourceExhausted("source '" + specs_[i].name +
+                                       "' has a fetch log over 4 GiB");
+    }
+    writer.PatchU32(length_at, static_cast<uint32_t>(length));
+    sources_[i].faulty->SaveState(writer);
   }
   WriteSectionMarker(writer, kSectionEnd);
   return Status::OK();
 }
 
 Status CrawlFleet::LoadState(CheckpointReader& reader) {
-  if (turns_completed_ != 0 || clock_ != 0 || seeded_) {
+  if (turns_completed_ != 0 || clock_ != 0 || !budgets_.empty()) {
     return Status::FailedPrecondition(
         "fleet checkpoint restore requires a freshly constructed fleet "
         "(no turns run, no seeds planted)");
@@ -669,65 +582,28 @@ Status CrawlFleet::LoadState(CheckpointReader& reader) {
   if (!ExpectSectionMarker(reader, kSectionFleet, "FLET")) {
     return reader.status();
   }
-  FleetFingerprint stored = LoadFingerprint(reader);
+  CheckpointWriter fingerprint;
+  WriteFingerprint(fingerprint, options_, num_sources());
+  const bool same_config =
+      reader.ReadRaw(fingerprint.buffer().size()) == fingerprint.buffer();
   DEEPCRAWL_RETURN_IF_ERROR(reader.status());
-  if (stored != FingerprintOf(options_, num_sources())) {
+  if (!same_config) {
     return Status::InvalidArgument(
         "fleet checkpoint config mismatch: seed, source count, scheduler, "
-        "or an isolation knob (breaker/politeness/retry/budget) differs "
-        "from the checkpointing run");
+        "chaos schedule, or an isolation knob (breaker/politeness/retry/"
+        "budget) differs from the checkpointing run");
   }
-  uint64_t chaos_events = reader.ReadCount(21);
-  if (reader.ok() && chaos_events != options_.chaos.size()) {
-    return Status::InvalidArgument(
-        "fleet checkpoint chaos-schedule mismatch: event count differs "
-        "from the checkpointing run");
+  std::vector<BudgetMark> budgets(reader.ReadCount(16));
+  for (BudgetMark& mark : budgets) {
+    mark.turn = reader.ReadU64();
+    mark.max_total_rounds = reader.ReadU64();
   }
-  for (uint64_t i = 0; i < chaos_events && reader.ok(); ++i) {
-    ChaosEvent event;
-    event.source = reader.ReadU32();
-    event.begin_turn = reader.ReadU64();
-    event.end_turn = reader.ReadU64();
-    uint8_t action = reader.ReadU8();
-    if (reader.ok() && action > static_cast<uint8_t>(FaultAction::kDuplicate)) {
-      reader.MarkCorrupt("chaos event action out of range");
-      break;
-    }
-    event.action = static_cast<FaultAction>(action);
-    if (reader.ok() && !(event == options_.chaos[i])) {
-      return Status::InvalidArgument(
-          "fleet checkpoint chaos-schedule mismatch: event " +
-          std::to_string(i) + " differs from the checkpointing run");
-    }
-  }
-  clock_ = reader.ReadU64();
-  total_rounds_ = reader.ReadU64();
-  total_records_ = reader.ReadU64();
-  turns_completed_ = reader.ReadU64();
-  idle_ticks_ = reader.ReadU64();
-  last_picked_ = reader.ReadU32();
-  seeded_ = reader.ReadU8() != 0;
-  if (reader.ok() && last_picked_ >= num_sources()) {
-    reader.MarkCorrupt("last-picked source id out of range");
-  }
-  uint64_t num_points = reader.ReadCount(16);
-  uint64_t last_rounds = 0;
-  uint64_t last_records = 0;
-  for (uint64_t i = 0; i < num_points && reader.ok(); ++i) {
-    uint64_t rounds = reader.ReadU64();
-    uint64_t records = reader.ReadU64();
-    if (i > 0 && (rounds <= last_rounds || records < last_records)) {
-      reader.MarkCorrupt("fleet trace points not monotone");
-      break;
-    }
-    last_rounds = rounds;
-    last_records = records;
-    fleet_trace_.Add(rounds, records);
-  }
+  const uint64_t turns = reader.ReadU64();
   DEEPCRAWL_RETURN_IF_ERROR(reader.status());
 
+  std::vector<CheckpointReader> logs;
+  logs.reserve(sources_.size());
   for (uint32_t i = 0; i < sources_.size(); ++i) {
-    Source& src = sources_[i];
     if (!ExpectSectionMarker(reader, kSectionFleetSource, "FSRC")) {
       return reader.status();
     }
@@ -739,52 +615,68 @@ Status CrawlFleet::LoadState(CheckpointReader& reader) {
           "' at position " + std::to_string(i) + ", fleet has '" +
           specs_[i].name + "' (source order is part of the contract)");
     }
-    src.finished = reader.ReadU8() != 0;
-    uint8_t stop_reason = reader.ReadU8();
-    if (reader.ok() &&
-        stop_reason > static_cast<uint8_t>(StopReason::kTargetReached)) {
-      reader.MarkCorrupt("source stop reason out of range");
-    }
-    src.stop_reason = static_cast<StopReason>(stop_reason);
-    uint8_t error_code = reader.ReadU8();
-    std::string error_message = reader.ReadString();
-    if (reader.ok() &&
-        error_code > static_cast<uint8_t>(StatusCode::kDeadlineExceeded)) {
-      reader.MarkCorrupt("source error code out of range");
-    }
+    logs.emplace_back(reader.ReadBytes());
     DEEPCRAWL_RETURN_IF_ERROR(reader.status());
-    src.error = error_code == 0
-                    ? Status::OK()
-                    : Status(static_cast<StatusCode>(error_code),
-                             std::move(error_message));
-    src.not_before = reader.ReadU64();
-    src.turns = reader.ReadU64();
-    src.health.seen = reader.ReadU8() != 0;
-    src.health.hr = reader.ReadDouble();
-    src.health.err = reader.ReadDouble();
-    if (reader.ok() && (!(src.health.hr >= 0.0) || !(src.health.err >= 0.0) ||
-                        src.health.err > 1.0)) {
-      reader.MarkCorrupt("source health EWMA out of range");
-    }
-    double tokens = reader.ReadDouble();
-    uint64_t last_refill = reader.ReadU64();
-    if (reader.ok() &&
-        (!(tokens >= 0.0) || tokens > options_.politeness.burst ||
-         last_refill > clock_)) {
-      reader.MarkCorrupt("token bucket state out of range");
-    }
-    DEEPCRAWL_RETURN_IF_ERROR(reader.status());
-    src.bucket.Restore(tokens, last_refill);
-    DEEPCRAWL_RETURN_IF_ERROR(src.breaker.LoadState(reader));
-    // The engine payload replays its fetch log; the fault proxy it was
-    // recorded behind is restored after it, since replay never fetches.
-    DEEPCRAWL_RETURN_IF_ERROR(src.engine->LoadState(reader));
-    DEEPCRAWL_RETURN_IF_ERROR(src.faulty->LoadState(reader));
+    // A replay never fetches, so the proxy may be restored before it.
+    DEEPCRAWL_RETURN_IF_ERROR(sources_[i].faulty->LoadState(reader));
   }
   if (!ExpectSectionMarker(reader, kSectionEnd, "END!")) {
     return reader.status();
   }
-  return reader.status();
+
+  Status replayed = ReplayTurns(budgets, turns, logs);
+  // End every engine's replay, so none keeps a reader into `logs`.
+  for (uint32_t i = 0; i < sources_.size(); ++i) {
+    Status ended = sources_[i].engine->EndReplay();
+    if (replayed.ok()) replayed = ended;
+    if (replayed.ok() && !logs[i].AtEnd()) {
+      replayed = Status::InvalidArgument(
+          "corrupt fleet checkpoint: trailing bytes after the fetch log of "
+          "source '" + specs_[i].name + "'");
+    }
+  }
+  DEEPCRAWL_RETURN_IF_ERROR(replayed);
+  if (turns_completed_ != turns) {
+    return Status::InvalidArgument(
+        "inconsistent fleet checkpoint: it claims " + std::to_string(turns) +
+        " completed turns, its fetch logs replay " +
+        std::to_string(turns_completed_));
+  }
+  return Status::OK();
+}
+
+Status CrawlFleet::ReplayTurns(const std::vector<BudgetMark>& budgets,
+                               uint64_t turns,
+                               std::vector<CheckpointReader>& logs) {
+  for (uint32_t i = 0; i < sources_.size(); ++i) {
+    DEEPCRAWL_RETURN_IF_ERROR(sources_[i].engine->BeginReplay(logs[i]));
+  }
+  // No budget mark: saved before the first Run(), nothing to replay.
+  if (budgets.empty()) return Status::OK();
+  // The turns run under the recorded budgets, with no checkpoint sink.
+  const uint64_t budget = options_.max_total_rounds;
+  auto sink = std::move(options_.checkpoint_sink);
+  options_.checkpoint_sink = nullptr;
+  PlantSeeds();
+  Status replayed = Status::OK();
+  for (size_t k = 0; k < budgets.size(); ++k) {
+    // The first Run() marks its budget at turn 0 and later ones follow in
+    // turn order, each where the turns before it stopped.
+    if (turns_completed_ != budgets[k].turn) {
+      replayed = Status::InvalidArgument(
+          "inconsistent fleet checkpoint: a budget takes effect at turn " +
+          std::to_string(budgets[k].turn) + ", but its fetch logs replay " +
+          std::to_string(turns_completed_) + " turns before it");
+      break;
+    }
+    options_.max_total_rounds = budgets[k].max_total_rounds;
+    MarkBudget();
+    // RunTurns fails only through the checkpoint sink, unset here.
+    (void)RunTurns(k + 1 < budgets.size() ? budgets[k + 1].turn : turns);
+  }
+  options_.max_total_rounds = budget;
+  options_.checkpoint_sink = std::move(sink);
+  return replayed;
 }
 
 StatusOr<std::string> EncodeFleetCheckpoint(const CrawlFleet& fleet) {

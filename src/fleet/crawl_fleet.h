@@ -29,9 +29,12 @@
 // Determinism contract: fleet output is a pure function of (specs,
 // options) — in particular of (seed, batch, chaos schedule); the thread
 // count is wall-clock only, exactly as for the single engine. Turn
-// boundaries are the fleet's durable points: the whole fleet (scheduler
-// state, breakers, buckets, every engine and fault proxy) checkpoints
-// and resumes as one unit under the bit-identity contract.
+// boundaries are the fleet's durable points: the whole fleet
+// checkpoints and resumes as one unit under the bit-identity contract.
+// Like an engine checkpoint, a fleet checkpoint holds only inputs — the
+// Run() budgets, the completed-turn count, and every source's fetch log
+// and fault proxy — and a restore replays the turns to rebuild the
+// scheduler, breakers, buckets and engines.
 //
 // Graceful degradation is explicit, never silent: the result carries a
 // SourceDegradation report per source (records missing, ticks
@@ -202,21 +205,37 @@ class CrawlFleet {
   }
 
   // --- checkpointing ---------------------------------------------------
-  // Serializes the whole fleet — scheduler state, every breaker, token
-  // bucket, engine payload, and fault proxy — as one unit. LoadState
+  // Serializes the fleet's inputs: the config fingerprint, every Run()
+  // budget with the turn it took effect at, the completed-turn count,
+  // and per source its engine's fetch log and its fault proxy. LoadState
   // requires a freshly constructed fleet whose specs/options match the
-  // checkpointing run; on error the fleet must be discarded.
+  // checkpointing run. It replays the turns with the checkpoint sink
+  // silent, each engine serving its fetches from its log, so everything
+  // else — clock, breakers, buckets, health, trace — comes from the same
+  // scheduler code that produced it; resume therefore costs the CPU of
+  // the turns already run. An image whose parts disagree is rejected
+  // with a clean error; on error the fleet must be discarded.
   Status SaveState(CheckpointWriter& writer) const;
   Status LoadState(CheckpointReader& reader);
 
  private:
   struct Source;
+  // The global round budget a Run() call ran under, and the completed
+  // turn count it took effect at.
+  struct BudgetMark {
+    uint64_t turn = 0;
+    uint64_t max_total_rounds = 0;
+  };
 
   bool Active(const Source& source) const;
   bool Eligible(const Source& source) const;
   // Picks the next source among eligible ids (ascending); see
   // SchedulerPolicy.
   uint32_t Pick(const std::vector<uint32_t>& eligible) const;
+  // Runs scheduler turns until nothing is left to run under the budget,
+  // or until `turn_limit` turns have completed; only checkpoint-sink
+  // failures surface as non-OK.
+  Status RunTurns(uint64_t turn_limit);
   // Runs one granted turn on source `i`; only checkpoint-sink failures
   // surface as non-OK.
   Status RunTurn(uint32_t i);
@@ -225,6 +244,13 @@ class CrawlFleet {
   // refill), counting the skipped ticks as idle.
   void AdvanceToNextEligibility();
   void PlantSeeds();
+  // Marks a Run() whose budget differs from the last marked one.
+  void MarkBudget();
+  // Begins each engine's replay over its reader in `logs`, then replays
+  // `turns` turns under `budgets`. Ending the replays is left to the
+  // caller, also on error (some may not have begun).
+  Status ReplayTurns(const std::vector<BudgetMark>& budgets, uint64_t turns,
+                     std::vector<CheckpointReader>& logs);
   FleetResult BuildResult() const;
 
   std::vector<FleetSourceSpec> specs_;
@@ -240,8 +266,10 @@ class CrawlFleet {
   uint64_t turns_completed_ = 0;
   uint64_t idle_ticks_ = 0;
   uint32_t last_picked_ = 0;
-  bool seeded_ = false;
   CrawlTrace fleet_trace_;
+  // One mark per Run() whose budget differs from the last; empty until
+  // the first Run() planted the seeds.
+  std::vector<BudgetMark> budgets_;
 };
 
 // Heterogeneous fleet builder: cycles the paper's four canned workloads
@@ -263,15 +291,23 @@ Status WriteFleetTraceCsv(const FleetResult& result, std::ostream& output);
 // file kinds can never be confused, and the same corruption contract:
 // any mangled byte is rejected with a clean Status, never a crash.
 
-// v1002: fleet format 1 over engine payload version 2.
-// v1005: fleet format 1 over engine payload version 5 (fleet images
-//        embed CrawlEngine::SaveState, so every engine bump is a fleet
-//        bump too).
-// v1006: fleet format 1 over engine payload version 6.
-// v1007: fleet format 1 over engine payload version 7.
-// v1008: fleet format 1 over engine payload version 8 (the engine
-//        payload is its fetch log, replayed on load).
-inline constexpr uint32_t kFleetCheckpointVersion = 1008;
+// Payload (little-endian; checkpoint_io.h has the framing):
+//   FLET  config fingerprint; chaos schedule echo (u64 n, n events);
+//         u64 n budget marks, each u64 turn + u64 max_total_rounds, in
+//         turn order; u64 completed turns
+//   FSRC  per source, in id order: name; the engine's CONF and LOG
+//         sections (CrawlEngine::SaveState) as one u32-length-prefixed
+//         blob; the fault proxy's FALT state
+//   END!
+//
+// v1002, v1005-v1008: fleet format 1 (scheduler, breaker and bucket
+//        state stored field by field) over the engine payload version in
+//        the last digit; the image embeds CrawlEngine::SaveState, so every
+//        engine bump is a fleet bump too.
+// v1009: fleet format 2 over engine payload version 8: inputs only (the
+//        budget marks and turn count above); scheduler, breaker, bucket
+//        and health state are rebuilt by replaying the turns.
+inline constexpr uint32_t kFleetCheckpointVersion = 1009;
 
 inline constexpr uint32_t kSectionFleet = 0x54454c46;        // "FLET"
 inline constexpr uint32_t kSectionFleetSource = 0x43525346;  // "FSRC"

@@ -63,28 +63,17 @@ class TokenBucket {
     return tokens_ < 1.0 ? 0 : static_cast<uint64_t>(tokens_);
   }
 
-  // Ticks from `now` until HasToken() turns true (0 when it already is).
-  uint64_t TicksUntilToken(uint64_t now) const {
+  // Ticks until HasToken() turns true (0 when it already is).
+  uint64_t TicksUntilToken() const {
     if (HasToken()) return 0;
     double deficit = 1.0 - tokens_;
     uint64_t wait =
         static_cast<uint64_t>(std::ceil(deficit / config_.rounds_per_tick));
-    (void)now;
     return std::max<uint64_t>(wait, 1);
   }
 
   void Spend(uint64_t rounds) {
     tokens_ = std::max(0.0, tokens_ - static_cast<double>(rounds));
-  }
-
-  double tokens() const { return tokens_; }
-  uint64_t last_refill() const { return last_refill_; }
-  const PolitenessConfig& config() const { return config_; }
-
-  // Checkpoint restore (see crawl_fleet.cc).
-  void Restore(double tokens, uint64_t last_refill) {
-    tokens_ = tokens;
-    last_refill_ = last_refill;
   }
 
  private:

@@ -113,12 +113,15 @@ double CheckpointReader::ReadDouble() {
   return v;
 }
 
-std::string CheckpointReader::ReadString() {
-  uint32_t size = ReadU32();
-  if (!Require(size)) return std::string();
-  std::string text(data_.substr(pos_, size));
+std::string CheckpointReader::ReadString() { return std::string(ReadBytes()); }
+
+std::string_view CheckpointReader::ReadBytes() { return ReadRaw(ReadU32()); }
+
+std::string_view CheckpointReader::ReadRaw(size_t size) {
+  if (!Require(size)) return std::string_view();
+  std::string_view bytes = data_.substr(pos_, size);
   pos_ += size;
-  return text;
+  return bytes;
 }
 
 uint64_t CheckpointReader::ReadVarint() {

@@ -86,6 +86,10 @@ class CheckpointReader {
   uint64_t ReadU64();
   double ReadDouble();
   std::string ReadString();
+  // A length-prefixed (u32) byte string, viewing into the reader's data.
+  std::string_view ReadBytes();
+  // The next `size` bytes, viewing into the reader's data.
+  std::string_view ReadRaw(size_t size);
   // Rejects truncated, overlong (past 64 bits) and non-minimal encodings.
   uint64_t ReadVarint();
 

@@ -1,7 +1,7 @@
 // Tests of the shared windowed harvest-rate estimator (HarvestRateEwma)
 // used by both the CrawlFleet scheduler and the AdaptiveSelector's
-// phase-switch rule. The estimator is serialized field-for-field into
-// fleet checkpoints, so its semantics are part of the resume contract.
+// phase-switch rule. A resumed fleet rebuilds the estimator by replaying
+// its turns, so its update order is part of the resume contract.
 
 #include "src/crawler/harvest_rate.h"
 

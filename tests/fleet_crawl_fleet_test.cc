@@ -9,9 +9,11 @@
 //   * the 8-source hostile-chaos acceptance scenario: every healthy
 //     source reaches its coverage target, the permanently dead source is
 //     reported quarantined;
-//   * fleet checkpoints restore bit-identically from any turn boundary,
-//     and EVERY mangled checkpoint byte is rejected with a clean Status
-//     (same adversarial sweep as crawler_checkpoint_test.cc).
+//   * fleet checkpoints restore bit-identically from any turn boundary —
+//     the replayed scheduler, breaker and bucket state equals the saved
+//     fleet's — and EVERY mangled checkpoint byte, as well as every image
+//     whose parts disagree behind a valid checksum, is rejected with a
+//     clean Status (same adversarial sweep as crawler_checkpoint_test.cc).
 //
 // Runs inside deepcrawl_concurrency_tests so the whole file also
 // executes under ASan and TSan via tools/check.sh.
@@ -349,22 +351,88 @@ std::vector<FleetSourceSpec> CheckpointFleetSpecs() {
   return specs;
 }
 
-// Captures a checkpoint image at every turn boundary of a bounded run.
-std::vector<std::string> ImagesAtEveryTurn(uint64_t max_rounds) {
+// The scheduler state a fleet checkpoint does not store: a restore
+// rebuilds it by replaying turns, and it must equal the saved fleet's.
+struct SourceState {
+  SourceDegradation degradation;
+  BreakerState breaker_state = BreakerState::kClosed;
+  double breaker_error_ewma = 0.0;
+  BreakerTransitions breaker_transitions;
+  uint64_t affordable_rounds = 0;
+};
+
+struct FleetState {
+  uint64_t clock = 0;
+  uint64_t idle_ticks = 0;
+  uint64_t total_rounds = 0;
+  uint64_t total_records = 0;
+  uint64_t turns = 0;
+  std::vector<SourceState> sources;
+};
+
+FleetState StateOf(const CrawlFleet& fleet) {
+  FleetState state;
+  state.clock = fleet.clock();
+  state.idle_ticks = fleet.idle_ticks();
+  state.total_rounds = fleet.total_rounds();
+  state.total_records = fleet.total_records();
+  state.turns = fleet.turns_completed();
+  for (uint32_t i = 0; i < fleet.num_sources(); ++i) {
+    state.sources.push_back(SourceState{
+        .degradation = fleet.DegradationOf(i),
+        .breaker_state = fleet.breaker(i).state(),
+        .breaker_error_ewma = fleet.breaker(i).error_ewma(),
+        .breaker_transitions = fleet.breaker(i).transitions(),
+        .affordable_rounds = fleet.bucket(i).AffordableRounds()});
+  }
+  return state;
+}
+
+void ExpectSameState(const FleetState& got, const FleetState& want,
+                     const std::string& label) {
+  EXPECT_EQ(got.clock, want.clock) << label;
+  EXPECT_EQ(got.idle_ticks, want.idle_ticks) << label;
+  EXPECT_EQ(got.total_rounds, want.total_rounds) << label;
+  EXPECT_EQ(got.total_records, want.total_records) << label;
+  EXPECT_EQ(got.turns, want.turns) << label;
+  ASSERT_EQ(got.sources.size(), want.sources.size()) << label;
+  for (size_t s = 0; s < got.sources.size(); ++s) {
+    const SourceState& g = got.sources[s];
+    const SourceState& w = want.sources[s];
+    EXPECT_EQ(g.degradation, w.degradation) << label << " source " << s;
+    EXPECT_EQ(g.breaker_state, w.breaker_state) << label << " source " << s;
+    EXPECT_EQ(g.breaker_error_ewma, w.breaker_error_ewma)
+        << label << " source " << s;
+    EXPECT_EQ(g.breaker_transitions, w.breaker_transitions)
+        << label << " source " << s;
+    EXPECT_EQ(g.affordable_rounds, w.affordable_rounds)
+        << label << " source " << s;
+  }
+}
+
+// A checkpoint image at every turn boundary of a bounded run, with the
+// fleet's state at that boundary.
+struct TurnImages {
+  std::vector<std::string> images;
+  std::vector<FleetState> states;
+};
+
+TurnImages ImagesAtEveryTurn(uint64_t max_rounds) {
   FleetOptions options = CheckpointFleetOptions();
   options.max_total_rounds = max_rounds;
   options.checkpoint_every_turns = 1;
-  auto images = std::make_shared<std::vector<std::string>>();
-  options.checkpoint_sink = [images](const CrawlFleet& fleet) -> Status {
+  auto taken = std::make_shared<TurnImages>();
+  options.checkpoint_sink = [taken](const CrawlFleet& fleet) -> Status {
     StatusOr<std::string> image = EncodeFleetCheckpoint(fleet);
     DEEPCRAWL_RETURN_IF_ERROR(image.status());
-    images->push_back(std::move(*image));
+    taken->images.push_back(std::move(*image));
+    taken->states.push_back(StateOf(fleet));
     return Status::OK();
   };
   CrawlFleet fleet(CheckpointFleetSpecs(), options);
   StatusOr<FleetResult> result = fleet.Run();
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
-  return *images;
+  return *taken;
 }
 
 TEST(CrawlFleetTest, ResumeFromAnyTurnBoundaryIsBitIdentical) {
@@ -375,12 +443,17 @@ TEST(CrawlFleetTest, ResumeFromAnyTurnBoundaryIsBitIdentical) {
   ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
   const std::string want = FleetTraceCsv(*uninterrupted);
 
-  std::vector<std::string> images = ImagesAtEveryTurn(160);
+  TurnImages taken = ImagesAtEveryTurn(160);
+  const std::vector<std::string>& images = taken.images;
   ASSERT_GT(images.size(), 4u);
   for (size_t i = 0; i < images.size(); ++i) {
     CrawlFleet resumed(CheckpointFleetSpecs(), CheckpointFleetOptions());
     Status loaded = DecodeFleetCheckpoint(images[i], resumed);
     ASSERT_TRUE(loaded.ok()) << "image " << i << ": " << loaded.ToString();
+    // Image i was taken at the end of turn i + 1.
+    ASSERT_EQ(taken.states[i].turns, i + 1);
+    ExpectSameState(StateOf(resumed), taken.states[i],
+                    "image " + std::to_string(i));
     resumed.set_max_total_rounds(160);
     StatusOr<FleetResult> cont = resumed.Run();
     ASSERT_TRUE(cont.ok()) << cont.status().ToString();
@@ -397,8 +470,6 @@ TEST(CrawlFleetTest, ResumeFromAnyTurnBoundaryIsBitIdentical) {
 }
 
 TEST(CrawlFleetTest, SaveLoadFileRoundTrip) {
-  std::vector<std::string> images = ImagesAtEveryTurn(80);
-  ASSERT_FALSE(images.empty());
   testing_util::ScopedTempDir dir;
   std::string path = dir.File("deepcrawl_fleet_ckpt.bin");
 
@@ -408,16 +479,53 @@ TEST(CrawlFleetTest, SaveLoadFileRoundTrip) {
   ASSERT_TRUE(partial.ok());
   ASSERT_TRUE(SaveFleetCheckpoint(saved, path).ok());
 
-  CrawlFleet resumed(CheckpointFleetSpecs(), CheckpointFleetOptions());
+  // The replayed turns must not fire the resumed fleet's sink.
+  FleetOptions options = CheckpointFleetOptions();
+  auto saves = std::make_shared<int>(0);
+  options.checkpoint_every_turns = 1;
+  options.checkpoint_sink = [saves](const CrawlFleet&) -> Status {
+    ++*saves;
+    return Status::OK();
+  };
+  CrawlFleet resumed(CheckpointFleetSpecs(), options);
   ASSERT_TRUE(LoadFleetCheckpoint(path, resumed).ok());
-  EXPECT_EQ(resumed.total_rounds(), saved.total_rounds());
-  EXPECT_EQ(resumed.total_records(), saved.total_records());
-  EXPECT_EQ(resumed.turns_completed(), saved.turns_completed());
-  EXPECT_EQ(resumed.clock(), saved.clock());
+  ExpectSameState(StateOf(resumed), StateOf(saved), "file round trip");
+  EXPECT_EQ(*saves, 0);
+}
+
+// Run() calls under different global budgets: each budget is replayed
+// from the turn it took effect at.
+TEST(CrawlFleetTest, ResumeAfterRaisedBudgetsIsBitIdentical) {
+  auto run_staged = [](CrawlFleet& fleet) {
+    for (uint64_t budget : {24, 48}) {
+      fleet.set_max_total_rounds(budget);
+      ASSERT_TRUE(fleet.Run().ok());
+    }
+  };
+  CrawlFleet reference(CheckpointFleetSpecs(), CheckpointFleetOptions());
+  run_staged(reference);
+  StatusOr<std::string> image = EncodeFleetCheckpoint(reference);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  const FleetState at_save = StateOf(reference);
+  reference.set_max_total_rounds(160);
+  StatusOr<FleetResult> uninterrupted = reference.Run();
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
+
+  // The resumed fleet runs under its own budget, not the image's last.
+  FleetOptions options = CheckpointFleetOptions();
+  options.max_total_rounds = 160;
+  CrawlFleet resumed(CheckpointFleetSpecs(), options);
+  Status loaded = DecodeFleetCheckpoint(*image, resumed);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  ExpectSameState(StateOf(resumed), at_save, "after load");
+  StatusOr<FleetResult> cont = resumed.Run();
+  ASSERT_TRUE(cont.ok()) << cont.status().ToString();
+  EXPECT_EQ(FleetTraceCsv(*cont), FleetTraceCsv(*uninterrupted));
+  ExpectSameState(StateOf(resumed), StateOf(reference), "after resume");
 }
 
 TEST(CrawlFleetTest, RestoreRequiresFreshFleet) {
-  std::vector<std::string> images = ImagesAtEveryTurn(80);
+  std::vector<std::string> images = ImagesAtEveryTurn(80).images;
   ASSERT_FALSE(images.empty());
   CrawlFleet used(CheckpointFleetSpecs(), CheckpointFleetOptions());
   used.set_max_total_rounds(24);
@@ -428,7 +536,7 @@ TEST(CrawlFleetTest, RestoreRequiresFreshFleet) {
 }
 
 TEST(CrawlFleetTest, ConfigMismatchIsCleanError) {
-  std::vector<std::string> images = ImagesAtEveryTurn(80);
+  std::vector<std::string> images = ImagesAtEveryTurn(80).images;
   ASSERT_FALSE(images.empty());
   const std::string& image = images.back();
 
@@ -535,6 +643,125 @@ TEST(CrawlFleetTest, ForgedChecksumPayloadFlipsNeverCrash) {
         FrameCheckpoint(payload->substr(0, len), kFleetCheckpointVersion);
     ASSERT_FALSE(TryDecodeFleet(reframed).ok())
         << "reframed truncation to " << len << " was accepted";
+  }
+}
+
+// --- images whose parts disagree behind a valid checksum --------------
+
+uint64_t LoadLe(const std::string& bytes, size_t at, int width) {
+  uint64_t v = 0;
+  for (int b = 0; b < width; ++b) {
+    v |= uint64_t{static_cast<uint8_t>(bytes[at + b])} << (8 * b);
+  }
+  return v;
+}
+
+void StoreLe(std::string& bytes, size_t at, int width, uint64_t v) {
+  for (int b = 0; b < width; ++b) {
+    bytes[at + b] = static_cast<char>((v >> (8 * b)) & 0xFF);
+  }
+}
+
+// An image of a fleet run under two budgets, so it holds two budget
+// marks: (turn 0, 24 rounds) and (turn T, 48 rounds).
+std::string TwoBudgetPayload() {
+  CrawlFleet fleet(CheckpointFleetSpecs(), CheckpointFleetOptions());
+  for (uint64_t budget : {24, 48}) {
+    fleet.set_max_total_rounds(budget);
+    DEEPCRAWL_CHECK(fleet.Run().ok());
+  }
+  StatusOr<std::string> image = EncodeFleetCheckpoint(fleet);
+  DEEPCRAWL_CHECK(image.ok()) << image.status().ToString();
+  StatusOr<std::string_view> payload =
+      UnframeCheckpoint(*image, kFleetCheckpointVersion);
+  DEEPCRAWL_CHECK(payload.ok()) << payload.status().ToString();
+  return std::string(*payload);
+}
+
+// Offsets in a fleet payload (layout in crawl_fleet.h): the FLET section
+// ends with the budget marks and the turn count, right before the first
+// FSRC marker.
+struct PayloadLayout {
+  explicit PayloadLayout(const std::string& payload)
+      : first_source(payload.find("FSRC")),
+        turns(first_source - 8),
+        marks(turns - 32) {}
+  size_t first_source;
+  size_t turns;
+  size_t marks;  // two marks of 16 bytes, after their u64 count
+};
+
+Status DecodeReframed(const std::string& payload) {
+  CrawlFleet fleet(CheckpointFleetSpecs(), CheckpointFleetOptions());
+  return DecodeFleetCheckpoint(
+      FrameCheckpoint(payload, kFleetCheckpointVersion), fleet);
+}
+
+TEST(CrawlFleetTest, InconsistentImagesAreCleanErrors) {
+  const std::string payload = TwoBudgetPayload();
+  ASSERT_TRUE(DecodeReframed(payload).ok());
+  const PayloadLayout at(payload);
+  ASSERT_NE(at.first_source, std::string::npos);
+  ASSERT_EQ(LoadLe(payload, at.marks - 8, 8), 2u);
+  ASSERT_EQ(LoadLe(payload, at.marks, 8), 0u);
+  ASSERT_EQ(LoadLe(payload, at.marks + 8, 8), 24u);
+  ASSERT_EQ(LoadLe(payload, at.marks + 24, 8), 48u);
+  const uint64_t turns = LoadLe(payload, at.turns, 8);
+  ASSERT_GT(turns, 2u);
+
+  auto expect_rejected = [](const std::string& forged, const char* what,
+                            const char* message = "") {
+    Status status = DecodeReframed(forged);
+    ASSERT_FALSE(status.ok()) << what << " was accepted";
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << what << ": " << status.ToString();
+    EXPECT_NE(status.message().find(message), std::string::npos)
+        << what << ": " << status.ToString();
+  };
+
+  // More completed turns than the fetch logs can serve.
+  for (uint64_t extra : {uint64_t{1}, uint64_t{1000}}) {
+    std::string forged = payload;
+    StoreLe(forged, at.turns, 8, turns + extra);
+    expect_rejected(forged, "a larger turn count", "claims");
+  }
+  // Fewer turns: the logs hold entries the replay never reaches.
+  {
+    std::string forged = payload;
+    StoreLe(forged, at.turns, 8, turns - 1);
+    expect_rejected(forged, "a smaller turn count", "entries past");
+  }
+  // Budget marks out of turn order.
+  {
+    std::string forged = payload;
+    forged.replace(at.marks, 16, payload, at.marks + 16, 16);
+    forged.replace(at.marks + 16, 16, payload, at.marks, 16);
+    expect_rejected(forged, "swapped budget marks");
+  }
+  // The second budget taking effect one turn after the first budget
+  // stops the fleet.
+  {
+    std::string forged = payload;
+    StoreLe(forged, at.marks + 16, 8, LoadLe(payload, at.marks + 16, 8) + 1);
+    expect_rejected(forged, "a moved budget mark");
+  }
+  // The first source's engine blob cut short, its length patched to
+  // match, so the fleet framing around it still parses.
+  const size_t name_at = at.first_source + 4;
+  const size_t blob_at = name_at + 4 + LoadLe(payload, name_at, 4);
+  const uint64_t blob_size = LoadLe(payload, blob_at, 4);
+  for (uint64_t cut : {uint64_t{1}, uint64_t{9}, blob_size / 2}) {
+    std::string forged = payload;
+    forged.erase(blob_at + 4 + blob_size - cut, cut);
+    StoreLe(forged, blob_at, 4, blob_size - cut);
+    expect_rejected(forged, "a truncated engine blob");
+  }
+  // ... or padded past the log's end entry.
+  {
+    std::string forged = payload;
+    forged.insert(blob_at + 4 + blob_size, "junk");
+    StoreLe(forged, blob_at, 4, blob_size + 4);
+    expect_rejected(forged, "a padded engine blob", "trailing bytes");
   }
 }
 

@@ -195,9 +195,9 @@ else
   # Pass 5 for the whole fleet: an uninterrupted 4-source fleet crawl
   # under the hostile chaos schedule, then the same fleet slowed by
   # simulated latency and checkpointing every turn, SIGKILLed mid-chaos;
-  # the resume from the last surviving whole-fleet checkpoint (breakers,
-  # token buckets, scheduler, every engine) must emit a byte-identical
-  # per-source trace CSV.
+  # the resume from the last surviving whole-fleet checkpoint (its
+  # budgets, turn count and every source's fetch log, replayed turn by
+  # turn) must emit a byte-identical per-source trace CSV.
   FLEET_DIR="$(mktemp -d)"
   # Keep cleaning pass 5's dir too (one trap per signal).
   trap 'rm -rf "${RESUME_DIR:-}" "${FLEET_DIR}"' EXIT
