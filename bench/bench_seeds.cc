@@ -9,6 +9,7 @@
 // and (b) what a greedy-link crawl actually attains.
 
 #include <iostream>
+#include <string>
 
 #include "bench/bench_common.h"
 #include "src/crawler/greedy_link_selector.h"
@@ -59,7 +60,7 @@ int main() {
     DEEPCRAWL_CHECK_EQ(result.records, unlimited.reachable_records);
 
     table.AddRow(
-        {target.catalog().text_of(seed),
+        {std::string(target.catalog().text_of(seed)),
          TablePrinter::FormatPercent(unlimited.record_fraction, 1),
          TablePrinter::FormatPercent(limit50.record_fraction, 1),
          TablePrinter::FormatPercent(limit10.record_fraction, 1),

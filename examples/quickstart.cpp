@@ -91,7 +91,7 @@ int main() {
   TablePrinter stats({"value", "local matches", "local degree"});
   for (ValueId v = 0; v < cars.num_distinct_values(); ++v) {
     if (store.LocalFrequency(v) == 0) continue;
-    stats.AddRow({cars.catalog().text_of(v),
+    stats.AddRow({std::string(cars.catalog().text_of(v)),
                   std::to_string(store.LocalFrequency(v)),
                   std::to_string(store.LocalDegree(v))});
   }

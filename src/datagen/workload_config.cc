@@ -1,7 +1,10 @@
 #include "src/datagen/workload_config.h"
 
 #include <algorithm>
+#include <charconv>
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "src/util/logging.h"
 #include "src/util/random.h"
@@ -10,6 +13,13 @@
 namespace deepcrawl {
 
 namespace {
+
+// Decimal digits of `v`.
+uint64_t Digits(uint32_t v) {
+  uint64_t digits = 1;
+  for (; v >= 10; v /= 10) ++digits;
+  return digits;
+}
 
 Status ValidateConfig(const SyntheticDbConfig& config) {
   if (config.num_records == 0) {
@@ -87,24 +97,66 @@ StatusOr<Table> GenerateTable(const SyntheticDbConfig& config) {
     if (!added.ok()) return added.status();
   }
   Table table(std::move(schema));
+  ValueCatalog& catalog = table.mutable_catalog();
 
   Pcg32 rng(config.seed);
   // One sampler per non-unique attribute; community draws reuse the
   // global sampler's rank, folded into the community slice.
   std::vector<std::unique_ptr<ZipfSampler>> samplers(
       config.attributes.size());
+  // Per pooled attribute (plain or derived), the value id of each pool
+  // index, kInvalidValueId until the index is first drawn. A value's
+  // text is formatted and interned once, on first sight, so ids follow
+  // the order cells are drawn in — the same order interning every cell
+  // of every record would give.
+  std::vector<std::vector<ValueId>> pool_ids(config.attributes.size());
+  // Upper bounds on distinct values and their text bytes, so the
+  // catalog's arrays are allocated once.
+  uint64_t max_values = 0;
+  uint64_t max_text_bytes = 0;
   for (size_t a = 0; a < config.attributes.size(); ++a) {
     const AttributeSpec& spec = config.attributes[a];
-    if (!spec.unique_per_record && spec.derived_from < 0) {
+    uint32_t pool = spec.num_distinct;
+    uint64_t max_draws = uint64_t{config.num_records} * spec.max_per_record;
+    if (spec.derived_from >= 0) {
+      const AttributeSpec& source =
+          config.attributes[static_cast<size_t>(spec.derived_from)];
+      pool = (source.num_distinct - 1) / spec.derive_group + 1;
+      max_draws = uint64_t{config.num_records} * source.max_per_record;
+    } else if (spec.unique_per_record) {
+      max_values += config.num_records;
+      max_text_bytes += uint64_t{config.num_records} *
+                        (spec.name.size() + 2 + Digits(config.num_records - 1));
+      continue;
+    } else {
       samplers[a] = std::make_unique<ZipfSampler>(spec.num_distinct,
                                                   spec.zipf_exponent);
     }
+    pool_ids[a].assign(pool, kInvalidValueId);
+    const uint64_t distinct = std::min<uint64_t>(pool, max_draws);
+    max_values += distinct;
+    max_text_bytes += distinct * (spec.name.size() + 1 + Digits(pool - 1));
   }
+  catalog.Reserve(max_values, max_text_bytes);
 
-  std::vector<Cell> cells;
+  std::string text;  // scratch: "<attr>#<i>" or "<attr>#u<r>"
+  auto intern = [&](size_t a, std::string_view marker, uint32_t i) {
+    text.assign(config.attributes[a].name);
+    text += marker;
+    char digits[10];
+    text.append(digits, std::to_chars(digits, digits + 10, i).ptr);
+    return catalog.Intern(static_cast<AttributeId>(a), text);
+  };
+  auto pool_value = [&](size_t a, uint32_t index) {
+    ValueId& id = pool_ids[a][index];
+    if (id == kInvalidValueId) id = intern(a, "#", index);
+    return id;
+  };
+
+  std::vector<ValueId> values;
   std::vector<std::vector<uint32_t>> drawn(config.attributes.size());
   for (uint32_t r = 0; r < config.num_records; ++r) {
-    cells.clear();
+    values.clear();
     for (auto& d : drawn) d.clear();
     // One community draw per RECORD, shared by every biased attribute:
     // this induces CROSS-attribute value dependency (a seller lists in
@@ -114,11 +166,10 @@ StatusOr<Table> GenerateTable(const SyntheticDbConfig& config) {
     // Pass 1: plain attributes.
     for (size_t a = 0; a < config.attributes.size(); ++a) {
       const AttributeSpec& spec = config.attributes[a];
-      AttributeId attr = static_cast<AttributeId>(a);
       if (spec.derived_from >= 0) continue;
       if (spec.presence < 1.0 && !rng.NextBool(spec.presence)) continue;
       if (spec.unique_per_record) {
-        cells.push_back(Cell{attr, spec.name + "#u" + std::to_string(r)});
+        values.push_back(intern(a, "#u", r));
         continue;
       }
       uint32_t count = spec.min_per_record;
@@ -149,8 +200,7 @@ StatusOr<Table> GenerateTable(const SyntheticDbConfig& config) {
           pool_index = samplers[a]->Sample(rng);
         }
         drawn[a].push_back(pool_index);
-        cells.push_back(
-            Cell{attr, spec.name + "#" + std::to_string(pool_index)});
+        values.push_back(pool_value(a, pool_index));
       }
     }
     // Pass 2: derived attributes — deterministic functions of the source
@@ -159,15 +209,12 @@ StatusOr<Table> GenerateTable(const SyntheticDbConfig& config) {
       const AttributeSpec& spec = config.attributes[a];
       if (spec.derived_from < 0) continue;
       if (spec.presence < 1.0 && !rng.NextBool(spec.presence)) continue;
-      AttributeId attr = static_cast<AttributeId>(a);
       for (uint32_t source_index :
            drawn[static_cast<size_t>(spec.derived_from)]) {
-        cells.push_back(Cell{
-            attr, spec.name + "#" +
-                      std::to_string(source_index / spec.derive_group)});
+        values.push_back(pool_value(a, source_index / spec.derive_group));
       }
     }
-    StatusOr<RecordId> added = table.AddRecord(cells);
+    StatusOr<RecordId> added = table.AddRecordFromValueIds(values);
     if (!added.ok()) return added.status();
   }
   return table;

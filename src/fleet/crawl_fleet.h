@@ -178,9 +178,13 @@ class CrawlFleet {
 
   // Runs scheduler turns until every source is finished, abandoned, or
   // breaker-exhausted, or the global round budget is hit. Re-callable
-  // with a raised budget, like CrawlEngine::Run. Per-source hard
-  // failures do NOT fail the fleet (isolation); only checkpoint-sink
-  // failures do.
+  // with a raised budget, which continues from where the capped run
+  // stopped; a fleet resumed from a checkpoint taken there continues
+  // identically. It is NOT the same as one run under the raised budget:
+  // the turn that hits the cap gets a grant clamped to the rounds left,
+  // so the health and breaker observations after it, and thus later
+  // picks, can differ. Per-source hard failures do NOT fail the fleet
+  // (isolation); only checkpoint-sink failures do.
   StatusOr<FleetResult> Run();
 
   uint32_t num_sources() const;

@@ -21,27 +21,34 @@ StatusOr<RecordId> Table::AddRecord(const std::vector<Cell>& cells) {
     }
     values.push_back(catalog_.Intern(cell.attr, cell.text));
   }
-  return AddRecordFromValueIds(std::move(values));
+  return AddRecordFromValueIds(values);
 }
 
-StatusOr<RecordId> Table::AddRecordFromValueIds(std::vector<ValueId> values) {
+StatusOr<RecordId> Table::AddRecordFromValueIds(
+    std::span<const ValueId> values) {
   if (values.empty()) {
     return Status::InvalidArgument("record must have at least one value");
   }
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  if (values.back() >= catalog_.size()) {
-    return Status::InvalidArgument("value id not interned in this catalog");
-  }
   if (num_records() >= kInvalidRecordId) {
     return Status::ResourceExhausted("record id space exhausted");
+  }
+  const size_t begin = record_values_.size();
+  record_values_.insert(record_values_.end(), values.begin(), values.end());
+  auto first = record_values_.begin() + static_cast<ptrdiff_t>(begin);
+  std::sort(first, record_values_.end());
+  record_values_.erase(std::unique(first, record_values_.end()),
+                       record_values_.end());
+  if (record_values_.back() >= catalog_.size()) {
+    record_values_.resize(begin);
+    return Status::InvalidArgument("value id not interned in this catalog");
   }
   RecordId id = static_cast<RecordId>(num_records());
   if (value_frequency_.size() < catalog_.size()) {
     value_frequency_.resize(catalog_.size(), 0);
   }
-  for (ValueId v : values) ++value_frequency_[v];
-  record_values_.insert(record_values_.end(), values.begin(), values.end());
+  for (size_t i = begin; i < record_values_.size(); ++i) {
+    ++value_frequency_[record_values_[i]];
+  }
   record_offsets_.push_back(record_values_.size());
   return id;
 }

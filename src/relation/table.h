@@ -46,8 +46,10 @@ class Table {
   StatusOr<RecordId> AddRecord(const std::vector<Cell>& cells);
 
   // Appends a record given pre-interned value ids (they must have been
-  // interned through this table's catalog). Ids are sorted/deduplicated.
-  StatusOr<RecordId> AddRecordFromValueIds(std::vector<ValueId> values);
+  // interned through this table's catalog). Ids are sorted/deduplicated
+  // in the record store itself, so the caller's buffer can be reused;
+  // `values` must not view this table's own records.
+  StatusOr<RecordId> AddRecordFromValueIds(std::span<const ValueId> values);
 
   size_t num_records() const { return record_offsets_.size() - 1; }
   size_t num_distinct_values() const { return catalog_.size(); }

@@ -27,15 +27,23 @@ void WebDbServer::BuildTokenDictionary() {
   size_t num_values = catalog.size();
   tokens_.reserve(num_values);
   token_of_value_.resize(num_values);
-  token_by_text_.reserve(num_values);
+  token_by_text_.Reserve(num_values);
   for (ValueId v = 0; v < num_values; ++v) {
-    auto [it, inserted] =
-        token_by_text_.emplace(catalog.text_of(v), tokens_.size());
-    if (inserted) tokens_.push_back(Token{});
-    Token& token = tokens_[it->second];
+    const std::string_view text = catalog.text_of(v);
+    // The index maps a text to the first value carrying it, whose token
+    // is then the text's token.
+    const ValueId first = token_by_text_.FindOrInsert(
+        FlatHashText(text), v,
+        [&](ValueId u) { return catalog.text_of(u) == text; });
+    if (first == v) {
+      token_of_value_[v] = static_cast<uint32_t>(tokens_.size());
+      tokens_.push_back(Token{});
+    } else {
+      token_of_value_[v] = token_of_value_[first];
+    }
+    Token& token = tokens_[token_of_value_[v]];
     ++token.attribute_span;
     token.single_value = token.attribute_span == 1 ? v : kInvalidValueId;
-    token_of_value_[v] = it->second;
   }
   // Pre-merge the postings of every multi-attribute token with the same
   // attribute-ordered set_union fold the per-query path used to run, so
@@ -171,11 +179,15 @@ StatusOr<ResultPage> WebDbServer::FetchPageByKeyword(std::string_view text,
   // probe. Note the keyword box deliberately ignores
   // queriable_attributes: a site's search box reaches columns its form
   // has no field for.
-  auto it = token_by_text_.find(text);
-  if (it == token_by_text_.end()) {
+  const ValueCatalog& catalog = table_.catalog();
+  const ValueId first = token_by_text_.Find(
+      FlatHashText(text),
+      [&](ValueId u) { return catalog.text_of(u) == text; });
+  if (first == FlatIdIndex::kAbsent) {
     return BuildPage({}, 0, page_number);
   }
-  std::span<const RecordId> postings = TokenPostings(tokens_[it->second]);
+  std::span<const RecordId> postings =
+      TokenPostings(tokens_[token_of_value_[first]]);
   return BuildPage(postings, static_cast<uint32_t>(postings.size()),
                    page_number);
 }

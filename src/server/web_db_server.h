@@ -30,13 +30,13 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/index/inverted_index.h"
 #include "src/relation/table.h"
 #include "src/relation/types.h"
 #include "src/server/query_interface.h"
+#include "src/util/flat_hash.h"
 #include "src/util/status.h"
 
 namespace deepcrawl {
@@ -138,9 +138,9 @@ class WebDbServer : public QueryInterface {
   std::vector<Token> tokens_;
   std::vector<uint32_t> token_of_value_;  // by ValueId
   std::vector<RecordId> merged_postings_;  // arena for multi-attr tokens
-  // Keys view into the catalog's interned text storage (stable for the
-  // table's lifetime).
-  std::unordered_map<std::string_view, uint32_t> token_by_text_;
+  // Text -> the first value id carrying it, keyed by the catalog's own
+  // texts (the table does not change after construction).
+  FlatIdIndex token_by_text_;
   uint64_t communication_rounds_ = 0;
   uint64_t queries_issued_ = 0;
 

@@ -19,12 +19,20 @@
 // The edge set packs two distinct 32-bit ids into one key
 // ((a << 32) | b with a != b), and the record index keys by id + 1;
 // neither can be 0.
+//
+// FlatIdIndex is the same table for keys that live outside it: the value
+// catalog's (attribute, text) pairs in its text arena, the server's
+// keyword tokens. It stores ids only, and the caller hashes a key and
+// says whether an id's key equals it, so a lookup by string_view
+// allocates nothing.
 
 #ifndef DEEPCRAWL_UTIL_FLAT_HASH_H_
 #define DEEPCRAWL_UTIL_FLAT_HASH_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -42,6 +50,13 @@ inline uint64_t FlatHashMix(uint64_t key) {
   key *= 0x94d049bb133111ebull;
   key ^= key >> 31;
   return key;
+}
+
+// FlatHashMix of std::hash over `text`, offset by `salt` (the value
+// catalog salts with the attribute id, so equal texts under different
+// attributes land apart).
+inline uint64_t FlatHashText(std::string_view text, uint64_t salt = 0) {
+  return FlatHashMix(std::hash<std::string_view>()(text) + salt);
 }
 
 // Open-addressing set of nonzero 64-bit keys.
@@ -189,6 +204,80 @@ class FlatCountMap32 {
   // 0 = empty. An occupied slot's low half (the key) is nonzero, so a
   // count that wraps to 0 never empties it.
   std::vector<uint64_t> slots_;
+  size_t mask_ = 0;
+  size_t size_ = 0;
+};
+
+// Open-addressing index of 32-bit ids whose keys are stored elsewhere.
+// A slot packs (tag << 32) | (id + 1), where the tag is the key hash's
+// high 32 bits: a probe calls the caller's `equals(id)` only on a tag
+// match, and growth rehashes from the tags without touching any key.
+// Ids must be below UINT32_MAX.
+class FlatIdIndex {
+ public:
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+  FlatIdIndex() = default;
+
+  // Sizes the table so that `n` ids fit without a growth.
+  void Reserve(size_t n) {
+    size_t cap = 64;
+    while (n * 4 > cap * 3) cap *= 2;
+    if (cap > slots_.size()) Rehash(cap);
+  }
+
+  // The id whose key hashes to `hash` and satisfies `equals(id)`, or
+  // kAbsent.
+  template <typename Equals>
+  uint32_t Find(uint64_t hash, Equals&& equals) const {
+    if (slots_.empty()) return kAbsent;
+    const uint64_t tag = hash >> 32;
+    for (size_t i = tag & mask_; slots_[i] != 0; i = (i + 1) & mask_) {
+      const uint64_t slot = slots_[i];
+      if ((slot >> 32) == tag && equals(IdOf(slot))) return IdOf(slot);
+    }
+    return kAbsent;
+  }
+
+  // Find; when absent, inserts `id` under `hash` and returns it.
+  template <typename Equals>
+  uint32_t FindOrInsert(uint64_t hash, uint32_t id, Equals&& equals) {
+    DEEPCRAWL_DCHECK(id != kAbsent);
+    if (slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3) {
+      Rehash(slots_.empty() ? 64 : slots_.size() * 2);
+    }
+    const uint64_t tag = hash >> 32;
+    size_t i = tag & mask_;
+    for (; slots_[i] != 0; i = (i + 1) & mask_) {
+      const uint64_t slot = slots_[i];
+      if ((slot >> 32) == tag && equals(IdOf(slot))) return IdOf(slot);
+    }
+    slots_[i] = (tag << 32) | (uint64_t{id} + 1);
+    ++size_;
+    return id;
+  }
+
+  size_t size() const { return size_; }
+  size_t capacity() const { return slots_.size(); }
+
+ private:
+  static uint32_t IdOf(uint64_t slot) {
+    return static_cast<uint32_t>(slot) - 1;
+  }
+
+  void Rehash(size_t new_cap) {
+    std::vector<uint64_t> old = std::move(slots_);
+    slots_.assign(new_cap, 0);
+    mask_ = new_cap - 1;
+    for (uint64_t slot : old) {
+      if (slot == 0) continue;
+      size_t i = (slot >> 32) & mask_;
+      while (slots_[i] != 0) i = (i + 1) & mask_;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<uint64_t> slots_;  // 0 = empty
   size_t mask_ = 0;
   size_t size_ = 0;
 };

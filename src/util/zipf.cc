@@ -1,6 +1,7 @@
 #include "src/util/zipf.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "src/util/logging.h"
@@ -19,65 +20,34 @@ ZipfSampler::ZipfSampler(uint32_t num_items, double exponent)
   }
   for (uint32_t i = 0; i < num_items; ++i) cdf_[i] /= total;
   cdf_.back() = 1.0;  // guard against floating-point shortfall
+
+  // m = the largest power of two <= n: at most 4 bytes per rank next to
+  // the CDF's 8, and at most 1 + n / m < 3 expected steps per draw.
+  const uint32_t buckets = std::bit_floor(num_items);
+  buckets_ = static_cast<double>(buckets);
+  guide_.resize(buckets);
+  const double width = 1.0 / buckets_;  // exact: m is a power of two
+  uint32_t i = 0;
+  for (uint32_t j = 0; j < buckets; ++j) {
+    const double edge = static_cast<double>(j) * width;  // exact
+    while (cdf_[i] < edge) ++i;  // stops by cdf_.back() = 1 > edge
+    guide_[j] = i;
+  }
 }
 
-uint32_t ZipfSampler::Sample(Pcg32& rng) const {
-  double u = rng.NextDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) --it;
-  return static_cast<uint32_t>(it - cdf_.begin());
+uint32_t ZipfSampler::RankAt(double u) const {
+  // Clamp before the conversion: u >= 1 belongs to the last bucket.
+  const double scaled = std::clamp(u * buckets_, 0.0, buckets_ - 1.0);
+  uint32_t i = guide_[static_cast<uint32_t>(scaled)];
+  const uint32_t last = static_cast<uint32_t>(cdf_.size()) - 1;
+  while (i < last && cdf_[i] < u) ++i;
+  return i;
 }
 
 double ZipfSampler::Pmf(uint32_t i) const {
   DEEPCRAWL_CHECK_LT(i, cdf_.size());
   if (i == 0) return cdf_[0];
   return cdf_[i] - cdf_[i - 1];
-}
-
-namespace {
-// Generalized harmonic helper terms for the rejection-inversion method.
-double HIntegral(double x, double s) {
-  // Integral of 1/x^s: for s == 1 it is log(x); otherwise x^(1-s)/(1-s).
-  if (s == 1.0) return std::log(x);
-  return (std::pow(x, 1.0 - s) - 1.0) / (1.0 - s);
-}
-
-double HIntegralInverse(double x, double s) {
-  if (s == 1.0) return std::exp(x);
-  return std::pow(1.0 + x * (1.0 - s), 1.0 / (1.0 - s));
-}
-}  // namespace
-
-FastZipfSampler::FastZipfSampler(uint64_t num_items, double exponent)
-    : n_(num_items), s_(exponent) {
-  DEEPCRAWL_CHECK_GT(num_items, 0ull);
-  DEEPCRAWL_CHECK_GT(exponent, 0.0)
-      << "FastZipfSampler requires a positive exponent";
-  h_x1_ = HIntegral(1.5, s_) - 1.0;
-  h_n_ = HIntegral(static_cast<double>(n_) + 0.5, s_);
-  t_ = 2.0 - HIntegralInverse(HIntegral(2.5, s_) - std::pow(2.0, -s_), s_);
-}
-
-double FastZipfSampler::H(double x) const { return HIntegral(x, s_); }
-
-double FastZipfSampler::HInverse(double x) const {
-  return HIntegralInverse(x, s_);
-}
-
-uint64_t FastZipfSampler::Sample(Pcg32& rng) const {
-  // Rejection-inversion sampling (Hormann & Derflinger, 1996).
-  for (;;) {
-    double u = h_n_ + rng.NextDouble() * (h_x1_ - h_n_);
-    double x = HInverse(u);
-    uint64_t k = static_cast<uint64_t>(x + 0.5);
-    if (k < 1) k = 1;
-    if (k > n_) k = n_;
-    double kd = static_cast<double>(k);
-    if (kd - x <= t_ ||
-        u >= H(kd + 0.5) - std::exp(-std::log(kd) * s_)) {
-      return k - 1;  // convert to 0-based rank
-    }
-  }
 }
 
 }  // namespace deepcrawl

@@ -68,7 +68,7 @@ TEST_P(CrossModuleTest, LocalGraphMatchesOfflineGraphAfterFullCrawl) {
     std::vector<Cell> cells;
     for (ValueId v : db.record(r)) {
       cells.push_back(Cell{db.catalog().attribute_of(v),
-                           db.catalog().text_of(v)});
+                           std::string(db.catalog().text_of(v))});
     }
     ASSERT_TRUE(reachable_db.AddRecord(cells).ok());
   }
@@ -80,7 +80,7 @@ TEST_P(CrossModuleTest, LocalGraphMatchesOfflineGraphAfterFullCrawl) {
   for (ValueId sub_v = 0; sub_v < reachable_db.num_distinct_values();
        ++sub_v) {
     AttributeId attr = reachable_db.catalog().attribute_of(sub_v);
-    const std::string& text = reachable_db.catalog().text_of(sub_v);
+    const std::string_view text = reachable_db.catalog().text_of(sub_v);
     ValueId crawl_v = db.catalog().Find(attr, text);
     ASSERT_NE(crawl_v, kInvalidValueId);
     EXPECT_EQ(store.LocalFrequency(crawl_v),

@@ -71,7 +71,7 @@ TEST(CalibrationTest, DerivedAttributeIsDeterministicFunctionOfSource) {
     int seller_index = -1;
     std::string store_text;
     for (ValueId v : table->record(r)) {
-      const std::string& text = table->catalog().text_of(v);
+      const std::string text(table->catalog().text_of(v));
       if (table->catalog().attribute_of(v) == *seller_attr) {
         seller_index = std::stoi(text.substr(text.find('#') + 1));
       } else if (table->catalog().attribute_of(v) == *store_attr) {
@@ -101,7 +101,7 @@ TEST(CalibrationTest, DerivedAttributeCreatesStrongDependency) {
   int strong = 0, total = 0;
   for (ValueId v = 0; v < table->num_distinct_values() && total < 50; ++v) {
     if (table->catalog().attribute_of(v) != *store_attr) continue;
-    const std::string& text = table->catalog().text_of(v);
+    const std::string text(table->catalog().text_of(v));
     int store_index = std::stoi(text.substr(text.find('#') + 1));
     // The two sellers aliased to this store.
     uint32_t contained = 0;
@@ -136,7 +136,7 @@ TEST(CalibrationTest, RecordCommunityCorrelatesAttributes) {
   for (RecordId r = 0; r < table->num_records(); ++r) {
     int category = -1, seller = -1;
     for (ValueId v : table->record(r)) {
-      const std::string& text = table->catalog().text_of(v);
+      const std::string text(table->catalog().text_of(v));
       if (table->catalog().attribute_of(v) == *category_attr) {
         category = std::stoi(text.substr(text.find('#') + 1));
       } else if (table->catalog().attribute_of(v) == *seller_attr) {

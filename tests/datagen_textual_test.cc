@@ -141,8 +141,8 @@ TEST(TextualWorkloadTest, MixedModeAddsStructuredColumns) {
   for (RecordId r = 0; r < table->num_records(); ++r) {
     for (ValueId v : table->record(r)) {
       AttributeId attr = table->catalog().attribute_of(v);
-      if (attr == docid) ids.insert(table->catalog().text_of(v));
-      if (attr == category) categories.insert(table->catalog().text_of(v));
+      if (attr == docid) ids.emplace(table->catalog().text_of(v));
+      if (attr == category) categories.emplace(table->catalog().text_of(v));
     }
   }
   // Doc ids are unique; categories come from the small pool.

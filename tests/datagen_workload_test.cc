@@ -132,7 +132,7 @@ TEST(GenerateTableTest, CommunityBiasRaisesCooccurrence) {
       if (values.size() != 2) continue;
       // Recover pool indices from the value texts "Member#<i>".
       auto pool_of = [&](ValueId v) {
-        const std::string& text = table.catalog().text_of(v);
+        const std::string text(table.catalog().text_of(v));
         return std::stoi(text.substr(text.find('#') + 1));
       };
       ++total;

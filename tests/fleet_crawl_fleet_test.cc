@@ -524,6 +524,70 @@ TEST(CrawlFleetTest, ResumeAfterRaisedBudgetsIsBitIdentical) {
   ExpectSameState(StateOf(resumed), StateOf(reference), "after resume");
 }
 
+// A run capped by max_total_rounds clamps its last turn's grant to what
+// the cap leaves, so raising the budget continues from that clamped
+// state, not from where one uncapped run would be at the same round.
+// What the fleet promises instead: the continuation is the same whether
+// the capped fleet is re-called in process or resumed from the image its
+// checkpoint sink wrote at the cap.
+TEST(CrawlFleetTest, CappedRunResumedMatchesInProcessRecall) {
+  constexpr uint64_t kRaised = 160;
+  int differs_from_one_shot = 0;
+  for (SchedulerPolicy scheduler :
+       {SchedulerPolicy::kMarginalHarvest, SchedulerPolicy::kRoundRobin,
+        SchedulerPolicy::kSequential}) {
+    FleetOptions one_shot_options = CheckpointFleetOptions();
+    one_shot_options.scheduler = scheduler;
+    one_shot_options.max_total_rounds = kRaised;
+    CrawlFleet one_shot(CheckpointFleetSpecs(), one_shot_options);
+    StatusOr<FleetResult> uncapped = one_shot.Run();
+    ASSERT_TRUE(uncapped.ok()) << uncapped.status().ToString();
+    for (uint64_t cap : {20, 50, 100}) {
+      const std::string label = std::string(SchedulerPolicyToString(
+                                    scheduler)) +
+                                " cap " + std::to_string(cap);
+      FleetOptions options = CheckpointFleetOptions();
+      options.scheduler = scheduler;
+      options.max_total_rounds = cap;
+      options.checkpoint_every_turns = 1;
+      auto last_image = std::make_shared<std::string>();
+      options.checkpoint_sink = [last_image](const CrawlFleet& fleet) {
+        StatusOr<std::string> image = EncodeFleetCheckpoint(fleet);
+        DEEPCRAWL_RETURN_IF_ERROR(image.status());
+        *last_image = std::move(*image);
+        return Status::OK();
+      };
+      CrawlFleet capped(CheckpointFleetSpecs(), options);
+      ASSERT_TRUE(capped.Run().ok()) << label;
+      ASSERT_GE(capped.total_rounds(), cap) << label;
+      const std::string at_cap = *last_image;
+      ASSERT_FALSE(at_cap.empty()) << label;
+
+      capped.set_max_total_rounds(kRaised);
+      StatusOr<FleetResult> recalled = capped.Run();
+      ASSERT_TRUE(recalled.ok()) << label << ": "
+                                 << recalled.status().ToString();
+
+      FleetOptions resume_options = CheckpointFleetOptions();
+      resume_options.scheduler = scheduler;
+      resume_options.max_total_rounds = kRaised;
+      CrawlFleet resumed(CheckpointFleetSpecs(), resume_options);
+      Status loaded = DecodeFleetCheckpoint(at_cap, resumed);
+      ASSERT_TRUE(loaded.ok()) << label << ": " << loaded.ToString();
+      StatusOr<FleetResult> cont = resumed.Run();
+      ASSERT_TRUE(cont.ok()) << label << ": " << cont.status().ToString();
+      EXPECT_EQ(FleetTraceCsv(*cont), FleetTraceCsv(*recalled)) << label;
+      ExpectSameState(StateOf(resumed), StateOf(capped), label);
+      if (FleetTraceCsv(*cont) != FleetTraceCsv(*uncapped)) {
+        ++differs_from_one_shot;
+      }
+    }
+  }
+  // The clamp is real: some capped-then-raised runs end elsewhere than
+  // the one-shot run under the raised budget.
+  EXPECT_GT(differs_from_one_shot, 0);
+}
+
 TEST(CrawlFleetTest, RestoreRequiresFreshFleet) {
   std::vector<std::string> images = ImagesAtEveryTurn(80).images;
   ASSERT_FALSE(images.empty());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/relation/schema.h"
 #include "src/relation/table.h"
 #include "src/relation/value_catalog.h"
@@ -66,6 +69,54 @@ TEST(ValueCatalogTest, SameTextDifferentAttributeIsDistinct) {
   EXPECT_EQ(catalog.attribute_of(actor), 0);
   EXPECT_EQ(catalog.attribute_of(director), 1);
   EXPECT_EQ(catalog.text_of(actor), catalog.text_of(director));
+}
+
+// `prefix` followed by the decimal `i`.
+std::string Numbered(std::string prefix, int i) {
+  prefix += std::to_string(i);
+  return prefix;
+}
+
+TEST(ValueCatalogTest, ArenaGrowthKeepsEveryTextAndId) {
+  ValueCatalog catalog;
+  catalog.Reserve(4, 8);  // far too small: the arena must regrow
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_EQ(catalog.Intern(static_cast<AttributeId>(i % 3),
+                             Numbered("value-", i)),
+              static_cast<ValueId>(i));
+  }
+  ASSERT_EQ(catalog.size(), 5000u);
+  for (int i = 0; i < 5000; ++i) {
+    const std::string text = Numbered("value-", i);
+    const auto attr = static_cast<AttributeId>(i % 3);
+    EXPECT_EQ(catalog.text_of(static_cast<ValueId>(i)), text);
+    EXPECT_EQ(catalog.attribute_of(static_cast<ValueId>(i)), attr);
+    EXPECT_EQ(catalog.Find(attr, text), static_cast<ValueId>(i));
+    EXPECT_EQ(catalog.Find(static_cast<AttributeId>(attr + 1), text),
+              kInvalidValueId);
+  }
+}
+
+TEST(ValueCatalogTest, InterningItsOwnTextUnderAnotherAttribute) {
+  // The text views the catalog's own arena, which the new value's
+  // append may move.
+  ValueCatalog catalog;
+  for (int i = 0; i < 100; ++i) catalog.Intern(0, Numbered("t", i));
+  for (ValueId v = 0; v < 100; ++v) {
+    const ValueId copy = catalog.Intern(1, catalog.text_of(v));
+    EXPECT_EQ(catalog.text_of(copy), Numbered("t", static_cast<int>(v)));
+    EXPECT_EQ(catalog.Intern(0, catalog.text_of(v)), v);
+  }
+  EXPECT_EQ(catalog.size(), 200u);
+}
+
+TEST(ValueCatalogTest, EmptyTextIsAValue) {
+  ValueCatalog catalog;
+  const ValueId empty = catalog.Intern(0, "");
+  const ValueId x = catalog.Intern(0, "x");
+  EXPECT_EQ(catalog.Find(0, ""), empty);
+  EXPECT_EQ(catalog.text_of(empty), "");
+  EXPECT_EQ(catalog.text_of(x), "x");
 }
 
 TEST(ValueCatalogTest, FindReturnsInvalidWhenAbsent) {
@@ -133,9 +184,19 @@ TEST(TableTest, AddRecordFromValueIdsValidatesInterning) {
   ASSERT_TRUE(schema.AddAttribute("A").ok());
   Table table(std::move(schema));
   ValueId v = table.mutable_catalog().Intern(0, "x");
-  ASSERT_TRUE(table.AddRecordFromValueIds({v}).ok());
-  EXPECT_EQ(table.AddRecordFromValueIds({v + 100}).status().code(),
+  const std::vector<ValueId> interned = {v};
+  const std::vector<ValueId> foreign = {v + 100};
+  ASSERT_TRUE(table.AddRecordFromValueIds(interned).ok());
+  EXPECT_EQ(table.AddRecordFromValueIds(foreign).status().code(),
             StatusCode::kInvalidArgument);
+  // The rejected record leaves no trace in the record store.
+  ASSERT_EQ(table.num_records(), 1u);
+  EXPECT_EQ(std::vector<ValueId>(table.record(0).begin(),
+                                 table.record(0).end()),
+            interned);
+  ASSERT_TRUE(table.AddRecordFromValueIds(interned).ok());
+  EXPECT_EQ(table.record(1).size(), 1u);
+  EXPECT_EQ(table.value_frequency(v), 2u);
 }
 
 TEST(TableTest, MultiValuedAttributeWithinOneRecord) {

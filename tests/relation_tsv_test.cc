@@ -75,13 +75,13 @@ TEST(TsvTest, RoundTripPreservesContent) {
       want.insert(
           original.schema()
               .attribute(original.catalog().attribute_of(v)).name +
-          "=" + original.catalog().text_of(v));
+          "=" + std::string(original.catalog().text_of(v)));
     }
     for (ValueId v : reread->record(r)) {
       got.insert(
           reread->schema()
               .attribute(reread->catalog().attribute_of(v)).name +
-          "=" + reread->catalog().text_of(v));
+          "=" + std::string(reread->catalog().text_of(v)));
     }
     EXPECT_EQ(want, got) << "record " << r;
   }

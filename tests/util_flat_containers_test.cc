@@ -1,13 +1,14 @@
 // Unit + randomized differential coverage for the flat hash containers
-// and the chunked arena backing the CSR hot paths (src/util/flat_hash.h,
-// src/util/chunked_arena.h). The random sections drive each container
-// against its STL reference under a fixed seed so any divergence is a
-// deterministic repro.
+// (FlatIdIndex included) and the chunked arena backing the CSR hot paths
+// (src/util/flat_hash.h, src/util/chunked_arena.h). The random sections
+// drive each container against its STL reference under a fixed seed so
+// any divergence is a deterministic repro.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -175,6 +176,85 @@ TEST(FlatCountMap32Test, MatchesUnorderedMapUnderRandomOps) {
   for (const auto& [count, keys] : with_count) {
     EXPECT_EQ(map.CountEquals(count), keys) << count;
   }
+}
+
+// "k<i>".
+std::string Key(int i) {
+  std::string key = "k";
+  key += std::to_string(i);
+  return key;
+}
+
+// FlatIdIndex over keys kept by the test, as the value catalog keeps
+// its texts: ids are positions in `keys`.
+struct KeyedIndex {
+  FlatIdIndex index;
+  std::vector<std::string> keys;
+
+  uint32_t FindOrInsert(const std::string& key, uint64_t hash) {
+    const auto next = static_cast<uint32_t>(keys.size());
+    const uint32_t id = index.FindOrInsert(
+        hash, next, [&](uint32_t v) { return keys[v] == key; });
+    if (id == next) keys.push_back(key);
+    return id;
+  }
+  uint32_t Find(const std::string& key, uint64_t hash) const {
+    return index.Find(hash, [&](uint32_t v) { return keys[v] == key; });
+  }
+};
+
+TEST(FlatIdIndexTest, MatchesUnorderedMapUnderRandomOps) {
+  KeyedIndex index;
+  std::unordered_map<std::string, uint32_t> reference;
+  std::mt19937_64 rng(5);
+  std::uniform_int_distribution<int> any(0, 20000);
+  for (int i = 0; i < 60000; ++i) {
+    const std::string key = Key(any(rng));
+    const uint64_t hash = FlatHashText(key);
+    auto it = reference.find(key);
+    if (rng() % 3 == 0) {
+      ASSERT_EQ(index.Find(key, hash),
+                it == reference.end() ? FlatIdIndex::kAbsent : it->second);
+    } else {
+      const uint32_t id = index.FindOrInsert(key, hash);
+      if (it == reference.end()) {
+        ASSERT_EQ(id, reference.size());
+        reference.emplace(key, id);
+      } else {
+        ASSERT_EQ(id, it->second);
+      }
+    }
+    ASSERT_EQ(index.index.size(), reference.size());
+  }
+}
+
+TEST(FlatIdIndexTest, EqualTagsFallBackToTheKeyComparison) {
+  // Every key under one hash: each probe meets equal tags and must
+  // decide by the caller's comparison alone.
+  KeyedIndex index;
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_EQ(index.FindOrInsert(Key(i), 42), i);
+  }
+  for (int i = 0; i < 300; ++i) {
+    EXPECT_EQ(index.Find(Key(i), 42), i);
+    EXPECT_EQ(index.FindOrInsert(Key(i), 42), i);
+  }
+  EXPECT_EQ(index.Find(Key(300), 42), FlatIdIndex::kAbsent);
+  EXPECT_EQ(index.index.size(), 300u);
+}
+
+TEST(FlatIdIndexTest, ReserveAvoidsGrowth) {
+  KeyedIndex index;
+  index.index.Reserve(1000);
+  const size_t capacity = index.index.capacity();
+  for (int i = 0; i < 1000; ++i) {
+    const std::string key = Key(i);
+    index.FindOrInsert(key, FlatHashText(key));
+  }
+  EXPECT_EQ(index.index.capacity(), capacity);
+  // Reserving less than the table holds never shrinks it.
+  index.index.Reserve(10);
+  EXPECT_EQ(index.index.capacity(), capacity);
 }
 
 TEST(ChunkedArenaTest, AppendAndReadBackSingleRow) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <tuple>
 #include <vector>
 
 #include "src/util/random.h"
@@ -56,47 +58,51 @@ TEST(ZipfSamplerTest, SingleItemAlwaysRankZero) {
   for (int i = 0; i < 20; ++i) EXPECT_EQ(zipf.Sample(rng), 0u);
 }
 
-class FastZipfParamTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, double>> {};
+// The guide table must return exactly the rank std::lower_bound over the
+// CDF returns, at every CDF entry and one ulp to either side of it,
+// where an off-by-one bucket would show.
+class ZipfGuideTableTest
+    : public ::testing::TestWithParam<std::tuple<uint32_t, double>> {};
 
-TEST_P(FastZipfParamTest, StaysInRangeAndHitsHead) {
+uint32_t LowerBoundRank(const std::vector<double>& cdf, double u) {
+  auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  if (it == cdf.end()) --it;
+  return static_cast<uint32_t>(it - cdf.begin());
+}
+
+TEST_P(ZipfGuideTableTest, RankAtEqualsLowerBound) {
   auto [n, s] = GetParam();
-  FastZipfSampler zipf(n, s);
-  Pcg32 rng(77);
-  uint64_t head_hits = 0;
-  for (int i = 0; i < 20000; ++i) {
-    uint64_t k = zipf.Sample(rng);
-    ASSERT_LT(k, n);
-    if (k == 0) ++head_hits;
+  ZipfSampler zipf(n, s);
+  // The reference CDF is computed as the constructor computes it; Pmf()
+  // confirms both hold the same doubles.
+  std::vector<double> cdf(n);
+  double total = 0.0;
+  for (uint32_t i = 0; i < n; ++i) {
+    total += 1.0 / std::pow(static_cast<double>(i) + 1.0, s);
+    cdf[i] = total;
   }
-  // Rank 0 is the most probable rank for any positive exponent.
-  EXPECT_GT(head_hits, 0u);
+  for (uint32_t i = 0; i < n; ++i) cdf[i] /= total;
+  cdf.back() = 1.0;
+  for (uint32_t i = 0; i < n; ++i) {
+    ASSERT_EQ(zipf.Pmf(i), i == 0 ? cdf[0] : cdf[i] - cdf[i - 1]) << i;
+  }
+
+  std::vector<double> probes = {0.0, std::nextafter(1.0, 0.0)};
+  for (double c : cdf) {
+    probes.push_back(c);
+    probes.push_back(std::nextafter(c, 0.0));
+    probes.push_back(std::nextafter(c, 2.0));
+  }
+  for (double u : probes) {
+    ASSERT_EQ(zipf.RankAt(u), LowerBoundRank(cdf, u))
+        << "n=" << n << " s=" << s << " u=" << u;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, FastZipfParamTest,
-    ::testing::Values(std::make_tuple(10ull, 0.5),
-                      std::make_tuple(1000ull, 0.99),
-                      std::make_tuple(1000ull, 1.0),
-                      std::make_tuple(100000ull, 1.2),
-                      std::make_tuple(5ull, 2.0)));
-
-TEST(FastZipfSamplerTest, AgreesWithExactSamplerOnHeadMass) {
-  // Compare empirical head-rank frequency of the two samplers.
-  constexpr uint64_t kN = 500;
-  constexpr double kS = 1.1;
-  ZipfSampler exact(kN, kS);
-  FastZipfSampler fast(kN, kS);
-  Pcg32 rng1(5), rng2(5);
-  constexpr int kDraws = 100000;
-  int exact_head = 0, fast_head = 0;
-  for (int i = 0; i < kDraws; ++i) {
-    if (exact.Sample(rng1) < 3) ++exact_head;
-    if (fast.Sample(rng2) < 3) ++fast_head;
-  }
-  EXPECT_NEAR(static_cast<double>(exact_head) / kDraws,
-              static_cast<double>(fast_head) / kDraws, 0.01);
-}
+    Shapes, ZipfGuideTableTest,
+    ::testing::Combine(::testing::Values(1u, 2u, 7u, 1000u, 150000u),
+                       ::testing::Values(0.0, 0.8, 0.9, 1.0, 1.2)));
 
 }  // namespace
 }  // namespace deepcrawl

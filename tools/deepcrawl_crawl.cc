@@ -41,6 +41,8 @@
 //   deepcrawl_crawl --workload=ebay --policy=greedy ...
 //       --connect=127.0.0.1:9317 --connections=8 --batch=32
 
+#include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -156,10 +158,21 @@ Status WriteHarvest(const Table& target, const LocalStore& store,
   return Status::OK();
 }
 
+// Wall-clock seconds since `start`, printed with millisecond precision.
+std::string SecondsSince(std::chrono::steady_clock::time_point start) {
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  char text[32];
+  std::snprintf(text, sizeof(text), "%.3f s", elapsed.count());
+  return text;
+}
+
 Status Run(const Options& options) {
   std::optional<AdversarialGroundTruth> adv;
+  const auto generate_start = std::chrono::steady_clock::now();
   DEEPCRAWL_ASSIGN_OR_RETURN(Table target,
                              LoadTargetTable(options.workload, adv));
+  const std::string generate_time = SecondsSince(generate_start);
   std::cout << "target: " << target.num_records() << " records, "
             << target.num_distinct_values() << " distinct values, "
             << target.schema().num_attributes() << " attributes\n";
@@ -192,7 +205,12 @@ Status Run(const Options& options) {
     server_options.result_limit = adv->result_limit;
   }
   server_options.reports_total_count = options.counts;
+  const auto index_start = std::chrono::steady_clock::now();
   WebDbServer backend(target, server_options);
+  // Wall-clock, so outside the determinism contract (traces and CSVs
+  // carry no time).
+  std::cout << "setup: generate " << generate_time << ", index "
+            << SecondsSince(index_start) << "\n";
 
   const bool network = !options.connect.empty();
 
