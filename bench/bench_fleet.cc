@@ -8,13 +8,11 @@
 // 90% of its aggregate target, for each scheduler, at 0% / 10% / 30%
 // transient-failure rates. Every scheduler pays the same total rounds
 // (each must finish every source); they differ in when the records
-// arrive. Measured (BENCH_fleet.json): marginal-harvest reaches 90% in
-// fewer rounds than round-robin at 0% faults (761 vs 818) and at 10%
-// (848 vs 913), but not at 30% (1,331 vs 1,251): the health discount
-// does not steer rounds away from failing sources well enough to beat
-// plain rotation under heavy faults. Its failure EWMA (alpha 0.4) and
-// the breaker's error_ewma_ (alpha 0.3) estimate the same per-turn
-// failure rate, failed fetches per round granted.
+// arrive. Marginal-harvest ranks sources by their last turn's new
+// records per consumed round, so a failing source pays for its failed
+// fetches in the rate itself. Measured (BENCH_fleet.json): it reaches
+// 90% in fewer rounds than round-robin at every fault rate — 761 vs 818
+// at 0%, 865 vs 913 at 10%, 1,239 vs 1,251 at 30%.
 //
 // Fixed seeds end to end: every cell is deterministic, so the committed
 // BENCH_fleet.json baseline gates regressions exactly (tools/check.sh
@@ -40,7 +38,7 @@ int main(int argc, char** argv) {
   bench::PrintBanner(
       "Fleet scheduler ablation: rounds to 90% aggregate coverage",
       "single-database crawls in the paper; the fleet schedules rounds "
-      "across sources by health-discounted marginal harvest rate",
+      "across sources by each one's last-turn marginal harvest rate",
       "6 heterogeneous sources (ebay/acm/dblp/imdb cycle) at scale " +
           TablePrinter::FormatDouble(kScale, 3) +
           ", greedy-link selection per source, fault rates 0%/10%/30%");

@@ -62,11 +62,9 @@ void AdaptiveSelector::OnQueryCompleted(const QueryOutcome& outcome) {
   // failures (the paper's cost measure, Definition 2.3).
   uint32_t rounds =
       std::max<uint32_t>(1, outcome.pages_fetched + outcome.fetch_failures);
-  double hr = static_cast<double>(outcome.new_records) /
-              static_cast<double>(rounds);
-  double err = static_cast<double>(outcome.fetch_failures) /
-               static_cast<double>(rounds);
-  estimator_.Observe(options_.ewma_alpha, hr, err);
+  estimator_.Observe(options_.ewma_alpha,
+                     static_cast<double>(outcome.new_records) /
+                         static_cast<double>(rounds));
   ++phase_queries_;
   peak_hr_ = std::max(peak_hr_, estimator_.hr);
   if (active_ + 1 < children_.size() &&

@@ -6,9 +6,9 @@
 // hand-picked policy per source kind (structured / textual / mixed),
 // one meta-selector wraps an ordered chain of registered selectors —
 // canonically GL → GL+MMMI → term-weight — and advances down the chain
-// when a windowed harvest-rate estimator (the same EWMA CrawlFleet's
-// marginal-harvest scheduler uses, src/crawler/harvest_rate.h) decays
-// past a fraction of its per-phase peak or under an absolute floor.
+// when a windowed harvest-rate estimator (an EWMA of new records per
+// round, src/crawler/harvest_rate.h) decays past a fraction of its
+// per-phase peak or under an absolute floor.
 //
 // Mechanics: every child observes the full crawl event stream
 // (OnValueDiscovered / OnRecordHarvested / OnQueryCompleted /

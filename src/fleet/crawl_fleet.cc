@@ -6,7 +6,6 @@
 
 #include "src/crawler/checkpoint.h"
 #include "src/crawler/greedy_link_selector.h"
-#include "src/crawler/harvest_rate.h"
 #include "src/crawler/mmmi_selector.h"
 #include "src/crawler/naive_selectors.h"
 #include "src/datagen/canned_workloads.h"
@@ -58,10 +57,9 @@ struct CrawlFleet::Source {
   // scheduled again, pushed forward by the server's retry-after hints.
   uint64_t not_before = 0;
   uint64_t turns = 0;
-  // Marginal-harvest health: EWMAs of records-per-round and
-  // failures-per-round over granted turns (shared estimator, see
-  // src/crawler/harvest_rate.h).
-  HarvestRateEwma health;
+  // Marginal-harvest score: new records per consumed round over the last
+  // granted turn that consumed any.
+  double last_hr = 0.0;
   bool finished = false;
   StopReason stop_reason = StopReason::kRoundBudget;
   // Hard failure that abandoned the source (fleet kept going).
@@ -79,10 +77,6 @@ CrawlFleet::CrawlFleet(std::vector<FleetSourceSpec> specs,
       << "politeness refill rate must be positive";
   DEEPCRAWL_CHECK(options_.politeness.burst >= 1.0)
       << "politeness burst must afford at least one round";
-  DEEPCRAWL_CHECK(options_.hr_ewma_alpha > 0.0 && options_.hr_ewma_alpha <= 1.0)
-      << "hr_ewma_alpha must be in (0, 1]";
-  DEEPCRAWL_CHECK(options_.hr_floor > 0.0)
-      << "hr_floor must be positive (keeps dry sources schedulable)";
 
   if (options_.threads > 1) {
     executor_ = std::make_unique<ThreadPoolFetchExecutor>(options_.threads);
@@ -208,23 +202,15 @@ uint32_t CrawlFleet::Pick(const std::vector<uint32_t>& eligible) const {
       for (uint32_t i : eligible) {
         if (sources_[i].breaker.state() == BreakerState::kOpen) return i;
       }
-      // Optimism under uncertainty: a never-sampled source outranks any
-      // measured score, so every source gets one exploratory turn before
-      // the fleet commits rounds by measured harvest rate — otherwise
-      // the first source sampled wins every comparison against the
-      // others' hr_floor and the policy degenerates to sequential.
+      // Optimism under uncertainty: a source with no granted turn yet
+      // outranks any measured rate, so every source gets one exploratory
+      // turn before the fleet commits rounds by harvest rate.
       for (uint32_t i : eligible) {
-        if (!sources_[i].health.seen) return i;
+        if (sources_[i].turns == 0) return i;
       }
       uint32_t best = eligible.front();
-      double best_score = -1.0;
       for (uint32_t i : eligible) {
-        const Source& src = sources_[i];
-        double score = src.health.Score(options_.hr_floor);
-        if (score > best_score) {
-          best_score = score;
-          best = i;
-        }
+        if (sources_[i].last_hr > sources_[best].last_hr) best = i;
       }
       return best;
     }
@@ -280,11 +266,8 @@ Status CrawlFleet::RunTurn(uint32_t i) {
         std::max(src.not_before, clock_ + res.max_retry_after_hint);
   }
   if (consumed > 0) {
-    double hr = static_cast<double>(new_records) /
-                static_cast<double>(consumed);
-    double err = static_cast<double>(failures) /
-                 static_cast<double>(consumed);
-    src.health.Observe(options_.hr_ewma_alpha, hr, err);
+    src.last_hr =
+        static_cast<double>(new_records) / static_cast<double>(consumed);
   }
   src.breaker.OnTurn(clock_, consumed, failures, new_records);
 
@@ -470,6 +453,9 @@ StatusOr<std::vector<FleetSourceSpec>> MakeFleetSourceSpecs(
       {"dblp", [](double s, uint64_t seed) { return DblpConfig(s, seed); }},
       {"imdb", [](double s, uint64_t seed) { return ImdbConfig(s, seed); }},
   };
+  if (!(scale > 0.0 && scale <= 1.0)) {
+    return Status::InvalidArgument("scale must be in (0, 1]");
+  }
   std::vector<FleetSourceSpec> specs;
   specs.reserve(num_sources);
   for (uint32_t i = 0; i < num_sources; ++i) {
@@ -530,8 +516,6 @@ void WriteFingerprint(CheckpointWriter& writer, const FleetOptions& options,
   writer.WriteDouble(options.retry.backoff_multiplier);
   writer.WriteDouble(options.retry.jitter);
   writer.WriteU32(options.retry.max_requeues);
-  writer.WriteDouble(options.hr_ewma_alpha);
-  writer.WriteDouble(options.hr_floor);
   writer.WriteU64(options.chaos.size());
   for (const ChaosEvent& event : options.chaos) {
     writer.WriteU32(event.source);

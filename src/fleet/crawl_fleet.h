@@ -5,8 +5,8 @@
 // a production crawler running hundreds of heterogeneous sources
 // concurrently, where the portfolio analogue of per-query HR(q) is
 // allocating the next wave of rounds to the SOURCE with the best
-// health-discounted marginal harvest rate. The fleet owns one full
-// crawl stack per source —
+// marginal harvest rate. The fleet owns one full crawl stack per
+// source —
 //
 //   Table → WebDbServer → FaultyServer (keyed, per-source derived seed)
 //         [→ LockedQueryInterface] → CrawlEngine
@@ -69,11 +69,11 @@
 namespace deepcrawl {
 
 // How the scheduler picks the next turn's source among the eligible:
-//   * kMarginalHarvest — sources due a breaker probe first, then the
-//     best health-discounted marginal harvest rate,
-//       score = max(HR-EWMA, hr_floor) · max(0, 1 − failure-EWMA),
-//     ties to the lowest id (the paper's HR(q) ranking, lifted from
-//     queries to sources);
+//   * kMarginalHarvest — sources due a breaker probe first, then sources
+//     with no granted turn yet, then the best marginal harvest rate:
+//     new records per consumed round over the source's last turn, ties
+//     to the lowest id (the paper's HR(q) ranking, lifted from queries to
+//     sources; a failed fetch already costs its round in the rate);
 //   * kRoundRobin — cycle through eligible sources;
 //   * kSequential — drain the lowest-id eligible source to completion
 //     first (the naive baseline the bench compares against).
@@ -133,10 +133,6 @@ struct FleetOptions {
   // the source's derived seed.
   RetryPolicyConfig retry;
   ChaosSchedule chaos;
-  // Health EWMA for the marginal-harvest score, and the optimistic floor
-  // that keeps a not-yet-sampled or temporarily-dry source schedulable.
-  double hr_ewma_alpha = 0.4;
-  double hr_floor = 0.05;
   // Invoke `checkpoint_sink` after every N completed turns (0 = never);
   // turn boundaries are the fleet's durable points.
   uint64_t checkpoint_every_turns = 0;
@@ -182,7 +178,7 @@ class CrawlFleet {
   // stopped; a fleet resumed from a checkpoint taken there continues
   // identically. It is NOT the same as one run under the raised budget:
   // the turn that hits the cap gets a grant clamped to the rounds left,
-  // so the health and breaker observations after it, and thus later
+  // so the harvest-rate and breaker observations after it, and thus later
   // picks, can differ. Per-source hard failures do NOT fail the fleet
   // (isolation); only checkpoint-sink failures do.
   StatusOr<FleetResult> Run();
@@ -215,8 +211,8 @@ class CrawlFleet {
   // requires a freshly constructed fleet whose specs/options match the
   // checkpointing run. It replays the turns with the checkpoint sink
   // silent, each engine serving its fetches from its log, so everything
-  // else — clock, breakers, buckets, health, trace — comes from the same
-  // scheduler code that produced it; resume therefore costs the CPU of
+  // else — clock, breakers, buckets, harvest rates, trace — comes from the
+  // same scheduler code that produced it; resume therefore costs the CPU of
   // the turns already run. An image whose parts disagree is rejected
   // with a clean error; on error the fleet must be discarded.
   Status SaveState(CheckpointWriter& writer) const;
@@ -311,7 +307,10 @@ Status WriteFleetTraceCsv(const FleetResult& result, std::ostream& output);
 // v1009: fleet format 2 over engine payload version 8: inputs only (the
 //        budget marks and turn count above); scheduler, breaker, bucket
 //        and health state are rebuilt by replaying the turns.
-inline constexpr uint32_t kFleetCheckpointVersion = 1009;
+// v1010: format 2 over engine payload version 8, with the fingerprint's
+//        two harvest-EWMA knobs (hr_ewma_alpha, hr_floor) dropped along
+//        with the options.
+inline constexpr uint32_t kFleetCheckpointVersion = 1010;
 
 inline constexpr uint32_t kSectionFleet = 0x54454c46;        // "FLET"
 inline constexpr uint32_t kSectionFleetSource = 0x43525346;  // "FSRC"

@@ -138,4 +138,15 @@ std::string FlagParser::HelpText() const {
   return out.str();
 }
 
+Status CheckFlagRange(const std::string& name, int64_t value, int64_t min,
+                      int64_t max) {
+  if (value >= min && value <= max) return Status::OK();
+  std::string range = max == INT64_MAX
+                          ? ">= " + std::to_string(min)
+                          : "in [" + std::to_string(min) + ", " +
+                                std::to_string(max) + "]";
+  return Status::InvalidArgument("--" + name + " must be " + range +
+                                 ", got " + std::to_string(value));
+}
+
 }  // namespace deepcrawl

@@ -59,6 +59,12 @@ class FlagParser {
   std::vector<std::string> positional_;
 };
 
+// kInvalidArgument unless min <= value <= max: integer flags are parsed
+// as int64_t, and the unsigned or narrower fields they fill would wrap a
+// value out of range instead of rejecting it.
+Status CheckFlagRange(const std::string& name, int64_t value, int64_t min,
+                      int64_t max = INT64_MAX);
+
 }  // namespace deepcrawl
 
 #endif  // DEEPCRAWL_UTIL_FLAGS_H_

@@ -195,6 +195,119 @@ TEST(CrawlFleetTest, MarginalHarvestOutrunsSequentialToFirstCoverage) {
             run(SchedulerPolicy::kSequential));
 }
 
+TEST(CrawlFleetTest, MarginalHarvestPicksBestLastTurnRate) {
+  // Pins the marginal-harvest rule turn by turn: a due breaker probe
+  // first, then the lowest-id source with no turn yet, then the eligible
+  // source whose last turn harvested the most new records per consumed
+  // round, ties to the lowest id. One source fails transiently, so its
+  // failed fetches cost rounds in its rate. Under the default politeness
+  // the bucket never runs dry and no 429 is injected, so eligibility is
+  // the breaker alone.
+  std::vector<FleetSourceSpec> specs = [] {
+    StatusOr<std::vector<FleetSourceSpec>> made =
+        MakeFleetSourceSpecs(3, /*scale=*/0.003, /*target_coverage=*/0.0);
+    DEEPCRAWL_CHECK(made.ok()) << made.status().ToString();
+    return std::move(*made);
+  }();
+  specs[1].faults.unavailable_rate = 0.2;
+  specs[1].faults.timeout_rate = 0.1;
+
+  // What the next pick can see: every source's counters and breaker as
+  // of the last turn boundary.
+  struct Snapshot {
+    uint64_t clock = 0;
+    uint64_t idle_ticks = 0;
+    std::vector<uint64_t> turns, rounds, records;
+    std::vector<bool> active;
+    std::vector<CircuitBreaker> breakers;
+  };
+  auto snapshot = [](const CrawlFleet& fleet) {
+    Snapshot s;
+    s.clock = fleet.clock();
+    s.idle_ticks = fleet.idle_ticks();
+    for (uint32_t i = 0; i < fleet.num_sources(); ++i) {
+      SourceDegradation d = fleet.DegradationOf(i);
+      s.turns.push_back(d.turns);
+      s.rounds.push_back(fleet.engine(i).rounds_used());
+      s.records.push_back(fleet.store(i).num_records());
+      s.active.push_back(!d.finished && !d.abandoned);
+      s.breakers.push_back(fleet.breaker(i));
+    }
+    return s;
+  };
+
+  std::vector<Snapshot> boundaries;
+  FleetOptions options;
+  options.turn_rounds = 8;
+  options.checkpoint_every_turns = 1;  // observe every turn boundary
+  options.checkpoint_sink = [&](const CrawlFleet& fleet) {
+    boundaries.push_back(snapshot(fleet));
+    return Status::OK();
+  };
+  CrawlFleet fleet(std::move(specs), options);
+  boundaries.push_back(snapshot(fleet));
+  ASSERT_TRUE(fleet.Run().ok());
+  ASSERT_EQ(boundaries.size(), fleet.turns_completed() + 1);
+
+  std::vector<double> last_hr(3, 0.0);
+  size_t rate_picks = 0;
+  for (size_t t = 0; t + 1 < boundaries.size(); ++t) {
+    const Snapshot& before = boundaries[t];
+    const Snapshot& after = boundaries[t + 1];
+    uint32_t picked = 3;
+    for (uint32_t i = 0; i < 3; ++i) {
+      if (after.turns[i] != before.turns[i]) {
+        ASSERT_EQ(picked, 3u) << "turn " << t << " went to two sources";
+        picked = i;
+      }
+    }
+    ASSERT_LT(picked, 3u) << "turn " << t << " went to no source";
+
+    // The pick happened after the idle ticks of this step.
+    const uint64_t now = before.clock + (after.idle_ticks - before.idle_ticks);
+    std::vector<uint32_t> eligible;
+    for (uint32_t i = 0; i < 3; ++i) {
+      if (before.active[i] && before.breakers[i].CanAdmit(now)) {
+        eligible.push_back(i);
+      }
+    }
+    ASSERT_FALSE(eligible.empty()) << "turn " << t;
+    auto first = [&](auto pred) {
+      for (uint32_t i : eligible) {
+        if (pred(i)) return i;
+      }
+      return 3u;
+    };
+    const uint32_t probe = first([&](uint32_t i) {
+      return before.breakers[i].state() == BreakerState::kOpen;
+    });
+    const uint32_t fresh =
+        first([&](uint32_t i) { return before.turns[i] == 0; });
+    const bool by_rate = probe == 3 && fresh == 3;
+    uint32_t expected = probe < 3 ? probe : fresh;
+    if (by_rate) {
+      expected = eligible.front();
+      for (uint32_t i : eligible) {
+        if (last_hr[i] > last_hr[expected]) expected = i;
+      }
+    }
+    ASSERT_EQ(picked, expected)
+        << "turn " << t << ": last-turn rates " << last_hr[0] << ", "
+        << last_hr[1] << ", " << last_hr[2];
+    rate_picks += by_rate ? 1 : 0;
+
+    const uint64_t consumed = after.rounds[picked] - before.rounds[picked];
+    if (consumed > 0) {
+      last_hr[picked] =
+          static_cast<double>(after.records[picked] - before.records[picked]) /
+          static_cast<double>(consumed);
+    }
+  }
+  // The rule, not the overrides, made most of the picks.
+  EXPECT_GT(rate_picks, boundaries.size() / 2);
+  EXPECT_GT(fleet.engine(1).trace().resilience().transient_failures, 0u);
+}
+
 TEST(CrawlFleetTest, SchedulerPolicyNamesRoundTrip) {
   for (SchedulerPolicy policy :
        {SchedulerPolicy::kMarginalHarvest, SchedulerPolicy::kRoundRobin,
@@ -830,15 +943,19 @@ TEST(CrawlFleetTest, InconsistentImagesAreCleanErrors) {
 }
 
 TEST(CrawlFleetTest, VersionMismatchIsRejected) {
-  std::string image = SmallFleetImage();
-  uint32_t bogus = kFleetCheckpointVersion + 1;
-  for (int b = 0; b < 4; ++b) {
-    image[4 + b] = static_cast<char>((bogus >> (8 * b)) & 0xFF);
+  // The previous format (its fingerprint still carried the harvest-EWMA
+  // knobs) and a future one are both refused.
+  for (uint32_t bogus :
+       {kFleetCheckpointVersion - 1, kFleetCheckpointVersion + 1}) {
+    std::string image = SmallFleetImage();
+    for (int b = 0; b < 4; ++b) {
+      image[4 + b] = static_cast<char>((bogus >> (8 * b)) & 0xFF);
+    }
+    Status status = TryDecodeFleet(image);
+    ASSERT_FALSE(status.ok()) << bogus;
+    EXPECT_NE(status.message().find("version"), std::string::npos)
+        << status.ToString();
   }
-  Status status = TryDecodeFleet(image);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("version"), std::string::npos)
-      << status.ToString();
 }
 
 // An engine checkpoint is never accepted as a fleet checkpoint: the two

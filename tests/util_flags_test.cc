@@ -92,6 +92,20 @@ TEST(FlagParserTest, BadValuesRejected) {
   EXPECT_FALSE(ParseArgs(parser, {"--flag=maybe"}).ok());
 }
 
+TEST(FlagParserTest, CheckFlagRangeBoundsAreInclusive) {
+  EXPECT_TRUE(CheckFlagRange("seeds", 1, 1).ok());
+  EXPECT_TRUE(CheckFlagRange("seeds", INT64_MAX, 1).ok());
+  EXPECT_TRUE(CheckFlagRange("batch", 4294967295, 1, 4294967295).ok());
+
+  Status below = CheckFlagRange("seeds", -1, 1);
+  EXPECT_EQ(below.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(below.message(), "--seeds must be >= 1, got -1");
+  Status above = CheckFlagRange("batch", 4294967296, 1, 4294967295);
+  EXPECT_EQ(above.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(above.message(),
+            "--batch must be in [1, 4294967295], got 4294967296");
+}
+
 TEST(FlagParserTest, MissingValueRejected) {
   int64_t count = 0;
   FlagParser parser;

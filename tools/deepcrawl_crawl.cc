@@ -167,7 +167,27 @@ std::string SecondsSince(std::chrono::steady_clock::time_point start) {
   return text;
 }
 
+// Range checks that run before the target is built, so a count or budget
+// out of range is refused instead of wrapping on the unsigned casts in Run.
+Status ValidateFlags(const Options& options) {
+  constexpr int64_t kU32 = std::numeric_limits<uint32_t>::max();
+  DEEPCRAWL_RETURN_IF_ERROR(CheckFlagRange("seeds", options.num_seeds, 1));
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("max-rounds", options.max_rounds, 0));
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("retry-attempts", options.retry_attempts, 1, kU32));
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("retry-requeues", options.retry_requeues, 0, kU32));
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("threads", options.threads, 1, kU32));
+  DEEPCRAWL_RETURN_IF_ERROR(CheckFlagRange("batch", options.batch, 1, kU32));
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("latency-us", options.latency_us, 0));
+  return CheckFlagRange("checkpoint-every", options.checkpoint_every, 0);
+}
+
 Status Run(const Options& options) {
+  DEEPCRAWL_RETURN_IF_ERROR(ValidateFlags(options));
   std::optional<AdversarialGroundTruth> adv;
   const auto generate_start = std::chrono::steady_clock::now();
   DEEPCRAWL_ASSIGN_OR_RETURN(Table target,
@@ -231,14 +251,6 @@ Status Run(const Options& options) {
               << " truncate=" << profile.truncate_rate
               << " duplicate=" << profile.duplicate_rate << "\n";
   }
-  // The engine's widths are uint32_t: reject what narrowing would wrap.
-  constexpr int64_t kMaxWidth = std::numeric_limits<uint32_t>::max();
-  if (options.threads < 1 || options.threads > kMaxWidth) {
-    return Status::InvalidArgument("--threads must be in [1, 2^32 - 1]");
-  }
-  if (options.batch < 1 || options.batch > kMaxWidth) {
-    return Status::InvalidArgument("--batch must be in [1, 2^32 - 1]");
-  }
   if (network && options.threads > 1) {
     return Status::InvalidArgument(
         "--connect pipelines over --connections, not threads; drop "
@@ -250,8 +262,10 @@ Status Run(const Options& options) {
         "latency is real (pass --latency-us to deepcrawl_serve to add "
         "artificial delay)");
   }
-  if (network && (options.connections < 1 || options.connections > kMaxWidth)) {
-    return Status::InvalidArgument("--connections must be in [1, 2^32 - 1]");
+  if (network) {
+    DEEPCRAWL_RETURN_IF_ERROR(CheckFlagRange(
+        "connections", options.connections, 1,
+        std::numeric_limits<uint32_t>::max()));
   }
   bool parallel = !network && (options.threads > 1 || options.batch > 1);
   if (faulty.has_value() && (options.fault.fault_keyed || parallel)) {
@@ -310,12 +324,6 @@ Status Run(const Options& options) {
     }
   }
 
-  if (options.retry_attempts < 1) {
-    return Status::InvalidArgument("--retry-attempts must be >= 1");
-  }
-  if (options.retry_requeues < 0) {
-    return Status::InvalidArgument("--retry-requeues must be >= 0");
-  }
   RetryPolicyConfig retry_config;
   retry_config.max_attempts = static_cast<uint32_t>(options.retry_attempts);
   retry_config.max_requeues = static_cast<uint32_t>(options.retry_requeues);
@@ -349,9 +357,6 @@ Status Run(const Options& options) {
         options.saturation * static_cast<double>(target.num_records()));
   }
 
-  if (options.checkpoint_every < 0) {
-    return Status::InvalidArgument("--checkpoint-every must be >= 0");
-  }
   if (options.checkpoint_every > 0 && options.checkpoint.empty()) {
     return Status::InvalidArgument(
         "--checkpoint-every needs --checkpoint=<path>");

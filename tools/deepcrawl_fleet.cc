@@ -97,18 +97,44 @@ StatusOr<FaultProfile> BuildFaultProfile(const Options& options) {
   return profile;
 }
 
+// Every count, budget and width flag is checked against the range of the
+// field it fills, so nothing wraps on the casts below or trips a CHECK in
+// the fleet (the two seeds take any value).
+Status ValidateFlags(const Options& options) {
+  constexpr int64_t kU32 = std::numeric_limits<uint32_t>::max();
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("sources", options.sources, 1, kU32));
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("threads", options.threads, 1, kU32));
+  DEEPCRAWL_RETURN_IF_ERROR(CheckFlagRange("batch", options.batch, 1, kU32));
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("latency-us", options.latency_us, 0));
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("seeds", options.num_seeds, 1, kU32));
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("fault-retry-after", options.fault_retry_after, 0, kU32));
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("retry-attempts", options.retry_attempts, 1, kU32));
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("retry-requeues", options.retry_requeues, 0, kU32));
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("max-rounds", options.max_rounds, 0));
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("turn-rounds", options.turn_rounds, 1));
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("source-deadline", options.source_deadline, 0));
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("checkpoint-every", options.checkpoint_every, 0));
+  if (options.policy != "greedy" && options.policy != "mmmi" &&
+      options.policy != "bfs" && options.policy != "dfs") {
+    return Status::InvalidArgument("unknown --policy '" + options.policy +
+                                   "' (greedy|mmmi|bfs|dfs)");
+  }
+  return Status::OK();
+}
+
 Status Run(const Options& options) {
-  if (options.sources < 1) {
-    return Status::InvalidArgument("--sources must be >= 1");
-  }
-  // Engine widths are uint32_t: reject what narrowing would wrap.
-  constexpr int64_t kMaxWidth = std::numeric_limits<uint32_t>::max();
-  if (options.threads < 1 || options.threads > kMaxWidth) {
-    return Status::InvalidArgument("--threads must be in [1, 2^32 - 1]");
-  }
-  if (options.batch < 1 || options.batch > kMaxWidth) {
-    return Status::InvalidArgument("--batch must be in [1, 2^32 - 1]");
-  }
+  DEEPCRAWL_RETURN_IF_ERROR(ValidateFlags(options));
   uint32_t num_sources = static_cast<uint32_t>(options.sources);
 
   DEEPCRAWL_ASSIGN_OR_RETURN(FaultProfile profile,
@@ -148,9 +174,6 @@ Status Run(const Options& options) {
     DEEPCRAWL_ASSIGN_OR_RETURN(
         fleet_options.chaos,
         ParseChaosSchedule(options.chaos, num_sources));
-  }
-  if (options.checkpoint_every < 0) {
-    return Status::InvalidArgument("--checkpoint-every must be >= 0");
   }
   if (options.checkpoint_every > 0 && options.checkpoint.empty()) {
     return Status::InvalidArgument(

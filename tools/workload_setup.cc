@@ -1,6 +1,8 @@
 #include "tools/workload_setup.h"
 
 #include <algorithm>
+#include <limits>
+#include <string_view>
 #include <utility>
 
 #include "src/datagen/adversarial_workload.h"
@@ -74,17 +76,18 @@ StatusOr<Table> LoadTargetTable(const WorkloadFlagOptions& options,
     adv->root_value = instance.root_value;
     return std::move(instance.table);
   }
-  if (options.workload == "ebay") {
-    return GenerateTable(EbayConfig(options.scale, options.gen_seed));
-  }
-  if (options.workload == "acm") {
-    return GenerateTable(AcmDlConfig(options.scale, options.gen_seed));
-  }
-  if (options.workload == "dblp") {
-    return GenerateTable(DblpConfig(options.scale, options.gen_seed));
-  }
-  if (options.workload == "imdb") {
-    return GenerateTable(ImdbConfig(options.scale, options.gen_seed));
+  static constexpr std::pair<std::string_view,
+                             SyntheticDbConfig (*)(double, uint64_t)>
+      kCanned[] = {{"ebay", EbayConfig},
+                   {"acm", AcmDlConfig},
+                   {"dblp", DblpConfig},
+                   {"imdb", ImdbConfig}};
+  for (const auto& [name, config] : kCanned) {
+    if (options.workload != name) continue;
+    if (!(options.scale > 0.0 && options.scale <= 1.0)) {
+      return Status::InvalidArgument("--scale must be in (0, 1]");
+    }
+    return GenerateTable(config(options.scale, options.gen_seed));
   }
   if (options.workload == "textual" || options.workload == "mixed") {
     TextualDbConfig config;
@@ -163,6 +166,9 @@ StatusOr<FaultProfile> BuildFaultProfile(const FaultFlagOptions& options) {
   if (options.fault_duplicate >= 0.0) {
     profile.duplicate_rate = options.fault_duplicate;
   }
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("fault-retry-after", options.fault_retry_after, 0,
+                     std::numeric_limits<uint32_t>::max()));
   profile.retry_after_rounds =
       static_cast<uint32_t>(options.fault_retry_after);
   double sum = profile.unavailable_rate + profile.timeout_rate +
