@@ -44,9 +44,9 @@ struct ResilienceCounters {
   // abandoned), i.e. completed in degraded mode.
   uint64_t degraded_queries = 0;
   // Fetches rejected with a rate-limit status carrying a retry-after
-  // hint. The fleet's politeness limiter reads these (with
-  // max_retry_after_hint) to treat the server's hint as a hard floor on
-  // when the source may be scheduled again.
+  // hint. The fleet reads these (with max_retry_after_hint) to treat the
+  // server's hint as a hard floor on when the source may be scheduled
+  // again.
   uint64_t rate_limit_rejections = 0;
   // Largest retry-after hint (in clock ticks) any rate-limit rejection
   // carried; 0 when none was ever seen.

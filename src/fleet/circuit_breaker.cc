@@ -22,11 +22,6 @@ const char* BreakerStateToString(BreakerState state) {
 CircuitBreaker::CircuitBreaker(CircuitBreakerConfig config)
     : config_(config), cooldown_(config.cooldown_ticks) {
   DEEPCRAWL_CHECK_GE(config_.consecutive_failed_turns, 1u);
-  DEEPCRAWL_CHECK(config_.error_rate_to_open > 0.0 &&
-                  config_.error_rate_to_open <= 1.0)
-      << "error_rate_to_open must be in (0, 1]";
-  DEEPCRAWL_CHECK(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0)
-      << "ewma_alpha must be in (0, 1]";
   DEEPCRAWL_CHECK_GE(config_.cooldown_ticks, 1u);
   DEEPCRAWL_CHECK_GE(config_.cooldown_multiplier, 1.0);
   DEEPCRAWL_CHECK_GE(config_.max_cooldown_ticks, config_.cooldown_ticks);
@@ -62,14 +57,6 @@ void CircuitBreaker::TripOpen(uint64_t now) {
 
 void CircuitBreaker::OnTurn(uint64_t now, uint64_t rounds, uint64_t failures,
                             uint64_t new_records) {
-  ++turns_observed_;
-  // A turn's failure rate: failed fetches per round granted (each failed
-  // fetch costs exactly one round, so the ratio is in [0, 1]).
-  double rate = rounds == 0 ? 0.0
-                            : static_cast<double>(failures) /
-                                  static_cast<double>(rounds);
-  error_ewma_ = config_.ewma_alpha * rate +
-                (1.0 - config_.ewma_alpha) * error_ewma_;
   bool fully_failed = rounds > 0 && failures > 0 && new_records == 0;
 
   if (state_ == BreakerState::kHalfOpen) {
@@ -88,7 +75,6 @@ void CircuitBreaker::OnTurn(uint64_t now, uint64_t rounds, uint64_t failures,
       state_ = BreakerState::kClosed;
       ++transitions_.closes;
       consecutive_failed_ = 0;
-      error_ewma_ = 0.0;
       if (!quarantined()) cooldown_ = config_.cooldown_ticks;
     }
     return;
@@ -100,11 +86,7 @@ void CircuitBreaker::OnTurn(uint64_t now, uint64_t rounds, uint64_t failures,
   } else {
     consecutive_failed_ = 0;
   }
-  bool too_many_consecutive =
-      consecutive_failed_ >= config_.consecutive_failed_turns;
-  bool rate_too_high = turns_observed_ >= config_.min_turns_for_rate &&
-                       error_ewma_ >= config_.error_rate_to_open;
-  if (too_many_consecutive || rate_too_high) {
+  if (consecutive_failed_ >= config_.consecutive_failed_turns) {
     ++transitions_.opens;
     TripOpen(now);
   }

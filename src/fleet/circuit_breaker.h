@@ -8,8 +8,7 @@
 // own resilience deltas (no extra instrumentation in the hot fetch
 // path):
 //
-//   closed ──(consecutive fully-failed turns >= threshold, or failure
-//             EWMA >= threshold after a minimum of observed turns)──▶ open
+//   closed ──(consecutive fully-failed turns >= threshold)──▶ open
 //   open   ──(cooldown elapsed; the next Admit grants a probe)──▶ half-open
 //   half-open ──(probe turn harvested records / saw no failures)──▶ closed
 //   half-open ──(probe turn fully failed)──▶ open, cooldown grows
@@ -21,6 +20,11 @@
 // cannot reset its own backoff by one lucky turn. Past the abandon
 // threshold the breaker is exhausted: the fleet stops probing for good
 // and the degradation report says so explicitly.
+//
+// A turn that harvests anything is not fully failed, however many of its
+// fetches failed: such a source stays closed, and the fleet's harvest-rate
+// ranking (each failed fetch costs its round) already puts it behind every
+// more productive source.
 //
 // Everything is integer/double arithmetic over the fleet's simulated
 // clock — no wall time — so breaker behaviour is a pure function of the
@@ -39,11 +43,6 @@ struct CircuitBreakerConfig {
   // Trip after this many consecutive fully-failed turns (a turn that
   // consumed rounds, saw failures, and harvested nothing).
   uint32_t consecutive_failed_turns = 3;
-  // ... or once the per-turn failure-rate EWMA reaches this level after
-  // at least `min_turns_for_rate` observed turns.
-  double error_rate_to_open = 0.9;
-  uint32_t min_turns_for_rate = 4;
-  double ewma_alpha = 0.3;
   // Open duration (fleet clock ticks) before the first half-open probe.
   uint64_t cooldown_ticks = 16;
   // Re-probe backoff: cooldown growth per failed probe, capped.
@@ -101,7 +100,6 @@ class CircuitBreaker {
   uint64_t TicksOpen(uint64_t now) const;
 
   const BreakerTransitions& transitions() const { return transitions_; }
-  double error_ewma() const { return error_ewma_; }
 
  private:
   void TripOpen(uint64_t now);
@@ -109,8 +107,6 @@ class CircuitBreaker {
   CircuitBreakerConfig config_;
   BreakerState state_ = BreakerState::kClosed;
   uint32_t consecutive_failed_ = 0;
-  double error_ewma_ = 0.0;
-  uint64_t turns_observed_ = 0;
   // Current cooldown (grows on failed probes, capped) and when the open
   // state next admits a probe.
   uint64_t cooldown_ = 0;

@@ -39,9 +39,8 @@ StatusOr<SchedulerPolicy> ParseSchedulerPolicy(std::string_view name) {
 // objects behind the unique_ptrs never move, so the reference chains
 // between them survive vector reallocation of Source itself.
 struct CrawlFleet::Source {
-  Source(const CircuitBreakerConfig& breaker_config,
-         const PolitenessConfig& politeness_config)
-      : breaker(breaker_config), bucket(politeness_config) {}
+  explicit Source(const CircuitBreakerConfig& breaker_config)
+      : breaker(breaker_config) {}
 
   std::unique_ptr<WebDbServer> backend;
   std::unique_ptr<FaultyServer> faulty;
@@ -52,7 +51,6 @@ struct CrawlFleet::Source {
   std::unique_ptr<CrawlEngine> engine;
 
   CircuitBreaker breaker;
-  TokenBucket bucket;
   // Politeness hard floor: earliest fleet time the source may be
   // scheduled again, pushed forward by the server's retry-after hints.
   uint64_t not_before = 0;
@@ -73,10 +71,6 @@ CrawlFleet::CrawlFleet(std::vector<FleetSourceSpec> specs,
   DEEPCRAWL_CHECK_GE(options_.threads, 1u);
   DEEPCRAWL_CHECK_GE(options_.batch, 1u);
   DEEPCRAWL_CHECK_GE(options_.turn_rounds, 1u);
-  DEEPCRAWL_CHECK(options_.politeness.rounds_per_tick > 0.0)
-      << "politeness refill rate must be positive";
-  DEEPCRAWL_CHECK(options_.politeness.burst >= 1.0)
-      << "politeness burst must afford at least one round";
 
   if (options_.threads > 1) {
     executor_ = std::make_unique<ThreadPoolFetchExecutor>(options_.threads);
@@ -89,8 +83,7 @@ CrawlFleet::CrawlFleet(std::vector<FleetSourceSpec> specs,
     const FleetSourceSpec& spec = specs_[i];
     DEEPCRAWL_CHECK(spec.table.num_records() > 0)
         << "source '" << spec.name << "' has an empty table";
-    Source& src =
-        sources_.emplace_back(options_.breaker, options_.politeness);
+    Source& src = sources_.emplace_back(options_.breaker);
 
     uint64_t derived_seed = FaultyServer::DeriveSourceSeed(options_.seed, i);
     src.backend = std::make_unique<WebDbServer>(spec.table, spec.server);
@@ -167,10 +160,6 @@ const CircuitBreaker& CrawlFleet::breaker(uint32_t i) const {
   DEEPCRAWL_CHECK(i < sources_.size()) << "source id out of range";
   return sources_[i].breaker;
 }
-const TokenBucket& CrawlFleet::bucket(uint32_t i) const {
-  DEEPCRAWL_CHECK(i < sources_.size()) << "source id out of range";
-  return sources_[i].bucket;
-}
 const FaultyServer& CrawlFleet::faulty(uint32_t i) const {
   DEEPCRAWL_CHECK(i < sources_.size()) << "source id out of range";
   return *sources_[i].faulty;
@@ -181,8 +170,7 @@ bool CrawlFleet::Active(const Source& source) const {
 }
 
 bool CrawlFleet::Eligible(const Source& source) const {
-  return source.breaker.CanAdmit(clock_) && clock_ >= source.not_before &&
-         source.bucket.HasToken();
+  return source.breaker.CanAdmit(clock_) && clock_ >= source.not_before;
 }
 
 uint32_t CrawlFleet::Pick(const std::vector<uint32_t>& eligible) const {
@@ -228,11 +216,10 @@ Status CrawlFleet::RunTurn(uint32_t i) {
     DEEPCRAWL_DCHECK(used < options_.source_deadline_rounds);
     grant = std::min(grant, options_.source_deadline_rounds - used);
   }
-  grant = std::min(grant, src.bucket.AffordableRounds());
   if (options_.max_total_rounds > 0) {
     grant = std::min(grant, options_.max_total_rounds - total_rounds_);
   }
-  DEEPCRAWL_DCHECK(grant >= 1) << "eligibility admitted an unaffordable turn";
+  DEEPCRAWL_DCHECK(grant >= 1) << "a turn was granted no rounds";
 
   // Chaos: the forced action for this turn is a pure function of
   // (schedule, global turn counter), so a replayed fleet recomputes the
@@ -254,14 +241,12 @@ Status CrawlFleet::RunTurn(uint32_t i) {
   uint64_t failures = res.transient_failures - failures_before;
   uint64_t rate_limits = res.rate_limit_rejections - rate_limits_before;
 
-  src.bucket.Spend(consumed);
   clock_ += consumed;
   total_rounds_ += consumed;
   total_records_ += new_records;
   if (rate_limits > 0) {
-    // Adaptive politeness: the server's retry-after hint is a hard floor
-    // on when this source may be scheduled again, whatever the bucket
-    // would allow.
+    // Politeness: the server's retry-after hint is a hard floor on when
+    // this source may be scheduled again.
     src.not_before =
         std::max(src.not_before, clock_ + res.max_retry_after_hint);
   }
@@ -304,7 +289,6 @@ void CrawlFleet::AdvanceToNextEligibility() {
     if (!Active(src)) continue;
     uint64_t at = src.breaker.EligibleAt(clock_);
     at = std::max(at, src.not_before);
-    at = std::max(at, clock_ + src.bucket.TicksUntilToken());
     best = std::min(best, at);
   }
   // Guard: always make progress, even if a stale bound pointed backwards.
@@ -357,11 +341,9 @@ Status CrawlFleet::RunTurns(uint64_t turn_limit) {
     eligible.clear();
     bool any_active = false;
     for (uint32_t i = 0; i < sources_.size(); ++i) {
-      Source& src = sources_[i];
-      if (!Active(src)) continue;
+      if (!Active(sources_[i])) continue;
       any_active = true;
-      src.bucket.Refill(clock_);
-      if (Eligible(src)) eligible.push_back(i);
+      if (Eligible(sources_[i])) eligible.push_back(i);
     }
     if (!any_active) break;
     if (eligible.empty()) {
@@ -500,16 +482,11 @@ void WriteFingerprint(CheckpointWriter& writer, const FleetOptions& options,
   writer.WriteU64(options.turn_rounds);
   writer.WriteU64(options.source_deadline_rounds);
   writer.WriteU32(options.breaker.consecutive_failed_turns);
-  writer.WriteDouble(options.breaker.error_rate_to_open);
-  writer.WriteU32(options.breaker.min_turns_for_rate);
-  writer.WriteDouble(options.breaker.ewma_alpha);
   writer.WriteU64(options.breaker.cooldown_ticks);
   writer.WriteDouble(options.breaker.cooldown_multiplier);
   writer.WriteU64(options.breaker.max_cooldown_ticks);
   writer.WriteU32(options.breaker.quarantine_after_trips);
   writer.WriteU32(options.breaker.abandon_after_trips);
-  writer.WriteDouble(options.politeness.rounds_per_tick);
-  writer.WriteDouble(options.politeness.burst);
   writer.WriteU32(options.retry.max_attempts);
   writer.WriteU64(options.retry.initial_backoff_ticks);
   writer.WriteU64(options.retry.max_backoff_ticks);
@@ -574,8 +551,8 @@ Status CrawlFleet::LoadState(CheckpointReader& reader) {
   if (!same_config) {
     return Status::InvalidArgument(
         "fleet checkpoint config mismatch: seed, source count, scheduler, "
-        "chaos schedule, or an isolation knob (breaker/politeness/retry/"
-        "budget) differs from the checkpointing run");
+        "chaos schedule, or an isolation knob (breaker/retry/budget) "
+        "differs from the checkpointing run");
   }
   std::vector<BudgetMark> budgets(reader.ReadCount(16));
   for (BudgetMark& mark : budgets) {

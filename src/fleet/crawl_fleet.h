@@ -18,10 +18,9 @@
 // own tests). Around every source sits the isolation machinery:
 //
 //   * a three-state CircuitBreaker tripping on consecutive fully-failed
-//     turns or a failure-rate EWMA, with half-open probe re-admission,
-//     quarantine, and capped re-probe backoff for flappers;
-//   * a TokenBucket politeness limiter, plus a hard not-before floor
-//     from the server's own retry-after hints;
+//     turns, with half-open probe re-admission, quarantine, and capped
+//     re-probe backoff for flappers;
+//   * a hard not-before floor from the server's own retry-after hints;
 //   * a per-source round deadline so one stalled source cannot eat the
 //     pool;
 //   * a fleet-level ChaosSchedule forcing scripted fault windows.
@@ -34,7 +33,7 @@
 // Like an engine checkpoint, a fleet checkpoint holds only inputs — the
 // Run() budgets, the completed-turn count, and every source's fetch log
 // and fault proxy — and a restore replays the turns to rebuild the
-// scheduler, breakers, buckets and engines.
+// scheduler, breakers and engines.
 //
 // Graceful degradation is explicit, never silent: the result carries a
 // SourceDegradation report per source (records missing, ticks
@@ -59,7 +58,6 @@
 #include "src/crawler/retry_policy.h"
 #include "src/fleet/chaos.h"
 #include "src/fleet/circuit_breaker.h"
-#include "src/fleet/token_bucket.h"
 #include "src/relation/table.h"
 #include "src/server/faulty_server.h"
 #include "src/server/locked_interface.h"
@@ -128,7 +126,6 @@ struct FleetOptions {
   // kill/resume check).
   uint64_t latency_us = 0;
   CircuitBreakerConfig breaker;
-  PolitenessConfig politeness;
   // Per-source retry policies copy this config with seed rewritten to
   // the source's derived seed.
   RetryPolicyConfig retry;
@@ -194,7 +191,6 @@ class CrawlFleet {
   const CrawlEngine& engine(uint32_t i) const;
   const LocalStore& store(uint32_t i) const;
   const CircuitBreaker& breaker(uint32_t i) const;
-  const TokenBucket& bucket(uint32_t i) const;
   const FaultyServer& faulty(uint32_t i) const;
   // The source's degradation report as of now (final in FleetResult).
   SourceDegradation DegradationOf(uint32_t i) const;
@@ -211,10 +207,10 @@ class CrawlFleet {
   // requires a freshly constructed fleet whose specs/options match the
   // checkpointing run. It replays the turns with the checkpoint sink
   // silent, each engine serving its fetches from its log, so everything
-  // else — clock, breakers, buckets, harvest rates, trace — comes from the
-  // same scheduler code that produced it; resume therefore costs the CPU of
-  // the turns already run. An image whose parts disagree is rejected
-  // with a clean error; on error the fleet must be discarded.
+  // else — clock, breakers, retry-after floors, harvest rates, trace —
+  // comes from the same scheduler code that produced it; resume therefore
+  // costs the CPU of the turns already run. An image whose parts disagree
+  // is rejected with a clean error; on error the fleet must be discarded.
   Status SaveState(CheckpointWriter& writer) const;
   Status LoadState(CheckpointReader& reader);
 
@@ -240,8 +236,8 @@ class CrawlFleet {
   // surface as non-OK.
   Status RunTurn(uint32_t i);
   // No source is eligible right now: advance the clock to the earliest
-  // future eligibility (breaker cooldown, politeness floor, or token
-  // refill), counting the skipped ticks as idle.
+  // future eligibility (breaker cooldown or retry-after floor), counting
+  // the skipped ticks as idle.
   void AdvanceToNextEligibility();
   void PlantSeeds();
   // Marks a Run() whose budget differs from the last marked one.
@@ -310,7 +306,10 @@ Status WriteFleetTraceCsv(const FleetResult& result, std::ostream& output);
 // v1010: format 2 over engine payload version 8, with the fingerprint's
 //        two harvest-EWMA knobs (hr_ewma_alpha, hr_floor) dropped along
 //        with the options.
-inline constexpr uint32_t kFleetCheckpointVersion = 1010;
+// v1011: format 2 over engine payload version 8, with the fingerprint's
+//        three knobs of the breaker's failure-rate trip and two of the
+//        politeness token bucket dropped along with both mechanisms.
+inline constexpr uint32_t kFleetCheckpointVersion = 1011;
 
 inline constexpr uint32_t kSectionFleet = 0x54454c46;        // "FLET"
 inline constexpr uint32_t kSectionFleetSource = 0x43525346;  // "FSRC"

@@ -10,7 +10,7 @@
 //     source reaches its coverage target, the permanently dead source is
 //     reported quarantined;
 //   * fleet checkpoints restore bit-identically from any turn boundary —
-//     the replayed scheduler, breaker and bucket state equals the saved
+//     the replayed scheduler and breaker state equals the saved
 //     fleet's — and EVERY mangled checkpoint byte, as well as every image
 //     whose parts disagree behind a valid checksum, is rejected with a
 //     clean Status (same adversarial sweep as crawler_checkpoint_test.cc).
@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -200,9 +201,8 @@ TEST(CrawlFleetTest, MarginalHarvestPicksBestLastTurnRate) {
   // first, then the lowest-id source with no turn yet, then the eligible
   // source whose last turn harvested the most new records per consumed
   // round, ties to the lowest id. One source fails transiently, so its
-  // failed fetches cost rounds in its rate. Under the default politeness
-  // the bucket never runs dry and no 429 is injected, so eligibility is
-  // the breaker alone.
+  // failed fetches cost rounds in its rate. No 429 is injected, so no
+  // retry-after floor is set and eligibility is the breaker alone.
   std::vector<FleetSourceSpec> specs = [] {
     StatusOr<std::vector<FleetSourceSpec>> made =
         MakeFleetSourceSpecs(3, /*scale=*/0.003, /*target_coverage=*/0.0);
@@ -371,7 +371,7 @@ TEST(CrawlFleetTest, BreakerTransitionAccountingIsExactUnderChaos) {
 TEST(CrawlFleetTest, RetryAfterHintFloorsNextTurn) {
   // A rate-limit storm on the only source: after a turn that saw 429s,
   // the source's next turn waits for the advertised hint, visible as
-  // fleet idle ticks (the bucket alone would have admitted immediately).
+  // fleet idle ticks (the breaker alone would have admitted immediately).
   StatusOr<std::vector<FleetSourceSpec>> made =
       MakeFleetSourceSpecs(1, /*scale=*/0.003, /*target_coverage=*/0.0);
   ASSERT_TRUE(made.ok());
@@ -388,6 +388,31 @@ TEST(CrawlFleetTest, RetryAfterHintFloorsNextTurn) {
   EXPECT_EQ(res.max_retry_after_hint, 12u);
   EXPECT_GE(result->idle_ticks, 12u);
   EXPECT_TRUE(result->sources[0].degradation.finished);
+}
+
+TEST(CrawlFleetTest, TurnGrantIsTheFullSliceAboveOneThousandRounds) {
+  // A turn grants exactly turn_rounds, clamped only by the source
+  // deadline and the global budget: no other limiter caps a large slice.
+  constexpr uint64_t kTurnRounds = 2000;
+  StatusOr<std::vector<FleetSourceSpec>> specs =
+      MakeFleetSourceSpecs(1, /*scale=*/0.1, /*target_coverage=*/0.0);
+  ASSERT_TRUE(specs.ok()) << specs.status().ToString();
+  FleetOptions options;
+  options.turn_rounds = kTurnRounds;
+  options.checkpoint_every_turns = 1;
+  auto first_turn_rounds = std::make_shared<uint64_t>(0);
+  options.checkpoint_sink = [first_turn_rounds](const CrawlFleet& fleet) {
+    if (fleet.turns_completed() == 1) {
+      *first_turn_rounds = fleet.engine(0).rounds_used();
+    }
+    return Status::OK();
+  };
+  CrawlFleet fleet(std::move(*specs), options);
+  StatusOr<FleetResult> result = fleet.Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const uint64_t rounds_to_finish = fleet.engine(0).rounds_used();
+  ASSERT_GT(rounds_to_finish, 1024u) << "the table is too small to tell";
+  EXPECT_EQ(*first_turn_rounds, std::min(kTurnRounds, rounds_to_finish));
 }
 
 // --- the hostile-chaos acceptance scenario ---------------------------
@@ -469,9 +494,7 @@ std::vector<FleetSourceSpec> CheckpointFleetSpecs() {
 struct SourceState {
   SourceDegradation degradation;
   BreakerState breaker_state = BreakerState::kClosed;
-  double breaker_error_ewma = 0.0;
   BreakerTransitions breaker_transitions;
-  uint64_t affordable_rounds = 0;
 };
 
 struct FleetState {
@@ -494,9 +517,7 @@ FleetState StateOf(const CrawlFleet& fleet) {
     state.sources.push_back(SourceState{
         .degradation = fleet.DegradationOf(i),
         .breaker_state = fleet.breaker(i).state(),
-        .breaker_error_ewma = fleet.breaker(i).error_ewma(),
-        .breaker_transitions = fleet.breaker(i).transitions(),
-        .affordable_rounds = fleet.bucket(i).AffordableRounds()});
+        .breaker_transitions = fleet.breaker(i).transitions()});
   }
   return state;
 }
@@ -514,11 +535,7 @@ void ExpectSameState(const FleetState& got, const FleetState& want,
     const SourceState& w = want.sources[s];
     EXPECT_EQ(g.degradation, w.degradation) << label << " source " << s;
     EXPECT_EQ(g.breaker_state, w.breaker_state) << label << " source " << s;
-    EXPECT_EQ(g.breaker_error_ewma, w.breaker_error_ewma)
-        << label << " source " << s;
     EXPECT_EQ(g.breaker_transitions, w.breaker_transitions)
-        << label << " source " << s;
-    EXPECT_EQ(g.affordable_rounds, w.affordable_rounds)
         << label << " source " << s;
   }
 }
@@ -943,8 +960,9 @@ TEST(CrawlFleetTest, InconsistentImagesAreCleanErrors) {
 }
 
 TEST(CrawlFleetTest, VersionMismatchIsRejected) {
-  // The previous format (its fingerprint still carried the harvest-EWMA
-  // knobs) and a future one are both refused.
+  // The previous format (its fingerprint still carried the breaker's
+  // failure-rate knobs and the politeness bucket's) and a future one are
+  // both refused.
   for (uint32_t bogus :
        {kFleetCheckpointVersion - 1, kFleetCheckpointVersion + 1}) {
     std::string image = SmallFleetImage();

@@ -28,10 +28,9 @@ namespace {
 
 struct Options {
   WorkloadFlagOptions workload;
+  ServerFlagOptions server;
   std::string policies = "bfs,random,greedy,mmmi";
   std::string rank_attribute = "range";
-  int64_t page_size = 10;
-  int64_t result_limit = 0;
   int64_t max_rounds = 0;
   double saturation = 0.85;
   int64_t seed = 1;
@@ -51,6 +50,8 @@ std::vector<std::string> SplitCommas(const std::string& text) {
 }
 
 Status Run(const Options& options) {
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("max-rounds", options.max_rounds, 0));
   std::optional<AdversarialGroundTruth> adv;
   DEEPCRAWL_ASSIGN_OR_RETURN(Table target,
                              LoadTargetTable(options.workload, adv));
@@ -62,13 +63,8 @@ Status Run(const Options& options) {
   }
   std::cout << "\n";
 
-  ServerOptions server_options;
-  server_options.page_size = static_cast<uint32_t>(options.page_size);
-  server_options.result_limit =
-      static_cast<uint32_t>(options.result_limit);
-  if (adv.has_value() && options.result_limit == 0) {
-    server_options.result_limit = adv->result_limit;
-  }
+  DEEPCRAWL_ASSIGN_OR_RETURN(ServerOptions server_options,
+                             BuildServerOptions(options.server, adv));
   WebDbServer server(target, server_options);
 
   // One deterministic seed value shared by every policy; adversarial
@@ -177,9 +173,7 @@ int main(int argc, char** argv) {
                        " (see --list-selectors)");
   parser.AddString("rank-attribute", &options.rank_attribute,
                    "interval attribute for opt-rank/opt-threshold");
-  parser.AddInt64("page-size", &options.page_size, "records per page (k)");
-  parser.AddInt64("result-limit", &options.result_limit,
-                  "max retrievable records per query (0 = unlimited)");
+  RegisterServerFlags(parser, &options.server);
   parser.AddInt64("max-rounds", &options.max_rounds,
                   "round budget per policy (0 = unbounded)");
   parser.AddDouble("saturation", &options.saturation,

@@ -72,13 +72,12 @@ namespace {
 
 struct Options {
   WorkloadFlagOptions workload;
+  ServerFlagOptions server;
   FaultFlagOptions fault;
 
   std::string policy = "greedy";
   std::string rank_attribute = "range";
   std::string domain_input;
-  int64_t page_size = 10;
-  int64_t result_limit = 0;
   bool counts = true;
   bool keyword = false;
   int64_t max_rounds = 0;
@@ -216,14 +215,8 @@ Status Run(const Options& options) {
               << " sample records\n";
   }
 
-  ServerOptions server_options;
-  server_options.page_size = static_cast<uint32_t>(options.page_size);
-  server_options.result_limit =
-      static_cast<uint32_t>(options.result_limit);
-  if (adv.has_value() && options.result_limit == 0) {
-    // The OPT bookkeeping assumes the generated per-bucket limit.
-    server_options.result_limit = adv->result_limit;
-  }
+  DEEPCRAWL_ASSIGN_OR_RETURN(ServerOptions server_options,
+                             BuildServerOptions(options.server, adv));
   server_options.reports_total_count = options.counts;
   const auto index_start = std::chrono::steady_clock::now();
   WebDbServer backend(target, server_options);
@@ -500,10 +493,7 @@ int main(int argc, char** argv) {
   parser.AddString("domain-input", &options.domain_input,
                    "TSV with a same-domain sample database (builds the "
                    "domain statistics table)");
-  parser.AddInt64("page-size", &options.page_size,
-                  "records per result page (k)");
-  parser.AddInt64("result-limit", &options.result_limit,
-                  "max retrievable records per query (0 = unlimited)");
+  RegisterServerFlags(parser, &options.server);
   parser.AddBool("counts", &options.counts,
                  "server reports total match counts (--no-counts to "
                  "disable)");

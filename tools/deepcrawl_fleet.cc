@@ -2,9 +2,9 @@
 //
 // Builds a heterogeneous fleet of N simulated sources (cycling the
 // paper's four canned workloads), crawls them under one global budget
-// with per-source fault isolation — circuit breakers, token-bucket
-// politeness, retry-after floors — and reports each source's
-// degradation explicitly.
+// with per-source fault isolation — circuit breakers, retry-after
+// floors, per-source deadlines — and reports each source's degradation
+// explicitly.
 //
 // Examples:
 //   # 8 sources, marginal-harvest scheduling, 90% coverage targets.
@@ -36,6 +36,7 @@
 #include "src/server/faulty_server.h"
 #include "src/util/flags.h"
 #include "src/util/table_printer.h"
+#include "tools/workload_setup.h"
 
 namespace deepcrawl {
 namespace {
@@ -71,31 +72,6 @@ struct Options {
 
   bool help = false;
 };
-
-StatusOr<FaultProfile> BuildFaultProfile(const Options& options) {
-  FaultProfile profile;
-  if (options.fault_profile == "flaky") {
-    profile.unavailable_rate = 0.05;
-    profile.timeout_rate = 0.03;
-    profile.rate_limit_rate = 0.02;
-  } else if (options.fault_profile == "lossy") {
-    profile.truncate_rate = 0.05;
-    profile.duplicate_rate = 0.05;
-  } else if (options.fault_profile == "hostile") {
-    profile.unavailable_rate = 0.10;
-    profile.timeout_rate = 0.05;
-    profile.rate_limit_rate = 0.05;
-    profile.truncate_rate = 0.05;
-    profile.duplicate_rate = 0.02;
-  } else if (options.fault_profile != "none") {
-    return Status::InvalidArgument("unknown --fault-profile '" +
-                                   options.fault_profile +
-                                   "' (none|flaky|lossy|hostile)");
-  }
-  profile.retry_after_rounds =
-      static_cast<uint32_t>(options.fault_retry_after);
-  return profile;
-}
 
 // Every count, budget and width flag is checked against the range of the
 // field it fills, so nothing wraps on the casts below or trips a CHECK in
@@ -138,7 +114,9 @@ Status Run(const Options& options) {
   uint32_t num_sources = static_cast<uint32_t>(options.sources);
 
   DEEPCRAWL_ASSIGN_OR_RETURN(FaultProfile profile,
-                             BuildFaultProfile(options));
+                             FaultPreset(options.fault_profile));
+  profile.retry_after_rounds =
+      static_cast<uint32_t>(options.fault_retry_after);
   DEEPCRAWL_ASSIGN_OR_RETURN(
       std::vector<FleetSourceSpec> specs,
       MakeFleetSourceSpecs(num_sources, options.scale,

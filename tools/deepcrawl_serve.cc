@@ -41,13 +41,12 @@ namespace {
 
 struct Options {
   WorkloadFlagOptions workload;
+  ServerFlagOptions server;
   FaultFlagOptions fault;
 
   std::string bind = "127.0.0.1";
   int64_t port = 0;
   std::string port_file;
-  int64_t page_size = 10;
-  int64_t result_limit = 0;
   bool counts = true;
   int64_t max_connections = 1024;
   int64_t shed_retry_after = 4;
@@ -69,13 +68,8 @@ Status Run(const Options& options) {
   std::cout << "target: " << target.num_records() << " records, "
             << target.num_distinct_values() << " distinct values\n";
 
-  ServerOptions server_options;
-  server_options.page_size = static_cast<uint32_t>(options.page_size);
-  server_options.result_limit =
-      static_cast<uint32_t>(options.result_limit);
-  if (adv.has_value() && options.result_limit == 0) {
-    server_options.result_limit = adv->result_limit;
-  }
+  DEEPCRAWL_ASSIGN_OR_RETURN(ServerOptions server_options,
+                             BuildServerOptions(options.server, adv));
   server_options.reports_total_count = options.counts;
   WebDbServer backend(target, server_options);
 
@@ -172,10 +166,7 @@ int main(int argc, char** argv) {
                   "--port-file)");
   parser.AddString("port-file", &options.port_file,
                    "write the bound port here (atomically) once listening");
-  parser.AddInt64("page-size", &options.page_size,
-                  "records per result page (k)");
-  parser.AddInt64("result-limit", &options.result_limit,
-                  "max retrievable records per query (0 = unlimited)");
+  RegisterServerFlags(parser, &options.server);
   parser.AddBool("counts", &options.counts,
                  "report total match counts (--no-counts to disable)");
   parser.AddInt64("max-connections", &options.max_connections,

@@ -12,6 +12,15 @@
 #include "src/relation/tsv.h"
 
 namespace deepcrawl {
+namespace {
+
+// Every generator sizes its tables by --scale relative to the paper's.
+Status CheckScale(double scale) {
+  if (scale > 0.0 && scale <= 1.0) return Status::OK();
+  return Status::InvalidArgument("--scale must be in (0, 1]");
+}
+
+}  // namespace
 
 void RegisterWorkloadFlags(FlagParser& parser, WorkloadFlagOptions* options) {
   parser.AddString("input", &options->input,
@@ -84,12 +93,11 @@ StatusOr<Table> LoadTargetTable(const WorkloadFlagOptions& options,
                    {"imdb", ImdbConfig}};
   for (const auto& [name, config] : kCanned) {
     if (options.workload != name) continue;
-    if (!(options.scale > 0.0 && options.scale <= 1.0)) {
-      return Status::InvalidArgument("--scale must be in (0, 1]");
-    }
+    DEEPCRAWL_RETURN_IF_ERROR(CheckScale(options.scale));
     return GenerateTable(config(options.scale, options.gen_seed));
   }
   if (options.workload == "textual" || options.workload == "mixed") {
+    DEEPCRAWL_RETURN_IF_ERROR(CheckScale(options.scale));
     TextualDbConfig config;
     config.num_documents = static_cast<uint32_t>(
         std::max(1.0, 20000.0 * options.scale));
@@ -105,6 +113,30 @@ StatusOr<Table> LoadTargetTable(const WorkloadFlagOptions& options,
   return Status::InvalidArgument(
       "give --input=<tsv> or "
       "--workload=ebay|acm|dblp|imdb|adversarial|textual|mixed");
+}
+
+void RegisterServerFlags(FlagParser& parser, ServerFlagOptions* options) {
+  parser.AddInt64("page-size", &options->page_size,
+                  "records per result page (k)");
+  parser.AddInt64("result-limit", &options->result_limit,
+                  "max retrievable records per query (0 = unlimited)");
+}
+
+StatusOr<ServerOptions> BuildServerOptions(
+    const ServerFlagOptions& options,
+    const std::optional<AdversarialGroundTruth>& adv) {
+  constexpr int64_t kU32 = std::numeric_limits<uint32_t>::max();
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("page-size", options.page_size, 1, kU32));
+  DEEPCRAWL_RETURN_IF_ERROR(
+      CheckFlagRange("result-limit", options.result_limit, 0, kU32));
+  ServerOptions server;
+  server.page_size = static_cast<uint32_t>(options.page_size);
+  server.result_limit = static_cast<uint32_t>(options.result_limit);
+  if (adv.has_value() && options.result_limit == 0) {
+    server.result_limit = adv->result_limit;
+  }
+  return server;
 }
 
 void RegisterFaultFlags(FlagParser& parser, FaultFlagOptions* options) {
@@ -130,29 +162,35 @@ void RegisterFaultFlags(FlagParser& parser, FaultFlagOptions* options) {
                  "of fetch arrival order (forced on for parallel crawls)");
 }
 
-StatusOr<FaultProfile> BuildFaultProfile(const FaultFlagOptions& options) {
+StatusOr<FaultProfile> FaultPreset(std::string_view name) {
   FaultProfile profile;
-  if (options.fault_profile == "flaky") {
+  if (name == "flaky") {
     // ~10% of rounds lost to transient failures, mixed kinds.
     profile.unavailable_rate = 0.05;
     profile.timeout_rate = 0.03;
     profile.rate_limit_rate = 0.02;
-  } else if (options.fault_profile == "lossy") {
+  } else if (name == "lossy") {
     // Pages silently lose or repeat records; no hard failures.
     profile.truncate_rate = 0.05;
     profile.duplicate_rate = 0.05;
-  } else if (options.fault_profile == "hostile") {
+  } else if (name == "hostile") {
     // Both at once, at rates that make retries and re-queues routine.
     profile.unavailable_rate = 0.10;
     profile.timeout_rate = 0.05;
     profile.rate_limit_rate = 0.05;
     profile.truncate_rate = 0.05;
     profile.duplicate_rate = 0.02;
-  } else if (options.fault_profile != "none") {
+  } else if (name != "none") {
     return Status::InvalidArgument("unknown --fault-profile '" +
-                                   options.fault_profile +
+                                   std::string(name) +
                                    "' (none|flaky|lossy|hostile)");
   }
+  return profile;
+}
+
+StatusOr<FaultProfile> BuildFaultProfile(const FaultFlagOptions& options) {
+  DEEPCRAWL_ASSIGN_OR_RETURN(FaultProfile profile,
+                             FaultPreset(options.fault_profile));
   if (options.fault_unavailable >= 0.0) {
     profile.unavailable_rate = options.fault_unavailable;
   }

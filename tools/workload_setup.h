@@ -1,10 +1,10 @@
-// Shared target-database and fault-injection setup for the command-line
-// tools. deepcrawl_crawl and deepcrawl_serve must assemble IDENTICAL
-// workloads and fault profiles from identical flags — a TCP crawl is
-// only comparable to an in-process one if the server process built the
-// same database the client run would have built locally — so the flag
-// registration, the table construction, and the FaultProfile assembly
-// live here once.
+// Shared target-database, query-interface and fault-injection setup for
+// the command-line tools. deepcrawl_crawl and deepcrawl_serve must
+// assemble IDENTICAL workloads, server options and fault profiles from
+// identical flags — a TCP crawl is only comparable to an in-process one
+// if the server process built the same database the client run would
+// have built locally — so the flag registration, the table construction,
+// the ServerOptions and the FaultProfile assembly live here once.
 
 #ifndef DEEPCRAWL_TOOLS_WORKLOAD_SETUP_H_
 #define DEEPCRAWL_TOOLS_WORKLOAD_SETUP_H_
@@ -12,9 +12,11 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "src/relation/table.h"
 #include "src/server/faulty_server.h"
+#include "src/server/web_db_server.h"
 #include "src/util/flags.h"
 #include "src/util/status.h"
 
@@ -57,6 +59,20 @@ void RegisterWorkloadFlags(FlagParser& parser, WorkloadFlagOptions* options);
 StatusOr<Table> LoadTargetTable(const WorkloadFlagOptions& options,
                                 std::optional<AdversarialGroundTruth>& adv);
 
+// Flags shaping the query interface (src/server/web_db_server.h).
+struct ServerFlagOptions {
+  int64_t page_size = 10;
+  int64_t result_limit = 0;
+};
+
+void RegisterServerFlags(FlagParser& parser, ServerFlagOptions* options);
+
+// Range-checks the flags into ServerOptions. An adversarial target with no
+// --result-limit gets the per-bucket limit its OPT bookkeeping assumes.
+StatusOr<ServerOptions> BuildServerOptions(
+    const ServerFlagOptions& options,
+    const std::optional<AdversarialGroundTruth>& adv);
+
 // Flags configuring the fault-injection proxy (src/server/
 // faulty_server.h): a preset profile plus per-rate overrides.
 struct FaultFlagOptions {
@@ -72,6 +88,9 @@ struct FaultFlagOptions {
 };
 
 void RegisterFaultFlags(FlagParser& parser, FaultFlagOptions* options);
+
+// The rates of a named preset: none|flaky|lossy|hostile.
+StatusOr<FaultProfile> FaultPreset(std::string_view name);
 
 // Resolves the preset + overrides into a validated FaultProfile.
 StatusOr<FaultProfile> BuildFaultProfile(const FaultFlagOptions& options);
