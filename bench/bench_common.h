@@ -49,8 +49,6 @@ inline void PrintBanner(const std::string& artifact,
 // a fault-injecting proxy) with `selector`, seeded with `seed_value`,
 // and returns the result. Resets the server meters first so rounds are
 // per-crawl. Aborts on crawl errors (bench fixtures are valid).
-// `server` must already be thread-safe when engine_options.threads > 1
-// (wrap it in a LockedQueryInterface).
 inline CrawlResult RunCrawl(QueryInterface& server, QuerySelector& selector,
                             LocalStore& store, const CrawlOptions& options,
                             ValueId seed_value,

@@ -302,22 +302,6 @@ void InlineFetchExecutor::FetchWave(
   }
 }
 
-ThreadPoolFetchExecutor::ThreadPoolFetchExecutor(uint32_t threads)
-    : pool_(threads) {}
-
-void ThreadPoolFetchExecutor::FetchWave(
-    QueryInterface& server, std::span<const FetchRequest> requests,
-    std::span<std::optional<StatusOr<ResultPage>>> results) {
-  tasks_.clear();
-  tasks_.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    tasks_.push_back([&server, &requests, &results, i] {
-      results[i] = ExecuteFetch(server, requests[i]);
-    });
-  }
-  pool_.RunAndWait(tasks_);
-}
-
 DegradationTracker::FailureAction DegradationTracker::OnFetchFailure(
     const Status& failure, ValueId value, uint32_t& failures,
     ResilienceCounters& resilience) {
@@ -379,20 +363,11 @@ CrawlEngine::CrawlEngine(QueryInterface& server, QuerySelector& selector,
       engine_options_(std::move(engine_options)),
       abort_policy_(abort_policy),
       retry_policy_(retry_policy),
+      executor_(engine_options_.shared_executor != nullptr
+                    ? engine_options_.shared_executor
+                    : &inline_executor_),
       degradation_(retry_policy, clock_) {
-  DEEPCRAWL_CHECK(engine_options_.threads >= 1) << "need >= 1 fetch thread";
   DEEPCRAWL_CHECK(engine_options_.batch >= 1) << "need >= 1 drain slot";
-  if (engine_options_.shared_executor != nullptr) {
-    executor_ = engine_options_.shared_executor;
-  } else {
-    if (engine_options_.threads > 1) {
-      owned_executor_ =
-          std::make_unique<ThreadPoolFetchExecutor>(engine_options_.threads);
-    } else {
-      owned_executor_ = std::make_unique<InlineFetchExecutor>();
-    }
-    executor_ = owned_executor_.get();
-  }
   slots_.resize(engine_options_.batch);
 }
 
@@ -711,8 +686,9 @@ StatusOr<CrawlResult> CrawlEngine::Run() {
 
 void CrawlEngine::SaveState(CheckpointWriter& writer) const {
   // CONFIG: the construction fingerprint, verified on load before the
-  // replay starts. `threads` is deliberately absent — it is wall-clock
-  // only, so a checkpoint may be resumed at any thread count.
+  // replay starts. The executor is deliberately absent — it is
+  // wall-clock only, so a TCP crawl's checkpoint may be resumed
+  // in-process and vice versa.
   WriteSectionMarker(writer, kSectionConfig);
   writer.WriteU32(engine_options_.batch);
   writer.WriteU8(options_.use_keyword_interface ? 1 : 0);

@@ -1,26 +1,26 @@
 // CrawlEngine: the paper's query-harvest-decompose loop (§1, §2.5), the
-// one way to run a crawl at every thread count and batch width
-// (DESIGN.md §10). It is layered as:
+// one way to run a crawl at every batch width (DESIGN.md §10). It is
+// layered as:
 //
 //   * the wave planner/committer (this class): selector ranking, slot
 //     refill, strict slot-rank commit order, retry/backoff via the
 //     DegradationTracker, pending-drain parking across budget slices,
 //     trace emission, and stop-reason resolution;
 //   * a pluggable FetchExecutor underneath: InlineFetchExecutor runs a
-//     wave's fetches sequentially on the calling thread (the serial
-//     configuration — no thread is ever spawned), ThreadPoolFetchExecutor
-//     runs them concurrently. Executors only decide WHERE the fetch
-//     closures run; every task writes its own rank-indexed result cell
-//     and the commit phase consumes cells strictly by rank, so the
-//     executor choice is invisible to the crawl output *by
-//     construction*.
+//     wave's fetches one after another on the calling thread (the
+//     in-process configuration); NetFetchExecutor (src/net/) pipelines
+//     them over TCP connections, the one path with round trips to
+//     overlap. Executors only decide HOW a wave's fetches are issued;
+//     every fetch writes its own rank-indexed result cell and the
+//     commit phase consumes cells strictly by rank, so the executor
+//     choice is invisible to the crawl output *by construction*.
 //
 // The determinism contract (proven by
 // tests/crawler_parallel_differential_test.cc):
-//   * batch == 1 is the serial crawl order, bit-identically at any
-//     thread count;
-//   * at any batch, output is a pure function of (seed, batch); thread
-//     count affects wall-clock only;
+//   * batch == 1 is the serial crawl order;
+//   * at any batch, output is a pure function of (seed, batch); the
+//     executor, and the order it completes a wave's fetches in, affect
+//     wall-clock only;
 //   * batch > 1 is semantic: each wave picks its top-B frontier
 //     candidates from the previous wave's knowledge (the round-limited
 //     access model of Sheng et al., PAPERS.md).
@@ -55,7 +55,6 @@
 #include "src/crawler/retry_policy.h"
 #include "src/server/query_interface.h"
 #include "src/util/status.h"
-#include "src/util/thread_pool.h"
 
 namespace deepcrawl {
 
@@ -97,10 +96,8 @@ struct CrawlResult {
   // Copy of trace.resilience(), for reporting convenience.
   ResilienceCounters resilience;
   // Round-trip-time tallies from the query interface the crawl ran
-  // against: simulated latency (LockedQueryInterface --latency-us) and
-  // measured socket RTT (NetQueryClient) land in these SAME counters,
-  // so latency reporting is uniform across in-process and TCP crawls.
-  // Wall-clock-derived for network crawls, hence excluded from the
+  // against: measured socket RTT for a NetQueryClient, empty for an
+  // in-process server. Wall-clock-derived, hence excluded from the
   // determinism contract (never serialized, never traced).
   RttCounters rtt;
   // Per-source degradation reports. Empty for a bare engine crawl; a
@@ -145,28 +142,13 @@ class FetchExecutor {
       std::span<std::optional<StatusOr<ResultPage>>> results) = 0;
 };
 
-// Fetches sequentially on the calling thread (the serial engine
-// configuration; never spawns a thread).
+// Fetches in rank order on the calling thread (the in-process engine
+// configuration).
 class InlineFetchExecutor : public FetchExecutor {
  public:
   void FetchWave(
       QueryInterface& server, std::span<const FetchRequest> requests,
       std::span<std::optional<StatusOr<ResultPage>>> results) override;
-};
-
-// Fetches concurrently on an owned ThreadPool. The server behind the
-// engine must be thread-safe (see src/server/locked_interface.h).
-class ThreadPoolFetchExecutor : public FetchExecutor {
- public:
-  explicit ThreadPoolFetchExecutor(uint32_t threads);
-  void FetchWave(
-      QueryInterface& server, std::span<const FetchRequest> requests,
-      std::span<std::optional<StatusOr<ResultPage>>> results) override;
-
- private:
-  ThreadPool pool_;
-  // Wave closures, reused across waves (cleared, never shrunk).
-  std::vector<std::function<void()>> tasks_;
 };
 
 // Graceful-degradation bookkeeping for every engine configuration:
@@ -207,12 +189,8 @@ class DegradationTracker {
 };
 
 struct EngineOptions {
-  // Worker threads fetching pages (>= 1). threads == 1 uses the inline
-  // executor (fully serial, no thread spawned); threads > 1 uses a
-  // ThreadPool and requires a thread-safe server. Wall-clock only.
-  uint32_t threads = 1;
-  // Concurrent drain slots per wave (>= 1). Semantic: batch == 1 is
-  // exactly the serial crawl order.
+  // Drain slots per wave (>= 1). Semantic: batch == 1 is exactly the
+  // serial crawl order.
   uint32_t batch = 1;
   // Invoke `checkpoint_sink` after every N completed waves (0 = never).
   // Wave boundaries are the engine's durable points: the sink sees a
@@ -221,21 +199,17 @@ struct EngineOptions {
   // Called at checkpoint boundaries (typically SaveCrawlCheckpoint); a
   // non-OK return fails the crawl with that status.
   std::function<Status(const CrawlEngine&)> checkpoint_sink = nullptr;
-  // When set, the engine fetches through this executor instead of
-  // constructing its own, and `threads` is ignored. A fleet points every
-  // source's engine at one shared pool so N sources never spawn N pools;
-  // waves still run one engine at a time, so the shared executor needs
-  // no cross-engine synchronization. Must outlive the engine.
+  // When set, the engine fetches through this executor instead of its
+  // own InlineFetchExecutor (a NetFetchExecutor for a TCP crawl). Must
+  // outlive the engine.
   FetchExecutor* shared_executor = nullptr;
 };
 
 class CrawlEngine {
  public:
-  // All referenced objects must outlive the engine. When engine.threads
-  // > 1 the server must be thread-safe (wrap it in a
-  // LockedQueryInterface); `abort_policy` may be null (never abort);
-  // `retry_policy` may be null (fail the crawl on the first fetch
-  // error).
+  // All referenced objects must outlive the engine. `abort_policy` may
+  // be null (never abort); `retry_policy` may be null (fail the crawl on
+  // the first fetch error).
   CrawlEngine(QueryInterface& server, QuerySelector& selector,
               LocalStore& store, CrawlOptions options,
               EngineOptions engine_options = EngineOptions{},
@@ -363,10 +337,9 @@ class CrawlEngine {
   EngineOptions engine_options_;
   AbortPolicy* abort_policy_;
   const RetryPolicy* retry_policy_;
-  // Owned when the engine built its own executor; empty when fetching
-  // through engine_options_.shared_executor. `executor_` is the one the
-  // wave loop uses either way.
-  std::unique_ptr<FetchExecutor> owned_executor_;
+  // The wave loop fetches through `executor_`: the shared executor when
+  // one was given, `inline_executor_` otherwise.
+  InlineFetchExecutor inline_executor_;
   FetchExecutor* executor_;
 
   std::vector<char> seen_;  // value already in Lto-query or Lqueried

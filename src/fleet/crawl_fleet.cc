@@ -44,7 +44,6 @@ struct CrawlFleet::Source {
 
   std::unique_ptr<WebDbServer> backend;
   std::unique_ptr<FaultyServer> faulty;
-  std::unique_ptr<LockedQueryInterface> locked;
   std::unique_ptr<LocalStore> store;
   std::unique_ptr<QuerySelector> selector;
   std::unique_ptr<RetryPolicy> retry;
@@ -68,15 +67,8 @@ CrawlFleet::CrawlFleet(std::vector<FleetSourceSpec> specs,
                        FleetOptions options)
     : specs_(std::move(specs)), options_(std::move(options)) {
   DEEPCRAWL_CHECK(!specs_.empty()) << "a fleet needs at least one source";
-  DEEPCRAWL_CHECK_GE(options_.threads, 1u);
   DEEPCRAWL_CHECK_GE(options_.batch, 1u);
   DEEPCRAWL_CHECK_GE(options_.turn_rounds, 1u);
-
-  if (options_.threads > 1) {
-    executor_ = std::make_unique<ThreadPoolFetchExecutor>(options_.threads);
-  } else {
-    executor_ = std::make_unique<InlineFetchExecutor>();
-  }
 
   sources_.reserve(specs_.size());
   for (uint32_t i = 0; i < specs_.size(); ++i) {
@@ -93,12 +85,6 @@ CrawlFleet::CrawlFleet(std::vector<FleetSourceSpec> specs,
     src.faulty =
         std::make_unique<FaultyServer>(*src.backend, spec.faults, derived_seed);
     src.faulty->set_keyed_faults(true);
-    QueryInterface* server = src.faulty.get();
-    if (options_.threads > 1 || options_.latency_us > 0) {
-      src.locked = std::make_unique<LockedQueryInterface>(
-          *src.faulty, options_.latency_us);
-      server = src.locked.get();
-    }
 
     src.store = std::make_unique<LocalStore>();
     if (spec.policy == "greedy") {
@@ -129,11 +115,9 @@ CrawlFleet::CrawlFleet(std::vector<FleetSourceSpec> specs,
           spec.saturation * static_cast<double>(spec.table.num_records()));
     }
     EngineOptions engine_options;
-    engine_options.threads = 1;  // ignored: shared executor below
     engine_options.batch = options_.batch;
-    engine_options.shared_executor = executor_.get();
     src.engine = std::make_unique<CrawlEngine>(
-        *server, *src.selector, *src.store, crawl_options, engine_options,
+        *src.faulty, *src.selector, *src.store, crawl_options, engine_options,
         /*abort_policy=*/nullptr, src.retry.get());
   }
 }
@@ -265,7 +249,7 @@ Status CrawlFleet::RunTurn(uint32_t i) {
     src.stop_reason = turn->stop_reason;
   } else if (options_.source_deadline_rounds > 0 &&
              src.engine->rounds_used() >= options_.source_deadline_rounds) {
-    // Deadline spent: retire the source so it cannot stall the pool.
+    // Deadline spent: retire the source so it cannot stall the fleet.
     src.finished = true;
     src.stop_reason = StopReason::kRoundBudget;
   }

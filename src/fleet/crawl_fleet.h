@@ -9,10 +9,9 @@
 // source —
 //
 //   Table → WebDbServer → FaultyServer (keyed, per-source derived seed)
-//         [→ LockedQueryInterface] → CrawlEngine
+//         → CrawlEngine
 //
-// — all engines fetching through ONE shared executor (thread pool or
-// inline), and schedules them in turns: each turn grants a bounded slice
+// — and schedules them in turns: each turn grants a bounded slice
 // of communication rounds to one source via the engine's budget-sliced
 // Run() (bit-identical to an uninterrupted run, proven by the engine's
 // own tests). Around every source sits the isolation machinery:
@@ -22,12 +21,11 @@
 //     re-probe backoff for flappers;
 //   * a hard not-before floor from the server's own retry-after hints;
 //   * a per-source round deadline so one stalled source cannot eat the
-//     pool;
+//     global budget;
 //   * a fleet-level ChaosSchedule forcing scripted fault windows.
 //
 // Determinism contract: fleet output is a pure function of (specs,
-// options) — in particular of (seed, batch, chaos schedule); the thread
-// count is wall-clock only, exactly as for the single engine. Turn
+// options) — in particular of (seed, batch, chaos schedule). Turn
 // boundaries are the fleet's durable points: the whole fleet
 // checkpoints and resumes as one unit under the bit-identity contract.
 // Like an engine checkpoint, a fleet checkpoint holds only inputs — the
@@ -60,7 +58,6 @@
 #include "src/fleet/circuit_breaker.h"
 #include "src/relation/table.h"
 #include "src/server/faulty_server.h"
-#include "src/server/locked_interface.h"
 #include "src/server/web_db_server.h"
 #include "src/util/status.h"
 
@@ -109,9 +106,6 @@ struct FleetOptions {
   // stream depends on any other source existing.
   uint64_t seed = 1;
   SchedulerPolicy scheduler = SchedulerPolicy::kMarginalHarvest;
-  // Shared fetch executor: 1 = inline (fully serial), > 1 = one thread
-  // pool shared by every source's engine. Wall-clock only.
-  uint32_t threads = 1;
   // Per-source engine wave width (semantic, like the engine's batch).
   uint32_t batch = 1;
   // Communication rounds granted per scheduler turn (the time slice).
@@ -121,10 +115,6 @@ struct FleetOptions {
   // Per-source deadline: total rounds a single source may consume before
   // it is retired (0 = unbounded). Isolation against stalled sources.
   uint64_t source_deadline_rounds = 0;
-  // Simulated per-fetch latency, applied via LockedQueryInterface when
-  // threads > 1 or latency_us > 0 (used to stretch wall-clock for the
-  // kill/resume check).
-  uint64_t latency_us = 0;
   CircuitBreakerConfig breaker;
   // Per-source retry policies copy this config with seed rewritten to
   // the source's derived seed.
@@ -251,7 +241,6 @@ class CrawlFleet {
 
   std::vector<FleetSourceSpec> specs_;
   FleetOptions options_;
-  std::unique_ptr<FetchExecutor> executor_;
   std::vector<Source> sources_;
 
   // Fleet simulated clock: advances one tick per communication round any

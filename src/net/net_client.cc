@@ -281,19 +281,17 @@ StatusOr<std::unique_ptr<NetQueryClient>> NetQueryClient::Connect(
 
 Status NetQueryClient::EnsureConnected(NetConnection& conn) {
   if (conn.is_open()) return Status::OK();
-  uint64_t deadline = NowMs() + options_.reconnect_window_ms;
+  const uint64_t window = options_.reconnect_window_ms;
+  const uint64_t deadline = NowMs() + window;
   uint64_t backoff = options_.reconnect_backoff_ms;
-  Status last = Status::Unavailable("never attempted");
+  // Every call makes at least one attempt: the window bounds the
+  // retries, so an empty one means "try once", and that attempt gets
+  // the full request timeout.
+  uint64_t timeout = window > 0 ? std::min(window, options_.request_timeout_ms)
+                                : options_.request_timeout_ms;
   for (;;) {
-    uint64_t now = NowMs();
-    if (now >= deadline) {
-      return Status::Unavailable("server unreachable within reconnect window (last: " +
-                                 last.ToString() + ")");
-    }
-    last = conn.Open(options_.host, options_.port,
-                     std::min<uint64_t>(deadline - now,
-                                        options_.request_timeout_ms),
-                     options_.max_frame_bytes);
+    Status last = conn.Open(options_.host, options_.port, timeout,
+                            options_.max_frame_bytes);
     if (last.ok()) {
       if (connected_once_) ++reconnects_;
       connected_once_ = true;
@@ -302,13 +300,18 @@ Status NetQueryClient::EnsureConnected(NetConnection& conn) {
       }
       return Status::OK();
     }
-    now = NowMs();
-    if (now >= deadline) {
-      return Status::Unavailable("server unreachable within reconnect window (last: " +
-                                 last.ToString() + ")");
+    uint64_t now = NowMs();
+    if (now < deadline) {
+      SleepMs(std::min<uint64_t>(backoff, deadline - now));
+      backoff = std::min<uint64_t>(backoff * 2, 1000);
+      now = NowMs();
     }
-    SleepMs(std::min<uint64_t>(backoff, deadline - now));
-    backoff = std::min<uint64_t>(backoff * 2, 1000);
+    if (now >= deadline) {
+      return Status::Unavailable(
+          "server unreachable within reconnect window (last: " +
+          last.ToString() + ")");
+    }
+    timeout = std::min(options_.request_timeout_ms, deadline - now);
   }
 }
 

@@ -86,7 +86,8 @@ struct NetClientOptions {
   // reconnect, retransmit, and fail forever.
   uint32_t request_attempts = 3;
   // Total budget for re-reaching a dead server (covers the initial
-  // connect too); exhausted -> the fetch fails with kUnavailable.
+  // connect too); exhausted -> the fetch fails with kUnavailable. One
+  // attempt is always made, so 0 means "connect once, never retry".
   uint64_t reconnect_window_ms = 15'000;
   // First reconnect backoff; doubles per attempt, capped at 1s.
   uint64_t reconnect_backoff_ms = 20;

@@ -17,8 +17,7 @@
 // property the TCP-vs-in-process differential tests pin down.
 //
 // Backend calls happen on the loop thread only, so the backend needs no
-// locking — the epoll loop provides the serialization that
-// LockedQueryInterface provides for thread pools. Wrapping a
+// locking: the epoll loop serializes them. Wrapping a
 // FaultyServer puts the whole fault model behind real sockets: injected
 // kUnavailable / kDeadlineExceeded / rate-limit statuses (retry-after
 // hint included) travel to the client verbatim.
@@ -63,8 +62,9 @@ struct TcpServerOptions {
   // [0, num_values) are probed against backend.IsQueriableValue once at
   // Start(). Pass the catalog's distinct-value count.
   uint32_t num_values = 0;
-  // Artificial per-response delay, mirroring LockedQueryInterface's
-  // simulated round trip for loopback benches (0 = answer immediately).
+  // Artificial per-response delay: the one simulated-latency path, for
+  // loopback benches and checks that need a slow source (0 = answer
+  // immediately).
   uint64_t latency_us = 0;
   uint32_t max_frame_bytes = kMaxWireFrameBytes;
 };

@@ -45,12 +45,12 @@ struct ServerOptions {
   std::vector<AttributeId> queriable_attributes;
 };
 
-// Round-trip-time tallies of the page fetches an interface served. One
-// struct covers both latency sources, so reporting is uniform: the
-// LockedQueryInterface records its SIMULATED --latency-us per fetch,
-// the NetQueryClient (src/net/net_client.h) records the MEASURED
-// wall-clock of each socket round trip. Wall-clock-derived, hence
-// outside the determinism contract: never checkpointed, never traced.
+// Round-trip-time tallies of the page fetches an interface served: the
+// NetQueryClient (src/net/net_client.h) records the measured
+// wall-clock of each socket round trip (simulated latency, when wanted,
+// is added server-side by deepcrawl_serve --latency-us and so lands
+// here too). Wall-clock-derived, hence outside the determinism
+// contract: never checkpointed, never traced.
 struct RttCounters {
   uint64_t fetches = 0;       // fetches with an RTT observation
   uint64_t total_rtt_us = 0;  // sum over those fetches
@@ -154,8 +154,7 @@ class QueryInterface {
 
   // Round-trip-time tallies for the fetches this interface served.
   // Zero-valued by default: the in-memory simulator answers instantly;
-  // latency-modeling and network implementations override this (see
-  // RttCounters above).
+  // the network client overrides this (see RttCounters above).
   virtual RttCounters rtt_counters() const { return RttCounters{}; }
 
   // --- interface schema ------------------------------------------------

@@ -146,8 +146,9 @@ class WebDbServer : public QueryInterface {
 
   // Scratch reused across queries by the keyword-union and conjunctive
   // paths (swap-buffered, capacity kept), so steady-state queries do not
-  // reallocate. The server is externally synchronized when shared across
-  // threads (LockedQueryInterface), so per-instance scratch is safe.
+  // reallocate. A server answers one query at a time (in-process on the
+  // crawling thread, over TCP on the event-loop thread), so per-instance
+  // scratch is safe.
   std::vector<RecordId> scratch_merged_;
   std::vector<RecordId> scratch_next_;
   std::vector<ValueId> scratch_ordered_;

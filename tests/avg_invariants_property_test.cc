@@ -26,7 +26,6 @@
 #include "src/crawler/naive_selectors.h"
 #include "src/crawler/query_selector.h"
 #include "src/graph/attribute_value_graph.h"
-#include "src/server/locked_interface.h"
 #include "src/server/web_db_server.h"
 #include "src/util/random.h"
 #include "tests/test_util.h"
@@ -233,13 +232,12 @@ TEST(AvgInvariantsPropertyTest, ParallelCrawlStateStaysASubsetOfTruth) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Table table = RandomTable(seed);
     AttributeValueGraph avg = AttributeValueGraph::Build(table);
-    WebDbServer backend(table, ServerOptions());
-    LockedQueryInterface server(backend);
+    WebDbServer server(table, ServerOptions());
     LocalStore store;
     BfsSelector bfs;
     RecordingSelector recording(bfs);
     CrawlEngine crawler(server, recording, store, CrawlOptions{},
-                        EngineOptions{.threads = 4, .batch = 3});
+                        EngineOptions{.batch = 3});
     crawler.AddSeed(FirstQueriableSeed(table));
     for (uint64_t budget = 5;; budget += 5) {
       crawler.set_max_rounds(budget);

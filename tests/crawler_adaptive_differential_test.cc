@@ -1,8 +1,8 @@
 // Differential sweep for the adaptive meta-selector on a textual
 // workload crawled through the keyword box: the bit-identity contracts
 // that hold for every fixed policy (DESIGN.md §8/§10) must also hold
-// across the adaptive selector's PHASE SWITCH — serial vs parallel,
-// thread-count invariance, and checkpoint/resume from every wave
+// across the adaptive selector's PHASE SWITCH — serial vs batch 1,
+// fetch-order invariance, and checkpoint/resume from every wave
 // boundary including the wave the switch happens in.
 //
 // The switch rule runs inside OnQueryCompleted, which the wave
@@ -30,14 +30,15 @@
 #include "src/crawler/trace_io.h"
 #include "src/datagen/textual_workload.h"
 #include "src/server/faulty_server.h"
-#include "src/server/locked_interface.h"
 #include "src/server/web_db_server.h"
 #include "src/util/logging.h"
+#include "tests/shuffled_fetch_executor.h"
 
 namespace deepcrawl {
 namespace {
 
 constexpr uint64_t kFaultSeed = 29;
+constexpr uint64_t kShuffleSeed = 41;
 
 const char* const kProfiles[] = {"none", "flaky", "lossy", "hostile"};
 
@@ -144,26 +145,21 @@ struct InstrumentedRun {
   std::vector<std::string> images;
 };
 
-// One engine run: threads/batch select serial vs parallel execution,
-// `every` > 0 additionally encodes a checkpoint image at each wave
-// boundary (0 = no instrumentation).
+// One engine run at `batch`, its waves served in rank order or, when
+// `shuffled`, in a seeded shuffled order; `every` > 0 additionally
+// encodes a checkpoint image at each wave boundary (0 = no
+// instrumentation).
 InstrumentedRun RunEngine(const std::string& profile_name,
-                          CrawlOptions options, uint32_t threads,
-                          uint32_t batch, uint64_t every) {
+                          CrawlOptions options, uint32_t batch,
+                          bool shuffled, uint64_t every) {
   WebDbServer backend(TextualTarget(), TextualServerOptions());
   FaultProfile profile = ProfileByName(profile_name);
   std::optional<FaultyServer> faulty;
-  QueryInterface* direct = &backend;
+  QueryInterface* server = &backend;
   if (!profile.IsAllZero()) {
     faulty.emplace(backend, profile, kFaultSeed);
     faulty->set_keyed_faults(true);
-    direct = &*faulty;
-  }
-  std::optional<LockedQueryInterface> locked;
-  QueryInterface* server = direct;
-  if (threads > 1) {
-    locked.emplace(*direct);
-    server = &*locked;
+    server = &*faulty;
   }
   LocalStore store;
   AdaptiveSelector* adaptive = nullptr;
@@ -171,9 +167,10 @@ InstrumentedRun RunEngine(const std::string& profile_name,
   RetryPolicy retry((RetryPolicyConfig()));
   InstrumentedRun run;
   const FaultyServer* faulty_ptr = faulty ? &*faulty : nullptr;
+  ShuffledFetchExecutor shuffler(kShuffleSeed);
   EngineOptions engine_options;
-  engine_options.threads = threads;
   engine_options.batch = batch;
+  if (shuffled) engine_options.shared_executor = &shuffler;
   engine_options.checkpoint_every_waves = every;
   if (every > 0) {
     engine_options.checkpoint_sink = [&run, faulty_ptr](
@@ -202,30 +199,25 @@ InstrumentedRun RunEngine(const std::string& profile_name,
 
 RunOutput ResumeFromImage(const std::string& image,
                           const std::string& profile_name,
-                          CrawlOptions options, uint32_t threads,
-                          uint32_t batch) {
+                          CrawlOptions options, uint32_t batch,
+                          bool shuffled) {
   WebDbServer backend(TextualTarget(), TextualServerOptions());
   FaultProfile profile = ProfileByName(profile_name);
   std::optional<FaultyServer> faulty;
-  QueryInterface* direct = &backend;
+  QueryInterface* server = &backend;
   if (!profile.IsAllZero()) {
     faulty.emplace(backend, profile, kFaultSeed);
     faulty->set_keyed_faults(true);
-    direct = &*faulty;
-  }
-  std::optional<LockedQueryInterface> locked;
-  QueryInterface* server = direct;
-  if (threads > 1) {
-    locked.emplace(*direct);
-    server = &*locked;
+    server = &*faulty;
   }
   LocalStore store;
   AdaptiveSelector* adaptive = nullptr;
   std::unique_ptr<QuerySelector> selector = MakeChain(store, &adaptive);
   RetryPolicy retry((RetryPolicyConfig()));
+  ShuffledFetchExecutor shuffler(kShuffleSeed);
   EngineOptions engine_options;
-  engine_options.threads = threads;
   engine_options.batch = batch;
+  if (shuffled) engine_options.shared_executor = &shuffler;
   CrawlEngine engine(*server, *selector, store, options, engine_options,
                      /*abort_policy=*/nullptr, &retry);
   Status loaded =
@@ -263,43 +255,39 @@ void ExpectIdentical(const RunOutput& a, const RunOutput& b,
 // The fixture workload must actually exercise a switch, or this file
 // proves nothing about the switch boundary.
 TEST(AdaptiveDifferentialTest, FixtureCrossesAPhaseBoundary) {
-  InstrumentedRun run = RunEngine("none", BaseOptions(), 1, 1, /*every=*/0);
+  InstrumentedRun run = RunEngine("none", BaseOptions(), /*batch=*/1,
+                                  /*shuffled=*/false, /*every=*/0);
   EXPECT_GE(run.output.phase_switches, 1u)
       << "tune EagerSwitch()/TextualServerOptions(): the adaptive chain "
          "never left phase 0";
   EXPECT_GT(run.output.result.records, 0u);
 }
 
-// batch == 1 parallel must be bit-identical to serial under every fault
-// profile, at any thread count, across the switch.
+// batch == 1 must be bit-identical to serial under every fault
+// profile, through either executor, across the switch.
 TEST(AdaptiveDifferentialTest, SerialEquivalenceAllProfiles) {
   for (const char* profile : kProfiles) {
     CrawlOptions options = BaseOptions();
-    RunOutput serial =
-        RunEngine(profile, options, /*threads=*/1, /*batch=*/1, 0).output;
-    for (uint32_t threads : {4u, 8u}) {
-      RunOutput parallel =
-          RunEngine(profile, options, threads, /*batch=*/1, 0).output;
-      ExpectIdentical(serial, parallel,
-                      std::string(profile) + "/threads=" +
-                          std::to_string(threads));
-    }
+    RunOutput serial = RunEngine(profile, options, /*batch=*/1,
+                                 /*shuffled=*/false, 0)
+                           .output;
+    RunOutput shuffled =
+        RunEngine(profile, options, /*batch=*/1, /*shuffled=*/true, 0).output;
+    ExpectIdentical(serial, shuffled, std::string(profile) + "/shuffled");
   }
 }
 
-// At batch 4, thread count is an execution detail only.
-TEST(AdaptiveDifferentialTest, ThreadCountInvarianceBatch4) {
+// At batch 4, the order a wave's fetches are served in is an execution
+// detail only.
+TEST(AdaptiveDifferentialTest, FetchOrderInvarianceBatch4) {
   for (const char* profile : kProfiles) {
     CrawlOptions options = BaseOptions();
-    RunOutput reference =
-        RunEngine(profile, options, /*threads=*/1, /*batch=*/4, 0).output;
-    for (uint32_t threads : {4u, 8u}) {
-      RunOutput other =
-          RunEngine(profile, options, threads, /*batch=*/4, 0).output;
-      ExpectIdentical(reference, other,
-                      std::string(profile) + "/threads=" +
-                          std::to_string(threads));
-    }
+    RunOutput reference = RunEngine(profile, options, /*batch=*/4,
+                                    /*shuffled=*/false, 0)
+                              .output;
+    RunOutput shuffled =
+        RunEngine(profile, options, /*batch=*/4, /*shuffled=*/true, 0).output;
+    ExpectIdentical(reference, shuffled, profile);
   }
 }
 
@@ -308,23 +296,23 @@ TEST(AdaptiveDifferentialTest, ThreadCountInvarianceBatch4) {
 // output, serial and batched, with and without faults.
 TEST(AdaptiveDifferentialTest, CheckpointEveryWaveResumesIdentically) {
   struct Config {
-    uint32_t threads;
     uint32_t batch;
+    bool shuffled;
   };
   for (const char* profile : {"none", "flaky"}) {
-    for (const Config& config : {Config{1, 1}, Config{8, 8}}) {
+    for (const Config& config : {Config{1, false}, Config{8, true}}) {
       CrawlOptions options = BaseOptions();
-      SCOPED_TRACE(std::string(profile) + "/threads=" +
-                   std::to_string(config.threads) + "/batch=" +
-                   std::to_string(config.batch));
-      InstrumentedRun reference = RunEngine(profile, options, config.threads,
-                                            config.batch, /*every=*/1);
+      SCOPED_TRACE(std::string(profile) + "/batch=" +
+                   std::to_string(config.batch) +
+                   (config.shuffled ? "/shuffled" : "/inline"));
+      InstrumentedRun reference = RunEngine(profile, options, config.batch,
+                                            config.shuffled, /*every=*/1);
       ASSERT_FALSE(reference.images.empty());
       ASSERT_GE(reference.output.phase_switches, 1u);
       for (size_t i = 0; i < reference.images.size(); ++i) {
         RunOutput resumed = ResumeFromImage(reference.images[i], profile,
-                                            options, config.threads,
-                                            config.batch);
+                                            options, config.batch,
+                                            config.shuffled);
         ExpectIdentical(reference.output, resumed,
                         "wave=" + std::to_string(i));
       }
@@ -332,19 +320,19 @@ TEST(AdaptiveDifferentialTest, CheckpointEveryWaveResumesIdentically) {
   }
 }
 
-// A mid-crawl checkpoint resumes identically under a different thread
-// count (threads are wall-clock only, not part of the fingerprint).
-TEST(AdaptiveDifferentialTest, CheckpointResumesAcrossThreadCounts) {
+// A mid-crawl checkpoint resumes identically under a different executor
+// (the executor is wall-clock only, not part of the fingerprint).
+TEST(AdaptiveDifferentialTest, CheckpointResumesAcrossExecutors) {
   CrawlOptions options = BaseOptions();
-  InstrumentedRun reference = RunEngine("hostile", options, /*threads=*/8,
-                                        /*batch=*/4, /*every=*/2);
+  InstrumentedRun reference = RunEngine("hostile", options, /*batch=*/4,
+                                        /*shuffled=*/true, /*every=*/2);
   ASSERT_FALSE(reference.images.empty());
   const std::string& image = reference.images[reference.images.size() / 2];
-  for (uint32_t threads : {1u, 2u, 8u}) {
+  for (bool shuffled : {false, true}) {
     RunOutput resumed =
-        ResumeFromImage(image, "hostile", options, threads, /*batch=*/4);
+        ResumeFromImage(image, "hostile", options, /*batch=*/4, shuffled);
     ExpectIdentical(reference.output, resumed,
-                    "resume-threads=" + std::to_string(threads));
+                    shuffled ? "resume-shuffled" : "resume-inline");
   }
 }
 

@@ -18,7 +18,7 @@
 //     co-occurrence counters and ordered ranking structure vs the full
 //     postings rescan of tests/reference_mmmi_selector.h.
 //
-// For every fault profile, serial and parallel (--threads 8 --batch 8),
+// For every fault profile, serial and batched (--batch 8),
 // a GreedyLinkSelector crawl and an MmmiSelector crawl (every
 // MmmiRanking) must each produce a byte-identical CrawlTrace (CSV
 // serialization compared as strings) and identical meters/harvest
@@ -55,7 +55,6 @@
 #include "src/crawler/trace_io.h"
 #include "src/datagen/movie_domain.h"
 #include "src/server/faulty_server.h"
-#include "src/server/locked_interface.h"
 #include "src/server/web_db_server.h"
 #include "tests/reference_greedy_selector.h"
 #include "tests/reference_local_store.h"
@@ -347,13 +346,10 @@ RunOutput Capture(const CrawlResult& result, const LocalStore& store,
   return out;
 }
 
-// threads == 0 selects the serial configuration (inline fetches against
-// the unlocked server); otherwise a locked server and the given
-// threads/batch. The store is checked against the
-// oracle after every add.
+// One crawl at `batch` (1 = the serial configuration). The store is
+// checked against the oracle after every add.
 RunOutput RunVariant(const std::string& policy,
-                     const std::string& profile_name, uint32_t threads,
-                     uint32_t batch,
+                     const std::string& profile_name, uint32_t batch,
                      MmmiRanking ranking = MmmiRanking::kDegreeDiscount,
                      Drain drain = Drain::kComplete) {
   const Table& target = DifferentialTarget();
@@ -365,22 +361,18 @@ RunOutput RunVariant(const std::string& policy,
   WebDbServer backend(target, server_options);
   FaultProfile profile = ProfileByName(profile_name);
   std::optional<FaultyServer> faulty;
-  QueryInterface* direct = &backend;
+  QueryInterface* server = &backend;
   if (!profile.IsAllZero()) {
     faulty.emplace(backend, profile, kFaultSeed);
     faulty->set_keyed_faults(true);
-    direct = &*faulty;
+    server = &*faulty;
   }
-  ObservationTap tap(*direct);
+  ObservationTap tap(*server);
   LocalStore store;
   StoreOracleSelector selector(MakeSelector(policy, store, ranking), store);
   RetryPolicy retry((RetryPolicyConfig()));
-  const bool serial = threads == 0;
-  LockedQueryInterface locked(tap);
-  QueryInterface& server = serial ? tap : static_cast<QueryInterface&>(locked);
-  EngineOptions engine_options;
-  if (!serial) engine_options = {.threads = threads, .batch = batch};
-  CrawlEngine crawler(server, selector, store, options, engine_options,
+  CrawlEngine crawler(tap, selector, store, options,
+                      EngineOptions{.batch = batch},
                       abort_policy ? &*abort_policy : nullptr, &retry);
   crawler.AddSeed(FirstQueriableSeed(target));
   StatusOr<CrawlResult> result = crawler.Run();
@@ -399,31 +391,23 @@ RunOutput RunVariant(const std::string& policy,
 // fresh stack (new store, selector, engine and fault proxy), so the
 // second half runs on the state LoadState rebuilt. No store oracle: the
 // resumed store starts from a replay the oracle never saw.
-RunOutput RunGreedyResumed(const std::string& profile_name,
-                           uint32_t threads, uint32_t batch) {
+RunOutput RunGreedyResumed(const std::string& profile_name, uint32_t batch) {
   const Table& target = DifferentialTarget();
-  const bool serial = threads == 0;
-  EngineOptions engine_options;
-  if (!serial) engine_options = {.threads = threads, .batch = batch};
+  const EngineOptions engine_options{.batch = batch};
   struct Stack {
     WebDbServer backend;
     std::optional<FaultyServer> faulty;
-    std::optional<LockedQueryInterface> locked;
     QueryInterface* server = nullptr;
     LocalStore store;
     GreedyLinkSelector selector{store};
     RetryPolicy retry{RetryPolicyConfig()};
-    Stack(const Table& table, const FaultProfile& profile, bool serial)
+    Stack(const Table& table, const FaultProfile& profile)
         : backend(table, ServerOptions()) {
       server = &backend;
       if (!profile.IsAllZero()) {
         faulty.emplace(backend, profile, kFaultSeed);
         faulty->set_keyed_faults(true);
         server = &*faulty;
-      }
-      if (!serial) {
-        locked.emplace(*server);
-        server = &*locked;
       }
     }
     FaultyServer* faulty_ptr() { return faulty ? &*faulty : nullptr; }
@@ -434,7 +418,7 @@ RunOutput RunGreedyResumed(const std::string& profile_name,
   // waves; the resume starts from the middle one.
   std::vector<std::string> images;
   {
-    Stack first(target, profile, serial);
+    Stack first(target, profile);
     EngineOptions checkpointing = engine_options;
     checkpointing.checkpoint_every_waves = 1;
     FaultyServer* faulty = first.faulty_ptr();
@@ -456,7 +440,7 @@ RunOutput RunGreedyResumed(const std::string& profile_name,
   const std::string& image = images[images.size() / 2];
 
   // Second leg: restore and run to the end.
-  Stack second(target, profile, serial);
+  Stack second(target, profile);
   CrawlEngine crawler(*second.server, second.selector, second.store,
                       BaseOptions(target), engine_options, nullptr,
                       &second.retry);
@@ -488,56 +472,53 @@ void ExpectIdentical(const RunOutput& a, const RunOutput& b,
 // The greedy heap and the incremental MMMI scorer vs their rescan
 // oracles (MMMI under every ranking) for every fault profile, and one
 // crawl of every other policy; each crawl is store-checked after every
-// add. threads == 0 is the serial engine.
-void CheckAllProfiles(uint32_t threads, uint32_t batch,
-                      const std::string& label) {
+// add. batch == 1 is the serial engine.
+void CheckAllProfiles(uint32_t batch, const std::string& label) {
   for (const char* profile : kProfiles) {
-    ExpectIdentical(RunVariant("greedy", profile, threads, batch),
-                    RunVariant("greedy-reference", profile, threads, batch),
+    ExpectIdentical(RunVariant("greedy", profile, batch),
+                    RunVariant("greedy-reference", profile, batch),
                     label + "/greedy/" + profile);
     for (const NamedRanking& named : kRankings) {
       ExpectIdentical(
-          RunVariant("mmmi", profile, threads, batch, named.ranking),
-          RunVariant("mmmi-reference", profile, threads, batch,
-                     named.ranking),
+          RunVariant("mmmi", profile, batch, named.ranking),
+          RunVariant("mmmi-reference", profile, batch, named.ranking),
           label + "/mmmi/" + named.name + "/" + profile);
     }
     for (const char* policy : kSingleScorerPolicies) {
       SCOPED_TRACE(label + "/" + policy + "/" + profile);
-      RunVariant(policy, profile, threads, batch);
+      RunVariant(policy, profile, batch);
     }
   }
 }
 
 TEST(HotPathDifferentialTest, SerialAllPoliciesAllProfiles) {
-  CheckAllProfiles(0, 0, "serial");
+  CheckAllProfiles(1, "serial");
 }
 
-// Parallel engine at --threads 8 --batch 8: same cross-check. Batched
-// waves change the crawl order relative to serial, so this exercises
-// the optimized structures under a genuinely different event sequence
-// (and, at 8 threads, under TSan in the check.sh concurrency pass).
-TEST(HotPathDifferentialTest, ParallelThreads8Batch8AllPolicies) {
-  CheckAllProfiles(8, 8, "parallel");
+// The batched engine at --batch 8: same cross-check. Batched waves
+// change the crawl order relative to serial, so this exercises the
+// optimized structures under a genuinely different event sequence.
+TEST(HotPathDifferentialTest, Batch8AllPolicies) {
+  CheckAllProfiles(8, "batched");
 }
 
 // A result limit or a §3.4 abort leaves a completed query's records
 // behind; harvesting them later moves the issued query's frequency and
 // with it the score of every pending partner. Every ranking, serial and
-// at 8 threads / batch 8.
+// at batch 8.
 TEST(HotPathDifferentialTest, IncompleteDrainsAllRankings) {
   const std::pair<Drain, const char*> drains[] = {
       {Drain::kResultLimit, "result-limit"}, {Drain::kAbort, "abort"}};
   for (const auto& [drain, drain_name] : drains) {
     for (const NamedRanking& named : kRankings) {
-      for (uint32_t threads : {0u, 8u}) {
+      for (uint32_t batch : {1u, 8u}) {
         std::string label = std::string(drain_name) + "/" + named.name +
-                            (threads == 0 ? "/serial" : "/parallel");
+                            (batch == 1 ? "/serial" : "/batched");
         RunOutput fast =
-            RunVariant("mmmi", "none", threads, threads, named.ranking, drain);
+            RunVariant("mmmi", "none", batch, named.ranking, drain);
         ExpectIdentical(fast,
-                        RunVariant("mmmi-reference", "none", threads,
-                                   threads, named.ranking, drain),
+                        RunVariant("mmmi-reference", "none", batch,
+                                   named.ranking, drain),
                         label);
         EXPECT_GT(fast.late_records, 0u) << label;
       }
@@ -551,13 +532,12 @@ TEST(HotPathDifferentialTest, IncompleteDrainsAllRankings) {
 // SelectNext must skip those entries.
 TEST(HotPathDifferentialTest, GreedyAfterAdaptiveSwitchAllProfiles) {
   for (const char* profile : kProfiles) {
-    for (uint32_t threads : {0u, 8u}) {
+    for (uint32_t batch : {1u, 8u}) {
       std::string label = std::string("adaptive/") + profile +
-                          (threads == 0 ? "/serial" : "/parallel");
-      RunOutput fast = RunVariant("adaptive", profile, threads, threads);
-      ExpectIdentical(
-          fast, RunVariant("adaptive-reference", profile, threads, threads),
-          label);
+                          (batch == 1 ? "/serial" : "/batched");
+      RunOutput fast = RunVariant("adaptive", profile, batch);
+      ExpectIdentical(fast, RunVariant("adaptive-reference", profile, batch),
+                      label);
       EXPECT_GT(fast.phase_switches, 0u) << label;
     }
   }
@@ -571,14 +551,12 @@ TEST(HotPathDifferentialTest, GreedyAfterAdaptiveSwitchAllProfiles) {
 TEST(HotPathDifferentialTest, GreedyCheckpointResumeMidCrawl) {
   int mid_crawl_resumes = 0;
   for (const char* profile : kProfiles) {
-    for (uint32_t threads : {0u, 8u}) {
+    for (uint32_t batch : {1u, 8u}) {
       std::string label = std::string("resume/") + profile +
-                          (threads == 0 ? "/serial" : "/parallel");
-      RunOutput resumed = RunGreedyResumed(profile, threads, threads);
+                          (batch == 1 ? "/serial" : "/batched");
+      RunOutput resumed = RunGreedyResumed(profile, batch);
       if (resumed.restored_frontier > 0) ++mid_crawl_resumes;
-      ExpectIdentical(resumed,
-                      RunVariant("greedy-reference", profile, threads,
-                                 threads),
+      ExpectIdentical(resumed, RunVariant("greedy-reference", profile, batch),
                       label);
     }
   }

@@ -1,14 +1,16 @@
-// Differential test suite for the batched crawl engine: serial-vs-
-// threaded equivalence for every selection policy and fault profile,
-// and thread-count invariance at every batch size.
+// Differential test suite for the batched crawl engine: batch-1
+// equivalence to the serial crawl for every selection policy and fault
+// profile, and fetch-order invariance at every batch size.
 //
 // The determinism contract under test (DESIGN.md §8):
-//   * a CrawlEngine with batch == 1 is BIT-IDENTICAL at any thread
-//     count to the serial configuration (threads == 1, inline fetches
-//     against the bare server) — same trace points, resilience
-//     counters, stop reason, meters, and harvest order;
+//   * a CrawlEngine with batch == 1 is BIT-IDENTICAL to the serial
+//     configuration (default EngineOptions, inline fetches) — same
+//     trace points, resilience counters, stop reason, meters, and
+//     harvest order;
 //   * at any batch size, the output is a pure function of the seed and
-//     the batch: thread count never changes anything but wall-clock.
+//     the batch: the order a wave's fetches are served in (rank order
+//     inline, shuffled by tests/shuffled_fetch_executor.h as a
+//     pipelined transport may) never changes anything.
 // Fault runs use the FaultyServer's keyed mode so the fault stream is a
 // function of logical fetch identity rather than arrival order.
 
@@ -35,8 +37,8 @@
 #include "src/datagen/adversarial_workload.h"
 #include "src/datagen/movie_domain.h"
 #include "src/server/faulty_server.h"
-#include "src/server/locked_interface.h"
 #include "src/server/web_db_server.h"
+#include "tests/shuffled_fetch_executor.h"
 #include "tests/test_util.h"
 
 namespace deepcrawl {
@@ -44,6 +46,7 @@ namespace {
 
 constexpr uint64_t kFaultSeed = 29;
 constexpr uint64_t kSelectorSeed = 5;
+constexpr uint64_t kShuffleSeed = 41;
 
 const char* const kPolicies[] = {"bfs",    "dfs",  "random",
                                  "greedy", "mmmi", "oracle"};
@@ -198,8 +201,8 @@ RunOutput Capture(const CrawlResult& result, const LocalStore& store,
   return out;
 }
 
-// The serial configuration: threads == 1 (InlineFetchExecutor) against
-// the unlocked server.
+// The serial configuration: default EngineOptions (batch 1, inline
+// fetches).
 RunOutput RunSerial(const Env& env, const std::string& policy,
                     const std::string& profile_name, CrawlOptions options) {
   WebDbServer backend(*env.target, env.server_options);
@@ -222,25 +225,29 @@ RunOutput RunSerial(const Env& env, const std::string& policy,
   return Capture(*result, store, crawler.clock().now());
 }
 
-RunOutput RunParallel(const Env& env, const std::string& policy,
-                      const std::string& profile_name, CrawlOptions options,
-                      uint32_t threads, uint32_t batch) {
+// The batched engine at `batch`, its waves served in rank order, or in
+// a seeded shuffled order when `shuffled`.
+RunOutput RunBatched(const Env& env, const std::string& policy,
+                     const std::string& profile_name, CrawlOptions options,
+                     uint32_t batch, bool shuffled = false) {
   WebDbServer backend(*env.target, env.server_options);
   FaultProfile profile = ProfileByName(profile_name);
   std::optional<FaultyServer> faulty;
-  QueryInterface* direct = &backend;
+  QueryInterface* server = &backend;
   if (!profile.IsAllZero()) {
     faulty.emplace(backend, profile, kFaultSeed);
     faulty->set_keyed_faults(true);
-    direct = &*faulty;
+    server = &*faulty;
   }
-  LockedQueryInterface server(*direct);
   LocalStore store;
   std::unique_ptr<QuerySelector> selector = MakeSelector(policy, store, env);
   RetryPolicy retry((RetryPolicyConfig()));
-  CrawlEngine crawler(server, *selector, store, options,
-                      EngineOptions{.threads = threads, .batch = batch},
-                      /*abort_policy=*/nullptr, &retry);
+  ShuffledFetchExecutor shuffler(kShuffleSeed);
+  CrawlEngine crawler(
+      *server, *selector, store, options,
+      EngineOptions{.batch = batch,
+                    .shared_executor = shuffled ? &shuffler : nullptr},
+      /*abort_policy=*/nullptr, &retry);
   crawler.AddSeed(env.seed_value);
   StatusOr<CrawlResult> result = crawler.Run();
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
@@ -260,41 +267,38 @@ void ExpectIdentical(const RunOutput& a, const RunOutput& b,
   EXPECT_EQ(a.clock_ticks, b.clock_ticks);
 }
 
-// batch == 1: the threaded engine must reproduce the serial engine
-// bit-for-bit, for every selector, fault profile, and thread count.
+// batch == 1: the batched engine must reproduce the serial engine
+// bit-for-bit, for every selector and fault profile, through either
+// executor.
 TEST(ParallelCrawlerDifferentialTest, SerialEquivalenceAllPolicies) {
   const Env env = MovieEnv();
   for (const char* policy : kPolicies) {
     for (const char* profile : kProfiles) {
       CrawlOptions options = BaseOptions(DifferentialTarget());
       RunOutput serial = RunSerial(env, policy, profile, options);
-      for (uint32_t threads : {1u, 4u, 8u}) {
-        RunOutput parallel =
-            RunParallel(env, policy, profile, options, threads, /*batch=*/1);
-        ExpectIdentical(serial, parallel,
-                        std::string(policy) + "/" + profile + "/threads=" +
-                            std::to_string(threads));
+      for (bool shuffled : {false, true}) {
+        RunOutput batched = RunBatched(env, policy, profile, options,
+                                       /*batch=*/1, shuffled);
+        ExpectIdentical(serial, batched,
+                        std::string(policy) + "/" + profile +
+                            (shuffled ? "/shuffled" : "/inline"));
       }
     }
   }
 }
 
-// batch == 4: thread count is an execution detail — outputs at 1, 4,
-// and 8 threads must be identical to each other.
-TEST(ParallelCrawlerDifferentialTest, ThreadCountInvarianceBatch4) {
+// batch == 4: the order a wave's fetches are served in is an execution
+// detail — rank order and a shuffled order must give identical output.
+TEST(ParallelCrawlerDifferentialTest, FetchOrderInvarianceBatch4) {
   const Env env = MovieEnv();
   for (const char* policy : kPolicies) {
     for (const char* profile : kProfiles) {
       CrawlOptions options = BaseOptions(DifferentialTarget());
-      RunOutput reference = RunParallel(env, policy, profile, options,
-                                        /*threads=*/1, /*batch=*/4);
-      for (uint32_t threads : {4u, 8u}) {
-        RunOutput other =
-            RunParallel(env, policy, profile, options, threads, /*batch=*/4);
-        ExpectIdentical(reference, other,
-                        std::string(policy) + "/" + profile + "/threads=" +
-                            std::to_string(threads));
-      }
+      ExpectIdentical(
+          RunBatched(env, policy, profile, options, /*batch=*/4),
+          RunBatched(env, policy, profile, options, /*batch=*/4,
+                     /*shuffled=*/true),
+          std::string(policy) + "/" + profile);
     }
   }
 }
@@ -307,8 +311,7 @@ TEST(ParallelCrawlerDifferentialTest, BfsBatchedReachesSerialCoverage) {
   const Env env = MovieEnv();
   CrawlOptions options = BaseOptions(DifferentialTarget());
   RunOutput serial = RunSerial(env, "bfs", "none", options);
-  RunOutput batched = RunParallel(env, "bfs", "none", options, /*threads=*/4,
-                                  /*batch=*/4);
+  RunOutput batched = RunBatched(env, "bfs", "none", options, /*batch=*/4);
   EXPECT_EQ(batched.result.stop_reason, StopReason::kFrontierExhausted);
   EXPECT_EQ(batched.result.records, serial.result.records);
   // BFS drains every discovered value completely, so an exhaustive
@@ -323,16 +326,20 @@ TEST(ParallelCrawlerDifferentialTest, BfsBatchedReachesSerialCoverage) {
   EXPECT_EQ(batched_ids, serial_ids);
 }
 
-// Keyword-interface crawls flow through FetchPageKeywordOf; the
-// equivalence must hold there too.
+// Keyword-interface crawls flow through FetchPageKeywordOf; both
+// equivalences must hold there too.
 TEST(ParallelCrawlerDifferentialTest, KeywordModeEquivalence) {
   const Env env = MovieEnv();
   CrawlOptions options = BaseOptions(DifferentialTarget());
   options.use_keyword_interface = true;
   RunOutput serial = RunSerial(env, "greedy", "flaky", options);
-  RunOutput parallel =
-      RunParallel(env, "greedy", "flaky", options, /*threads=*/4, /*batch=*/1);
-  ExpectIdentical(serial, parallel, "keyword/greedy/flaky");
+  ExpectIdentical(serial,
+                  RunBatched(env, "greedy", "flaky", options, /*batch=*/1),
+                  "keyword/greedy/flaky/batch=1");
+  ExpectIdentical(RunBatched(env, "greedy", "flaky", options, /*batch=*/4),
+                  RunBatched(env, "greedy", "flaky", options, /*batch=*/4,
+                             /*shuffled=*/true),
+                  "keyword/greedy/flaky/batch=4");
 }
 
 // Round-budget semantics: a target and a budget must stop both
@@ -344,9 +351,9 @@ TEST(ParallelCrawlerDifferentialTest, BudgetAndTargetStops) {
     options.max_rounds = max_rounds;
     options.target_records = 150;
     RunOutput serial = RunSerial(env, "greedy", "hostile", options);
-    RunOutput parallel = RunParallel(env, "greedy", "hostile", options,
-                                     /*threads=*/4, /*batch=*/1);
-    ExpectIdentical(serial, parallel,
+    RunOutput batched =
+        RunBatched(env, "greedy", "hostile", options, /*batch=*/1);
+    ExpectIdentical(serial, batched,
                     "budget=" + std::to_string(max_rounds));
   }
 }
@@ -361,18 +368,17 @@ TEST(ParallelCrawlerDifferentialTest, SlicedRunsResumeExactly) {
   CrawlOptions options = BaseOptions(target);
 
   RunOutput one_shot =
-      RunParallel(env, "greedy", "flaky", options, /*threads=*/4, /*batch=*/3);
+      RunBatched(env, "greedy", "flaky", options, /*batch=*/3);
 
   WebDbServer backend(target, ServerOptions());
   FaultProfile profile = ProfileByName("flaky");
   FaultyServer faulty(backend, profile, kFaultSeed);
   faulty.set_keyed_faults(true);
-  LockedQueryInterface server(faulty);
   LocalStore store;
   std::unique_ptr<QuerySelector> selector = MakeSelector("greedy", store, env);
   RetryPolicy retry((RetryPolicyConfig()));
-  CrawlEngine crawler(server, *selector, store, options,
-                      EngineOptions{.threads = 4, .batch = 3}, nullptr, &retry);
+  CrawlEngine crawler(faulty, *selector, store, options,
+                      EngineOptions{.batch = 3}, nullptr, &retry);
   crawler.AddSeed(FirstQueriableSeed(target));
   StatusOr<CrawlResult> sliced = Status::Internal("never ran");
   for (uint64_t budget = 17;; budget += 17) {
@@ -418,31 +424,26 @@ struct InstrumentedRun {
 
 InstrumentedRun RunWithCheckpoints(const Env& env, const std::string& policy,
                                    const std::string& profile_name,
-                                   CrawlOptions options, uint32_t threads,
-                                   uint32_t batch, uint64_t every) {
+                                   CrawlOptions options, uint32_t batch,
+                                   bool shuffled, uint64_t every) {
   WebDbServer backend(*env.target, env.server_options);
   FaultProfile profile = ProfileByName(profile_name);
   std::optional<FaultyServer> faulty;
-  QueryInterface* direct = &backend;
+  QueryInterface* server = &backend;
   if (!profile.IsAllZero()) {
     faulty.emplace(backend, profile, kFaultSeed);
     faulty->set_keyed_faults(true);
-    direct = &*faulty;
-  }
-  std::optional<LockedQueryInterface> locked;
-  QueryInterface* server = direct;
-  if (threads > 1) {
-    locked.emplace(*direct);
-    server = &*locked;
+    server = &*faulty;
   }
   LocalStore store;
   std::unique_ptr<QuerySelector> selector = MakeSelector(policy, store, env);
   RetryPolicy retry((RetryPolicyConfig()));
   InstrumentedRun run;
   const FaultyServer* faulty_ptr = faulty ? &*faulty : nullptr;
+  ShuffledFetchExecutor shuffler(kShuffleSeed);
   EngineOptions engine_options;
-  engine_options.threads = threads;
   engine_options.batch = batch;
+  if (shuffled) engine_options.shared_executor = &shuffler;
   engine_options.checkpoint_every_waves = every;
   engine_options.checkpoint_sink = [&run,
                                     faulty_ptr](const CrawlEngine& engine) {
@@ -464,29 +465,24 @@ InstrumentedRun RunWithCheckpoints(const Env& env, const std::string& policy,
 RunOutput ResumeFromImage(const Env& env, const std::string& image,
                           const std::string& policy,
                           const std::string& profile_name,
-                          CrawlOptions options, uint32_t threads,
-                          uint32_t batch) {
+                          CrawlOptions options, uint32_t batch,
+                          bool shuffled) {
   WebDbServer backend(*env.target, env.server_options);
   FaultProfile profile = ProfileByName(profile_name);
   std::optional<FaultyServer> faulty;
-  QueryInterface* direct = &backend;
+  QueryInterface* server = &backend;
   if (!profile.IsAllZero()) {
     faulty.emplace(backend, profile, kFaultSeed);
     faulty->set_keyed_faults(true);
-    direct = &*faulty;
-  }
-  std::optional<LockedQueryInterface> locked;
-  QueryInterface* server = direct;
-  if (threads > 1) {
-    locked.emplace(*direct);
-    server = &*locked;
+    server = &*faulty;
   }
   LocalStore store;
   std::unique_ptr<QuerySelector> selector = MakeSelector(policy, store, env);
   RetryPolicy retry((RetryPolicyConfig()));
+  ShuffledFetchExecutor shuffler(kShuffleSeed);
   EngineOptions engine_options;
-  engine_options.threads = threads;
   engine_options.batch = batch;
+  if (shuffled) engine_options.shared_executor = &shuffler;
   CrawlEngine engine(*server, *selector, store, options, engine_options,
                      /*abort_policy=*/nullptr, &retry);
   Status loaded =
@@ -507,58 +503,58 @@ void ExpectIdenticalWithCsv(const RunOutput& a, const RunOutput& b,
 // Interrupt-at-EVERY-wave sweep for one serial and one batched
 // configuration: each checkpoint a run ever writes must resume into the
 // exact one-shot output.
+struct Config {
+  uint32_t batch;
+  bool shuffled;
+};
+
+std::string ConfigLabel(const Config& config) {
+  return "batch=" + std::to_string(config.batch) +
+         (config.shuffled ? "/shuffled" : "/inline");
+}
+
 TEST(ParallelCrawlerDifferentialTest, CheckpointEveryWaveResumesIdentically) {
-  struct Config {
-    uint32_t threads;
-    uint32_t batch;
-  };
   const Env env = MovieEnv();
-  for (const Config& config : {Config{1, 1}, Config{8, 8}}) {
+  for (const Config& config : {Config{1, false}, Config{8, true}}) {
     CrawlOptions options = BaseOptions(DifferentialTarget());
     InstrumentedRun reference =
-        RunWithCheckpoints(env, "greedy", "flaky", options, config.threads,
-                           config.batch, /*every=*/1);
+        RunWithCheckpoints(env, "greedy", "flaky", options, config.batch,
+                           config.shuffled, /*every=*/1);
     // The checkpoint sink is pure instrumentation: the instrumented run
     // matches a plain one-shot run.
     RunOutput plain = config.batch == 1
                           ? RunSerial(env, "greedy", "flaky", options)
-                          : RunParallel(env, "greedy", "flaky", options,
-                                        config.threads, config.batch);
+                          : RunBatched(env, "greedy", "flaky", options,
+                                       config.batch, config.shuffled);
     ExpectIdenticalWithCsv(plain, reference.output, "instrumented-vs-plain");
     ASSERT_FALSE(reference.images.empty());
     for (size_t i = 0; i < reference.images.size(); ++i) {
       RunOutput resumed =
           ResumeFromImage(env, reference.images[i], "greedy", "flaky",
-                          options, config.threads, config.batch);
+                          options, config.batch, config.shuffled);
       ExpectIdenticalWithCsv(
           reference.output, resumed,
-          "threads=" + std::to_string(config.threads) + "/batch=" +
-              std::to_string(config.batch) + "/wave=" + std::to_string(i));
+          ConfigLabel(config) + "/wave=" + std::to_string(i));
     }
   }
 }
 
 // Full matrix: every selection policy x fault profile x {serial,
-// 8-thread/batch-8}, resuming from an early, a middle, and a late
+// shuffled batch-8}, resuming from an early, a middle, and a late
 // checkpoint of each run.
 TEST(ParallelCrawlerDifferentialTest, CheckpointMatrixResumesIdentically) {
-  struct Config {
-    uint32_t threads;
-    uint32_t batch;
-  };
   const Env env = MovieEnv();
   for (const char* policy : kPolicies) {
     for (const char* profile : kProfiles) {
-      for (const Config& config : {Config{1, 1}, Config{8, 8}}) {
+      for (const Config& config : {Config{1, false}, Config{8, true}}) {
         CrawlOptions options = BaseOptions(DifferentialTarget());
-        SCOPED_TRACE(std::string(policy) + "/" + profile + "/threads=" +
-                     std::to_string(config.threads) + "/batch=" +
-                     std::to_string(config.batch));
+        SCOPED_TRACE(std::string(policy) + "/" + profile + "/" +
+                     ConfigLabel(config));
         // every=1 (not a sampled stride): some fault profiles collapse a
         // crawl after a single wave (a truncated seed page kills the BFS
         // frontier), and the run must still produce a checkpoint.
         InstrumentedRun reference = RunWithCheckpoints(
-            env, policy, profile, options, config.threads, config.batch,
+            env, policy, profile, options, config.batch, config.shuffled,
             /*every=*/1);
         ASSERT_FALSE(reference.images.empty());
         size_t last = reference.images.size() - 1;
@@ -566,13 +562,9 @@ TEST(ParallelCrawlerDifferentialTest, CheckpointMatrixResumesIdentically) {
         for (size_t i : picks) {
           RunOutput resumed =
               ResumeFromImage(env, reference.images[i], policy, profile,
-                              options, config.threads, config.batch);
-          ExpectIdenticalWithCsv(
-              reference.output, resumed,
-              std::string(policy) + "/" + profile + "/threads=" +
-                  std::to_string(config.threads) + "/batch=" +
-                  std::to_string(config.batch) + "/image=" +
-                  std::to_string(i));
+                              options, config.batch, config.shuffled);
+          ExpectIdenticalWithCsv(reference.output, resumed,
+                                 "image=" + std::to_string(i));
         }
       }
     }
@@ -580,61 +572,60 @@ TEST(ParallelCrawlerDifferentialTest, CheckpointMatrixResumesIdentically) {
 }
 
 // A checkpoint taken mid-crawl may also be resumed under a DIFFERENT
-// thread count (threads are wall-clock only and deliberately not part
-// of the checkpoint fingerprint); the output must not change.
-TEST(ParallelCrawlerDifferentialTest, CheckpointResumesAcrossThreadCounts) {
+// executor (the executor is wall-clock only and deliberately not part
+// of the checkpoint fingerprint, so a TCP crawl's checkpoint resumes
+// in-process); the output must not change.
+TEST(ParallelCrawlerDifferentialTest, CheckpointResumesAcrossExecutors) {
   const Env env = MovieEnv();
   CrawlOptions options = BaseOptions(DifferentialTarget());
   InstrumentedRun reference = RunWithCheckpoints(
-      env, "mmmi", "hostile", options, /*threads=*/8, /*batch=*/4,
+      env, "mmmi", "hostile", options, /*batch=*/4, /*shuffled=*/true,
       /*every=*/5);
   ASSERT_FALSE(reference.images.empty());
   const std::string& image =
       reference.images[reference.images.size() / 2];
-  for (uint32_t threads : {1u, 2u, 8u}) {
+  for (bool shuffled : {false, true}) {
     RunOutput resumed = ResumeFromImage(env, image, "mmmi", "hostile",
-                                        options, threads, /*batch=*/4);
+                                        options, /*batch=*/4, shuffled);
     ExpectIdenticalWithCsv(reference.output, resumed,
-                           "resume-threads=" + std::to_string(threads));
+                           shuffled ? "resume-shuffled" : "resume-inline");
   }
 }
 
-// Abort policies are consulted at the same points serial and threaded.
+// Abort policies are consulted at the same points whatever order a
+// wave's fetches are served in.
 TEST(ParallelCrawlerDifferentialTest, AbortPolicyEquivalence) {
   const Table& target = DifferentialTarget();
   CrawlOptions options = BaseOptions(target);
 
-  // Serial: inline fetches against the bare backend. Threaded: a
-  // ThreadPool executor against the locked server, still at batch 1.
-  auto run = [&](uint32_t threads) {
+  auto run = [&](bool shuffled) {
     WebDbServer backend(target, ServerOptions());
-    LockedQueryInterface locked(backend);
-    QueryInterface& server =
-        threads > 1 ? static_cast<QueryInterface&>(locked) : backend;
     LocalStore store;
     std::unique_ptr<QuerySelector> selector =
         MakeSelector("greedy", store, MovieEnv());
     CountBasedAbort abort_policy(/*min_harvest_rate=*/2.0);
-    CrawlEngine crawler(server, *selector, store, options,
-                        EngineOptions{.threads = threads}, &abort_policy,
-                        nullptr);
+    ShuffledFetchExecutor shuffler(kShuffleSeed);
+    CrawlEngine crawler(
+        backend, *selector, store, options,
+        EngineOptions{.batch = 4,
+                      .shared_executor = shuffled ? &shuffler : nullptr},
+        &abort_policy, nullptr);
     crawler.AddSeed(FirstQueriableSeed(target));
     StatusOr<CrawlResult> result = crawler.Run();
     DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
     return Capture(*result, store, crawler.clock().now());
   };
 
-  ExpectIdentical(run(1), run(4), "count-abort");
+  ExpectIdentical(run(false), run(true), "count-abort");
 }
 
 // --- optimal-selector determinism on the adversarial env -------------
 //
 // The Sheng et al. selectors keep extra mutable state (descent queue,
 // per-node status/count arrays); the same contracts that hold for the
-// classic selectors must hold for them: batch == 1 parallel is
-// bit-identical to serial, thread count never matters, and every
-// checkpoint resumes into the exact one-shot output by replaying its
-// fetch log.
+// classic selectors must hold for them: batch == 1 is bit-identical to
+// serial, fetch order never matters, and every checkpoint resumes into
+// the exact one-shot output by replaying its fetch log.
 
 TEST(ParallelCrawlerDifferentialTest, OptimalSerialEquivalenceAllProfiles) {
   const Env env = AdversarialEnv();
@@ -642,58 +633,48 @@ TEST(ParallelCrawlerDifferentialTest, OptimalSerialEquivalenceAllProfiles) {
     for (const char* profile : kProfiles) {
       CrawlOptions options;
       RunOutput serial = RunSerial(env, policy, profile, options);
-      for (uint32_t threads : {1u, 4u, 8u}) {
-        RunOutput parallel =
-            RunParallel(env, policy, profile, options, threads, /*batch=*/1);
-        ExpectIdentical(serial, parallel,
-                        std::string(policy) + "/" + profile + "/threads=" +
-                            std::to_string(threads));
+      for (bool shuffled : {false, true}) {
+        RunOutput batched = RunBatched(env, policy, profile, options,
+                                       /*batch=*/1, shuffled);
+        ExpectIdentical(serial, batched,
+                        std::string(policy) + "/" + profile +
+                            (shuffled ? "/shuffled" : "/inline"));
       }
     }
   }
 }
 
-TEST(ParallelCrawlerDifferentialTest, OptimalThreadInvarianceBatch4) {
+TEST(ParallelCrawlerDifferentialTest, OptimalFetchOrderInvarianceBatch4) {
   const Env env = AdversarialEnv();
   for (const char* policy : {"opt-rank", "opt-threshold"}) {
     for (const char* profile : kProfiles) {
       CrawlOptions options;
-      RunOutput reference = RunParallel(env, policy, profile, options,
-                                        /*threads=*/1, /*batch=*/4);
-      for (uint32_t threads : {4u, 8u}) {
-        RunOutput other =
-            RunParallel(env, policy, profile, options, threads, /*batch=*/4);
-        ExpectIdentical(reference, other,
-                        std::string(policy) + "/" + profile + "/threads=" +
-                            std::to_string(threads));
-      }
+      ExpectIdentical(
+          RunBatched(env, policy, profile, options, /*batch=*/4),
+          RunBatched(env, policy, profile, options, /*batch=*/4,
+                     /*shuffled=*/true),
+          std::string(policy) + "/" + profile);
     }
   }
 }
 
 TEST(ParallelCrawlerDifferentialTest,
      OptimalCheckpointEveryWaveResumesIdentically) {
-  struct Config {
-    uint32_t threads;
-    uint32_t batch;
-  };
   const Env env = AdversarialEnv();
   for (const char* policy : {"opt-rank", "opt-threshold"}) {
-    for (const Config& config : {Config{1, 1}, Config{8, 4}}) {
+    for (const Config& config : {Config{1, false}, Config{4, true}}) {
       CrawlOptions options;
-      SCOPED_TRACE(std::string(policy) + "/threads=" +
-                   std::to_string(config.threads) + "/batch=" +
-                   std::to_string(config.batch));
+      SCOPED_TRACE(std::string(policy) + "/" + ConfigLabel(config));
       InstrumentedRun reference =
-          RunWithCheckpoints(env, policy, "flaky", options, config.threads,
-                             config.batch, /*every=*/1);
+          RunWithCheckpoints(env, policy, "flaky", options, config.batch,
+                             config.shuffled, /*every=*/1);
       ASSERT_FALSE(reference.images.empty());
       size_t last = reference.images.size() - 1;
       std::set<size_t> picks = {0, last / 2, last};
       for (size_t i : picks) {
         RunOutput resumed =
             ResumeFromImage(env, reference.images[i], policy, "flaky",
-                            options, config.threads, config.batch);
+                            options, config.batch, config.shuffled);
         ExpectIdenticalWithCsv(reference.output, resumed,
                                "image=" + std::to_string(i));
       }

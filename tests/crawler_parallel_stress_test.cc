@@ -1,8 +1,7 @@
-// Stress tests for the parallel crawl engine:
-// many threads against a fault-injecting source with a scripted
-// schedule, checking that no record is lost or double-counted and that
-// retry work stays within the policy's bounds. ThreadSanitizer runs
-// these same tests in tools/check.sh.
+// Stress tests for the batched crawl engine: wide waves against a
+// fault-injecting source with a scripted schedule, checking that no
+// record is lost or double-counted and that retry work stays within the
+// policy's bounds, whatever order each wave's fetches are served in.
 
 #include <gtest/gtest.h>
 
@@ -18,9 +17,9 @@
 #include "src/crawler/retry_policy.h"
 #include "src/datagen/movie_domain.h"
 #include "src/server/faulty_server.h"
-#include "src/server/locked_interface.h"
 #include "src/server/web_db_server.h"
 #include "src/util/random.h"
+#include "tests/shuffled_fetch_executor.h"
 
 namespace deepcrawl {
 namespace {
@@ -57,9 +56,9 @@ std::set<RecordId> HarvestedIds(const LocalStore& store) {
 // A scripted schedule of failure-only faults (no record-mutating
 // actions, so every record stays fetchable), with bursts of at most 2
 // consecutive failures. The schedule is positional — action i hits the
-// i-th fetch in ARRIVAL order — so under concurrency which query meets
-// which fault varies with thread scheduling; the assertions below are
-// therefore interleaving-robust invariants, not exact counts.
+// i-th fetch in ARRIVAL order — so which query meets which fault
+// depends on the order a wave's fetches are served in; the assertions
+// below are therefore order-robust invariants, not exact counts.
 FaultSchedule FailureBurstSchedule(size_t length) {
   FaultSchedule schedule;
   Pcg32 rng(17);
@@ -107,14 +106,15 @@ TEST(ParallelCrawlerStressTest, NoRecordLostOrDuplicatedUnderFaults) {
       schedule.begin(), schedule.end(),
       [](FaultAction a) { return a != FaultAction::kNone; }));
   faulty.set_schedule(std::move(schedule));
-  LockedQueryInterface server(faulty);
 
   LocalStore store;
   BfsSelector selector;
   RetryPolicy retry((RetryPolicyConfig()));
-  CrawlEngine crawler(server, selector, store, CrawlOptions{},
-                      EngineOptions{.threads = 16, .batch = 8},
-                      /*abort_policy=*/nullptr, &retry);
+  ShuffledFetchExecutor shuffler(/*seed=*/3);
+  CrawlEngine crawler(
+      faulty, selector, store, CrawlOptions{},
+      EngineOptions{.batch = 8, .shared_executor = &shuffler},
+      /*abort_policy=*/nullptr, &retry);
   crawler.AddSeed(FirstQueriableSeed(target));
   StatusOr<CrawlResult> result = crawler.Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -139,7 +139,7 @@ TEST(ParallelCrawlerStressTest, NoRecordLostOrDuplicatedUnderFaults) {
   }
 
   // Retry accounting is internally consistent and bounded, under every
-  // interleaving: each failure is either retried or ends its drain
+  // fetch order: each failure is either retried or ends its drain
   // attempt (degrading the query); a requeue costs a full 4-attempt
   // budget; a degraded query was either re-queued or abandoned.
   EXPECT_GT(res.transient_failures, 0u);
@@ -148,14 +148,15 @@ TEST(ParallelCrawlerStressTest, NoRecordLostOrDuplicatedUnderFaults) {
   EXPECT_EQ(res.requeues + res.abandoned_values, res.degraded_queries);
   EXPECT_LE(res.requeues, res.transient_failures / 4);
 
-  // Cost accounting stayed exact across threads: the server's meter and
-  // the crawler's round count agree.
-  EXPECT_EQ(result->rounds, server.communication_rounds());
+  // Cost accounting stayed exact: the server's meter and the crawler's
+  // round count agree.
+  EXPECT_EQ(result->rounds, faulty.communication_rounds());
 }
 
 TEST(ParallelCrawlerStressTest, RepeatedRunsAreIdenticalAcrossSchedulings) {
-  // Hammer the engine: the same crawl 5 times at high thread counts must
-  // produce the same result every time, whatever the OS scheduler does.
+  // Hammer the engine: the same crawl 5 times, inline and then under
+  // four differently shuffled fetch orders, must produce the same
+  // result every time.
   const Table& target = StressTarget();
   std::vector<TracePoint> reference_trace;
   std::set<RecordId> reference_ids;
@@ -163,13 +164,15 @@ TEST(ParallelCrawlerStressTest, RepeatedRunsAreIdenticalAcrossSchedulings) {
     WebDbServer backend(target, ServerOptions());
     FaultyServer faulty(backend, FaultProfile::Transient(0.08), /*seed=*/5);
     faulty.set_keyed_faults(true);
-    LockedQueryInterface server(faulty);
     LocalStore store;
     BfsSelector selector;
     RetryPolicy retry((RetryPolicyConfig()));
-    CrawlEngine crawler(server, selector, store, CrawlOptions{},
-                        EngineOptions{.threads = 16, .batch = 6}, nullptr,
-                        &retry);
+    ShuffledFetchExecutor shuffler(/*seed=*/attempt);
+    CrawlEngine crawler(
+        faulty, selector, store, CrawlOptions{},
+        EngineOptions{.batch = 6,
+                      .shared_executor = attempt == 0 ? nullptr : &shuffler},
+        nullptr, &retry);
     crawler.AddSeed(FirstQueriableSeed(target));
     StatusOr<CrawlResult> result = crawler.Run();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -207,13 +210,11 @@ TEST(ParallelCrawlerStressTest, GreedyHeapGrowthStaysBoundedUnderFaults) {
   WebDbServer backend(target, ServerOptions());
   FaultyServer faulty(backend, FaultProfile::Transient(0.08), /*seed=*/5);
   faulty.set_keyed_faults(true);
-  LockedQueryInterface server(faulty);
   LocalStore store;
   CountingGreedySelector selector(store);
   RetryPolicy retry((RetryPolicyConfig()));
-  CrawlEngine crawler(server, selector, store, CrawlOptions{},
-                      EngineOptions{.threads = 16, .batch = 8}, nullptr,
-                      &retry);
+  CrawlEngine crawler(faulty, selector, store, CrawlOptions{},
+                      EngineOptions{.batch = 8}, nullptr, &retry);
   crawler.AddSeed(FirstQueriableSeed(target));
   StatusOr<CrawlResult> result = crawler.Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();

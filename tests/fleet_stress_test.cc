@@ -1,10 +1,8 @@
-// Fleet concurrency stress: a multi-threaded fleet under scripted chaos
-// bursts produces byte-identical output to the serial fleet — same
-// traces, same records (none lost, none duplicated), same breaker
-// transition accounting — because the thread count is wall-clock only
-// (DESIGN.md §11). Runs inside deepcrawl_concurrency_tests, so the TSan
-// pass in tools/check.sh executes the shared-executor path under a real
-// data-race detector.
+// Fleet stress: a batched fleet under scripted chaos bursts is a pure
+// function of its inputs — repeated runs give byte-identical traces,
+// the same records (none lost, none duplicated) and the same breaker
+// transition accounting, and a checkpoint taken mid-chaos resumes into
+// the uninterrupted run (DESIGN.md §11).
 
 #include <gtest/gtest.h>
 
@@ -36,11 +34,10 @@ std::vector<FleetSourceSpec> StressSpecs() {
   return std::move(*specs);
 }
 
-FleetOptions StressOptions(uint32_t threads) {
+FleetOptions StressOptions() {
   FleetOptions options;
   options.seed = 99;
-  options.threads = threads;
-  options.batch = 4;  // waves wide enough for the pool to matter
+  options.batch = 4;
   options.turn_rounds = 12;
   options.chaos = HostileChaosSchedule(kSources);
   options.retry.max_requeues = 16;
@@ -59,8 +56,8 @@ struct RunOutput {
   std::vector<std::vector<RecordId>> harvested;
 };
 
-RunOutput RunFleet(uint32_t threads) {
-  CrawlFleet fleet(StressSpecs(), StressOptions(threads));
+RunOutput RunFleet() {
+  CrawlFleet fleet(StressSpecs(), StressOptions());
   StatusOr<FleetResult> result = fleet.Run();
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
 
@@ -85,27 +82,26 @@ RunOutput RunFleet(uint32_t threads) {
   return out;
 }
 
-TEST(FleetStressTest, SixteenThreadFleetMatchesSerialUnderChaos) {
-  RunOutput serial = RunFleet(1);
-  RunOutput parallel = RunFleet(16);
+TEST(FleetStressTest, RepeatedRunsAreIdenticalUnderChaos) {
+  RunOutput first = RunFleet();
+  RunOutput second = RunFleet();
 
-  EXPECT_EQ(parallel.trace_csv, serial.trace_csv);
-  EXPECT_EQ(parallel.records, serial.records);
-  EXPECT_EQ(parallel.rounds, serial.rounds);
-  EXPECT_EQ(parallel.turns, serial.turns);
-  EXPECT_EQ(parallel.idle_ticks, serial.idle_ticks);
-  ASSERT_EQ(parallel.breakers.size(), serial.breakers.size());
-  for (size_t i = 0; i < serial.breakers.size(); ++i) {
-    EXPECT_EQ(parallel.breakers[i], serial.breakers[i]) << "source " << i;
-    EXPECT_EQ(parallel.reports[i], serial.reports[i]) << "source " << i;
-    // Same records, in the same store order: nothing lost to thread
-    // scheduling, nothing double-committed.
-    EXPECT_EQ(parallel.harvested[i], serial.harvested[i]) << "source " << i;
+  EXPECT_EQ(second.trace_csv, first.trace_csv);
+  EXPECT_EQ(second.records, first.records);
+  EXPECT_EQ(second.rounds, first.rounds);
+  EXPECT_EQ(second.turns, first.turns);
+  EXPECT_EQ(second.idle_ticks, first.idle_ticks);
+  ASSERT_EQ(second.breakers.size(), first.breakers.size());
+  for (size_t i = 0; i < first.breakers.size(); ++i) {
+    EXPECT_EQ(second.breakers[i], first.breakers[i]) << "source " << i;
+    EXPECT_EQ(second.reports[i], first.reports[i]) << "source " << i;
+    // Same records, in the same store order.
+    EXPECT_EQ(second.harvested[i], first.harvested[i]) << "source " << i;
   }
 }
 
 TEST(FleetStressTest, NoRecordLostOrDuplicatedUnderChaosBursts) {
-  RunOutput out = RunFleet(16);
+  RunOutput out = RunFleet();
   uint64_t total = 0;
   for (size_t i = 0; i < out.harvested.size(); ++i) {
     // A store slot list with repeats would mean a double-committed
@@ -132,25 +128,25 @@ TEST(FleetStressTest, NoRecordLostOrDuplicatedUnderChaosBursts) {
   }
 }
 
-// Checkpoint images taken by a parallel fleet restore into a serial one
-// (and vice versa): thread count is not part of the fleet fingerprint.
-TEST(FleetStressTest, CheckpointCrossesThreadCounts) {
-  FleetOptions options = StressOptions(16);
+// A checkpoint image taken mid-chaos by a capped fleet restores into a
+// fresh one, which runs on to the uninterrupted fleet's exact output.
+TEST(FleetStressTest, CheckpointMidChaosResumesIdentically) {
+  FleetOptions options = StressOptions();
   options.max_total_rounds = 96;
-  CrawlFleet parallel(StressSpecs(), options);
-  StatusOr<FleetResult> partial = parallel.Run();
+  CrawlFleet capped(StressSpecs(), options);
+  StatusOr<FleetResult> partial = capped.Run();
   ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-  StatusOr<std::string> image = EncodeFleetCheckpoint(parallel);
+  StatusOr<std::string> image = EncodeFleetCheckpoint(capped);
   ASSERT_TRUE(image.ok()) << image.status().ToString();
 
-  // Reference: serial uninterrupted run to completion.
-  CrawlFleet reference(StressSpecs(), StressOptions(1));
+  // Reference: an uninterrupted run to completion.
+  CrawlFleet reference(StressSpecs(), StressOptions());
   StatusOr<FleetResult> full = reference.Run();
   ASSERT_TRUE(full.ok());
   std::ostringstream want;
   ASSERT_TRUE(WriteFleetTraceCsv(*full, want).ok());
 
-  CrawlFleet resumed(StressSpecs(), StressOptions(1));
+  CrawlFleet resumed(StressSpecs(), StressOptions());
   ASSERT_TRUE(DecodeFleetCheckpoint(*image, resumed).ok());
   StatusOr<FleetResult> cont = resumed.Run();
   ASSERT_TRUE(cont.ok()) << cont.status().ToString();

@@ -454,6 +454,30 @@ TEST(NetServerTest, ClientReconnectsAcrossServerRestart) {
   EXPECT_EQ(dead.status().code(), StatusCode::kUnavailable);
 }
 
+// A zero reconnect window means "connect once, never retry", not
+// "never connect": the first attempt always runs.
+TEST(NetServerTest, ZeroReconnectWindowStillConnectsOnce) {
+  Table table = MakeFigure1Table();
+  WebDbServer backend(table, ServerOptions{});
+  auto server = std::make_unique<LoopServer>(backend, OptionsFor(table));
+  uint16_t port = server->port();
+
+  NetClientOptions options = ClientOptions(port);
+  options.reconnect_window_ms = 0;
+  StatusOr<std::unique_ptr<NetQueryClient>> connected =
+      NetQueryClient::Connect(options);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  ExpectSamePage((*connected)->FetchPage(0, 0), backend.FetchPage(0, 0));
+
+  // With the server gone, the single attempt fails fast into a
+  // retryable kUnavailable.
+  server.reset();
+  StatusOr<ResultPage> dead = (*connected)->FetchPage(0, 0);
+  ASSERT_FALSE(dead.ok());
+  EXPECT_EQ(dead.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ((*connected)->reconnects(), 0u);
+}
+
 TEST(NetServerTest, SerialRetainWindowBoundsClientMemory) {
   Table table = MakeFigure1Table();
   WebDbServer backend(table, ServerOptions{});

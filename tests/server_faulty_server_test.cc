@@ -1,5 +1,6 @@
 // Tests of the fault-injecting proxy: zero-profile transparency,
-// scripted fault schedules, seeded determinism, and the proxy-side
+// scripted fault schedules, seeded determinism, keyed mode (a fault
+// stream independent of fetch arrival order), and the proxy-side
 // meters that charge injected failures as communication rounds.
 
 #include "src/server/faulty_server.h"
@@ -7,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/server/web_db_server.h"
@@ -386,6 +389,98 @@ TEST(FaultyServerTest, FaultRatesApproximateProfileOverManyRounds) {
   double observed = static_cast<double>(proxy.fault_counters().unavailable) /
                     static_cast<double>(kRounds);
   EXPECT_NEAR(observed, 0.25, 0.03);
+}
+
+// --- keyed fault mode -------------------------------------------------
+
+using FetchKey = std::tuple<ValueId, uint32_t, uint32_t>;  // value, page, try
+
+// Issues the given logical fetches against a fresh keyed FaultyServer
+// and returns the status code each one observed.
+std::map<FetchKey, StatusCode> OutcomesInOrder(
+    const Table& table, const std::vector<FetchKey>& fetches) {
+  WebDbServer backend(table, ServerOptions());
+  FaultProfile profile;
+  profile.unavailable_rate = 0.25;
+  profile.timeout_rate = 0.15;
+  profile.rate_limit_rate = 0.10;
+  FaultyServer faulty(backend, profile, /*seed=*/99);
+  faulty.set_keyed_faults(true);
+  std::map<FetchKey, StatusCode> outcomes;
+  for (const FetchKey& key : fetches) {
+    StatusOr<ResultPage> page =
+        faulty.FetchPage(std::get<0>(key), std::get<1>(key));
+    outcomes[key] = page.status().code();
+  }
+  return outcomes;
+}
+
+TEST(FaultyServerTest, KeyedFaultsAreArrivalOrderIndependent) {
+  Table table = MakeFigure1Table();
+  std::vector<FetchKey> fetches;
+  for (ValueId v = 0; v < table.num_distinct_values(); ++v) {
+    // Two attempts per (value, page 0): retries draw fresh decisions,
+    // but keyed ones — attempt N of a fetch sees the same fault no
+    // matter what other queries ran in between.
+    fetches.emplace_back(v, 0, 1);
+    fetches.emplace_back(v, 0, 2);
+  }
+
+  // The same fetches issued in two orders: forward, then with the
+  // (value, page) blocks reversed. Blocks move whole so attempt 1 of a
+  // fetch still precedes attempt 2 (a retry can never precede the
+  // failure).
+  std::map<FetchKey, StatusCode> forward = OutcomesInOrder(table, fetches);
+  std::vector<FetchKey> reversed;
+  for (size_t i = fetches.size(); i >= 2; i -= 2) {
+    reversed.push_back(fetches[i - 2]);
+    reversed.push_back(fetches[i - 1]);
+  }
+  std::map<FetchKey, StatusCode> backward = OutcomesInOrder(table, reversed);
+
+  EXPECT_EQ(forward, backward);
+
+  // Sanity: the profile actually fired on some fetches and spared
+  // others, so the equality above is not vacuous.
+  size_t failures = 0;
+  for (const auto& [key, code] : forward) {
+    if (code != StatusCode::kOk && code != StatusCode::kOutOfRange) ++failures;
+  }
+  EXPECT_GT(failures, 0u);
+  EXPECT_LT(failures, forward.size());
+}
+
+TEST(FaultyServerTest, KeyedModeDistinguishesInterfaceKinds) {
+  // The same value queried through the typed field and the keyword box
+  // is a different logical fetch and may meet different faults; both
+  // decisions must still be reproducible.
+  Table table = MakeFigure1Table();
+  auto run = [&table] {
+    WebDbServer backend(table, ServerOptions());
+    FaultyServer faulty(backend, FaultProfile::Transient(0.5), /*seed=*/3);
+    faulty.set_keyed_faults(true);
+    std::vector<StatusCode> codes;
+    for (ValueId v = 0; v < table.num_distinct_values(); ++v) {
+      codes.push_back(faulty.FetchPage(v, 0).status().code());
+      codes.push_back(faulty.FetchPageKeywordOf(v, 0).status().code());
+    }
+    return codes;
+  };
+  EXPECT_EQ(run(), run());
+}
+
+TEST(FaultyServerTest, ScheduleStillOverridesKeyedMode) {
+  // Scripted schedules keep positional precedence even in keyed mode —
+  // existing scripted tests must not change meaning.
+  Table table = MakeFigure1Table();
+  WebDbServer backend(table, ServerOptions());
+  FaultyServer faulty(backend, FaultProfile(), /*seed=*/1);
+  faulty.set_keyed_faults(true);
+  faulty.set_schedule({FaultAction::kUnavailable, FaultAction::kNone});
+  ValueId a2 = GetValueId(table, "A", "a2");
+  EXPECT_EQ(faulty.FetchPage(a2, 0).status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_TRUE(faulty.FetchPage(a2, 0).ok());
 }
 
 }  // namespace

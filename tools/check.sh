@@ -27,18 +27,19 @@
 # UB bugs surface before they flake in production runs. The TSan pass
 # rebuilds into build-tsan/ with -DTSAN=ON (-fsanitize=thread; the two
 # sanitizers cannot be combined) and runs the concurrency tests — the
-# thread pool, the locked query interface, the parallel crawl engine's
-# differential/stress suites — under the race detector. The perf pass rebuilds into build-perf/ with
+# TCP server's event-loop thread under the net suites, the batched
+# engine's differential/stress suites and the fleet — under the race
+# detector. The perf pass rebuilds into build-perf/ with
 # -DCMAKE_BUILD_TYPE=Release, runs the JSON bench suites, and fails on
 # >20% regression against the committed baselines via
 # tools/bench_compare.py (see README "Benchmarking").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Test suites exercising threads; kept in tests/CMakeLists.txt's
-# deepcrawl_concurrency_tests binary (plus the property tests that ride
-# along with it).
-TSAN_FILTER='^(ThreadPoolTest|LockedInterfaceTest|AdaptiveDifferentialTest|ParallelCrawlerDifferentialTest|ParallelCrawlerStressTest|CrawlCheckpointTest|AvgInvariantsPropertyTest|TraceWaveTest|HotPathDifferentialTest|CrawlFleetTest|FleetStressTest|OptimalSelectorTest|OptimalCompetitivePropertyTest|NetServerTest|NetDifferentialTest)'
+# Test suites kept in tests/CMakeLists.txt's deepcrawl_concurrency_tests
+# binary (plus the property tests that ride along with it); the net
+# suites run a server thread next to the test's own.
+TSAN_FILTER='^(AdaptiveDifferentialTest|ParallelCrawlerDifferentialTest|ParallelCrawlerStressTest|CrawlCheckpointTest|AvgInvariantsPropertyTest|TraceWaveTest|HotPathDifferentialTest|CrawlFleetTest|FleetStressTest|OptimalSelectorTest|OptimalCompetitivePropertyTest|NetServerTest|NetDifferentialTest)'
 
 run_suite() {
   local build_dir="$1"; shift
@@ -48,7 +49,7 @@ run_suite() {
 }
 
 # Shared kill/resume differential (passes 5, 6, 9). Launches the
-# slowed, checkpointing command held in the array named by `$5` in the
+# checkpointing command held in the array named by `$5` in the
 # background, waits for its first checkpoint to land at `$2`, SIGKILLs
 # it mid-run, then re-runs the command held in the array named by `$6`
 # with --resume-from/--trace-csv appended and byte-compares the resumed
@@ -58,13 +59,23 @@ kill_resume_differential() {
   local -n krd_bg_cmd="$5" krd_resume_cmd="$6"
   "${krd_bg_cmd[@]}" > /dev/null 2>&1 &
   local pid=$!
-  # Let it commit some waves, then kill it hard mid-crawl (the caller's
-  # simulated latency stretches the run so the kill lands mid-crawl;
-  # latency never affects results, so the resumed run drops it).
+  # Let it commit some waves, then kill it hard mid-crawl. The callers
+  # size their workloads so that checkpointing every wave keeps the run
+  # going for seconds after its first checkpoint.
   while [[ ! -s "${ckpt}" ]]; do sleep 0.1; done
-  sleep 1
+  sleep 0.5
   kill -9 "${pid}" 2> /dev/null || true
-  wait "${pid}" 2> /dev/null || true
+  local status=0
+  wait "${pid}" 2> /dev/null || status=$?
+  # 137 = 128 + SIGKILL. Anything else means the run ended on its own
+  # before the kill (a finished child still accepts the signal as a
+  # zombie), so the resume below would prove nothing: fail loudly so
+  # the workload size gets fixed.
+  if [[ "${status}" != 137 ]]; then
+    echo "${label} FAILED: the SIGKILL did not land mid-run" \
+      "(exit status ${status})" >&2
+    exit 1
+  fi
   if ! "${krd_resume_cmd[@]}" --resume-from="${ckpt}" \
       --trace-csv="${resumed}" > /dev/null; then
     echo "${label} FAILED: resume from checkpoint errored" >&2
@@ -75,7 +86,7 @@ kill_resume_differential() {
     diff "${reference}" "${resumed}" | head -20 >&2
     exit 1
   fi
-  echo "${label}: traces byte-identical"
+  echo "${label}: killed mid-run, traces byte-identical"
 }
 
 echo "=== pass 1/9: plain build (build/) ==="
@@ -155,19 +166,20 @@ if [[ "${skip_resume}" == 1 ]]; then
   echo "=== pass 5/9 skipped (--no-resume) ==="
 else
   echo "=== pass 5/9: kill/resume checkpoint differential ==="
-  # An uninterrupted reference crawl, then the same crawl slowed by
-  # simulated latency, checkpointing every wave, SIGKILLed mid-run; the
-  # resume from its last surviving checkpoint must emit the exact same
-  # trace CSV. Exercises the real files-on-disk path (atomic replace,
-  # partially-written temp files) that the in-process test sweeps cannot.
+  # An uninterrupted reference crawl, then the same crawl checkpointing
+  # every wave (about 3.5 s at this scale in Release), SIGKILLed mid-run;
+  # the resume from its last surviving checkpoint must emit the exact
+  # same trace CSV. Exercises the real files-on-disk path (atomic
+  # replace, partially-written temp files) that the in-process test
+  # sweeps cannot.
   RESUME_DIR="$(mktemp -d)"
   trap 'rm -rf "${RESUME_DIR}"' EXIT
   CRAWL=./build/tools/deepcrawl_crawl
-  CRAWL_ARGS=(--workload=ebay --scale=0.05 --policy=greedy
-    --fault-profile=flaky --threads=4 --batch=4)
+  CRAWL_ARGS=(--workload=ebay --scale=0.3 --policy=greedy
+    --fault-profile=flaky --batch=4)
   "${CRAWL}" "${CRAWL_ARGS[@]}" --trace-csv="${RESUME_DIR}/full.csv" \
     > /dev/null
-  KR_BG=("${CRAWL}" "${CRAWL_ARGS[@]}" --latency-us=5000
+  KR_BG=("${CRAWL}" "${CRAWL_ARGS[@]}"
     --checkpoint="${RESUME_DIR}/crawl.ckpt" --checkpoint-every=1)
   KR_RESUME=("${CRAWL}" "${CRAWL_ARGS[@]}")
   kill_resume_differential "kill/resume differential" \
@@ -176,11 +188,11 @@ else
   # The same differential for the oracle policy, whose selector reads the
   # backend's ground truth: no selector serializes itself, so only the
   # replay of the checkpoint's fetch log can rebuild it.
-  ORACLE_ARGS=(--workload=ebay --scale=0.05 --policy=oracle
-    --fault-profile=flaky --threads=4 --batch=4)
+  ORACLE_ARGS=(--workload=ebay --scale=0.3 --policy=oracle
+    --fault-profile=flaky --batch=4)
   "${CRAWL}" "${ORACLE_ARGS[@]}" --trace-csv="${RESUME_DIR}/oracle-full.csv" \
     > /dev/null
-  KR_BG=("${CRAWL}" "${ORACLE_ARGS[@]}" --latency-us=5000
+  KR_BG=("${CRAWL}" "${ORACLE_ARGS[@]}"
     --checkpoint="${RESUME_DIR}/oracle.ckpt" --checkpoint-every=1)
   KR_RESUME=("${CRAWL}" "${ORACLE_ARGS[@]}")
   kill_resume_differential "oracle kill/resume differential" \
@@ -193,8 +205,9 @@ if [[ "${skip_resume}" == 1 ]]; then
 else
   echo "=== pass 6/9: fleet kill/resume under chaos ==="
   # Pass 5 for the whole fleet: an uninterrupted 4-source fleet crawl
-  # under the hostile chaos schedule, then the same fleet slowed by
-  # simulated latency and checkpointing every turn, SIGKILLed mid-chaos;
+  # under the hostile chaos schedule, then the same fleet checkpointing
+  # every turn (about 4.5 s at this scale in Release), SIGKILLed
+  # mid-chaos;
   # the resume from the last surviving whole-fleet checkpoint (its
   # budgets, turn count and every source's fetch log, replayed turn by
   # turn) must emit a byte-identical per-source trace CSV.
@@ -202,11 +215,11 @@ else
   # Keep cleaning pass 5's dir too (one trap per signal).
   trap 'rm -rf "${RESUME_DIR:-}" "${FLEET_DIR}"' EXIT
   FLEET=./build/tools/deepcrawl_fleet
-  FLEET_ARGS=(--sources=4 --scale=0.004 --target-coverage=0.9 --seeds=8
+  FLEET_ARGS=(--sources=4 --scale=0.03 --target-coverage=0.9 --seeds=8
     --retry-requeues=16 --fault-profile=flaky --chaos=hostile --seed=42)
   "${FLEET}" "${FLEET_ARGS[@]}" --trace-csv="${FLEET_DIR}/full.csv" \
     > /dev/null
-  KR_BG=("${FLEET}" "${FLEET_ARGS[@]}" --threads=4 --latency-us=3000
+  KR_BG=("${FLEET}" "${FLEET_ARGS[@]}"
     --checkpoint="${FLEET_DIR}/fleet.ckpt" --checkpoint-every=1)
   KR_RESUME=("${FLEET}" "${FLEET_ARGS[@]}")
   kill_resume_differential "fleet kill/resume differential" \
@@ -339,7 +352,8 @@ else
   echo "=== pass 9/9: adaptive switch kill/resume on a textual source ==="
   # The adaptive meta-selector (GL -> GL+MMMI -> term-weight) crawling a
   # generated textual database through the keyword box under faults,
-  # parallel and batched. The SIGKILL lands while the chain's estimator
+  # batched, checkpointing every wave (about 3.3 s in Release). The
+  # SIGKILL lands while the chain's estimator
   # and phase counters are live state, so the resumed crawl only matches
   # byte for byte if replaying the fetch log rebuilds the whole chain —
   # active phase, per-child frontiers, EWMA — exactly, switch wave
@@ -348,10 +362,10 @@ else
   trap 'rm -rf "${RESUME_DIR:-}" "${FLEET_DIR:-}" "${NET_DIR:-}" "${ADAPT_DIR}"' EXIT
   CRAWL=./build/tools/deepcrawl_crawl
   ADAPT_ARGS=(--workload=textual --scale=0.1 --policy=adaptive --keyword
-    --result-limit=110 --fault-profile=flaky --threads=4 --batch=4)
+    --result-limit=110 --fault-profile=flaky --batch=4)
   "${CRAWL}" "${ADAPT_ARGS[@]}" --trace-csv="${ADAPT_DIR}/full.csv" \
     > /dev/null
-  KR_BG=("${CRAWL}" "${ADAPT_ARGS[@]}" --latency-us=3000
+  KR_BG=("${CRAWL}" "${ADAPT_ARGS[@]}"
     --checkpoint="${ADAPT_DIR}/crawl.ckpt" --checkpoint-every=1)
   KR_RESUME=("${CRAWL}" "${ADAPT_ARGS[@]}")
   kill_resume_differential "adaptive kill/resume differential" \

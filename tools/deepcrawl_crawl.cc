@@ -59,7 +59,6 @@
 #include "src/net/net_client.h"
 #include "src/relation/tsv.h"
 #include "src/server/faulty_server.h"
-#include "src/server/locked_interface.h"
 #include "src/server/web_db_server.h"
 #include "src/util/flags.h"
 #include "src/util/random.h"
@@ -91,11 +90,9 @@ struct Options {
   int64_t retry_attempts = 4;
   int64_t retry_requeues = 2;
 
-  // EngineOptions::threads / ::batch (src/crawler/crawl_engine.h).
-  // threads=1 batch=1 is the serial crawl order.
-  int64_t threads = 1;
+  // EngineOptions::batch (src/crawler/crawl_engine.h); batch=1 is the
+  // serial crawl order.
   int64_t batch = 1;
-  int64_t latency_us = 0;
 
   // Network crawl (src/net/net_client.h): fetch pages from a
   // deepcrawl_serve process instead of an in-process simulator.
@@ -177,11 +174,10 @@ Status ValidateFlags(const Options& options) {
       CheckFlagRange("retry-attempts", options.retry_attempts, 1, kU32));
   DEEPCRAWL_RETURN_IF_ERROR(
       CheckFlagRange("retry-requeues", options.retry_requeues, 0, kU32));
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("threads", options.threads, 1, kU32));
   DEEPCRAWL_RETURN_IF_ERROR(CheckFlagRange("batch", options.batch, 1, kU32));
   DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("latency-us", options.latency_us, 0));
+      CheckFlagRange("connect-retry-ms", options.connect_retry_ms, 0));
+  DEEPCRAWL_RETURN_IF_ERROR(CheckTargetCoverage(options.target_coverage));
   return CheckFlagRange("checkpoint-every", options.checkpoint_every, 0);
 }
 
@@ -244,38 +240,27 @@ Status Run(const Options& options) {
               << " truncate=" << profile.truncate_rate
               << " duplicate=" << profile.duplicate_rate << "\n";
   }
-  if (network && options.threads > 1) {
-    return Status::InvalidArgument(
-        "--connect pipelines over --connections, not threads; drop "
-        "--threads");
-  }
-  if (network && options.latency_us > 0) {
-    return Status::InvalidArgument(
-        "--latency-us simulates a network in-process; with --connect the "
-        "latency is real (pass --latency-us to deepcrawl_serve to add "
-        "artificial delay)");
-  }
   if (network) {
     DEEPCRAWL_RETURN_IF_ERROR(CheckFlagRange(
         "connections", options.connections, 1,
         std::numeric_limits<uint32_t>::max()));
   }
-  bool parallel = !network && (options.threads > 1 || options.batch > 1);
-  if (faulty.has_value() && (options.fault.fault_keyed || parallel)) {
-    // Parallel crawls force keyed faults: the sequential fault RNG
-    // depends on fetch arrival order, which thread scheduling would
-    // make irreproducible.
+  if (faulty.has_value() && (options.fault.fault_keyed || options.batch > 1)) {
+    // Batched crawls force keyed faults, as deepcrawl_serve does for
+    // every crawl: the sequential fault RNG depends on fetch arrival
+    // order, which differs between the inline executor and a wave
+    // pipelined over TCP, so only keyed faults keep an in-process
+    // batched crawl identical to its TCP twin.
     faulty->set_keyed_faults(true);
     std::cout << "faults: keyed mode (decisions independent of fetch "
                  "arrival order)\n";
   }
 
   // Assemble the query stack: either the in-process simulator (behind
-  // the optional fault proxy and thread-safety adapter) or a network
-  // client talking to a deepcrawl_serve process.
+  // the optional fault proxy) or a network client talking to a
+  // deepcrawl_serve process.
   std::unique_ptr<NetQueryClient> net_client;
   std::optional<NetFetchExecutor> net_executor;
-  std::optional<LockedQueryInterface> locked;
   QueryInterface* server = nullptr;
   if (network) {
     NetClientOptions net_options;
@@ -305,16 +290,10 @@ Status Run(const Options& options) {
           "server interface mismatch: the deepcrawl_serve process was "
           "started with different workload/interface flags than this crawl");
     }
+  } else if (faulty.has_value()) {
+    server = &*faulty;
   } else {
-    QueryInterface& direct_server =
-        faulty.has_value() ? static_cast<QueryInterface&>(*faulty) : backend;
-    if (parallel) {
-      locked.emplace(direct_server,
-                     static_cast<uint64_t>(options.latency_us));
-      server = &*locked;
-    } else {
-      server = &direct_server;
-    }
+    server = &backend;
   }
 
   RetryPolicyConfig retry_config;
@@ -356,7 +335,6 @@ Status Run(const Options& options) {
   }
   FaultyServer* faulty_ptr = faulty.has_value() ? &*faulty : nullptr;
   EngineOptions engine_options;
-  engine_options.threads = static_cast<uint32_t>(options.threads);
   engine_options.batch = static_cast<uint32_t>(options.batch);
   engine_options.checkpoint_every_waves =
       static_cast<uint64_t>(options.checkpoint_every);
@@ -375,10 +353,9 @@ Status Run(const Options& options) {
   CrawlEngine engine(*server, *selector, store, crawl_options, engine_options,
                      /*abort_policy=*/nullptr,
                      use_retry ? &retry_policy : nullptr);
-  if (parallel) {
-    std::cout << "parallel engine: " << options.threads << " threads, batch "
-              << options.batch << ", simulated latency "
-              << options.latency_us << "us/fetch\n";
+  if (options.batch > 1) {
+    std::cout << "batched engine: " << options.batch
+              << " drain slots per wave\n";
   }
   if (!options.resume_from.empty()) {
     // Rebuilds the crawl state (store, selector, retry queues, parked
@@ -434,8 +411,8 @@ Status Run(const Options& options) {
             << TablePrinter::FormatDouble(chao.estimated_total, 0)
             << " records (Chao1)\n";
   if (result.rtt.fetches > 0) {
-    // Simulated (--latency-us) and measured (--connect) round trips
-    // report through the same counters (see RttCounters).
+    // Measured socket round trips of a --connect crawl (see
+    // RttCounters).
     std::cout << "  round-trip time:    mean "
               << TablePrinter::FormatDouble(result.rtt.MeanUs(), 1)
               << "us (min " << result.rtt.min_rtt_us << "us, max "
@@ -503,7 +480,7 @@ int main(int argc, char** argv) {
                   "communication-round budget (0 = unbounded)");
   parser.AddDouble("target-coverage", &options.target_coverage,
                    "stop at this fraction of the target's records "
-                   "(0 = crawl to exhaustion)");
+                   "(in [0, 1]; 0 = crawl to exhaustion)");
   parser.AddDouble("saturation", &options.saturation,
                    "coverage at which MMMI switches on");
   parser.AddInt64("seeds", &options.num_seeds,
@@ -518,16 +495,11 @@ int main(int argc, char** argv) {
                   "max fetch attempts per value drain under faults");
   parser.AddInt64("retry-requeues", &options.retry_requeues,
                   "times a failed value is re-queued before abandonment");
-  parser.AddInt64("threads", &options.threads,
-                  "fetch worker threads (>1 engages the parallel batched "
-                  "engine; wall-clock only, never changes results)");
   parser.AddInt64("batch", &options.batch,
-                  "concurrent drain slots per wave (>1 engages the "
-                  "parallel engine; batch=1 reproduces the serial crawl "
-                  "order exactly)");
-  parser.AddInt64("latency-us", &options.latency_us,
-                  "simulated per-fetch network latency in microseconds "
-                  "(parallel engine only; overlapped across threads)");
+                  "drain slots per wave, each wave planned from the last "
+                  "one's knowledge (batch=1 reproduces the serial crawl "
+                  "order exactly; with --connect a wave is pipelined "
+                  "over the connections)");
   parser.AddString("connect", &options.connect,
                    "crawl a remote WebDB at host:port (deepcrawl_serve) "
                    "instead of simulating in-process; workload flags must "

@@ -47,9 +47,7 @@ struct Options {
   int64_t gen_seed = 1;
   std::string policy = "greedy";
   std::string scheduler = "marginal-hr";
-  int64_t threads = 1;
   int64_t batch = 1;
-  int64_t latency_us = 0;
   double target_coverage = 0.9;
   double saturation = 0.85;
   int64_t num_seeds = 1;
@@ -80,11 +78,8 @@ Status ValidateFlags(const Options& options) {
   constexpr int64_t kU32 = std::numeric_limits<uint32_t>::max();
   DEEPCRAWL_RETURN_IF_ERROR(
       CheckFlagRange("sources", options.sources, 1, kU32));
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("threads", options.threads, 1, kU32));
   DEEPCRAWL_RETURN_IF_ERROR(CheckFlagRange("batch", options.batch, 1, kU32));
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("latency-us", options.latency_us, 0));
+  DEEPCRAWL_RETURN_IF_ERROR(CheckTargetCoverage(options.target_coverage));
   DEEPCRAWL_RETURN_IF_ERROR(
       CheckFlagRange("seeds", options.num_seeds, 1, kU32));
   DEEPCRAWL_RETURN_IF_ERROR(
@@ -136,9 +131,7 @@ Status Run(const Options& options) {
   fleet_options.seed = static_cast<uint64_t>(options.seed);
   DEEPCRAWL_ASSIGN_OR_RETURN(fleet_options.scheduler,
                              ParseSchedulerPolicy(options.scheduler));
-  fleet_options.threads = static_cast<uint32_t>(options.threads);
   fleet_options.batch = static_cast<uint32_t>(options.batch);
-  fleet_options.latency_us = static_cast<uint64_t>(options.latency_us);
   fleet_options.turn_rounds = static_cast<uint64_t>(options.turn_rounds);
   fleet_options.max_total_rounds =
       static_cast<uint64_t>(options.max_rounds);
@@ -169,7 +162,7 @@ Status Run(const Options& options) {
   CrawlFleet fleet(std::move(specs), fleet_options);
   std::cout << "fleet: " << num_sources << " sources, scheduler "
             << SchedulerPolicyToString(fleet_options.scheduler)
-            << ", threads " << options.threads << ", chaos events "
+            << ", batch " << options.batch << ", chaos events "
             << fleet_options.chaos.size() << "\n";
   if (!options.resume_from.empty()) {
     DEEPCRAWL_RETURN_IF_ERROR(
@@ -244,14 +237,11 @@ int main(int argc, char** argv) {
                    "per-source query selection: greedy|mmmi|bfs|dfs");
   parser.AddString("scheduler", &options.scheduler,
                    "turn scheduler: marginal-hr|round-robin|sequential");
-  parser.AddInt64("threads", &options.threads,
-                  "shared fetch pool threads (wall-clock only)");
   parser.AddInt64("batch", &options.batch,
                   "per-source engine wave width");
-  parser.AddInt64("latency-us", &options.latency_us,
-                  "simulated per-fetch latency in microseconds");
   parser.AddDouble("target-coverage", &options.target_coverage,
-                   "per-source stop target as a fraction of its records");
+                   "per-source stop target as a fraction of its records "
+                   "(in [0, 1]; 0 = crawl to exhaustion)");
   parser.AddDouble("saturation", &options.saturation,
                    "coverage at which MMMI switches on");
   parser.AddInt64("seeds", &options.num_seeds,

@@ -22,6 +22,11 @@ Status CheckScale(double scale) {
 
 }  // namespace
 
+Status CheckTargetCoverage(double target_coverage) {
+  if (target_coverage >= 0.0 && target_coverage <= 1.0) return Status::OK();
+  return Status::InvalidArgument("--target-coverage must be in [0, 1]");
+}
+
 void RegisterWorkloadFlags(FlagParser& parser, WorkloadFlagOptions* options) {
   parser.AddString("input", &options->input,
                    "TSV file with the target database (see src/relation/"

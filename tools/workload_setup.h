@@ -54,6 +54,10 @@ struct AdversarialGroundTruth {
 
 void RegisterWorkloadFlags(FlagParser& parser, WorkloadFlagOptions* options);
 
+// kInvalidArgument unless --target-coverage, a fraction of the target's
+// records, lies in [0, 1] (0 = crawl to frontier exhaustion).
+Status CheckTargetCoverage(double target_coverage);
+
 // Loads --input or generates --workload; fills `adv` for
 // --workload=adversarial.
 StatusOr<Table> LoadTargetTable(const WorkloadFlagOptions& options,
