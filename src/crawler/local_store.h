@@ -16,24 +16,36 @@
 //
 // Layout: postings live in a ChunkedArena dynamic-CSR store (one flat
 // buffer, amortized relocation on doubling, epoch compaction). G_local
-// is kept only as far as selection reads it: one flat open-addressing
-// hash of packed (min, max) value pairs deduplicates edges — one probe
-// per record value pair — and a new edge raises both endpoints' degree
-// counters. No neighbour lists are kept. AddRecord computes a record's
-// pair keys and hashes first and prefetches every home slot before the
-// first insert, so the pair probes' cache misses overlap; the inserts
-// run in the same order as without it. The record index is one flat
-// hash of packed 8-byte entries, (observations << 32) | (id + 1): a
-// returned record costs one probe, and a duplicate bumps its count in
-// the slot that probe found. The per-value containers this replaced
-// live on as a test oracle in tests/reference_local_store.h; see
-// DESIGN.md §9.
+// is kept only as far as selection reads it: exact degree counters, and
+// no neighbour lists. A record's new edges are found three ways, by
+// the local frequencies its values had before it (Figure 2's power law
+// makes most of them small):
+//
+//   * a pair with a value never seen before is new;
+//   * a pair of hubs, two values above kHubFrequency (T = 8), is
+//     probed in one flat open-addressing hash of packed (min, max)
+//     pairs, the home slots prefetched before the first insert;
+//   * any other pair is owned by its rarer endpoint, by (frequency,
+//     position in the record). That value has at most T earlier
+//     records, and one scan of them settles all of its owned pairs.
+//
+// The hash holds exactly the local edges whose two endpoints are both
+// above T: when a value crosses T, its records are walked once and its
+// edges to hubs inserted. After a full IMDB 0.3 crawl that is 131k of
+// 2.52M edges, a 2 MB table instead of 32 MB; DESIGN.md §9 has the
+// sizes, replay times and peak RSS. T = 0 hashes every edge.
+// The record index is one flat hash of packed 8-byte entries,
+// (observations << 32) | (id + 1): a returned record costs one probe,
+// and a duplicate bumps its count in the slot that probe found. The
+// per-value containers this replaced live on as a test oracle in
+// tests/reference_local_store.h.
 
 #ifndef DEEPCRAWL_CRAWLER_LOCAL_STORE_H_
 #define DEEPCRAWL_CRAWLER_LOCAL_STORE_H_
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/relation/types.h"
@@ -44,7 +56,15 @@ namespace deepcrawl {
 
 class LocalStore {
  public:
-  LocalStore() = default;
+  // Local frequency above which a value is a hub: edges between two
+  // hubs are hashed, every other edge is found by scanning the records
+  // of its rarer endpoint.
+  static constexpr uint32_t kHubFrequency = 8;
+
+  // `hub_frequency` is T; tests pick others (0 hashes every edge,
+  // UINT32_MAX none).
+  explicit LocalStore(uint32_t hub_frequency = kHubFrequency)
+      : hub_frequency_(hub_frequency) {}
 
   LocalStore(const LocalStore&) = delete;
   LocalStore& operator=(const LocalStore&) = delete;
@@ -88,8 +108,23 @@ class LocalStore {
   // Original (server-side) record id of slot `slot`.
   RecordId OriginalRecordId(uint32_t slot) const;
 
+  // Edges in the hub hash: the local edges whose two endpoints both
+  // have local frequency above T.
+  size_t num_hub_edges() const { return edge_set_.size(); }
+
  private:
   void EnsureValueCapacity(ValueId v);
+
+  // `values` when strictly ascending (server records are), else a
+  // sorted, deduplicated copy in distinct_.
+  std::span<const ValueId> DistinctAscending(std::span<const ValueId> values);
+
+  // Adds to the positions' new_edges the tail pairs that no earlier
+  // record of their owner, the rarer endpoint, contains.
+  void CountTailEdges(std::span<const ValueId> distinct);
+
+  // Hashes `v`'s edges to hubs; `v` has just crossed T.
+  void PromoteToHub(ValueId v);
 
   // Record index key: 0 is the map's empty slot, and kInvalidRecordId
   // maps to it, so that id is never found.
@@ -107,12 +142,29 @@ class LocalStore {
   std::vector<uint32_t> local_frequency_;
   std::vector<uint32_t> degree_;
 
-  // Dynamic-CSR postings, plus the flat edge hash that deduplicates
-  // G_local edges ((min << 32) | max keys).
+  // Dynamic-CSR postings, plus the flat hash of hub–hub edges
+  // ((min << 32) | max keys).
   ChunkedArena<uint32_t> postings_csr_;
+  const uint32_t hub_frequency_;
   FlatSet64 edge_set_;
-  // AddRecord's scratch: the current record's pair keys and their
-  // hashes, reused across records.
+
+  // AddRecord's scratch, reused across records. One Position per value
+  // of the distinct record.
+  struct Position {
+    uint32_t prior_frequency;  // local frequency before the record
+    uint32_t new_edges;        // edges to values of the record found new
+    bool scans;                // owns a tail pair: scans its records
+  };
+  std::vector<ValueId> distinct_;
+  std::vector<Position> positions_;
+  // Tail pairs as (owner, other) positions, and the owners' scans: their
+  // posting rows, their earlier records' value ranges, and an n x n
+  // matrix of which positions each owner has met.
+  std::vector<std::pair<uint32_t, uint32_t>> tail_pairs_;
+  std::vector<std::span<const uint32_t>> scan_rows_;
+  std::vector<std::pair<const ValueId*, const ValueId*>> scan_records_;
+  std::vector<uint8_t> met_;
+  // Hub–hub pair keys and their hashes.
   std::vector<uint64_t> pair_keys_;
   std::vector<uint64_t> pair_hashes_;
 };

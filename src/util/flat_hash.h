@@ -1,7 +1,7 @@
 // Flat open-addressing hash containers for the crawler's hot paths.
 //
-// The crawl loop's per-record bookkeeping (edge dedup in the local AVG,
-// the record index of the local store) used to live in
+// The crawl loop's per-record bookkeeping (hub–hub edge dedup in the
+// local AVG, the record index of the local store) used to live in
 // std::unordered_set / std::unordered_map — one heap node per entry,
 // pointer-chasing on every probe. These two containers replace them with
 // single flat arrays of 8-byte slots and linear probing: one cache line
@@ -11,7 +11,7 @@
 //
 // Probes into a table far larger than the cache are independent misses.
 // FlatSet64 exposes Prefetch so a caller that knows its next keys (a
-// record's value pairs) can issue every miss before the first probe
+// record's hub–hub value pairs) can issue every miss before the first probe
 // waits on one; the inserts that follow are the same operations in the
 // same order, so prefetching changes no content and no growth point.
 //

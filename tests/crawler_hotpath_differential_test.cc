@@ -4,8 +4,8 @@
 // Three optimizations are cross-checked against reference
 // implementations:
 //
-//   * LocalStore: CSR postings, a flat edge hash and per-value degree
-//     counters vs the per-value containers of
+//   * LocalStore: CSR postings, per-value degree counters fed by the
+//     tail scans and the hub–hub edge hash, vs the per-value containers of
 //     tests/reference_local_store.h. Every crawl runs its selector
 //     behind StoreOracleSelector, which replays each harvested record
 //     into the oracle and compares the record's values after every add

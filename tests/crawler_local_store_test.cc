@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "src/util/random.h"
+#include "src/util/zipf.h"
 #include "tests/reference_local_store.h"
 
 namespace deepcrawl {
@@ -164,6 +167,93 @@ TEST(LocalStoreTest, MatchesReferenceStore) {
     ASSERT_EQ(store.num_values_seen(), oracle.num_values_seen());
     for (ValueId v = 0; v <= store.num_values_seen(); ++v) {
       EXPECT_TRUE(ValueMatchesReference(store, oracle, v));
+    }
+  }
+}
+
+// Zipf-drawn records of 1..8 values over [0, universe), the way server
+// records look (sorted, duplicate-free), except every fifth record,
+// which keeps its draw order and repeats. Ids repeat as in RandomStream.
+RecordStream ZipfStream(uint32_t count, uint32_t universe, uint64_t seed) {
+  Pcg32 rng(seed);
+  ZipfSampler zipf(universe, 1.0);
+  RecordStream stream;
+  for (uint32_t r = 0; r < count; ++r) {
+    std::vector<ValueId> values;
+    uint32_t n = 1 + rng.NextBounded(8);
+    for (uint32_t i = 0; i < n; ++i) values.push_back(zipf.Sample(rng));
+    if (r % 5 != 0) {
+      std::sort(values.begin(), values.end());
+      values.erase(std::unique(values.begin(), values.end()), values.end());
+    }
+    stream.emplace_back(rng.NextBounded(count), std::move(values));
+  }
+  return stream;
+}
+
+// Values 1000 and 1001 each reach local frequency `t` in separate
+// records, then cross T together in one unsorted record that repeats
+// 1001; a later record pairs them again with a fresh value.
+RecordStream JointCrossingStream(uint32_t t) {
+  RecordStream stream;
+  RecordId id = 100000;
+  for (uint32_t k = 0; k < t; ++k) {
+    stream.push_back({id++, {1000, 2000 + k}});
+    stream.push_back({id++, {1001, 3000 + k}});
+  }
+  stream.push_back({id++, {1001, 1000, 5, 1001, 2000}});
+  stream.push_back({id++, {5, 1000, 1001, 4000}});
+  return stream;
+}
+
+constexpr uint32_t kHubThresholds[] = {0, 1, LocalStore::kHubFrequency,
+                                       UINT32_MAX};
+
+// Degrees, frequencies and postings match the oracle after every
+// record, whichever threshold splits hashed from scanned pairs.
+TEST(LocalStoreTest, EveryHubThresholdMatchesReferenceAfterEveryRecord) {
+  for (uint32_t t : kHubThresholds) {
+    SCOPED_TRACE(t);
+    RecordStream stream = JointCrossingStream(std::min<uint32_t>(t, 8));
+    RecordStream zipf = ZipfStream(500, 300, 29);
+    stream.insert(stream.end(), zipf.begin(), zipf.end());
+    LocalStore store(t);
+    ReferenceLocalStore oracle;
+    for (size_t r = 0; r < stream.size(); ++r) {
+      const auto& [id, values] = stream[r];
+      ASSERT_EQ(store.AddRecord(id, values), oracle.AddRecord(id, values))
+          << "record " << r;
+      ASSERT_EQ(store.num_values_seen(), oracle.num_values_seen());
+      for (ValueId v = 0; v < store.num_values_seen(); ++v) {
+        ASSERT_TRUE(ValueMatchesReference(store, oracle, v))
+            << "after record " << r;
+      }
+    }
+  }
+}
+
+// The hub hash holds exactly the edges whose endpoints both have local
+// frequency above T: every edge at T = 0, none at UINT32_MAX.
+TEST(LocalStoreTest, HubHashHoldsExactlyTheEdgesBetweenHubs) {
+  for (uint32_t t : kHubThresholds) {
+    SCOPED_TRACE(t);
+    RecordStream stream = JointCrossingStream(std::min<uint32_t>(t, 8));
+    RecordStream zipf = ZipfStream(800, 400, 31);
+    stream.insert(stream.end(), zipf.begin(), zipf.end());
+    LocalStore store(t);
+    ReferenceLocalStore oracle;
+    for (size_t r = 0; r < stream.size(); ++r) {
+      const auto& [id, values] = stream[r];
+      store.AddRecord(id, values);
+      oracle.AddRecord(id, values);
+      ASSERT_EQ(store.num_hub_edges(), oracle.NumEdgesAbove(t))
+          << "after record " << r;
+    }
+    if (t == 0) {
+      EXPECT_GT(store.num_hub_edges(), 0u);
+    }
+    if (t == UINT32_MAX) {
+      EXPECT_EQ(store.num_hub_edges(), 0u);
     }
   }
 }

@@ -86,6 +86,19 @@ class ReferenceLocalStore {
     return local_postings_[v];
   }
 
+  // Edges of G_local whose two endpoints both have local frequency
+  // above `hub_frequency`: what LocalStore's hub hash must hold.
+  size_t NumEdgesAbove(uint32_t hub_frequency) const {
+    size_t edges = 0;
+    for (ValueId v = 0; v < neighbor_sets_.size(); ++v) {
+      if (local_frequency_[v] <= hub_frequency) continue;
+      for (ValueId w : neighbor_sets_[v]) {
+        if (v < w && local_frequency_[w] > hub_frequency) ++edges;
+      }
+    }
+    return edges;
+  }
+
  private:
   void EnsureValueCapacity(ValueId v) {
     if (v < local_frequency_.size()) return;

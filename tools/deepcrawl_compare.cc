@@ -52,6 +52,7 @@ std::vector<std::string> SplitCommas(const std::string& text) {
 Status Run(const Options& options) {
   DEEPCRAWL_RETURN_IF_ERROR(
       CheckFlagRange("max-rounds", options.max_rounds, 0));
+  DEEPCRAWL_RETURN_IF_ERROR(CheckSaturation(options.saturation));
   std::optional<AdversarialGroundTruth> adv;
   DEEPCRAWL_ASSIGN_OR_RETURN(Table target,
                              LoadTargetTable(options.workload, adv));

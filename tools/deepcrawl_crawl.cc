@@ -178,6 +178,7 @@ Status ValidateFlags(const Options& options) {
   DEEPCRAWL_RETURN_IF_ERROR(
       CheckFlagRange("connect-retry-ms", options.connect_retry_ms, 0));
   DEEPCRAWL_RETURN_IF_ERROR(CheckTargetCoverage(options.target_coverage));
+  DEEPCRAWL_RETURN_IF_ERROR(CheckSaturation(options.saturation));
   return CheckFlagRange("checkpoint-every", options.checkpoint_every, 0);
 }
 
@@ -482,7 +483,8 @@ int main(int argc, char** argv) {
                    "stop at this fraction of the target's records "
                    "(in [0, 1]; 0 = crawl to exhaustion)");
   parser.AddDouble("saturation", &options.saturation,
-                   "coverage at which MMMI switches on");
+                   "coverage at which MMMI switches on (in [0, 1]; "
+                   "0 = never)");
   parser.AddInt64("seeds", &options.num_seeds,
                   "number of random seed values");
   parser.AddInt64("seed", &options.seed, "RNG seed for seed-value choice");

@@ -80,6 +80,7 @@ Status ValidateFlags(const Options& options) {
       CheckFlagRange("sources", options.sources, 1, kU32));
   DEEPCRAWL_RETURN_IF_ERROR(CheckFlagRange("batch", options.batch, 1, kU32));
   DEEPCRAWL_RETURN_IF_ERROR(CheckTargetCoverage(options.target_coverage));
+  DEEPCRAWL_RETURN_IF_ERROR(CheckSaturation(options.saturation));
   DEEPCRAWL_RETURN_IF_ERROR(
       CheckFlagRange("seeds", options.num_seeds, 1, kU32));
   DEEPCRAWL_RETURN_IF_ERROR(
@@ -117,7 +118,10 @@ Status Run(const Options& options) {
       MakeFleetSourceSpecs(num_sources, options.scale,
                            options.target_coverage, profile,
                            static_cast<uint64_t>(options.gen_seed)));
+  // With no target (--target-coverage=0) the merged line reports
+  // coverage of all the sources' records instead.
   uint64_t fleet_target = 0;
+  uint64_t fleet_records = 0;
   for (FleetSourceSpec& spec : specs) {
     spec.policy = options.policy;
     spec.saturation = options.saturation;
@@ -125,6 +129,7 @@ Status Run(const Options& options) {
     fleet_target += static_cast<uint64_t>(
         options.target_coverage *
         static_cast<double>(spec.table.num_records()));
+    fleet_records += spec.table.num_records();
   }
 
   FleetOptions fleet_options;
@@ -193,16 +198,18 @@ Status Run(const Options& options) {
   }
   table.Print(std::cout);
 
-  double coverage =
-      fleet_target == 0
-          ? 0.0
-          : static_cast<double>(result.merged.records) /
-                static_cast<double>(fleet_target);
+  const bool has_target = options.target_coverage > 0.0;
+  const uint64_t denominator = has_target ? fleet_target : fleet_records;
+  double coverage = denominator == 0
+                        ? 0.0
+                        : static_cast<double>(result.merged.records) /
+                              static_cast<double>(denominator);
   std::cout << "\nmerged: " << result.merged.records << " records ("
             << TablePrinter::FormatPercent(coverage, 1)
-            << " of fleet target), " << result.merged.rounds << " rounds, "
-            << result.turns << " turns, " << result.idle_ticks
-            << " idle ticks\n";
+            << (has_target ? " of fleet target), "
+                           : " of the sources' records), ")
+            << result.merged.rounds << " rounds, " << result.turns
+            << " turns, " << result.idle_ticks << " idle ticks\n";
   const ResilienceCounters& res = result.merged.resilience;
   std::cout << "resilience: " << res.transient_failures << " failures, "
             << res.retries << " retries, " << res.rate_limit_rejections
@@ -243,7 +250,8 @@ int main(int argc, char** argv) {
                    "per-source stop target as a fraction of its records "
                    "(in [0, 1]; 0 = crawl to exhaustion)");
   parser.AddDouble("saturation", &options.saturation,
-                   "coverage at which MMMI switches on");
+                   "coverage at which MMMI switches on (in [0, 1]; "
+                   "0 = never)");
   parser.AddInt64("seeds", &options.num_seeds,
                   "seed values planted per source");
   parser.AddInt64("seed", &options.seed,

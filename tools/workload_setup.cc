@@ -27,6 +27,11 @@ Status CheckTargetCoverage(double target_coverage) {
   return Status::InvalidArgument("--target-coverage must be in [0, 1]");
 }
 
+Status CheckSaturation(double saturation) {
+  if (saturation >= 0.0 && saturation <= 1.0) return Status::OK();
+  return Status::InvalidArgument("--saturation must be in [0, 1]");
+}
+
 void RegisterWorkloadFlags(FlagParser& parser, WorkloadFlagOptions* options) {
   parser.AddString("input", &options->input,
                    "TSV file with the target database (see src/relation/"

@@ -58,6 +58,10 @@ void RegisterWorkloadFlags(FlagParser& parser, WorkloadFlagOptions* options);
 // records, lies in [0, 1] (0 = crawl to frontier exhaustion).
 Status CheckTargetCoverage(double target_coverage);
 
+// kInvalidArgument unless --saturation, the coverage at which MMMI
+// switches on, lies in [0, 1] (0 = never). NaN is rejected too.
+Status CheckSaturation(double saturation);
+
 // Loads --input or generates --workload; fills `adv` for
 // --workload=adversarial.
 StatusOr<Table> LoadTargetTable(const WorkloadFlagOptions& options,
