@@ -446,7 +446,7 @@ ValueId CrawlEngine::NextValue() {
   return degradation_.PopRetry();
 }
 
-void CrawlEngine::CheckSaturation() {
+void CrawlEngine::NotifySaturationOnce() {
   if (!saturation_notified_ && options_.saturation_records > 0 &&
       store_.num_records() >= options_.saturation_records) {
     saturation_notified_ = true;
@@ -459,7 +459,7 @@ void CrawlEngine::FinishDrain(std::optional<Slot>& slot_box) {
   slot.outcome.fetch_failures = slot.failures;
   selector_.OnQueryCompleted(slot.outcome);
   slot_box.reset();
-  CheckSaturation();
+  NotifySaturationOnce();
 }
 
 CrawlResult CrawlEngine::MakeResult(StopReason reason) const {
@@ -491,14 +491,14 @@ Status CrawlEngine::CommitFetch(std::optional<Slot>& slot_box,
         // Not completed: the selector is notified when the re-issued
         // drain finishes or the value is abandoned.
         slot_box.reset();
-        CheckSaturation();
+        NotifySaturationOnce();
         return Status::OK();
       case DegradationTracker::FailureAction::kAbandon:
         slot.outcome.fetch_failures = slot.failures;
         slot.outcome.degraded = true;
         selector_.OnQueryCompleted(slot.outcome);
         slot_box.reset();
-        CheckSaturation();
+        NotifySaturationOnce();
         return Status::OK();
     }
     return Status::Internal("unreachable");

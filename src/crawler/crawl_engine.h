@@ -327,7 +327,7 @@ class CrawlEngine {
                      StatusOr<ResultPage> fetched);
   // Drain-finished bookkeeping shared by the completion paths.
   void FinishDrain(std::optional<Slot>& slot_box);
-  void CheckSaturation();
+  void NotifySaturationOnce();
   CrawlResult MakeResult(StopReason reason) const;
 
   QueryInterface& server_;

@@ -87,7 +87,7 @@ bool LocalStore::AddRecord(RecordId id, std::span<const ValueId> values) {
   record_values_.insert(record_values_.end(), values.begin(), values.end());
   record_offsets_.push_back(record_values_.size());
   original_ids_.push_back(id);
-  for (ValueId v : values) {
+  for (ValueId v : distinct) {
     ++local_frequency_[v];
     postings_csr_.Append(v, slot);
   }

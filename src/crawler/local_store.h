@@ -71,7 +71,8 @@ class LocalStore {
 
   // Adds a harvested record. Returns true when the record was new.
   // A new record starts with one observation. `id` must not be
-  // kInvalidRecordId and `values` must not be empty.
+  // kInvalidRecordId and `values` must not be empty. A value repeated
+  // in `values` counts once toward its frequency and postings.
   bool AddRecord(RecordId id, std::span<const ValueId> values);
 
   bool ContainsRecord(RecordId id) const;

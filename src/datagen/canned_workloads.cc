@@ -14,7 +14,7 @@ uint32_t Scaled(double scale, uint32_t paper_value, uint32_t floor_value) {
   return std::max(floor_value, static_cast<uint32_t>(scaled));
 }
 
-void CheckScale(double scale) {
+void RequireScaleInRange(double scale) {
   DEEPCRAWL_CHECK_GT(scale, 0.0) << "scale must be positive";
   DEEPCRAWL_CHECK_LE(scale, 1.0) << "scale must not exceed 1";
 }
@@ -22,7 +22,7 @@ void CheckScale(double scale) {
 }  // namespace
 
 SyntheticDbConfig EbayConfig(double scale, uint64_t seed) {
-  CheckScale(scale);
+  RequireScaleInRange(scale);
   SyntheticDbConfig config;
   config.name = "ebay";
   config.num_records = Scaled(scale, 20000, 200);
@@ -67,7 +67,7 @@ SyntheticDbConfig EbayConfig(double scale, uint64_t seed) {
 }
 
 SyntheticDbConfig AcmDlConfig(double scale, uint64_t seed) {
-  CheckScale(scale);
+  RequireScaleInRange(scale);
   SyntheticDbConfig config;
   config.name = "acm-dl";
   config.num_records = Scaled(scale, 150000, 300);
@@ -98,7 +98,7 @@ SyntheticDbConfig AcmDlConfig(double scale, uint64_t seed) {
 }
 
 SyntheticDbConfig DblpConfig(double scale, uint64_t seed) {
-  CheckScale(scale);
+  RequireScaleInRange(scale);
   SyntheticDbConfig config;
   config.name = "dblp";
   config.num_records = Scaled(scale, 500000, 500);
@@ -127,7 +127,7 @@ SyntheticDbConfig DblpConfig(double scale, uint64_t seed) {
 }
 
 SyntheticDbConfig ImdbConfig(double scale, uint64_t seed) {
-  CheckScale(scale);
+  RequireScaleInRange(scale);
   SyntheticDbConfig config;
   config.name = "imdb";
   config.num_records = Scaled(scale, 400000, 400);

@@ -25,14 +25,16 @@
 //
 // Keyed fault mode (set_keyed_faults): by default the fault decision
 // sequence is a function of (seed, global fetch index), which makes it
-// depend on the order fetches ARRIVE — fine for a serial crawler,
-// useless for a parallel one, where arrival order varies with thread
-// scheduling. In keyed mode each decision is instead a pure function of
-// (seed, query identity, page, per-page attempt number): the same
-// logical fetch always meets the same fault no matter when it arrives
-// or what ran in between. A serial and a parallel crawl that issue the
-// same logical fetches therefore see identical faults, which is what
-// the serial-vs-parallel differential tests rely on (DESIGN.md §8).
+// depend on the order fetches ARRIVE — fine for one executor, useless
+// across two: the inline executor fetches a wave's slots one after the
+// other, while a wave pipelined over TCP connections arrives in the
+// order its replies complete. In keyed mode each decision is instead a
+// pure function of (seed, query identity, page, per-page attempt
+// number): the same logical fetch always meets the same fault no matter
+// when it arrives or what ran in between. An in-process crawl at
+// --batch>1 and its TCP twin therefore see identical faults, which is
+// what the batched and network differential tests rely on (DESIGN.md
+// §8).
 //
 // A FaultyServer with an all-zero profile and no schedule is behaviorally
 // identical to its backend on every interface method (asserted by a

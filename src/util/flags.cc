@@ -1,23 +1,41 @@
 #include "src/util/flags.h"
 
+#include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <sstream>
 
 #include "src/util/logging.h"
 
 namespace deepcrawl {
+namespace {
 
-void FlagParser::Register(const std::string& name, Kind kind, void* target,
-                          const std::string& help,
-                          std::string default_text) {
+// Shortest text that parses back to `value`: "0.85", not "0.850000".
+std::string FormatDouble(double value) {
+  char text[32];
+  auto result = std::to_chars(text, text + sizeof(text), value);
+  return std::string(text, result.ptr);
+}
+
+std::string RangeText(const std::string& min, const std::string& max) {
+  return "in [" + min + ", " + max + "]";
+}
+
+}  // namespace
+
+FlagParser::Flag& FlagParser::Register(const std::string& name, Kind kind,
+                                       void* target, const std::string& help,
+                                       std::string default_text) {
   DEEPCRAWL_CHECK(target != nullptr);
   DEEPCRAWL_CHECK(!name.empty() && name[0] != '-')
       << "flag names are registered without dashes: " << name;
-  bool inserted =
-      flags_
-          .emplace(name, Flag{kind, target, help, std::move(default_text)})
-          .second;
+  auto [it, inserted] = flags_.emplace(name, Flag{});
   DEEPCRAWL_CHECK(inserted) << "duplicate flag --" << name;
+  it->second.kind = kind;
+  it->second.target = target;
+  it->second.help = help;
+  it->second.default_text = std::move(default_text);
+  return it->second;
 }
 
 void FlagParser::AddString(const std::string& name, std::string* target,
@@ -26,13 +44,27 @@ void FlagParser::AddString(const std::string& name, std::string* target,
 }
 
 void FlagParser::AddInt64(const std::string& name, int64_t* target,
-                          const std::string& help) {
-  Register(name, Kind::kInt64, target, help, std::to_string(*target));
+                          int64_t min, int64_t max, const std::string& help) {
+  DEEPCRAWL_CHECK(min <= *target && *target <= max)
+      << "--" << name << " default out of its range";
+  Flag& flag =
+      Register(name, Kind::kInt64, target, help, std::to_string(*target));
+  flag.int_min = min;
+  flag.int_max = max;
+  flag.range_text = max == INT64_MAX
+                        ? ">= " + std::to_string(min)
+                        : RangeText(std::to_string(min), std::to_string(max));
 }
 
 void FlagParser::AddDouble(const std::string& name, double* target,
-                           const std::string& help) {
-  Register(name, Kind::kDouble, target, help, std::to_string(*target));
+                           double min, double max, const std::string& help) {
+  DEEPCRAWL_CHECK(min <= *target && *target <= max)
+      << "--" << name << " default out of its range";
+  Flag& flag =
+      Register(name, Kind::kDouble, target, help, FormatDouble(*target));
+  flag.min = min;
+  flag.max = max;
+  flag.range_text = RangeText(FormatDouble(min), FormatDouble(max));
 }
 
 void FlagParser::AddBool(const std::string& name, bool* target,
@@ -42,16 +74,26 @@ void FlagParser::AddBool(const std::string& name, bool* target,
 
 Status FlagParser::Assign(const std::string& name, Flag& flag,
                           const std::string& text) {
+  auto out_of_range = [&] {
+    return Status::InvalidArgument("--" + name + " must be " +
+                                   flag.range_text + ", got " + text);
+  };
   switch (flag.kind) {
     case Kind::kString:
       *static_cast<std::string*>(flag.target) = text;
       return Status::OK();
     case Kind::kInt64: {
       char* end = nullptr;
+      errno = 0;
       long long parsed = std::strtoll(text.c_str(), &end, 10);
       if (end == text.c_str() || *end != '\0') {
         return Status::InvalidArgument("--" + name + ": expected integer, "
                                        "got '" + text + "'");
+      }
+      // strtoll saturates on overflow; only errno tells the value is not
+      // the one given.
+      if (errno == ERANGE || parsed < flag.int_min || parsed > flag.int_max) {
+        return out_of_range();
       }
       *static_cast<int64_t*>(flag.target) = parsed;
       return Status::OK();
@@ -63,6 +105,8 @@ Status FlagParser::Assign(const std::string& name, Flag& flag,
         return Status::InvalidArgument("--" + name + ": expected number, "
                                        "got '" + text + "'");
       }
+      // Written so that NaN, which compares false, is out of range.
+      if (!(flag.min <= parsed && parsed <= flag.max)) return out_of_range();
       *static_cast<double*>(flag.target) = parsed;
       return Status::OK();
     }
@@ -132,21 +176,11 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
 std::string FlagParser::HelpText() const {
   std::ostringstream out;
   for (const auto& [name, flag] : flags_) {
-    out << "  --" << name << " (default: " << flag.default_text << ")\n"
-        << "      " << flag.help << "\n";
+    out << "  --" << name << " (default: " << flag.default_text;
+    if (!flag.range_text.empty()) out << "; " << flag.range_text;
+    out << ")\n      " << flag.help << "\n";
   }
   return out.str();
-}
-
-Status CheckFlagRange(const std::string& name, int64_t value, int64_t min,
-                      int64_t max) {
-  if (value >= min && value <= max) return Status::OK();
-  std::string range = max == INT64_MAX
-                          ? ">= " + std::to_string(min)
-                          : "in [" + std::to_string(min) + ", " +
-                                std::to_string(max) + "]";
-  return Status::InvalidArgument("--" + name + " must be " + range +
-                                 ", got " + std::to_string(value));
 }
 
 }  // namespace deepcrawl

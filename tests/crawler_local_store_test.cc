@@ -53,6 +53,16 @@ TEST(LocalStoreTest, LocalFrequencyCountsRecords) {
   EXPECT_EQ(store.LocalFrequency(99), 0u);  // never seen
 }
 
+TEST(LocalStoreTest, RepeatedValueCountsOneRecord) {
+  LocalStore store;
+  store.AddRecord(0, V({5, 5, 6}));
+  EXPECT_EQ(store.LocalFrequency(5), 1u);
+  ASSERT_EQ(store.LocalPostings(5).size(), 1u);
+  EXPECT_EQ(store.LocalPostings(5)[0], 0u);
+  EXPECT_EQ(store.LocalDegree(5), 1u);  // {6}
+  EXPECT_EQ(store.LocalDegree(6), 1u);  // {5}
+}
+
 TEST(LocalStoreTest, ExactDegreesCountDistinctNeighbors) {
   LocalStore store;
   store.AddRecord(0, V({1, 2, 3}));

@@ -33,7 +33,12 @@ class ReferenceLocalStore {
     uint32_t slot = static_cast<uint32_t>(observations_.size());
     if (!observations_.emplace(id, 1).second) return false;
     ++num_observations_;
-    for (ValueId v : values) {
+    // A value repeated within the record is one record containing it.
+    std::vector<ValueId> distinct(values.begin(), values.end());
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    for (ValueId v : distinct) {
       EnsureValueCapacity(v);
       ++local_frequency_[v];
       local_postings_[v].push_back(slot);

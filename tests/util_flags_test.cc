@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
 
 namespace deepcrawl {
@@ -20,8 +22,8 @@ TEST(FlagParserTest, EqualsSyntax) {
   bool verbose = false;
   FlagParser parser;
   parser.AddString("name", &name, "");
-  parser.AddInt64("count", &count, "");
-  parser.AddDouble("rate", &rate, "");
+  parser.AddInt64("count", &count, INT64_MIN, INT64_MAX, "");
+  parser.AddDouble("rate", &rate, -1e9, 1e9, "");
   parser.AddBool("verbose", &verbose, "");
   ASSERT_TRUE(ParseArgs(parser, {"--name=abc", "--count=42",
                                  "--rate=0.25", "--verbose=true"})
@@ -36,7 +38,7 @@ TEST(FlagParserTest, SpaceSeparatedValues) {
   int64_t count = 0;
   std::string name;
   FlagParser parser;
-  parser.AddInt64("count", &count, "");
+  parser.AddInt64("count", &count, INT64_MIN, INT64_MAX, "");
   parser.AddString("name", &name, "");
   ASSERT_TRUE(ParseArgs(parser, {"--count", "7", "--name", "xyz"}).ok());
   EXPECT_EQ(count, 7);
@@ -58,7 +60,7 @@ TEST(FlagParserTest, DefaultsSurviveWhenUnset) {
   int64_t count = 9;
   FlagParser parser;
   parser.AddString("name", &name, "");
-  parser.AddInt64("count", &count, "");
+  parser.AddInt64("count", &count, INT64_MIN, INT64_MAX, "");
   ASSERT_TRUE(ParseArgs(parser, {}).ok());
   EXPECT_EQ(name, "kept");
   EXPECT_EQ(count, 9);
@@ -84,32 +86,133 @@ TEST(FlagParserTest, BadValuesRejected) {
   double rate = 0;
   bool flag = false;
   FlagParser parser;
-  parser.AddInt64("count", &count, "");
-  parser.AddDouble("rate", &rate, "");
+  parser.AddInt64("count", &count, INT64_MIN, INT64_MAX, "");
+  parser.AddDouble("rate", &rate, -1e9, 1e9, "");
   parser.AddBool("flag", &flag, "");
   EXPECT_FALSE(ParseArgs(parser, {"--count=abc"}).ok());
   EXPECT_FALSE(ParseArgs(parser, {"--rate=1.2.3"}).ok());
   EXPECT_FALSE(ParseArgs(parser, {"--flag=maybe"}).ok());
 }
 
-TEST(FlagParserTest, CheckFlagRangeBoundsAreInclusive) {
-  EXPECT_TRUE(CheckFlagRange("seeds", 1, 1).ok());
-  EXPECT_TRUE(CheckFlagRange("seeds", INT64_MAX, 1).ok());
-  EXPECT_TRUE(CheckFlagRange("batch", 4294967295, 1, 4294967295).ok());
+TEST(FlagParserTest, IntegerBoundsAreInclusive) {
+  int64_t batch = 1;
+  FlagParser parser;
+  parser.AddInt64("batch", &batch, 1, 4294967295, "");
+  EXPECT_TRUE(ParseArgs(parser, {"--batch=1"}).ok());
+  EXPECT_EQ(batch, 1);
+  EXPECT_TRUE(ParseArgs(parser, {"--batch=4294967295"}).ok());
+  EXPECT_EQ(batch, 4294967295);
 
-  Status below = CheckFlagRange("seeds", -1, 1);
+  Status below = ParseArgs(parser, {"--batch=0"});
   EXPECT_EQ(below.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(below.message(), "--seeds must be >= 1, got -1");
-  Status above = CheckFlagRange("batch", 4294967296, 1, 4294967295);
+  EXPECT_EQ(below.message(), "--batch must be in [1, 4294967295], got 0");
+  Status above = ParseArgs(parser, {"--batch=4294967296"});
   EXPECT_EQ(above.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(above.message(),
             "--batch must be in [1, 4294967295], got 4294967296");
+  EXPECT_EQ(batch, 4294967295);  // a rejected value leaves the target
+}
+
+TEST(FlagParserTest, OneSidedIntegerRangeReadsAsLowerBound) {
+  int64_t seeds = 1;
+  FlagParser parser;
+  parser.AddInt64("seeds", &seeds, 1, INT64_MAX, "");
+  EXPECT_TRUE(ParseArgs(parser, {"--seeds=9223372036854775807"}).ok());
+  EXPECT_EQ(seeds, INT64_MAX);
+  Status below = ParseArgs(parser, {"--seeds=-1"});
+  EXPECT_EQ(below.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(below.message(), "--seeds must be >= 1, got -1");
+}
+
+TEST(FlagParserTest, IntegerOverflowIsOutOfRange) {
+  int64_t seed = 0;
+  FlagParser parser;
+  parser.AddInt64("seed", &seed, INT64_MIN, INT64_MAX, "");
+  EXPECT_TRUE(ParseArgs(parser, {"--seed=-9223372036854775808"}).ok());
+  EXPECT_EQ(seed, INT64_MIN);
+  // strtoll saturates these to INT64_MAX and INT64_MIN, inside the range.
+  for (const char* arg : {"--seed=99999999999999999999",
+                          "--seed=-99999999999999999999",
+                          "--seed=9223372036854775808"}) {
+    Status status = ParseArgs(parser, {arg});
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_NE(status.message().find("must be >= -9223372036854775808"),
+              std::string::npos)
+        << status.message();
+  }
+  EXPECT_EQ(seed, INT64_MIN);
+}
+
+TEST(FlagParserTest, DoubleBoundsAreInclusive) {
+  double rate = 0.5;
+  FlagParser parser;
+  parser.AddDouble("rate", &rate, 0.0, 1.0, "");
+  EXPECT_TRUE(ParseArgs(parser, {"--rate=0"}).ok());
+  EXPECT_EQ(rate, 0.0);
+  EXPECT_TRUE(ParseArgs(parser, {"--rate=1"}).ok());
+  EXPECT_EQ(rate, 1.0);
+
+  Status below = ParseArgs(parser, {"--rate=-0.001"});
+  EXPECT_EQ(below.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(below.message(), "--rate must be in [0, 1], got -0.001");
+  Status above = ParseArgs(parser, {"--rate=1.001"});
+  EXPECT_EQ(above.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(above.message(), "--rate must be in [0, 1], got 1.001");
+}
+
+TEST(FlagParserTest, NanAndInfinitiesAreOutOfRange) {
+  double rate = 0.5;
+  FlagParser parser;
+  parser.AddDouble("rate", &rate, -1.0, 1.0, "");
+  for (const char* arg : {"--rate=nan", "--rate=-nan", "--rate=inf",
+                          "--rate=-inf", "--rate=1e999"}) {
+    Status status = ParseArgs(parser, {arg});
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_NE(status.message().find("--rate must be in [-1, 1]"),
+              std::string::npos)
+        << status.message();
+  }
+  EXPECT_EQ(rate, 0.5);
+
+  // The smallest positive normal double as a lower bound: zero is out.
+  double scale = 0.1;
+  parser.AddDouble("scale", &scale, std::numeric_limits<double>::min(), 1.0,
+                   "");
+  EXPECT_EQ(ParseArgs(parser, {"--scale=0"}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(ParseArgs(parser, {"--scale=1e-300"}).ok());
+}
+
+TEST(FlagParserTest, HelpTextPrintsRanges) {
+  int64_t batch = 1;
+  int64_t rounds = 0;
+  double saturation = 0.85;
+  FlagParser parser;
+  parser.AddInt64("batch", &batch, 1, 4294967295, "wave width");
+  parser.AddInt64("max-rounds", &rounds, 0, INT64_MAX, "budget");
+  parser.AddDouble("saturation", &saturation, 0.0, 1.0, "switch point");
+  std::string help = parser.HelpText();
+  EXPECT_NE(help.find("--batch (default: 1; in [1, 4294967295])"),
+            std::string::npos)
+      << help;
+  EXPECT_NE(help.find("--max-rounds (default: 0; >= 0)"), std::string::npos)
+      << help;
+  EXPECT_NE(help.find("--saturation (default: 0.85; in [0, 1])"),
+            std::string::npos)
+      << help;
+}
+
+TEST(FlagParserDeathTest, DefaultOutsideRangeAborts) {
+  int64_t count = 5;
+  FlagParser parser;
+  EXPECT_DEATH(parser.AddInt64("count", &count, 0, 4, ""),
+               "default out of its range");
 }
 
 TEST(FlagParserTest, MissingValueRejected) {
   int64_t count = 0;
   FlagParser parser;
-  parser.AddInt64("count", &count, "");
+  parser.AddInt64("count", &count, INT64_MIN, INT64_MAX, "");
   EXPECT_FALSE(ParseArgs(parser, {"--count"}).ok());
 }
 
@@ -128,8 +231,8 @@ TEST(FlagParserTest, HelpTextListsFlagsWithDefaults) {
 TEST(FlagParserDeathTest, DuplicateRegistrationAborts) {
   int64_t a = 0, b = 0;
   FlagParser parser;
-  parser.AddInt64("x", &a, "");
-  EXPECT_DEATH(parser.AddInt64("x", &b, ""), "duplicate");
+  parser.AddInt64("x", &a, 0, 1, "");
+  EXPECT_DEATH(parser.AddInt64("x", &b, 0, 1, ""), "duplicate");
 }
 
 }  // namespace

@@ -50,9 +50,6 @@ std::vector<std::string> SplitCommas(const std::string& text) {
 }
 
 Status Run(const Options& options) {
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("max-rounds", options.max_rounds, 0));
-  DEEPCRAWL_RETURN_IF_ERROR(CheckSaturation(options.saturation));
   std::optional<AdversarialGroundTruth> adv;
   DEEPCRAWL_ASSIGN_OR_RETURN(Table target,
                              LoadTargetTable(options.workload, adv));
@@ -64,8 +61,7 @@ Status Run(const Options& options) {
   }
   std::cout << "\n";
 
-  DEEPCRAWL_ASSIGN_OR_RETURN(ServerOptions server_options,
-                             BuildServerOptions(options.server, adv));
+  ServerOptions server_options = BuildServerOptions(options.server, adv);
   WebDbServer server(target, server_options);
 
   // One deterministic seed value shared by every policy; adversarial
@@ -175,11 +171,12 @@ int main(int argc, char** argv) {
   parser.AddString("rank-attribute", &options.rank_attribute,
                    "interval attribute for opt-rank/opt-threshold");
   RegisterServerFlags(parser, &options.server);
-  parser.AddInt64("max-rounds", &options.max_rounds,
+  parser.AddInt64("max-rounds", &options.max_rounds, 0, INT64_MAX,
                   "round budget per policy (0 = unbounded)");
-  parser.AddDouble("saturation", &options.saturation,
-                   "coverage at which MMMI switches on");
-  parser.AddInt64("seed", &options.seed, "seed-value choice");
+  parser.AddDouble("saturation", &options.saturation, 0.0, 1.0,
+                   "coverage at which MMMI switches on (0 = never)");
+  parser.AddInt64("seed", &options.seed, INT64_MIN, INT64_MAX,
+                  "seed-value choice");
   parser.AddString("comparison-csv", &options.comparison_csv,
                    "write aligned per-policy coverage curves to this CSV");
   parser.AddBool("list-selectors", &options.list_selectors,

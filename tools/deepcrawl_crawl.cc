@@ -45,7 +45,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -163,32 +162,21 @@ std::string SecondsSince(std::chrono::steady_clock::time_point start) {
   return text;
 }
 
-// Range checks that run before the target is built, so a count or budget
-// out of range is refused instead of wrapping on the unsigned casts in Run.
-Status ValidateFlags(const Options& options) {
-  constexpr int64_t kU32 = std::numeric_limits<uint32_t>::max();
-  DEEPCRAWL_RETURN_IF_ERROR(CheckFlagRange("seeds", options.num_seeds, 1));
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("max-rounds", options.max_rounds, 0));
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("retry-attempts", options.retry_attempts, 1, kU32));
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("retry-requeues", options.retry_requeues, 0, kU32));
-  DEEPCRAWL_RETURN_IF_ERROR(CheckFlagRange("batch", options.batch, 1, kU32));
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("connect-retry-ms", options.connect_retry_ms, 0));
-  DEEPCRAWL_RETURN_IF_ERROR(CheckTargetCoverage(options.target_coverage));
-  DEEPCRAWL_RETURN_IF_ERROR(CheckSaturation(options.saturation));
-  return CheckFlagRange("checkpoint-every", options.checkpoint_every, 0);
-}
-
 Status Run(const Options& options) {
-  DEEPCRAWL_RETURN_IF_ERROR(ValidateFlags(options));
   std::optional<AdversarialGroundTruth> adv;
   const auto generate_start = std::chrono::steady_clock::now();
   DEEPCRAWL_ASSIGN_OR_RETURN(Table target,
                              LoadTargetTable(options.workload, adv));
   const std::string generate_time = SecondsSince(generate_start);
+  // Each seed appends to the fetch log, and past the distinct values a
+  // seed can only repeat one.
+  if (static_cast<uint64_t>(options.num_seeds) >
+      target.num_distinct_values()) {
+    return Status::InvalidArgument(
+        "--seeds must be at most the target's " +
+        std::to_string(target.num_distinct_values()) +
+        " distinct values, got " + std::to_string(options.num_seeds));
+  }
   std::cout << "target: " << target.num_records() << " records, "
             << target.num_distinct_values() << " distinct values, "
             << target.schema().num_attributes() << " attributes\n";
@@ -212,8 +200,7 @@ Status Run(const Options& options) {
               << " sample records\n";
   }
 
-  DEEPCRAWL_ASSIGN_OR_RETURN(ServerOptions server_options,
-                             BuildServerOptions(options.server, adv));
+  ServerOptions server_options = BuildServerOptions(options.server, adv);
   server_options.reports_total_count = options.counts;
   const auto index_start = std::chrono::steady_clock::now();
   WebDbServer backend(target, server_options);
@@ -240,11 +227,6 @@ Status Run(const Options& options) {
               << " rate-limit=" << profile.rate_limit_rate
               << " truncate=" << profile.truncate_rate
               << " duplicate=" << profile.duplicate_rate << "\n";
-  }
-  if (network) {
-    DEEPCRAWL_RETURN_IF_ERROR(CheckFlagRange(
-        "connections", options.connections, 1,
-        std::numeric_limits<uint32_t>::max()));
   }
   if (faulty.has_value() && (options.fault.fault_keyed || options.batch > 1)) {
     // Batched crawls force keyed faults, as deepcrawl_serve does for
@@ -477,27 +459,30 @@ int main(int argc, char** argv) {
                  "disable)");
   parser.AddBool("keyword", &options.keyword,
                  "crawl through the keyword box instead of typed fields");
-  parser.AddInt64("max-rounds", &options.max_rounds,
+  parser.AddInt64("max-rounds", &options.max_rounds, 0, INT64_MAX,
                   "communication-round budget (0 = unbounded)");
-  parser.AddDouble("target-coverage", &options.target_coverage,
+  parser.AddDouble("target-coverage", &options.target_coverage, 0.0, 1.0,
                    "stop at this fraction of the target's records "
-                   "(in [0, 1]; 0 = crawl to exhaustion)");
-  parser.AddDouble("saturation", &options.saturation,
-                   "coverage at which MMMI switches on (in [0, 1]; "
-                   "0 = never)");
-  parser.AddInt64("seeds", &options.num_seeds,
-                  "number of random seed values");
-  parser.AddInt64("seed", &options.seed, "RNG seed for seed-value choice");
+                   "(0 = crawl to exhaustion)");
+  parser.AddDouble("saturation", &options.saturation, 0.0, 1.0,
+                   "coverage at which MMMI switches on (0 = never)");
+  parser.AddInt64("seeds", &options.num_seeds, 1, INT64_MAX,
+                  "number of random seed values (at most the target's "
+                  "distinct values)");
+  parser.AddInt64("seed", &options.seed, INT64_MIN, INT64_MAX,
+                  "RNG seed for seed-value choice");
   parser.AddString("trace-csv", &options.trace_csv,
                    "write the rounds/records trace to this CSV");
   parser.AddString("output-tsv", &options.output_tsv,
                    "write the harvested records to this TSV");
   RegisterFaultFlags(parser, &options.fault);
-  parser.AddInt64("retry-attempts", &options.retry_attempts,
+  parser.AddInt64("retry-attempts", &options.retry_attempts, 1,
+                  kFlagUint32Max,
                   "max fetch attempts per value drain under faults");
-  parser.AddInt64("retry-requeues", &options.retry_requeues,
+  parser.AddInt64("retry-requeues", &options.retry_requeues, 0,
+                  kFlagUint32Max,
                   "times a failed value is re-queued before abandonment");
-  parser.AddInt64("batch", &options.batch,
+  parser.AddInt64("batch", &options.batch, 1, kFlagUint32Max,
                   "drain slots per wave, each wave planned from the last "
                   "one's knowledge (batch=1 reproduces the serial crawl "
                   "order exactly; with --connect a wave is pipelined "
@@ -506,16 +491,18 @@ int main(int argc, char** argv) {
                    "crawl a remote WebDB at host:port (deepcrawl_serve) "
                    "instead of simulating in-process; workload flags must "
                    "match the server's");
-  parser.AddInt64("connections", &options.connections,
+  parser.AddInt64("connections", &options.connections, 1, kFlagUint32Max,
                   "TCP connections the network executor pipelines each "
                   "wave over (with --connect)");
-  parser.AddInt64("connect-retry-ms", &options.connect_retry_ms,
+  parser.AddInt64("connect-retry-ms", &options.connect_retry_ms, 0,
+                  INT64_MAX,
                   "total budget for re-reaching a dead server before a "
                   "fetch fails with unavailable (with --connect)");
   parser.AddString("checkpoint", &options.checkpoint,
                    "write a resumable crawl checkpoint to this path "
                    "(atomically replaced at every boundary)");
-  parser.AddInt64("checkpoint-every", &options.checkpoint_every,
+  parser.AddInt64("checkpoint-every", &options.checkpoint_every, 0,
+                  INT64_MAX,
                   "checkpoint after every N completed waves "
                   "(0 = never; needs --checkpoint)");
   parser.AddString("resume-from", &options.resume_from,

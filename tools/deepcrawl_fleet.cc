@@ -71,42 +71,12 @@ struct Options {
   bool help = false;
 };
 
-// Every count, budget and width flag is checked against the range of the
-// field it fills, so nothing wraps on the casts below or trips a CHECK in
-// the fleet (the two seeds take any value).
-Status ValidateFlags(const Options& options) {
-  constexpr int64_t kU32 = std::numeric_limits<uint32_t>::max();
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("sources", options.sources, 1, kU32));
-  DEEPCRAWL_RETURN_IF_ERROR(CheckFlagRange("batch", options.batch, 1, kU32));
-  DEEPCRAWL_RETURN_IF_ERROR(CheckTargetCoverage(options.target_coverage));
-  DEEPCRAWL_RETURN_IF_ERROR(CheckSaturation(options.saturation));
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("seeds", options.num_seeds, 1, kU32));
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("fault-retry-after", options.fault_retry_after, 0, kU32));
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("retry-attempts", options.retry_attempts, 1, kU32));
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("retry-requeues", options.retry_requeues, 0, kU32));
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("max-rounds", options.max_rounds, 0));
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("turn-rounds", options.turn_rounds, 1));
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("source-deadline", options.source_deadline, 0));
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("checkpoint-every", options.checkpoint_every, 0));
+Status Run(const Options& options) {
   if (options.policy != "greedy" && options.policy != "mmmi" &&
       options.policy != "bfs" && options.policy != "dfs") {
     return Status::InvalidArgument("unknown --policy '" + options.policy +
                                    "' (greedy|mmmi|bfs|dfs)");
   }
-  return Status::OK();
-}
-
-Status Run(const Options& options) {
-  DEEPCRAWL_RETURN_IF_ERROR(ValidateFlags(options));
   uint32_t num_sources = static_cast<uint32_t>(options.sources);
 
   DEEPCRAWL_ASSIGN_OR_RETURN(FaultProfile profile,
@@ -123,6 +93,16 @@ Status Run(const Options& options) {
   uint64_t fleet_target = 0;
   uint64_t fleet_records = 0;
   for (FleetSourceSpec& spec : specs) {
+    // Each seed appends to the source's fetch log, and past the distinct
+    // values a seed can only repeat one.
+    if (static_cast<uint64_t>(options.num_seeds) >
+        spec.table.num_distinct_values()) {
+      return Status::InvalidArgument(
+          "--seeds must be at most every source's distinct values (" +
+          spec.name + " has " +
+          std::to_string(spec.table.num_distinct_values()) + "), got " +
+          std::to_string(options.num_seeds));
+    }
     spec.policy = options.policy;
     spec.saturation = options.saturation;
     spec.num_seeds = static_cast<uint32_t>(options.num_seeds);
@@ -234,51 +214,56 @@ int main(int argc, char** argv) {
   using namespace deepcrawl;
   Options options;
   FlagParser parser;
-  parser.AddInt64("sources", &options.sources,
+  parser.AddInt64("sources", &options.sources, 1, kFlagUint32Max,
                   "number of simulated sources (cycles ebay/acm/dblp/imdb)");
   parser.AddDouble("scale", &options.scale,
+                   std::numeric_limits<double>::min(), 1.0,
                    "workload scale factor (1.0 = paper sizes)");
-  parser.AddInt64("gen-seed", &options.gen_seed,
+  parser.AddInt64("gen-seed", &options.gen_seed, INT64_MIN, INT64_MAX,
                   "base generator seed (offset per source)");
   parser.AddString("policy", &options.policy,
                    "per-source query selection: greedy|mmmi|bfs|dfs");
   parser.AddString("scheduler", &options.scheduler,
                    "turn scheduler: marginal-hr|round-robin|sequential");
-  parser.AddInt64("batch", &options.batch,
+  parser.AddInt64("batch", &options.batch, 1, kFlagUint32Max,
                   "per-source engine wave width");
-  parser.AddDouble("target-coverage", &options.target_coverage,
+  parser.AddDouble("target-coverage", &options.target_coverage, 0.0, 1.0,
                    "per-source stop target as a fraction of its records "
-                   "(in [0, 1]; 0 = crawl to exhaustion)");
-  parser.AddDouble("saturation", &options.saturation,
-                   "coverage at which MMMI switches on (in [0, 1]; "
-                   "0 = never)");
-  parser.AddInt64("seeds", &options.num_seeds,
-                  "seed values planted per source");
-  parser.AddInt64("seed", &options.seed,
+                   "(0 = crawl to exhaustion)");
+  parser.AddDouble("saturation", &options.saturation, 0.0, 1.0,
+                   "coverage at which MMMI switches on (0 = never)");
+  parser.AddInt64("seeds", &options.num_seeds, 1, kFlagUint32Max,
+                  "seed values planted per source (at most the smallest "
+                  "source's distinct values)");
+  parser.AddInt64("seed", &options.seed, INT64_MIN, INT64_MAX,
                   "fleet seed (per-source fault/retry streams derive "
                   "from it)");
   parser.AddString("fault-profile", &options.fault_profile,
                    "background fault preset on every source: "
                    "none|flaky|lossy|hostile");
-  parser.AddInt64("fault-retry-after", &options.fault_retry_after,
+  parser.AddInt64("fault-retry-after", &options.fault_retry_after, 0,
+                  kFlagUint32Max,
                   "retry-after hint (rounds) on rate-limit rejections");
-  parser.AddInt64("retry-attempts", &options.retry_attempts,
+  parser.AddInt64("retry-attempts", &options.retry_attempts, 1,
+                  kFlagUint32Max,
                   "max fetch attempts per value drain");
-  parser.AddInt64("retry-requeues", &options.retry_requeues,
+  parser.AddInt64("retry-requeues", &options.retry_requeues, 0,
+                  kFlagUint32Max,
                   "times a failed value is re-queued before abandonment");
   parser.AddString("chaos", &options.chaos,
                    "scripted fault windows: 'hostile' or "
                    "'kind:src[,src...]@begin[-end];...' with kinds "
                    "dead|timeout|ratelimit (turn numbers, end exclusive)");
-  parser.AddInt64("max-rounds", &options.max_rounds,
+  parser.AddInt64("max-rounds", &options.max_rounds, 0, INT64_MAX,
                   "global communication-round budget (0 = unbounded)");
-  parser.AddInt64("turn-rounds", &options.turn_rounds,
+  parser.AddInt64("turn-rounds", &options.turn_rounds, 1, INT64_MAX,
                   "rounds granted per scheduler turn");
-  parser.AddInt64("source-deadline", &options.source_deadline,
+  parser.AddInt64("source-deadline", &options.source_deadline, 0, INT64_MAX,
                   "per-source total round deadline (0 = unbounded)");
   parser.AddString("checkpoint", &options.checkpoint,
                    "write a resumable whole-fleet checkpoint here");
-  parser.AddInt64("checkpoint-every", &options.checkpoint_every,
+  parser.AddInt64("checkpoint-every", &options.checkpoint_every, 0,
+                  INT64_MAX,
                   "checkpoint after every N completed turns "
                   "(0 = never; needs --checkpoint)");
   parser.AddString("resume-from", &options.resume_from,

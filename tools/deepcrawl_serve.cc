@@ -68,8 +68,7 @@ Status Run(const Options& options) {
   std::cout << "target: " << target.num_records() << " records, "
             << target.num_distinct_values() << " distinct values\n";
 
-  DEEPCRAWL_ASSIGN_OR_RETURN(ServerOptions server_options,
-                             BuildServerOptions(options.server, adv));
+  ServerOptions server_options = BuildServerOptions(options.server, adv);
   server_options.reports_total_count = options.counts;
   WebDbServer backend(target, server_options);
 
@@ -93,12 +92,6 @@ Status Run(const Options& options) {
   QueryInterface& served =
       faulty.has_value() ? static_cast<QueryInterface&>(*faulty) : backend;
 
-  if (options.port < 0 || options.port > 65535) {
-    return Status::InvalidArgument("--port must be in [0, 65535]");
-  }
-  if (options.max_connections < 1) {
-    return Status::InvalidArgument("--max-connections must be >= 1");
-  }
   EventLoop loop;
   DEEPCRAWL_RETURN_IF_ERROR(loop.Init());
 
@@ -161,7 +154,7 @@ int main(int argc, char** argv) {
   RegisterWorkloadFlags(parser, &options.workload);
   RegisterFaultFlags(parser, &options.fault);
   parser.AddString("bind", &options.bind, "address to bind");
-  parser.AddInt64("port", &options.port,
+  parser.AddInt64("port", &options.port, 0, 65535,
                   "TCP port (0 = ephemeral; printed and written to "
                   "--port-file)");
   parser.AddString("port-file", &options.port_file,
@@ -169,12 +162,14 @@ int main(int argc, char** argv) {
   RegisterServerFlags(parser, &options.server);
   parser.AddBool("counts", &options.counts,
                  "report total match counts (--no-counts to disable)");
-  parser.AddInt64("max-connections", &options.max_connections,
+  parser.AddInt64("max-connections", &options.max_connections, 1,
+                  kFlagUint32Max,
                   "concurrent-connection cap; extra connections are shed "
                   "with a retryable GoAway");
-  parser.AddInt64("shed-retry-after", &options.shed_retry_after,
+  parser.AddInt64("shed-retry-after", &options.shed_retry_after, 0,
+                  kFlagUint32Max,
                   "retry-after hint (rounds) on shed connections");
-  parser.AddInt64("latency-us", &options.latency_us,
+  parser.AddInt64("latency-us", &options.latency_us, 0, INT64_MAX,
                   "artificial per-response delay in microseconds");
   parser.AddBool("help", &options.help, "print this help");
 

@@ -12,25 +12,6 @@
 #include "src/relation/tsv.h"
 
 namespace deepcrawl {
-namespace {
-
-// Every generator sizes its tables by --scale relative to the paper's.
-Status CheckScale(double scale) {
-  if (scale > 0.0 && scale <= 1.0) return Status::OK();
-  return Status::InvalidArgument("--scale must be in (0, 1]");
-}
-
-}  // namespace
-
-Status CheckTargetCoverage(double target_coverage) {
-  if (target_coverage >= 0.0 && target_coverage <= 1.0) return Status::OK();
-  return Status::InvalidArgument("--target-coverage must be in [0, 1]");
-}
-
-Status CheckSaturation(double saturation) {
-  if (saturation >= 0.0 && saturation <= 1.0) return Status::OK();
-  return Status::InvalidArgument("--saturation must be in [0, 1]");
-}
 
 void RegisterWorkloadFlags(FlagParser& parser, WorkloadFlagOptions* options) {
   parser.AddString("input", &options->input,
@@ -39,30 +20,35 @@ void RegisterWorkloadFlags(FlagParser& parser, WorkloadFlagOptions* options) {
   parser.AddString("workload", &options->workload,
                    "generate a canned workload instead: "
                    "ebay|acm|dblp|imdb|adversarial|textual|mixed");
+  // Generators size tables by --scale relative to the paper's: (0, 1],
+  // with the smallest positive normal double standing in for the open end.
   parser.AddDouble("scale", &options->scale,
+                   std::numeric_limits<double>::min(), 1.0,
                    "scale factor for --workload (1.0 = paper size)");
-  parser.AddInt64("gen-seed", &options->gen_seed,
+  parser.AddInt64("gen-seed", &options->gen_seed, INT64_MIN, INT64_MAX,
                   "generator seed for --workload");
   parser.AddString("adv-family", &options->adv_family,
                    "adversarial family: trap (greedy pays ω(OPT)) | skew "
                    "(additive-log descent overhead)");
-  parser.AddInt64("adv-buckets", &options->adv_buckets,
+  parser.AddInt64("adv-buckets", &options->adv_buckets, 1, kFlagUint32Max,
                   "adversarial: requested non-decoy rank buckets "
                   "(rounded up to a power of two with the decoys)");
-  parser.AddInt64("adv-records", &options->adv_records,
+  parser.AddInt64("adv-records", &options->adv_records, 1, kFlagUint32Max,
                   "adversarial: records per occupied bucket (= the "
                   "server result limit the instance assumes)");
-  parser.AddInt64("adv-decoy-buckets", &options->adv_decoy_buckets,
+  parser.AddInt64("adv-decoy-buckets", &options->adv_decoy_buckets, 0,
+                  kFlagUint32Max,
                   "adversarial trap: buckets carrying decoy mass");
-  parser.AddInt64("adv-decoy-width", &options->adv_decoy_width,
+  parser.AddInt64("adv-decoy-width", &options->adv_decoy_width, 0,
+                  kFlagUint32Max,
                   "adversarial trap: unique decoy values per trapped "
                   "record");
-  parser.AddInt64("adv-occupied", &options->adv_occupied,
+  parser.AddInt64("adv-occupied", &options->adv_occupied, 1, kFlagUint32Max,
                   "adversarial skew: occupied lowest buckets");
-  parser.AddInt64("txt-topics", &options->txt_topics,
+  parser.AddInt64("txt-topics", &options->txt_topics, 1, kFlagUint32Max,
                   "textual/mixed: number of topic slices in the "
                   "vocabulary");
-  parser.AddDouble("txt-affinity", &options->txt_affinity,
+  parser.AddDouble("txt-affinity", &options->txt_affinity, 0.0, 1.0,
                    "textual/mixed: probability a term draw comes from "
                    "the document's topic slice");
 }
@@ -103,18 +89,16 @@ StatusOr<Table> LoadTargetTable(const WorkloadFlagOptions& options,
                    {"imdb", ImdbConfig}};
   for (const auto& [name, config] : kCanned) {
     if (options.workload != name) continue;
-    DEEPCRAWL_RETURN_IF_ERROR(CheckScale(options.scale));
     return GenerateTable(config(options.scale, options.gen_seed));
   }
   if (options.workload == "textual" || options.workload == "mixed") {
-    DEEPCRAWL_RETURN_IF_ERROR(CheckScale(options.scale));
     TextualDbConfig config;
     config.num_documents = static_cast<uint32_t>(
         std::max(1.0, 20000.0 * options.scale));
     config.vocabulary = static_cast<uint32_t>(
         std::max(16.0, 30000.0 * options.scale));
-    config.num_topics = static_cast<uint32_t>(std::max<int64_t>(
-        1, std::min<int64_t>(options.txt_topics, config.vocabulary)));
+    config.num_topics = static_cast<uint32_t>(
+        std::min<int64_t>(options.txt_topics, config.vocabulary));
     config.topic_affinity = options.txt_affinity;
     config.mixed = options.workload == "mixed";
     config.seed = static_cast<uint64_t>(options.gen_seed);
@@ -126,20 +110,15 @@ StatusOr<Table> LoadTargetTable(const WorkloadFlagOptions& options,
 }
 
 void RegisterServerFlags(FlagParser& parser, ServerFlagOptions* options) {
-  parser.AddInt64("page-size", &options->page_size,
+  parser.AddInt64("page-size", &options->page_size, 1, kFlagUint32Max,
                   "records per result page (k)");
-  parser.AddInt64("result-limit", &options->result_limit,
+  parser.AddInt64("result-limit", &options->result_limit, 0, kFlagUint32Max,
                   "max retrievable records per query (0 = unlimited)");
 }
 
-StatusOr<ServerOptions> BuildServerOptions(
+ServerOptions BuildServerOptions(
     const ServerFlagOptions& options,
     const std::optional<AdversarialGroundTruth>& adv) {
-  constexpr int64_t kU32 = std::numeric_limits<uint32_t>::max();
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("page-size", options.page_size, 1, kU32));
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("result-limit", options.result_limit, 0, kU32));
   ServerOptions server;
   server.page_size = static_cast<uint32_t>(options.page_size);
   server.result_limit = static_cast<uint32_t>(options.result_limit);
@@ -152,24 +131,28 @@ StatusOr<ServerOptions> BuildServerOptions(
 void RegisterFaultFlags(FlagParser& parser, FaultFlagOptions* options) {
   parser.AddString("fault-profile", &options->fault_profile,
                    "fault-injection preset: none|flaky|lossy|hostile");
-  parser.AddDouble("fault-unavailable", &options->fault_unavailable,
+  parser.AddDouble("fault-unavailable", &options->fault_unavailable, -1.0,
+                   1.0,
                    "per-round probability of transient unavailability "
                    "(overrides the preset; negative = keep preset)");
-  parser.AddDouble("fault-timeout", &options->fault_timeout,
+  parser.AddDouble("fault-timeout", &options->fault_timeout, -1.0, 1.0,
                    "per-round probability of a deadline timeout");
-  parser.AddDouble("fault-rate-limit", &options->fault_rate_limit,
+  parser.AddDouble("fault-rate-limit", &options->fault_rate_limit, -1.0, 1.0,
                    "per-round probability of a rate-limit rejection");
-  parser.AddDouble("fault-truncate", &options->fault_truncate,
+  parser.AddDouble("fault-truncate", &options->fault_truncate, -1.0, 1.0,
                    "per-round probability of a silently truncated page");
-  parser.AddDouble("fault-duplicate", &options->fault_duplicate,
+  parser.AddDouble("fault-duplicate", &options->fault_duplicate, -1.0, 1.0,
                    "per-round probability of a duplicate-record echo");
-  parser.AddInt64("fault-retry-after", &options->fault_retry_after,
+  parser.AddInt64("fault-retry-after", &options->fault_retry_after, 0,
+                  kFlagUint32Max,
                   "retry-after hint (rounds) on rate-limit rejections");
-  parser.AddInt64("fault-seed", &options->fault_seed,
+  parser.AddInt64("fault-seed", &options->fault_seed, INT64_MIN, INT64_MAX,
                   "RNG seed for fault injection and retry jitter");
   parser.AddBool("fault-keyed", &options->fault_keyed,
                  "key fault decisions by (query, page, attempt) instead "
-                 "of fetch arrival order (forced on for parallel crawls)");
+                 "of fetch arrival order (forced on at --batch>1 and by "
+                 "deepcrawl_serve: the inline executor and a wave "
+                 "pipelined over TCP fetch in different orders)");
 }
 
 StatusOr<FaultProfile> FaultPreset(std::string_view name) {
@@ -214,9 +197,6 @@ StatusOr<FaultProfile> BuildFaultProfile(const FaultFlagOptions& options) {
   if (options.fault_duplicate >= 0.0) {
     profile.duplicate_rate = options.fault_duplicate;
   }
-  DEEPCRAWL_RETURN_IF_ERROR(
-      CheckFlagRange("fault-retry-after", options.fault_retry_after, 0,
-                     std::numeric_limits<uint32_t>::max()));
   profile.retry_after_rounds =
       static_cast<uint32_t>(options.fault_retry_after);
   double sum = profile.unavailable_rate + profile.timeout_rate +

@@ -54,14 +54,6 @@ struct AdversarialGroundTruth {
 
 void RegisterWorkloadFlags(FlagParser& parser, WorkloadFlagOptions* options);
 
-// kInvalidArgument unless --target-coverage, a fraction of the target's
-// records, lies in [0, 1] (0 = crawl to frontier exhaustion).
-Status CheckTargetCoverage(double target_coverage);
-
-// kInvalidArgument unless --saturation, the coverage at which MMMI
-// switches on, lies in [0, 1] (0 = never). NaN is rejected too.
-Status CheckSaturation(double saturation);
-
 // Loads --input or generates --workload; fills `adv` for
 // --workload=adversarial.
 StatusOr<Table> LoadTargetTable(const WorkloadFlagOptions& options,
@@ -75,9 +67,9 @@ struct ServerFlagOptions {
 
 void RegisterServerFlags(FlagParser& parser, ServerFlagOptions* options);
 
-// Range-checks the flags into ServerOptions. An adversarial target with no
+// The flags as ServerOptions. An adversarial target with no
 // --result-limit gets the per-bucket limit its OPT bookkeeping assumes.
-StatusOr<ServerOptions> BuildServerOptions(
+ServerOptions BuildServerOptions(
     const ServerFlagOptions& options,
     const std::optional<AdversarialGroundTruth>& adv);
 
