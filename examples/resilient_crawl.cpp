@@ -78,8 +78,6 @@ int main() {
             << " failed fetches, " << r.retries << " retries, "
             << r.backoff_ticks << " simulated ticks backing off\n"
             << "degraded: " << r.requeues << " re-queues, "
-            << r.abandoned_values << " values abandoned\n\n"
-            << "simulated clock at crawl end: " << crawler.clock().now()
-            << " ticks\n";
+            << r.abandoned_values << " values abandoned\n";
   return 0;
 }

@@ -7,7 +7,7 @@
 // another process, days later — as if it had never stopped, without
 // paying again for the rounds it already spent. Everything a crawl
 // holds (local store, selector statistics and frontier, retry queue,
-// clock, trace, resilience counters) is a pure function of what it was
+// trace, resilience counters) is a pure function of what it was
 // given: its seeds, its Run() budgets and the pages the source
 // returned. So a checkpoint holds exactly that — the engine's fetch
 // log — plus the fault proxy's keyed attempt table and RNG, which live

@@ -302,12 +302,13 @@ void InlineFetchExecutor::FetchWave(
   }
 }
 
-DegradationTracker::FailureAction DegradationTracker::OnFetchFailure(
-    const Status& failure, ValueId value, uint32_t& failures,
-    ResilienceCounters& resilience) {
-  if (policy_ == nullptr || !RetryPolicy::IsRetryable(failure)) {
+CrawlEngine::FailureAction CrawlEngine::OnFetchFailure(const Status& failure,
+                                                       ValueId value,
+                                                       uint32_t& failures) {
+  if (retry_policy_ == nullptr || !RetryPolicy::IsRetryable(failure)) {
     return FailureAction::kFailCrawl;
   }
+  ResilienceCounters& resilience = trace_.resilience();
   ++failures;
   ++resilience.transient_failures;
   if (failure.retry_after_rounds().has_value()) {
@@ -315,20 +316,16 @@ DegradationTracker::FailureAction DegradationTracker::OnFetchFailure(
     resilience.max_retry_after_hint = std::max<uint64_t>(
         resilience.max_retry_after_hint, *failure.retry_after_rounds());
   }
-  if (!policy_->ShouldRetry(failure, failures)) {
+  if (!retry_policy_->ShouldRetry(failure, failures)) {
     // Retry budget exhausted: degrade gracefully — re-queue the value at
     // the frontier tail a bounded number of times, then abandon it. The
     // retry-after floor still binds the *source* even though this value's
-    // drain is over: charge it to the clock, or the very next fetch would
+    // drain is over: charge it as backoff, or the very next fetch would
     // land before the server's advertised earliest-retry time.
-    uint64_t floor = policy_->FloorTicks(failure);
-    if (floor > 0) {
-      clock_.Advance(floor);
-      resilience.backoff_ticks += floor;
-    }
+    resilience.backoff_ticks += retry_policy_->FloorTicks(failure);
     ++resilience.degraded_queries;
     uint32_t& requeues = requeue_count_[value];
-    if (requeues < policy_->config().max_requeues) {
+    if (requeues < retry_policy_->config().max_requeues) {
       ++requeues;
       ++resilience.requeues;
       retry_queue_.push_back(value);
@@ -337,18 +334,10 @@ DegradationTracker::FailureAction DegradationTracker::OnFetchFailure(
     ++resilience.abandoned_values;
     return FailureAction::kAbandon;
   }
-  uint64_t wait = policy_->BackoffTicks(failure, failures, value);
-  clock_.Advance(wait);
-  resilience.backoff_ticks += wait;
+  resilience.backoff_ticks +=
+      retry_policy_->BackoffTicks(failure, failures, value);
   ++resilience.retries;
   return FailureAction::kRetry;
-}
-
-ValueId DegradationTracker::PopRetry() {
-  if (retry_queue_.empty()) return kInvalidValueId;
-  ValueId value = retry_queue_.front();
-  retry_queue_.pop_front();
-  return value;
 }
 
 CrawlEngine::CrawlEngine(QueryInterface& server, QuerySelector& selector,
@@ -365,8 +354,7 @@ CrawlEngine::CrawlEngine(QueryInterface& server, QuerySelector& selector,
       retry_policy_(retry_policy),
       executor_(engine_options_.shared_executor != nullptr
                     ? engine_options_.shared_executor
-                    : &inline_executor_),
-      degradation_(retry_policy, clock_) {
+                    : &inline_executor_) {
   DEEPCRAWL_CHECK(engine_options_.batch >= 1) << "need >= 1 drain slot";
   slots_.resize(engine_options_.batch);
 }
@@ -443,7 +431,10 @@ ValueId CrawlEngine::NextValue() {
   if (value != kInvalidValueId) return value;
   // Re-queued values wait at the frontier tail: they only come up once
   // the selector has nothing better.
-  return degradation_.PopRetry();
+  if (retry_queue_.empty()) return kInvalidValueId;
+  ValueId retry = retry_queue_.front();
+  retry_queue_.pop_front();
+  return retry;
 }
 
 void CrawlEngine::NotifySaturationOnce() {
@@ -475,17 +466,16 @@ Status CrawlEngine::CommitFetch(std::optional<Slot>& slot_box,
   LogFetch(slot.value, fetched);
   ++rounds_used_;
   if (!fetched.ok()) {
-    switch (degradation_.OnFetchFailure(fetched.status(), slot.value,
-                                        slot.failures, trace_.resilience())) {
-      case DegradationTracker::FailureAction::kFailCrawl:
+    switch (OnFetchFailure(fetched.status(), slot.value, slot.failures)) {
+      case FailureAction::kFailCrawl:
         return fetched.status();
-      case DegradationTracker::FailureAction::kRetry:
+      case FailureAction::kRetry:
         // The slot stays parked on the same page; the next wave
         // re-fetches it (and if the budget just expired, the top of
         // Run() parks the whole crawl, matching the serial mid-drain
         // park).
         return Status::OK();
-      case DegradationTracker::FailureAction::kRequeue:
+      case FailureAction::kRequeue:
         slot.outcome.fetch_failures = slot.failures;
         slot.outcome.degraded = true;
         // Not completed: the selector is notified when the re-issued
@@ -493,7 +483,7 @@ Status CrawlEngine::CommitFetch(std::optional<Slot>& slot_box,
         slot_box.reset();
         NotifySaturationOnce();
         return Status::OK();
-      case DegradationTracker::FailureAction::kAbandon:
+      case FailureAction::kAbandon:
         slot.outcome.fetch_failures = slot.failures;
         slot.outcome.degraded = true;
         selector_.OnQueryCompleted(slot.outcome);

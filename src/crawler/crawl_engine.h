@@ -3,9 +3,10 @@
 // layered as:
 //
 //   * the wave planner/committer (this class): selector ranking, slot
-//     refill, strict slot-rank commit order, retry/backoff via the
-//     DegradationTracker, pending-drain parking across budget slices,
-//     trace emission, and stop-reason resolution;
+//     refill, strict slot-rank commit order, retry/backoff and the
+//     re-queue/abandon degradation (OnFetchFailure), pending-drain
+//     parking across budget slices, trace emission, and stop-reason
+//     resolution;
 //   * a pluggable FetchExecutor underneath: InlineFetchExecutor runs a
 //     wave's fetches one after another on the calling thread (the
 //     in-process configuration); NetFetchExecutor (src/net/) pipelines
@@ -29,7 +30,7 @@
 // the seeds, every Run() call's budgets, and every committed fetch
 // result. The engine records those inputs as it goes (the fetch log);
 // SaveState writes the log. A replay (BeginReplay ... EndReplay)
-// rebuilds store, selector, retry queue, clock and trace by issuing the
+// rebuilds store, selector, retry queue and trace by issuing the
 // logged calls again through this same engine code, each fetch served
 // from the log with no server call, so checkpoint + restore + continue
 // emits the SAME trace CSV byte-for-byte as the uninterrupted run. See
@@ -151,43 +152,6 @@ class InlineFetchExecutor : public FetchExecutor {
       std::span<std::optional<StatusOr<ResultPage>>> results) override;
 };
 
-// Graceful-degradation bookkeeping for every engine configuration:
-// given a failed page fetch, decides retry / re-queue / abandon / fail,
-// and owns the ResilienceCounters accumulation plus the frontier-tail
-// retry queue those decisions feed.
-class DegradationTracker {
- public:
-  enum class FailureAction {
-    kFailCrawl,  // not retryable (or no policy): the crawl must fail
-    kRetry,      // backoff charged; re-fetch the same page next wave
-    kRequeue,    // drain gave up; value re-queued at the frontier tail
-    kAbandon,    // drain gave up; re-queue budget exhausted, value dropped
-  };
-
-  // `policy` may be null (every failure fails the crawl). `clock` is
-  // advanced by backoff waits and must outlive the tracker.
-  DegradationTracker(const RetryPolicy* policy, SimulatedClock& clock)
-      : policy_(policy), clock_(clock) {}
-
-  // Handles one failed fetch of `value`: bumps `failures` (the drain's
-  // failed-attempt count) and the resilience tallies, charges backoff to
-  // the clock, and re-queues the value when its drain gives up.
-  FailureAction OnFetchFailure(const Status& failure, ValueId value,
-                               uint32_t& failures,
-                               ResilienceCounters& resilience);
-
-  // Pops the next re-queued value (frontier tail), or kInvalidValueId.
-  ValueId PopRetry();
-
- private:
-  const RetryPolicy* policy_;
-  SimulatedClock& clock_;
-  // Values whose drain gave up, waiting at the frontier tail, and how
-  // often each was already re-queued.
-  std::deque<ValueId> retry_queue_;
-  std::unordered_map<ValueId, uint32_t> requeue_count_;
-};
-
 struct EngineOptions {
   // Drain slots per wave (>= 1). Semantic: batch == 1 is exactly the
   // serial crawl order.
@@ -243,7 +207,6 @@ class CrawlEngine {
   uint64_t queries_issued() const { return queries_issued_; }
   uint64_t waves_completed() const { return waves_completed_; }
   const LocalStore& store() const { return store_; }
-  const SimulatedClock& clock() const { return clock_; }
   const CrawlTrace& trace() const { return trace_; }
   const CrawlOptions& options() const { return options_; }
   const EngineOptions& engine_options() const { return engine_options_; }
@@ -286,6 +249,14 @@ class CrawlEngine {
     QueryOutcome outcome;
   };
 
+  // What a failed fetch does to its drain.
+  enum class FailureAction {
+    kFailCrawl,  // not retryable (or no policy): the crawl must fail
+    kRetry,      // backoff charged; re-fetch the same page next wave
+    kRequeue,    // drain gave up; value re-queued at the frontier tail
+    kAbandon,    // drain gave up; re-queue budget exhausted, value dropped
+  };
+
   // Checks each replayed call, and serves each committed fetch, from a
   // checkpoint's fetch log between BeginReplay and EndReplay.
   class Replay;
@@ -313,6 +284,11 @@ class CrawlEngine {
 
   void DiscoverValue(ValueId v);
   ValueId NextValue();
+  // Handles one failed fetch of `value`: bumps `failures` (the drain's
+  // failed-attempt count) and the resilience tallies, charges backoff,
+  // and re-queues the value when its drain gives up.
+  FailureAction OnFetchFailure(const Status& failure, ValueId value,
+                               uint32_t& failures);
   // Log a cut when this Run() resumes an interrupted one, then its
   // budgets when they changed.
   void LogRunEntry();
@@ -348,8 +324,10 @@ class CrawlEngine {
   uint64_t queries_issued_ = 0;
   uint64_t waves_completed_ = 0;
   CrawlTrace trace_;
-  SimulatedClock clock_;
-  DegradationTracker degradation_;
+  // Values whose drain gave up, waiting at the frontier tail, and how
+  // often each was already re-queued.
+  std::deque<ValueId> retry_queue_;
+  std::unordered_map<ValueId, uint32_t> requeue_count_;
 
   std::vector<std::optional<Slot>> slots_;
   // The wave currently being executed (slot indices, lowest rank

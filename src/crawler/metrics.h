@@ -33,7 +33,8 @@ struct ResilienceCounters {
   uint64_t transient_failures = 0;
   // Fetches re-issued after a failure (each also cost one round).
   uint64_t retries = 0;
-  // Simulated-clock ticks spent backing off between attempts.
+  // Simulated ticks spent backing off between attempts (RetryPolicy's
+  // backoff plus the retry-after floors of given-up drains).
   uint64_t backoff_ticks = 0;
   // Values re-queued at the frontier tail after their per-drain retry
   // budget ran out.
@@ -48,7 +49,7 @@ struct ResilienceCounters {
   // server's hint as a hard floor on when the source may be scheduled
   // again.
   uint64_t rate_limit_rejections = 0;
-  // Largest retry-after hint (in clock ticks) any rate-limit rejection
+  // Largest retry-after hint (in simulated ticks) any rate-limit rejection
   // carried; 0 when none was ever seen.
   uint64_t max_retry_after_hint = 0;
 

@@ -1,7 +1,6 @@
 #include "src/crawler/retry_policy.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/util/logging.h"
 
@@ -21,9 +20,6 @@ uint64_t Mix64(uint64_t x) {
 
 RetryPolicy::RetryPolicy(RetryPolicyConfig config) : config_(config) {
   DEEPCRAWL_CHECK_GE(config_.max_attempts, 1u);
-  DEEPCRAWL_CHECK_GE(config_.backoff_multiplier, 1.0);
-  DEEPCRAWL_CHECK(config_.jitter >= 0.0 && config_.jitter <= 1.0)
-      << "jitter must be in [0, 1]";
 }
 
 bool RetryPolicy::IsRetryable(const Status& status) {
@@ -44,18 +40,10 @@ bool RetryPolicy::ShouldRetry(const Status& status, uint32_t failures) const {
 uint64_t RetryPolicy::BackoffTicks(const Status& status, uint32_t failures,
                                    ValueId value) const {
   DEEPCRAWL_DCHECK(failures >= 1) << "no backoff before the first failure";
-  // Capped exponential window: initial * multiplier^(failures-1).
-  double window = static_cast<double>(config_.initial_backoff_ticks);
-  for (uint32_t i = 1; i < failures; ++i) {
-    window *= config_.backoff_multiplier;
-    if (window >= static_cast<double>(config_.max_backoff_ticks)) break;
-  }
-  uint64_t capped = std::min<uint64_t>(
-      config_.max_backoff_ticks,
-      static_cast<uint64_t>(std::llround(std::max(window, 1.0))));
-  // Deterministic jitter over the last `jitter` fraction of the window.
-  uint64_t jitter_span =
-      static_cast<uint64_t>(config_.jitter * static_cast<double>(capped));
+  // Window 1, 2, 4, 8, then capped at 16 ticks.
+  uint64_t capped = uint64_t{1} << std::min<uint32_t>(failures - 1, 4);
+  // Deterministic jitter over the lower half of the window.
+  uint64_t jitter_span = capped >> 1;
   uint64_t ticks = capped;
   if (jitter_span > 0) {
     uint64_t h = Mix64(config_.seed ^ Mix64((static_cast<uint64_t>(value) << 32) |
@@ -65,7 +53,7 @@ uint64_t RetryPolicy::BackoffTicks(const Status& status, uint32_t failures,
   if (status.retry_after_rounds().has_value()) {
     ticks = std::max<uint64_t>(ticks, *status.retry_after_rounds());
   }
-  return std::max<uint64_t>(ticks, 1);
+  return ticks;
 }
 
 uint64_t RetryPolicy::FloorTicks(const Status& status) const {

@@ -1,7 +1,6 @@
 #include "src/fleet/circuit_breaker.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/util/logging.h"
 
@@ -17,14 +16,6 @@ const char* BreakerStateToString(BreakerState state) {
       return "half-open";
   }
   return "unknown";
-}
-
-CircuitBreaker::CircuitBreaker(CircuitBreakerConfig config)
-    : config_(config), cooldown_(config.cooldown_ticks) {
-  DEEPCRAWL_CHECK_GE(config_.consecutive_failed_turns, 1u);
-  DEEPCRAWL_CHECK_GE(config_.cooldown_ticks, 1u);
-  DEEPCRAWL_CHECK_GE(config_.cooldown_multiplier, 1.0);
-  DEEPCRAWL_CHECK_GE(config_.max_cooldown_ticks, config_.cooldown_ticks);
 }
 
 bool CircuitBreaker::CanAdmit(uint64_t now) const {
@@ -61,11 +52,8 @@ void CircuitBreaker::OnTurn(uint64_t now, uint64_t rounds, uint64_t failures,
 
   if (state_ == BreakerState::kHalfOpen) {
     if (fully_failed) {
-      // Probe failed: back to open, with grown (capped) cooldown.
-      cooldown_ = std::min<uint64_t>(
-          config_.max_cooldown_ticks,
-          static_cast<uint64_t>(std::llround(
-              static_cast<double>(cooldown_) * config_.cooldown_multiplier)));
+      // Probe failed: back to open, with doubled (capped) cooldown.
+      cooldown_ = std::min(kMaxCooldownTicks, cooldown_ * 2);
       ++transitions_.reopens;
       TripOpen(now);
     } else {
@@ -75,7 +63,7 @@ void CircuitBreaker::OnTurn(uint64_t now, uint64_t rounds, uint64_t failures,
       state_ = BreakerState::kClosed;
       ++transitions_.closes;
       consecutive_failed_ = 0;
-      if (!quarantined()) cooldown_ = config_.cooldown_ticks;
+      if (!quarantined()) cooldown_ = kCooldownTicks;
     }
     return;
   }
@@ -86,7 +74,7 @@ void CircuitBreaker::OnTurn(uint64_t now, uint64_t rounds, uint64_t failures,
   } else {
     consecutive_failed_ = 0;
   }
-  if (consecutive_failed_ >= config_.consecutive_failed_turns) {
+  if (consecutive_failed_ >= kTripAfterFailedTurns) {
     ++transitions_.opens;
     TripOpen(now);
   }

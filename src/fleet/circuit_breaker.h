@@ -8,27 +8,28 @@
 // own resilience deltas (no extra instrumentation in the hot fetch
 // path):
 //
-//   closed ──(consecutive fully-failed turns >= threshold)──▶ open
+//   closed ──(3 consecutive fully-failed turns)──▶ open
 //   open   ──(cooldown elapsed; the next Admit grants a probe)──▶ half-open
 //   half-open ──(probe turn harvested records / saw no failures)──▶ closed
-//   half-open ──(probe turn fully failed)──▶ open, cooldown grows
-//              (capped exponential re-probe backoff)
+//   half-open ──(probe turn fully failed)──▶ open, cooldown doubles
 //
-// Flapping sources — ones that keep re-tripping — cross the quarantine
-// threshold (opens + reopens): they stay schedulable through probes but
-// keep their grown cooldown even after a successful close, so a flapper
-// cannot reset its own backoff by one lucky turn. Past the abandon
-// threshold the breaker is exhausted: the fleet stops probing for good
-// and the degradation report says so explicitly.
+// The cooldown starts at 16 fleet ticks and doubles per failed probe up
+// to 256: 16, 32, 64, 128, 256, 256, ... Flapping sources — ones that
+// keep re-tripping — are quarantined from their 3rd trip (opens +
+// reopens): they stay schedulable through probes but keep their grown
+// cooldown even after a successful close, so a flapper cannot reset its
+// own backoff by one lucky turn. At the 8th trip the breaker is
+// exhausted: the fleet stops probing for good and the degradation
+// report says so explicitly.
 //
 // A turn that harvests anything is not fully failed, however many of its
 // fetches failed: such a source stays closed, and the fleet's harvest-rate
 // ranking (each failed fetch costs its round) already puts it behind every
 // more productive source.
 //
-// Everything is integer/double arithmetic over the fleet's simulated
-// clock — no wall time — so breaker behaviour is a pure function of the
-// turn history, and a fleet checkpoint rebuilds it by replaying turns.
+// Everything is integer arithmetic over the fleet's simulated clock —
+// no wall time — so breaker behaviour is a pure function of the turn
+// history, and a fleet checkpoint rebuilds it by replaying turns.
 
 #ifndef DEEPCRAWL_FLEET_CIRCUIT_BREAKER_H_
 #define DEEPCRAWL_FLEET_CIRCUIT_BREAKER_H_
@@ -39,41 +40,29 @@
 
 namespace deepcrawl {
 
-struct CircuitBreakerConfig {
-  // Trip after this many consecutive fully-failed turns (a turn that
-  // consumed rounds, saw failures, and harvested nothing).
-  uint32_t consecutive_failed_turns = 3;
-  // Open duration (fleet clock ticks) before the first half-open probe.
-  uint64_t cooldown_ticks = 16;
-  // Re-probe backoff: cooldown growth per failed probe, capped.
-  double cooldown_multiplier = 2.0;
-  uint64_t max_cooldown_ticks = 256;
-  // Total trips (opens + reopens) after which the source counts as
-  // quarantined in the degradation report.
-  uint32_t quarantine_after_trips = 3;
-  // Total trips after which the breaker is exhausted and the fleet stops
-  // probing the source for good (0 = keep probing forever).
-  uint32_t abandon_after_trips = 8;
-};
-
 enum class BreakerState : uint8_t { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
 
 const char* BreakerStateToString(BreakerState state);
 
 class CircuitBreaker {
  public:
-  explicit CircuitBreaker(CircuitBreakerConfig config);
+  // Trip after this many consecutive fully-failed turns (a turn that
+  // consumed rounds, saw failures, and harvested nothing).
+  static constexpr uint32_t kTripAfterFailedTurns = 3;
+  // Open duration (fleet clock ticks) before the first half-open probe,
+  // and the cap a failed probe's doubling stops at.
+  static constexpr uint64_t kCooldownTicks = 16;
+  static constexpr uint64_t kMaxCooldownTicks = 256;
+  // Total trips (opens + reopens) from which the source counts as
+  // quarantined, and from which the fleet stops probing it for good.
+  static constexpr uint32_t kQuarantineAfterTrips = 3;
+  static constexpr uint32_t kAbandonAfterTrips = 8;
 
   BreakerState state() const { return state_; }
   // Trips so far crossed the quarantine threshold.
-  bool quarantined() const {
-    return trips() >= config_.quarantine_after_trips;
-  }
+  bool quarantined() const { return trips() >= kQuarantineAfterTrips; }
   // Trips crossed the abandon threshold: never admit again.
-  bool exhausted() const {
-    return config_.abandon_after_trips > 0 &&
-           trips() >= config_.abandon_after_trips;
-  }
+  bool exhausted() const { return trips() >= kAbandonAfterTrips; }
   uint32_t trips() const {
     return transitions_.opens + transitions_.reopens;
   }
@@ -104,12 +93,11 @@ class CircuitBreaker {
  private:
   void TripOpen(uint64_t now);
 
-  CircuitBreakerConfig config_;
   BreakerState state_ = BreakerState::kClosed;
   uint32_t consecutive_failed_ = 0;
   // Current cooldown (grows on failed probes, capped) and when the open
   // state next admits a probe.
-  uint64_t cooldown_ = 0;
+  uint64_t cooldown_ = kCooldownTicks;
   uint64_t admit_at_ = 0;
   // Start of the current open period and ticks accumulated by closed
   // ones.

@@ -39,9 +39,6 @@ StatusOr<SchedulerPolicy> ParseSchedulerPolicy(std::string_view name) {
 // objects behind the unique_ptrs never move, so the reference chains
 // between them survive vector reallocation of Source itself.
 struct CrawlFleet::Source {
-  explicit Source(const CircuitBreakerConfig& breaker_config)
-      : breaker(breaker_config) {}
-
   std::unique_ptr<WebDbServer> backend;
   std::unique_ptr<FaultyServer> faulty;
   std::unique_ptr<LocalStore> store;
@@ -75,7 +72,7 @@ CrawlFleet::CrawlFleet(std::vector<FleetSourceSpec> specs,
     const FleetSourceSpec& spec = specs_[i];
     DEEPCRAWL_CHECK(spec.table.num_records() > 0)
         << "source '" << spec.name << "' has an empty table";
-    Source& src = sources_.emplace_back(options_.breaker);
+    Source& src = sources_.emplace_back();
 
     uint64_t derived_seed = FaultyServer::DeriveSourceSeed(options_.seed, i);
     src.backend = std::make_unique<WebDbServer>(spec.table, spec.server);
@@ -465,17 +462,7 @@ void WriteFingerprint(CheckpointWriter& writer, const FleetOptions& options,
   writer.WriteU32(options.batch);
   writer.WriteU64(options.turn_rounds);
   writer.WriteU64(options.source_deadline_rounds);
-  writer.WriteU32(options.breaker.consecutive_failed_turns);
-  writer.WriteU64(options.breaker.cooldown_ticks);
-  writer.WriteDouble(options.breaker.cooldown_multiplier);
-  writer.WriteU64(options.breaker.max_cooldown_ticks);
-  writer.WriteU32(options.breaker.quarantine_after_trips);
-  writer.WriteU32(options.breaker.abandon_after_trips);
   writer.WriteU32(options.retry.max_attempts);
-  writer.WriteU64(options.retry.initial_backoff_ticks);
-  writer.WriteU64(options.retry.max_backoff_ticks);
-  writer.WriteDouble(options.retry.backoff_multiplier);
-  writer.WriteDouble(options.retry.jitter);
   writer.WriteU32(options.retry.max_requeues);
   writer.WriteU64(options.chaos.size());
   for (const ChaosEvent& event : options.chaos) {
@@ -535,7 +522,7 @@ Status CrawlFleet::LoadState(CheckpointReader& reader) {
   if (!same_config) {
     return Status::InvalidArgument(
         "fleet checkpoint config mismatch: seed, source count, scheduler, "
-        "chaos schedule, or an isolation knob (breaker/retry/budget) "
+        "chaos schedule, or an isolation knob (retry/budget) "
         "differs from the checkpointing run");
   }
   std::vector<BudgetMark> budgets(reader.ReadCount(16));

@@ -115,7 +115,6 @@ struct FleetOptions {
   // Per-source deadline: total rounds a single source may consume before
   // it is retired (0 = unbounded). Isolation against stalled sources.
   uint64_t source_deadline_rounds = 0;
-  CircuitBreakerConfig breaker;
   // Per-source retry policies copy this config with seed rewritten to
   // the source's derived seed.
   RetryPolicyConfig retry;
@@ -298,7 +297,10 @@ Status WriteFleetTraceCsv(const FleetResult& result, std::ostream& output);
 // v1011: format 2 over engine payload version 8, with the fingerprint's
 //        three knobs of the breaker's failure-rate trip and two of the
 //        politeness token bucket dropped along with both mechanisms.
-inline constexpr uint32_t kFleetCheckpointVersion = 1011;
+// v1012: format 2 over engine payload version 8, with the fingerprint's
+//        six breaker fields and four retry backoff-shape fields dropped;
+//        both are constants now (CircuitBreaker, RetryPolicy).
+inline constexpr uint32_t kFleetCheckpointVersion = 1012;
 
 inline constexpr uint32_t kSectionFleet = 0x54454c46;        // "FLET"
 inline constexpr uint32_t kSectionFleetSource = 0x43525346;  // "FSRC"

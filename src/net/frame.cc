@@ -401,7 +401,7 @@ StatusOr<bool> FrameAssembler::Next(std::string_view* body) {
                        (static_cast<uint32_t>(p[3]) << 24);
   // Bound-check the announced length BEFORE waiting for the bytes: a
   // forged length must not make us buffer toward a 4 GiB frame.
-  if (frame_len < kInnerFramingBytes || frame_len > max_frame_bytes_) {
+  if (frame_len < kInnerFramingBytes || frame_len > kMaxWireFrameBytes) {
     failed_ = Status::InvalidArgument("frame length " +
                                       std::to_string(frame_len) +
                                       " outside protocol bounds");

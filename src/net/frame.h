@@ -172,9 +172,6 @@ StatusOr<WireServerMessage> DecodeServerMessage(std::string_view body);
 // must be closed — Next keeps returning the same error.
 class FrameAssembler {
  public:
-  explicit FrameAssembler(uint32_t max_frame_bytes = kMaxWireFrameBytes)
-      : max_frame_bytes_(max_frame_bytes) {}
-
   void Append(std::string_view bytes);
 
   // True: `*body` views the next frame's body inside the assembler's
@@ -188,7 +185,6 @@ class FrameAssembler {
   size_t buffered_bytes() const { return buffer_.size() - pos_; }
 
  private:
-  uint32_t max_frame_bytes_;
   std::string buffer_;
   size_t pos_ = 0;  // consumed prefix of buffer_
   std::optional<Status> failed_;

@@ -76,9 +76,9 @@ void NetConnection::Close() {
 }
 
 Status NetConnection::Open(const std::string& host, uint16_t port,
-                           uint64_t timeout_ms, uint32_t max_frame_bytes) {
+                           uint64_t timeout_ms) {
   Close();
-  assembler_ = FrameAssembler(max_frame_bytes);
+  assembler_ = FrameAssembler();
   send_buffer_.clear();
   send_pos_ = 0;
   total_sent_ = 0;
@@ -290,8 +290,7 @@ Status NetQueryClient::EnsureConnected(NetConnection& conn) {
   uint64_t timeout = window > 0 ? std::min(window, options_.request_timeout_ms)
                                 : options_.request_timeout_ms;
   for (;;) {
-    Status last = conn.Open(options_.host, options_.port, timeout,
-                            options_.max_frame_bytes);
+    Status last = conn.Open(options_.host, options_.port, timeout);
     if (last.ok()) {
       if (connected_once_) ++reconnects_;
       connected_once_ = true;
@@ -550,9 +549,7 @@ void NetFetchExecutor::FetchWave(
       break;
     }
     if (!conn->is_open() &&
-        !conn->Open(opts.host, opts.port, opts.request_timeout_ms,
-                    opts.max_frame_bytes)
-             .ok()) {
+        !conn->Open(opts.host, opts.port, opts.request_timeout_ms).ok()) {
       continue;
     }
     conns_.push_back(conn.get());

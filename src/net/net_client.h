@@ -91,7 +91,6 @@ struct NetClientOptions {
   uint64_t reconnect_window_ms = 15'000;
   // First reconnect backoff; doubles per attempt, capped at 1s.
   uint64_t reconnect_backoff_ms = 20;
-  uint32_t max_frame_bytes = kMaxWireFrameBytes;
   // Pages handed out by the serial QueryInterface path stay valid for
   // at least this many subsequent serial fetches; older retained pages
   // are released, bounding a long serial crawl's memory. A caller that
@@ -113,8 +112,7 @@ class NetConnection {
 
   // Connects, performs the Hello/ServerInfo handshake, and stores the
   // ServerInfo. `timeout_ms` bounds the whole sequence.
-  Status Open(const std::string& host, uint16_t port, uint64_t timeout_ms,
-              uint32_t max_frame_bytes = kMaxWireFrameBytes);
+  Status Open(const std::string& host, uint16_t port, uint64_t timeout_ms);
   void Close();
   bool is_open() const { return fd_ >= 0; }
   int fd() const { return fd_; }

@@ -112,7 +112,6 @@ void WebDbTcpServer::OnAcceptable() {
     conn->id = next_connection_id_++;
     conn->fd = fd;
     conn->shedding = shed;
-    conn->assembler = FrameAssembler(options_.max_frame_bytes);
     Status added = loop_.Add(
         fd, EPOLLIN, [this, fd](uint32_t events) {
           OnConnectionEvent(fd, events);

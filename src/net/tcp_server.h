@@ -66,7 +66,6 @@ struct TcpServerOptions {
   // loopback benches and checks that need a slow source (0 = answer
   // immediately).
   uint64_t latency_us = 0;
-  uint32_t max_frame_bytes = kMaxWireFrameBytes;
 };
 
 class WebDbTcpServer {

@@ -128,7 +128,6 @@ CrawlOptions BaseOptions() {
 struct RunOutput {
   CrawlResult result;
   std::vector<RecordId> harvest_order;
-  uint64_t clock_ticks = 0;
   uint64_t phase_switches = 0;
   size_t final_phase = 0;
 };
@@ -191,7 +190,6 @@ InstrumentedRun RunEngine(const std::string& profile_name,
   for (uint32_t slot = 0; slot < store.num_records(); ++slot) {
     run.output.harvest_order.push_back(store.OriginalRecordId(slot));
   }
-  run.output.clock_ticks = engine.clock().now();
   run.output.phase_switches = adaptive->phase_switches();
   run.output.final_phase = adaptive->active_phase();
   return run;
@@ -231,7 +229,6 @@ RunOutput ResumeFromImage(const std::string& image,
   for (uint32_t slot = 0; slot < store.num_records(); ++slot) {
     out.harvest_order.push_back(store.OriginalRecordId(slot));
   }
-  out.clock_ticks = engine.clock().now();
   out.phase_switches = adaptive->phase_switches();
   out.final_phase = adaptive->active_phase();
   return out;
@@ -247,7 +244,6 @@ void ExpectIdentical(const RunOutput& a, const RunOutput& b,
   EXPECT_EQ(a.result.trace.points(), b.result.trace.points());
   EXPECT_EQ(a.result.resilience, b.result.resilience);
   EXPECT_EQ(a.harvest_order, b.harvest_order);
-  EXPECT_EQ(a.clock_ticks, b.clock_ticks);
   EXPECT_EQ(a.final_phase, b.final_phase);
   EXPECT_EQ(TraceCsvBytes(a.result.trace), TraceCsvBytes(b.result.trace));
 }

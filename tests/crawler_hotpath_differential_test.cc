@@ -323,22 +323,19 @@ CrawlOptions BaseOptions(const Table& target) {
 struct RunOutput {
   CrawlResult result;
   std::vector<RecordId> harvest_order;
-  uint64_t clock_ticks = 0;
   std::string trace_csv;
   uint64_t late_records = 0;  // not compared
   uint64_t phase_switches = 0;  // adaptive chains only; not compared
   size_t restored_frontier = 0;  // resumed crawls only; not compared
 };
 
-RunOutput Capture(const CrawlResult& result, const LocalStore& store,
-                  uint64_t clock_ticks) {
+RunOutput Capture(const CrawlResult& result, const LocalStore& store) {
   RunOutput out;
   out.result = result;
   out.harvest_order.reserve(store.num_records());
   for (uint32_t slot = 0; slot < store.num_records(); ++slot) {
     out.harvest_order.push_back(store.OriginalRecordId(slot));
   }
-  out.clock_ticks = clock_ticks;
   std::ostringstream csv;
   Status written = WriteTraceCsv(result.trace, csv);
   DEEPCRAWL_CHECK(written.ok()) << written.ToString();
@@ -379,7 +376,7 @@ RunOutput RunVariant(const std::string& policy,
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
   EXPECT_EQ(selector.checked_adds(), store.num_records());
   ExpectObservationsMatch(store, tap, selector.oracle());
-  RunOutput out = Capture(*result, store, crawler.clock().now());
+  RunOutput out = Capture(*result, store);
   out.late_records = selector.late_records();
   if (auto* adaptive = dynamic_cast<AdaptiveSelector*>(&selector.inner())) {
     out.phase_switches = adaptive->phase_switches();
@@ -450,7 +447,7 @@ RunOutput RunGreedyResumed(const std::string& profile_name, uint32_t batch) {
   StatusOr<CrawlResult> result = crawler.Run();
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
   EXPECT_EQ(second.selector.heap_size(), 0u);
-  RunOutput out = Capture(*result, second.store, crawler.clock().now());
+  RunOutput out = Capture(*result, second.store);
   out.restored_frontier = restored_frontier;
   return out;
 }
@@ -465,7 +462,6 @@ void ExpectIdentical(const RunOutput& a, const RunOutput& b,
   EXPECT_EQ(a.result.trace.points(), b.result.trace.points());
   EXPECT_EQ(a.result.resilience, b.result.resilience);
   EXPECT_EQ(a.harvest_order, b.harvest_order);
-  EXPECT_EQ(a.clock_ticks, b.clock_ticks);
   EXPECT_EQ(a.trace_csv, b.trace_csv);  // byte-identical serialization
 }
 

@@ -186,18 +186,15 @@ CrawlOptions BaseOptions(const Table& target) {
 struct RunOutput {
   CrawlResult result;
   std::vector<RecordId> harvest_order;  // store slots in commit order
-  uint64_t clock_ticks = 0;
 };
 
-RunOutput Capture(const CrawlResult& result, const LocalStore& store,
-                  uint64_t clock_ticks) {
+RunOutput Capture(const CrawlResult& result, const LocalStore& store) {
   RunOutput out;
   out.result = result;
   out.harvest_order.reserve(store.num_records());
   for (uint32_t slot = 0; slot < store.num_records(); ++slot) {
     out.harvest_order.push_back(store.OriginalRecordId(slot));
   }
-  out.clock_ticks = clock_ticks;
   return out;
 }
 
@@ -222,7 +219,7 @@ RunOutput RunSerial(const Env& env, const std::string& policy,
   crawler.AddSeed(env.seed_value);
   StatusOr<CrawlResult> result = crawler.Run();
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
-  return Capture(*result, store, crawler.clock().now());
+  return Capture(*result, store);
 }
 
 // The batched engine at `batch`, its waves served in rank order, or in
@@ -251,7 +248,7 @@ RunOutput RunBatched(const Env& env, const std::string& policy,
   crawler.AddSeed(env.seed_value);
   StatusOr<CrawlResult> result = crawler.Run();
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
-  return Capture(*result, store, crawler.clock().now());
+  return Capture(*result, store);
 }
 
 void ExpectIdentical(const RunOutput& a, const RunOutput& b,
@@ -264,7 +261,6 @@ void ExpectIdentical(const RunOutput& a, const RunOutput& b,
   EXPECT_EQ(a.result.trace.points(), b.result.trace.points());
   EXPECT_EQ(a.result.resilience, b.result.resilience);
   EXPECT_EQ(a.harvest_order, b.harvest_order);
-  EXPECT_EQ(a.clock_ticks, b.clock_ticks);
 }
 
 // batch == 1: the batched engine must reproduce the serial engine
@@ -387,7 +383,7 @@ TEST(ParallelCrawlerDifferentialTest, SlicedRunsResumeExactly) {
     ASSERT_TRUE(sliced.ok()) << sliced.status().ToString();
     if (sliced->stop_reason != StopReason::kRoundBudget) break;
   }
-  RunOutput sliced_out = Capture(*sliced, store, crawler.clock().now());
+  RunOutput sliced_out = Capture(*sliced, store);
   // The one-shot run never sees a budget, so compare everything except
   // the stop bookkeeping path: trace, meters, harvest, resilience.
   EXPECT_EQ(one_shot.result.rounds, sliced_out.result.rounds);
@@ -396,7 +392,6 @@ TEST(ParallelCrawlerDifferentialTest, SlicedRunsResumeExactly) {
   EXPECT_EQ(one_shot.result.trace.points(), sliced_out.result.trace.points());
   EXPECT_EQ(one_shot.result.resilience, sliced_out.result.resilience);
   EXPECT_EQ(one_shot.harvest_order, sliced_out.harvest_order);
-  EXPECT_EQ(one_shot.clock_ticks, sliced_out.clock_ticks);
 }
 
 // --- checkpoint/resume bit-identity sweep ----------------------------
@@ -404,7 +399,7 @@ TEST(ParallelCrawlerDifferentialTest, SlicedRunsResumeExactly) {
 // The checkpoint contract (DESIGN.md §10): interrupting a crawl at ANY
 // wave boundary, restoring the checkpoint into a freshly built stack,
 // and running to completion must emit byte-identical output — trace CSV
-// bytes, meters, resilience counters, harvest order, simulated clock —
+// bytes, meters, resilience counters, harvest order —
 // versus the uninterrupted run. Corrupt-input rejection lives in
 // tests/crawler_checkpoint_test.cc; this sweep owns bit-identity.
 
@@ -457,7 +452,7 @@ InstrumentedRun RunWithCheckpoints(const Env& env, const std::string& policy,
   engine.AddSeed(env.seed_value);
   StatusOr<CrawlResult> result = engine.Run();
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
-  run.output = Capture(*result, store, engine.clock().now());
+  run.output = Capture(*result, store);
   return run;
 }
 
@@ -490,7 +485,7 @@ RunOutput ResumeFromImage(const Env& env, const std::string& image,
   DEEPCRAWL_CHECK(loaded.ok()) << loaded.ToString();
   StatusOr<CrawlResult> result = engine.Run();
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
-  return Capture(*result, store, engine.clock().now());
+  return Capture(*result, store);
 }
 
 void ExpectIdenticalWithCsv(const RunOutput& a, const RunOutput& b,
@@ -613,7 +608,7 @@ TEST(ParallelCrawlerDifferentialTest, AbortPolicyEquivalence) {
     crawler.AddSeed(FirstQueriableSeed(target));
     StatusOr<CrawlResult> result = crawler.Run();
     DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
-    return Capture(*result, store, crawler.clock().now());
+    return Capture(*result, store);
   };
 
   ExpectIdentical(run(false), run(true), "count-abort");

@@ -1,11 +1,12 @@
 // Tests of the retry/backoff policy: retryability classification, the
-// per-drain attempt budget, capped exponential backoff, deterministic
-// jitter, and the retry-after floor.
+// per-drain attempt budget, capped exponential backoff (pinned by a golden
+// table), deterministic jitter, and the retry-after floor.
 
 #include "src/crawler/retry_policy.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace deepcrawl {
@@ -49,42 +50,74 @@ TEST(RetryPolicyTest, MaxAttemptsOneMeansNoRetries) {
   EXPECT_FALSE(policy.ShouldRetry(Status::Unavailable("503"), 1));
 }
 
+// The backoff window for retry number `failures`: 1, 2, 4, 8, then 16.
+uint64_t Window(uint32_t failures) {
+  return uint64_t{1} << std::min(failures - 1, 4u);
+}
+
 TEST(RetryPolicyTest, BackoffGrowsExponentiallyAndCaps) {
-  RetryPolicyConfig config;
-  config.initial_backoff_ticks = 2;
-  config.backoff_multiplier = 2.0;
-  config.max_backoff_ticks = 10;
-  config.jitter = 0.0;  // full window, no randomization
-  RetryPolicy policy(config);
+  RetryPolicy policy;
   Status transient = Status::Unavailable("503");
 
-  EXPECT_EQ(policy.BackoffTicks(transient, 1, 0), 2u);
-  EXPECT_EQ(policy.BackoffTicks(transient, 2, 0), 4u);
-  EXPECT_EQ(policy.BackoffTicks(transient, 3, 0), 8u);
-  EXPECT_EQ(policy.BackoffTicks(transient, 4, 0), 10u);  // capped
-  EXPECT_EQ(policy.BackoffTicks(transient, 9, 0), 10u);
+  for (uint32_t failures = 1; failures <= 9; ++failures) {
+    const uint64_t window = Window(failures);
+    uint64_t lowest = window;
+    uint64_t highest = 0;
+    for (ValueId value = 0; value < 256; ++value) {
+      uint64_t ticks = policy.BackoffTicks(transient, failures, value);
+      lowest = std::min(lowest, ticks);
+      highest = std::max(highest, ticks);
+    }
+    // Jitter spans exactly the lower half of the window: both ends occur.
+    EXPECT_EQ(highest, window) << "failures=" << failures;
+    EXPECT_EQ(lowest, window - window / 2) << "failures=" << failures;
+  }
+}
+
+// Pins the backoff constants: a changed value here changes the
+// backoff_ticks that every crawl under faults reports.
+TEST(RetryPolicyTest, BackoffGoldenTable) {
+  struct Row {
+    uint64_t seed;
+    bool hinted;  // a 429 carrying retry-after 5, else a plain 503
+    std::vector<uint64_t> ticks;  // failures 1..6
+  };
+  const std::vector<Row> rows = {
+      {0x5eed, false, {1, 2, 4, 7, 16, 10}},
+      {0x5eed, true, {5, 5, 5, 7, 16, 10}},
+      {7, false, {1, 2, 2, 6, 14, 10}},
+      {7, true, {5, 5, 5, 6, 14, 10}},
+  };
+  for (const Row& row : rows) {
+    RetryPolicyConfig config;
+    config.seed = row.seed;
+    RetryPolicy policy(config);
+    Status status = row.hinted
+                        ? Status::ResourceExhausted("429").WithRetryAfter(5)
+                        : Status::Unavailable("503");
+    std::vector<uint64_t> got;
+    for (uint32_t failures = 1; failures <= 6; ++failures) {
+      got.push_back(policy.BackoffTicks(status, failures, /*value=*/42));
+    }
+    EXPECT_EQ(got, row.ticks) << "seed=" << row.seed
+                              << " hinted=" << row.hinted;
+  }
 }
 
 TEST(RetryPolicyTest, JitterIsDeterministicAndWithinWindow) {
-  RetryPolicyConfig config;
-  config.initial_backoff_ticks = 8;
-  config.max_backoff_ticks = 64;
-  config.jitter = 0.5;
-  RetryPolicy a(config);
-  RetryPolicy b(config);
+  RetryPolicy a;
+  RetryPolicy b;
   Status transient = Status::Unavailable("503");
 
-  for (uint32_t failures = 1; failures <= 4; ++failures) {
+  for (uint32_t failures = 1; failures <= 6; ++failures) {
     for (ValueId value = 0; value < 20; ++value) {
       uint64_t ticks = a.BackoffTicks(transient, failures, value);
       // Stateless: only (seed, value, failures) matter, not call order.
       EXPECT_EQ(ticks, b.BackoffTicks(transient, failures, value));
-      uint64_t window = std::min<uint64_t>(
-          config.max_backoff_ticks, config.initial_backoff_ticks
-                                        << (failures - 1));
+      uint64_t window = Window(failures);
       EXPECT_GE(ticks, 1u);
       EXPECT_LE(ticks, window);
-      // Half the window is guaranteed at jitter=0.5.
+      // Half the window is guaranteed.
       EXPECT_GE(ticks, window - window / 2);
     }
   }
@@ -92,19 +125,17 @@ TEST(RetryPolicyTest, JitterIsDeterministicAndWithinWindow) {
 
 TEST(RetryPolicyTest, DistinctSeedsDecorrelateJitter) {
   RetryPolicyConfig config;
-  config.initial_backoff_ticks = 64;
-  config.max_backoff_ticks = 64;
-  config.jitter = 1.0;
   RetryPolicyConfig other = config;
   other.seed = config.seed + 1;
   RetryPolicy a(config);
   RetryPolicy b(other);
   Status transient = Status::Unavailable("503");
 
+  // At the capped window, jitter picks one of 9 values.
   int differing = 0;
   for (ValueId value = 0; value < 50; ++value) {
-    if (a.BackoffTicks(transient, 1, value) !=
-        b.BackoffTicks(transient, 1, value)) {
+    if (a.BackoffTicks(transient, 5, value) !=
+        b.BackoffTicks(transient, 5, value)) {
       ++differing;
     }
   }
@@ -112,27 +143,25 @@ TEST(RetryPolicyTest, DistinctSeedsDecorrelateJitter) {
 }
 
 TEST(RetryPolicyTest, RetryAfterHintFloorsBackoff) {
-  RetryPolicyConfig config;
-  config.initial_backoff_ticks = 1;
-  config.max_backoff_ticks = 2;
-  config.jitter = 0.0;
-  RetryPolicy policy(config);
+  RetryPolicy policy;
 
   Status rate_limited = Status::ResourceExhausted("429").WithRetryAfter(9);
   EXPECT_EQ(policy.BackoffTicks(rate_limited, 1, 0), 9u);
   // A hint below the computed backoff does not shrink it.
   Status mild = Status::ResourceExhausted("429").WithRetryAfter(1);
-  EXPECT_EQ(policy.BackoffTicks(mild, 2, 0), 2u);
+  for (ValueId value = 0; value < 20; ++value) {
+    EXPECT_EQ(policy.BackoffTicks(mild, 4, value),
+              policy.BackoffTicks(Status::Unavailable("503"), 4, value));
+  }
 }
 
 TEST(RetryPolicyTest, BackoffIsAtLeastOneTick) {
-  RetryPolicyConfig config;
-  config.initial_backoff_ticks = 1;
-  config.max_backoff_ticks = 1;
-  config.jitter = 1.0;
-  RetryPolicy policy(config);
-  for (ValueId value = 0; value < 20; ++value) {
-    EXPECT_GE(policy.BackoffTicks(Status::Unavailable("x"), 1, value), 1u);
+  RetryPolicy policy;
+  for (uint32_t failures = 1; failures <= 9; ++failures) {
+    for (ValueId value = 0; value < 20; ++value) {
+      EXPECT_GE(policy.BackoffTicks(Status::Unavailable("x"), failures, value),
+                1u);
+    }
   }
 }
 
@@ -149,26 +178,14 @@ TEST(RetryPolicyTest, FloorTicksIsExactlyTheAdvertisedHint) {
 }
 
 TEST(RetryPolicyTest, JitterNeverUndercutsTheRetryAfterFloor) {
-  RetryPolicyConfig config;
-  config.initial_backoff_ticks = 1;
-  config.max_backoff_ticks = 4;
-  config.jitter = 1.0;  // most adversarial: backoff uniform over [1, window]
-  RetryPolicy policy(config);
+  RetryPolicy policy;
   Status hinted = Status::ResourceExhausted("429").WithRetryAfter(11);
-  for (uint32_t failures = 1; failures <= 4; ++failures) {
+  for (uint32_t failures = 1; failures <= 6; ++failures) {
     for (ValueId value = 0; value < 64; ++value) {
       EXPECT_GE(policy.BackoffTicks(hinted, failures, value), 11u)
           << "failures=" << failures << " value=" << value;
     }
   }
-}
-
-TEST(SimulatedClockTest, AdvanceAccumulates) {
-  SimulatedClock clock;
-  EXPECT_EQ(clock.now(), 0u);
-  clock.Advance(3);
-  clock.Advance(5);
-  EXPECT_EQ(clock.now(), 8u);
 }
 
 }  // namespace

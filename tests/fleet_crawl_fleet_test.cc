@@ -322,6 +322,87 @@ TEST(CrawlFleetTest, SchedulerPolicyNamesRoundTrip) {
 
 // --- breaker accounting & adaptive politeness ------------------------
 
+// Pins the breaker's constants: a source failing every turn trips on its
+// 3rd fully-failed turn, re-probes after 16, 32, 64, 128, 256, 256 and
+// 256 ticks, is quarantined from its 3rd trip and exhausted at its 8th.
+TEST(CircuitBreakerTest, FailingSourceFollowsTheConstantSchedule) {
+  CircuitBreaker breaker;
+  uint64_t now = 0;
+  auto failed_turn = [&] {
+    breaker.Admit(now);
+    now += 8;
+    breaker.OnTurn(now, /*rounds=*/8, /*failures=*/8, /*new_records=*/0);
+  };
+  failed_turn();
+  failed_turn();
+  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
+  failed_turn();
+  ASSERT_EQ(breaker.state(), BreakerState::kOpen);
+  EXPECT_EQ(breaker.transitions().opens, 1u);
+
+  std::vector<uint64_t> cooldowns;
+  std::vector<bool> quarantined;
+  while (!breaker.exhausted()) {
+    ASSERT_EQ(breaker.state(), BreakerState::kOpen);
+    uint64_t at = breaker.EligibleAt(now);
+    cooldowns.push_back(at - now);
+    quarantined.push_back(breaker.quarantined());
+    EXPECT_FALSE(breaker.CanAdmit(at - 1));
+    ASSERT_TRUE(breaker.CanAdmit(at));
+    now = at;
+    failed_turn();  // the half-open probe fails
+  }
+  EXPECT_EQ(cooldowns,
+            (std::vector<uint64_t>{16, 32, 64, 128, 256, 256, 256}));
+  EXPECT_EQ(quarantined,
+            (std::vector<bool>{false, false, true, true, true, true, true}));
+  EXPECT_EQ(breaker.trips(), 8u);
+  EXPECT_EQ(breaker.transitions().opens, 1u);
+  EXPECT_EQ(breaker.transitions().reopens, 7u);
+  EXPECT_EQ(breaker.transitions().probes, 7u);
+  EXPECT_EQ(breaker.transitions().closes, 0u);
+  EXPECT_FALSE(breaker.CanAdmit(now + 1'000'000));
+}
+
+// A successful probe resets the cooldown to 16 ticks until the source
+// is quarantined (3 trips); from then on it keeps its grown cooldown.
+TEST(CircuitBreakerTest, QuarantineKeepsTheGrownCooldown) {
+  CircuitBreaker breaker;
+  uint64_t now = 0;
+  auto turn = [&](uint64_t new_records) {
+    breaker.Admit(now);
+    now += 8;
+    breaker.OnTurn(now, /*rounds=*/8, /*failures=*/1, new_records);
+  };
+  auto trip = [&] {
+    for (int i = 0; i < 3; ++i) turn(0);
+    EXPECT_EQ(breaker.state(), BreakerState::kOpen);
+  };
+  auto cooldown = [&] { return breaker.EligibleAt(now) - now; };
+  auto probe = [&](uint64_t new_records) {
+    now = breaker.EligibleAt(now);
+    turn(new_records);
+  };
+
+  trip();  // trip 1
+  EXPECT_EQ(cooldown(), 16u);
+  probe(0);  // trip 2
+  EXPECT_EQ(cooldown(), 32u);
+  probe(1);
+  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
+  EXPECT_FALSE(breaker.quarantined());
+  trip();  // trip 3: the cooldown was reset on close
+  EXPECT_EQ(cooldown(), 16u);
+  EXPECT_TRUE(breaker.quarantined());
+  probe(0);  // trip 4
+  EXPECT_EQ(cooldown(), 32u);
+  probe(1);
+  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
+  trip();  // trip 5: quarantined, so the close kept 32
+  EXPECT_EQ(cooldown(), 32u);
+  EXPECT_EQ(breaker.transitions().closes, 2u);
+}
+
 TEST(CrawlFleetTest, BreakerTransitionAccountingIsExactUnderChaos) {
   // Source 1 goes permanently dark from fleet turn 0; source 0 stays
   // healthy. With sequential scheduling... source 1 would be starved, so
@@ -332,12 +413,6 @@ TEST(CrawlFleetTest, BreakerTransitionAccountingIsExactUnderChaos) {
   FleetOptions options;
   options.scheduler = SchedulerPolicy::kRoundRobin;
   options.turn_rounds = 8;
-  options.breaker.consecutive_failed_turns = 2;
-  options.breaker.cooldown_ticks = 8;
-  options.breaker.cooldown_multiplier = 2.0;
-  options.breaker.max_cooldown_ticks = 64;
-  options.breaker.quarantine_after_trips = 3;
-  options.breaker.abandon_after_trips = 5;
   options.chaos = {{1, 0, 0, FaultAction::kUnavailable}};
   CrawlFleet fleet(std::move(specs), options);
   StatusOr<FleetResult> result = fleet.Run();
@@ -352,7 +427,7 @@ TEST(CrawlFleetTest, BreakerTransitionAccountingIsExactUnderChaos) {
   EXPECT_EQ(t.probes, t.reopens);
   // Abandoned at exactly the trip cap.
   EXPECT_TRUE(breaker.exhausted());
-  EXPECT_EQ(t.opens + t.reopens, 5u);
+  EXPECT_EQ(t.opens + t.reopens, 8u);
   EXPECT_TRUE(breaker.quarantined());
 
   const SourceDegradation& dead = result->sources[1].degradation;
@@ -960,9 +1035,9 @@ TEST(CrawlFleetTest, InconsistentImagesAreCleanErrors) {
 }
 
 TEST(CrawlFleetTest, VersionMismatchIsRejected) {
-  // The previous format (its fingerprint still carried the breaker's
-  // failure-rate knobs and the politeness bucket's) and a future one are
-  // both refused.
+  // The previous format (its fingerprint still carried the breaker's six
+  // thresholds and the retry policy's four backoff-shape fields) and a
+  // future one are both refused.
   for (uint32_t bogus :
        {kFleetCheckpointVersion - 1, kFleetCheckpointVersion + 1}) {
     std::string image = SmallFleetImage();

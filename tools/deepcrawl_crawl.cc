@@ -163,6 +163,14 @@ std::string SecondsSince(std::chrono::steady_clock::time_point start) {
 }
 
 Status Run(const Options& options) {
+  if (options.checkpoint_every > 0 && options.checkpoint.empty()) {
+    return Status::InvalidArgument(
+        "--checkpoint-every needs --checkpoint=<path>");
+  }
+  if (options.checkpoint_every == 0 && !options.checkpoint.empty()) {
+    return Status::InvalidArgument(
+        "--checkpoint needs --checkpoint-every=<waves>");
+  }
   std::optional<AdversarialGroundTruth> adv;
   const auto generate_start = std::chrono::steady_clock::now();
   DEEPCRAWL_ASSIGN_OR_RETURN(Table target,
@@ -176,6 +184,12 @@ Status Run(const Options& options) {
         "--seeds must be at most the target's " +
         std::to_string(target.num_distinct_values()) +
         " distinct values, got " + std::to_string(options.num_seeds));
+  }
+  // An adversarial crawl always seeds from the hierarchy root (below).
+  if (adv.has_value() && options.num_seeds != 1) {
+    return Status::InvalidArgument(
+        "--seeds is unused by --workload=adversarial, which seeds from the "
+        "hierarchy root; got " + std::to_string(options.num_seeds));
   }
   std::cout << "target: " << target.num_records() << " records, "
             << target.num_distinct_values() << " distinct values, "
@@ -312,10 +326,6 @@ Status Run(const Options& options) {
         options.saturation * static_cast<double>(target.num_records()));
   }
 
-  if (options.checkpoint_every > 0 && options.checkpoint.empty()) {
-    return Status::InvalidArgument(
-        "--checkpoint-every needs --checkpoint=<path>");
-  }
   FaultyServer* faulty_ptr = faulty.has_value() ? &*faulty : nullptr;
   EngineOptions engine_options;
   engine_options.batch = static_cast<uint32_t>(options.batch);
@@ -342,7 +352,7 @@ Status Run(const Options& options) {
   }
   if (!options.resume_from.empty()) {
     // Rebuilds the crawl state (store, selector, retry queues, parked
-    // slots, clock, trace) by replaying the checkpoint's fetch log, and
+    // slots, trace) by replaying the checkpoint's fetch log, and
     // restores the fault-proxy RNG. The command line must rebuild the
     // same stack the checkpoint was taken from; the budgets below are
     // then re-applied so a resume can raise them.

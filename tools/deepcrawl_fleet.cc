@@ -72,6 +72,14 @@ struct Options {
 };
 
 Status Run(const Options& options) {
+  if (options.checkpoint_every > 0 && options.checkpoint.empty()) {
+    return Status::InvalidArgument(
+        "--checkpoint-every needs --checkpoint=<path>");
+  }
+  if (options.checkpoint_every == 0 && !options.checkpoint.empty()) {
+    return Status::InvalidArgument(
+        "--checkpoint needs --checkpoint-every=<turns>");
+  }
   if (options.policy != "greedy" && options.policy != "mmmi" &&
       options.policy != "bfs" && options.policy != "dfs") {
     return Status::InvalidArgument("unknown --policy '" + options.policy +
@@ -130,10 +138,6 @@ Status Run(const Options& options) {
     DEEPCRAWL_ASSIGN_OR_RETURN(
         fleet_options.chaos,
         ParseChaosSchedule(options.chaos, num_sources));
-  }
-  if (options.checkpoint_every > 0 && options.checkpoint.empty()) {
-    return Status::InvalidArgument(
-        "--checkpoint-every needs --checkpoint=<path>");
   }
   fleet_options.checkpoint_every_turns =
       static_cast<uint64_t>(options.checkpoint_every);
