@@ -379,6 +379,14 @@ void CrawlEngine::AddSeed(ValueId v) {
   DiscoverValue(v);
 }
 
+std::vector<ValueId> CrawlEngine::seeds() const {
+  std::vector<ValueId> planted;
+  for (const LogMark& mark : log_marks_) {
+    if (mark.kind == kLogSeed) planted.push_back(mark.seed);
+  }
+  return planted;
+}
+
 void CrawlEngine::LogRunEntry() {
   const uint64_t at = log_fetches_.size();
   // Resuming an interrupted Run(): the cut tells a replay to stop the

@@ -187,6 +187,9 @@ class CrawlEngine {
 
   // Plants a seed attribute value; duplicate seeds are ignored.
   void AddSeed(ValueId v);
+  // Every AddSeed value so far, in call order; a restored engine's are
+  // the checkpoint's.
+  std::vector<ValueId> seeds() const;
 
   // Runs waves until a stop condition fires. May be called again to
   // continue (e.g. with a raised budget): slots interrupted by the

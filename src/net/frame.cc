@@ -95,9 +95,6 @@ DecodedPage DecodePage(CheckpointReader& reader) {
 bool IsFetchType(WireMessageType type) {
   switch (type) {
     case WireMessageType::kFetchPage:
-    case WireMessageType::kFetchPageByText:
-    case WireMessageType::kFetchPageByKeyword:
-    case WireMessageType::kFetchPageConjunctive:
     case WireMessageType::kFetchPageKeywordOf:
       return true;
     default:
@@ -203,30 +200,13 @@ void AppendServerInfoFrame(std::string& out, const WireServerInfo& info) {
 }
 
 void AppendRequestFrame(std::string& out, const WireRequest& request) {
+  DEEPCRAWL_CHECK(IsFetchType(request.type))
+      << "not a fetch request type: " << static_cast<int>(request.type);
   CheckpointWriter body(out);
   const size_t frame = BeginWireFrame(body);
   body.WriteU8(static_cast<uint8_t>(request.type));
   body.WriteU64(request.request_id);
-  switch (request.type) {
-    case WireMessageType::kFetchPage:
-    case WireMessageType::kFetchPageKeywordOf:
-      body.WriteU32(request.value);
-      break;
-    case WireMessageType::kFetchPageByText:
-      body.WriteU32(request.attr);
-      body.WriteString(request.text);
-      break;
-    case WireMessageType::kFetchPageByKeyword:
-      body.WriteString(request.text);
-      break;
-    case WireMessageType::kFetchPageConjunctive:
-      body.WriteU64(request.values.size());
-      for (ValueId value : request.values) body.WriteU32(value);
-      break;
-    default:
-      DEEPCRAWL_CHECK(false) << "not a fetch request type: "
-                             << static_cast<int>(request.type);
-  }
+  body.WriteU32(request.value);
   body.WriteU32(request.page_number);
   EndWireFrame(body, frame);
 }
@@ -298,32 +278,7 @@ StatusOr<WireRequest> DecodeRequest(std::string_view body) {
                                    std::to_string(raw_type));
   }
   request.request_id = reader.ReadU64();
-  switch (request.type) {
-    case WireMessageType::kFetchPage:
-    case WireMessageType::kFetchPageKeywordOf:
-      request.value = reader.ReadU32();
-      break;
-    case WireMessageType::kFetchPageByText: {
-      uint32_t attr = reader.ReadU32();
-      if (attr > UINT16_MAX) reader.MarkCorrupt("attribute id out of range");
-      request.attr = static_cast<AttributeId>(attr);
-      request.text = reader.ReadString();
-      break;
-    }
-    case WireMessageType::kFetchPageByKeyword:
-      request.text = reader.ReadString();
-      break;
-    case WireMessageType::kFetchPageConjunctive: {
-      uint64_t count = reader.ReadCount(4);
-      request.values.reserve(count);
-      for (uint64_t i = 0; i < count; ++i) {
-        request.values.push_back(reader.ReadU32());
-      }
-      break;
-    }
-    default:
-      break;  // unreachable: IsFetchType filtered already
-  }
+  request.value = reader.ReadU32();
   request.page_number = reader.ReadU32();
   DEEPCRAWL_RETURN_IF_ERROR(reader.status());
   if (!reader.AtEnd()) {

@@ -61,15 +61,14 @@ inline constexpr uint32_t kWireProtocolVersion = 1;
 inline constexpr uint32_t kMaxWireFrameBytes = 16u << 20;
 
 enum class WireMessageType : uint8_t {
-  kHello = 1,       // client -> server: protocol handshake
-  kServerInfo = 2,  // server -> client: interface schema
-  kFetchPage = 3,
-  kFetchPageByText = 4,
-  kFetchPageByKeyword = 5,
-  kFetchPageConjunctive = 6,
-  kFetchPageKeywordOf = 7,
-  kPageResult = 8,  // server -> client: response to any fetch
-  kGoAway = 9,      // server -> client: connection shed, retry later
+  kHello = 1,               // client -> server: protocol handshake
+  kServerInfo = 2,          // server -> client: interface schema
+  kFetchPage = 3,           // client -> server: FetchPage
+  // 4-6 are retired (text, keyword-string and conjunctive fetches); a
+  // server refuses them as unexpected client messages.
+  kFetchPageKeywordOf = 7,  // client -> server: FetchPageKeywordOf
+  kPageResult = 8,          // server -> client: response to any fetch
+  kGoAway = 9,              // server -> client: shed, retry later
 };
 
 // --- status over the wire --------------------------------------------
@@ -87,15 +86,14 @@ Status DecodeStatus(CheckpointReader& reader);
 
 // --- messages ---------------------------------------------------------
 
-// A fetch request, any form. `type` selects which fields are meaningful
-// (mirroring the QueryInterface method signatures).
+// A fetch request: the crawl's two query forms, a single-value
+// equality query (kFetchPage) and the keyword box over a value's text
+// (kFetchPageKeywordOf), share one layout — request id, value id, page
+// number. A kHello decodes into one too, with only `type` meaningful.
 struct WireRequest {
   WireMessageType type = WireMessageType::kFetchPage;
   uint64_t request_id = 0;
-  ValueId value = kInvalidValueId;          // kFetchPage / kFetchPageKeywordOf
-  AttributeId attr = kInvalidAttributeId;   // kFetchPageByText
-  std::string text;                         // ...ByText / ...ByKeyword
-  std::vector<ValueId> values;              // kFetchPageConjunctive
+  ValueId value = kInvalidValueId;
   uint32_t page_number = 0;
 };
 

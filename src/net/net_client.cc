@@ -271,6 +271,8 @@ StatusOr<WireServerMessage> NetConnection::ReceiveMessage(
 NetQueryClient::NetQueryClient(NetClientOptions options)
     : options_(std::move(options)) {}
 
+NetQueryClient::~NetQueryClient() = default;
+
 StatusOr<std::unique_ptr<NetQueryClient>> NetQueryClient::Connect(
     NetClientOptions options) {
   std::unique_ptr<NetQueryClient> client(
@@ -320,8 +322,6 @@ void NetQueryClient::ResetMeters() {
   rtt_ = RttCounters{};
 }
 
-void NetQueryClient::PurgeRetainedPages() { retained_.clear(); }
-
 const ResultPage& NetQueryClient::Retain(DecodedPage page) {
   retained_.push_back(std::move(page));
   return retained_.back().page;
@@ -332,114 +332,47 @@ void NetQueryClient::AccountFetch(uint32_t page_number) {
   if (page_number == 0) ++queries_;
 }
 
-StatusOr<ResultPage> NetQueryClient::RoundTrip(WireRequest request) {
-  request.request_id = NextRequestId();
-  AccountFetch(request.page_number);
-  const uint64_t started_us = NowUs();
-  // The protocol is read-only, so a dead connection is simply reopened
-  // and the request retransmitted. EnsureConnected bounds the time
-  // spent chasing an unreachable server per attempt; the attempt cap
-  // bounds the total — a server that accepts connections but never
-  // answers within request_timeout_ms must not trap the client in a
-  // reconnect/retransmit/timeout loop forever.
-  const uint32_t max_attempts = std::max<uint32_t>(1, options_.request_attempts);
-  Status last = Status::Unavailable("no fetch attempt completed");
-  for (uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
-    DEEPCRAWL_RETURN_IF_ERROR(EnsureConnected(primary_));
-    primary_.QueueRequest(request);
-    Status sent = primary_.SendAll(options_.request_timeout_ms);
-    if (!sent.ok()) {
-      last = std::move(sent);
-      primary_.Close();
-      continue;
-    }
-    StatusOr<WireServerMessage> reply =
-        primary_.ReceiveMessage(options_.request_timeout_ms);
-    if (!reply.ok()) {
-      last = reply.status();
-      primary_.Close();
-      continue;
-    }
-    if (reply->type == WireMessageType::kGoAway) {
-      primary_.Close();
-      return reply->status;  // pace via the engine's RetryPolicy
-    }
-    if (reply->type != WireMessageType::kPageResult ||
-        reply->request_id != request.request_id) {
-      // Protocol confusion; resync with a fresh connection.
-      last = Status::Unavailable("response did not match the request");
-      primary_.Close();
-      continue;
-    }
-    rtt_.Record(NowUs() - started_us);
-    if (!reply->status.ok()) return reply->status;
-    const ResultPage& page = Retain(std::move(reply->result));
-    // Trim the serial retain window (never below the page just handed
-    // out). FetchWave manages its own lifetime via PurgeRetainedPages.
-    const size_t cap = std::max<uint32_t>(1, options_.serial_retain_pages);
-    while (retained_.size() > cap) retained_.pop_front();
-    return page;
-  }
-  // Both kDeadlineExceeded and kUnavailable are retryable, so the
-  // engine's RetryPolicy decides whether the crawl keeps waiting.
-  return last;
+StatusOr<ResultPage> NetQueryClient::FetchOne(const FetchRequest& request) {
+  std::optional<StatusOr<ResultPage>> result;
+  FetchWave(std::span(&request, 1), std::span(&result, 1));
+  return *std::move(result);
 }
 
 StatusOr<ResultPage> NetQueryClient::FetchPage(ValueId value,
                                                uint32_t page_number) {
-  WireRequest request;
-  request.type = WireMessageType::kFetchPage;
-  request.value = value;
-  request.page_number = page_number;
-  return RoundTrip(std::move(request));
-}
-
-StatusOr<ResultPage> NetQueryClient::FetchPageByText(AttributeId attr,
-                                                     std::string_view text,
-                                                     uint32_t page_number) {
-  WireRequest request;
-  request.type = WireMessageType::kFetchPageByText;
-  request.attr = attr;
-  request.text = std::string(text);
-  request.page_number = page_number;
-  return RoundTrip(std::move(request));
-}
-
-StatusOr<ResultPage> NetQueryClient::FetchPageByKeyword(
-    std::string_view text, uint32_t page_number) {
-  WireRequest request;
-  request.type = WireMessageType::kFetchPageByKeyword;
-  request.text = std::string(text);
-  request.page_number = page_number;
-  return RoundTrip(std::move(request));
-}
-
-StatusOr<ResultPage> NetQueryClient::FetchPageConjunctive(
-    std::span<const ValueId> values, uint32_t page_number) {
-  WireRequest request;
-  request.type = WireMessageType::kFetchPageConjunctive;
-  request.values.assign(values.begin(), values.end());
-  request.page_number = page_number;
-  return RoundTrip(std::move(request));
+  return FetchOne(FetchRequest{value, page_number, /*keyword=*/false});
 }
 
 StatusOr<ResultPage> NetQueryClient::FetchPageKeywordOf(
     ValueId value, uint32_t page_number) {
-  WireRequest request;
-  request.type = WireMessageType::kFetchPageKeywordOf;
-  request.value = value;
-  request.page_number = page_number;
-  return RoundTrip(std::move(request));
+  return FetchOne(FetchRequest{value, page_number, /*keyword=*/true});
 }
 
-// --- NetFetchExecutor -------------------------------------------------
+StatusOr<ResultPage> NetQueryClient::FetchPageByText(AttributeId,
+                                                     std::string_view,
+                                                     uint32_t) {
+  return Status::FailedPrecondition(
+      "FetchPageByText is not carried by the wire protocol");
+}
+
+StatusOr<ResultPage> NetQueryClient::FetchPageByKeyword(std::string_view,
+                                                        uint32_t) {
+  return Status::FailedPrecondition(
+      "FetchPageByKeyword is not carried by the wire protocol");
+}
+
+StatusOr<ResultPage> NetQueryClient::FetchPageConjunctive(
+    std::span<const ValueId>, uint32_t) {
+  return Status::FailedPrecondition(
+      "FetchPageConjunctive is not carried by the wire protocol");
+}
 
 // One connection plus its share of the wave. `slots` indexes into the
 // wave's request/result spans, in send order; responses must come back
 // in exactly that order (the server guarantees per-connection request
 // order), so the answered prefix is a single counter and a reconnect
 // retransmits the unanswered suffix.
-struct NetFetchExecutor::Lane {
+struct NetQueryClient::Lane {
   NetConnection* conn = nullptr;
   std::vector<size_t> slots;
   std::vector<uint64_t> ids;           // request id per slot position
@@ -463,13 +396,8 @@ struct NetFetchExecutor::Lane {
   bool done() const { return dead || next_unanswered == slots.size(); }
 };
 
-NetFetchExecutor::NetFetchExecutor(NetQueryClient& client)
-    : client_(client) {}
-
-NetFetchExecutor::~NetFetchExecutor() = default;
-
-void NetFetchExecutor::QueueLane(Lane& lane,
-                                 std::span<const FetchRequest> requests) {
+void NetQueryClient::QueueLane(Lane& lane,
+                               std::span<const FetchRequest> requests) {
   lane.send_end.clear();
   lane.send_time_us.assign(lane.slots.size(), 0);
   lane.sent_slots = 0;
@@ -489,18 +417,17 @@ void NetFetchExecutor::QueueLane(Lane& lane,
 // its unanswered suffix (same request ids, fresh byte stream), else
 // mark the lane dead and fail its remaining slots with `reason` (the
 // engine's RetryPolicy takes it from there).
-void NetFetchExecutor::FailOrRevive(
+void NetQueryClient::FailOrRevive(
     Lane& lane, const Status& reason, std::span<const FetchRequest> requests,
     std::span<std::optional<StatusOr<ResultPage>>> results) {
   lane.conn->Close();
-  // Like a serial fetch, a lane spends at most request_attempts sends
-  // per wave: a server that keeps answering with a malformed page, or
-  // never answers, fails the slots instead of being retried forever.
-  const uint32_t max_attempts =
-      std::max<uint32_t>(1, client_.net_options().request_attempts);
+  // A lane spends at most request_attempts sends per wave: a server
+  // that keeps answering with a malformed page, or never answers, fails
+  // the slots instead of being retried forever.
+  const uint32_t max_attempts = std::max<uint32_t>(1, options_.request_attempts);
   Status revived =
       lane.attempts < max_attempts
-          ? client_.EnsureConnected(*lane.conn)
+          ? EnsureConnected(*lane.conn)
           : Status::Unavailable("connection failed " +
                                 std::to_string(lane.attempts) +
                                 " times in one wave");
@@ -521,49 +448,43 @@ void NetFetchExecutor::FailOrRevive(
   }
 }
 
-void NetFetchExecutor::FetchWave(
-    QueryInterface& server, std::span<const FetchRequest> requests,
+void NetQueryClient::FetchWave(
+    std::span<const FetchRequest> requests,
     std::span<std::optional<StatusOr<ResultPage>>> results) {
-  DEEPCRAWL_CHECK(&server == static_cast<QueryInterface*>(&client_))
-      << "NetFetchExecutor must be driven with its own NetQueryClient";
-  // The previous wave is committed by now; release its page storage.
-  client_.PurgeRetainedPages();
+  // The previous fetch is committed by now; release its page storage.
+  PurgeRetainedPages();
   if (requests.empty()) return;
 
-  const NetClientOptions& opts = client_.net_options();
-  const uint32_t want_conns = std::max<uint32_t>(1, opts.connections);
-
-  // Connection 0 is the client's primary (shared with the serial
-  // path); the rest live in secondary_ and are opened lazily. A
-  // secondary that cannot be opened right now just shrinks the fan-out
-  // for this wave — the primary alone can always carry it.
-  conns_.clear();
-  if (client_.EnsureConnected(client_.primary_).ok()) {
-    conns_.push_back(&client_.primary_);
+  // Connection 0 is the primary; the rest live in secondary_ and are
+  // opened lazily, never more than the wave has requests. A secondary
+  // that cannot be opened right now just shrinks the fan-out for this
+  // wave — the primary alone can always carry it. An unreachable
+  // primary fails the wave with the reconnect window's last cause.
+  Status primary = EnsureConnected(primary_);
+  if (!primary.ok()) {
+    for (auto& result : results) result = primary;
+    return;
   }
+  const size_t want_conns = std::min<size_t>(
+      std::max<uint32_t>(1, options_.connections), requests.size());
+  conns_.clear();
+  conns_.push_back(&primary_);
   while (secondary_.size() + 1 < want_conns) {
     secondary_.push_back(std::make_unique<NetConnection>());
   }
   for (auto& conn : secondary_) {
-    if (conns_.size() >= want_conns || conns_.size() >= requests.size()) {
-      break;
-    }
+    if (conns_.size() >= want_conns) break;
     if (!conn->is_open() &&
-        !conn->Open(opts.host, opts.port, opts.request_timeout_ms).ok()) {
+        !conn->Open(options_.host, options_.port, options_.request_timeout_ms)
+             .ok()) {
       continue;
     }
     conns_.push_back(conn.get());
   }
-  if (conns_.empty()) {
-    Status unreachable =
-        Status::Unavailable("server unreachable within reconnect window");
-    for (size_t i = 0; i < requests.size(); ++i) results[i] = unreachable;
-    return;
-  }
 
   // Round-robin the wave over the lanes and encode each lane's share
   // straight into its connection's send buffer as ONE pipelined burst.
-  const size_t num_lanes = std::min(conns_.size(), requests.size());
+  const size_t num_lanes = conns_.size();
   if (lanes_.size() < num_lanes) lanes_.resize(num_lanes);
   const std::span<Lane> lanes(lanes_.data(), num_lanes);
   const uint64_t now_ms = NowMs();
@@ -571,8 +492,8 @@ void NetFetchExecutor::FetchWave(
   for (size_t i = 0; i < requests.size(); ++i) {
     Lane& lane = lanes[i % num_lanes];
     lane.slots.push_back(i);
-    lane.ids.push_back(client_.NextRequestId());
-    client_.AccountFetch(requests[i].page_number);
+    lane.ids.push_back(next_request_id_++);
+    AccountFetch(requests[i].page_number);
   }
   for (Lane& lane : lanes) QueueLane(lane, requests);
 
@@ -666,11 +587,10 @@ void NetFetchExecutor::FetchWave(
           }
           size_t slot = lane.slots[lane.next_unanswered];
           if (lane.send_time_us[lane.next_unanswered] != 0) {
-            client_.rtt_.Record(NowUs() -
-                                lane.send_time_us[lane.next_unanswered]);
+            rtt_.Record(NowUs() - lane.send_time_us[lane.next_unanswered]);
           }
           if (message_.status.ok()) {
-            results[slot] = client_.Retain(std::move(message_.result));
+            results[slot] = Retain(std::move(message_.result));
           } else {
             results[slot] = message_.status;
           }
@@ -682,13 +602,23 @@ void NetFetchExecutor::FetchWave(
         }
       }
       if (!lane.done() &&
-          NowMs() - lane.last_progress_ms > opts.request_timeout_ms) {
+          NowMs() - lane.last_progress_ms > options_.request_timeout_ms) {
         FailOrRevive(lane,
                      Status::DeadlineExceeded("no response within timeout"),
                      requests, results);
       }
     }
   }
+}
+
+// --- NetFetchExecutor -------------------------------------------------
+
+void NetFetchExecutor::FetchWave(
+    QueryInterface& server, std::span<const FetchRequest> requests,
+    std::span<std::optional<StatusOr<ResultPage>>> results) {
+  DEEPCRAWL_CHECK(&server == static_cast<QueryInterface*>(&client_))
+      << "NetFetchExecutor must be driven with its own NetQueryClient";
+  client_.FetchWave(requests, results);
 }
 
 }  // namespace deepcrawl

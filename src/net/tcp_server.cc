@@ -248,14 +248,6 @@ StatusOr<ResultPage> WebDbTcpServer::Dispatch(const WireRequest& request) {
   switch (request.type) {
     case WireMessageType::kFetchPage:
       return backend_.FetchPage(request.value, request.page_number);
-    case WireMessageType::kFetchPageByText:
-      return backend_.FetchPageByText(request.attr, request.text,
-                                      request.page_number);
-    case WireMessageType::kFetchPageByKeyword:
-      return backend_.FetchPageByKeyword(request.text, request.page_number);
-    case WireMessageType::kFetchPageConjunctive:
-      return backend_.FetchPageConjunctive(request.values,
-                                           request.page_number);
     case WireMessageType::kFetchPageKeywordOf:
       return backend_.FetchPageKeywordOf(request.value, request.page_number);
     default:

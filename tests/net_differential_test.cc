@@ -2,10 +2,10 @@
 // TCP — pipelined across multiple connections, responses interleaving
 // however the sockets please — emits BYTE-IDENTICAL output to the same
 // crawl run in-process, for every selector (the optimal hierarchy
-// descents included), fault profile, and batch size. Plus the restart
-// story: a TCP crawl checkpointed at wave boundaries, interrupted, and
-// resumed against a RESTARTED server process continues to the same
-// byte-identical trace.
+// descents included), fault profile, batch size, and both query forms
+// (value and keyword box). Plus the restart story: a TCP crawl
+// checkpointed at wave boundaries, interrupted, and resumed against a
+// RESTARTED server process continues to the same byte-identical trace.
 
 #include <gtest/gtest.h>
 
@@ -173,7 +173,8 @@ void ExpectIdentical(const RunOutput& a, const RunOutput& b,
 }
 
 RunOutput RunInProcess(const Env& env, const std::string& policy,
-                       const std::string& profile_name, uint32_t batch) {
+                       const std::string& profile_name, uint32_t batch,
+                       bool keyword = false) {
   WebDbServer backend(*env.target, env.server_options);
   FaultProfile profile = ProfileByName(profile_name);
   std::optional<FaultyServer> faulty;
@@ -186,9 +187,11 @@ RunOutput RunInProcess(const Env& env, const std::string& policy,
   LocalStore store;
   std::unique_ptr<QuerySelector> selector = MakeSelector(policy, store, env);
   RetryPolicy retry((RetryPolicyConfig()));
+  CrawlOptions crawl_options;
+  crawl_options.use_keyword_interface = keyword;
   EngineOptions engine_options;
   engine_options.batch = batch;
-  CrawlEngine engine(*server, *selector, store, CrawlOptions{},
+  CrawlEngine engine(*server, *selector, store, crawl_options,
                      engine_options, nullptr, &retry);
   engine.AddSeed(env.seed_value);
   StatusOr<CrawlResult> result = engine.Run();
@@ -254,17 +257,19 @@ std::unique_ptr<NetQueryClient> ConnectTo(uint16_t port,
 
 RunOutput RunOverTcp(const Env& env, const std::string& policy,
                      const std::string& profile_name, uint32_t batch,
-                     uint32_t connections) {
+                     uint32_t connections, bool keyword = false) {
   TcpEnv tcp(env, profile_name);
   std::unique_ptr<NetQueryClient> client = ConnectTo(tcp.port(), connections);
   NetFetchExecutor executor(*client);
   LocalStore store;
   std::unique_ptr<QuerySelector> selector = MakeSelector(policy, store, env);
   RetryPolicy retry((RetryPolicyConfig()));
+  CrawlOptions crawl_options;
+  crawl_options.use_keyword_interface = keyword;
   EngineOptions engine_options;
   engine_options.batch = batch;
   engine_options.shared_executor = &executor;
-  CrawlEngine engine(*client, *selector, store, CrawlOptions{},
+  CrawlEngine engine(*client, *selector, store, crawl_options,
                      engine_options, nullptr, &retry);
   engine.AddSeed(env.seed_value);
   StatusOr<CrawlResult> result = engine.Run();
@@ -284,6 +289,24 @@ TEST(NetDifferentialTest, TcpMatchesInProcessAcrossPoliciesAndFaults) {
                         std::string(policy) + "/" + profile + "/batch=" +
                             std::to_string(batch));
       }
+    }
+  }
+}
+
+// The keyword box (wire type kFetchPageKeywordOf) over a whole crawl:
+// serial and batched, with and without faults.
+TEST(NetDifferentialTest, KeywordInterfaceMatchesOverTcp) {
+  const Env env = MovieEnv();
+  for (const char* profile : {"none", "flaky"}) {
+    for (uint32_t batch : {1u, 4u}) {
+      RunOutput local = RunInProcess(env, "greedy", profile, batch,
+                                     /*keyword=*/true);
+      RunOutput wire = RunOverTcp(env, "greedy", profile, batch,
+                                  /*connections=*/4, /*keyword=*/true);
+      EXPECT_GT(wire.result.records, 0u);
+      ExpectIdentical(local, wire,
+                      std::string("keyword/greedy/") + profile +
+                          "/batch=" + std::to_string(batch));
     }
   }
 }

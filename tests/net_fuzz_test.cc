@@ -34,11 +34,10 @@ std::string SamplePageFrame() {
 
 std::string SampleRequestFrame() {
   WireRequest request;
-  request.type = WireMessageType::kFetchPageConjunctive;
+  request.type = WireMessageType::kFetchPageKeywordOf;
   request.request_id = 1234;
-  request.values = {1, 2, 3, 4};
+  request.value = 5;
   request.page_number = 1;
-  request.text = "unused";
   return EncodeRequestFrame(request);
 }
 

@@ -29,6 +29,7 @@
 #include "src/net/tcp_server.h"
 #include "src/server/faulty_server.h"
 #include "src/server/web_db_server.h"
+#include "src/util/checkpoint_io.h"
 #include "src/util/logging.h"
 #include "tests/test_util.h"
 
@@ -162,15 +163,27 @@ TEST(NetServerTest, EveryFetchFormMatchesInProcess) {
     ExpectSamePage(client.FetchPage(a2, page),
                    reference.FetchPage(a2, page));
   }
-  ExpectSamePage(client.FetchPageByText(attr_b, "b2", 0),
-                 reference.FetchPageByText(attr_b, "b2", 0));
-  ExpectSamePage(client.FetchPageByKeyword("c2", 0),
-                 reference.FetchPageByKeyword("c2", 0));
-  std::vector<ValueId> conjunction = {a2, c2};
-  ExpectSamePage(client.FetchPageConjunctive(conjunction, 0),
-                 reference.FetchPageConjunctive(conjunction, 0));
   ExpectSamePage(client.FetchPageKeywordOf(a2, 0),
                  reference.FetchPageKeywordOf(a2, 0));
+
+  // The wire carries only the crawl's two query forms: the other three
+  // fail at the client, with nothing sent and no round charged.
+  const uint64_t rounds_before = client.communication_rounds();
+  const uint64_t queries_before = client.queries_issued();
+  std::vector<ValueId> conjunction = {a2, c2};
+  for (const StatusOr<ResultPage>& retired :
+       {client.FetchPageByText(attr_b, "b2", 0),
+        client.FetchPageByKeyword("c2", 0),
+        client.FetchPageConjunctive(conjunction, 0)}) {
+    EXPECT_EQ(retired.status().code(), StatusCode::kFailedPrecondition)
+        << retired.status().ToString();
+    EXPECT_NE(retired.status().message().find(
+                  "is not carried by the wire protocol"),
+              std::string::npos)
+        << retired.status().ToString();
+  }
+  EXPECT_EQ(client.communication_rounds(), rounds_before);
+  EXPECT_EQ(client.queries_issued(), queries_before);
 
   // Error paths cross the wire as faithfully as pages do.
   ExpectSamePage(client.FetchPage(a2, 999), reference.FetchPage(a2, 999));
@@ -355,6 +368,45 @@ TEST(NetServerTest, MalformedFrameClosesConnection) {
   EXPECT_EQ(loop_server.server().protocol_errors(), 1u);
 }
 
+// A request of a retired type (4-6), in the layout that type used to
+// have, is a protocol error like a corrupt frame: the server closes the
+// connection instead of answering.
+TEST(NetServerTest, RetiredRequestTypeClosesConnection) {
+  Table table = MakeFigure1Table();
+  WebDbServer backend(table, ServerOptions{});
+  LoopServer loop_server(backend, OptionsFor(table));
+
+  for (uint8_t retired : {4, 5, 6}) {
+    SCOPED_TRACE(static_cast<int>(retired));
+    NetConnection conn;
+    ASSERT_TRUE(conn.Open("127.0.0.1", loop_server.port(), 3000).ok());
+    CheckpointWriter body;
+    body.WriteU8(retired);
+    body.WriteU64(1);  // request id
+    if (retired == 4) body.WriteU32(0);  // attribute id
+    if (retired == 6) {
+      body.WriteU64(1);  // value count
+      body.WriteU32(0);
+    } else {
+      body.WriteString("a1");  // text
+    }
+    body.WriteU32(0);  // page number
+    std::string framed = FrameCheckpoint(body.buffer(), kWireProtocolVersion);
+    CheckpointWriter frame;
+    frame.WriteU32(static_cast<uint32_t>(framed.size()));
+    std::string bytes = frame.buffer() + framed;
+    ASSERT_TRUE(conn.Send(bytes).ok());
+    ASSERT_TRUE(conn.SendAll(3000).ok());
+    StatusOr<WireServerMessage> reply = conn.ReceiveMessage(3000);
+    ASSERT_FALSE(reply.ok()) << "server answered a retired request type";
+    EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable)
+        << reply.status().ToString();
+  }
+
+  loop_server.Stop();
+  EXPECT_EQ(loop_server.server().protocol_errors(), 3u);
+}
+
 TEST(NetServerTest, CorruptFrameMidBurstStillAnswersEarlierRequests) {
   Table table = MakeFigure1Table();
   WebDbServer backend(table, ServerOptions{});
@@ -470,36 +522,48 @@ TEST(NetServerTest, ZeroReconnectWindowStillConnectsOnce) {
   ExpectSamePage((*connected)->FetchPage(0, 0), backend.FetchPage(0, 0));
 
   // With the server gone, the single attempt fails fast into a
-  // retryable kUnavailable.
+  // retryable kUnavailable that names the last connect failure: first
+  // when the open connection turns out dead, then when the client finds
+  // it closed at the start of the next fetch.
   server.reset();
-  StatusOr<ResultPage> dead = (*connected)->FetchPage(0, 0);
-  ASSERT_FALSE(dead.ok());
-  EXPECT_EQ(dead.status().code(), StatusCode::kUnavailable);
+  for (int fetch = 0; fetch < 2; ++fetch) {
+    SCOPED_TRACE(fetch);
+    StatusOr<ResultPage> dead = (*connected)->FetchPage(0, 0);
+    ASSERT_FALSE(dead.ok());
+    EXPECT_EQ(dead.status().code(), StatusCode::kUnavailable);
+    EXPECT_NE(dead.status().message().find("(last:"), std::string::npos)
+        << dead.status().ToString();
+  }
   EXPECT_EQ((*connected)->reconnects(), 0u);
 }
 
-TEST(NetServerTest, SerialRetainWindowBoundsClientMemory) {
+// A serial fetch is a wave of one: it releases the previous fetch's
+// page before it starts, so a long serial crawl holds exactly one page
+// and meters exactly like the in-process server.
+TEST(NetServerTest, SerialFetchRetainsOnlyTheLastPage) {
   Table table = MakeFigure1Table();
-  WebDbServer backend(table, ServerOptions{});
-  WebDbServer reference(table, ServerOptions{});
+  ServerOptions server_options;
+  server_options.page_size = 2;
+  WebDbServer backend(table, server_options);
+  WebDbServer reference(table, server_options);
   LoopServer loop_server(backend, OptionsFor(table));
 
-  NetClientOptions options = ClientOptions(loop_server.port());
-  options.serial_retain_pages = 4;
   StatusOr<std::unique_ptr<NetQueryClient>> connected =
-      NetQueryClient::Connect(options);
+      NetQueryClient::Connect(ClientOptions(loop_server.port()));
   ASSERT_TRUE(connected.ok()) << connected.status().ToString();
   NetQueryClient& client = **connected;
 
-  // A long serial crawl must not accumulate every page it ever fetched:
-  // the retain list is a sliding window, and the newest page (the one
-  // the caller still holds) is always inside it.
   for (int sweep = 0; sweep < 5; ++sweep) {
     for (ValueId v = 0; v < table.num_distinct_values(); ++v) {
-      ExpectSamePage(client.FetchPage(v, 0), reference.FetchPage(v, 0));
-      EXPECT_LE(client.retained_pages(), 4u);
+      for (uint32_t page = 0; page < 2; ++page) {
+        StatusOr<ResultPage> fetched = client.FetchPage(v, page);
+        ExpectSamePage(fetched, reference.FetchPage(v, page));
+        EXPECT_EQ(client.retained_pages(), fetched.ok() ? 1u : 0u);
+      }
     }
   }
+  EXPECT_EQ(client.communication_rounds(), reference.communication_rounds());
+  EXPECT_EQ(client.queries_issued(), reference.queries_issued());
 }
 
 // Accepts, answers the handshake, then swallows every request without
@@ -712,7 +776,7 @@ TEST(NetServerTest, ForgedPagesAreProtocolErrorsOnEveryPath) {
           << status.ToString();
     };
 
-    // Serial round trip.
+    // Serial fetch: a wave of one on the primary connection.
     {
       StatusOr<std::unique_ptr<NetQueryClient>> client =
           NetQueryClient::Connect(options);

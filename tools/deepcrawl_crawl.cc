@@ -48,6 +48,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/crawler/checkpoint.h"
 #include "src/crawler/crawl_engine.h"
@@ -350,25 +351,13 @@ Status Run(const Options& options) {
     std::cout << "batched engine: " << options.batch
               << " drain slots per wave\n";
   }
-  if (!options.resume_from.empty()) {
-    // Rebuilds the crawl state (store, selector, retry queues, parked
-    // slots, trace) by replaying the checkpoint's fetch log, and
-    // restores the fault-proxy RNG. The command line must rebuild the
-    // same stack the checkpoint was taken from; the budgets below are
-    // then re-applied so a resume can raise them.
-    DEEPCRAWL_RETURN_IF_ERROR(
-        LoadCrawlCheckpoint(options.resume_from, engine, faulty_ptr));
-    engine.set_max_rounds(crawl_options.max_rounds);
-    engine.set_target_records(crawl_options.target_records);
-    std::cout << "resumed from " << options.resume_from << ": "
-              << engine.store().num_records() << " records, "
-              << engine.rounds_used() << " rounds, "
-              << engine.waves_completed() << " waves\n";
-  } else if (adv.has_value()) {
-    // Every policy starts from the hierarchy root: it matches every
-    // record, so the comparison is fair and no policy luckily seeds
-    // inside a decoy cluster.
-    engine.AddSeed(adv->root_value);
+  // The seeds this command line plants. Every policy on the adversarial
+  // workload starts from the hierarchy root: it matches every record, so
+  // the comparison is fair and no policy luckily seeds inside a decoy
+  // cluster. A resumed crawl must name the checkpointing run's seeds.
+  std::vector<ValueId> seeds;
+  if (adv.has_value()) {
+    seeds.push_back(adv->root_value);
   } else {
     Pcg32 rng(static_cast<uint64_t>(options.seed));
     for (int64_t i = 0; i < options.num_seeds; ++i) {
@@ -378,8 +367,30 @@ Status Run(const Options& options) {
         seed_value = static_cast<ValueId>(
             (seed_value + 1) % target.num_distinct_values());
       }
-      engine.AddSeed(seed_value);
+      seeds.push_back(seed_value);
     }
+  }
+  if (!options.resume_from.empty()) {
+    // Rebuilds the crawl state (store, selector, retry queues, parked
+    // slots, trace) by replaying the checkpoint's fetch log, and
+    // restores the fault-proxy RNG. The command line must rebuild the
+    // same stack the checkpoint was taken from; the budgets below are
+    // then re-applied so a resume can raise them.
+    DEEPCRAWL_RETURN_IF_ERROR(
+        LoadCrawlCheckpoint(options.resume_from, engine, faulty_ptr));
+    if (engine.seeds() != seeds) {
+      return Status::InvalidArgument(
+          "--seeds/--seed plant other seeds than the checkpoint's crawl "
+          "did; resume with the checkpointing run's --seeds and --seed");
+    }
+    engine.set_max_rounds(crawl_options.max_rounds);
+    engine.set_target_records(crawl_options.target_records);
+    std::cout << "resumed from " << options.resume_from << ": "
+              << engine.store().num_records() << " records, "
+              << engine.rounds_used() << " rounds, "
+              << engine.waves_completed() << " waves\n";
+  } else {
+    for (ValueId seed : seeds) engine.AddSeed(seed);
   }
 
   DEEPCRAWL_ASSIGN_OR_RETURN(CrawlResult result, engine.Run());
