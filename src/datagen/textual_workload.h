@@ -24,7 +24,7 @@
 //     and form fields.
 //
 // Ground truth for harvest accounting is simply the generated Table:
-// true_record_count() flows through the existing coverage machinery.
+// its num_records() flows through the existing coverage machinery.
 // There is no exact OPT ground truth for these workloads (computing the
 // optimal keyword cover is the set-cover instance the paper dodges), so
 // comparison tools print n/a for cost/OPT.

@@ -308,9 +308,14 @@ Status NetQueryClient::EnsureConnected(NetConnection& conn) {
       now = NowMs();
     }
     if (now >= deadline) {
-      return Status::Unavailable(
+      // Keep a shedding server's retry-after hint for the RetryPolicy.
+      Status failed = Status::Unavailable(
           "server unreachable within reconnect window (last: " +
           last.ToString() + ")");
+      if (last.retry_after_rounds().has_value()) {
+        failed = failed.WithRetryAfter(*last.retry_after_rounds());
+      }
+      return failed;
     }
     timeout = std::min(options_.request_timeout_ms, deadline - now);
   }
@@ -346,25 +351,6 @@ StatusOr<ResultPage> NetQueryClient::FetchPage(ValueId value,
 StatusOr<ResultPage> NetQueryClient::FetchPageKeywordOf(
     ValueId value, uint32_t page_number) {
   return FetchOne(FetchRequest{value, page_number, /*keyword=*/true});
-}
-
-StatusOr<ResultPage> NetQueryClient::FetchPageByText(AttributeId,
-                                                     std::string_view,
-                                                     uint32_t) {
-  return Status::FailedPrecondition(
-      "FetchPageByText is not carried by the wire protocol");
-}
-
-StatusOr<ResultPage> NetQueryClient::FetchPageByKeyword(std::string_view,
-                                                        uint32_t) {
-  return Status::FailedPrecondition(
-      "FetchPageByKeyword is not carried by the wire protocol");
-}
-
-StatusOr<ResultPage> NetQueryClient::FetchPageConjunctive(
-    std::span<const ValueId>, uint32_t) {
-  return Status::FailedPrecondition(
-      "FetchPageConjunctive is not carried by the wire protocol");
 }
 
 // One connection plus its share of the wave. `slots` indexes into the

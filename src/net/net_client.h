@@ -166,15 +166,6 @@ class NetQueryClient : public QueryInterface {
   StatusOr<ResultPage> FetchPage(ValueId value, uint32_t page_number) override;
   StatusOr<ResultPage> FetchPageKeywordOf(ValueId value,
                                           uint32_t page_number) override;
-  // Not carried by the wire protocol: kFailedPrecondition, with nothing
-  // sent and no round charged.
-  StatusOr<ResultPage> FetchPageByText(AttributeId attr,
-                                       std::string_view text,
-                                       uint32_t page_number) override;
-  StatusOr<ResultPage> FetchPageByKeyword(std::string_view text,
-                                          uint32_t page_number) override;
-  StatusOr<ResultPage> FetchPageConjunctive(std::span<const ValueId> values,
-                                            uint32_t page_number) override;
 
   // Fetches a wave, writing results[i] for requests[i] (see the file
   // comment); every slot is filled on return.

@@ -21,32 +21,11 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// FNV-1a over text queries: stable across runs and platforms (std::hash
-// makes no such promise), so keyed fault streams stay reproducible.
-uint64_t HashText(std::string_view text) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-// Query-identity keys. The leading tag separates the five interface
-// methods so e.g. FetchPage(v) and FetchPageKeywordOf(v) draw
-// independent fault streams.
+// Query-identity key. The leading tag separates the two fetch forms so
+// FetchPage(v) and FetchPageKeywordOf(v) draw independent fault streams;
+// the tags (1 and 5) are fixed, so keyed fault streams never change.
 uint64_t KeyOfValue(uint64_t tag, ValueId value) {
   return Mix64((tag << 56) ^ value);
-}
-
-uint64_t KeyOfText(uint64_t tag, uint64_t attr, std::string_view text) {
-  return Mix64((tag << 56) ^ (attr << 40) ^ HashText(text));
-}
-
-uint64_t KeyOfValues(uint64_t tag, std::span<const ValueId> values) {
-  uint64_t h = tag << 56;
-  for (ValueId v : values) h = Mix64(h ^ v);
-  return h;
 }
 
 }  // namespace
@@ -183,28 +162,6 @@ StatusOr<ResultPage> FaultyServer::FetchPage(ValueId value,
                                              uint32_t page_number) {
   return Dispatch(KeyOfValue(1, value), page_number,
                   [&] { return inner_.FetchPage(value, page_number); });
-}
-
-StatusOr<ResultPage> FaultyServer::FetchPageByText(AttributeId attr,
-                                                   std::string_view text,
-                                                   uint32_t page_number) {
-  return Dispatch(KeyOfText(2, attr, text), page_number, [&] {
-    return inner_.FetchPageByText(attr, text, page_number);
-  });
-}
-
-StatusOr<ResultPage> FaultyServer::FetchPageByKeyword(std::string_view text,
-                                                      uint32_t page_number) {
-  return Dispatch(KeyOfText(3, 0, text), page_number, [&] {
-    return inner_.FetchPageByKeyword(text, page_number);
-  });
-}
-
-StatusOr<ResultPage> FaultyServer::FetchPageConjunctive(
-    std::span<const ValueId> values, uint32_t page_number) {
-  return Dispatch(KeyOfValues(4, values), page_number, [&] {
-    return inner_.FetchPageConjunctive(values, page_number);
-  });
 }
 
 StatusOr<ResultPage> FaultyServer::FetchPageKeywordOf(ValueId value,

@@ -45,8 +45,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -157,13 +155,6 @@ class FaultyServer : public QueryInterface {
   // unless a failure fault fires first; page-mutating faults apply to
   // the backend's successful response.
   StatusOr<ResultPage> FetchPage(ValueId value, uint32_t page_number) override;
-  StatusOr<ResultPage> FetchPageByText(AttributeId attr,
-                                       std::string_view text,
-                                       uint32_t page_number) override;
-  StatusOr<ResultPage> FetchPageByKeyword(std::string_view text,
-                                          uint32_t page_number) override;
-  StatusOr<ResultPage> FetchPageConjunctive(std::span<const ValueId> values,
-                                            uint32_t page_number) override;
   StatusOr<ResultPage> FetchPageKeywordOf(ValueId value,
                                           uint32_t page_number) override;
 

@@ -1,7 +1,8 @@
 // QueryInterface: the abstract query surface of a structured Web source.
 //
-// Everything a crawler may do to a source is declared here — paginated
-// single-value / text / keyword / conjunctive queries plus the
+// Everything a crawler may do to a source is declared here — the two
+// paginated queries a crawl issues (a single-attribute equality query,
+// §2.2, and the keyword box of the "fading schema") plus the
 // communication-round meters of the paper's cost model (Definition 2.3).
 // Concrete implementations:
 //
@@ -9,11 +10,12 @@
 //     relational backend — answers every query perfectly;
 //   * FaultyServer (faulty_server.h): a fault-injecting proxy wrapping
 //     any QueryInterface, modelling the timeouts, rate limits, and
-//     truncated result lists of real sources (§5.4).
+//     truncated result lists of real sources (§5.4);
+//   * NetQueryClient (src/net/net_client.h): the same surface over TCP.
 //
 // CrawlEngine depends only on this interface, so the same crawl loop
 // (and every selection policy) runs unchanged against the perfect
-// simulator, the fault proxy, or a future live-HTTP adapter.
+// simulator, the fault proxy, or a remote server.
 
 #ifndef DEEPCRAWL_SERVER_QUERY_INTERFACE_H_
 #define DEEPCRAWL_SERVER_QUERY_INTERFACE_H_
@@ -117,30 +119,33 @@ class QueryInterface {
   virtual StatusOr<ResultPage> FetchPage(ValueId value,
                                          uint32_t page_number) = 0;
 
-  // Same, addressing the value as (attribute, text) the way a structured
-  // query form would. Unknown values yield an empty OK page (the site
-  // answers "0 results"), still costing one round.
-  virtual StatusOr<ResultPage> FetchPageByText(AttributeId attr,
-                                               std::string_view text,
-                                               uint32_t page_number) = 0;
-
-  // Keyword-style query (§2.2 "fading schema"): the text is matched
-  // against every attribute and the union of matches is returned. Costs
-  // one round per page like the other forms.
-  virtual StatusOr<ResultPage> FetchPageByKeyword(std::string_view text,
-                                                  uint32_t page_number) = 0;
-
-  // Conjunctive multi-predicate query (the paper's §2.2 future work).
-  // Returns records matching EVERY given value. Duplicate values are
-  // allowed; an empty value list is rejected. Costs one round per page.
-  virtual StatusOr<ResultPage> FetchPageConjunctive(
-      std::span<const ValueId> values, uint32_t page_number) = 0;
-
   // Keyword query addressed by an interned value: "throws" the value's
   // text into the site's single search box and lets the site decide
-  // which column it matches (§2.2's "fading schema" crawling mode).
+  // which column it matches (§2.2's "fading schema" crawling mode): the
+  // union of the text's matches under every attribute. Costs one round
+  // per page like FetchPage.
   virtual StatusOr<ResultPage> FetchPageKeywordOf(ValueId value,
                                                   uint32_t page_number) = 0;
+
+  // Unused by the crawl: no crawl issues a text-addressed, keyword-string
+  // or conjunctive fetch, and no implementation answers one. Each fails
+  // with kFailedPrecondition and charges no round. These three remain
+  // only because the benchmark's TimedQueryInterface
+  // (crawlbench/tracing.h) overrides and forwards them; they go with its
+  // next change.
+  virtual StatusOr<ResultPage> FetchPageByText(AttributeId /*attr*/,
+                                               std::string_view /*text*/,
+                                               uint32_t /*page_number*/) {
+    return UnsupportedFetch();
+  }
+  virtual StatusOr<ResultPage> FetchPageByKeyword(
+      std::string_view /*text*/, uint32_t /*page_number*/) {
+    return UnsupportedFetch();
+  }
+  virtual StatusOr<ResultPage> FetchPageConjunctive(
+      std::span<const ValueId> /*values*/, uint32_t /*page_number*/) {
+    return UnsupportedFetch();
+  }
 
   // --- cost accounting -------------------------------------------------
 
@@ -170,6 +175,12 @@ class QueryInterface {
   // is below it. Checkpoint restore bounds the ids of a (possibly
   // forged) fetch log with it. The default knows no bound.
   virtual uint32_t num_values() const { return UINT32_MAX; }
+
+ private:
+  static Status UnsupportedFetch() {
+    return Status::FailedPrecondition(
+        "only FetchPage and FetchPageKeywordOf are served");
+  }
 };
 
 }  // namespace deepcrawl

@@ -1,7 +1,9 @@
 #include "src/server/web_db_server.h"
 
 #include <algorithm>
+#include <string_view>
 
+#include "src/util/flat_hash.h"
 #include "src/util/logging.h"
 
 namespace deepcrawl {
@@ -27,12 +29,13 @@ void WebDbServer::BuildTokenDictionary() {
   size_t num_values = catalog.size();
   tokens_.reserve(num_values);
   token_of_value_.resize(num_values);
-  token_by_text_.Reserve(num_values);
+  // Text -> the first value carrying it, whose token is then the text's
+  // token. Only construction needs it: queries address tokens by value.
+  FlatIdIndex token_by_text;
+  token_by_text.Reserve(num_values);
   for (ValueId v = 0; v < num_values; ++v) {
     const std::string_view text = catalog.text_of(v);
-    // The index maps a text to the first value carrying it, whose token
-    // is then the text's token.
-    const ValueId first = token_by_text_.FindOrInsert(
+    const ValueId first = token_by_text.FindOrInsert(
         FlatHashText(text), v,
         [&](ValueId u) { return catalog.text_of(u) == text; });
     if (first == v) {
@@ -157,82 +160,6 @@ StatusOr<ResultPage> WebDbServer::FetchPage(ValueId value,
                    page_number);
 }
 
-StatusOr<ResultPage> WebDbServer::FetchPageByText(AttributeId attr,
-                                                  std::string_view text,
-                                                  uint32_t page_number) {
-  ValueId value = table_.catalog().Find(attr, text);
-  if (value == kInvalidValueId) {
-    ++communication_rounds_;
-    if (page_number == 0) ++queries_issued_;
-    return BuildPage({}, 0, page_number);
-  }
-  return FetchPage(value, page_number);
-}
-
-StatusOr<ResultPage> WebDbServer::FetchPageByKeyword(std::string_view text,
-                                                     uint32_t page_number) {
-  ++communication_rounds_;
-  if (page_number == 0) ++queries_issued_;
-  // The site's own query processor decides which column matches (§2.2):
-  // a keyword query answers from the token dictionary — the
-  // all-attributes union, precomputed at construction — in one hash
-  // probe. Note the keyword box deliberately ignores
-  // queriable_attributes: a site's search box reaches columns its form
-  // has no field for.
-  const ValueCatalog& catalog = table_.catalog();
-  const ValueId first = token_by_text_.Find(
-      FlatHashText(text),
-      [&](ValueId u) { return catalog.text_of(u) == text; });
-  if (first == FlatIdIndex::kAbsent) {
-    return BuildPage({}, 0, page_number);
-  }
-  std::span<const RecordId> postings =
-      TokenPostings(tokens_[token_of_value_[first]]);
-  return BuildPage(postings, static_cast<uint32_t>(postings.size()),
-                   page_number);
-}
-
-StatusOr<ResultPage> WebDbServer::FetchPageConjunctive(
-    std::span<const ValueId> values, uint32_t page_number) {
-  if (values.empty()) {
-    return Status::InvalidArgument("conjunctive query needs predicates");
-  }
-  ++communication_rounds_;
-  if (page_number == 0) ++queries_issued_;
-  // Intersect postings smallest-first; bail out as soon as the running
-  // intersection empties. Same swap-buffered member scratch as the
-  // keyword-union path.
-  std::vector<ValueId>& ordered = scratch_ordered_;
-  ordered.assign(values.begin(), values.end());
-  std::sort(ordered.begin(), ordered.end(), [this](ValueId a, ValueId b) {
-    return index_.MatchCount(a) < index_.MatchCount(b);
-  });
-  std::vector<RecordId>& matched = scratch_merged_;
-  std::vector<RecordId>& next = scratch_next_;
-  matched.clear();
-  bool first = true;
-  for (ValueId v : ordered) {
-    if (v >= table_.num_distinct_values()) {
-      return BuildPage({}, 0, page_number);
-    }
-    std::span<const RecordId> postings = index_.Postings(v);
-    if (first) {
-      matched.assign(postings.begin(), postings.end());
-      first = false;
-    } else {
-      next.clear();
-      next.reserve(std::min(matched.size(), postings.size()));
-      std::set_intersection(matched.begin(), matched.end(),
-                            postings.begin(), postings.end(),
-                            std::back_inserter(next));
-      std::swap(matched, next);
-    }
-    if (matched.empty()) break;
-  }
-  return BuildPage(matched, static_cast<uint32_t>(matched.size()),
-                   page_number);
-}
-
 StatusOr<ResultPage> WebDbServer::FetchPageKeywordOf(ValueId value,
                                                      uint32_t page_number) {
   ++communication_rounds_;
@@ -240,8 +167,11 @@ StatusOr<ResultPage> WebDbServer::FetchPageKeywordOf(ValueId value,
   if (value >= token_of_value_.size()) {
     return BuildPage({}, 0, page_number);
   }
-  // Addressed by value id, the token is an array read away — no text
-  // resolution or hash probe on the crawl hot path.
+  // The site's own query processor decides which column matches (§2.2):
+  // the token's postings are the all-attributes union, precomputed at
+  // construction. The keyword box deliberately ignores
+  // queriable_attributes: a site's search box reaches columns its form
+  // has no field for.
   std::span<const RecordId> postings =
       TokenPostings(tokens_[token_of_value_[value]]);
   return BuildPage(postings, static_cast<uint32_t>(postings.size()),

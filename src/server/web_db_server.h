@@ -8,7 +8,9 @@
 // exactly what a real site would:
 //
 //   * single-attribute equality queries (Definition 2.2), addressed by
-//     interned value id, by (attribute, text), or by bare keyword;
+//     interned value id (FetchPage);
+//   * keyword-box queries (§2.2's "fading schema"): a value's text
+//     matched against every attribute (FetchPageKeywordOf);
 //   * paginated results, at most `page_size` (k) records per page
 //     (Definition 2.3's cost model: one page fetch = one communication
 //     round);
@@ -29,14 +31,12 @@
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "src/index/inverted_index.h"
 #include "src/relation/table.h"
 #include "src/relation/types.h"
 #include "src/server/query_interface.h"
-#include "src/util/flat_hash.h"
 #include "src/util/status.h"
 
 namespace deepcrawl {
@@ -51,13 +51,6 @@ class WebDbServer : public QueryInterface {
 
   // QueryInterface implementation; see query_interface.h for contracts.
   StatusOr<ResultPage> FetchPage(ValueId value, uint32_t page_number) override;
-  StatusOr<ResultPage> FetchPageByText(AttributeId attr,
-                                       std::string_view text,
-                                       uint32_t page_number) override;
-  StatusOr<ResultPage> FetchPageByKeyword(std::string_view text,
-                                          uint32_t page_number) override;
-  StatusOr<ResultPage> FetchPageConjunctive(std::span<const ValueId> values,
-                                            uint32_t page_number) override;
   StatusOr<ResultPage> FetchPageKeywordOf(ValueId value,
                                           uint32_t page_number) override;
 
@@ -75,10 +68,6 @@ class WebDbServer : public QueryInterface {
 
   // --- harness-only introspection (not visible to selectors) -----------
 
-  // Ground-truth number of records; the harness uses it to compute true
-  // coverage in controlled experiments.
-  size_t true_record_count() const { return table_.num_records(); }
-
   const Table& table() const { return table_; }
   const InvertedIndex& index() const { return index_; }
 
@@ -92,9 +81,9 @@ class WebDbServer : public QueryInterface {
   // text under any attribute is one *token*, and a keyword query returns
   // the union of the token's postings across every attribute (the
   // query processor decides which column matches, §2.2). The dictionary
-  // below is built once at construction, so a keyword query is one hash
-  // probe (or, addressed by value id, one array read) instead of a
-  // per-query catalog probe + set_union fold over all attributes.
+  // below is built once at construction, so a keyword query is one
+  // array read instead of a per-query catalog probe + set_union fold
+  // over all attributes.
 
   // Distinct raw texts in the catalog.
   size_t num_keyword_tokens() const { return tokens_.size(); }
@@ -102,12 +91,6 @@ class WebDbServer : public QueryInterface {
   // Record ids matching the token of `value`'s text, sorted ascending.
   // Empty span when the value id is out of range.
   std::span<const RecordId> KeywordPostings(ValueId value) const;
-
-  // Total matches of the keyword query for `value`'s text (before the
-  // result limit is applied).
-  uint32_t KeywordMatchCount(ValueId value) const {
-    return static_cast<uint32_t>(KeywordPostings(value).size());
-  }
 
   // Number of attributes `value`'s text appears under (≥1 for any valid
   // id); >1 means the keyword union genuinely merges columns.
@@ -138,20 +121,8 @@ class WebDbServer : public QueryInterface {
   std::vector<Token> tokens_;
   std::vector<uint32_t> token_of_value_;  // by ValueId
   std::vector<RecordId> merged_postings_;  // arena for multi-attr tokens
-  // Text -> the first value id carrying it, keyed by the catalog's own
-  // texts (the table does not change after construction).
-  FlatIdIndex token_by_text_;
   uint64_t communication_rounds_ = 0;
   uint64_t queries_issued_ = 0;
-
-  // Scratch reused across queries by the keyword-union and conjunctive
-  // paths (swap-buffered, capacity kept), so steady-state queries do not
-  // reallocate. A server answers one query at a time (in-process on the
-  // crawling thread, over TCP on the event-loop thread), so per-instance
-  // scratch is safe.
-  std::vector<RecordId> scratch_merged_;
-  std::vector<RecordId> scratch_next_;
-  std::vector<ValueId> scratch_ordered_;
 };
 
 }  // namespace deepcrawl

@@ -223,19 +223,6 @@ class ObservationTap : public QueryInterface {
                                  uint32_t page_number) override {
     return Count(inner_.FetchPage(value, page_number));
   }
-  StatusOr<ResultPage> FetchPageByText(AttributeId attr,
-                                       std::string_view text,
-                                       uint32_t page_number) override {
-    return Count(inner_.FetchPageByText(attr, text, page_number));
-  }
-  StatusOr<ResultPage> FetchPageByKeyword(std::string_view text,
-                                          uint32_t page_number) override {
-    return Count(inner_.FetchPageByKeyword(text, page_number));
-  }
-  StatusOr<ResultPage> FetchPageConjunctive(
-      std::span<const ValueId> values, uint32_t page_number) override {
-    return Count(inner_.FetchPageConjunctive(values, page_number));
-  }
   StatusOr<ResultPage> FetchPageKeywordOf(ValueId value,
                                           uint32_t page_number) override {
     return Count(inner_.FetchPageKeywordOf(value, page_number));

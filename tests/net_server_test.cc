@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -166,24 +167,31 @@ TEST(NetServerTest, EveryFetchFormMatchesInProcess) {
   ExpectSamePage(client.FetchPageKeywordOf(a2, 0),
                  reference.FetchPageKeywordOf(a2, 0));
 
-  // The wire carries only the crawl's two query forms: the other three
-  // fail at the client, with nothing sent and no round charged.
-  const uint64_t rounds_before = client.communication_rounds();
-  const uint64_t queries_before = client.queries_issued();
+  // Only the crawl's two query forms are served: the other three fail
+  // with kFailedPrecondition on the client, the in-process server and
+  // the fault proxy alike, with nothing sent, no fault drawn and no
+  // round or query charged (the proxy fails every fetch it forwards).
+  WebDbServer local(table, server_options);
+  WebDbServer proxied(table, server_options);
+  FaultProfile always_down;
+  always_down.unavailable_rate = 1.0;
+  FaultyServer faulty(proxied, always_down, /*seed=*/3);
   std::vector<ValueId> conjunction = {a2, c2};
-  for (const StatusOr<ResultPage>& retired :
-       {client.FetchPageByText(attr_b, "b2", 0),
-        client.FetchPageByKeyword("c2", 0),
-        client.FetchPageConjunctive(conjunction, 0)}) {
-    EXPECT_EQ(retired.status().code(), StatusCode::kFailedPrecondition)
-        << retired.status().ToString();
-    EXPECT_NE(retired.status().message().find(
-                  "is not carried by the wire protocol"),
-              std::string::npos)
-        << retired.status().ToString();
+  for (QueryInterface* source :
+       std::initializer_list<QueryInterface*>{&client, &local, &faulty}) {
+    const uint64_t rounds_before = source->communication_rounds();
+    const uint64_t queries_before = source->queries_issued();
+    for (const StatusOr<ResultPage>& retired :
+         {source->FetchPageByText(attr_b, "b2", 0),
+          source->FetchPageByKeyword("c2", 0),
+          source->FetchPageConjunctive(conjunction, 0)}) {
+      EXPECT_EQ(retired.status().code(), StatusCode::kFailedPrecondition)
+          << retired.status().ToString();
+    }
+    EXPECT_EQ(source->communication_rounds(), rounds_before);
+    EXPECT_EQ(source->queries_issued(), queries_before);
   }
-  EXPECT_EQ(client.communication_rounds(), rounds_before);
-  EXPECT_EQ(client.queries_issued(), queries_before);
+  EXPECT_EQ(faulty.fault_counters().total(), 0u);
 
   // Error paths cross the wire as faithfully as pages do.
   ExpectSamePage(client.FetchPage(a2, 999), reference.FetchPage(a2, 999));
@@ -339,6 +347,33 @@ TEST(NetServerTest, ConnectionCapShedsWithRetryableGoAway) {
   // At least the second connection was shed (the reopen loop may have
   // collected a few more GoAways while the close was still in flight).
   EXPECT_GE(loop_server.server().connections_shed(), 1u);
+}
+
+// A connect the server sheds keeps its GoAway's retry-after hint when it
+// leaves the reconnect window, so the engine's RetryPolicy can pace the
+// next attempt by it.
+TEST(NetServerTest, ShedConnectKeepsRetryAfterHint) {
+  Table table = MakeFigure1Table();
+  WebDbServer backend(table, ServerOptions{});
+  TcpServerOptions tcp_options = OptionsFor(table);
+  tcp_options.max_connections = 1;
+  tcp_options.shed_retry_after_rounds = 8;
+  LoopServer loop_server(backend, tcp_options);
+
+  StatusOr<std::unique_ptr<NetQueryClient>> holder =
+      NetQueryClient::Connect(ClientOptions(loop_server.port()));
+  ASSERT_TRUE(holder.ok()) << holder.status().ToString();
+
+  // A zero window makes exactly one attempt, with the full request
+  // timeout, so the GoAway is its last failure.
+  NetClientOptions options = ClientOptions(loop_server.port());
+  options.reconnect_window_ms = 0;
+  StatusOr<std::unique_ptr<NetQueryClient>> shed =
+      NetQueryClient::Connect(options);
+  ASSERT_FALSE(shed.ok());
+  EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(shed.status().retry_after_rounds(), std::optional<uint32_t>(8))
+      << shed.status().ToString();
 }
 
 TEST(NetServerTest, MalformedFrameClosesConnection) {

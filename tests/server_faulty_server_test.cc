@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <map>
 #include <optional>
 #include <set>
@@ -71,21 +70,8 @@ TEST(FaultyServerTest, AllZeroProfileIsTransparent) {
       ExpectSamePage(proxy.FetchPage(v, page), bare.FetchPage(v, page));
       ExpectSamePage(proxy.FetchPageKeywordOf(v, page),
                      bare.FetchPageKeywordOf(v, page));
-      std::array<ValueId, 1> single = {v};
-      ExpectSamePage(proxy.FetchPageConjunctive(single, page),
-                     bare.FetchPageConjunctive(single, page));
     }
   }
-  for (std::string_view text : {"a2", "c2", "missing"}) {
-    ExpectSamePage(proxy.FetchPageByText(0, text, 0),
-                   bare.FetchPageByText(0, text, 0));
-    ExpectSamePage(proxy.FetchPageByKeyword(text, 0),
-                   bare.FetchPageByKeyword(text, 0));
-  }
-  std::array<ValueId, 2> pair = {GetValueId(table, "A", "a2"),
-                                 GetValueId(table, "C", "c2")};
-  ExpectSamePage(proxy.FetchPageConjunctive(pair, 0),
-                 bare.FetchPageConjunctive(pair, 0));
 
   EXPECT_EQ(proxy.communication_rounds(), bare.communication_rounds());
   EXPECT_EQ(proxy.queries_issued(), bare.queries_issued());

@@ -1,13 +1,15 @@
-// Tests of the keyword-box token dictionary and the merge buffers
-// behind it: the all-attribute union a bare keyword answers with
-// (§2.2's "the site's query processor decides which column matches"),
-// its precomputed postings, and the conjunctive intersection path that
-// shares the same scratch-buffer idiom. Focus cases: empty terms,
-// duplicate terms (one text under many attributes), and page
-// boundaries of merged result sets.
+// Tests of the keyword-box token dictionary behind FetchPageKeywordOf:
+// the all-attribute union a keyword query answers with (§2.2's "the
+// site's query processor decides which column matches") and its
+// precomputed postings. Focus cases: unknown terms, duplicate terms (one
+// text under many attributes), and page boundaries of merged result
+// sets.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,21 +37,15 @@ Table CrossAttributeTable() {
 TEST(KeywordUnionTest, UnknownTermAnswersEmptyAndStillCosts) {
   Table table = CrossAttributeTable();
   WebDbServer server(table, ServerOptions{});
-  StatusOr<ResultPage> page = server.FetchPageByKeyword("nosuchterm", 0);
+  // A value id past the catalog names a term the site does not know.
+  StatusOr<ResultPage> page =
+      server.FetchPageKeywordOf(table.num_distinct_values(), 0);
   ASSERT_TRUE(page.ok());
   EXPECT_TRUE(page->records.empty());
   EXPECT_FALSE(page->has_more);
   // A miss is still a conversation with the site: one round, one query.
   EXPECT_EQ(server.communication_rounds(), 1u);
   EXPECT_EQ(server.queries_issued(), 1u);
-}
-
-TEST(KeywordUnionTest, EmptyTermAnswersEmpty) {
-  Table table = CrossAttributeTable();
-  WebDbServer server(table, ServerOptions{});
-  StatusOr<ResultPage> page = server.FetchPageByKeyword("", 0);
-  ASSERT_TRUE(page.ok());
-  EXPECT_TRUE(page->records.empty());
 }
 
 TEST(KeywordUnionTest, DuplicateTermUnionsAttributesWithoutDoubleCount) {
@@ -59,25 +55,27 @@ TEST(KeywordUnionTest, DuplicateTermUnionsAttributesWithoutDoubleCount) {
   WebDbServer server(table, options);
 
   // "smith" matches records 0 and 2 as Author and 1 and 2 as Editor:
-  // the union is {0, 1, 2}, with record 2 reported once.
-  StatusOr<ResultPage> page = server.FetchPageByKeyword("smith", 0);
-  ASSERT_TRUE(page.ok());
-  ASSERT_TRUE(page->total_matches.has_value());
-  EXPECT_EQ(*page->total_matches, 3u);
-  ASSERT_EQ(page->records.size(), 3u);
-  EXPECT_EQ(page->records[0].id, 0u);
-  EXPECT_EQ(page->records[1].id, 1u);
-  EXPECT_EQ(page->records[2].id, 2u);
+  // the union is {0, 1, 2}, with record 2 reported once, whichever of
+  // the two values addresses the query.
+  ValueId author = GetValueId(table, "Author", "smith");
+  ValueId editor = GetValueId(table, "Editor", "smith");
+  for (ValueId value : {author, editor}) {
+    StatusOr<ResultPage> page = server.FetchPageKeywordOf(value, 0);
+    ASSERT_TRUE(page.ok());
+    ASSERT_TRUE(page->total_matches.has_value());
+    EXPECT_EQ(*page->total_matches, 3u);
+    ASSERT_EQ(page->records.size(), 3u);
+    EXPECT_EQ(page->records[0].id, 0u);
+    EXPECT_EQ(page->records[1].id, 1u);
+    EXPECT_EQ(page->records[2].id, 2u);
+  }
 
   // The dictionary knows the text spans two attributes and both interned
   // values resolve to the same merged postings.
-  ValueId author = GetValueId(table, "Author", "smith");
-  ValueId editor = GetValueId(table, "Editor", "smith");
   EXPECT_EQ(server.KeywordAttributeSpan(author), 2u);
   EXPECT_EQ(server.KeywordAttributeSpan(editor), 2u);
-  EXPECT_EQ(server.KeywordMatchCount(author), 3u);
-  EXPECT_EQ(server.KeywordMatchCount(editor), 3u);
   ASSERT_EQ(server.KeywordPostings(author).size(), 3u);
+  EXPECT_EQ(server.KeywordPostings(editor).size(), 3u);
   EXPECT_EQ(server.KeywordPostings(author).data(),
             server.KeywordPostings(editor).data());
 }
@@ -92,23 +90,35 @@ TEST(KeywordUnionTest, SingleAttributeTokenAliasesIndexPostings) {
 }
 
 TEST(KeywordUnionTest, KeywordOfMatchesKeywordByText) {
+  // Paged to the end, a keyword query returns exactly the records that
+  // carry its text under any attribute: the sorted union of the index
+  // postings of every value sharing that text.
   Table table = CrossAttributeTable();
   ServerOptions options;
   options.page_size = 2;
   options.reports_total_count = true;
   WebDbServer server(table, options);
   for (ValueId v = 0; v < table.num_distinct_values(); ++v) {
-    StatusOr<ResultPage> by_id = server.FetchPageKeywordOf(v, 0);
-    StatusOr<ResultPage> by_text = server.FetchPageByKeyword(
-        table.catalog().text_of(v), 0);
-    ASSERT_TRUE(by_id.ok());
-    ASSERT_TRUE(by_text.ok());
-    EXPECT_EQ(by_id->total_matches, by_text->total_matches);
-    EXPECT_EQ(by_id->has_more, by_text->has_more);
-    ASSERT_EQ(by_id->records.size(), by_text->records.size());
-    for (size_t i = 0; i < by_id->records.size(); ++i) {
-      EXPECT_EQ(by_id->records[i].id, by_text->records[i].id);
+    std::vector<RecordId> want;
+    for (ValueId u = 0; u < table.num_distinct_values(); ++u) {
+      if (table.catalog().text_of(u) != table.catalog().text_of(v)) continue;
+      std::span<const RecordId> postings = server.index().Postings(u);
+      want.insert(want.end(), postings.begin(), postings.end());
     }
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+
+    std::vector<RecordId> got;
+    for (uint32_t page_number = 0;; ++page_number) {
+      StatusOr<ResultPage> page = server.FetchPageKeywordOf(v, page_number);
+      ASSERT_TRUE(page.ok()) << page.status().ToString();
+      EXPECT_EQ(page->total_matches, std::optional<uint32_t>(want.size()));
+      for (const ReturnedRecord& record : page->records) {
+        got.push_back(record.id);
+      }
+      if (!page->has_more) break;
+    }
+    EXPECT_EQ(got, want) << "value " << v;
   }
 }
 
@@ -140,15 +150,16 @@ TEST(KeywordUnionTest, MergedUnionPaginatesAcrossExactBoundary) {
   options.page_size = 3;
   WebDbServer server(table, options);
 
-  StatusOr<ResultPage> first = server.FetchPageByKeyword("shared", 0);
+  ValueId shared = GetValueId(table, "Editor", "shared");
+  StatusOr<ResultPage> first = server.FetchPageKeywordOf(shared, 0);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->records.size(), 3u);
   EXPECT_TRUE(first->has_more);
-  StatusOr<ResultPage> second = server.FetchPageByKeyword("shared", 1);
+  StatusOr<ResultPage> second = server.FetchPageKeywordOf(shared, 1);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->records.size(), 3u);
   EXPECT_FALSE(second->has_more);
-  StatusOr<ResultPage> third = server.FetchPageByKeyword("shared", 2);
+  StatusOr<ResultPage> third = server.FetchPageKeywordOf(shared, 2);
   EXPECT_FALSE(third.ok());
   EXPECT_EQ(third.status().code(), StatusCode::kOutOfRange);
 }
@@ -167,7 +178,7 @@ TEST(KeywordUnionTest, KeywordBoxIgnoresQueriableAttributeMask) {
   StatusOr<ResultPage> typed = server.FetchPage(jones, 0);
   ASSERT_TRUE(typed.ok());
   EXPECT_TRUE(typed->records.empty());
-  StatusOr<ResultPage> keyword = server.FetchPageByKeyword("jones", 0);
+  StatusOr<ResultPage> keyword = server.FetchPageKeywordOf(jones, 0);
   ASSERT_TRUE(keyword.ok());
   EXPECT_EQ(keyword->records.size(), 1u);
 }
@@ -178,81 +189,6 @@ TEST(KeywordUnionTest, TokenCountMatchesDistinctTexts) {
   Table table = CrossAttributeTable();
   WebDbServer server(table, ServerOptions{});
   EXPECT_EQ(server.num_keyword_tokens(), table.num_distinct_values() - 1);
-}
-
-TEST(ConjunctiveMergeBufferTest, DuplicatePredicateIsIdempotent) {
-  Table table = CrossAttributeTable();
-  WebDbServer server(table, ServerOptions{});
-  ValueId author = GetValueId(table, "Author", "smith");
-  std::vector<ValueId> once = {author};
-  std::vector<ValueId> twice = {author, author, author};
-  StatusOr<ResultPage> a = server.FetchPageConjunctive(once, 0);
-  StatusOr<ResultPage> b = server.FetchPageConjunctive(twice, 0);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->records.size(), b->records.size());
-  for (size_t i = 0; i < a->records.size(); ++i) {
-    EXPECT_EQ(a->records[i].id, b->records[i].id);
-  }
-}
-
-TEST(ConjunctiveMergeBufferTest, EmptyPredicateListIsRejected) {
-  Table table = CrossAttributeTable();
-  WebDbServer server(table, ServerOptions{});
-  StatusOr<ResultPage> page = server.FetchPageConjunctive({}, 0);
-  EXPECT_FALSE(page.ok());
-  EXPECT_EQ(page.status().code(), StatusCode::kInvalidArgument);
-  // A rejected malformed query never reached the site: no round charged.
-  EXPECT_EQ(server.communication_rounds(), 0u);
-}
-
-TEST(ConjunctiveMergeBufferTest, IntersectionPaginatesAcrossExactBoundary) {
-  // 4 records carry both predicates; page size 2 → two exact pages.
-  std::vector<Row> rows;
-  for (int i = 0; i < 4; ++i) {
-    rows.push_back({{"Author", "smith"},
-                    {"Editor", "jones"},
-                    {"Title", "t" + std::to_string(i)}});
-  }
-  rows.push_back({{"Author", "smith"}, {"Editor", "king"}, {"Title", "x"}});
-  Table table = MakeTable(rows);
-  ServerOptions options;
-  options.page_size = 2;
-  WebDbServer server(table, options);
-  std::vector<ValueId> both = {GetValueId(table, "Author", "smith"),
-                               GetValueId(table, "Editor", "jones")};
-  StatusOr<ResultPage> first = server.FetchPageConjunctive(both, 0);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->records.size(), 2u);
-  EXPECT_TRUE(first->has_more);
-  StatusOr<ResultPage> second = server.FetchPageConjunctive(both, 1);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->records.size(), 2u);
-  EXPECT_FALSE(second->has_more);
-  StatusOr<ResultPage> third = server.FetchPageConjunctive(both, 2);
-  EXPECT_FALSE(third.ok());
-  EXPECT_EQ(third.status().code(), StatusCode::kOutOfRange);
-}
-
-TEST(ConjunctiveMergeBufferTest, ReusedScratchBuffersStayIndependent) {
-  // Interleave keyword and conjunctive fetches: the conjunctive scratch
-  // vectors must not leak state into the precomputed keyword unions.
-  Table table = CrossAttributeTable();
-  ServerOptions options;
-  options.reports_total_count = true;
-  WebDbServer server(table, options);
-  std::vector<ValueId> both = {GetValueId(table, "Author", "smith"),
-                               GetValueId(table, "Editor", "smith")};
-  StatusOr<ResultPage> conj = server.FetchPageConjunctive(both, 0);
-  ASSERT_TRUE(conj.ok());
-  ASSERT_EQ(conj->records.size(), 1u);  // only record 2 has both
-  EXPECT_EQ(conj->records[0].id, 2u);
-  StatusOr<ResultPage> keyword = server.FetchPageByKeyword("smith", 0);
-  ASSERT_TRUE(keyword.ok());
-  EXPECT_EQ(keyword->records.size(), 3u);
-  StatusOr<ResultPage> again = server.FetchPageConjunctive(both, 0);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->records.size(), 1u);
 }
 
 }  // namespace

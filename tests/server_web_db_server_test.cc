@@ -114,22 +114,6 @@ TEST(WebDbServerTest, UnknownValueCostsARoundAndReturnsEmpty) {
   EXPECT_EQ(server.FullRetrievalCost(99999), 1u);
 }
 
-TEST(WebDbServerTest, FetchPageByTextResolvesValues) {
-  Table table = MakeFigure1Table();
-  WebDbServer server(table, ServerOptions{});
-  StatusOr<AttributeId> attr = table.schema().FindAttribute("A");
-  ASSERT_TRUE(attr.ok());
-  StatusOr<ResultPage> page = server.FetchPageByText(*attr, "a2", 0);
-  ASSERT_TRUE(page.ok());
-  EXPECT_EQ(page->records.size(), 3u);
-  // Unknown text: empty result, one round charged.
-  uint64_t before = server.communication_rounds();
-  StatusOr<ResultPage> missing = server.FetchPageByText(*attr, "zz", 0);
-  ASSERT_TRUE(missing.ok());
-  EXPECT_TRUE(missing->records.empty());
-  EXPECT_EQ(server.communication_rounds(), before + 1);
-}
-
 TEST(WebDbServerTest, KeywordQueryUnionsAcrossAttributes) {
   // The same text under two attributes; a keyword query matches both.
   Table table = MakeTable({
@@ -138,7 +122,8 @@ TEST(WebDbServerTest, KeywordQueryUnionsAcrossAttributes) {
       {{"Actor", "someone"}, {"Title", "t3"}},
   });
   WebDbServer server(table, ServerOptions{});
-  StatusOr<ResultPage> page = server.FetchPageByKeyword("eastwood", 0);
+  StatusOr<ResultPage> page =
+      server.FetchPageKeywordOf(GetValueId(table, "Actor", "eastwood"), 0);
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page->records.size(), 2u);
   EXPECT_EQ(page->total_matches.value_or(0), 2u);
@@ -150,7 +135,8 @@ TEST(WebDbServerTest, KeywordQueryDeduplicatesRecords) {
       {{"Actor", "eastwood"}, {"Director", "eastwood"}},
   });
   WebDbServer server(table, ServerOptions{});
-  StatusOr<ResultPage> page = server.FetchPageByKeyword("eastwood", 0);
+  StatusOr<ResultPage> page =
+      server.FetchPageKeywordOf(GetValueId(table, "Director", "eastwood"), 0);
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page->records.size(), 1u);
 }

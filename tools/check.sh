@@ -44,7 +44,7 @@ TSAN_FILTER='^(AdaptiveDifferentialTest|ParallelCrawlerDifferentialTest|Parallel
 run_suite() {
   local build_dir="$1"; shift
   cmake -B "${build_dir}" -S . "$@"
-  cmake --build "${build_dir}" -j
+  cmake --build "${build_dir}" -j "$(nproc)"
   ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 }
 
@@ -124,7 +124,7 @@ if [[ "${skip_tsan}" == 1 ]]; then
 else
   echo "=== pass 3/9: thread sanitizer build (build-tsan/, -DTSAN=ON) ==="
   cmake -B build-tsan -S . -DTSAN=ON
-  cmake --build build-tsan -j
+  cmake --build build-tsan -j "$(nproc)"
   ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
     -R "${TSAN_FILTER}"
 fi
@@ -134,7 +134,7 @@ if [[ "${skip_perf}" == 1 ]]; then
 else
   echo "=== pass 4/9: perf regression (build-perf/, Release) ==="
   cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-perf -j \
+  cmake --build build-perf -j "$(nproc)" \
     --target bench_micro bench_parallel bench_mmmi_ablation bench_fleet \
     bench_optimal bench_net bench_textual
   ./build-perf/bench/bench_micro --json=build-perf/BENCH_micro.json
