@@ -10,8 +10,8 @@
 // trace, resilience counters) is a pure function of what it was
 // given: its seeds, its Run() budgets and the pages the source
 // returned. So a checkpoint holds exactly that — the engine's fetch
-// log — plus the fault proxy's keyed attempt table and RNG, which live
-// on the server side. Restore replays the log through the real engine
+// log — plus the fault proxy's per-page attempt table, which lives on
+// the server side. Restore replays the log through the real engine
 // with no server call. The restore contract is *bit-identity*:
 // checkpoint + restore + continue emits the same trace CSV as the
 // uninterrupted run, under every selector, fault profile, and executor
@@ -28,15 +28,16 @@
 // The payload is a fixed sequence of sections, each introduced by a
 // fourcc marker: CONFIG (construction fingerprint, verified before the
 // replay starts), LOG (the fetch log, written by CrawlEngine::SaveState),
-// FAULTY (optional fault-proxy state), END. Any mangled byte —
-// truncation, flipped bits, a wrong version, a size/checksum mismatch —
-// is rejected with a clean Status before any section is decoded. A file
-// that forges the checksum can only produce an error too: the log
-// reader is sticky-failure bounds-checked, each logged fetch drives
-// exactly one commit and must be the fetch the replayed engine asks
-// for, and the replay must end at the logged totals. Versioning rule:
-// any change to the payload layout bumps kCrawlCheckpointVersion; old
-// versions are rejected, never half-read.
+// FAULTY (optional fault-proxy state: the fault fingerprint, schedule
+// position, per-page attempt table and fault counters), END. Any
+// mangled byte — truncation, flipped bits, a wrong version, a
+// size/checksum mismatch — is rejected with a clean Status before any
+// section is decoded. A file that forges the checksum can only produce
+// an error too: the log reader is sticky-failure bounds-checked, each
+// logged fetch drives exactly one commit and must be the fetch the
+// replayed engine asks for, and the replay must end at the logged
+// totals. Versioning rule: any change to the payload layout bumps
+// kCrawlCheckpointVersion; old versions are rejected, never half-read.
 //
 // Files are written atomically (temp file + rename), so a crawl killed
 // mid-save leaves the previous checkpoint intact.
@@ -71,7 +72,9 @@ class FaultyServer;
 //     from the restored store instead of being stored.
 // v8: the state sections (ENGI, STOR, SELC) are replaced by LOG, the
 //     fetch log that LoadState replays; no component serializes itself.
-inline constexpr uint32_t kCrawlCheckpointVersion = 8;
+// v9: FALT lost the keyed-mode byte and the two fault-RNG words; every
+//     fault decision is keyed, so the attempt table is its only state.
+inline constexpr uint32_t kCrawlCheckpointVersion = 9;
 
 // Section markers (fourcc, little-endian u32). Sections appear in file
 // order: CONFIG, LOG, FAULTY, END.
@@ -118,10 +121,9 @@ bool ExpectSectionMarker(CheckpointReader& reader, uint32_t marker,
 // --- whole-crawl orchestration ---------------------------------------
 //
 // One checkpoint covers the engine (its CONF and LOG sections) and, when
-// the crawl runs behind a fault-injecting proxy, the proxy's
-// keyed-attempt/RNG state — without it, a resumed crawl would re-draw
-// fault decisions for later fetches and diverge from the uninterrupted
-// run.
+// the crawl runs behind a fault-injecting proxy, the proxy's per-page
+// attempt table — without it, a resumed crawl would re-draw fault
+// decisions for retried pages and diverge from the uninterrupted run.
 
 // Serializes engine (+ proxy) state into a framed checkpoint image.
 // `faulty` may be null (no fault proxy in the stack).

@@ -6,18 +6,6 @@
 
 namespace deepcrawl {
 
-const char* BreakerStateToString(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half-open";
-  }
-  return "unknown";
-}
-
 bool CircuitBreaker::CanAdmit(uint64_t now) const {
   if (exhausted()) return false;
   if (state_ == BreakerState::kOpen) return now >= admit_at_;

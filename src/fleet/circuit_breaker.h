@@ -42,8 +42,6 @@ namespace deepcrawl {
 
 enum class BreakerState : uint8_t { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
 
-const char* BreakerStateToString(BreakerState state);
-
 class CircuitBreaker {
  public:
   // Trip after this many consecutive fully-failed turns (a turn that

@@ -76,12 +76,10 @@ CrawlFleet::CrawlFleet(std::vector<FleetSourceSpec> specs,
 
     uint64_t derived_seed = FaultyServer::DeriveSourceSeed(options_.seed, i);
     src.backend = std::make_unique<WebDbServer>(spec.table, spec.server);
-    // Always behind a fault proxy, always keyed: the chaos schedule needs
-    // the forced-action hook even for a zero-rate profile, and keyed mode
-    // keeps the fault stream independent of fetch arrival order.
+    // Always behind a fault proxy: the chaos schedule needs the
+    // forced-action hook even for a zero-rate profile.
     src.faulty =
         std::make_unique<FaultyServer>(*src.backend, spec.faults, derived_seed);
-    src.faulty->set_keyed_faults(true);
 
     src.store = std::make_unique<LocalStore>();
     if (spec.policy == "greedy") {

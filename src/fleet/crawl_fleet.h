@@ -8,7 +8,7 @@
 // marginal harvest rate. The fleet owns one full crawl stack per
 // source —
 //
-//   Table → WebDbServer → FaultyServer (keyed, per-source derived seed)
+//   Table → WebDbServer → FaultyServer (per-source derived seed)
 //         → CrawlEngine
 //
 // — and schedules them in turns: each turn grants a bounded slice
@@ -300,7 +300,9 @@ Status WriteFleetTraceCsv(const FleetResult& result, std::ostream& output);
 // v1012: format 2 over engine payload version 8, with the fingerprint's
 //        six breaker fields and four retry backoff-shape fields dropped;
 //        both are constants now (CircuitBreaker, RetryPolicy).
-inline constexpr uint32_t kFleetCheckpointVersion = 1012;
+// v1013: format 2 over engine payload version 9: each source's FALT lost
+//        the keyed-mode byte and the two fault-RNG words.
+inline constexpr uint32_t kFleetCheckpointVersion = 1013;
 
 inline constexpr uint32_t kSectionFleet = 0x54454c46;        // "FLET"
 inline constexpr uint32_t kSectionFleetSource = 0x43525346;  // "FSRC"

@@ -11,8 +11,8 @@
 // per response (with latency_us > 0 each delayed response is flushed
 // by its own timer instead).
 // Because every backend the repo ships is a pure function of the
-// request (WebDbServer reads fixed tables; FaultyServer in keyed mode
-// derives faults from the query identity), the bytes a client receives
+// request (WebDbServer reads fixed tables; FaultyServer derives faults
+// from the query identity, page and attempt), the bytes a client receives
 // are independent of how requests interleave across connections — the
 // property the TCP-vs-in-process differential tests pin down.
 //

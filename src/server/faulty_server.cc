@@ -13,7 +13,7 @@ namespace deepcrawl {
 namespace {
 
 // SplitMix64 finalizer (same construction as the retry-jitter hash):
-// stateless, so keyed fault decisions depend only on their inputs.
+// stateless, so fault decisions depend only on their inputs.
 uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -23,7 +23,7 @@ uint64_t Mix64(uint64_t x) {
 
 // Query-identity key. The leading tag separates the two fetch forms so
 // FetchPage(v) and FetchPageKeywordOf(v) draw independent fault streams;
-// the tags (1 and 5) are fixed, so keyed fault streams never change.
+// the tags (1 and 5) are fixed, so fault streams never change.
 uint64_t KeyOfValue(uint64_t tag, ValueId value) {
   return Mix64((tag << 56) ^ value);
 }
@@ -32,7 +32,7 @@ uint64_t KeyOfValue(uint64_t tag, ValueId value) {
 
 FaultyServer::FaultyServer(QueryInterface& inner, FaultProfile profile,
                            uint64_t seed)
-    : inner_(inner), profile_(profile), seed_(seed), rng_(seed) {
+    : inner_(inner), profile_(profile), seed_(seed) {
   double sum = profile_.unavailable_rate + profile_.timeout_rate +
                profile_.rate_limit_rate + profile_.truncate_rate +
                profile_.duplicate_rate;
@@ -62,25 +62,18 @@ uint64_t FaultyServer::DeriveSourceSeed(uint64_t fleet_seed,
 FaultAction FaultyServer::NextAction(uint64_t query_key,
                                      uint32_t page_number) {
   // The chaos override wins over everything and draws nothing: engaging
-  // or clearing it mid-crawl leaves the schedule cursor, RNG, and keyed
-  // attempt table exactly where they were.
+  // or clearing it mid-crawl leaves the schedule cursor and the attempt
+  // table exactly where they were.
   if (forced_action_.has_value()) return *forced_action_;
   if (schedule_pos_ < schedule_.size()) return schedule_[schedule_pos_++];
   if (profile_.IsAllZero()) return FaultAction::kNone;
-  double u;
-  if (keyed_) {
-    // Keyed draw: a pure function of (seed, query, page, attempt) —
-    // identical for the same logical fetch no matter the arrival order.
-    uint64_t page_key =
-        Mix64(query_key ^ (static_cast<uint64_t>(page_number) << 32));
-    uint32_t attempt = ++keyed_attempts_[page_key];
-    uint64_t h = Mix64(seed_ ^ Mix64(page_key ^ attempt));
-    u = static_cast<double>(h >> 11) * 0x1.0p-53;
-  } else {
-    // One uniform draw per fetch keeps the decision sequence a pure
-    // function of (seed, call index), independent of which fault fires.
-    u = rng_.NextDouble();
-  }
+  // A pure function of (seed, query, page, attempt): identical for the
+  // same logical fetch no matter the arrival order.
+  uint64_t page_key =
+      Mix64(query_key ^ (static_cast<uint64_t>(page_number) << 32));
+  uint32_t attempt = ++page_attempts_[page_key];
+  uint64_t h = Mix64(seed_ ^ Mix64(page_key ^ attempt));
+  double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   double threshold = profile_.unavailable_rate;
   if (u < threshold) return FaultAction::kUnavailable;
   threshold += profile_.timeout_rate;
@@ -186,14 +179,11 @@ void FaultyServer::SaveState(CheckpointWriter& writer) const {
   writer.WriteDouble(profile_.truncate_rate);
   writer.WriteDouble(profile_.duplicate_rate);
   writer.WriteU32(profile_.retry_after_rounds);
-  writer.WriteU8(keyed_ ? 1 : 0);
   writer.WriteU64(schedule_.size());
   writer.WriteU64(schedule_pos_);
-  writer.WriteU64(rng_.state());
-  writer.WriteU64(rng_.inc());
   // Sorted by page key, so the encoding is independent of hash-map order.
-  std::vector<std::pair<uint64_t, uint32_t>> attempts(keyed_attempts_.begin(),
-                                                      keyed_attempts_.end());
+  std::vector<std::pair<uint64_t, uint32_t>> attempts(page_attempts_.begin(),
+                                                      page_attempts_.end());
   std::sort(attempts.begin(), attempts.end());
   writer.WriteU64(attempts.size());
   for (const auto& [page_key, count] : attempts) {
@@ -218,11 +208,9 @@ Status FaultyServer::LoadState(CheckpointReader& reader) {
   profile.truncate_rate = reader.ReadDouble();
   profile.duplicate_rate = reader.ReadDouble();
   profile.retry_after_rounds = reader.ReadU32();
-  bool keyed = reader.ReadU8() != 0;
   uint64_t schedule_size = reader.ReadU64();
   DEEPCRAWL_RETURN_IF_ERROR(reader.status());
-  if (seed != seed_ || keyed != keyed_ ||
-      schedule_size != schedule_.size() ||
+  if (seed != seed_ || schedule_size != schedule_.size() ||
       profile.unavailable_rate != profile_.unavailable_rate ||
       profile.timeout_rate != profile_.timeout_rate ||
       profile.rate_limit_rate != profile_.rate_limit_rate ||
@@ -230,22 +218,16 @@ Status FaultyServer::LoadState(CheckpointReader& reader) {
       profile.duplicate_rate != profile_.duplicate_rate ||
       profile.retry_after_rounds != profile_.retry_after_rounds) {
     return Status::InvalidArgument(
-        "checkpoint fault-setup mismatch: seed, profile, keyed mode, or "
-        "schedule differs from the checkpointing run");
+        "checkpoint fault-setup mismatch: seed, profile, or schedule "
+        "differs from the checkpointing run");
   }
   uint64_t schedule_pos = reader.ReadU64();
-  uint64_t rng_state = reader.ReadU64();
-  uint64_t rng_inc = reader.ReadU64();
   if (reader.ok() && schedule_pos > schedule_.size()) {
     reader.MarkCorrupt("fault-schedule position past the schedule's end");
   }
-  if (reader.ok() && (rng_inc & 1) == 0) {
-    reader.MarkCorrupt("fault RNG increment is even");
-  }
   DEEPCRAWL_RETURN_IF_ERROR(reader.status());
   schedule_pos_ = static_cast<size_t>(schedule_pos);
-  rng_.RestoreRaw(rng_state, rng_inc);
-  keyed_attempts_.clear();
+  page_attempts_.clear();
   uint64_t attempts = reader.ReadCount(12);
   uint64_t last_key = 0;
   for (uint64_t i = 0; i < attempts && reader.ok(); ++i) {
@@ -254,11 +236,11 @@ Status FaultyServer::LoadState(CheckpointReader& reader) {
     // SaveState writes the table sorted, and a key exists only once
     // a page was attempted.
     if (reader.ok() && ((i > 0 && page_key <= last_key) || count == 0)) {
-      reader.MarkCorrupt("keyed-attempt table not sorted or has a 0 count");
+      reader.MarkCorrupt("attempt table not sorted or has a 0 count");
       break;
     }
     last_key = page_key;
-    keyed_attempts_.emplace(page_key, count);
+    page_attempts_.emplace(page_key, count);
   }
   injected_failure_rounds_ = reader.ReadU64();
   injected_failure_queries_ = reader.ReadU64();

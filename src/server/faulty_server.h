@@ -4,7 +4,7 @@
 // the real sources they model (Amazon, Yahoo Automobile, §5.4) time out,
 // rate-limit, and truncate result lists. This proxy sits between the
 // crawler and a backend QueryInterface and injects exactly those
-// behaviours, driven by a seeded RNG and a declarative FaultProfile, so
+// behaviours, driven by a seeded hash and a declarative FaultProfile, so
 // resilience experiments stay bit-reproducible:
 //
 //   * transient unavailability  -> kUnavailable, no page;
@@ -19,22 +19,19 @@
 //
 // Failed attempts still cost one communication round — the round trip
 // happened — so the proxy keeps its own meters on top of the backend's.
-// For tests, a scripted FaultSchedule overrides the RNG: action i
-// applies to the i-th fetch, and the schedule falls back to fault-free
-// once exhausted.
 //
-// Keyed fault mode (set_keyed_faults): by default the fault decision
-// sequence is a function of (seed, global fetch index), which makes it
-// depend on the order fetches ARRIVE — fine for one executor, useless
-// across two: the inline executor fetches a wave's slots one after the
-// other, while a wave pipelined over TCP connections arrives in the
-// order its replies complete. In keyed mode each decision is instead a
-// pure function of (seed, query identity, page, per-page attempt
-// number): the same logical fetch always meets the same fault no matter
-// when it arrives or what ran in between. An in-process crawl at
-// --batch>1 and its TCP twin therefore see identical faults, which is
-// what the batched and network differential tests rely on (DESIGN.md
-// §8).
+// Every fault decision is a pure function of (seed, query identity,
+// page, per-page attempt number): the same logical fetch always meets
+// the same fault no matter when it arrives or what ran in between. A
+// wave fetched inline arrives slot by slot, while the same wave
+// pipelined over TCP connections arrives in the order its replies
+// complete; keyed decisions make both see identical faults, so an
+// in-process crawl and its TCP twin give the same trace at every batch
+// size (DESIGN.md §8). The per-page attempt counts are server state: a
+// restarted proxy forgets them and re-faults first attempts. For tests,
+// a scripted FaultSchedule overrides the keyed draw: action i applies to
+// the i-th fetch, and the schedule falls back to the keyed draw once
+// exhausted.
 //
 // A FaultyServer with an all-zero profile and no schedule is behaviorally
 // identical to its backend on every interface method (asserted by a
@@ -49,7 +46,7 @@
 #include <vector>
 
 #include "src/server/query_interface.h"
-#include "src/util/random.h"
+#include "src/util/logging.h"
 #include "src/util/status.h"
 
 namespace deepcrawl {
@@ -120,18 +117,18 @@ class FaultyServer : public QueryInterface {
   FaultyServer(const FaultyServer&) = delete;
   FaultyServer& operator=(const FaultyServer&) = delete;
 
-  // Scripted mode: overrides the RNG until the schedule is exhausted.
+  // Scripted mode: overrides the keyed draw until the schedule is
+  // exhausted.
   void set_schedule(FaultSchedule schedule);
 
-  // Keyed mode: fault decisions become a pure function of (seed, query
-  // identity, page, attempt) instead of the global fetch order, making
-  // the fault stream independent of arrival order (see file comment).
-  void set_keyed_faults(bool keyed) { keyed_ = keyed; }
-  bool keyed_faults() const { return keyed_; }
+  // Faults are always keyed (see file comment); `keyed` must be true.
+  // Kept only because crawlbench/workloads.cc calls it; the next
+  // benchmark change deletes it.
+  void set_keyed_faults(bool keyed) { DEEPCRAWL_CHECK(keyed); }
 
   // Chaos override: while set, EVERY fetch meets `action` (kNone forces
   // fault-free forwarding). Checked before the schedule and before any
-  // RNG or keyed-attempt draw, so engaging or clearing it never perturbs
+  // keyed-attempt draw, so engaging or clearing it never perturbs
   // the underlying fault stream — the fleet's ChaosSchedule flips this
   // per turn to script whole-source death, flapping, and recovery while
   // the keyed-fault contract keeps everything else bit-reproducible.
@@ -180,17 +177,16 @@ class FaultyServer : public QueryInterface {
 
   // --- checkpointing (see src/crawler/checkpoint.h) -------------------
   // A resumed crawl must meet the SAME fault stream it would have seen
-  // uninterrupted, so the proxy's RNG, schedule position, and keyed
-  // per-page attempt table are checkpointed alongside the engine; the
-  // (seed, profile, keyed-mode, schedule-length) fingerprint is verified
-  // on load.
+  // uninterrupted, so the proxy's schedule position and per-page attempt
+  // table are checkpointed alongside the engine; the (seed, profile,
+  // schedule-length) fingerprint is verified on load.
   void SaveState(CheckpointWriter& writer) const;
   Status LoadState(CheckpointReader& reader);
 
  private:
-  // Draws the fault decision for the next fetch: schedule first, then
-  // the keyed hash (keyed mode) or the sequential RNG. `query_key`
-  // identifies the logical query (value id or text hash).
+  // Draws the fault decision for the next fetch: the forced action, then
+  // the schedule, then the keyed hash. `query_key` identifies the logical
+  // query (fetch form and value id).
   FaultAction NextAction(uint64_t query_key, uint32_t page_number);
   // Returns the injected failure status for `action`, charging the round
   // to the proxy's own meters.
@@ -205,13 +201,11 @@ class FaultyServer : public QueryInterface {
   QueryInterface& inner_;
   FaultProfile profile_;
   uint64_t seed_;
-  Pcg32 rng_;
   FaultSchedule schedule_;
   size_t schedule_pos_ = 0;
-  // Keyed mode: per-(query, page) fetch counts, so retries of the same
-  // page draw fresh (but still order-independent) fault decisions.
-  bool keyed_ = false;
-  std::unordered_map<uint64_t, uint32_t> keyed_attempts_;
+  // Per-(query, page) fetch counts, so retries of the same page draw
+  // fresh (but still order-independent) fault decisions.
+  std::unordered_map<uint64_t, uint32_t> page_attempts_;
   std::optional<FaultAction> forced_action_;
   uint64_t injected_failure_rounds_ = 0;
   uint64_t injected_failure_queries_ = 0;

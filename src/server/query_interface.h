@@ -66,16 +66,6 @@ struct RttCounters {
     total_rtt_us += rtt_us;
   }
 
-  void Merge(const RttCounters& other) {
-    if (other.fetches == 0) return;
-    if (fetches == 0 || other.min_rtt_us < min_rtt_us) {
-      min_rtt_us = other.min_rtt_us;
-    }
-    if (other.max_rtt_us > max_rtt_us) max_rtt_us = other.max_rtt_us;
-    fetches += other.fetches;
-    total_rtt_us += other.total_rtt_us;
-  }
-
   double MeanUs() const {
     return fetches == 0 ? 0.0
                         : static_cast<double>(total_rtt_us) /

@@ -84,15 +84,6 @@ class Pcg32 {
   std::vector<uint32_t> SampleWithoutReplacement(uint32_t population,
                                                  uint32_t count);
 
-  // Raw generator state, for checkpoint/restore: RestoreRaw(state(),
-  // inc()) reproduces the exact output sequence from the save point.
-  uint64_t state() const { return state_; }
-  uint64_t inc() const { return inc_; }
-  void RestoreRaw(uint64_t state, uint64_t inc) {
-    state_ = state;
-    inc_ = inc;
-  }
-
  private:
   uint64_t state_;
   uint64_t inc_;

@@ -42,7 +42,6 @@ class ZipfSampler {
   // Probability mass of rank i.
   double Pmf(uint32_t i) const;
 
-  uint32_t num_items() const { return static_cast<uint32_t>(cdf_.size()); }
   double exponent() const { return exponent_; }
 
  private:

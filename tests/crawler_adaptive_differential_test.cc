@@ -157,7 +157,6 @@ InstrumentedRun RunEngine(const std::string& profile_name,
   QueryInterface* server = &backend;
   if (!profile.IsAllZero()) {
     faulty.emplace(backend, profile, kFaultSeed);
-    faulty->set_keyed_faults(true);
     server = &*faulty;
   }
   LocalStore store;
@@ -205,7 +204,6 @@ RunOutput ResumeFromImage(const std::string& image,
   QueryInterface* server = &backend;
   if (!profile.IsAllZero()) {
     faulty.emplace(backend, profile, kFaultSeed);
-    faulty->set_keyed_faults(true);
     server = &*faulty;
   }
   LocalStore store;

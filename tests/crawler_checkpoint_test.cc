@@ -121,7 +121,6 @@ struct Stack {
       profile.unavailable_rate = 0.05;
       profile.timeout_rate = 0.03;
       faulty.emplace(backend, profile, kFaultSeed);
-      faulty->set_keyed_faults(true);
       server_ptr = &*faulty;
     }
     if (policy == "greedy") {
@@ -333,6 +332,42 @@ TEST(CrawlCheckpointTest, VersionMismatchNamesBothVersions) {
     EXPECT_NE(status.message().find("version"), std::string::npos)
         << status.ToString();
   }
+
+  // A v8 image of a crawl behind a fault proxy, in v8's FALT layout: a
+  // keyed-mode byte (1 = keyed) after the profile and two fault-RNG words
+  // (state, odd increment) after the schedule position, framed as
+  // version 8.
+  Stack faulted("greedy", /*with_faults=*/true);
+  faulted.engine->AddSeed(FirstQueriableSeed(CheckpointTarget()));
+  faulted.engine->set_max_rounds(40);
+  ASSERT_TRUE(faulted.engine->Run().ok());
+  StatusOr<std::string> with_proxy =
+      EncodeCrawlCheckpoint(*faulted.engine, faulted.faulty_ptr());
+  StatusOr<std::string> engine_only =
+      EncodeCrawlCheckpoint(*faulted.engine, nullptr);
+  ASSERT_TRUE(with_proxy.ok() && engine_only.ok());
+  StatusOr<std::string_view> v9_payload =
+      UnframeCheckpoint(*with_proxy, kCrawlCheckpointVersion);
+  StatusOr<std::string_view> engine_payload =
+      UnframeCheckpoint(*engine_only, kCrawlCheckpointVersion);
+  ASSERT_TRUE(v9_payload.ok() && engine_payload.ok());
+  // The engine's sections are the same in both payloads; the proxy-less
+  // one ends in FALT marker u32, presence u8, END! marker u32.
+  const size_t falt = engine_payload->size() - (4 + 1 + 4);
+  // FALT: marker u32, presence u8, seed u64, five rate doubles,
+  // retry-after u32; then schedule size u64 and position u64.
+  const size_t keyed_at = falt + 4 + 1 + 8 + 5 * 8 + 4;
+  std::string v8_payload(*v9_payload);
+  v8_payload.insert(keyed_at + 8 + 8,
+                    std::string("\x2a\x2a\x2a\x2a\x2a\x2a\x2a\x2a"
+                                "\x01\x00\x00\x00\x00\x00\x00\x00",
+                                16));
+  v8_payload.insert(keyed_at, 1, '\1');
+  Status status =
+      TryDecode(FrameCheckpoint(v8_payload, 8), "greedy", /*with_faults=*/true);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("version"), std::string::npos)
+      << status.ToString();
 }
 
 // A real v6 image, as the v6 encoder wrote it: a greedy-link crawl of

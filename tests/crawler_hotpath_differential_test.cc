@@ -348,7 +348,6 @@ RunOutput RunVariant(const std::string& policy,
   QueryInterface* server = &backend;
   if (!profile.IsAllZero()) {
     faulty.emplace(backend, profile, kFaultSeed);
-    faulty->set_keyed_faults(true);
     server = &*faulty;
   }
   ObservationTap tap(*server);
@@ -390,7 +389,6 @@ RunOutput RunGreedyResumed(const std::string& profile_name, uint32_t batch) {
       server = &backend;
       if (!profile.IsAllZero()) {
         faulty.emplace(backend, profile, kFaultSeed);
-        faulty->set_keyed_faults(true);
         server = &*faulty;
       }
     }

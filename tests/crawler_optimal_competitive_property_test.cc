@@ -119,7 +119,6 @@ CoverageRun CrawlToCoverage(const AdversarialInstance& instance,
   QueryInterface* server = &backend;
   if (flaky) {
     faulty.emplace(backend, FlakyProfile(), kFaultSeed);
-    faulty->set_keyed_faults(true);
     server = &*faulty;
   }
   RetryPolicy retry((RetryPolicyConfig()));

@@ -11,8 +11,9 @@
 //     the batch: the order a wave's fetches are served in (rank order
 //     inline, shuffled by tests/shuffled_fetch_executor.h as a
 //     pipelined transport may) never changes anything.
-// Fault runs use the FaultyServer's keyed mode so the fault stream is a
-// function of logical fetch identity rather than arrival order.
+// Fault runs need no setup for this: every FaultyServer decision is
+// keyed by (query, page, attempt), a function of logical fetch identity
+// rather than arrival order.
 
 #include <gtest/gtest.h>
 
@@ -208,7 +209,6 @@ RunOutput RunSerial(const Env& env, const std::string& policy,
   QueryInterface* server = &backend;
   if (!profile.IsAllZero()) {
     faulty.emplace(backend, profile, kFaultSeed);
-    faulty->set_keyed_faults(true);
     server = &*faulty;
   }
   LocalStore store;
@@ -233,7 +233,6 @@ RunOutput RunBatched(const Env& env, const std::string& policy,
   QueryInterface* server = &backend;
   if (!profile.IsAllZero()) {
     faulty.emplace(backend, profile, kFaultSeed);
-    faulty->set_keyed_faults(true);
     server = &*faulty;
   }
   LocalStore store;
@@ -369,7 +368,6 @@ TEST(ParallelCrawlerDifferentialTest, SlicedRunsResumeExactly) {
   WebDbServer backend(target, ServerOptions());
   FaultProfile profile = ProfileByName("flaky");
   FaultyServer faulty(backend, profile, kFaultSeed);
-  faulty.set_keyed_faults(true);
   LocalStore store;
   std::unique_ptr<QuerySelector> selector = MakeSelector("greedy", store, env);
   RetryPolicy retry((RetryPolicyConfig()));
@@ -427,7 +425,6 @@ InstrumentedRun RunWithCheckpoints(const Env& env, const std::string& policy,
   QueryInterface* server = &backend;
   if (!profile.IsAllZero()) {
     faulty.emplace(backend, profile, kFaultSeed);
-    faulty->set_keyed_faults(true);
     server = &*faulty;
   }
   LocalStore store;
@@ -468,7 +465,6 @@ RunOutput ResumeFromImage(const Env& env, const std::string& image,
   QueryInterface* server = &backend;
   if (!profile.IsAllZero()) {
     faulty.emplace(backend, profile, kFaultSeed);
-    faulty->set_keyed_faults(true);
     server = &*faulty;
   }
   LocalStore store;

@@ -163,7 +163,6 @@ TEST(ParallelCrawlerStressTest, RepeatedRunsAreIdenticalAcrossSchedulings) {
   for (int attempt = 0; attempt < 5; ++attempt) {
     WebDbServer backend(target, ServerOptions());
     FaultyServer faulty(backend, FaultProfile::Transient(0.08), /*seed=*/5);
-    faulty.set_keyed_faults(true);
     LocalStore store;
     BfsSelector selector;
     RetryPolicy retry((RetryPolicyConfig()));
@@ -209,7 +208,6 @@ TEST(ParallelCrawlerStressTest, GreedyHeapGrowthStaysBoundedUnderFaults) {
   const Table& target = StressTarget();
   WebDbServer backend(target, ServerOptions());
   FaultyServer faulty(backend, FaultProfile::Transient(0.08), /*seed=*/5);
-  faulty.set_keyed_faults(true);
   LocalStore store;
   CountingGreedySelector selector(store);
   RetryPolicy retry((RetryPolicyConfig()));

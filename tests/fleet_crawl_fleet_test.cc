@@ -102,7 +102,6 @@ void ExpectSingleSourceMatchesBareEngine(FaultProfile faults) {
   uint64_t derived = FaultyServer::DeriveSourceSeed(kFleetSeed, 0);
   WebDbServer backend(table, ServerOptions{});
   FaultyServer faulty(backend, faults, derived);
-  faulty.set_keyed_faults(true);
   LocalStore store;
   GreedyLinkSelector selector(store);
   RetryPolicyConfig retry_config;
@@ -1049,6 +1048,52 @@ TEST(CrawlFleetTest, VersionMismatchIsRejected) {
     EXPECT_NE(status.message().find("version"), std::string::npos)
         << status.ToString();
   }
+
+  // A v1012 image in v1012's FALT layout: each source's fault state
+  // carries a keyed-mode byte (1 = keyed) after the profile and two
+  // fault-RNG words (state, odd increment) after the schedule position.
+  const std::string image = SmallFleetImage();
+  StatusOr<std::string_view> payload =
+      UnframeCheckpoint(image, kFleetCheckpointVersion);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  std::string v1012_payload(*payload);
+  auto read_le = [&v1012_payload](size_t at, int bytes) {
+    uint64_t v = 0;
+    for (int b = 0; b < bytes; ++b) {
+      v |= uint64_t{static_cast<uint8_t>(v1012_payload[at + b])} << (8 * b);
+    }
+    return v;
+  };
+  size_t at = 0;
+  for (const FleetSourceSpec& spec : CheckpointFleetSpecs()) {
+    // FSRC marker, then the name as u32 length + bytes.
+    std::string header = "FSRC";
+    for (int b = 0; b < 4; ++b) {
+      header.push_back(static_cast<char>((spec.name.size() >> (8 * b)) & 0xFF));
+    }
+    header += spec.name;
+    at = v1012_payload.find(header, at);
+    ASSERT_NE(at, std::string::npos) << spec.name;
+    at += header.size();
+    at += 4 + read_le(at, 4);  // the engine's length-prefixed blob
+    // FALT: seed u64, five rate doubles, retry-after u32.
+    at += 8 + 5 * 8 + 4;
+    v1012_payload.insert(at, 1, '\1');
+    at += 1 + 8 + 8;  // keyed byte, schedule size and position
+    v1012_payload.insert(at, std::string("\x2a\x2a\x2a\x2a\x2a\x2a\x2a\x2a"
+                                         "\x01\x00\x00\x00\x00\x00\x00\x00",
+                                         16));
+    at += 16;
+    // The attempt table (u64 key + u32 count each), then seven counters.
+    at += 8 + read_le(at, 8) * 12 + 7 * 8;
+  }
+  ASSERT_EQ(at, v1012_payload.size() - 4);  // only the END! marker left
+  CrawlFleet fleet(CheckpointFleetSpecs(), CheckpointFleetOptions());
+  Status status =
+      DecodeFleetCheckpoint(FrameCheckpoint(v1012_payload, 1012), fleet);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("version"), std::string::npos)
+      << status.ToString();
 }
 
 // An engine checkpoint is never accepted as a fleet checkpoint: the two

@@ -181,7 +181,6 @@ RunOutput RunInProcess(const Env& env, const std::string& policy,
   QueryInterface* server = &backend;
   if (!profile.IsAllZero()) {
     faulty.emplace(backend, profile, kFaultSeed);
-    faulty->set_keyed_faults(true);
     server = &*faulty;
   }
   LocalStore store;
@@ -209,7 +208,6 @@ class TcpEnv {
     FaultProfile profile = ProfileByName(profile_name);
     if (!profile.IsAllZero()) {
       faulty_.emplace(*backend_, profile, kFaultSeed);
-      faulty_->set_keyed_faults(true);
       served = &*faulty_;
     }
     Status init = loop_.Init();
@@ -342,7 +340,7 @@ TEST(NetDifferentialTest, ConnectionCountNeverChangesOutput) {
 // A TCP crawl checkpointed every wave, stopped mid-crawl, then resumed
 // by a FRESH engine + client against a RESTARTED server must finish
 // with the uninterrupted crawl's exact trace. (Fault-free: a real
-// server restart loses the keyed-fault attempt table, exactly like
+// server restart loses the fault proxy's attempt table, exactly like
 // check.sh pass 8.)
 TEST(NetDifferentialTest, CheckpointResumeAcrossServerRestart) {
   const Env env = MovieEnv();

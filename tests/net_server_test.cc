@@ -219,12 +219,10 @@ TEST(NetServerTest, KeyedFaultsMatchInProcessThroughTcp) {
   profile.rate_limit_rate = 0.3;
   profile.retry_after_rounds = 6;
   FaultyServer faulty(backend, profile, /*seed=*/11);
-  faulty.set_keyed_faults(true);
   LoopServer loop_server(faulty, OptionsFor(table));
 
   WebDbServer reference_backend(table, server_options);
   FaultyServer reference(reference_backend, profile, /*seed=*/11);
-  reference.set_keyed_faults(true);
 
   StatusOr<std::unique_ptr<NetQueryClient>> connected =
       NetQueryClient::Connect(ClientOptions(loop_server.port()));

@@ -1,6 +1,6 @@
 // Tests of the fault-injecting proxy: zero-profile transparency,
-// scripted fault schedules, seeded determinism, keyed mode (a fault
-// stream independent of fetch arrival order), and the proxy-side
+// scripted fault schedules, seeded determinism, keyed fault decisions
+// (a fault stream independent of fetch arrival order), and the proxy-side
 // meters that charge injected failures as communication rounds.
 
 #include "src/server/faulty_server.h"
@@ -294,7 +294,6 @@ TEST(FaultyServerTest, KeyedFaultStreamIsIndependentOfSiblings) {
   auto run = [&](uint64_t source_seed) {
     WebDbServer backend(table, ServerOptions());
     FaultyServer proxy(backend, profile, source_seed);
-    proxy.set_keyed_faults(true);
     ValueId toyota = GetValueId(table, "Brand", "toyota");
     std::vector<bool> outcomes;
     for (int i = 0; i < 60; ++i) {
@@ -332,8 +331,8 @@ TEST(FaultyServerTest, ForcedActionOverridesEveryFetch) {
 }
 
 // Clearing the forced action resumes the keyed stream exactly where it
-// left off: the override consumes no randomness and advances no keyed
-// attempt counter, so the forced window is invisible to the stream.
+// left off: the override draws nothing and advances no attempt
+// counter, so the forced window is invisible to the stream.
 TEST(FaultyServerTest, ClearingForcedActionLeavesKeyedStreamUnperturbed) {
   Table table = HubTable(30);
   FaultProfile profile = FaultProfile::Transient(0.4);
@@ -341,11 +340,9 @@ TEST(FaultyServerTest, ClearingForcedActionLeavesKeyedStreamUnperturbed) {
 
   WebDbServer backend_a(table, ServerOptions());
   FaultyServer forced(backend_a, profile, /*seed=*/5);
-  forced.set_keyed_faults(true);
   // Witness issues only the unforced fetches.
   WebDbServer backend_b(table, ServerOptions());
   FaultyServer witness(backend_b, profile, /*seed=*/5);
-  witness.set_keyed_faults(true);
 
   std::vector<bool> got, want;
   for (int i = 0; i < 80; ++i) {
@@ -377,11 +374,11 @@ TEST(FaultyServerTest, FaultRatesApproximateProfileOverManyRounds) {
   EXPECT_NEAR(observed, 0.25, 0.03);
 }
 
-// --- keyed fault mode -------------------------------------------------
+// --- keyed fault decisions --------------------------------------------
 
 using FetchKey = std::tuple<ValueId, uint32_t, uint32_t>;  // value, page, try
 
-// Issues the given logical fetches against a fresh keyed FaultyServer
+// Issues the given logical fetches against a fresh FaultyServer
 // and returns the status code each one observed.
 std::map<FetchKey, StatusCode> OutcomesInOrder(
     const Table& table, const std::vector<FetchKey>& fetches) {
@@ -391,7 +388,6 @@ std::map<FetchKey, StatusCode> OutcomesInOrder(
   profile.timeout_rate = 0.15;
   profile.rate_limit_rate = 0.10;
   FaultyServer faulty(backend, profile, /*seed=*/99);
-  faulty.set_keyed_faults(true);
   std::map<FetchKey, StatusCode> outcomes;
   for (const FetchKey& key : fetches) {
     StatusOr<ResultPage> page =
@@ -444,7 +440,6 @@ TEST(FaultyServerTest, KeyedModeDistinguishesInterfaceKinds) {
   auto run = [&table] {
     WebDbServer backend(table, ServerOptions());
     FaultyServer faulty(backend, FaultProfile::Transient(0.5), /*seed=*/3);
-    faulty.set_keyed_faults(true);
     std::vector<StatusCode> codes;
     for (ValueId v = 0; v < table.num_distinct_values(); ++v) {
       codes.push_back(faulty.FetchPage(v, 0).status().code());
@@ -456,12 +451,11 @@ TEST(FaultyServerTest, KeyedModeDistinguishesInterfaceKinds) {
 }
 
 TEST(FaultyServerTest, ScheduleStillOverridesKeyedMode) {
-  // Scripted schedules keep positional precedence even in keyed mode —
+  // Scripted schedules keep positional precedence over the keyed draw —
   // existing scripted tests must not change meaning.
   Table table = MakeFigure1Table();
   WebDbServer backend(table, ServerOptions());
   FaultyServer faulty(backend, FaultProfile(), /*seed=*/1);
-  faulty.set_keyed_faults(true);
   faulty.set_schedule({FaultAction::kUnavailable, FaultAction::kNone});
   ValueId a2 = GetValueId(table, "A", "a2");
   EXPECT_EQ(faulty.FetchPage(a2, 0).status().code(),

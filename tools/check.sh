@@ -268,49 +268,58 @@ else
   # The wire protocol's story end to end through the real binaries, in
   # two differentials. (a) Transparency: the same faulty crawl run
   # in-process and against a deepcrawl_serve process must emit
-  # byte-identical traces — keyed fault injection crosses the wire
-  # unchanged. (b) Resilience: a fault-free crawl against a slowed
+  # byte-identical traces — fault decisions are keyed by (query, page,
+  # attempt), so they cross the wire unchanged. Two legs: batch 4, whose
+  # waves the client pipelines over 4 connections, and batch 1, one
+  # fetch per wave. (b) Resilience: a fault-free crawl against a slowed
   # server (per-response latency stretches the run) whose process is
   # SIGKILLed mid-crawl and restarted on the same port must reconnect,
   # retransmit the in-flight wave, and still finish byte-identical to
-  # the in-process run. (b) runs fault-free on purpose: keyed fault
-  # attempt counters are server state, so a restarted server re-faults
-  # first attempts it has forgotten — restart equivalence is a promise
-  # about the stateless protocol, not about fault bookkeeping.
+  # the in-process run. (b) runs fault-free on purpose: the fault
+  # proxy's attempt counters are server state, so a restarted server
+  # re-faults first attempts it has forgotten — restart equivalence is a
+  # promise about the stateless protocol, not about fault bookkeeping.
   NET_DIR="$(mktemp -d)"
   # Keep cleaning the earlier passes' dirs too (one trap per signal).
   trap 'rm -rf "${RESUME_DIR:-}" "${FLEET_DIR:-}" "${NET_DIR}"' EXIT
   SERVE=./build/tools/deepcrawl_serve
   CRAWL=./build/tools/deepcrawl_crawl
-  NET_BASE=(--workload=ebay --scale=0.05 --policy=greedy --batch=4)
-  # (a) faulty wire transparency.
-  "${CRAWL}" "${NET_BASE[@]}" --fault-profile=flaky \
-    --trace-csv="${NET_DIR}/inproc_flaky.csv" > /dev/null
-  "${SERVE}" --workload=ebay --scale=0.05 --fault-profile=flaky \
-    --port-file="${NET_DIR}/port" > /dev/null 2>&1 &
-  SERVE_PID=$!
-  while [[ ! -s "${NET_DIR}/port" ]]; do sleep 0.05; done
-  NET_PORT="$(cat "${NET_DIR}/port")"
-  "${CRAWL}" "${NET_BASE[@]}" --fault-profile=flaky --connections=4 \
-    --connect="127.0.0.1:${NET_PORT}" \
-    --trace-csv="${NET_DIR}/tcp_flaky.csv" > /dev/null
-  kill "${SERVE_PID}" 2> /dev/null || true
-  wait "${SERVE_PID}" 2> /dev/null || true
-  if ! cmp -s "${NET_DIR}/inproc_flaky.csv" "${NET_DIR}/tcp_flaky.csv"; then
-    echo "network transparency FAILED: TCP trace differs in-process" >&2
-    diff "${NET_DIR}/inproc_flaky.csv" "${NET_DIR}/tcp_flaky.csv" \
-      | head -20 >&2
-    exit 1
-  fi
-  echo "network transparency: faulty TCP trace byte-identical in-process"
+  NET_BASE=(--workload=ebay --scale=0.05 --policy=greedy)
+  # (a) faulty wire transparency, one fresh server per leg (the attempt
+  # counters of one crawl must not leak into the next).
+  for NET_BATCH in 4 1; do
+    NET_LEG=("${NET_BASE[@]}" --batch="${NET_BATCH}" --fault-profile=flaky)
+    "${CRAWL}" "${NET_LEG[@]}" \
+      --trace-csv="${NET_DIR}/inproc_flaky.csv" > /dev/null
+    rm -f "${NET_DIR}/port"
+    "${SERVE}" --workload=ebay --scale=0.05 --fault-profile=flaky \
+      --port-file="${NET_DIR}/port" > /dev/null 2>&1 &
+    SERVE_PID=$!
+    while [[ ! -s "${NET_DIR}/port" ]]; do sleep 0.05; done
+    NET_PORT="$(cat "${NET_DIR}/port")"
+    "${CRAWL}" "${NET_LEG[@]}" --connections=4 \
+      --connect="127.0.0.1:${NET_PORT}" \
+      --trace-csv="${NET_DIR}/tcp_flaky.csv" > /dev/null
+    kill "${SERVE_PID}" 2> /dev/null || true
+    wait "${SERVE_PID}" 2> /dev/null || true
+    if ! cmp -s "${NET_DIR}/inproc_flaky.csv" "${NET_DIR}/tcp_flaky.csv"; then
+      echo "network transparency FAILED at --batch=${NET_BATCH}:" \
+        "TCP trace differs in-process" >&2
+      diff "${NET_DIR}/inproc_flaky.csv" "${NET_DIR}/tcp_flaky.csv" \
+        | head -20 >&2
+      exit 1
+    fi
+    echo "network transparency: faulty TCP trace byte-identical" \
+      "in-process at --batch=${NET_BATCH}"
+  done
   # (b) kill/reconnect across a server restart.
-  "${CRAWL}" "${NET_BASE[@]}" \
+  "${CRAWL}" "${NET_BASE[@]}" --batch=4 \
     --trace-csv="${NET_DIR}/inproc_clean.csv" > /dev/null
   "${SERVE}" --workload=ebay --scale=0.05 --port="${NET_PORT}" \
     --latency-us=10000 > /dev/null 2>&1 &
   SERVE_PID=$!
   sleep 0.3
-  "${CRAWL}" "${NET_BASE[@]}" --connections=4 \
+  "${CRAWL}" "${NET_BASE[@]}" --batch=4 --connections=4 \
     --connect="127.0.0.1:${NET_PORT}" \
     --trace-csv="${NET_DIR}/tcp_killed.csv" > "${NET_DIR}/killed.out" &
   NET_CRAWL_PID=$!

@@ -243,16 +243,6 @@ Status Run(const Options& options) {
               << " truncate=" << profile.truncate_rate
               << " duplicate=" << profile.duplicate_rate << "\n";
   }
-  if (faulty.has_value() && (options.fault.fault_keyed || options.batch > 1)) {
-    // Batched crawls force keyed faults, as deepcrawl_serve does for
-    // every crawl: the sequential fault RNG depends on fetch arrival
-    // order, which differs between the inline executor and a wave
-    // pipelined over TCP, so only keyed faults keep an in-process
-    // batched crawl identical to its TCP twin.
-    faulty->set_keyed_faults(true);
-    std::cout << "faults: keyed mode (decisions independent of fetch "
-                 "arrival order)\n";
-  }
 
   // Assemble the query stack: either the in-process simulator (behind
   // the optional fault proxy) or a network client talking to a
@@ -373,9 +363,9 @@ Status Run(const Options& options) {
   if (!options.resume_from.empty()) {
     // Rebuilds the crawl state (store, selector, retry queues, parked
     // slots, trace) by replaying the checkpoint's fetch log, and
-    // restores the fault-proxy RNG. The command line must rebuild the
-    // same stack the checkpoint was taken from; the budgets below are
-    // then re-applied so a resume can raise them.
+    // restores the fault proxy's per-page attempt table. The command
+    // line must rebuild the same stack the checkpoint was taken from;
+    // the budgets below are then re-applied so a resume can raise them.
     DEEPCRAWL_RETURN_IF_ERROR(
         LoadCrawlCheckpoint(options.resume_from, engine, faulty_ptr));
     if (engine.seeds() != seeds) {

@@ -13,8 +13,8 @@
 // builds its selector bookkeeping from a locally constructed catalog
 // and verifies the server's ServerInfo matches.
 //
-// Faults are injected HERE (keyed mode, so decisions depend only on the
-// query identity, never on arrival order):
+// Faults are injected HERE (keyed by query, page and attempt, so
+// decisions never depend on arrival order):
 //
 //   deepcrawl_serve --workload=ebay --fault-profile=flaky --fault-seed=7
 //
@@ -78,12 +78,7 @@ Status Run(const Options& options) {
   if (!profile.IsAllZero()) {
     faulty.emplace(backend, profile,
                    static_cast<uint64_t>(options.fault.fault_seed));
-    // Keyed faults always: over TCP the arrival order across
-    // connections is not deterministic, so sequential fault RNG would
-    // make runs irreproducible (and differ from the in-process crawl
-    // the differential tests compare against).
-    faulty->set_keyed_faults(true);
-    std::cout << "faults: keyed; unavailable=" << profile.unavailable_rate
+    std::cout << "faults: unavailable=" << profile.unavailable_rate
               << " timeout=" << profile.timeout_rate
               << " rate-limit=" << profile.rate_limit_rate
               << " truncate=" << profile.truncate_rate

@@ -147,12 +147,8 @@ void RegisterFaultFlags(FlagParser& parser, FaultFlagOptions* options) {
                   kFlagUint32Max,
                   "retry-after hint (rounds) on rate-limit rejections");
   parser.AddInt64("fault-seed", &options->fault_seed, INT64_MIN, INT64_MAX,
-                  "RNG seed for fault injection and retry jitter");
-  parser.AddBool("fault-keyed", &options->fault_keyed,
-                 "key fault decisions by (query, page, attempt) instead "
-                 "of fetch arrival order (forced on at --batch>1 and by "
-                 "deepcrawl_serve: the inline executor and a wave "
-                 "pipelined over TCP fetch in different orders)");
+                  "seed of the fault hash (keyed by query, page and attempt) "
+                  "and of the retry jitter");
 }
 
 StatusOr<FaultProfile> FaultPreset(std::string_view name) {

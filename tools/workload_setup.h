@@ -84,7 +84,6 @@ struct FaultFlagOptions {
   double fault_duplicate = -1.0;
   int64_t fault_retry_after = 4;
   int64_t fault_seed = 1;
-  bool fault_keyed = false;
 };
 
 void RegisterFaultFlags(FlagParser& parser, FaultFlagOptions* options);
