@@ -10,9 +10,11 @@
 //
 //  2. MMMI scoring cost. This bench times the MARGINAL PHASE — the
 //     crawl segment from the 85% saturation switch to the 99% target,
-//     where every batch pays the scoring cost. With --json=<path> the
-//     numbers land in BENCH_mmmi_ablation.json for the check.sh perf
-//     pass.
+//     where every batch pays the scoring cost. It also counts the
+//     phase's ranking moves: entries inserted into or moved within the
+//     ranking structure (a deterministic count; a rescore that leaves a
+//     key unchanged moves nothing). With --json=<path> the numbers land
+//     in BENCH_mmmi_ablation.json for the check.sh perf pass.
 
 #include <chrono>
 #include <iostream>
@@ -34,12 +36,18 @@ constexpr double kMarginalScale = 0.3;
 constexpr int kMarginalSeeds = 3;
 constexpr int kMarginalReps = 3;
 
+// What the timed marginal phase did, summed over a seed sweep.
+struct MarginalWork {
+  uint64_t rounds = 0;
+  uint64_t rank_moves = 0;  // entries inserted into or moved in the ranking
+};
+
 // One staged crawl: greedy-link to the 85% saturation point (untimed),
 // then MMMI batches to 99% (timed). Returns the marginal-phase
-// wall-clock seconds and adds its rounds to *rounds_out.
+// wall-clock seconds and adds its work to *work.
 double MarginalPhaseSeconds(const deepcrawl::Table& db,
                             deepcrawl::ValueId seed_value,
-                            uint64_t* rounds_out) {
+                            MarginalWork* work) {
   using namespace deepcrawl;
   uint64_t n = db.num_records();
   WebDbServer server(db, ServerOptions{});
@@ -55,6 +63,7 @@ double MarginalPhaseSeconds(const deepcrawl::Table& db,
   DEEPCRAWL_CHECK(warm.ok()) << warm.status().ToString();
 
   uint64_t rounds_before = engine.rounds_used();
+  uint64_t moves_before = selector.rank_moves();
   engine.set_target_records(
       static_cast<uint64_t>(0.99 * static_cast<double>(n)));
   auto start = std::chrono::steady_clock::now();
@@ -64,28 +73,29 @@ double MarginalPhaseSeconds(const deepcrawl::Table& db,
           std::chrono::steady_clock::now() - start)
           .count();
   DEEPCRAWL_CHECK(marginal.ok()) << marginal.status().ToString();
-  *rounds_out += engine.rounds_used() - rounds_before;
+  work->rounds += engine.rounds_used() - rounds_before;
+  work->rank_moves += selector.rank_moves() - moves_before;
   return seconds;
 }
 
 // Sums the marginal phase over the seed sweep; best-of-kMarginalReps
 // total.
-double MarginalSweepSeconds(uint64_t* rounds_out) {
+double MarginalSweepSeconds(MarginalWork* work_out) {
   using namespace deepcrawl;
   double best = 0.0;
   for (int rep = 0; rep < kMarginalReps; ++rep) {
     double total = 0.0;
-    uint64_t rounds = 0;
+    MarginalWork work;
     for (int s = 0; s < kMarginalSeeds; ++s) {
       StatusOr<Table> generated =
           GenerateTable(EbayConfig(kMarginalScale, 60 + s));
       DEEPCRAWL_CHECK(generated.ok());
       total += MarginalPhaseSeconds(
           *generated, bench::SeedValue(*generated, static_cast<uint32_t>(s)),
-          &rounds);
+          &work);
     }
     if (rep == 0 || total < best) best = total;
-    *rounds_out = rounds;  // identical across reps (deterministic crawl)
+    *work_out = work;  // identical across reps (deterministic crawl)
   }
   return best;
 }
@@ -155,17 +165,19 @@ int main(int argc, char** argv) {
                "paper's max() choice (\"to avoid bad decisions\").\n";
 
   // --- marginal-phase scoring cost ---------------------------------
-  uint64_t marginal_rounds = 0;
-  double marginal_s = MarginalSweepSeconds(&marginal_rounds);
-  double marginal_rps = static_cast<double>(marginal_rounds) / marginal_s;
+  MarginalWork marginal;
+  double marginal_s = MarginalSweepSeconds(&marginal);
+  double marginal_rps = static_cast<double>(marginal.rounds) / marginal_s;
 
   std::cout << "\nmarginal phase (85% -> 99%, eBay scale "
             << TablePrinter::FormatDouble(kMarginalScale, 2)
             << ", summed over " << kMarginalSeeds << " seeds): "
-            << TablePrinter::FormatCount(marginal_rounds) << " rounds in "
+            << TablePrinter::FormatCount(marginal.rounds) << " rounds in "
             << TablePrinter::FormatDouble(marginal_s, 3) << " s = "
             << TablePrinter::FormatCount(static_cast<uint64_t>(marginal_rps))
-            << " rounds/s\n";
+            << " rounds/s, "
+            << TablePrinter::FormatCount(marginal.rank_moves)
+            << " ranking moves\n";
 
   if (!json_path.empty()) {
     bench::BenchJson json("mmmi_ablation");
@@ -173,6 +185,8 @@ int main(int argc, char** argv) {
              /*higher_is_better=*/true);
     json.Add("rounds_mmmi_default_total", total[2], "rounds",
              /*higher_is_better=*/false);
+    json.Add("marginal_rank_moves", static_cast<double>(marginal.rank_moves),
+             "count", /*higher_is_better=*/false);
     json.WriteFile(json_path);
   }
   return 0;

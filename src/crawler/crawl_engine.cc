@@ -562,6 +562,11 @@ Status CrawlEngine::CommitFetch(std::optional<Slot>& slot_box,
 }
 
 StatusOr<CrawlResult> CrawlEngine::Run() {
+  DEEPCRAWL_ASSIGN_OR_RETURN(StopReason reason, RunToStop());
+  return MakeResult(reason);
+}
+
+StatusOr<StopReason> CrawlEngine::RunToStop() {
   LogRunEntry();
   if (replay_ != nullptr) DEEPCRAWL_RETURN_IF_ERROR(replay_->status());
   for (;;) {
@@ -581,7 +586,7 @@ StatusOr<CrawlResult> CrawlEngine::Run() {
           // The log was saved (or its Run() interrupted) right here:
           // stop where the saved engine stood, before the stop checks
           // and the next refill's SelectNext.
-          if (replay_->TakeCut()) return MakeResult(StopReason::kRoundBudget);
+          if (replay_->TakeCut()) return StopReason::kRoundBudget;
         } else if (engine_options_.checkpoint_every_waves > 0 &&
                    engine_options_.checkpoint_sink != nullptr &&
                    waves_completed_ %
@@ -599,10 +604,10 @@ StatusOr<CrawlResult> CrawlEngine::Run() {
       // interrupted one must finish before anything else.
       if (options_.target_records > 0 &&
           store_.num_records() >= options_.target_records) {
-        return MakeResult(StopReason::kTargetReached);
+        return StopReason::kTargetReached;
       }
       if (options_.max_rounds > 0 && rounds_used_ >= options_.max_rounds) {
-        return MakeResult(StopReason::kRoundBudget);
+        return StopReason::kRoundBudget;
       }
 
       // Refill: empty slots take the next frontier values in slot
@@ -629,7 +634,7 @@ StatusOr<CrawlResult> CrawlEngine::Run() {
       for (size_t i = 0; i < slots_.size(); ++i) {
         if (slots_[i].has_value()) wave_.push_back(i);
       }
-      if (wave_.empty()) return MakeResult(StopReason::kFrontierExhausted);
+      if (wave_.empty()) return StopReason::kFrontierExhausted;
     }
 
     // The budget limits how much of the wave runs now; the unfetched
@@ -639,7 +644,7 @@ StatusOr<CrawlResult> CrawlEngine::Run() {
       uint64_t remaining = options_.max_rounds > rounds_used_
                                ? options_.max_rounds - rounds_used_
                                : 0;
-      if (remaining == 0) return MakeResult(StopReason::kRoundBudget);
+      if (remaining == 0) return StopReason::kRoundBudget;
       slice = static_cast<size_t>(std::min<uint64_t>(slice, remaining));
     }
 
@@ -839,7 +844,7 @@ Status CrawlEngine::ReplayLog() {
         // under unchanged budgets. A Run() that fails the crawl replays a
         // logged failure; only the replay's own status says whether the
         // log holds.
-        (void)Run();
+        (void)RunToStop();
         break;
       default:
         replay.reader().MarkCorrupt("fetch-log entry out of place");

@@ -196,6 +196,10 @@ class CrawlEngine {
   // round budget stay parked and resume exactly, with no page
   // re-fetched and no record double-counted.
   StatusOr<CrawlResult> Run();
+  // Run() without the result: returns only why the crawl stopped. Run()
+  // copies the whole trace into its result, so a caller that runs many
+  // short turns (the fleet) calls this and reads the accessors below.
+  StatusOr<StopReason> RunToStop();
 
   // Adjusts budgets between Run() calls (0 = unbounded), enabling
   // incremental/staged crawls and resumed runs.

@@ -231,9 +231,24 @@ MmmiSelector::Scored MmmiSelector::ScoreExact(ValueId v) const {
 void MmmiSelector::Rescore(ValueId v) {
   RankSlot& slot = slots_[v];
   slot.dirty = false;
-  if (slot.ranked) ranked_.erase(slot.pos);
-  slot.ranked = IsPending(v);
-  if (slot.ranked) slot.pos = ranked_.insert(ComputeKey(v)).first;
+  if (!IsPending(v)) {
+    if (slot.ranked) ranked_.erase(slot.pos);
+    slot.ranked = false;
+    return;
+  }
+  RankKey key = ComputeKey(v);
+  if (!slot.ranked) {
+    slot.pos = ranked_.insert(key).first;
+    slot.ranked = true;
+  } else if (key == *slot.pos) {
+    // RankOrder compares every field, so the entry is already in place.
+    return;
+  } else {
+    RankSet::node_type node = ranked_.extract(slot.pos);
+    node.value() = key;
+    slot.pos = ranked_.insert(std::move(node)).position;
+  }
+  ++rank_moves_;
 }
 
 void MmmiSelector::RecomputeBatch() {

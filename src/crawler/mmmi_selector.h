@@ -67,10 +67,16 @@
 //     only after an incomplete drain (abandonment, a §3.4 abort, a
 //     result limit); such a u marks the pending values of its local
 //     records dirty, so no reverse index is needed.
-//   * One entry per value. A rescore erases the value's old entry before
-//     inserting the new one, so a key that returns to an earlier value
-//     cannot leave a stale twin behind (a lazy heap would need per-value
-//     version stamps for that).
+//   * One entry per value. Each value's slot holds its set position. A
+//     rescore computes the new key and returns at once when it equals
+//     the entry's: RankOrder compares every field, so the entry already
+//     sits where the new key would (about two rescores in three at
+//     crawlbench's mmmi-marginal). Otherwise it moves the entry's node
+//     to the new key (extract, then re-insert: no allocation), so a key
+//     that returns to an earlier value cannot leave a stale twin behind.
+//     A lazy heap would need per-value version stamps for that, and a
+//     sorted-block B+-tree measured no faster than the node set at
+//     crawl scale (DESIGN.md §9).
 //
 // kPureDependency uses the key exp(-s') = f_v·f_u*/co* (ascending s is
 // descending exp(-s')), then degree. kWeightedDependency's mean folds
@@ -146,6 +152,11 @@ class MmmiSelector : public GreedyLinkSelector {
     return CachedDependency(q).max_pmi;
   }
 
+  // Entries inserted into or moved within the ranking so far; a rescore
+  // that leaves a key unchanged moves nothing. Exposed for the ablation
+  // bench.
+  uint64_t rank_moves() const { return rank_moves_; }
+
  private:
   struct Dependency {
     double max_pmi;        // s(q); -inf when no co-occurrence
@@ -167,6 +178,7 @@ class MmmiSelector : public GreedyLinkSelector {
     uint32_t sig_den;
     ValueId value;
     uint8_t tier;       // 0: s = -inf; 1: finite s
+    bool operator==(const RankKey&) const = default;
   };
   // (tier, key desc, signature, degree desc, value).
   struct RankOrder {
@@ -222,6 +234,7 @@ class MmmiSelector : public GreedyLinkSelector {
   std::vector<RankSlot> slots_;  // by value
   std::vector<ValueId> dirty_;
   std::vector<ValueId> moved_;
+  uint64_t rank_moves_ = 0;
 
   // Scratch reused across events/batches (cleared, never shrunk).
   std::vector<ValueId> issued_in_record_;

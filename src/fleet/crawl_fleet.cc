@@ -213,7 +213,7 @@ Status CrawlFleet::RunTurn(uint32_t i) {
   uint64_t rate_limits_before = res.rate_limit_rejections;
 
   src.engine->set_max_rounds(rounds_before + grant);
-  StatusOr<CrawlResult> turn = src.engine->Run();
+  StatusOr<StopReason> turn = src.engine->RunToStop();
 
   uint64_t consumed = src.engine->rounds_used() - rounds_before;
   uint64_t new_records = src.store->num_records() - records_before;
@@ -239,9 +239,9 @@ Status CrawlFleet::RunTurn(uint32_t i) {
     // Fault isolation: a hard per-source failure abandons the source and
     // is reported in its outcome; the fleet keeps crawling the rest.
     src.error = turn.status();
-  } else if (turn->stop_reason != StopReason::kRoundBudget) {
+  } else if (*turn != StopReason::kRoundBudget) {
     src.finished = true;
-    src.stop_reason = turn->stop_reason;
+    src.stop_reason = *turn;
   } else if (options_.source_deadline_rounds > 0 &&
              src.engine->rounds_used() >= options_.source_deadline_rounds) {
     // Deadline spent: retire the source so it cannot stall the fleet.

@@ -107,7 +107,7 @@ FaultProfile ProfileByName(const std::string& name) {
 
 std::unique_ptr<QuerySelector> MakeSelector(const std::string& policy,
                                             const LocalStore& store,
-                                            MmmiRanking ranking) {
+                                            const MmmiOptions& mmmi) {
   if (policy == "bfs") return std::make_unique<BfsSelector>();
   if (policy == "dfs") return std::make_unique<DfsSelector>();
   if (policy == "random") {
@@ -124,8 +124,7 @@ std::unique_ptr<QuerySelector> MakeSelector(const std::string& policy,
     std::vector<std::unique_ptr<QuerySelector>> children;
     children.push_back(std::make_unique<BfsSelector>());
     children.push_back(MakeSelector(
-        policy == "adaptive" ? "greedy" : "greedy-reference", store,
-        ranking));
+        policy == "adaptive" ? "greedy" : "greedy-reference", store, mmmi));
     AdaptiveOptions adaptive_options;
     adaptive_options.ewma_alpha = 0.4;
     adaptive_options.switch_decay = 0.6;
@@ -134,13 +133,9 @@ std::unique_ptr<QuerySelector> MakeSelector(const std::string& policy,
     return std::make_unique<AdaptiveSelector>(std::move(children),
                                               adaptive_options);
   }
-  MmmiOptions mmmi_options;
-  mmmi_options.ranking = ranking;
-  if (policy == "mmmi") {
-    return std::make_unique<MmmiSelector>(store, mmmi_options);
-  }
+  if (policy == "mmmi") return std::make_unique<MmmiSelector>(store, mmmi);
   if (policy == "mmmi-reference") {
-    return std::make_unique<ReferenceMmmiSelector>(store, mmmi_options);
+    return std::make_unique<ReferenceMmmiSelector>(store, mmmi);
   }
   ADD_FAILURE() << "unknown policy " << policy;
   return nullptr;
@@ -334,7 +329,7 @@ RunOutput Capture(const CrawlResult& result, const LocalStore& store) {
 // checked against the oracle after every add.
 RunOutput RunVariant(const std::string& policy,
                      const std::string& profile_name, uint32_t batch,
-                     MmmiRanking ranking = MmmiRanking::kDegreeDiscount,
+                     const MmmiOptions& mmmi = MmmiOptions{},
                      Drain drain = Drain::kComplete) {
   const Table& target = DifferentialTarget();
   CrawlOptions options = BaseOptions(target);
@@ -352,7 +347,7 @@ RunOutput RunVariant(const std::string& policy,
   }
   ObservationTap tap(*server);
   LocalStore store;
-  StoreOracleSelector selector(MakeSelector(policy, store, ranking), store);
+  StoreOracleSelector selector(MakeSelector(policy, store, mmmi), store);
   RetryPolicy retry((RetryPolicyConfig()));
   CrawlEngine crawler(tap, selector, store, options,
                       EngineOptions{.batch = batch},
@@ -454,16 +449,30 @@ void ExpectIdentical(const RunOutput& a, const RunOutput& b,
 // oracles (MMMI under every ranking) for every fault profile, and one
 // crawl of every other policy; each crawl is store-checked after every
 // add. batch == 1 is the serial engine.
+//
+// Under no faults and flaky ones MMMI also runs at MmmiOptions
+// batch_size 1 and 3. There a signature group often holds batch_size
+// members or more, so the walk takes batch_size of them and jumps past
+// the rest of the group (at 1, after every group it meets), and every
+// crawl rescores values whose key comes back unchanged.
 void CheckAllProfiles(uint32_t batch, const std::string& label) {
   for (const char* profile : kProfiles) {
     ExpectIdentical(RunVariant("greedy", profile, batch),
                     RunVariant("greedy-reference", profile, batch),
                     label + "/greedy/" + profile);
+    std::vector<uint32_t> batch_sizes = {MmmiOptions{}.batch_size};
+    if (std::string(profile) == "none" || std::string(profile) == "flaky") {
+      batch_sizes.insert(batch_sizes.end(), {1u, 3u});
+    }
     for (const NamedRanking& named : kRankings) {
-      ExpectIdentical(
-          RunVariant("mmmi", profile, batch, named.ranking),
-          RunVariant("mmmi-reference", profile, batch, named.ranking),
-          label + "/mmmi/" + named.name + "/" + profile);
+      for (uint32_t batch_size : batch_sizes) {
+        const MmmiOptions mmmi{.batch_size = batch_size,
+                               .ranking = named.ranking};
+        ExpectIdentical(RunVariant("mmmi", profile, batch, mmmi),
+                        RunVariant("mmmi-reference", profile, batch, mmmi),
+                        label + "/mmmi/" + named.name + "/batch-size-" +
+                            std::to_string(batch_size) + "/" + profile);
+      }
     }
     for (const char* policy : kSingleScorerPolicies) {
       SCOPED_TRACE(label + "/" + policy + "/" + profile);
@@ -495,12 +504,11 @@ TEST(HotPathDifferentialTest, IncompleteDrainsAllRankings) {
       for (uint32_t batch : {1u, 8u}) {
         std::string label = std::string(drain_name) + "/" + named.name +
                             (batch == 1 ? "/serial" : "/batched");
-        RunOutput fast =
-            RunVariant("mmmi", "none", batch, named.ranking, drain);
-        ExpectIdentical(fast,
-                        RunVariant("mmmi-reference", "none", batch,
-                                   named.ranking, drain),
-                        label);
+        const MmmiOptions mmmi{.ranking = named.ranking};
+        RunOutput fast = RunVariant("mmmi", "none", batch, mmmi, drain);
+        ExpectIdentical(
+            fast, RunVariant("mmmi-reference", "none", batch, mmmi, drain),
+            label);
         EXPECT_GT(fast.late_records, 0u) << label;
       }
     }
