@@ -133,7 +133,12 @@ uint64_t IngestOnce(const Table& table) {
   return store.num_hub_edges();
 }
 
-uint64_t CrawlLoopOnce(WebDbServer& server, const Table& table) {
+struct CrawlLoopCounts {
+  uint64_t records = 0;
+  uint64_t log_bytes = 0;  // the engine's fetch log at the stop
+};
+
+CrawlLoopCounts CrawlLoopOnce(WebDbServer& server, const Table& table) {
   LocalStore store;
   GreedyLinkSelector selector(store);
   CrawlOptions options;
@@ -143,7 +148,7 @@ uint64_t CrawlLoopOnce(WebDbServer& server, const Table& table) {
   engine.AddSeed(1);
   StatusOr<CrawlResult> result = engine.Run();
   DEEPCRAWL_CHECK(result.ok());
-  return result->records;
+  return CrawlLoopCounts{result->records, engine.log_bytes()};
 }
 
 int RunJsonSuite(const std::string& json_path) {
@@ -165,11 +170,15 @@ int RunJsonSuite(const std::string& json_path) {
   // in-process simulator — selector heap, frontier, store and server
   // all on the measured path. "ops" = records harvested.
   WebDbServer server(table, ServerOptions{});
-  uint64_t crawl_records = CrawlLoopOnce(server, table);
+  const CrawlLoopCounts counts = CrawlLoopOnce(server, table);
   double crawl_s =
       bench::BestWallSeconds([&] { CrawlLoopOnce(server, table); });
-  json.Add("crawl_loop_rps", static_cast<double>(crawl_records) / crawl_s,
+  json.Add("crawl_loop_rps", static_cast<double>(counts.records) / crawl_s,
            "records/s", /*higher_is_better=*/true);
+  // Deterministic: the bytes of that crawl's fetch log (the LOG section
+  // a checkpoint would copy).
+  json.Add("engine_log_bytes", static_cast<double>(counts.log_bytes), "bytes",
+           /*higher_is_better=*/false);
 
   json.WriteFile(json_path);
   return 0;

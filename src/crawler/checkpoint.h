@@ -83,9 +83,10 @@ inline constexpr uint32_t kSectionLog = 0x20474f4c;     // "LOG "
 inline constexpr uint32_t kSectionFaulty = 0x544c4146;  // "FALT"
 inline constexpr uint32_t kSectionEnd = 0x21444e45;     // "END!"
 
-// LOG entries (written by CrawlEngine::SaveState), each opened by a
-// one-byte tag; "var" is an LEB128 varint. The same tags are the kinds
-// of the engine's in-memory log marks.
+// LOG entries, each opened by a one-byte tag; "var" is an LEB128 varint.
+// The engine holds its fetch log in this form, appending each entry as
+// the seed, Run() or fetch happens; CrawlEngine::SaveState copies the
+// held bytes and adds a trailing cut (when one is due) and the end entry.
 //   kLogSeed     var value: AddSeed(value)
 //   kLogRun      u64 max_rounds, u64 target_records: a Run() whose
 //                budgets differ from the last logged ones

@@ -64,9 +64,7 @@ class CrawlEngine::Replay {
     if (!status().ok()) return;
     const uint8_t tag = Peek();
     if (!reader_.ok()) return;
-    if (tag == call.kind && mark_.seed == call.seed &&
-        mark_.max_rounds == call.max_rounds &&
-        mark_.target_records == call.target_records) {
+    if (mark_ == call) {
       Take();
       return;
     }
@@ -373,65 +371,26 @@ void CrawlEngine::DiscoverValue(ValueId v) {
 }
 
 void CrawlEngine::AddSeed(ValueId v) {
-  log_marks_.push_back(
-      LogMark{.fetch_index = log_fetches_.size(), .kind = kLogSeed, .seed = v});
-  if (replay_ != nullptr) replay_->Expect(log_marks_.back());
+  seeds_.push_back(v);
+  log_.WriteU8(kLogSeed);
+  log_.WriteVarint(v);
+  if (replay_ != nullptr) replay_->Expect(LogMark{.kind = kLogSeed, .seed = v});
   DiscoverValue(v);
 }
 
-std::vector<ValueId> CrawlEngine::seeds() const {
-  std::vector<ValueId> planted;
-  for (const LogMark& mark : log_marks_) {
-    if (mark.kind == kLogSeed) planted.push_back(mark.seed);
-  }
-  return planted;
-}
-
 void CrawlEngine::LogRunEntry() {
-  const uint64_t at = log_fetches_.size();
   // Resuming an interrupted Run(): the cut tells a replay to stop the
   // earlier Run() at this boundary, where it stopped.
-  if (boundary_open_) {
-    log_marks_.push_back(LogMark{.fetch_index = at, .kind = kLogCut});
-  }
-  for (auto it = log_marks_.rbegin(); it != log_marks_.rend(); ++it) {
-    if (it->kind != kLogRun) continue;
-    if (it->max_rounds == options_.max_rounds &&
-        it->target_records == options_.target_records) {
-      return;
-    }
-    break;
-  }
-  log_marks_.push_back(LogMark{.fetch_index = at,
-                               .kind = kLogRun,
-                               .max_rounds = options_.max_rounds,
-                               .target_records = options_.target_records});
-  if (replay_ != nullptr) replay_->Expect(log_marks_.back());
-}
-
-void CrawlEngine::LogFetch(ValueId value,
-                           const StatusOr<ResultPage>& fetched) {
-  LoggedFetch entry;
-  entry.value = value;
-  if (!fetched.ok()) {
-    entry.code = static_cast<uint8_t>(fetched.status().code());
-    if (fetched.status().retry_after_rounds().has_value()) {
-      entry.flags = kLogHasHint;
-      entry.total_or_hint = *fetched.status().retry_after_rounds();
-    }
-  } else {
-    const ResultPage& page = *fetched;
-    entry.num_records = static_cast<uint32_t>(page.records.size());
-    if (page.has_more) entry.flags |= kLogHasMore;
-    if (page.total_matches.has_value()) {
-      entry.flags |= kLogHasTotal;
-      entry.total_or_hint = *page.total_matches;
-    }
-    for (const ReturnedRecord& record : page.records) {
-      log_records_.push_back(record.id);
-    }
-  }
-  log_fetches_.push_back(entry);
+  if (boundary_open_) log_.WriteU8(kLogCut);
+  const LogMark run{.kind = kLogRun,
+                    .max_rounds = options_.max_rounds,
+                    .target_records = options_.target_records};
+  if (run == last_run_) return;
+  last_run_ = run;
+  log_.WriteU8(kLogRun);
+  log_.WriteU64(run.max_rounds);
+  log_.WriteU64(run.target_records);
+  if (replay_ != nullptr) replay_->Expect(run);
 }
 
 ValueId CrawlEngine::NextValue() {
@@ -471,9 +430,14 @@ CrawlResult CrawlEngine::MakeResult(StopReason reason) const {
 Status CrawlEngine::CommitFetch(std::optional<Slot>& slot_box,
                                 StatusOr<ResultPage> fetched) {
   Slot& slot = *slot_box;
-  LogFetch(slot.value, fetched);
   ++rounds_used_;
   if (!fetched.ok()) {
+    const std::optional<uint32_t> hint = fetched.status().retry_after_rounds();
+    log_.WriteU8(kLogFailure);
+    log_.WriteVarint(slot.value);
+    log_.WriteU8(static_cast<uint8_t>(fetched.status().code()));
+    log_.WriteU8(hint.has_value() ? kLogHasHint : 0);
+    if (hint.has_value()) log_.WriteVarint(*hint);
     switch (OnFetchFailure(fetched.status(), slot.value, slot.failures)) {
       case FailureAction::kFailCrawl:
         return fetched.status();
@@ -503,9 +467,24 @@ Status CrawlEngine::CommitFetch(std::optional<Slot>& slot_box,
   }
 
   const ResultPage& page = *fetched;
+  log_.WriteU8(kLogPage);
+  log_.WriteVarint(slot.value);
+  log_.WriteU8(static_cast<uint8_t>(
+      (page.has_more ? kLogHasMore : 0) |
+      (page.total_matches.has_value() ? kLogHasTotal : 0)));
+  if (page.total_matches.has_value()) log_.WriteVarint(*page.total_matches);
+  log_.WriteVarint(page.records.size());
   for (const ReturnedRecord& record : page.records) {
     ++slot.outcome.records_returned;
-    if (store_.ObserveIfStored(record.id)) continue;
+    const uint64_t key = uint64_t{record.id} << 1;
+    if (store_.ObserveIfStored(record.id)) {
+      log_.WriteVarint(key | kRecordRepeat);
+      continue;
+    }
+    // The record's first occurrence: the log carries its values.
+    log_.WriteVarint(key | kRecordNew);
+    log_.WriteVarint(record.values.size());
+    for (ValueId v : record.values) log_.WriteVarint(v);
     // Decompose first so the selector hears about new values before the
     // record-harvest notification (see QuerySelector contract).
     for (ValueId v : record.values) DiscoverValue(v);
@@ -700,57 +679,10 @@ void CrawlEngine::SaveState(CheckpointWriter& writer) const {
   writer.WriteU64(options_.target_records);
   writer.WriteU64(options_.saturation_records);
 
-  // LOG: marks and fetches in the order they happened. A page's records
-  // are written by id. The store keeps records in first-occurrence
-  // order, so the record in slot `next_slot` is the next one the log
-  // meets for the first time, and only that occurrence carries values.
+  // LOG: the held entries, then the cut a Run() interrupted here would
+  // log on resuming, then the end entry.
   WriteSectionMarker(writer, kSectionLog);
-  size_t next_mark = 0;
-  size_t next_record = 0;
-  uint32_t next_slot = 0;
-  auto write_marks = [&](uint64_t fetch_index) {
-    for (; next_mark < log_marks_.size() &&
-           log_marks_[next_mark].fetch_index <= fetch_index;
-         ++next_mark) {
-      const LogMark& mark = log_marks_[next_mark];
-      writer.WriteU8(mark.kind);
-      if (mark.kind == kLogSeed) writer.WriteVarint(mark.seed);
-      if (mark.kind == kLogRun) {
-        writer.WriteU64(mark.max_rounds);
-        writer.WriteU64(mark.target_records);
-      }
-    }
-  };
-  for (uint64_t f = 0; f < log_fetches_.size(); ++f) {
-    write_marks(f);
-    const LoggedFetch& fetch = log_fetches_[f];
-    const bool failed = fetch.code != static_cast<uint8_t>(StatusCode::kOk);
-    writer.WriteU8(failed ? kLogFailure : kLogPage);
-    writer.WriteVarint(fetch.value);
-    if (failed) {
-      writer.WriteU8(fetch.code);
-      writer.WriteU8(fetch.flags);
-      if (fetch.flags & kLogHasHint) writer.WriteVarint(fetch.total_or_hint);
-      continue;
-    }
-    writer.WriteU8(fetch.flags);
-    if (fetch.flags & kLogHasTotal) writer.WriteVarint(fetch.total_or_hint);
-    writer.WriteVarint(fetch.num_records);
-    for (uint32_t r = 0; r < fetch.num_records; ++r) {
-      const RecordId id = log_records_[next_record++];
-      const uint64_t key = uint64_t{id} << 1;
-      if (next_slot < store_.num_records() &&
-          store_.OriginalRecordId(next_slot) == id) {
-        writer.WriteVarint(key | kRecordNew);
-        std::span<const ValueId> values = store_.RecordValues(next_slot++);
-        writer.WriteVarint(values.size());
-        for (ValueId v : values) writer.WriteVarint(v);
-      } else {
-        writer.WriteVarint(key | kRecordRepeat);
-      }
-    }
-  }
-  write_marks(log_fetches_.size());
+  writer.WriteRaw(log_.buffer());
   if (boundary_open_) writer.WriteU8(kLogCut);
   writer.WriteU8(kLogEnd);
   writer.WriteU64(rounds_used_);
@@ -760,7 +692,7 @@ void CrawlEngine::SaveState(CheckpointWriter& writer) const {
 
 Status CrawlEngine::BeginReplay(CheckpointReader& reader) {
   if (replay_ != nullptr || rounds_used_ != 0 || store_.num_records() != 0 ||
-      !trace_.empty() || !seen_.empty() || !log_marks_.empty()) {
+      !trace_.empty() || !seen_.empty() || log_bytes() != 0) {
     return Status::FailedPrecondition(
         "checkpoint restore requires a freshly constructed engine "
         "(empty store, no rounds used)");

@@ -28,8 +28,9 @@
 //
 // Checkpoint/resume: a crawl's state is a pure function of its inputs —
 // the seeds, every Run() call's budgets, and every committed fetch
-// result. The engine records those inputs as it goes (the fetch log);
-// SaveState writes the log. A replay (BeginReplay ... EndReplay)
+// result. The engine records those inputs as it goes (the fetch log),
+// already in the bytes of the checkpoint's LOG section, so SaveState
+// copies them. A replay (BeginReplay ... EndReplay)
 // rebuilds store, selector, retry queue and trace by issuing the
 // logged calls again through this same engine code, each fetch served
 // from the log with no server call, so checkpoint + restore + continue
@@ -55,12 +56,11 @@
 #include "src/crawler/query_selector.h"
 #include "src/crawler/retry_policy.h"
 #include "src/server/query_interface.h"
+#include "src/util/checkpoint_io.h"
 #include "src/util/status.h"
 
 namespace deepcrawl {
 
-class CheckpointReader;
-class CheckpointWriter;
 class CrawlEngine;
 
 struct CrawlOptions {
@@ -189,7 +189,7 @@ class CrawlEngine {
   void AddSeed(ValueId v);
   // Every AddSeed value so far, in call order; a restored engine's are
   // the checkpoint's.
-  std::vector<ValueId> seeds() const;
+  const std::vector<ValueId>& seeds() const { return seeds_; }
 
   // Runs waves until a stop condition fires. May be called again to
   // continue (e.g. with a raised budget): slots interrupted by the
@@ -224,6 +224,8 @@ class CrawlEngine {
   // values written once at its first occurrence. Any engine can be
   // saved, under any selector.
   void SaveState(CheckpointWriter& writer) const;
+  // Size of the fetch log held so far, in bytes.
+  size_t log_bytes() const { return log_.buffer().size(); }
   // Starts restoring state saved by SaveState into a freshly constructed
   // engine whose construction parameters (batch, keyword mode, selector
   // policy and its options, retry and abort policies) match the
@@ -268,25 +270,14 @@ class CrawlEngine {
   // checkpoint's fetch log between BeginReplay and EndReplay.
   class Replay;
 
-  // One committed fetch of the fetch log. The page's record ids follow
-  // in log_records_, in page order.
-  struct LoggedFetch {
-    ValueId value = kInvalidValueId;
-    uint32_t num_records = 0;    // success only
-    uint32_t total_or_hint = 0;  // total_matches, or the retry-after hint
-    uint8_t code = 0;            // StatusCode; kOk for a page
-    uint8_t flags = 0;           // kLogHasMore | kLogHasTotal | kLogHasHint
-  };
-  // A log entry between fetches: a seed, a Run() whose budgets differ
-  // from the last logged ones, or a cut — the point where a Run() was
-  // interrupted at a wave boundary (a checkpoint sink that failed, or a
-  // restored engine that resumed there) before its stop checks ran.
+  // A seed or a Run() entry of the fetch log (kind kLogSeed or kLogRun),
+  // as a call makes it and as a replay reads it.
   struct LogMark {
-    uint64_t fetch_index = 0;  // fetches logged before it
     uint8_t kind = 0;
     ValueId seed = kInvalidValueId;
     uint64_t max_rounds = 0;
     uint64_t target_records = 0;
+    bool operator==(const LogMark&) const = default;
   };
 
   void DiscoverValue(ValueId v);
@@ -299,7 +290,6 @@ class CrawlEngine {
   // Log a cut when this Run() resumes an interrupted one, then its
   // budgets when they changed.
   void LogRunEntry();
-  void LogFetch(ValueId value, const StatusOr<ResultPage>& fetched);
   // Makes the logged seed and Run() calls again until the log's end
   // entry; returns the first replay failure.
   Status ReplayLog();
@@ -355,12 +345,16 @@ class CrawlEngine {
 
   // True while the engine stands at a wave boundary whose stop checks
   // have not run yet: inside the checkpoint sink, after the sink failed,
-  // or after a replay paused there. A save then ends its log with a cut.
+  // or after a replay paused there. A save then ends its log with a cut:
+  // the point where a Run() was interrupted before its stop checks ran.
   bool boundary_open_ = false;
-  // The fetch log: the crawl's inputs, recorded always (see SaveState).
-  std::vector<LoggedFetch> log_fetches_;
-  std::vector<RecordId> log_records_;
-  std::vector<LogMark> log_marks_;
+  // The fetch log: the crawl's inputs, recorded always, in the entries
+  // of the checkpoint's LOG section (src/crawler/checkpoint.h) up to the
+  // end entry.
+  CheckpointWriter log_;
+  std::vector<ValueId> seeds_;
+  // The last logged Run() entry (kind 0 before the first).
+  LogMark last_run_;
   // Non-null only between BeginReplay and EndReplay.
   std::unique_ptr<Replay> replay_;
 };

@@ -105,22 +105,42 @@ DomainParts& SharedDomainParts() {
   return *parts;
 }
 
+FaultProfile TransientFaults() {
+  FaultProfile profile;
+  profile.unavailable_rate = 0.05;
+  profile.timeout_rate = 0.03;
+  return profile;
+}
+
+// How a Stack differs from a plain serial crawl.
+struct StackConfig {
+  bool with_faults = false;
+  uint32_t batch = 1;
+  // The fault proxy's profile, used when `with_faults`.
+  FaultProfile faults = TransientFaults();
+  bool keyword = false;
+  // Every N waves the engine's sink appends an image to
+  // Stack::sink_images (0 = no sink).
+  uint64_t checkpoint_every_waves = 0;
+};
+
 // One complete crawl stack whose pieces live long enough to restore a
 // checkpoint into and run to completion.
 struct Stack {
   explicit Stack(const std::string& policy, bool with_faults = false,
                  uint32_t batch = 1)
+      : Stack(policy, StackConfig{.with_faults = with_faults, .batch = batch}) {}
+
+  Stack(const std::string& policy, const StackConfig& config)
       : backend(policy == "domain" ? SharedDomainParts().server
                                    : SharedBackend()),
         seed(FirstQueriableSeed(policy == "domain"
                                     ? SharedDomainParts().target
                                     : CheckpointTarget())) {
+    const bool with_faults = config.with_faults;
     QueryInterface* server_ptr = &backend;
     if (with_faults) {
-      FaultProfile profile;
-      profile.unavailable_rate = 0.05;
-      profile.timeout_rate = 0.03;
-      faulty.emplace(backend, profile, kFaultSeed);
+      faulty.emplace(backend, config.faults, kFaultSeed);
       server_ptr = &*faulty;
     }
     if (policy == "greedy") {
@@ -141,16 +161,27 @@ struct Stack {
     }
     retry.emplace(RetryPolicyConfig());
     EngineOptions engine_options;
-    engine_options.batch = batch;
-    engine.emplace(*server_ptr, *selector, store, CrawlOptions{},
-                   engine_options, nullptr,
-                   with_faults ? &*retry : nullptr);
+    engine_options.batch = config.batch;
+    engine_options.checkpoint_every_waves = config.checkpoint_every_waves;
+    if (config.checkpoint_every_waves > 0) {
+      engine_options.checkpoint_sink = [this](const CrawlEngine& at) -> Status {
+        StatusOr<std::string> image = EncodeCrawlCheckpoint(at, faulty_ptr());
+        DEEPCRAWL_RETURN_IF_ERROR(image.status());
+        sink_images.push_back(std::move(*image));
+        return Status::OK();
+      };
+    }
+    CrawlOptions options;
+    options.use_keyword_interface = config.keyword;
+    engine.emplace(*server_ptr, *selector, store, options, engine_options,
+                   nullptr, with_faults ? &*retry : nullptr);
   }
 
   FaultyServer* faulty_ptr() { return faulty ? &*faulty : nullptr; }
 
   WebDbServer& backend;
   ValueId seed;
+  std::vector<std::string> sink_images;
   std::optional<FaultyServer> faulty;
   LocalStore store;
   std::unique_ptr<QuerySelector> selector;
@@ -467,6 +498,112 @@ TEST(CrawlCheckpointTest, RealV7ImageIsRejectedByVersion) {
       << status.ToString();
   EXPECT_EQ(store.num_records(), 0u);
   EXPECT_EQ(engine.rounds_used(), 0u);
+}
+
+// --- golden images ------------------------------------------------------
+//
+// Crawls whose checkpoint images are pinned by FNV-1a digest, so a change
+// to how the engine records or writes its fetch log that must keep the
+// on-disk format is checked byte for byte here. Update a digest only for
+// a deliberate format change, one that bumps kCrawlCheckpointVersion.
+
+struct GoldenCrawl {
+  const char* name;
+  const char* policy;
+  StackConfig config;
+  // Round budget of the one Run() (0 = crawl the frontier out).
+  uint64_t max_rounds = 0;
+  // The image: the last one the sink saved, or one encoded after Run().
+  bool from_sink = false;
+  uint64_t digest = 0;
+};
+
+FaultProfile TruncateAndDuplicateFaults() {
+  FaultProfile profile;
+  profile.truncate_rate = 0.2;
+  profile.duplicate_rate = 0.3;
+  return profile;
+}
+
+const GoldenCrawl kGoldenCrawls[] = {
+    {.name = "greedy-batch1",
+     .policy = "greedy",
+     .config = {.with_faults = true},
+     .digest = 0x885aaf120cf1708aULL},
+    // Truncated and duplicated pages: records repeat within a page.
+    {.name = "greedy-batch4-truncate-duplicate",
+     .policy = "greedy",
+     .config = {.with_faults = true,
+                .batch = 4,
+                .faults = TruncateAndDuplicateFaults()},
+     .digest = 0x0cbf6f701d421d51ULL},
+    {.name = "greedy-keyword",
+     .policy = "greedy",
+     .config = {.keyword = true},
+     .digest = 0x12c1820b707bead5ULL},
+    {.name = "mmmi-40-rounds",
+     .policy = "mmmi",
+     .config = {.with_faults = true},
+     .max_rounds = 40,
+     .digest = 0x7cab4e13c3bc750aULL},
+    // The seventh wave runs from round 38 past round 41, so a budget of
+    // 40 stops inside it.
+    {.name = "greedy-batch8-mid-wave",
+     .policy = "greedy",
+     .config = {.with_faults = true, .batch = 8},
+     .max_rounds = 40,
+     .digest = 0x08c9cb68bc0dc617ULL},
+    // Saved from the sink: the log ends with a cut.
+    {.name = "greedy-batch2-sink",
+     .policy = "greedy",
+     .config = {.with_faults = true, .batch = 2, .checkpoint_every_waves = 7},
+     .from_sink = true,
+     .digest = 0x0f1780e6969857d0ULL},
+};
+
+std::string GoldenImage(const GoldenCrawl& golden) {
+  Stack stack(golden.policy, golden.config);
+  stack.engine->AddSeed(stack.seed);
+  stack.engine->set_max_rounds(golden.max_rounds);
+  StatusOr<CrawlResult> result = stack.engine->Run();
+  DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
+  if (golden.from_sink) {
+    DEEPCRAWL_CHECK(!stack.sink_images.empty());
+    return stack.sink_images.back();
+  }
+  StatusOr<std::string> image =
+      EncodeCrawlCheckpoint(*stack.engine, stack.faulty_ptr());
+  DEEPCRAWL_CHECK(image.ok()) << image.status().ToString();
+  return *image;
+}
+
+TEST(CrawlCheckpointTest, GoldenImageDigests) {
+  for (const GoldenCrawl& golden : kGoldenCrawls) {
+    const std::string image = GoldenImage(golden);
+    EXPECT_EQ(CheckpointChecksum(image), golden.digest)
+        << golden.name << " (" << image.size() << " bytes)";
+  }
+}
+
+// A restored engine saved again at once writes the image it was restored
+// from: the replay re-records the log the saved engine held, a trailing
+// cut and the fault proxy's attempt table included.
+TEST(CrawlCheckpointTest, RestoredEngineSavesItsImageAgain) {
+  for (const GoldenCrawl& golden : kGoldenCrawls) {
+    SCOPED_TRACE(golden.name);
+    const std::string image = GoldenImage(golden);
+    StackConfig config = golden.config;
+    config.checkpoint_every_waves = 0;
+    Stack restored(golden.policy, config);
+    Status loaded =
+        DecodeCrawlCheckpoint(image, *restored.engine, restored.faulty_ptr());
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+    StatusOr<std::string> again =
+        EncodeCrawlCheckpoint(*restored.engine, restored.faulty_ptr());
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_TRUE(*again == image) << again->size() << " vs " << image.size()
+                                 << " bytes";
+  }
 }
 
 // --- forged fetch logs -------------------------------------------------

@@ -697,6 +697,44 @@ TEST(CrawlFleetTest, SaveLoadFileRoundTrip) {
   EXPECT_EQ(*saves, 0);
 }
 
+// The image of a fleet stopped by its global budget after two staged
+// Run() calls, pinned by FNV-1a digest: a change to how the engines
+// record or write their fetch logs that must keep the format is checked
+// here byte for byte. Update it only with kFleetCheckpointVersion.
+std::string StagedFleetImage() {
+  CrawlFleet fleet(CheckpointFleetSpecs(), CheckpointFleetOptions());
+  for (uint64_t budget : {24, 80}) {
+    fleet.set_max_total_rounds(budget);
+    DEEPCRAWL_CHECK(fleet.Run().ok());
+  }
+  StatusOr<std::string> image = EncodeFleetCheckpoint(fleet);
+  DEEPCRAWL_CHECK(image.ok()) << image.status().ToString();
+  return *image;
+}
+
+TEST(CrawlFleetTest, GoldenImageDigest) {
+  const std::string image = StagedFleetImage();
+  EXPECT_EQ(CheckpointChecksum(image), 0xbcd466846e949df9ULL)
+      << image.size() << " bytes";
+}
+
+// A restored fleet saved again at once writes the image it was restored
+// from, whether that was saved after Run() or from the sink between
+// turns.
+TEST(CrawlFleetTest, RestoredFleetSavesItsImageAgain) {
+  std::vector<std::string> images = ImagesAtEveryTurn(160).images;
+  ASSERT_GT(images.size(), 4u);
+  images.push_back(StagedFleetImage());
+  for (size_t i = 0; i < images.size(); ++i) {
+    CrawlFleet restored(CheckpointFleetSpecs(), CheckpointFleetOptions());
+    Status loaded = DecodeFleetCheckpoint(images[i], restored);
+    ASSERT_TRUE(loaded.ok()) << "image " << i << ": " << loaded.ToString();
+    StatusOr<std::string> again = EncodeFleetCheckpoint(restored);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_TRUE(*again == images[i]) << "image " << i;
+  }
+}
+
 // Run() calls under different global budgets: each budget is replayed
 // from the turn it took effect at.
 TEST(CrawlFleetTest, ResumeAfterRaisedBudgetsIsBitIdentical) {
