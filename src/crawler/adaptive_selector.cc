@@ -7,15 +7,9 @@
 namespace deepcrawl {
 
 AdaptiveSelector::AdaptiveSelector(
-    std::vector<std::unique_ptr<QuerySelector>> children,
-    AdaptiveOptions options)
-    : children_(std::move(children)), options_(options) {
+    std::vector<std::unique_ptr<QuerySelector>> children)
+    : children_(std::move(children)) {
   DEEPCRAWL_CHECK(!children_.empty()) << "adaptive chain must be non-empty";
-  DEEPCRAWL_CHECK_GT(options_.ewma_alpha, 0.0);
-  DEEPCRAWL_CHECK(options_.ewma_alpha <= 1.0) << "ewma_alpha must be <= 1";
-  DEEPCRAWL_CHECK(options_.switch_decay >= 0.0 && options_.switch_decay < 1.0)
-      << "switch_decay must be in [0, 1)";
-  DEEPCRAWL_CHECK(options_.hr_floor >= 0.0) << "hr_floor must be >= 0";
   name_ = "adaptive(";
   for (size_t i = 0; i < children_.size(); ++i) {
     DEEPCRAWL_CHECK(!children_[i]->MaySelectUndiscovered())
@@ -62,15 +56,15 @@ void AdaptiveSelector::OnQueryCompleted(const QueryOutcome& outcome) {
   // failures (the paper's cost measure, Definition 2.3).
   uint32_t rounds =
       std::max<uint32_t>(1, outcome.pages_fetched + outcome.fetch_failures);
-  estimator_.Observe(options_.ewma_alpha,
+  estimator_.Observe(kEwmaAlpha,
                      static_cast<double>(outcome.new_records) /
                          static_cast<double>(rounds));
   ++phase_queries_;
   peak_hr_ = std::max(peak_hr_, estimator_.hr);
   if (active_ + 1 < children_.size() &&
-      phase_queries_ >= options_.min_phase_queries &&
-      (estimator_.hr < options_.switch_decay * peak_hr_ ||
-       estimator_.hr < options_.hr_floor)) {
+      phase_queries_ >= kMinPhaseQueries &&
+      (estimator_.hr < kSwitchDecay * peak_hr_ ||
+       estimator_.hr < kHarvestRateFloor)) {
     AdvancePhase();
   }
 }

@@ -39,27 +39,25 @@
 
 namespace deepcrawl {
 
-struct AdaptiveOptions {
-  // EWMA blend weight of each completed query's records-per-round.
-  double ewma_alpha = 0.3;
-  // Advance when the EWMA falls below this fraction of its peak within
-  // the current phase...
-  double switch_decay = 0.4;
-  // ...or below this absolute records-per-round floor.
-  double hr_floor = 0.5;
-  // Minimum completed queries per phase before a switch is considered
-  // (early estimates from a small DBlocal are noise, §3.3).
-  uint32_t min_phase_queries = 25;
-};
-
 class AdaptiveSelector : public QuerySelector {
  public:
+  // EWMA blend weight of each completed query's records-per-round.
+  static constexpr double kEwmaAlpha = 0.3;
+  // Advance when the EWMA falls below this fraction of its peak within
+  // the current phase...
+  static constexpr double kSwitchDecay = 0.4;
+  // ...or below this absolute records-per-round floor.
+  static constexpr double kHarvestRateFloor = 0.5;
+  // Minimum completed queries per phase before a switch is considered
+  // (early estimates from a small DBlocal are noise, §3.3).
+  static constexpr uint32_t kMinPhaseQueries = 25;
+
   // `children` is the phase chain, consulted in order; must be
   // non-empty, and every child must be frontier-driven
   // (MaySelectUndiscovered() == false) so the shared event stream fully
   // describes each child's candidate set.
-  AdaptiveSelector(std::vector<std::unique_ptr<QuerySelector>> children,
-                   AdaptiveOptions options = AdaptiveOptions{});
+  explicit AdaptiveSelector(
+      std::vector<std::unique_ptr<QuerySelector>> children);
 
   void OnValueDiscovered(ValueId v) override;
   void OnRecordHarvested(uint32_t slot) override;
@@ -79,7 +77,6 @@ class AdaptiveSelector : public QuerySelector {
   void AdvancePhase();
 
   std::vector<std::unique_ptr<QuerySelector>> children_;
-  AdaptiveOptions options_;
   std::string name_;  // "adaptive(a,b,...)", checked by checkpoint CONF
 
   size_t active_ = 0;

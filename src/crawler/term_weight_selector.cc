@@ -3,15 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/util/logging.h"
-
 namespace deepcrawl {
-
-TermWeightSelector::TermWeightSelector(const LocalStore& store,
-                                       TermWeightOptions options)
-    : FrontierSelector(store), options_(options) {
-  DEEPCRAWL_CHECK_GT(options_.batch_size, 0u);
-}
 
 double TermWeightSelector::Weight(ValueId v) const {
   double df = static_cast<double>(store().LocalFrequency(v));
@@ -28,11 +20,11 @@ void TermWeightSelector::RecomputeBatch() {
   for (ValueId v : candidates) {
     scored_.push_back(Scored{Weight(v), store().LocalFrequency(v), v});
   }
-  // Top batch_size only; the comparator is a total order (it ends in the
+  // Top kBatchSize only; the comparator is a total order (it ends in the
   // value-id tie-break), so a partial sort selects exactly the prefix a
   // full sort would. Among equal weights prefer the larger result set,
   // then the smaller id for determinism.
-  size_t take = std::min<size_t>(options_.batch_size, scored_.size());
+  size_t take = std::min<size_t>(kBatchSize, scored_.size());
   auto middle = scored_.begin() + static_cast<ptrdiff_t>(take);
   std::partial_sort(scored_.begin(), middle, scored_.end(),
                     [](const Scored& a, const Scored& b) {

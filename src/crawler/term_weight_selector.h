@@ -20,7 +20,7 @@
 // (LocalFrequency/num_records — the store already maintains them for
 // MMMI's arena rows), so scoring a candidate is O(1) and a batch
 // re-rank is one pass over the frontier. Like MmmiSelector, the
-// selector serves `batch_size` queries from one ranking before
+// selector serves kBatchSize queries from one ranking before
 // re-sorting (§3.3's batch-mode recomputation idiom).
 
 #ifndef DEEPCRAWL_CRAWLER_TERM_WEIGHT_SELECTOR_H_
@@ -36,15 +36,13 @@
 
 namespace deepcrawl {
 
-struct TermWeightOptions {
-  // Queries served from one ranking before re-sorting.
-  uint32_t batch_size = 10;
-};
-
 class TermWeightSelector : public FrontierSelector {
  public:
-  explicit TermWeightSelector(const LocalStore& store,
-                              TermWeightOptions options = TermWeightOptions{});
+  // Queries served from one ranking before re-sorting.
+  static constexpr uint32_t kBatchSize = 10;
+
+  explicit TermWeightSelector(const LocalStore& store)
+      : FrontierSelector(store) {}
 
   ValueId SelectNext() override;
   std::string_view name() const override { return "term-weight"; }
@@ -56,7 +54,6 @@ class TermWeightSelector : public FrontierSelector {
  private:
   void RecomputeBatch();
 
-  TermWeightOptions options_;
   std::deque<ValueId> batch_queue_;
 
   // Scratch reused across batches (cleared, never shrunk).

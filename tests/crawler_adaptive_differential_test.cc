@@ -92,17 +92,6 @@ ServerOptions TextualServerOptions() {
   return options;
 }
 
-// Eager switch thresholds so a ~260-document crawl crosses at least one
-// phase boundary mid-run.
-AdaptiveOptions EagerSwitch() {
-  AdaptiveOptions options;
-  options.ewma_alpha = 0.4;
-  options.switch_decay = 0.6;
-  options.hr_floor = 0.4;
-  options.min_phase_queries = 8;
-  return options;
-}
-
 // The canonical chain under test. The raw pointer is for post-run
 // introspection (phase switches); ownership moves to the caller.
 std::unique_ptr<QuerySelector> MakeChain(const LocalStore& store,
@@ -111,8 +100,7 @@ std::unique_ptr<QuerySelector> MakeChain(const LocalStore& store,
   children.push_back(std::make_unique<GreedyLinkSelector>(store));
   children.push_back(std::make_unique<MmmiSelector>(store));
   children.push_back(std::make_unique<TermWeightSelector>(store));
-  auto selector =
-      std::make_unique<AdaptiveSelector>(std::move(children), EagerSwitch());
+  auto selector = std::make_unique<AdaptiveSelector>(std::move(children));
   if (handle != nullptr) *handle = selector.get();
   return selector;
 }
@@ -252,9 +240,38 @@ TEST(AdaptiveDifferentialTest, FixtureCrossesAPhaseBoundary) {
   InstrumentedRun run = RunEngine("none", BaseOptions(), /*batch=*/1,
                                   /*shuffled=*/false, /*every=*/0);
   EXPECT_GE(run.output.phase_switches, 1u)
-      << "tune EagerSwitch()/TextualServerOptions(): the adaptive chain "
+      << "tune TextualTarget()/TextualServerOptions(): the adaptive chain "
          "never left phase 0";
   EXPECT_GT(run.output.result.records, 0u);
+}
+
+// Golden: the waves in which the chain advances on this workload (batch
+// 1, no faults, so one wave is one round), under the switch rule's
+// constants. A change to a constant, to the estimator or to any child's
+// picks before the switch moves them.
+TEST(AdaptiveDifferentialTest, SwitchWavesArePinned) {
+  WebDbServer server(TextualTarget(), TextualServerOptions());
+  LocalStore store;
+  AdaptiveSelector* adaptive = nullptr;
+  std::unique_ptr<QuerySelector> selector = MakeChain(store, &adaptive);
+  std::vector<uint64_t> switch_waves;
+  uint64_t waves = 0;
+  EngineOptions engine_options;
+  engine_options.checkpoint_every_waves = 1;
+  engine_options.checkpoint_sink = [&](const CrawlEngine&) {
+    ++waves;
+    if (adaptive->phase_switches() > switch_waves.size()) {
+      switch_waves.push_back(waves);
+    }
+    return Status::OK();
+  };
+  CrawlEngine engine(server, *selector, store, BaseOptions(), engine_options);
+  engine.AddSeed(TextualSeed());
+  StatusOr<CrawlResult> result = engine.Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(switch_waves, (std::vector<uint64_t>{75, 150}));
+  EXPECT_EQ(adaptive->phase_switches(), switch_waves.size());
+  EXPECT_EQ(result->rounds, 744u);
 }
 
 // batch == 1 must be bit-identical to serial under every fault

@@ -90,10 +90,44 @@ struct EngineCrawl {
   CrawlEngine engine;
 };
 
-MakeSelectorFn TermWeight(TermWeightOptions options = TermWeightOptions{}) {
-  return [options](const LocalStore& store) {
-    return std::make_unique<TermWeightSelector>(store, options);
+MakeSelectorFn TermWeight() {
+  return [](const LocalStore& store) {
+    return std::make_unique<TermWeightSelector>(store);
   };
+}
+
+// Forwards every call to `inner` but answers to another name, so a
+// checkpoint's CONF check passes and only the picks can tell the two
+// selectors apart.
+class Renamed : public QuerySelector {
+ public:
+  Renamed(std::unique_ptr<QuerySelector> inner, std::string name)
+      : inner_(std::move(inner)), name_(std::move(name)) {}
+
+  void OnValueDiscovered(ValueId v) override { inner_->OnValueDiscovered(v); }
+  void OnRecordHarvested(uint32_t slot) override {
+    inner_->OnRecordHarvested(slot);
+  }
+  void OnQueryCompleted(const QueryOutcome& outcome) override {
+    inner_->OnQueryCompleted(outcome);
+  }
+  void OnSaturation() override { inner_->OnSaturation(); }
+  void OnValueTaken(ValueId v) override { inner_->OnValueTaken(v); }
+  ValueId SelectNext() override { return inner_->SelectNext(); }
+  std::string_view name() const override { return name_; }
+  bool MaySelectUndiscovered() const override {
+    return inner_->MaySelectUndiscovered();
+  }
+
+ private:
+  std::unique_ptr<QuerySelector> inner_;
+  std::string name_;
+};
+
+// Greedy-link picks under the name "term-weight".
+std::unique_ptr<QuerySelector> GreedyNamedTermWeight(const LocalStore& store) {
+  return std::make_unique<Renamed>(std::make_unique<GreedyLinkSelector>(store),
+                                   "term-weight");
 }
 
 TEST(TermWeightSelectorTest, WeightIsUnimodalInDocumentFrequency) {
@@ -152,12 +186,11 @@ TEST(TermWeightSelectorTest, TakenValuesAreNeverReturned) {
 
 TEST(TermWeightSelectorTest, StaleBatchEntriesAreSkippedAfterTaken) {
   LocalStore store;
-  TermWeightOptions options;
-  options.batch_size = 3;
-  TermWeightSelector selector(store, options);
+  TermWeightSelector selector(store);
   for (ValueId v = 1; v <= 3; ++v) selector.OnValueDiscovered(v);
-  // First pick materializes the batch; then value 2 is taken by another
-  // policy while still queued.
+  // First pick materializes the batch (all three values fit in one);
+  // then value 2 is taken by another policy while still queued.
+  static_assert(TermWeightSelector::kBatchSize >= 3);
   ValueId first = selector.SelectNext();
   EXPECT_EQ(first, 1u);  // equal weights, id tie-break
   selector.OnValueTaken(2);
@@ -186,14 +219,13 @@ TEST(TermWeightSelectorTest, CheckpointRoundTripContinuesIdentically) {
   }
 }
 
-// The batch size shapes the pick order, so a log recorded under one
-// cannot replay under another: the replay diverges with a clean error.
-TEST(TermWeightSelectorTest, CheckpointRejectsBatchSizeMismatch) {
+// A log recorded under one pick order cannot replay under another,
+// even when the selector names match: the replay diverges with a clean
+// error.
+TEST(TermWeightSelectorTest, CheckpointRejectsPickOrderMismatch) {
   EngineCrawl first(TermWeight());
   first.Crawl(0);
-  TermWeightOptions narrow;
-  narrow.batch_size = 2;
-  EngineCrawl restored(TermWeight(narrow));
+  EngineCrawl restored(GreedyNamedTermWeight);
   Status loaded = restored.Restore(first.Image());
   EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.message().find("replay diverged"), std::string::npos)
@@ -207,11 +239,11 @@ struct Chain {
   AdaptiveSelector* selector = nullptr;
   std::unique_ptr<AdaptiveSelector> owned;
 
-  explicit Chain(AdaptiveOptions options = AdaptiveOptions{}) {
+  Chain() {
     std::vector<std::unique_ptr<QuerySelector>> children;
     children.push_back(std::make_unique<GreedyLinkSelector>(store));
     children.push_back(std::make_unique<TermWeightSelector>(store));
-    owned = std::make_unique<AdaptiveSelector>(std::move(children), options);
+    owned = std::make_unique<AdaptiveSelector>(std::move(children));
     selector = owned.get();
   }
 };
@@ -225,13 +257,16 @@ QueryOutcome Harvested(ValueId v, uint32_t new_records) {
   return outcome;
 }
 
-AdaptiveOptions FastSwitch() {
-  AdaptiveOptions options;
-  options.ewma_alpha = 1.0;  // estimator == last sample, easy to reason
-  options.switch_decay = 0.5;
-  options.hr_floor = 0.0;
-  options.min_phase_queries = 2;
-  return options;
+constexpr double kAlpha = AdaptiveSelector::kEwmaAlpha;
+constexpr double kDecay = AdaptiveSelector::kSwitchDecay;
+constexpr uint32_t kMinQueries = AdaptiveSelector::kMinPhaseQueries;
+
+// Empty queries that pull a steady EWMA under kDecay of its value: each
+// one scales it by (1 - kAlpha).
+uint32_t DropsToSwitch() {
+  uint32_t drops = 0;
+  for (double hr = 1.0; hr >= kDecay; hr *= 1.0 - kAlpha) ++drops;
+  return drops;
 }
 
 TEST(AdaptiveSelectorTest, NameComposesChain) {
@@ -242,34 +277,49 @@ TEST(AdaptiveSelectorTest, NameComposesChain) {
 }
 
 TEST(AdaptiveSelectorTest, SwitchesWhenHarvestRateDecays) {
-  Chain chain(FastSwitch());
+  Chain chain;
   for (ValueId v = 1; v <= 8; ++v) chain.selector->OnValueDiscovered(v);
-  // Two rich queries set the peak, then a crash in the harvest rate
-  // (1 < 0.5 * 10) advances the phase.
-  chain.selector->OnQueryCompleted(Harvested(1, 10));
-  chain.selector->OnQueryCompleted(Harvested(2, 10));
+  // kMinQueries rich queries set the peak at 10 records per round...
+  for (uint32_t i = 0; i < kMinQueries; ++i) {
+    chain.selector->OnQueryCompleted(Harvested(1, 10));
+  }
   EXPECT_EQ(chain.selector->active_phase(), 0u);
-  chain.selector->OnQueryCompleted(Harvested(3, 1));
+  // ...then a crash in the harvest rate decays the EWMA, and the phase
+  // advances at the first query that takes it under kDecay * 10.
+  const uint32_t drops = DropsToSwitch();
+  ASSERT_GT(drops, 1u);
+  for (uint32_t i = 0; i + 1 < drops; ++i) {
+    chain.selector->OnQueryCompleted(Harvested(2, 0));
+  }
+  EXPECT_EQ(chain.selector->active_phase(), 0u);
+  chain.selector->OnQueryCompleted(Harvested(3, 0));
   EXPECT_EQ(chain.selector->active_phase(), 1u);
   EXPECT_EQ(chain.selector->phase_switches(), 1u);
   // The last phase never advances past the end, however poor the rate.
-  chain.selector->OnQueryCompleted(Harvested(4, 0));
-  chain.selector->OnQueryCompleted(Harvested(5, 0));
+  for (uint32_t i = 0; i < kMinQueries; ++i) {
+    chain.selector->OnQueryCompleted(Harvested(4, 0));
+  }
   EXPECT_EQ(chain.selector->active_phase(), 1u);
 }
 
 TEST(AdaptiveSelectorTest, MinPhaseQueriesSuppressesEarlySwitch) {
-  AdaptiveOptions options = FastSwitch();
-  options.min_phase_queries = 10;
-  Chain chain(options);
+  Chain chain;
   chain.selector->OnQueryCompleted(Harvested(1, 10));
-  chain.selector->OnQueryCompleted(Harvested(2, 0));
-  chain.selector->OnQueryCompleted(Harvested(3, 0));
+  // The rate collapses far under both thresholds, but the phase has
+  // completed only kMinQueries - 1 queries...
+  for (uint32_t i = 2; i < kMinQueries; ++i) {
+    chain.selector->OnQueryCompleted(Harvested(2, 0));
+  }
+  ASSERT_LT(chain.selector->estimator().hr,
+            AdaptiveSelector::kHarvestRateFloor);
   EXPECT_EQ(chain.selector->active_phase(), 0u);
+  // ...and the query that completes kMinQueries switches.
+  chain.selector->OnQueryCompleted(Harvested(3, 0));
+  EXPECT_EQ(chain.selector->active_phase(), 1u);
 }
 
 TEST(AdaptiveSelectorTest, TakenValuesNeverRepeatAcrossTheSwitch) {
-  Chain chain(FastSwitch());
+  Chain chain;
   for (ValueId v = 1; v <= 5; ++v) chain.selector->OnValueDiscovered(v);
   std::set<ValueId> picked;
   // Pick twice under greedy, then force the switch and drain the rest
@@ -280,7 +330,12 @@ TEST(AdaptiveSelectorTest, TakenValuesNeverRepeatAcrossTheSwitch) {
     EXPECT_TRUE(picked.insert(v).second);
     chain.selector->OnQueryCompleted(Harvested(v, 10));
   }
-  chain.selector->OnQueryCompleted(Harvested(99, 1));
+  for (uint32_t i = 2; i < kMinQueries; ++i) {
+    chain.selector->OnQueryCompleted(Harvested(99, 10));
+  }
+  for (uint32_t i = 0; i < DropsToSwitch(); ++i) {
+    chain.selector->OnQueryCompleted(Harvested(99, 0));
+  }
   ASSERT_EQ(chain.selector->active_phase(), 1u);
   for (;;) {
     ValueId v = chain.selector->SelectNext();
@@ -298,33 +353,37 @@ TEST(AdaptiveSelectorTest, ExhaustedPhaseFallsThroughTheChain) {
   EXPECT_EQ(chain.selector->SelectNext(), kInvalidValueId);
 }
 
-MakeSelectorFn GreedyThenTermWeight(AdaptiveOptions options,
+enum class Second { kTermWeight, kGreedyNamedTermWeight };
+
+MakeSelectorFn GreedyThenTermWeight(Second second = Second::kTermWeight,
                                     bool reversed = false) {
-  return [options, reversed](const LocalStore& store) {
+  return [second, reversed](const LocalStore& store) {
     std::vector<std::unique_ptr<QuerySelector>> children;
     children.push_back(std::make_unique<GreedyLinkSelector>(store));
-    children.push_back(std::make_unique<TermWeightSelector>(store));
+    children.push_back(second == Second::kTermWeight
+                           ? std::make_unique<TermWeightSelector>(store)
+                           : GreedyNamedTermWeight(store));
     if (reversed) std::swap(children[0], children[1]);
-    return std::make_unique<AdaptiveSelector>(std::move(children), options);
+    return std::make_unique<AdaptiveSelector>(std::move(children));
   };
 }
 
 TEST(AdaptiveSelectorTest, CheckpointRoundTripAcrossTheSwitchBoundary) {
-  EngineCrawl reference(GreedyThenTermWeight(FastSwitch()));
+  EngineCrawl reference(GreedyThenTermWeight());
   CrawlResult full = reference.Crawl(0);
 
   // Checkpoint a few rounds past the switch: phase 1 mid-flight.
   uint64_t rounds = 1;
   for (;; ++rounds) {
-    EngineCrawl probe(GreedyThenTermWeight(FastSwitch()));
+    EngineCrawl probe(GreedyThenTermWeight());
     probe.Crawl(rounds);
     auto& chain = static_cast<AdaptiveSelector&>(*probe.selector);
     if (chain.active_phase() == 1) break;
     ASSERT_LT(rounds, full.rounds) << "the crawl never switched";
   }
-  EngineCrawl first(GreedyThenTermWeight(FastSwitch()));
+  EngineCrawl first(GreedyThenTermWeight());
   first.Crawl(rounds + 3);
-  EngineCrawl restored(GreedyThenTermWeight(FastSwitch()));
+  EngineCrawl restored(GreedyThenTermWeight());
   Status loaded = restored.Restore(first.Image());
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
   auto& before = static_cast<AdaptiveSelector&>(*first.selector);
@@ -337,15 +396,15 @@ TEST(AdaptiveSelectorTest, CheckpointRoundTripAcrossTheSwitchBoundary) {
   EXPECT_EQ(cont.trace.points(), full.trace.points());
 }
 
-TEST(AdaptiveSelectorTest, CheckpointRejectsChainAndOptionMismatches) {
-  EngineCrawl first(GreedyThenTermWeight(FastSwitch()));
+TEST(AdaptiveSelectorTest, CheckpointRejectsChainMismatches) {
+  EngineCrawl first(GreedyThenTermWeight());
   first.Crawl(0);
   const std::string image = first.Image();
 
-  // Different switch options: the switch moves, the picks after it
-  // differ, and the replay diverges.
+  // A second phase that picks otherwise under the same name: the picks
+  // after the switch differ, and the replay diverges.
   {
-    EngineCrawl other(GreedyThenTermWeight(AdaptiveOptions{}));
+    EngineCrawl other(GreedyThenTermWeight(Second::kGreedyNamedTermWeight));
     Status loaded = other.Restore(image);
     EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(loaded.message().find("replay diverged"), std::string::npos)
@@ -353,7 +412,7 @@ TEST(AdaptiveSelectorTest, CheckpointRejectsChainAndOptionMismatches) {
   }
   // Different chain composition: the selector names differ.
   {
-    EngineCrawl reversed(GreedyThenTermWeight(FastSwitch(), true));
+    EngineCrawl reversed(GreedyThenTermWeight(Second::kTermWeight, true));
     Status loaded = reversed.Restore(image);
     EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(loaded.message().find("selector mismatch"), std::string::npos)

@@ -119,19 +119,13 @@ std::unique_ptr<QuerySelector> MakeSelector(const std::string& policy,
   }
   if (policy == "adaptive" || policy == "adaptive-reference") {
     // bfs first, so greedy sits out the first phase while bfs takes
-    // values from under its heap; eager thresholds make the switch
-    // happen on this small target.
+    // values from under its heap; the switch happens on this small
+    // target.
     std::vector<std::unique_ptr<QuerySelector>> children;
     children.push_back(std::make_unique<BfsSelector>());
     children.push_back(MakeSelector(
         policy == "adaptive" ? "greedy" : "greedy-reference", store, mmmi));
-    AdaptiveOptions adaptive_options;
-    adaptive_options.ewma_alpha = 0.4;
-    adaptive_options.switch_decay = 0.6;
-    adaptive_options.hr_floor = 0.4;
-    adaptive_options.min_phase_queries = 8;
-    return std::make_unique<AdaptiveSelector>(std::move(children),
-                                              adaptive_options);
+    return std::make_unique<AdaptiveSelector>(std::move(children));
   }
   if (policy == "mmmi") return std::make_unique<MmmiSelector>(store, mmmi);
   if (policy == "mmmi-reference") {
