@@ -85,7 +85,6 @@ int main() {
       QuerySelector& selector =
           config.greedy ? static_cast<QuerySelector&>(greedy_selector)
                         : static_cast<QuerySelector&>(bfs_selector);
-      server.ResetMeters();
       CrawlEngine engine(server, selector, store, options, EngineOptions{},
                          policy);
       engine.AddSeed(bench::SeedValue(db, static_cast<uint32_t>(s)));

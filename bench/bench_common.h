@@ -47,14 +47,13 @@ inline void PrintBanner(const std::string& artifact,
 
 // Runs one crawl of `server` (any QueryInterface — the bare simulator or
 // a fault-injecting proxy) with `selector`, seeded with `seed_value`,
-// and returns the result. Resets the server meters first so rounds are
+// and returns the result. Its rounds are the new engine's, so they are
 // per-crawl. Aborts on crawl errors (bench fixtures are valid).
 inline CrawlResult RunCrawl(QueryInterface& server, QuerySelector& selector,
                             LocalStore& store, const CrawlOptions& options,
                             ValueId seed_value,
                             const EngineOptions& engine_options = {},
                             const RetryPolicy* retry_policy = nullptr) {
-  server.ResetMeters();
   CrawlEngine engine(server, selector, store, options, engine_options,
                      /*abort_policy=*/nullptr, retry_policy);
   engine.AddSeed(seed_value);

@@ -93,7 +93,6 @@ void BM_GreedyCrawlTo50Percent(benchmark::State& state) {
     GreedyLinkSelector selector(store);
     CrawlOptions options;
     options.target_records = table.num_records() / 2;
-    server.ResetMeters();
     CrawlEngine engine(server, selector, store, options);
     engine.AddSeed(1);
     StatusOr<CrawlResult> result = engine.Run();
@@ -143,7 +142,6 @@ CrawlLoopCounts CrawlLoopOnce(WebDbServer& server, const Table& table) {
   GreedyLinkSelector selector(store);
   CrawlOptions options;
   options.target_records = table.num_records() / 2;
-  server.ResetMeters();
   CrawlEngine engine(server, selector, store, options);
   engine.AddSeed(1);
   StatusOr<CrawlResult> result = engine.Run();

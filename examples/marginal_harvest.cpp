@@ -39,7 +39,6 @@ int main() {
       0.85 * static_cast<double>(auctions.num_records()));
 
   auto run = [&](QuerySelector& selector, LocalStore& store) {
-    server.ResetMeters();
     CrawlEngine crawler(server, selector, store, options);
     crawler.AddSeed(1);
     StatusOr<CrawlResult> result = crawler.Run();

@@ -61,7 +61,6 @@ int main() {
   {
     LocalStore store;
     DomainSelector selector(store, dt, server_options.page_size);
-    server.ResetMeters();
     CrawlEngine crawler(server, selector, store, crawl_options);
     StatusOr<CrawlResult> result = crawler.Run();
     if (!result.ok()) {
@@ -85,7 +84,6 @@ int main() {
   {
     LocalStore store;
     GreedyLinkSelector selector(store);
-    server.ResetMeters();
     CrawlEngine crawler(server, selector, store, crawl_options);
     ValueId seed = 0;
     while (target.value_frequency(seed) == 0) ++seed;

@@ -68,7 +68,6 @@ int main() {
   for (bool use_cover : {true, false}) {
     LocalStore store;
     ScriptedSelector selector(use_cover ? cover.values : wmds.vertices);
-    server.ResetMeters();
     CrawlEngine crawler(server, selector, store, CrawlOptions{});
     StatusOr<CrawlResult> result = crawler.Run();
     if (!result.ok()) {
@@ -83,7 +82,6 @@ int main() {
   {
     LocalStore store;
     GreedyLinkSelector selector(store);
-    server.ResetMeters();
     CrawlOptions options;
     CrawlEngine crawler(server, selector, store, options);
     ValueId seed = 0;

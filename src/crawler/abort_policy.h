@@ -48,13 +48,6 @@ class AbortPolicy {
   virtual std::string_view name() const = 0;
 };
 
-// Always drains queries completely (the paper's default crawler).
-class NeverAbort : public AbortPolicy {
- public:
-  bool ShouldContinue(const QueryProgress&) override { return true; }
-  std::string_view name() const override { return "never-abort"; }
-};
-
 // Count-based heuristic: abort when the best-case harvest rate of the
 // remaining pages (all unseen-so-far matches turn out new) is below
 // `min_harvest_rate` new records per round.

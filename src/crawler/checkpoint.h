@@ -74,7 +74,9 @@ class FaultyServer;
 //     fetch log that LoadState replays; no component serializes itself.
 // v9: FALT lost the keyed-mode byte and the two fault-RNG words; every
 //     fault decision is keyed, so the attempt table is its only state.
-inline constexpr uint32_t kCrawlCheckpointVersion = 9;
+// v10: FALT lost the proxy's two meter words (injected-failure rounds and
+//     queries); the engine is the only cost meter.
+inline constexpr uint32_t kCrawlCheckpointVersion = 10;
 
 // Section markers (fourcc, little-endian u32). Sections appear in file
 // order: CONFIG, LOG, FAULTY, END.

@@ -51,7 +51,6 @@ StatusOr<SizeEstimationReport> EstimateDatabaseSize(
     DEEPCRAWL_CHECK(selector != nullptr) << "selector factory returned null";
     CrawlOptions crawl_options;
     crawl_options.max_rounds = options.rounds_per_crawl;
-    server.ResetMeters();
     CrawlEngine crawler(server, *selector, store, crawl_options);
     crawler.AddSeed(rng.NextBounded(static_cast<uint32_t>(num_values)));
     StatusOr<CrawlResult> result = crawler.Run();

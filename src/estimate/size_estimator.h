@@ -65,8 +65,8 @@ struct SizeEstimationReport {
 
 // Runs `options.num_crawls` independent crawls (fresh LocalStore and
 // selector each, one random seed value per crawl) against `server`,
-// resetting the server's meters around each crawl, and aggregates the
-// pairwise estimates. Requires the server's table to be non-empty.
+// each under its own engine and so its own round budget, and aggregates
+// the pairwise estimates. Requires the server's table to be non-empty.
 StatusOr<SizeEstimationReport> EstimateDatabaseSize(
     WebDbServer& server, const SelectorFactory& selector_factory,
     const SizeEstimationOptions& options);

@@ -302,7 +302,9 @@ Status WriteFleetTraceCsv(const FleetResult& result, std::ostream& output);
 //        both are constants now (CircuitBreaker, RetryPolicy).
 // v1013: format 2 over engine payload version 9: each source's FALT lost
 //        the keyed-mode byte and the two fault-RNG words.
-inline constexpr uint32_t kFleetCheckpointVersion = 1013;
+// v1014: format 2 over engine payload version 10: each source's FALT lost
+//        the proxy's two meter words.
+inline constexpr uint32_t kFleetCheckpointVersion = 1014;
 
 inline constexpr uint32_t kSectionFleet = 0x54454c46;        // "FLET"
 inline constexpr uint32_t kSectionFleetSource = 0x43525346;  // "FSRC"

@@ -37,7 +37,8 @@ class InvertedIndex {
   size_t total_postings() const { return postings_.size(); }
 
   // Number of records that contain BOTH values (posting intersection
-  // size). Used by tests and the mutual-information machinery.
+  // size). Only tests call it, as an oracle over the whole table; MMMI
+  // counts co-occurrences in the local store, not here.
   uint32_t CooccurrenceCount(ValueId a, ValueId b) const;
 
  private:

@@ -321,20 +321,9 @@ Status NetQueryClient::EnsureConnected(NetConnection& conn) {
   }
 }
 
-void NetQueryClient::ResetMeters() {
-  rounds_ = 0;
-  queries_ = 0;
-  rtt_ = RttCounters{};
-}
-
 const ResultPage& NetQueryClient::Retain(DecodedPage page) {
   retained_.push_back(std::move(page));
   return retained_.back().page;
-}
-
-void NetQueryClient::AccountFetch(uint32_t page_number) {
-  ++rounds_;
-  if (page_number == 0) ++queries_;
 }
 
 StatusOr<ResultPage> NetQueryClient::FetchOne(const FetchRequest& request) {
@@ -479,7 +468,6 @@ void NetQueryClient::FetchWave(
     Lane& lane = lanes[i % num_lanes];
     lane.slots.push_back(i);
     lane.ids.push_back(next_request_id_++);
-    AccountFetch(requests[i].page_number);
   }
   for (Lane& lane : lanes) QueueLane(lane, requests);
 

@@ -34,7 +34,9 @@
 //     id and the engine commits in selector-rank order as always, so
 //     the crawl output stays a pure function of (seed, batch) no matter
 //     how responses interleave across connections (differential-tested
-//     against the in-process engine byte for byte).
+//     against the in-process engine byte for byte). The client meters
+//     no cost, like every QueryInterface: the engine counts rounds and
+//     queries. It keeps only the wall-clock RttCounters.
 //
 //   * NetFetchExecutor — the CrawlEngine executor seam: forwards each
 //     wave to its NetQueryClient's FetchWave.
@@ -172,9 +174,6 @@ class NetQueryClient : public QueryInterface {
   void FetchWave(std::span<const FetchRequest> requests,
                  std::span<std::optional<StatusOr<ResultPage>>> results);
 
-  uint64_t communication_rounds() const override { return rounds_; }
-  uint64_t queries_issued() const override { return queries_; }
-  void ResetMeters() override;
   // Measured socket round-trip times (see RttCounters).
   RttCounters rtt_counters() const override { return rtt_; }
 
@@ -208,9 +207,6 @@ class NetQueryClient : public QueryInterface {
   // Moves `page`'s storage into the retain list; the returned ResultPage
   // (spans included) stays valid until the next fetch begins.
   const ResultPage& Retain(DecodedPage page);
-  // One fetch attempt = one communication round (page 0 = one query),
-  // exactly the accounting WebDbServer/FaultyServer apply in-process.
-  void AccountFetch(uint32_t page_number);
   // Encodes the lane's unanswered requests onto its connection.
   void QueueLane(Lane& lane, std::span<const FetchRequest> requests);
   // Reconnects a lane whose connection died and re-queues its
@@ -227,8 +223,6 @@ class NetQueryClient : public QueryInterface {
   WireServerInfo info_;
   uint64_t next_request_id_ = 1;
   std::deque<DecodedPage> retained_;  // never relocates a page
-  uint64_t rounds_ = 0;
-  uint64_t queries_ = 0;
   bool connected_once_ = false;
   uint64_t reconnects_ = 0;
   RttCounters rtt_;

@@ -224,10 +224,9 @@ bool WebDbTcpServer::ServeBody(Connection& conn, std::string_view body) {
     AppendResponseFrame(conn.outbox, request->request_id, Dispatch(*request));
     return true;
   }
-  // Delay the RESPONSE, not the backend call: the backend's fault/meter
-  // stream still sees arrival order, and equal delays preserve the
-  // per-connection response order (timers with equal deadlines fire in
-  // schedule order).
+  // Delay the RESPONSE, not the backend call: the backend still answers
+  // in arrival order, and equal delays preserve the per-connection
+  // response order (timers with equal deadlines fire in schedule order).
   std::string frame = EncodeResponseFrame(request->request_id,
                                           Dispatch(*request));
   uint64_t conn_id = conn.id;

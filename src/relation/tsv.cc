@@ -73,17 +73,22 @@ StatusOr<Table> ReadTableTsv(std::istream& input) {
   return table;
 }
 
+void WriteTsvRow(const Table& table, std::span<const ValueId> values,
+                 std::ostream& output) {
+  bool first = true;
+  for (ValueId v : values) {
+    if (!first) output << '\t';
+    first = false;
+    AttributeId attr = table.catalog().attribute_of(v);
+    output << table.schema().attribute(attr).name << '='
+           << table.catalog().text_of(v);
+  }
+  output << '\n';
+}
+
 Status WriteTableTsv(const Table& table, std::ostream& output) {
   for (RecordId r = 0; r < table.num_records(); ++r) {
-    bool first = true;
-    for (ValueId v : table.record(r)) {
-      if (!first) output << '\t';
-      first = false;
-      AttributeId attr = table.catalog().attribute_of(v);
-      output << table.schema().attribute(attr).name << '='
-             << table.catalog().text_of(v);
-    }
-    output << '\n';
+    WriteTsvRow(table, table.record(r), output);
   }
   if (!output) return Status::Internal("write failed");
   return Status::OK();

@@ -87,11 +87,7 @@ FaultAction FaultyServer::NextAction(uint64_t query_key,
   return FaultAction::kNone;
 }
 
-Status FaultyServer::InjectFailure(FaultAction action, uint32_t page_number) {
-  // The rejected round trip still happened: charge it here, because the
-  // backend never saw the call.
-  ++injected_failure_rounds_;
-  if (page_number == 0) ++injected_failure_queries_;
+Status FaultyServer::InjectFailure(FaultAction action) {
   switch (action) {
     case FaultAction::kUnavailable:
       ++counters_.unavailable;
@@ -140,7 +136,7 @@ StatusOr<ResultPage> FaultyServer::Dispatch(uint64_t query_key,
     case FaultAction::kUnavailable:
     case FaultAction::kTimeout:
     case FaultAction::kRateLimit:
-      return InjectFailure(action, page_number);
+      return InjectFailure(action);
     default:
       break;
   }
@@ -164,12 +160,6 @@ StatusOr<ResultPage> FaultyServer::FetchPageKeywordOf(ValueId value,
   });
 }
 
-void FaultyServer::ResetMeters() {
-  inner_.ResetMeters();
-  injected_failure_rounds_ = 0;
-  injected_failure_queries_ = 0;
-}
-
 void FaultyServer::SaveState(CheckpointWriter& writer) const {
   // Fingerprint first (verified on load), then the mutable state.
   writer.WriteU64(seed_);
@@ -190,8 +180,6 @@ void FaultyServer::SaveState(CheckpointWriter& writer) const {
     writer.WriteU64(page_key);
     writer.WriteU32(count);
   }
-  writer.WriteU64(injected_failure_rounds_);
-  writer.WriteU64(injected_failure_queries_);
   writer.WriteU64(counters_.unavailable);
   writer.WriteU64(counters_.timeouts);
   writer.WriteU64(counters_.rate_limited);
@@ -242,21 +230,11 @@ Status FaultyServer::LoadState(CheckpointReader& reader) {
     last_key = page_key;
     page_attempts_.emplace(page_key, count);
   }
-  injected_failure_rounds_ = reader.ReadU64();
-  injected_failure_queries_ = reader.ReadU64();
   counters_.unavailable = reader.ReadU64();
   counters_.timeouts = reader.ReadU64();
   counters_.rate_limited = reader.ReadU64();
   counters_.truncated_pages = reader.ReadU64();
   counters_.duplicated_records = reader.ReadU64();
-  // Each injected failure bumps exactly one failure counter; ResetMeters
-  // zeroes only the injected tallies.
-  if (reader.ok() &&
-      (injected_failure_queries_ > injected_failure_rounds_ ||
-       injected_failure_rounds_ > counters_.unavailable + counters_.timeouts +
-                                      counters_.rate_limited)) {
-    reader.MarkCorrupt("fault counters do not add up");
-  }
   return reader.status();
 }
 

@@ -17,8 +17,9 @@
 //                                  twice, hiding another (real listings
 //                                  repeat entries across re-renders).
 //
-// Failed attempts still cost one communication round — the round trip
-// happened — so the proxy keeps its own meters on top of the backend's.
+// A failed attempt never reaches the backend, yet it still costs the
+// crawler one communication round (the round trip happened); the engine
+// charges it, so the proxy keeps no meters of its own.
 //
 // Every fault decision is a pure function of (seed, query identity,
 // page, per-page attempt number): the same logical fetch always meets
@@ -155,16 +156,6 @@ class FaultyServer : public QueryInterface {
   StatusOr<ResultPage> FetchPageKeywordOf(ValueId value,
                                           uint32_t page_number) override;
 
-  // Meters include rounds spent on injected failures (the crawler paid
-  // for them), on top of the backend's own accounting.
-  uint64_t communication_rounds() const override {
-    return inner_.communication_rounds() + injected_failure_rounds_;
-  }
-  uint64_t queries_issued() const override {
-    return inner_.queries_issued() + injected_failure_queries_;
-  }
-  void ResetMeters() override;
-
   const ServerOptions& options() const override { return inner_.options(); }
   bool IsQueriableValue(ValueId value) const override {
     return inner_.IsQueriableValue(value);
@@ -188,9 +179,8 @@ class FaultyServer : public QueryInterface {
   // the schedule, then the keyed hash. `query_key` identifies the logical
   // query (fetch form and value id).
   FaultAction NextAction(uint64_t query_key, uint32_t page_number);
-  // Returns the injected failure status for `action`, charging the round
-  // to the proxy's own meters.
-  Status InjectFailure(FaultAction action, uint32_t page_number);
+  // Returns the injected failure status for `action` and counts it.
+  Status InjectFailure(FaultAction action);
   // Applies a page-mutating fault in place.
   void MutatePage(FaultAction action, ResultPage& page);
 
@@ -207,8 +197,6 @@ class FaultyServer : public QueryInterface {
   // fresh (but still order-independent) fault decisions.
   std::unordered_map<uint64_t, uint32_t> page_attempts_;
   std::optional<FaultAction> forced_action_;
-  uint64_t injected_failure_rounds_ = 0;
-  uint64_t injected_failure_queries_ = 0;
   FaultCounters counters_;
 };
 

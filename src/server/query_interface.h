@@ -1,9 +1,11 @@
 // QueryInterface: the abstract query surface of a structured Web source.
 //
-// Everything a crawler may do to a source is declared here — the two
+// Everything a crawler may do to a source is declared here: the two
 // paginated queries a crawl issues (a single-attribute equality query,
-// §2.2, and the keyword box of the "fading schema") plus the
-// communication-round meters of the paper's cost model (Definition 2.3).
+// §2.2, and the keyword box of the "fading schema"). The paper's cost
+// model (Definition 2.3) is metered by the caller, not the source:
+// CrawlEngine counts every fetch it issues, failed ones included, as one
+// communication round, and every query submission as one query.
 // Concrete implementations:
 //
 //   * WebDbServer (web_db_server.h): the faithful simulator over a
@@ -118,11 +120,12 @@ class QueryInterface {
                                                   uint32_t page_number) = 0;
 
   // Unused by the crawl: no crawl issues a text-addressed, keyword-string
-  // or conjunctive fetch, and no implementation answers one. Each fails
-  // with kFailedPrecondition and charges no round. These three remain
-  // only because the benchmark's TimedQueryInterface
-  // (crawlbench/tracing.h) overrides and forwards them; they go with its
-  // next change.
+  // or conjunctive fetch, and no implementation answers one; each fails
+  // with kFailedPrecondition. No implementation meters cost either (see
+  // the file comment), so the meter reads are 0 and ResetMeters does
+  // nothing. These six remain only because the benchmark's
+  // TimedQueryInterface (crawlbench/tracing.h) overrides and forwards
+  // them; they go with its next change.
   virtual StatusOr<ResultPage> FetchPageByText(AttributeId /*attr*/,
                                                std::string_view /*text*/,
                                                uint32_t /*page_number*/) {
@@ -136,16 +139,9 @@ class QueryInterface {
       std::span<const ValueId> /*values*/, uint32_t /*page_number*/) {
     return UnsupportedFetch();
   }
-
-  // --- cost accounting -------------------------------------------------
-
-  // Total communication rounds since construction or the last reset.
-  // Failed fetch attempts count: the round trip happened.
-  virtual uint64_t communication_rounds() const = 0;
-  // Number of distinct query submissions (page 0 fetches, including
-  // submissions rejected by a fault).
-  virtual uint64_t queries_issued() const = 0;
-  virtual void ResetMeters() = 0;
+  virtual uint64_t communication_rounds() const { return 0; }
+  virtual uint64_t queries_issued() const { return 0; }
+  virtual void ResetMeters() {}
 
   // Round-trip-time tallies for the fetches this interface served.
   // Zero-valued by default: the in-memory simulator answers instantly;

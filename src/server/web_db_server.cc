@@ -115,15 +115,9 @@ bool WebDbServer::IsQueriableValue(ValueId value) const {
          attribute_queriable_[attr] != 0;
 }
 
-void WebDbServer::ResetMeters() {
-  communication_rounds_ = 0;
-  queries_issued_ = 0;
-}
-
 StatusOr<ResultPage> WebDbServer::BuildPage(std::span<const RecordId> postings,
                                             uint32_t total_matches,
                                             uint32_t page_number) {
-  // The communication round was already charged by the caller.
   uint32_t retrievable = static_cast<uint32_t>(postings.size());
   if (options_.result_limit > 0) {
     retrievable = std::min(retrievable, options_.result_limit);
@@ -148,8 +142,6 @@ StatusOr<ResultPage> WebDbServer::BuildPage(std::span<const RecordId> postings,
 
 StatusOr<ResultPage> WebDbServer::FetchPage(ValueId value,
                                             uint32_t page_number) {
-  ++communication_rounds_;
-  if (page_number == 0) ++queries_issued_;
   if (value >= table_.num_distinct_values() || !IsQueriableValue(value)) {
     // Unknown value, or an attribute the form has no field for: the
     // site answers "no results".
@@ -162,8 +154,6 @@ StatusOr<ResultPage> WebDbServer::FetchPage(ValueId value,
 
 StatusOr<ResultPage> WebDbServer::FetchPageKeywordOf(ValueId value,
                                                      uint32_t page_number) {
-  ++communication_rounds_;
-  if (page_number == 0) ++queries_issued_;
   if (value >= token_of_value_.size()) {
     return BuildPage({}, 0, page_number);
   }

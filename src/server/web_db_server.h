@@ -20,11 +20,10 @@
 //   * an optional total-match count on every page, as most sources
 //     report "N results found" (exploited by the §3.4 abort heuristics).
 //
-// Every page fetch increments the communication-round meter, which is the
-// paper's cost measure. The meter can be snapshotted and reset by the
-// experiment harness. Unlike a real source, WebDbServer answers every
-// query perfectly; wrap it in a FaultyServer (faulty_server.h) to model
-// transient failures.
+// The server keeps no meters: the paper's cost measure is counted by the
+// crawler that pays it (CrawlEngine's rounds and queries). Unlike a real
+// source, WebDbServer answers every query perfectly; wrap it in a
+// FaultyServer (faulty_server.h) to model transient failures.
 
 #ifndef DEEPCRAWL_SERVER_WEB_DB_SERVER_H_
 #define DEEPCRAWL_SERVER_WEB_DB_SERVER_H_
@@ -53,12 +52,6 @@ class WebDbServer : public QueryInterface {
   StatusOr<ResultPage> FetchPage(ValueId value, uint32_t page_number) override;
   StatusOr<ResultPage> FetchPageKeywordOf(ValueId value,
                                           uint32_t page_number) override;
-
-  uint64_t communication_rounds() const override {
-    return communication_rounds_;
-  }
-  uint64_t queries_issued() const override { return queries_issued_; }
-  void ResetMeters() override;
 
   const ServerOptions& options() const override { return options_; }
   bool IsQueriableValue(ValueId value) const override;
@@ -121,8 +114,6 @@ class WebDbServer : public QueryInterface {
   std::vector<Token> tokens_;
   std::vector<uint32_t> token_of_value_;  // by ValueId
   std::vector<RecordId> merged_postings_;  // arena for multi-attr tokens
-  uint64_t communication_rounds_ = 0;
-  uint64_t queries_issued_ = 0;
 };
 
 }  // namespace deepcrawl

@@ -8,7 +8,6 @@
 #define DEEPCRAWL_UTIL_RANDOM_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/util/logging.h"
 
@@ -61,28 +60,6 @@ class Pcg32 {
 
   // Bernoulli trial with success probability p.
   bool NextBool(double p) { return NextDouble() < p; }
-
-  // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t NextInRange(int64_t lo, int64_t hi) {
-    DEEPCRAWL_DCHECK(lo <= hi) << "NextInRange requires lo <= hi";
-    uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-    if (span == 0) return static_cast<int64_t>(NextU64());  // full range
-    return lo + static_cast<int64_t>(NextU64() % span);
-  }
-
-  // Fisher-Yates shuffle of `items`.
-  template <typename T>
-  void Shuffle(std::vector<T>& items) {
-    for (size_t i = items.size(); i > 1; --i) {
-      size_t j = NextBounded(static_cast<uint32_t>(i));
-      std::swap(items[i - 1], items[j]);
-    }
-  }
-
-  // Samples `count` distinct indices from [0, population) using Floyd's
-  // algorithm; result order is unspecified but deterministic.
-  std::vector<uint32_t> SampleWithoutReplacement(uint32_t population,
-                                                 uint32_t count);
 
  private:
   uint64_t state_;

@@ -7,27 +7,6 @@
 
 namespace deepcrawl {
 
-void RunningStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-  }
-  ++count_;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 LinearFit FitLeastSquares(const std::vector<double>& x,
                           const std::vector<double>& y) {
   DEEPCRAWL_CHECK_EQ(x.size(), y.size());
@@ -145,12 +124,20 @@ TTestResult OneSampleTTest(const std::vector<double>& samples,
   DEEPCRAWL_CHECK_GE(samples.size(), 2u);
   DEEPCRAWL_CHECK_GT(confidence, 0.0);
   DEEPCRAWL_CHECK_LT(confidence, 1.0);
-  RunningStats stats;
-  for (double s : samples) stats.Add(s);
+  // Welford's streaming mean and sum of squared deviations.
+  double mean = 0.0;
+  double m2 = 0.0;
+  size_t count = 0;
+  for (double s : samples) {
+    ++count;
+    double delta = s - mean;
+    mean += delta / static_cast<double>(count);
+    m2 += delta * (s - mean);
+  }
   TTestResult result;
-  result.n = stats.count();
-  result.mean = stats.mean();
-  result.stddev = stats.stddev();
+  result.n = count;
+  result.mean = mean;
+  result.stddev = std::sqrt(m2 / static_cast<double>(count - 1));
   result.df = static_cast<double>(result.n - 1);
   double se = result.stddev / std::sqrt(static_cast<double>(result.n));
   double t_two = StudentTQuantile(0.5 + confidence / 2.0, result.df);

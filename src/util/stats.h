@@ -1,5 +1,4 @@
-// Descriptive statistics, least-squares regression, and Student-t
-// inference utilities.
+// Least-squares regression and Student-t inference utilities.
 //
 // The paper uses (a) log-log least-squares fits to argue the attribute
 // value graph degree distribution is power-law (Figure 2) and (b) a
@@ -15,27 +14,6 @@
 #include <vector>
 
 namespace deepcrawl {
-
-// Streaming mean/variance accumulator (Welford's algorithm).
-class RunningStats {
- public:
-  void Add(double x);
-
-  size_t count() const { return count_; }
-  double mean() const { return count_ == 0 ? 0.0 : mean_; }
-  // Sample variance (divides by n-1). Zero when fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 // Result of an ordinary least-squares fit y = slope * x + intercept.
 struct LinearFit {

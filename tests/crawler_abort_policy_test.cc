@@ -28,11 +28,6 @@ QueryProgress MakeProgress(uint32_t total, uint32_t page_size,
   return progress;
 }
 
-TEST(NeverAbortTest, AlwaysContinues) {
-  NeverAbort policy;
-  EXPECT_TRUE(policy.ShouldContinue(MakeProgress(100, 10, 5, 50, 0)));
-}
-
 TEST(CountBasedAbortTest, ContinuesWhenNoCountAvailable) {
   CountBasedAbort policy(5.0);
   QueryProgress progress = MakeProgress(100, 10, 1, 10, 0);

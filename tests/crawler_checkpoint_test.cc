@@ -67,10 +67,9 @@ ValueId FirstQueriableSeed(const Table& table) {
 
 // One shared backend for the whole suite: WebDbServer construction
 // builds the full inverted index, far too slow to repeat per byte flip
-// in the corruption sweeps. The server is stateless apart from its
-// meters (which nothing here compares), so sharing never perturbs a
-// crawl's output; every stack below still gets its own fault proxy,
-// store, selector, and engine.
+// in the corruption sweeps. The server is stateless, so sharing never
+// perturbs a crawl's output; every stack below still gets its own fault
+// proxy, store, selector, and engine.
 WebDbServer& SharedBackend() {
   static WebDbServer* server =
       new WebDbServer(CheckpointTarget(), ServerOptions());
@@ -364,10 +363,12 @@ TEST(CrawlCheckpointTest, VersionMismatchNamesBothVersions) {
         << status.ToString();
   }
 
-  // A v8 image of a crawl behind a fault proxy, in v8's FALT layout: a
-  // keyed-mode byte (1 = keyed) after the profile and two fault-RNG words
-  // (state, odd increment) after the schedule position, framed as
-  // version 8.
+  // Images of a crawl behind a fault proxy in the two previous FALT
+  // layouts. v9's fault state carried two meter words (injected-failure
+  // rounds and queries) just before its five fault counters; v8's also
+  // carried a keyed-mode byte (1 = keyed) after the profile and two
+  // fault-RNG words (state, odd increment) after the schedule position.
+  // Each is refused by version, naming both versions.
   Stack faulted("greedy", /*with_faults=*/true);
   faulted.engine->AddSeed(FirstQueriableSeed(CheckpointTarget()));
   faulted.engine->set_max_rounds(40);
@@ -377,28 +378,42 @@ TEST(CrawlCheckpointTest, VersionMismatchNamesBothVersions) {
   StatusOr<std::string> engine_only =
       EncodeCrawlCheckpoint(*faulted.engine, nullptr);
   ASSERT_TRUE(with_proxy.ok() && engine_only.ok());
-  StatusOr<std::string_view> v9_payload =
+  StatusOr<std::string_view> proxy_payload =
       UnframeCheckpoint(*with_proxy, kCrawlCheckpointVersion);
   StatusOr<std::string_view> engine_payload =
       UnframeCheckpoint(*engine_only, kCrawlCheckpointVersion);
-  ASSERT_TRUE(v9_payload.ok() && engine_payload.ok());
+  ASSERT_TRUE(proxy_payload.ok() && engine_payload.ok());
   // The engine's sections are the same in both payloads; the proxy-less
   // one ends in FALT marker u32, presence u8, END! marker u32.
   const size_t falt = engine_payload->size() - (4 + 1 + 4);
   // FALT: marker u32, presence u8, seed u64, five rate doubles,
   // retry-after u32; then schedule size u64 and position u64.
   const size_t keyed_at = falt + 4 + 1 + 8 + 5 * 8 + 4;
-  std::string v8_payload(*v9_payload);
+  // The five fault counters end the state, before the END! marker.
+  const size_t counters_at = proxy_payload->size() - 4 - 5 * 8;
+  std::string v9_payload(*proxy_payload);
+  v9_payload.insert(counters_at, 16, '\0');  // any meter values
+  std::string v8_payload = v9_payload;
   v8_payload.insert(keyed_at + 8 + 8,
                     std::string("\x2a\x2a\x2a\x2a\x2a\x2a\x2a\x2a"
                                 "\x01\x00\x00\x00\x00\x00\x00\x00",
                                 16));
   v8_payload.insert(keyed_at, 1, '\1');
-  Status status =
-      TryDecode(FrameCheckpoint(v8_payload, 8), "greedy", /*with_faults=*/true);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("version"), std::string::npos)
-      << status.ToString();
+  for (const auto& [version, old_payload] :
+       {std::pair<uint32_t, const std::string*>{9, &v9_payload},
+        std::pair<uint32_t, const std::string*>{8, &v8_payload}}) {
+    Status status = TryDecode(FrameCheckpoint(*old_payload, version),
+                              "greedy", /*with_faults=*/true);
+    ASSERT_FALSE(status.ok()) << version;
+    EXPECT_NE(status.message().find("file has version " +
+                                    std::to_string(version)),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find(
+                  "reads version " + std::to_string(kCrawlCheckpointVersion)),
+              std::string::npos)
+        << status.ToString();
+  }
 }
 
 // A real v6 image, as the v6 encoder wrote it: a greedy-link crawl of
@@ -529,36 +544,36 @@ const GoldenCrawl kGoldenCrawls[] = {
     {.name = "greedy-batch1",
      .policy = "greedy",
      .config = {.with_faults = true},
-     .digest = 0x885aaf120cf1708aULL},
+     .digest = 0xad3ccca2364bc9c2ULL},
     // Truncated and duplicated pages: records repeat within a page.
     {.name = "greedy-batch4-truncate-duplicate",
      .policy = "greedy",
      .config = {.with_faults = true,
                 .batch = 4,
                 .faults = TruncateAndDuplicateFaults()},
-     .digest = 0x0cbf6f701d421d51ULL},
+     .digest = 0x2ea8ff9abf4c25baULL},
     {.name = "greedy-keyword",
      .policy = "greedy",
      .config = {.keyword = true},
-     .digest = 0x12c1820b707bead5ULL},
+     .digest = 0x7d40c82d153ef674ULL},
     {.name = "mmmi-40-rounds",
      .policy = "mmmi",
      .config = {.with_faults = true},
      .max_rounds = 40,
-     .digest = 0x7cab4e13c3bc750aULL},
+     .digest = 0xd66a0b17c54c6b98ULL},
     // The seventh wave runs from round 38 past round 41, so a budget of
     // 40 stops inside it.
     {.name = "greedy-batch8-mid-wave",
      .policy = "greedy",
      .config = {.with_faults = true, .batch = 8},
      .max_rounds = 40,
-     .digest = 0x08c9cb68bc0dc617ULL},
+     .digest = 0x971ec09e1f5d005aULL},
     // Saved from the sink: the log ends with a cut.
     {.name = "greedy-batch2-sink",
      .policy = "greedy",
      .config = {.with_faults = true, .batch = 2, .checkpoint_every_waves = 7},
      .from_sink = true,
-     .digest = 0x0f1780e6969857d0ULL},
+     .digest = 0xdaa3c9b57e58bffbULL},
 };
 
 std::string GoldenImage(const GoldenCrawl& golden) {

@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "src/crawler/abort_policy.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/naive_selectors.h"
+#include "src/crawler/retry_policy.h"
+#include "src/datagen/workload_config.h"
+#include "src/server/faulty_server.h"
 #include "src/server/web_db_server.h"
 #include "tests/test_util.h"
 
@@ -174,16 +180,133 @@ TEST(CrawlerTest, TraceIsMonotoneAndEndsAtTotals) {
 TEST(CrawlerTest, EveryQueryCostsAtLeastOneRound) {
   Table table = MakeFigure1Table();
   WebDbServer server(table, SmallPages());
+  testing_util::CountingSource source(server);
   LocalStore store;
   DfsSelector selector;
-  CrawlEngine crawler(server, selector, store, CrawlOptions{});
+  CrawlEngine crawler(source, selector, store, CrawlOptions{});
   crawler.AddSeed(GetValueId(table, "A", "a2"));
 
   StatusOr<CrawlResult> result = crawler.Run();
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->rounds, result->queries);
-  EXPECT_EQ(result->rounds, server.communication_rounds());
-  EXPECT_EQ(result->queries, server.queries_issued());
+  EXPECT_EQ(result->rounds, source.fetches());
+  EXPECT_EQ(result->queries, source.queries());
+}
+
+// The engine is the only cost meter. Its rounds must equal the fetch
+// calls that reached its source, failed ones included, in every
+// configuration; its queries must equal the page-0 calls wherever no
+// fetch fails (a retried page 0 is a second call of the same query).
+//
+// The tap counts like CountingSource and also watches serial crawls for
+// a drain cut short: a page-0 fetch that follows a page with a
+// successor, or a crawl whose last page had one.
+class DrainTap : public testing_util::CountingSource {
+ public:
+  using CountingSource::CountingSource;
+
+  StatusOr<ResultPage> FetchPage(ValueId value,
+                                 uint32_t page_number) override {
+    return Note(page_number, CountingSource::FetchPage(value, page_number));
+  }
+  StatusOr<ResultPage> FetchPageKeywordOf(ValueId value,
+                                          uint32_t page_number) override {
+    return Note(page_number,
+                CountingSource::FetchPageKeywordOf(value, page_number));
+  }
+
+  uint64_t cut_drains() const { return cut_drains_; }
+  bool last_has_more() const { return last_has_more_; }
+
+ private:
+  StatusOr<ResultPage> Note(uint32_t page_number, StatusOr<ResultPage> page) {
+    if (page_number == 0 && last_has_more_) ++cut_drains_;
+    last_has_more_ = page.ok() && page->has_more;
+    return page;
+  }
+
+  uint64_t cut_drains_ = 0;
+  bool last_has_more_ = false;
+};
+
+struct MeterCase {
+  const char* name;
+  uint32_t batch = 1;
+  bool flaky = false;
+  bool keyword = false;
+  bool count_abort = false;
+  uint64_t target_records = 0;
+};
+
+TEST(CrawlEngineTest, RoundsEqualFetchesThatReachedTheSource) {
+  SyntheticDbConfig config;
+  config.name = "meter";
+  config.num_records = 400;
+  config.seed = 5;
+  config.attributes = {
+      {.name = "A", .num_distinct = 30, .zipf_exponent = 1.0},
+      {.name = "B",
+       .num_distinct = 200,
+       .zipf_exponent = 0.7,
+       .min_per_record = 1,
+       .max_per_record = 3},
+  };
+  StatusOr<Table> table = GenerateTable(config);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ServerOptions server_options;
+  server_options.page_size = 4;
+  // deepcrawl_crawl's --fault-profile=flaky.
+  FaultProfile flaky;
+  flaky.unavailable_rate = 0.05;
+  flaky.timeout_rate = 0.03;
+  flaky.rate_limit_rate = 0.02;
+
+  const MeterCase cases[] = {
+      {.name = "in-process batch 1"},
+      {.name = "in-process batch 8", .batch = 8},
+      {.name = "flaky batch 1", .flaky = true},
+      {.name = "flaky batch 8", .batch = 8, .flaky = true},
+      {.name = "keyword", .keyword = true},
+      {.name = "count-based abort", .count_abort = true},
+      {.name = "target reached mid-drain", .target_records = 150},
+  };
+  for (const MeterCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    WebDbServer server(*table, server_options);
+    std::optional<FaultyServer> proxy;
+    if (c.flaky) proxy.emplace(server, flaky, /*seed=*/7);
+    DrainTap tap(proxy.has_value() ? static_cast<QueryInterface&>(*proxy)
+                                   : server);
+    LocalStore store;
+    GreedyLinkSelector selector(store);
+    CountBasedAbort abort_policy(/*min_harvest_rate=*/2.0);
+    RetryPolicy retry((RetryPolicyConfig()));
+    CrawlOptions options;
+    options.use_keyword_interface = c.keyword;
+    options.target_records = c.target_records;
+    CrawlEngine engine(tap, selector, store, options,
+                       EngineOptions{.batch = c.batch},
+                       c.count_abort ? &abort_policy : nullptr,
+                       c.flaky ? &retry : nullptr);
+    engine.AddSeed(0);
+    StatusOr<CrawlResult> result = engine.Run();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+    EXPECT_EQ(result->rounds, tap.fetches());
+    if (c.flaky) {
+      EXPECT_GT(result->resilience.transient_failures, 0u);
+    } else {
+      EXPECT_EQ(result->queries, tap.queries());
+    }
+    // Each case reaches the path it is named for.
+    if (c.count_abort) {
+      EXPECT_GT(tap.cut_drains(), 0u);
+    }
+    if (c.target_records > 0) {
+      EXPECT_EQ(result->stop_reason, StopReason::kTargetReached);
+      EXPECT_TRUE(tap.last_has_more());
+    }
+  }
 }
 
 }  // namespace

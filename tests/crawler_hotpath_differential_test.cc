@@ -216,11 +216,6 @@ class ObservationTap : public QueryInterface {
                                           uint32_t page_number) override {
     return Count(inner_.FetchPageKeywordOf(value, page_number));
   }
-  uint64_t communication_rounds() const override {
-    return inner_.communication_rounds();
-  }
-  uint64_t queries_issued() const override { return inner_.queries_issued(); }
-  void ResetMeters() override { inner_.ResetMeters(); }
   RttCounters rtt_counters() const override { return inner_.rtt_counters(); }
   const ServerOptions& options() const override { return inner_.options(); }
   bool IsQueriableValue(ValueId value) const override {

@@ -111,7 +111,6 @@ TEST(MmmiBehaviorTest, EndToEndTwinDatabaseFavorsMmmi) {
   {
     LocalStore store;
     GreedyLinkSelector selector(store);
-    server.ResetMeters();
     CrawlEngine crawler(server, selector, store, options);
     crawler.AddSeed(GetValueId(table, "Category", "c0"));
     rounds_greedy = crawler.Run()->rounds;
@@ -119,7 +118,6 @@ TEST(MmmiBehaviorTest, EndToEndTwinDatabaseFavorsMmmi) {
   {
     LocalStore store;
     MmmiSelector selector(store);
-    server.ResetMeters();
     CrawlEngine crawler(server, selector, store, options);
     crawler.AddSeed(GetValueId(table, "Category", "c0"));
     rounds_mmmi = crawler.Run()->rounds;

@@ -20,6 +20,7 @@
 #include "src/server/web_db_server.h"
 #include "src/util/random.h"
 #include "tests/shuffled_fetch_executor.h"
+#include "tests/test_util.h"
 
 namespace deepcrawl {
 namespace {
@@ -100,7 +101,9 @@ TEST(ParallelCrawlerStressTest, NoRecordLostOrDuplicatedUnderFaults) {
   ASSERT_FALSE(reference.empty());
 
   WebDbServer backend(target, ServerOptions());
-  FaultyServer faulty(backend, FaultProfile(), /*seed=*/1);
+  testing_util::CountingSource backend_calls(backend);
+  FaultyServer faulty(backend_calls, FaultProfile(), /*seed=*/1);
+  testing_util::CountingSource source(faulty);
   FaultSchedule schedule = FailureBurstSchedule(800);
   size_t scheduled_failures = static_cast<size_t>(std::count_if(
       schedule.begin(), schedule.end(),
@@ -112,7 +115,7 @@ TEST(ParallelCrawlerStressTest, NoRecordLostOrDuplicatedUnderFaults) {
   RetryPolicy retry((RetryPolicyConfig()));
   ShuffledFetchExecutor shuffler(/*seed=*/3);
   CrawlEngine crawler(
-      faulty, selector, store, CrawlOptions{},
+      source, selector, store, CrawlOptions{},
       EngineOptions{.batch = 8, .shared_executor = &shuffler},
       /*abort_policy=*/nullptr, &retry);
   crawler.AddSeed(FirstQueriableSeed(target));
@@ -148,9 +151,11 @@ TEST(ParallelCrawlerStressTest, NoRecordLostOrDuplicatedUnderFaults) {
   EXPECT_EQ(res.requeues + res.abandoned_values, res.degraded_queries);
   EXPECT_LE(res.requeues, res.transient_failures / 4);
 
-  // Cost accounting stayed exact: the server's meter and the crawler's
-  // round count agree.
-  EXPECT_EQ(result->rounds, faulty.communication_rounds());
+  // Cost accounting stayed exact under every fetch order: the crawler
+  // charged one round per fetch it issued, and every fetch the proxy
+  // did not fail reached the backend.
+  EXPECT_EQ(result->rounds, source.fetches());
+  EXPECT_EQ(backend_calls.fetches() + res.transient_failures, result->rounds);
 }
 
 TEST(ParallelCrawlerStressTest, RepeatedRunsAreIdenticalAcrossSchedulings) {

@@ -165,11 +165,12 @@ TEST(CrawlerResilienceTest, RetryExhaustionRequeuesThenAbandons) {
   // Defaults: max_attempts = 4, max_requeues = 2 => 3 drains of 4 failed
   // attempts each before the value is written off.
   server.set_schedule(FaultSchedule(12, FaultAction::kUnavailable));
+  testing_util::CountingSource source(server);
 
   LocalStore store;
   BfsSelector selector;
   RetryPolicy retry((RetryPolicyConfig()));
-  CrawlEngine crawler(server, selector, store, CrawlOptions(), EngineOptions{},
+  CrawlEngine crawler(source, selector, store, CrawlOptions(), EngineOptions{},
                       /*abort_policy=*/nullptr, &retry);
   crawler.AddSeed(GetValueId(table, "Brand", "toyota"));
   StatusOr<CrawlResult> result = crawler.Run();
@@ -191,7 +192,7 @@ TEST(CrawlerResilienceTest, RetryExhaustionRequeuesThenAbandons) {
             3 * (retry.BackoffTicks(unavailable, 1, toyota) +
                  retry.BackoffTicks(unavailable, 2, toyota) +
                  retry.BackoffTicks(unavailable, 3, toyota)));
-  EXPECT_EQ(result->rounds, server.communication_rounds());
+  EXPECT_EQ(result->rounds, source.fetches());
 }
 
 // Without a retry policy the first transient failure fails the crawl —

@@ -18,6 +18,7 @@
 #include "src/graph/components.h"
 #include "src/graph/reachability.h"
 #include "src/server/web_db_server.h"
+#include "tests/test_util.h"
 
 namespace deepcrawl {
 namespace {
@@ -127,15 +128,16 @@ TEST_P(CrossModuleTest, SweepCostEqualsSumOfFullRetrievalCosts) {
   for (ValueId v = 0; v < db.num_distinct_values(); ++v) {
     predicted += server.FullRetrievalCost(v);
   }
-  server.ResetMeters();
+  testing_util::CountingSource source(server);
   for (ValueId v = 0; v < db.num_distinct_values(); ++v) {
     for (uint32_t page = 0;; ++page) {
-      StatusOr<ResultPage> fetched = server.FetchPage(v, page);
+      StatusOr<ResultPage> fetched = source.FetchPage(v, page);
       ASSERT_TRUE(fetched.ok());
       if (!fetched->has_more) break;
     }
   }
-  EXPECT_EQ(server.communication_rounds(), predicted);
+  EXPECT_EQ(source.fetches(), predicted);
+  EXPECT_EQ(source.queries(), db.num_distinct_values());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrossModuleTest,

@@ -104,14 +104,12 @@ TEST(PublicationDomainTest, DomainKnowledgeBeatsGreedyOnThisDomainToo) {
   {
     LocalStore store;
     DomainSelector selector(store, dt);
-    server.ResetMeters();
     CrawlEngine crawler(server, selector, store, options);
     records_dm = crawler.Run()->records;
   }
   {
     LocalStore store;
     GreedyLinkSelector selector(store);
-    server.ResetMeters();
     CrawlEngine crawler(server, selector, store, options);
     ValueId seed = 0;
     while (target.value_frequency(seed) == 0) ++seed;

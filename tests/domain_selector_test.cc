@@ -296,7 +296,6 @@ TEST(DomainSelectorTest, ReachesRecordsOutsideSeedComponent) {
     EXPECT_EQ(result->records, 2u);  // stuck in island 1
   }
   {
-    server.ResetMeters();
     LocalStore store;
     DomainSelector dm(store, dt);
     CrawlEngine crawler(server, dm, store, CrawlOptions{});

@@ -714,7 +714,7 @@ std::string StagedFleetImage() {
 
 TEST(CrawlFleetTest, GoldenImageDigest) {
   const std::string image = StagedFleetImage();
-  EXPECT_EQ(CheckpointChecksum(image), 0xbcd466846e949df9ULL)
+  EXPECT_EQ(CheckpointChecksum(image), 0x16c8ded1ad144310ULL)
       << image.size() << " bytes";
 }
 
@@ -1072,9 +1072,7 @@ TEST(CrawlFleetTest, InconsistentImagesAreCleanErrors) {
 }
 
 TEST(CrawlFleetTest, VersionMismatchIsRejected) {
-  // The previous format (its fingerprint still carried the breaker's six
-  // thresholds and the retry policy's four backoff-shape fields) and a
-  // future one are both refused.
+  // The previous version number and a future one are both refused.
   for (uint32_t bogus :
        {kFleetCheckpointVersion - 1, kFleetCheckpointVersion + 1}) {
     std::string image = SmallFleetImage();
@@ -1087,22 +1085,27 @@ TEST(CrawlFleetTest, VersionMismatchIsRejected) {
         << status.ToString();
   }
 
-  // A v1012 image in v1012's FALT layout: each source's fault state
-  // carries a keyed-mode byte (1 = keyed) after the profile and two
-  // fault-RNG words (state, odd increment) after the schedule position.
+  // Images in the two previous FALT layouts. v1013's fault state per
+  // source carried two meter words (injected-failure rounds and queries)
+  // just before its five fault counters; v1012's also carried a
+  // keyed-mode byte (1 = keyed) after the profile and two fault-RNG
+  // words (state, odd increment) after the schedule position. Each is
+  // refused by version, naming both versions.
   const std::string image = SmallFleetImage();
   StatusOr<std::string_view> payload =
       UnframeCheckpoint(image, kFleetCheckpointVersion);
   ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  std::string v1013_payload(*payload);
   std::string v1012_payload(*payload);
-  auto read_le = [&v1012_payload](size_t at, int bytes) {
+  auto read_le = [](const std::string& bytes, size_t at, int width) {
     uint64_t v = 0;
-    for (int b = 0; b < bytes; ++b) {
-      v |= uint64_t{static_cast<uint8_t>(v1012_payload[at + b])} << (8 * b);
+    for (int b = 0; b < width; ++b) {
+      v |= uint64_t{static_cast<uint8_t>(bytes[at + b])} << (8 * b);
     }
     return v;
   };
   size_t at = 0;
+  size_t old_at = 0;  // the same position in v1012_payload
   for (const FleetSourceSpec& spec : CheckpointFleetSpecs()) {
     // FSRC marker, then the name as u32 length + bytes.
     std::string header = "FSRC";
@@ -1110,28 +1113,54 @@ TEST(CrawlFleetTest, VersionMismatchIsRejected) {
       header.push_back(static_cast<char>((spec.name.size() >> (8 * b)) & 0xFF));
     }
     header += spec.name;
-    at = v1012_payload.find(header, at);
+    at = v1013_payload.find(header, at);
+    old_at = v1012_payload.find(header, old_at);
     ASSERT_NE(at, std::string::npos) << spec.name;
-    at += header.size();
-    at += 4 + read_le(at, 4);  // the engine's length-prefixed blob
+    ASSERT_NE(old_at, std::string::npos) << spec.name;
+    // The engine's length-prefixed blob.
+    const size_t blob = 4 + read_le(v1013_payload, at + header.size(), 4);
+    at += header.size() + blob;
+    old_at += header.size() + blob;
     // FALT: seed u64, five rate doubles, retry-after u32.
     at += 8 + 5 * 8 + 4;
-    v1012_payload.insert(at, 1, '\1');
-    at += 1 + 8 + 8;  // keyed byte, schedule size and position
-    v1012_payload.insert(at, std::string("\x2a\x2a\x2a\x2a\x2a\x2a\x2a\x2a"
-                                         "\x01\x00\x00\x00\x00\x00\x00\x00",
-                                         16));
-    at += 16;
-    // The attempt table (u64 key + u32 count each), then seven counters.
-    at += 8 + read_le(at, 8) * 12 + 7 * 8;
+    old_at += 8 + 5 * 8 + 4;
+    v1012_payload.insert(old_at, 1, '\1');
+    old_at += 1;
+    at += 8 + 8;  // schedule size and position
+    old_at += 8 + 8;
+    v1012_payload.insert(old_at,
+                         std::string("\x2a\x2a\x2a\x2a\x2a\x2a\x2a\x2a"
+                                     "\x01\x00\x00\x00\x00\x00\x00\x00",
+                                     16));
+    old_at += 16;
+    // The attempt table (u64 key + u32 count each), then the meter words
+    // (any values) before the five counters.
+    const size_t table = 8 + read_le(v1013_payload, at, 8) * 12;
+    at += table;
+    old_at += table;
+    v1013_payload.insert(at, 16, '\0');
+    v1012_payload.insert(old_at, 16, '\0');
+    at += 16 + 5 * 8;
+    old_at += 16 + 5 * 8;
   }
-  ASSERT_EQ(at, v1012_payload.size() - 4);  // only the END! marker left
-  CrawlFleet fleet(CheckpointFleetSpecs(), CheckpointFleetOptions());
-  Status status =
-      DecodeFleetCheckpoint(FrameCheckpoint(v1012_payload, 1012), fleet);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("version"), std::string::npos)
-      << status.ToString();
+  ASSERT_EQ(at, v1013_payload.size() - 4);  // only the END! marker left
+  ASSERT_EQ(old_at, v1012_payload.size() - 4);
+  for (const auto& [version, old_payload] :
+       {std::pair<uint32_t, const std::string*>{1013, &v1013_payload},
+        std::pair<uint32_t, const std::string*>{1012, &v1012_payload}}) {
+    CrawlFleet fleet(CheckpointFleetSpecs(), CheckpointFleetOptions());
+    Status status =
+        DecodeFleetCheckpoint(FrameCheckpoint(*old_payload, version), fleet);
+    ASSERT_FALSE(status.ok()) << version;
+    EXPECT_NE(status.message().find("file has version " +
+                                    std::to_string(version)),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find(
+                  "reads version " + std::to_string(kFleetCheckpointVersion)),
+              std::string::npos)
+        << status.ToString();
+  }
 }
 
 // An engine checkpoint is never accepted as a fleet checkpoint: the two

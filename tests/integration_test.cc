@@ -6,7 +6,7 @@
 //   * Figure 5's shape: a domain-knowledge crawler with a good DT covers
 //     more of the target within a round budget than greedy-link.
 //   * Figure 6's shape: tighter result limits degrade coverage.
-//   * Crawl invariants: no value queried twice, meters consistent,
+//   * Crawl invariants: no value queried twice, cost counts consistent,
 //     harvested records are exactly the reachable set, oracle is the
 //     cheapest policy.
 
@@ -25,6 +25,7 @@
 #include "src/domain/domain_selector.h"
 #include "src/domain/domain_table.h"
 #include "src/server/web_db_server.h"
+#include "tests/test_util.h"
 
 namespace deepcrawl {
 namespace {
@@ -34,7 +35,6 @@ namespace {
 CrawlResult RunCrawl(const Table& table, WebDbServer& server,
                      QuerySelector& selector, LocalStore& store,
                      CrawlOptions options, uint32_t seed_index = 0) {
-  server.ResetMeters();
   CrawlEngine crawler(server, selector, store, options);
   crawler.AddSeed(seed_index % table.num_distinct_values());
   StatusOr<CrawlResult> result = crawler.Run();
@@ -194,8 +194,8 @@ TEST(IntegrationTest, MmmiSqueezesMarginalContentCheaper) {
 }
 
 // Invariant sweep across seeds and policies: the crawl must terminate,
-// harvest exactly the reachable records (no duplicates), and meters must
-// be consistent.
+// harvest exactly the reachable records (no duplicates), and its rounds
+// and queries must match the fetches its source saw.
 class CrawlInvariantTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, int>> {};
 
@@ -218,6 +218,7 @@ TEST_P(CrawlInvariantTest, TerminatesConsistently) {
   ServerOptions server_options;
   server_options.page_size = 7;
   WebDbServer server(*table, server_options);
+  testing_util::CountingSource source(server);
 
   LocalStore store;
   std::unique_ptr<QuerySelector> selector;
@@ -241,15 +242,15 @@ TEST_P(CrawlInvariantTest, TerminatesConsistently) {
 
   CrawlOptions options;
   options.saturation_records = 300;
-  CrawlEngine crawler(server, *selector, store, options);
+  CrawlEngine crawler(source, *selector, store, options);
   crawler.AddSeed(static_cast<ValueId>(seed % table->num_distinct_values()));
   StatusOr<CrawlResult> result = crawler.Run();
   ASSERT_TRUE(result.ok());
 
   EXPECT_EQ(result->stop_reason, StopReason::kFrontierExhausted);
   EXPECT_EQ(result->records, store.num_records());
-  EXPECT_EQ(result->rounds, server.communication_rounds());
-  EXPECT_EQ(result->queries, server.queries_issued());
+  EXPECT_EQ(result->rounds, source.fetches());
+  EXPECT_EQ(result->queries, source.queries());
   EXPECT_GE(result->rounds, result->queries);
   // Every harvested record id is a valid, distinct table record.
   std::set<RecordId> ids;

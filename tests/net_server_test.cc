@@ -148,8 +148,9 @@ TEST(NetServerTest, EveryFetchFormMatchesInProcess) {
   ServerOptions server_options;
   server_options.page_size = 2;
   WebDbServer backend(table, server_options);
+  testing_util::CountingSource served(backend);
   WebDbServer reference(table, server_options);
-  LoopServer loop_server(backend, OptionsFor(table));
+  LoopServer loop_server(served, OptionsFor(table));
 
   StatusOr<std::unique_ptr<NetQueryClient>> connected =
       NetQueryClient::Connect(ClientOptions(loop_server.port()));
@@ -169,18 +170,18 @@ TEST(NetServerTest, EveryFetchFormMatchesInProcess) {
 
   // Only the crawl's two query forms are served: the other three fail
   // with kFailedPrecondition on the client, the in-process server and
-  // the fault proxy alike, with nothing sent, no fault drawn and no
-  // round or query charged (the proxy fails every fetch it forwards).
+  // the fault proxy alike, with nothing reaching a backend and no fault
+  // drawn (the proxy fails every fetch it forwards).
   WebDbServer local(table, server_options);
   WebDbServer proxied(table, server_options);
+  testing_util::CountingSource proxied_calls(proxied);
   FaultProfile always_down;
   always_down.unavailable_rate = 1.0;
-  FaultyServer faulty(proxied, always_down, /*seed=*/3);
+  FaultyServer faulty(proxied_calls, always_down, /*seed=*/3);
   std::vector<ValueId> conjunction = {a2, c2};
+  const uint64_t served_before = served.fetches();
   for (QueryInterface* source :
        std::initializer_list<QueryInterface*>{&client, &local, &faulty}) {
-    const uint64_t rounds_before = source->communication_rounds();
-    const uint64_t queries_before = source->queries_issued();
     for (const StatusOr<ResultPage>& retired :
          {source->FetchPageByText(attr_b, "b2", 0),
           source->FetchPageByKeyword("c2", 0),
@@ -188,9 +189,9 @@ TEST(NetServerTest, EveryFetchFormMatchesInProcess) {
       EXPECT_EQ(retired.status().code(), StatusCode::kFailedPrecondition)
           << retired.status().ToString();
     }
-    EXPECT_EQ(source->communication_rounds(), rounds_before);
-    EXPECT_EQ(source->queries_issued(), queries_before);
   }
+  EXPECT_EQ(served.fetches(), served_before);
+  EXPECT_EQ(proxied_calls.fetches(), 0u);
   EXPECT_EQ(faulty.fault_counters().total(), 0u);
 
   // Error paths cross the wire as faithfully as pages do.
@@ -198,14 +199,10 @@ TEST(NetServerTest, EveryFetchFormMatchesInProcess) {
   ExpectSamePage(client.FetchPage(kInvalidValueId, 0),
                  reference.FetchPage(kInvalidValueId, 0));
 
-  // One attempt = one round, page 0 = one query: the network client
-  // must meter exactly like the in-process server.
-  EXPECT_EQ(client.communication_rounds(), reference.communication_rounds());
-  EXPECT_EQ(client.queries_issued(), reference.queries_issued());
-
   // Socket round trips are real, so the RTT counters must have
-  // recorded one sample per fetch.
-  EXPECT_EQ(client.rtt_counters().fetches, client.communication_rounds());
+  // recorded one sample per fetch the client made: three pages of a2,
+  // its keyword page and the two error paths.
+  EXPECT_EQ(client.rtt_counters().fetches, 6u);
   EXPECT_GT(client.rtt_counters().max_rtt_us, 0u);
 }
 
@@ -571,15 +568,16 @@ TEST(NetServerTest, ZeroReconnectWindowStillConnectsOnce) {
 }
 
 // A serial fetch is a wave of one: it releases the previous fetch's
-// page before it starts, so a long serial crawl holds exactly one page
-// and meters exactly like the in-process server.
+// page before it starts, so a long serial crawl holds exactly one page,
+// and each fetch reaches the backend exactly once.
 TEST(NetServerTest, SerialFetchRetainsOnlyTheLastPage) {
   Table table = MakeFigure1Table();
   ServerOptions server_options;
   server_options.page_size = 2;
   WebDbServer backend(table, server_options);
+  testing_util::CountingSource served(backend);
   WebDbServer reference(table, server_options);
-  LoopServer loop_server(backend, OptionsFor(table));
+  LoopServer loop_server(served, OptionsFor(table));
 
   StatusOr<std::unique_ptr<NetQueryClient>> connected =
       NetQueryClient::Connect(ClientOptions(loop_server.port()));
@@ -595,8 +593,9 @@ TEST(NetServerTest, SerialFetchRetainsOnlyTheLastPage) {
       }
     }
   }
-  EXPECT_EQ(client.communication_rounds(), reference.communication_rounds());
-  EXPECT_EQ(client.queries_issued(), reference.queries_issued());
+  const uint64_t values = table.num_distinct_values();
+  EXPECT_EQ(served.fetches(), 5 * values * 2);
+  EXPECT_EQ(served.queries(), 5 * values);
 }
 
 // Accepts, answers the handshake, then swallows every request without
@@ -914,8 +913,9 @@ TEST(NetServerTest, ExecutorWaveMatchesInProcessResults) {
   ServerOptions server_options;
   server_options.page_size = 2;
   WebDbServer backend(table, server_options);
+  testing_util::CountingSource served(backend);
   WebDbServer reference(table, server_options);
-  LoopServer loop_server(backend, OptionsFor(table));
+  LoopServer loop_server(served, OptionsFor(table));
 
   StatusOr<std::unique_ptr<NetQueryClient>> connected =
       NetQueryClient::Connect(ClientOptions(loop_server.port(),
@@ -945,8 +945,10 @@ TEST(NetServerTest, ExecutorWaveMatchesInProcessResults) {
       ExpectSamePage(*results[i], expected);
     }
   }
-  EXPECT_EQ(client.communication_rounds(), reference.communication_rounds());
-  EXPECT_EQ(client.queries_issued(), reference.queries_issued());
+  // Each request of both waves reached the backend exactly once.
+  const uint64_t values = table.num_distinct_values();
+  EXPECT_EQ(served.fetches(), 2 * values * 3);
+  EXPECT_EQ(served.queries(), 2 * values * 2);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "src/datagen/workload_config.h"
 #include "src/server/web_db_server.h"
+#include "tests/test_util.h"
 
 namespace deepcrawl {
 namespace {
@@ -38,19 +39,20 @@ TEST_P(ServerPagingPropertyTest, CostAndContentInvariants) {
   options.page_size = page_size;
   options.result_limit = result_limit;
   WebDbServer server(db, options);
+  testing_util::CountingSource source(server);
 
   for (ValueId v = 0; v < db.num_distinct_values(); ++v) {
     uint32_t frequency = db.value_frequency(v);
     uint32_t retrievable =
         result_limit > 0 ? std::min(frequency, result_limit) : frequency;
 
-    uint64_t rounds_before = server.communication_rounds();
+    const uint64_t rounds_before = source.fetches();
     uint32_t retrieved = 0;
     uint32_t pages = 0;
     RecordId previous = 0;
     bool first_record = true;
     for (uint32_t page = 0;; ++page) {
-      StatusOr<ResultPage> fetched = server.FetchPage(v, page);
+      StatusOr<ResultPage> fetched = source.FetchPage(v, page);
       ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
       ++pages;
       // Page content invariants.
@@ -78,8 +80,7 @@ TEST_P(ServerPagingPropertyTest, CostAndContentInvariants) {
         retrievable == 0 ? 1 : (retrievable + page_size - 1) / page_size;
     EXPECT_EQ(retrieved, retrievable) << "value " << v;
     EXPECT_EQ(pages, expected_rounds) << "value " << v;
-    EXPECT_EQ(server.communication_rounds() - rounds_before,
-              expected_rounds);
+    EXPECT_EQ(source.fetches() - rounds_before, expected_rounds);
     EXPECT_EQ(server.FullRetrievalCost(v), expected_rounds);
   }
 }

@@ -6,13 +6,17 @@
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <atomic>
 #include <filesystem>
 #include <initializer_list>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "src/relation/table.h"
+#include "src/server/query_interface.h"
 #include "src/util/logging.h"
 
 namespace deepcrawl {
@@ -41,6 +45,65 @@ class ScopedTempDir {
 
  private:
   std::string path_;
+};
+
+// Forwards every call to `inner` and counts the fetches that reach it:
+// every call of any fetch form, and the page-0 calls among them. Put
+// between an engine and its source, it holds the engine's cost meter
+// (CrawlResult::rounds and ::queries) to what the source saw; put under
+// a proxy or a TCP server, it shows which fetches reached the backend.
+// The counts are atomic, so a test thread may read them while a
+// server's event-loop thread fetches.
+class CountingSource : public QueryInterface {
+ public:
+  explicit CountingSource(QueryInterface& inner) : inner_(inner) {}
+
+  StatusOr<ResultPage> FetchPage(ValueId value,
+                                 uint32_t page_number) override {
+    Count(page_number);
+    return inner_.FetchPage(value, page_number);
+  }
+  StatusOr<ResultPage> FetchPageKeywordOf(ValueId value,
+                                          uint32_t page_number) override {
+    Count(page_number);
+    return inner_.FetchPageKeywordOf(value, page_number);
+  }
+  StatusOr<ResultPage> FetchPageByText(AttributeId attr,
+                                       std::string_view text,
+                                       uint32_t page_number) override {
+    Count(page_number);
+    return inner_.FetchPageByText(attr, text, page_number);
+  }
+  StatusOr<ResultPage> FetchPageByKeyword(std::string_view text,
+                                          uint32_t page_number) override {
+    Count(page_number);
+    return inner_.FetchPageByKeyword(text, page_number);
+  }
+  StatusOr<ResultPage> FetchPageConjunctive(std::span<const ValueId> values,
+                                            uint32_t page_number) override {
+    Count(page_number);
+    return inner_.FetchPageConjunctive(values, page_number);
+  }
+  RttCounters rtt_counters() const override { return inner_.rtt_counters(); }
+  const ServerOptions& options() const override { return inner_.options(); }
+  bool IsQueriableValue(ValueId value) const override {
+    return inner_.IsQueriableValue(value);
+  }
+  uint32_t num_values() const override { return inner_.num_values(); }
+
+  uint64_t fetches() const { return fetches_.load(std::memory_order_relaxed); }
+  // The page-0 fetches; while no fetch fails, one per query submitted.
+  uint64_t queries() const { return queries_.load(std::memory_order_relaxed); }
+
+ private:
+  void Count(uint32_t page_number) {
+    fetches_.fetch_add(1, std::memory_order_relaxed);
+    if (page_number == 0) queries_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  QueryInterface& inner_;
+  std::atomic<uint64_t> fetches_{0};
+  std::atomic<uint64_t> queries_{0};
 };
 
 // One test record: list of (attribute name, value text) pairs.

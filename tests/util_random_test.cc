@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
 #include <vector>
 
 namespace deepcrawl {
@@ -75,46 +73,6 @@ TEST(Pcg32Test, NextBoolMatchesProbability) {
     if (rng.NextBool(0.3)) ++hits;
   }
   EXPECT_NEAR(hits / 20000.0, 0.3, 0.02);
-}
-
-TEST(Pcg32Test, NextInRangeInclusiveBounds) {
-  Pcg32 rng(3);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 1000; ++i) {
-    int64_t x = rng.NextInRange(-2, 2);
-    ASSERT_GE(x, -2);
-    ASSERT_LE(x, 2);
-    if (x == -2) saw_lo = true;
-    if (x == 2) saw_hi = true;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
-TEST(Pcg32Test, ShufflePreservesElements) {
-  Pcg32 rng(17);
-  std::vector<int> items = {1, 2, 3, 4, 5, 6, 7, 8};
-  std::vector<int> shuffled = items;
-  rng.Shuffle(shuffled);
-  std::vector<int> sorted = shuffled;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, items);
-}
-
-TEST(Pcg32Test, SampleWithoutReplacementIsDistinctAndInRange) {
-  Pcg32 rng(31);
-  std::vector<uint32_t> sample = rng.SampleWithoutReplacement(100, 30);
-  EXPECT_EQ(sample.size(), 30u);
-  std::set<uint32_t> distinct(sample.begin(), sample.end());
-  EXPECT_EQ(distinct.size(), 30u);
-  for (uint32_t s : sample) EXPECT_LT(s, 100u);
-}
-
-TEST(Pcg32Test, SampleWholePopulation) {
-  Pcg32 rng(31);
-  std::vector<uint32_t> sample = rng.SampleWithoutReplacement(12, 12);
-  std::set<uint32_t> distinct(sample.begin(), sample.end());
-  EXPECT_EQ(distinct.size(), 12u);
 }
 
 }  // namespace

@@ -8,33 +8,6 @@
 namespace deepcrawl {
 namespace {
 
-TEST(RunningStatsTest, EmptyIsZero) {
-  RunningStats stats;
-  EXPECT_EQ(stats.count(), 0u);
-  EXPECT_EQ(stats.mean(), 0.0);
-  EXPECT_EQ(stats.variance(), 0.0);
-}
-
-TEST(RunningStatsTest, MeanVarianceMinMax) {
-  RunningStats stats;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) stats.Add(x);
-  EXPECT_EQ(stats.count(), 8u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-  // Sample variance of this classic dataset is 32/7.
-  EXPECT_NEAR(stats.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_NEAR(stats.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_EQ(stats.min(), 2.0);
-  EXPECT_EQ(stats.max(), 9.0);
-}
-
-TEST(RunningStatsTest, SingleSampleHasZeroVariance) {
-  RunningStats stats;
-  stats.Add(3.5);
-  EXPECT_EQ(stats.variance(), 0.0);
-  EXPECT_EQ(stats.min(), 3.5);
-  EXPECT_EQ(stats.max(), 3.5);
-}
-
 TEST(LinearFitTest, ExactLineIsRecovered) {
   std::vector<double> x = {1, 2, 3, 4, 5};
   std::vector<double> y;

@@ -114,7 +114,6 @@ Status Run(const Options& options) {
       crawl_options.saturation_records = static_cast<uint64_t>(
           options.saturation * static_cast<double>(target.num_records()));
     }
-    server.ResetMeters();
     CrawlEngine engine(server, *selector, store, crawl_options);
     engine.AddSeed(seed_value);
     DEEPCRAWL_ASSIGN_OR_RETURN(CrawlResult result, engine.Run());

@@ -140,15 +140,7 @@ Status WriteHarvest(const Table& target, const LocalStore& store,
   std::ofstream file(path);
   if (!file) return Status::NotFound("cannot create '" + path + "'");
   for (uint32_t slot = 0; slot < store.num_records(); ++slot) {
-    bool first = true;
-    for (ValueId v : store.RecordValues(slot)) {
-      if (!first) file << '\t';
-      first = false;
-      AttributeId attr = target.catalog().attribute_of(v);
-      file << target.schema().attribute(attr).name << '='
-           << target.catalog().text_of(v);
-    }
-    file << '\n';
+    WriteTsvRow(target, store.RecordValues(slot), file);
   }
   if (!file) return Status::Internal("write failed");
   return Status::OK();
